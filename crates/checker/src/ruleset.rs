@@ -9,6 +9,7 @@
 use hcm_core::SimDuration;
 use hcm_core::{RuleId, SiteId, TemplateDesc};
 use hcm_rulelang::{Cond, InterfaceStmt, RhsStep, StrategyRule};
+use std::collections::HashMap;
 
 /// A uniform view of one rule for the checker: LHS template +
 /// condition, sequenced RHS, bound, and site placement.
@@ -37,6 +38,8 @@ pub struct CheckedRule {
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     rules: Vec<CheckedRule>,
+    /// Rule id → position of the first rule added with that id.
+    by_id: HashMap<RuleId, usize>,
 }
 
 impl RuleSet {
@@ -48,7 +51,7 @@ impl RuleSet {
 
     /// Add an interface statement offered by the database at `site`.
     pub fn add_interface(&mut self, id: RuleId, site: SiteId, stmt: &InterfaceStmt) {
-        self.rules.push(CheckedRule {
+        self.push(CheckedRule {
             id,
             lhs: stmt.lhs.clone(),
             cond: stmt.cond.clone(),
@@ -71,7 +74,7 @@ impl RuleSet {
         rhs_site: SiteId,
         rule: &StrategyRule,
     ) {
-        self.rules.push(CheckedRule {
+        self.push(CheckedRule {
             id,
             lhs: rule.lhs.clone(),
             cond: rule.cond.clone(),
@@ -83,10 +86,22 @@ impl RuleSet {
         });
     }
 
-    /// Look up a rule by id.
+    fn push(&mut self, rule: CheckedRule) {
+        self.by_id.entry(rule.id).or_insert(self.rules.len());
+        self.rules.push(rule);
+    }
+
+    /// Position in [`RuleSet::rules`] of the rule with this id; the
+    /// first rule added with a given id wins.
+    #[must_use]
+    pub(crate) fn position(&self, id: RuleId) -> Option<usize> {
+        self.by_id.get(&id).copied()
+    }
+
+    /// Look up a rule by id (the first added with that id).
     #[must_use]
     pub fn get(&self, id: RuleId) -> Option<&CheckedRule> {
-        self.rules.iter().find(|r| r.id == id)
+        self.position(id).map(|i| &self.rules[i])
     }
 
     /// All rules.
@@ -128,6 +143,17 @@ mod tests {
         assert!(!rs.get(RuleId(1)).unwrap().is_interface);
         assert!(rs.get(RuleId(9)).is_none());
         assert_eq!(rs.get(RuleId(1)).unwrap().steps.len(), 1);
+    }
+
+    #[test]
+    fn first_rule_with_an_id_wins() {
+        let mut rs = RuleSet::new();
+        let w = parse_interface("WR(X, b) -> W(X, b) within 1s").unwrap();
+        rs.add_interface(RuleId(3), SiteId::new(1), &w);
+        let s = parse_strategy_rule("N(X, b) -> WR(Y, b) within 5s").unwrap();
+        rs.add_strategy(RuleId(3), SiteId::new(0), SiteId::new(1), &s);
+        assert_eq!(rs.position(RuleId(3)), Some(0));
+        assert!(rs.get(RuleId(3)).unwrap().is_interface);
     }
 
     #[test]

@@ -22,7 +22,19 @@
 //!    the demarcation protocol).
 //! 7. **In-order related rules** — firings of related rules (same LHS
 //!    site, same RHS site) are processed in trigger order: strict
-//!    inversions `t1 < t3` but `t4 < t2` are violations.
+//!    inversions `t1 < t3` but `t4 < t2` are violations, whichever of
+//!    the two rules holds the earlier trigger.
+//!
+//! The check is one indexed pass. A pre-pass over the trace records
+//! which events each trigger generated, which `WriteRejected` refusals
+//! descend from each event, and the firings of each group of related
+//! rules. Property 6 then probes, per event, the same [`RuleIndex`] the
+//! CM-Shell dispatches through, evaluating step conditions only at the
+//! state change points inside each window; property 7 sorts and sweeps
+//! each group. The cost is O(n log n) in the trace length plus the size
+//! of the report. `tests/reference/mod.rs` keeps the direct
+//! property-by-property transcription, and the differential suites pin
+//! this checker's report to it.
 //!
 //! Deviations from the appendix, documented in `DESIGN.md`: sequenced
 //! RHS steps may share an instant (the engine executes them in one
@@ -33,10 +45,14 @@
 
 use crate::ruleset::RuleSet;
 use crate::state::StateIndex;
-use hcm_core::{Bindings, Event, EventDesc, ItemId, SimTime, TemplateDesc, Trace, Value};
+use hcm_core::{
+    Bindings, Event, EventDesc, EventId, ItemId, RuleIndex, SimTime, SiteId, Sym, TemplateDesc,
+    Trace, Value,
+};
 use hcm_rulelang::{Cond, CondEnv, Expr};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// One violation of a validity property.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -245,7 +261,7 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
         // parameterized periodic interfaces (`P(p) ∧ wphone(n) = b →
         // N(wphone(n), b)`) bind `n` and `b` only through the generated
         // event.
-        let refusal = matches!(&e.desc, EventDesc::Custom { name, .. } if name == "WriteRejected");
+        let refusal = is_refusal(&e.desc);
         let mut template_matched = refusal;
         let mut explained = refusal;
         for step in &rule.steps {
@@ -290,115 +306,303 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
     }
 
     // ---- Property 6: obligations ------------------------------------------
-    for rule in rules.rules() {
-        for (trigger_pos, trigger) in events.iter().enumerate() {
-            if trigger.site != rule.lhs_site {
+    let firings = Firings::build(trace, rules);
+    report.obligations_checked =
+        check_obligations(trace, rules, &idx, &firings, &mut report.violations);
+
+    // ---- Property 7: in-order related rules --------------------------------
+    check_related_order(events, rules, firings.groups, &mut report.violations);
+
+    report
+}
+
+/// One rule firing: a generated event and the time of its trigger.
+struct Firing {
+    trigger_time: SimTime,
+    /// Trace position of the generated event.
+    pos: usize,
+    /// Position of its rule in [`RuleSet::rules`].
+    rule: usize,
+}
+
+/// What one pass over the trace learns about rule firings.
+struct Firings {
+    /// Trigger id → positions of the events it generated, ascending.
+    generated: HashMap<EventId, Vec<usize>>,
+    /// Ancestor id → positions of the `WriteRejected` refusals up to
+    /// [`REFUSAL_HOPS`] trigger links below it, ascending.
+    refusals: HashMap<EventId, Vec<usize>>,
+    /// (LHS site, RHS site) → the firings of that site pair's rules —
+    /// the groups of related rules of property 7 — in trace order.
+    groups: HashMap<(SiteId, SiteId), Vec<Firing>>,
+}
+
+/// How far up the trigger chain a refusal discharges an obligation:
+/// the write request may sit a few rule firings below the trigger.
+const REFUSAL_HOPS: usize = 8;
+
+impl Firings {
+    fn build(trace: &Trace, rules: &RuleSet) -> Firings {
+        let mut f = Firings {
+            generated: HashMap::new(),
+            refusals: HashMap::new(),
+            groups: HashMap::new(),
+        };
+        for (pos, e) in trace.events().iter().enumerate() {
+            let Some(trigger) = e.trigger else {
                 continue;
+            };
+            f.generated.entry(trigger).or_default().push(pos);
+            let Some(rule_id) = e.rule else {
+                continue;
+            };
+            if is_refusal(&e.desc) {
+                let mut cur = Some(trigger);
+                for _ in 0..REFUSAL_HOPS {
+                    let Some(id) = cur else {
+                        break;
+                    };
+                    f.refusals.entry(id).or_default().push(pos);
+                    cur = trace.get(id).and_then(|t| t.trigger);
+                }
             }
+            if let (Some(rule), Some(t)) = (rules.position(rule_id), trace.get(trigger)) {
+                let r = &rules.rules()[rule];
+                f.groups
+                    .entry((r.lhs_site, r.rhs_site))
+                    .or_default()
+                    .push(Firing {
+                        trigger_time: t.time,
+                        pos,
+                        rule,
+                    });
+            }
+        }
+        f
+    }
+}
+
+fn is_refusal(desc: &EventDesc) -> bool {
+    matches!(desc, EventDesc::Custom { name, .. } if name == "WriteRejected")
+}
+
+/// The events at `positions` (ascending) that come after trace position
+/// `after` and occur by `end`.
+fn later_by<'a>(
+    events: &'a [Event],
+    positions: Option<&'a Vec<usize>>,
+    after: usize,
+    end: SimTime,
+) -> impl Iterator<Item = &'a Event> {
+    let positions = positions.map_or(&[][..], Vec::as_slice);
+    positions[positions.partition_point(|&p| p <= after)..]
+        .iter()
+        .map(move |&p| &events[p])
+        .filter(move |e| e.time <= end)
+}
+
+/// Property 6, event-major: each event probes its site's rule index,
+/// so only rules whose LHS can match it are unified. Returns the number
+/// of obligations checked; violations come out rule-major, then by
+/// trigger, then by step.
+fn check_obligations(
+    trace: &Trace,
+    rules: &RuleSet,
+    idx: &StateIndex,
+    firings: &Firings,
+    out: &mut Vec<Violation>,
+) -> usize {
+    let events = trace.events();
+    let mut by_site: HashMap<SiteId, Vec<usize>> = HashMap::new();
+    for (i, r) in rules.rules().iter().enumerate() {
+        by_site.entry(r.lhs_site).or_default().push(i);
+    }
+    let indexes: HashMap<SiteId, RuleIndex> = by_site
+        .into_iter()
+        .map(|(site, positions)| {
+            let lhs = positions.into_iter().map(|i| (i, &rules.rules()[i].lhs));
+            (site, RuleIndex::build(lhs))
+        })
+        .collect();
+
+    let mut obligations = 0;
+    let mut found: Vec<(usize, Violation)> = Vec::new();
+    for (trigger_pos, trigger) in events.iter().enumerate() {
+        let Some(index) = indexes.get(&trigger.site) else {
+            continue;
+        };
+        for r in index.candidates(&trigger.desc) {
+            let rule = &rules.rules()[r];
             let mut bindings = Bindings::new();
             if !rule.lhs.match_desc(&trigger.desc, &mut bindings) {
                 continue;
             }
-            bind_from_cond(&rule.cond, &idx, trigger.time, &mut bindings);
-            if !eval_cond(&rule.cond, &idx, trigger.time, &bindings) {
+            bind_from_cond(&rule.cond, idx, trigger.time, &mut bindings);
+            if !eval_cond(&rule.cond, idx, trigger.time, &bindings) {
                 continue;
             }
-            report.obligations_checked += 1;
+            obligations += 1;
             let window_end = trigger.time + rule.bound;
             for step in &rule.steps {
-                if step.event == TemplateDesc::False {
+                let msg = if step.event == TemplateDesc::False {
                     // Prohibition: the trigger itself violates it.
-                    report.violations.push(Violation {
-                        property: 6,
-                        event: Some(trigger.id.0),
-                        msg: format!(
-                            "prohibited event {} occurred (rule {})",
-                            trigger.desc, rule.id
-                        ),
+                    format!(
+                        "prohibited event {} occurred (rule {})",
+                        trigger.desc, rule.id
+                    )
+                } else {
+                    // Discharged when a matching generated event exists
+                    // in the window…
+                    let generated = firings.generated.get(&trigger.id);
+                    let fulfilled = later_by(events, generated, trigger_pos, window_end).any(|e| {
+                        e.rule == Some(rule.id)
+                            && step.event.match_desc(&e.desc, &mut bindings.clone())
                     });
-                    continue;
-                }
-                // Discharged when a matching generated event exists in
-                // the window…
-                let fulfilled = events[trigger_pos + 1..].iter().any(|e| {
-                    if e.time > window_end {
-                        return false;
-                    }
-                    if e.rule != Some(rule.id) || e.trigger != Some(trigger.id) {
-                        return false;
-                    }
-                    let mut b = bindings.clone();
-                    e.desc.match_kind_of(&step.event) && step.event.match_desc(&e.desc, &mut b)
-                });
-                if fulfilled {
-                    continue;
-                }
-                // …or the step condition was false when the engine
-                // evaluated it (we accept "false at every instant of
-                // the window" as the checkable approximation)…
-                if step.cond != Cond::True {
-                    let mut any_true = false;
-                    let mut t = trigger.time;
-                    loop {
-                        if eval_cond(&step.cond, &idx, t, &bindings) {
-                            any_true = true;
-                            break;
-                        }
-                        if t >= window_end {
-                            break;
-                        }
-                        t = SimTime::from_millis((t.as_millis() + 1).min(window_end.as_millis()));
-                        // Jump between salient instants would be an
-                        // optimization; windows are short.
-                    }
-                    if !any_true {
+                    if fulfilled {
                         continue;
                     }
-                }
-                // …or the database refused the write (conditional-write
-                // discharge).
-                let refused = events[trigger_pos + 1..].iter().any(|e| {
-                    e.time <= window_end
-                        && e.rule.is_some()
-                        && matches!(&e.desc, EventDesc::Custom { name, .. } if name == "WriteRejected")
-                        && related_refusal(trace, e, trigger.id.0)
-                });
-                if refused {
-                    continue;
-                }
-                report.violations.push(Violation {
-                    property: 6,
-                    event: Some(trigger.id.0),
-                    msg: format!(
+                    // …or the step condition was false throughout the
+                    // window…
+                    if step.cond != Cond::True
+                        && !holds_sometime(&step.cond, idx, trigger.time, window_end, &bindings)
+                    {
+                        continue;
+                    }
+                    // …or the database refused the write
+                    // (conditional-write discharge).
+                    let refusals = firings.refusals.get(&trigger.id);
+                    if later_by(events, refusals, trigger_pos, window_end)
+                        .next()
+                        .is_some()
+                    {
+                        continue;
+                    }
+                    format!(
                         "rule {} fired by {} at {}: step `{}` unfulfilled by {}",
                         rule.id, trigger.desc, trigger.time, step.event, window_end
-                    ),
-                });
+                    )
+                };
+                found.push((
+                    r,
+                    Violation {
+                        property: 6,
+                        event: Some(trigger.id.0),
+                        msg,
+                    },
+                ));
             }
         }
     }
+    // Stable: within a rule, triggers and steps are already in order.
+    found.sort_by_key(|(r, _)| *r);
+    out.extend(found.into_iter().map(|(_, v)| v));
+    obligations
+}
 
-    // ---- Property 7: in-order related rules --------------------------------
-    let related = rules.related_pairs();
-    for (ra, rb) in related {
-        let fa: Vec<&Event> = events
+/// Whether `cond` holds at some instant of `[from, to]`. Item values
+/// change only at [`StateIndex`] change points, so probing `from` and
+/// every change point of the condition's item bases inside `(from, to]`
+/// visits every state the window passes through.
+fn holds_sometime(
+    cond: &Cond,
+    idx: &StateIndex,
+    from: SimTime,
+    to: SimTime,
+    bindings: &Bindings,
+) -> bool {
+    if eval_cond(cond, idx, from, bindings) {
+        return true;
+    }
+    let mut bases = Vec::new();
+    cond_bases(cond, &mut bases);
+    bases.into_iter().any(|base| {
+        let bps = idx.breakpoints_by_base(base);
+        bps[bps.partition_point(|&t| t <= from)..]
             .iter()
-            .filter(|e| e.rule == Some(ra) && e.trigger.is_some())
-            .collect();
-        let fb: Vec<&Event> = events
-            .iter()
-            .filter(|e| e.rule == Some(rb) && e.trigger.is_some())
-            .collect();
-        for e2 in &fa {
-            let t1 = trace.get(e2.trigger.expect("filtered")).map(|t| t.time);
-            for e4 in &fb {
-                if e2.id == e4.id {
-                    continue;
-                }
-                let t3 = trace.get(e4.trigger.expect("filtered")).map(|t| t.time);
-                if let (Some(t1), Some(t3)) = (t1, t3) {
-                    if t1 < t3 && e4.time < e2.time {
-                        report.violations.push(Violation {
+            .take_while(|&&t| t <= to)
+            .any(|&t| eval_cond(cond, idx, t, bindings))
+    })
+}
+
+/// The item bases a condition reads.
+fn cond_bases(cond: &Cond, out: &mut Vec<Sym>) {
+    match cond {
+        Cond::True => {}
+        Cond::Cmp(a, _, b) => {
+            expr_bases(a, out);
+            expr_bases(b, out);
+        }
+        Cond::And(a, b) | Cond::Or(a, b) => {
+            cond_bases(a, out);
+            cond_bases(b, out);
+        }
+        Cond::Not(c) => cond_bases(c, out),
+        Cond::Exists(p) => out.push(p.base),
+    }
+}
+
+fn expr_bases(expr: &Expr, out: &mut Vec<Sym>) {
+    match expr {
+        Expr::Item(p) => out.push(p.base),
+        Expr::Var(_) | Expr::Lit(_) => {}
+        Expr::Neg(e) | Expr::Abs(e) => expr_bases(e, out),
+        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
+            expr_bases(a, out);
+            expr_bases(b, out);
+        }
+    }
+}
+
+/// Property 7 by sort and sweep. Within a group of related rules, an
+/// inversion is a pair of firings whose triggers are strictly ordered
+/// one way and whose effects strictly the other way, whichever rule
+/// each belongs to. Sorting a group by trigger time and carrying the
+/// latest effect among strictly earlier triggers finds whether it has
+/// one; only groups that do enumerate their inverted pairs. Violations
+/// come out ordered as the related pairs of [`RuleSet::related_pairs`],
+/// the pair's own direction before its mirror, then by the
+/// earlier-triggered event, then by the offending event.
+fn check_related_order(
+    events: &[Event],
+    rules: &RuleSet,
+    groups: HashMap<(SiteId, SiteId), Vec<Firing>>,
+    out: &mut Vec<Violation>,
+) {
+    let mut found = Vec::new();
+    for mut group in groups.into_values() {
+        group.sort_by_key(|f| f.trigger_time);
+        let effect = |f: &Firing| events[f.pos].time;
+        let runs = || group.chunk_by(|a, b| a.trigger_time == b.trigger_time);
+        let mut latest: Option<SimTime> = None;
+        let inverted = runs().any(|run| {
+            let hit = latest.is_some_and(|l| run.iter().any(|f| effect(f) < l));
+            latest = latest.max(run.iter().map(effect).max());
+            hit
+        });
+        if !inverted {
+            continue;
+        }
+        // (effect time, index into `group`) of every strictly earlier
+        // trigger; a range query yields exactly the later effects.
+        let mut earlier: BTreeSet<(SimTime, usize)> = BTreeSet::new();
+        let mut start = 0;
+        for run in runs() {
+            for f4 in run {
+                let e4 = &events[f4.pos];
+                let later = (Excluded((e4.time, usize::MAX)), Unbounded);
+                for &(_, i) in earlier.range(later) {
+                    let f2 = &group[i];
+                    let e2 = &events[f2.pos];
+                    let key = (
+                        f2.rule.min(f4.rule),
+                        f2.rule.max(f4.rule),
+                        f2.rule > f4.rule,
+                    );
+                    let (ra, rb) = (rules.rules()[f2.rule].id, rules.rules()[f4.rule].id);
+                    let (t1, t3) = (f2.trigger_time, f4.trigger_time);
+                    found.push((
+                        (key, f2.pos, f4.pos),
+                        Violation {
                             property: 7,
                             event: Some(e4.id.0),
                             msg: format!(
@@ -406,56 +610,22 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
                                  triggers at {t1} < {t3} but effects at {} > {}",
                                 e2.time, e4.time
                             ),
-                        });
-                    }
+                        },
+                    ));
                 }
             }
+            earlier.extend(run.iter().enumerate().map(|(k, f)| (effect(f), start + k)));
+            start += run.len();
         }
     }
-
-    report
-}
-
-/// Is this `WriteRejected` event causally downstream of `trigger_id`?
-/// (Directly triggered by it, or by an event it triggered.)
-fn related_refusal(trace: &Trace, e: &Event, trigger_id: u64) -> bool {
-    let mut cur = e.trigger;
-    for _ in 0..8 {
-        match cur {
-            None => return false,
-            Some(id) if id.0 == trigger_id => return true,
-            Some(id) => cur = trace.get(id).and_then(|t| t.trigger),
-        }
-    }
-    false
-}
-
-/// Cheap kind check so property 6 does not cross-match templates of
-/// different descriptors.
-trait KindMatch {
-    fn match_kind_of(&self, t: &TemplateDesc) -> bool;
-}
-
-impl KindMatch for EventDesc {
-    fn match_kind_of(&self, t: &TemplateDesc) -> bool {
-        matches!(
-            (self, t),
-            (EventDesc::Ws { .. }, TemplateDesc::Ws { .. })
-                | (EventDesc::W { .. }, TemplateDesc::W { .. })
-                | (EventDesc::Wr { .. }, TemplateDesc::Wr { .. })
-                | (EventDesc::Rr { .. }, TemplateDesc::Rr { .. })
-                | (EventDesc::R { .. }, TemplateDesc::R { .. })
-                | (EventDesc::N { .. }, TemplateDesc::N { .. })
-                | (EventDesc::P { .. }, TemplateDesc::P { .. })
-                | (EventDesc::Custom { .. }, TemplateDesc::Custom { .. })
-        )
-    }
+    found.sort_by_key(|(key, _)| *key);
+    out.extend(found.into_iter().map(|(_, v)| v));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::{EventId, RuleId, SiteId};
+    use hcm_core::RuleId;
     use hcm_rulelang::{parse_interface, parse_strategy_rule};
 
     const A: SiteId = SiteId::new(0);
@@ -964,5 +1134,60 @@ mod tests {
         );
         let report = check_validity(&tr, &rs);
         assert!(report.of_property(7).is_empty());
+    }
+
+    #[test]
+    fn p7_inversion_across_mirrored_pair_detected() {
+        // Rule 1 holds the earlier trigger but the later effect: the
+        // inversion lies in the pair's mirrored direction.
+        let mut rs = RuleSet::new();
+        for id in 0..2 {
+            rs.add_strategy(
+                RuleId(id),
+                A,
+                B,
+                &parse_strategy_rule("N(X, b) -> WR(Y, b) within 60s").unwrap(),
+            );
+        }
+        let mut tr = Trace::new();
+        let n = |tr: &mut Trace, secs: u64| {
+            tr.push(
+                SimTime::from_secs(secs),
+                A,
+                EventDesc::N {
+                    item: x(),
+                    value: Value::Int(secs as i64),
+                },
+                None,
+                None,
+                None,
+            )
+        };
+        let n1 = n(&mut tr, 1);
+        let n2 = n(&mut tr, 2);
+        let wr = |tr: &mut Trace, secs: u64, v: i64, rule: u32, trigger: EventId| {
+            tr.push(
+                SimTime::from_secs(secs),
+                B,
+                EventDesc::Wr {
+                    item: y(),
+                    value: Value::Int(v),
+                },
+                None,
+                Some(RuleId(rule)),
+                Some(trigger),
+            )
+        };
+        let early = wr(&mut tr, 3, 2, 0, n2);
+        wr(&mut tr, 4, 1, 1, n1);
+        let report = check_validity(&tr, &rs);
+        let p7 = report.of_property(7);
+        assert_eq!(p7.len(), 1, "{:#?}", report.violations);
+        assert_eq!(p7[0].event, Some(early.0));
+        assert_eq!(
+            p7[0].msg,
+            "related rules r1/r0 processed out of order: \
+             triggers at t=1.000s < t=2.000s but effects at t=4.000s > t=3.000s"
+        );
     }
 }

@@ -17,6 +17,8 @@
 //!   events of Appendix A: `(time, desc, old, new, rule, trigger)`.
 //! * [`TemplateDesc`] / [`Bindings`] — event templates and matching
 //!   interpretations (`mi(E, 𝓔)` in the paper).
+//! * [`RuleIndex`] — the discrimination index over rule LHS templates
+//!   that both the CM-Shell's dispatch and the validity checker use.
 //! * [`Trace`] — recorded executions, the object the
 //!   `hcm-checker` crate validates and evaluates guarantees over.
 //!
@@ -32,6 +34,7 @@ pub mod intern;
 pub mod item;
 pub mod ordkey;
 pub mod rule;
+pub mod rule_index;
 pub mod site;
 pub mod sync;
 pub mod template;
@@ -45,6 +48,7 @@ pub use intern::Sym;
 pub use item::{ItemId, ItemPattern};
 pub use ordkey::OrderKey;
 pub use rule::{RuleId, RuleRegistry};
+pub use rule_index::RuleIndex;
 pub use site::SiteId;
 pub use sync::Shared;
 pub use template::{Bindings, TemplateDesc, Term};

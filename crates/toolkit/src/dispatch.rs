@@ -1,29 +1,14 @@
-//! Discrimination-indexed rule dispatch for the CM-Shell.
+//! Rule dispatch for the CM-Shell.
 //!
-//! A shell's `process_event` historically scanned every local rule
-//! and ran full template unification against each — O(rules) per
-//! event, the classic wall active-rule systems hit at scale. The
-//! [`RuleIndex`] built here buckets a shell's rules by the cheap part
-//! of their LHS — the event-descriptor *kind* crossed with the
-//! interned item base [`Sym`] (or the custom-event name) — so an
-//! incoming event probes exactly one bucket plus a small generic
-//! bucket, and only those candidates pay for unification.
-//!
-//! Soundness rests on [`TemplateDesc::match_desc`] semantics: a
-//! keyed template only ever matches an event of the same kind whose
-//! item base (which is always a concrete `Sym`, never a variable)
-//! equals the pattern's base — so every rule the index skips is a rule
-//! the linear scan would have rejected, and candidate order within the
-//! merge is ascending rule position, i.e. exactly the linear-scan
-//! visit order. [`ShellActor`](crate::shell::ShellActor) exploits that
-//! to keep traces, metrics and spans byte-identical across
-//! [`DispatchMode`]s; `tests/dispatch_equivalence.rs` checks the
-//! candidate-set equality property differentially against a linear
-//! reference over randomized templates.
-
-use crate::compile::CompiledRule;
-use hcm_core::{EventDesc, Sym, TemplateDesc};
-use std::collections::HashMap;
+//! A shell's `process_event` probes an [`hcm_core::RuleIndex`] built
+//! over its rules' LHS templates — the same index the validity checker
+//! uses — so only the candidates pay for unification. Candidates come
+//! out in ascending rule position, the linear-scan visit order, so
+//! [`ShellActor`](crate::shell::ShellActor) keeps traces, metrics and
+//! spans byte-identical across [`DispatchMode`]s;
+//! `tests/dispatch_equivalence.rs` checks the candidate-set equality
+//! property differentially against a linear reference over randomized
+//! templates.
 
 /// Which matching path `ShellActor::process_event` takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,230 +18,4 @@ pub enum DispatchMode {
     /// Probe the discrimination index (the default).
     #[default]
     Indexed,
-}
-
-/// Event-kind discriminant, the first component of a bucket key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Kind {
-    Ws,
-    W,
-    Wr,
-    Rr,
-    R,
-    N,
-}
-
-/// How one event (or template) keys into the index.
-enum Key<'a> {
-    /// Item-bearing kinds: (kind, interned base).
-    Item(Kind, Sym),
-    /// Custom events, keyed by name (no interner round-trip on probe).
-    Custom(&'a str),
-    /// No concrete discriminant (`P` events): generic bucket only.
-    None,
-}
-
-fn event_key(desc: &EventDesc) -> Key<'_> {
-    match desc {
-        EventDesc::Ws { item, .. } => Key::Item(Kind::Ws, item.base),
-        EventDesc::W { item, .. } => Key::Item(Kind::W, item.base),
-        EventDesc::Wr { item, .. } => Key::Item(Kind::Wr, item.base),
-        EventDesc::Rr { item } => Key::Item(Kind::Rr, item.base),
-        EventDesc::R { item, .. } => Key::Item(Kind::R, item.base),
-        EventDesc::N { item, .. } => Key::Item(Kind::N, item.base),
-        EventDesc::Custom { name, .. } => Key::Custom(name),
-        EventDesc::P { .. } => Key::None,
-    }
-}
-
-/// A discrimination index over one shell's local rules.
-///
-/// Bucket values are positions into the shared rule arena, in
-/// ascending order (= specification order among the shell's rules).
-#[derive(Debug, Clone, Default)]
-pub struct RuleIndex {
-    /// (event kind, item base) → candidate rule positions.
-    items: HashMap<(Kind, Sym), Vec<usize>>,
-    /// Custom-event name → candidate rule positions.
-    custom: HashMap<String, Vec<usize>>,
-    /// Rules with no concrete discriminant (`P`-headed templates):
-    /// probed on every event.
-    generic: Vec<usize>,
-}
-
-impl RuleIndex {
-    /// Index `positions` (into `rules`) by their LHS discriminant.
-    /// `positions` must be ascending — candidate iteration preserves
-    /// that order.
-    #[must_use]
-    pub fn build(rules: &[CompiledRule], positions: &[usize]) -> RuleIndex {
-        let mut idx = RuleIndex::default();
-        for &i in positions {
-            match &rules[i].rule.lhs {
-                TemplateDesc::Ws { item, .. } => idx.push_item(Kind::Ws, item.base, i),
-                TemplateDesc::W { item, .. } => idx.push_item(Kind::W, item.base, i),
-                TemplateDesc::Wr { item, .. } => idx.push_item(Kind::Wr, item.base, i),
-                TemplateDesc::Rr { item } => idx.push_item(Kind::Rr, item.base, i),
-                TemplateDesc::R { item, .. } => idx.push_item(Kind::R, item.base, i),
-                TemplateDesc::N { item, .. } => idx.push_item(Kind::N, item.base, i),
-                TemplateDesc::Custom { name, .. } => {
-                    idx.custom.entry(name.clone()).or_default().push(i);
-                }
-                TemplateDesc::P { .. } => idx.generic.push(i),
-                // `𝓕` matches nothing; indexing it anywhere would only
-                // waste probes.
-                TemplateDesc::False => {}
-            }
-        }
-        idx
-    }
-
-    fn push_item(&mut self, kind: Kind, base: Sym, i: usize) {
-        self.items.entry((kind, base)).or_default().push(i);
-    }
-
-    /// Candidate rule positions for `desc`, ascending: the merge of
-    /// its discriminant bucket with the generic bucket. Every rule the
-    /// linear scan would match is a candidate; rules skipped are
-    /// guaranteed kind- or base-mismatches.
-    pub fn candidates(&self, desc: &EventDesc) -> Candidates<'_> {
-        let keyed: &[usize] = match event_key(desc) {
-            Key::Item(kind, base) => self.items.get(&(kind, base)).map_or(&[], Vec::as_slice),
-            Key::Custom(name) => self.custom.get(name).map_or(&[], Vec::as_slice),
-            Key::None => &[],
-        };
-        Candidates {
-            keyed,
-            generic: &self.generic,
-        }
-    }
-
-    /// Total indexed rules (keyed + generic), for diagnostics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.values().map(Vec::len).sum::<usize>()
-            + self.custom.values().map(Vec::len).sum::<usize>()
-            + self.generic.len()
-    }
-
-    /// True when nothing is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Ascending merge of a keyed bucket with the generic bucket (both
-/// already sorted; a rule lives in exactly one, so no duplicates).
-pub struct Candidates<'a> {
-    keyed: &'a [usize],
-    generic: &'a [usize],
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        match (self.keyed.first(), self.generic.first()) {
-            (Some(&k), Some(&g)) => {
-                if k <= g {
-                    self.keyed = &self.keyed[1..];
-                    Some(k)
-                } else {
-                    self.generic = &self.generic[1..];
-                    Some(g)
-                }
-            }
-            (Some(&k), None) => {
-                self.keyed = &self.keyed[1..];
-                Some(k)
-            }
-            (None, Some(&g)) => {
-                self.generic = &self.generic[1..];
-                Some(g)
-            }
-            (None, None) => None,
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.keyed.len() + self.generic.len();
-        (n, Some(n))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hcm_core::{RuleRegistry, SiteId};
-    use std::collections::BTreeMap;
-
-    fn compiled(spec: &str) -> Vec<CompiledRule> {
-        let sites: BTreeMap<String, SiteId> = [
-            ("A".to_string(), SiteId::new(0)),
-            ("B".to_string(), SiteId::new(1)),
-        ]
-        .into_iter()
-        .collect();
-        let mut reg = RuleRegistry::new();
-        let cs = crate::compile::CompiledStrategy::from_spec(spec, &sites, &mut reg).unwrap();
-        cs.rules.to_vec()
-    }
-
-    #[test]
-    fn buckets_by_kind_and_base() {
-        let rules = compiled(
-            "[locate]\nX = A\nY = A\nZ = B\n\
-             [strategy]\n\
-             N(X(n), b) -> WR(Z(n), b) within 5s\n\
-             N(Y(n), b) -> WR(Z(n), b) within 5s\n\
-             Ws(X(n), b) -> WR(Z(n), b) within 5s\n\
-             N(X(n), 7) -> WR(Z(n), 7) within 5s\n",
-        );
-        let positions: Vec<usize> = (0..rules.len()).collect();
-        let idx = RuleIndex::build(&rules, &positions);
-        assert_eq!(idx.len(), 4);
-        let n_x = EventDesc::N {
-            item: hcm_core::ItemId::with("X", [hcm_core::Value::Int(1)]),
-            value: hcm_core::Value::Int(7),
-        };
-        // N(X) probes only the two N/X rules, in rule order.
-        assert_eq!(idx.candidates(&n_x).collect::<Vec<_>>(), vec![0, 3]);
-        let ws_x = EventDesc::Ws {
-            item: hcm_core::ItemId::with("X", [hcm_core::Value::Int(1)]),
-            old: None,
-            new: hcm_core::Value::Int(7),
-        };
-        assert_eq!(idx.candidates(&ws_x).collect::<Vec<_>>(), vec![2]);
-        // A base no rule watches yields no candidates.
-        let n_z = EventDesc::N {
-            item: hcm_core::ItemId::with("Z", [hcm_core::Value::Int(1)]),
-            value: hcm_core::Value::Int(7),
-        };
-        assert_eq!(idx.candidates(&n_z).count(), 0);
-    }
-
-    #[test]
-    fn generic_bucket_merges_in_position_order() {
-        let rules = compiled(
-            "[locate]\nX = A\nLimitReq = A\n\
-             [strategy]\n\
-             P(100ms) -> RR(X(1)) within 1s\n\
-             LimitReq(b) -> RR(X(1)) within 1s\n\
-             P(200ms) -> RR(X(1)) within 1s\n",
-        );
-        let positions: Vec<usize> = (0..rules.len()).collect();
-        let idx = RuleIndex::build(&rules, &positions);
-        let custom = EventDesc::Custom {
-            name: "LimitReq".into(),
-            args: vec![hcm_core::Value::Int(1)],
-        };
-        // Custom bucket [1] merged with generic [0, 2], ascending.
-        assert_eq!(idx.candidates(&custom).collect::<Vec<_>>(), vec![0, 1, 2]);
-        let p = EventDesc::P {
-            period: hcm_core::SimDuration::from_millis(100),
-        };
-        // P events see only the generic bucket.
-        assert_eq!(idx.candidates(&p).collect::<Vec<_>>(), vec![0, 2]);
-    }
 }

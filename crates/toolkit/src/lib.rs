@@ -53,7 +53,7 @@ pub mod translator;
 pub mod workload;
 
 pub use compile::CompiledStrategy;
-pub use dispatch::{DispatchMode, RuleIndex};
+pub use dispatch::DispatchMode;
 pub use durability::{Durability, StatePolicy, StoreBridge, StoreKind, StoreSetup};
 pub use msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 pub use registry::{FailureKind, GuaranteeRegistry, GuaranteeStatus};

@@ -15,14 +15,14 @@
 //! and keeps the site's [`GuaranteeRegistry`].
 
 use crate::compile::{CompiledRule, CompiledStrategy, Locator};
-use crate::dispatch::{DispatchMode, RuleIndex};
+use crate::dispatch::DispatchMode;
 use crate::durability::{
     fail_to_tag, status_to_tag, tag_to_fail, tag_to_status, StatePolicy, StoreBridge,
 };
 use crate::msg::{CmMsg, FailureKindMsg, RequestKind, TranslatorEvent};
 use crate::registry::{FailureKind, GuaranteeRegistry};
 use hcm_core::{
-    Bindings, EventDesc, EventId, ItemId, RuleId, Shared, SimDuration, SimTime, SiteId,
+    Bindings, EventDesc, EventId, ItemId, RuleId, RuleIndex, Shared, SimDuration, SimTime, SiteId,
     TemplateDesc, TraceRecorder, Value,
 };
 use hcm_obs::{Metrics, Obs, Scope, SpanId, SpanKind, Spans};
@@ -156,7 +156,8 @@ pub struct ShellActor {
     rules: Arc<Vec<CompiledRule>>,
     /// Positions into `rules` whose LHS this shell evaluates.
     my_rules: Vec<usize>,
-    /// Discrimination index over `my_rules` (see [`crate::dispatch`]).
+    /// Discrimination index over `my_rules`' LHS templates (see
+    /// [`hcm_core::RuleIndex`]).
     dispatch: RuleIndex,
     /// Which matching path `process_event` takes.
     mode: DispatchMode,
@@ -234,7 +235,7 @@ impl ShellActor {
                 period: const_period(&r.rule.lhs),
             })
             .collect();
-        let dispatch = RuleIndex::build(&rules, &my_rules);
+        let dispatch = RuleIndex::build(my_rules.iter().map(|&i| (i, &rules[i].rule.lhs)));
         ShellActor {
             site,
             translator,

@@ -19,12 +19,11 @@
 //! it observably invisible.
 
 use hcm_core::{
-    Bindings, EventDesc, ItemId, ItemPattern, RuleId, SimDuration, SiteId, TemplateDesc, Term,
-    Value,
+    Bindings, EventDesc, ItemId, ItemPattern, RuleId, RuleIndex, SimDuration, SiteId, TemplateDesc,
+    Term, Value,
 };
 use hcm_rulelang::ast::{Cond, StrategyRule};
 use hcm_toolkit::compile::CompiledRule;
-use hcm_toolkit::dispatch::RuleIndex;
 
 /// SplitMix64: tiny, deterministic, well-distributed.
 struct Gen(u64);
@@ -215,7 +214,7 @@ fn indexed_candidates_cover_exactly_the_linear_match_set() {
         let rules: Vec<CompiledRule> = (0..n_rules).map(|i| g.rule(i as u32)).collect();
         // A random (ascending) subset plays the shell's `my_rules`.
         let positions: Vec<usize> = (0..n_rules).filter(|_| g.below(4) != 0).collect();
-        let idx = RuleIndex::build(&rules, &positions);
+        let idx = RuleIndex::build(positions.iter().map(|&i| (i, &rules[i].rule.lhs)));
 
         for _ in 0..16 {
             let desc = g.event();
@@ -288,7 +287,7 @@ fn parameterized_and_wildcard_patterns_stay_sound() {
     })
     .collect();
     let positions: Vec<usize> = (0..rules.len()).collect();
-    let idx = RuleIndex::build(&rules, &positions);
+    let idx = RuleIndex::build(positions.iter().map(|&i| (i, &rules[i].rule.lhs)));
 
     let cases: Vec<(EventDesc, Vec<usize>)> = vec![
         // Bare X: only the unparameterized pattern unifies.

@@ -5,16 +5,19 @@
 //! a valid execution. (b) Each seeded corruption of a valid trace is
 //! caught by the property the corruption targets. Together these give
 //! the checker the adversarial calibration the paper's hand proofs got
-//! from the proof rules.
+//! from the proof rules. Every report here — on engine traces and on
+//! each corruption — is also pinned to the reference checker's.
 
 mod common;
+#[path = "../crates/checker/tests/reference/mod.rs"]
+mod reference;
 
 use common::{employees_db, rule_set_of, RID_DST, RID_SRC};
-use hcm::checker::check_validity;
 use hcm::core::{EventId, ItemId, SimDuration, SimTime, Trace, Value};
 use hcm::toolkit::backends::RawStore;
 use hcm::toolkit::workload::PoissonWriter;
 use hcm::toolkit::{Scenario, ScenarioBuilder};
+use reference::checked as check_validity;
 
 const STRATEGY: &str = r#"
 [locate]

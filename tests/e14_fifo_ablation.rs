@@ -9,6 +9,8 @@
 //! the validity checker attributes the breakage to property 7.
 
 mod common;
+#[path = "../crates/checker/tests/reference/mod.rs"]
+mod reference;
 
 use common::{employees_db, rule_set_of, RID_DST, RID_SRC};
 use hcm::checker::{check_validity, guarantee::check_guarantee};
@@ -110,4 +112,17 @@ fn without_fifo_property_7_and_guarantee_3_break() {
         saw_violation,
         "no seed produced a reordering — jitter/spacing too tame for the ablation"
     );
+}
+
+#[test]
+fn non_fifo_reports_match_the_reference() {
+    // The racing seeds carry real property-7 inversions; the one-pass
+    // checker must report exactly what the reference does on each.
+    let mut inversions = 0;
+    for seed in 1..=6u64 {
+        let sc = run(seed, false);
+        let report = reference::checked(&sc.trace(), &rule_set_of(&sc));
+        inversions += report.of_property(7).len();
+    }
+    assert!(inversions > 0, "no seed produced a reordering");
 }
