@@ -242,55 +242,42 @@ impl<'a> Evaluator<'a> {
         // instantiations that agree on those are equivalent for the
         // existential search. Memoizing on the projected environment
         // collapses the (often large) multiplicity of universal time
-        // assignments.
-        type MemoKey = (Vec<(String, Value)>, Vec<(String, SimTime)>);
+        // assignments. A key holds each RHS variable's data binding and
+        // time, in `rhs_vars` order.
+        type MemoKey = (Vec<Option<Value>>, Vec<Option<SimTime>>);
         let rhs_vars = atoms_vars(&g.rhs);
-        let mut memo: std::collections::HashMap<MemoKey, bool> = std::collections::HashMap::new();
+        let mut memo: HashMap<MemoKey, bool> = HashMap::new();
 
         let mut instantiations = 0;
         let mut violations = Vec::new();
-        for base_env in param_envs {
-            // All LHS-satisfying assignments (universal side).
-            let lhs_envs = self.solve(&g.lhs, vec![base_env], &static_cands, true);
-            for env in lhs_envs {
+        for mut base_env in param_envs {
+            // Every LHS-satisfying assignment (universal side) in turn,
+            // each searched for a first RHS witness (existential side).
+            self.search(&g.lhs, &g.lhs, &mut base_env, &static_cands, &mut |env| {
                 instantiations += 1;
-                let projected = Env {
-                    vars: env
-                        .vars
-                        .iter()
-                        .filter(|(k, _)| rhs_vars.contains(k.as_str()))
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect(),
-                    times: env
-                        .times
-                        .iter()
-                        .filter(|(k, _)| rhs_vars.contains(k.as_str()))
-                        .map(|(k, v)| (k.clone(), *v))
-                        .collect(),
-                };
-                let key = (
-                    projected
-                        .vars
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect(),
-                    projected
-                        .times
-                        .iter()
-                        .map(|(k, v)| (k.clone(), *v))
-                        .collect(),
+                let key: MemoKey = (
+                    rhs_vars.iter().map(|k| env.vars.get(k).cloned()).collect(),
+                    rhs_vars.iter().map(|k| env.times.get(k).copied()).collect(),
                 );
-                let holds = *memo.entry(key).or_insert_with(|| {
-                    !self
-                        .solve(&g.rhs, vec![projected], &static_cands, false)
-                        .is_empty()
+                let holds = *memo.entry(key).or_insert_with_key(|(vars, times)| {
+                    let mut projected = Env::new();
+                    for (k, (v, t)) in rhs_vars.iter().zip(vars.iter().zip(times)) {
+                        if let Some(v) = v {
+                            projected.vars.insert(k.clone(), v.clone());
+                        }
+                        if let Some(t) = t {
+                            projected.times.insert(k.clone(), *t);
+                        }
+                    }
+                    self.search(&g.rhs, &g.rhs, &mut projected, &static_cands, &mut |_| true)
                 });
                 if !holds && violations.len() < MAX_VIOLATIONS {
                     violations.push(GuaranteeViolation {
                         instantiation: env.describe(),
                     });
                 }
-            }
+                false
+            });
         }
         GuaranteeReport {
             name: g.name.clone(),
@@ -300,75 +287,47 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Solve a conjunction of atoms: extend each env through every
-    /// atom, enumerating unassigned time variables from the candidate
-    /// grid. When `exhaustive` (LHS), all satisfying envs are returned;
-    /// otherwise the search runs depth-first and stops at the first
-    /// full witness — callers only need emptiness.
-    fn solve(
-        &self,
-        atoms: &[GAtom],
-        envs: Vec<Env>,
-        cands: &BTreeMap<String, Vec<SimTime>>,
-        exhaustive: bool,
-    ) -> Vec<Env> {
-        if !exhaustive {
-            for mut env in envs {
-                if self.witness_search(atoms, atoms, &mut env, cands) {
-                    return vec![env];
-                }
-            }
-            return Vec::new();
-        }
-        let mut current = envs;
-        for atom in atoms {
-            let mut next = Vec::new();
-            for mut env in current {
-                self.expand_atom(atom, atoms, &mut env, cands, &mut next);
-            }
-            current = next;
-            if current.is_empty() {
-                break;
-            }
-        }
-        current
-    }
-
-    /// Depth-first witness search over `remaining`, early-exiting on
-    /// the first environment that satisfies the whole conjunction.
-    /// `all` is the full conjunction (dynamic candidate derivation in
-    /// [`Evaluator::expand_atom`] looks at every atom, not just the
-    /// one being expanded).
-    fn witness_search(
+    /// Depth-first search of the assignments extending `env` that
+    /// satisfy the conjunction `remaining`, assigned in place. `done`
+    /// sees each full assignment and returns `true` to stop the search;
+    /// the result says whether it stopped. `all` is the whole
+    /// conjunction (see [`Evaluator::expand_atom`]). Assignments come
+    /// in lexicographic order over the per-atom choices, with their
+    /// multiplicity: the order and count an atom-by-atom breadth-first
+    /// expansion would list.
+    fn search(
         &self,
         remaining: &[GAtom],
         all: &[GAtom],
         env: &mut Env,
         cands: &BTreeMap<String, Vec<SimTime>>,
+        done: &mut dyn FnMut(&mut Env) -> bool,
     ) -> bool {
         let Some((first, rest)) = remaining.split_first() else {
-            return true;
+            return done(env);
         };
-        let mut exts = Vec::new();
-        self.expand_atom(first, all, env, cands, &mut exts);
-        exts.into_iter()
-            .any(|mut e| self.witness_search(rest, all, &mut e, cands))
+        self.expand_atom(first, all, env, cands, &mut |e| {
+            self.search(rest, all, e, cands, done)
+        })
     }
 
-    /// All extensions of `env` satisfying `atom`. `all_atoms` is the
-    /// surrounding conjunction: candidates for a fresh time variable
-    /// are derived from *every* atom relating it to already-assigned
-    /// variables, not just the one being evaluated (e.g. `t2` first
-    /// appears in `(X = y) @ t2` but is constrained by `t1 - κ < t2`
-    /// later in the conjunction).
+    /// Calls `emit` on each extension of `env` satisfying `atom`,
+    /// stopping as soon as it returns `true`; returns whether it
+    /// stopped. Time variables are assigned in place and unassigned
+    /// again before returning. `all_atoms` is the surrounding
+    /// conjunction: candidates for a fresh time variable are derived
+    /// from *every* atom relating it to already-assigned variables, not
+    /// just the one being evaluated (e.g. `t2` first appears in
+    /// `(X = y) @ t2` but is constrained by `t1 - κ < t2` later in the
+    /// conjunction).
     fn expand_atom(
         &self,
         atom: &GAtom,
         all_atoms: &[GAtom],
         env: &mut Env,
         cands: &BTreeMap<String, Vec<SimTime>>,
-        out: &mut Vec<Env>,
-    ) {
+        emit: &mut dyn FnMut(&mut Env) -> bool,
+    ) -> bool {
         // Assign any unassigned time variables of this atom first. A
         // variable already carrying a data binding is *not* free: the
         // §6.3 monitor guarantee binds `s` from the auxiliary item `Tb`
@@ -446,27 +405,26 @@ impl<'a> Evaluator<'a> {
                         .iter()
                         .filter(|d| statics.binary_search(d).is_err())
                         .peekable();
-                    loop {
+                    let mut stopped = false;
+                    while !stopped {
                         let take_static = match (si.peek(), di.peek()) {
                             (Some(&&(ts, _)), Some(&&td)) => ts < td,
                             (Some(_), None) => true,
                             (None, Some(_)) => false,
                             (None, None) => break,
                         };
-                        if take_static {
+                        stopped = if take_static {
                             let &(ts, n) = si.next().expect("peeked");
                             *env.times.get_mut(&vkey).expect("just inserted") = ts;
-                            for _ in 0..n {
-                                out.push(env.clone());
-                            }
+                            (0..n).any(|_| emit(env))
                         } else {
                             let &td = di.next().expect("peeked");
                             *env.times.get_mut(&vkey).expect("just inserted") = td;
-                            self.expand_atom(atom, all_atoms, env, cands, out);
-                        }
+                            self.expand_atom(atom, all_atoms, env, cands, emit)
+                        };
                     }
                     env.times.remove(&vkey);
-                    return;
+                    return stopped;
                 }
             }
 
@@ -477,12 +435,12 @@ impl<'a> Evaluator<'a> {
             candidates.extend(&dynamic);
             let vkey = (*v).to_owned();
             env.times.insert(vkey.clone(), SimTime::ZERO);
-            for c in candidates {
+            let stopped = candidates.into_iter().any(|c| {
                 *env.times.get_mut(&vkey).expect("just inserted") = c;
-                self.expand_atom(atom, all_atoms, env, cands, out);
-            }
+                self.expand_atom(atom, all_atoms, env, cands, emit)
+            });
             env.times.remove(&vkey);
-            return;
+            return stopped;
         }
 
         // Fully time-assigned: evaluate. Time variables resolve from
@@ -506,34 +464,35 @@ impl<'a> Evaluator<'a> {
         };
         match atom {
             GAtom::TimeCmp(a, op, b) => {
-                if let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) {
-                    let cmp_ok = match op {
-                        CmpOp::Eq => ta == tb,
-                        CmpOp::Ne => ta != tb,
-                        CmpOp::Lt => ta < tb,
-                        CmpOp::Le => ta <= tb,
-                        CmpOp::Gt => ta > tb,
-                        CmpOp::Ge => ta >= tb,
-                    };
-                    if cmp_ok {
-                        out.push(env.clone());
-                    }
-                }
+                let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
+                    return false;
+                };
+                let cmp_ok = match op {
+                    CmpOp::Eq => ta == tb,
+                    CmpOp::Ne => ta != tb,
+                    CmpOp::Lt => ta < tb,
+                    CmpOp::Le => ta <= tb,
+                    CmpOp::Gt => ta > tb,
+                    CmpOp::Ge => ta >= tb,
+                };
+                cmp_ok && emit(env)
             }
             GAtom::At(cond, te) => {
-                if let Some(ms) = resolve_signed(te, env) {
-                    if ms >= 0 && ms as u64 <= self.horizon.as_millis() {
-                        self.eval_cond(cond, SimTime::from_millis(ms as u64), env, true, out);
-                    }
-                }
+                let Some(ms) = resolve_signed(te, env)
+                    .filter(|&ms| ms >= 0 && ms as u64 <= self.horizon.as_millis())
+                else {
+                    return false;
+                };
+                let mut bound = Vec::new();
+                self.eval_cond(cond, SimTime::from_millis(ms as u64), env, true, &mut bound);
+                bound.iter_mut().any(emit)
             }
             GAtom::Throughout(cond, a, b) => {
                 let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
-                    return;
+                    return false;
                 };
                 if ta > tb {
-                    out.push(env.clone()); // empty interval: vacuous
-                    return;
+                    return emit(env); // empty interval: vacuous
                 }
                 let ta = SimTime::from_millis(ta.max(0) as u64);
                 let tb = SimTime::from_millis(tb.max(0) as u64);
@@ -543,16 +502,14 @@ impl<'a> Evaluator<'a> {
                     self.eval_cond(cond, t, env, false, &mut probe);
                     !probe.is_empty()
                 });
-                if ok {
-                    out.push(env.clone());
-                }
+                ok && emit(env)
             }
             GAtom::Sometime(cond, a, b) => {
                 let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
-                    return;
+                    return false;
                 };
                 if ta > tb || tb < 0 {
-                    return;
+                    return false;
                 }
                 let ta = SimTime::from_millis(ta.max(0) as u64);
                 let tb = SimTime::from_millis(tb.max(0) as u64);
@@ -562,9 +519,7 @@ impl<'a> Evaluator<'a> {
                     self.eval_cond(cond, t, env, false, &mut probe);
                     !probe.is_empty()
                 });
-                if ok {
-                    out.push(env.clone());
-                }
+                ok && emit(env)
             }
         }
     }
@@ -982,6 +937,9 @@ pub fn check_guarantees_parallel_stats(
     gs: &[Guarantee],
     horizon: Option<SimTime>,
 ) -> Vec<(GuaranteeReport, EvalStats)> {
+    if gs.is_empty() {
+        return Vec::new();
+    }
     let idx = StateIndex::build(trace);
     let horizon = horizon.unwrap_or_else(|| trace.end_time());
     std::thread::scope(|scope| {
@@ -1500,5 +1458,117 @@ mod tests {
         let g = parse_guarantee("f", "(Y = y) @ t1 => (X = y) @ t2 and t2 <= t1").unwrap();
         let r = check_guarantee(&tr, &g, None);
         assert_eq!(r.outcome(), GuaranteeOutcome::Vacuous);
+    }
+
+    /// `(holds, instantiations, violation strings in order)`.
+    fn summary(r: &GuaranteeReport) -> (bool, usize, Vec<String>) {
+        let vs = r.violations.iter().map(ToString::to_string).collect();
+        (r.holds, r.instantiations, vs)
+    }
+
+    /// A two-atom LHS with more than `MAX_VIOLATIONS` failing
+    /// instantiations: the kept strings are the first ones in
+    /// lexicographic (t1, t2) order, so they pin the search order.
+    #[test]
+    fn report_pinned_past_violation_cap() {
+        let mut tr = Trace::new();
+        tr.set_initial(ItemId::plain("X"), Value::Int(0));
+        tr.set_initial(ItemId::plain("Y"), Value::Int(0));
+        write(&mut tr, 10, "X", 1);
+        write(&mut tr, 20, "X", 2);
+        write(&mut tr, 30, "Y", 2);
+        write(&mut tr, 40, "Y", 1);
+        write(&mut tr, 60, "Pad", 0);
+        let g = parse_guarantee(
+            "sf",
+            "(Y = y1) @ t1 and (Y = y2) @ t2 and t1 < t2 and y1 != y2 => \
+             (X = y1) @ t3 and (X = y2) @ t4 and t3 < t4",
+        )
+        .unwrap();
+        let r = check_guarantee(&tr, &g, None);
+        assert_eq!(
+            summary(&r),
+            (
+                false,
+                33,
+                [
+                    "30.000s, t2=t=40.000s",
+                    "30.000s, t2=t=40.001s",
+                    "30.000s, t2=t=59.999s",
+                    "30.000s, t2=t=60.000s",
+                    "30.001s, t2=t=40.000s",
+                    "30.001s, t2=t=40.001s",
+                    "30.001s, t2=t=59.999s",
+                    "30.001s, t2=t=60.000s",
+                ]
+                .map(|ts| format!("no witness for [y1=2, y2=1 ; t1=t={ts}]"))
+                .to_vec()
+            )
+        );
+    }
+
+    /// An `or`-headed LHS whose branches both hold yields one
+    /// instantiation per branch, duplicates included: through the
+    /// generic candidate loop when the `or` binds `v`, and through the
+    /// cached static candidates when it is fully bound. In the second
+    /// guarantee the `@@` atom assigns `t2` in place under each `t1`,
+    /// so `t2` must be unassigned again before the next `t1`.
+    #[test]
+    fn report_pinned_for_or_multiplicity() {
+        let mut tr = Trace::new();
+        for base in ["X", "Y", "Z"] {
+            tr.set_initial(ItemId::plain(base), Value::Int(0));
+        }
+        write(&mut tr, 10, "X", 1);
+        write(&mut tr, 15, "Z", 1);
+        write(&mut tr, 20, "Y", 2);
+        write(&mut tr, 30, "Pad", 0);
+        let g =
+            parse_guarantee("or", "(X = v or Y = v) @ t1 => (Z = v) @ t2 and t2 <= t1").unwrap();
+        let r = check_guarantee(&tr, &g, None);
+        assert_eq!(
+            summary(&r),
+            (
+                false,
+                26,
+                [
+                    "v=1 ; t1=t=10.000s",
+                    "v=1 ; t1=t=10.001s",
+                    "v=1 ; t1=t=14.999s",
+                    "v=2 ; t1=t=20.000s",
+                    "v=2 ; t1=t=20.001s",
+                    "v=2 ; t1=t=29.999s",
+                    "v=2 ; t1=t=30.000s",
+                ]
+                .map(|e| format!("no witness for [{e}]"))
+                .to_vec()
+            )
+        );
+
+        let g = parse_guarantee(
+            "or_bound",
+            "(X = 0 or Y = 0) @ t1 and (Z = 0) @@ [t2, t2] and t2 <= t1 => (X = 0) @ t1",
+        )
+        .unwrap();
+        let r = check_guarantee(&tr, &g, None);
+        assert_eq!(
+            summary(&r),
+            (
+                false,
+                48,
+                [
+                    "10.000s, t2=t=0.000s",
+                    "10.000s, t2=t=0.001s",
+                    "10.000s, t2=t=9.999s",
+                    "10.000s, t2=t=10.000s",
+                    "10.001s, t2=t=0.000s",
+                    "10.001s, t2=t=0.001s",
+                    "10.001s, t2=t=9.999s",
+                    "10.001s, t2=t=10.000s",
+                ]
+                .map(|ts| format!("no witness for [ ; t1=t={ts}]"))
+                .to_vec()
+            )
+        );
     }
 }
