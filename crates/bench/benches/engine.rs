@@ -24,26 +24,16 @@ struct Cell {
     rules_per_site: usize,
     /// Target spontaneous (store-write) op count across all sites.
     ops: u64,
-    /// Worker threads for the sharded executor: `None` keeps the
-    /// historical case name and defers to `HCM_SIM_THREADS` (unset ⇒
-    /// serial); `Some(k)` pins `k` shards and appends a `_tk` suffix.
-    /// Results are byte-identical either way; only wall-clock
-    /// differs.
-    threads: Option<u32>,
 }
 
 impl Cell {
     fn name(&self) -> String {
-        let base = format!(
+        format!(
             "s{}_r{}_e{}k",
             self.sites,
             self.sites * self.rules_per_site,
             self.ops / 1000
-        );
-        match self.threads {
-            Some(t) => format!("{base}_t{t}"),
-            None => base,
-        }
+        )
     }
 
     /// Build + run the cell; returns the trace event count.
@@ -51,13 +41,12 @@ impl Cell {
         // One writer per site at one op per simulated second: the sim
         // horizon carries the event-volume axis.
         let per_site_secs = (self.ops / self.sites as u64).max(1);
-        let mut sc = scenarios::engine_scenario_with(
+        let mut sc = scenarios::engine_scenario(
             17,
             self.sites,
             self.rules_per_site,
             SimDuration::from_secs(1),
             SimTime::from_secs(per_site_secs),
-            self.threads,
         );
         assert_eq!(sc.run_to_quiescence(), RunOutcome::Quiescent);
         sc.trace().len() as u64
@@ -70,76 +59,36 @@ fn main() {
             sites: 4,
             rules_per_site: 4,
             ops: 20_000,
-            threads: None,
         },
         Cell {
             sites: 4,
             rules_per_site: 64,
             ops: 20_000,
-            threads: None,
         },
         Cell {
             sites: 16,
             rules_per_site: 4,
             ops: 40_000,
-            threads: None,
         },
         Cell {
             sites: 16,
             rules_per_site: 64,
             ops: 40_000,
-            threads: None,
         },
         Cell {
             sites: 16,
             rules_per_site: 256,
             ops: 100_000,
-            threads: None,
         },
         Cell {
             sites: 256,
             rules_per_site: 4,
             ops: 100_000,
-            threads: None,
         },
         Cell {
             sites: 256,
             rules_per_site: 128,
             ops: 100_000,
-            threads: None,
-        },
-        // Thread axis on the two largest cells: same workloads on the
-        // sharded executor. Speedup is bounded by the host's core
-        // count (`env.available_parallelism` in the report).
-        Cell {
-            sites: 256,
-            rules_per_site: 4,
-            ops: 100_000,
-            threads: Some(2),
-        },
-        Cell {
-            sites: 256,
-            rules_per_site: 4,
-            ops: 100_000,
-            threads: Some(4),
-        },
-        Cell {
-            sites: 256,
-            rules_per_site: 128,
-            ops: 100_000,
-            threads: Some(2),
-        },
-        Cell {
-            sites: 256,
-            rules_per_site: 128,
-            ops: 100_000,
-            threads: Some(4),
-        },
-        Cell {
-            sites: 256,
-            rules_per_site: 128,
-            ops: 100_000,
-            threads: Some(8),
         },
     ];
     // Quick (CI) mode keeps the two smallest cells with their full

@@ -297,18 +297,16 @@ pub mod harness {
 
     /// Execution-environment metadata embedded in every report:
     /// without it a committed baseline is uninterpretable (was it a
-    /// quick run? how many cores? was the sharded executor on?). Keys
+    /// quick run? how many cores?). Keys
     /// never collide with the `{"name":"` / `"mean_ms":` markers that
     /// [`parse_case_means`] scans for.
     #[must_use]
     pub fn env_json() -> String {
         let cores = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
-        let sim_threads = std::env::var("HCM_SIM_THREADS").unwrap_or_default();
         let sweep_threads = std::env::var("HCM_SWEEP_THREADS").unwrap_or_default();
         format!(
-            "{{\"available_parallelism\":{cores},\"hcm_sim_threads\":\"{}\",\
+            "{{\"available_parallelism\":{cores},\
              \"hcm_sweep_threads\":\"{}\",\"quick\":{}}}",
-            sim_threads.replace('"', ""),
             sweep_threads.replace('"', ""),
             quick()
         )
@@ -570,19 +568,16 @@ N(salary1(n), b) -> WR(salary2(n), b) within 5s
             .unwrap();
         let target = sc.site("A").translator;
         let ids: Vec<String> = (0..employees_n).map(|i| format!("e{i}")).collect();
-        sc.add_actor_for(
-            "A",
-            Box::new(PoissonWriter::sql_updates(
-                target,
-                gap,
-                until,
-                "employees",
-                "salary",
-                "empid",
-                ids,
-                (1, 1_000_000),
-            )),
-        );
+        sc.add_actor(Box::new(PoissonWriter::sql_updates(
+            target,
+            gap,
+            until,
+            "employees",
+            "salary",
+            "empid",
+            ids,
+            (1, 1_000_000),
+        )));
         sc
     }
 
@@ -609,23 +604,6 @@ N(salary1(n), b) -> WR(salary2(n), b) within 5s
         rules_per_site: usize,
         gap: SimDuration,
         until: SimTime,
-    ) -> Scenario {
-        engine_scenario_with(seed, sites, rules_per_site, gap, until, None)
-    }
-
-    /// [`engine_scenario`] on the sharded executor: sites (and their
-    /// co-located writers) round-robin across `Some(shards)` worker
-    /// threads (`None` defers to `HCM_SIM_THREADS`). All rule work is
-    /// site-local, so this is the best-case workload for the
-    /// conservative parallel mode.
-    #[must_use]
-    pub fn engine_scenario_with(
-        seed: u64,
-        sites: usize,
-        rules_per_site: usize,
-        gap: SimDuration,
-        until: SimTime,
-        shards: Option<u32>,
     ) -> Scenario {
         let depth = ENGINE_CHAIN_DEPTH;
         assert!(
@@ -671,27 +649,22 @@ N(salary1(n), b) -> WR(salary2(n), b) within 5s
                 strategy.push_str(&format!("W(q{s}x{j}(n), b) -> W(p{s}x0(n), b) within 5s\n"));
             }
         }
-        let mut builder = builder.strategy(&strategy);
-        if let Some(k) = shards {
-            builder = builder.shards(k);
-        }
-        let mut sc = builder.build().expect("engine strategy compiles");
+        let mut sc = builder
+            .strategy(&strategy)
+            .build()
+            .expect("engine strategy compiles");
         for s in 0..sites {
-            let site = format!("S{s}");
-            let target = sc.site(&site).translator;
-            sc.add_actor_for(
-                &site,
-                Box::new(PoissonWriter::new(
-                    target,
-                    gap,
-                    until,
-                    (1, 1_000_000),
-                    Box::new(move |n, v| SpontaneousOp::KvPut {
-                        key: format!("k/u{}", n % ENGINE_KEYS),
-                        value: Value::Int(v),
-                    }),
-                )),
-            );
+            let target = sc.site(&format!("S{s}")).translator;
+            sc.add_actor(Box::new(PoissonWriter::new(
+                target,
+                gap,
+                until,
+                (1, 1_000_000),
+                Box::new(move |n, v| SpontaneousOp::KvPut {
+                    key: format!("k/u{}", n % ENGINE_KEYS),
+                    value: Value::Int(v),
+                }),
+            )));
         }
         sc
     }

@@ -232,10 +232,8 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
             });
             continue;
         };
-        // Compare trace positions, not raw id values: scoped
-        // recorders mint ids from per-actor namespaces, so magnitude
-        // no longer reflects recording order.
-        if trace.index_of(trigger.id) >= trace.index_of(e.id) {
+        // Ids are trace positions, so this is "precedes".
+        if trigger.id >= e.id {
             report.violations.push(Violation {
                 property: 5,
                 event: Some(e.id.0),

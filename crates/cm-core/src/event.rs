@@ -21,44 +21,15 @@ use crate::time::{SimDuration, SimTime};
 use crate::value::Value;
 use std::fmt;
 
-/// Identity of an event within a trace.
-///
-/// Two encodings share the `u64`:
-///
-/// * **plain** ids (`< 2^32`) are trace indexes in occurrence order —
-///   the encoding hand-built traces use;
-/// * **packed** ids (`>= 2^32`) carry an *origin* (the recording
-///   component, conventionally its actor id) in the high bits and
-///   that origin's private sequence number in the low bits. Packed
-///   ids are what scoped `TraceRecorder`s mint: they identify an
-///   event without encoding its position, so they are identical
-///   across serial and sharded executions regardless of arrival
-///   interleaving. Use `Trace::index_of` for positional ("precedes")
-///   comparisons.
+/// Identity of an event within a trace: its index in occurrence
+/// order, so comparing ids compares positions (Appendix A's
+/// "precedes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub u64);
 
-impl EventId {
-    /// A packed id: `origin`'s `seq`-th event.
-    #[must_use]
-    pub fn packed(origin: u32, seq: u32) -> EventId {
-        EventId((u64::from(origin) + 1) << 32 | u64::from(seq))
-    }
-
-    /// The origin of a packed id; `None` for plain (index) ids.
-    #[must_use]
-    pub fn origin_of(id: EventId) -> Option<u32> {
-        let hi = id.0 >> 32;
-        (hi > 0).then(|| (hi - 1) as u32)
-    }
-}
-
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match EventId::origin_of(*self) {
-            Some(origin) => write!(f, "e{origin}.{}", self.0 & 0xFFFF_FFFF),
-            None => write!(f, "e{}", self.0),
-        }
+        write!(f, "e{}", self.0)
     }
 }
 

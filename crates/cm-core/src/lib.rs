@@ -32,11 +32,9 @@ pub mod error;
 pub mod event;
 pub mod intern;
 pub mod item;
-pub mod ordkey;
 pub mod rule;
 pub mod rule_index;
 pub mod site;
-pub mod sync;
 pub mod template;
 pub mod time;
 pub mod trace;
@@ -46,11 +44,9 @@ pub use error::CoreError;
 pub use event::{Event, EventDesc, EventId};
 pub use intern::Sym;
 pub use item::{ItemId, ItemPattern};
-pub use ordkey::OrderKey;
 pub use rule::{RuleId, RuleRegistry};
 pub use rule_index::RuleIndex;
 pub use site::SiteId;
-pub use sync::Shared;
 pub use template::{Bindings, TemplateDesc, Term};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceRecorder};

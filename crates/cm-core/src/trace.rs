@@ -26,16 +26,15 @@
 
 use crate::event::{Event, EventDesc, EventId};
 use crate::item::ItemId;
-use crate::ordkey::{self, OrderKey};
 use crate::rule::RuleId;
 use crate::site::SiteId;
 use crate::template::{Bindings, TemplateDesc};
 use crate::time::SimTime;
 use crate::value::Value;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// How many index-downgrading pushes [`Trace`] keeps details for (the
 /// counter keeps counting past the cap).
@@ -89,16 +88,6 @@ pub struct Trace {
     /// Set when some push went backwards in time; index-backed
     /// `value_at` is only used while this is `false`.
     unordered: bool,
-    /// Scoped (origin-packed) event id → index in `events`. Plain
-    /// recorder ids *are* indexes and skip this map.
-    by_id: HashMap<u64, u32>,
-    /// Ambient order keys of the tagged tail `events[tail_start..]`
-    /// accumulated during a parallel run; drained by
-    /// [`Trace::finalize_order`].
-    tail_keys: Vec<OrderKey>,
-    /// Length of the canonical (already ordered) prefix when the first
-    /// tagged push of the current parallel run arrived.
-    tail_start: usize,
     /// How many pushes arrived with a time before `last_time`, silently
     /// downgrading indexed queries to linear scans.
     downgrades: u64,
@@ -117,9 +106,6 @@ impl Default for Trace {
             item_set: BTreeSet::new(),
             last_time: SimTime::ZERO,
             unordered: false,
-            by_id: HashMap::new(),
-            tail_keys: Vec::new(),
-            tail_start: 0,
             downgrades: 0,
             downgrade_log: Vec::new(),
         }
@@ -165,39 +151,9 @@ impl Trace {
         rule: Option<RuleId>,
         trigger: Option<EventId>,
     ) -> EventId {
-        let id = EventId(self.events.len() as u64);
-        self.push_with_id(id, time, site, desc, old_value, rule, trigger);
-        id
-    }
-
-    /// Append an event under a caller-chosen id (scoped recorders mint
-    /// origin-packed ids so the id is independent of arrival order).
-    /// When an ambient [`OrderKey`] is installed (parallel run), the
-    /// push is tagged for the end-of-run canonical re-sort and order
-    /// tracking is deferred to [`Trace::finalize_order`].
-    #[allow(clippy::too_many_arguments)]
-    fn push_with_id(
-        &mut self,
-        id: EventId,
-        time: SimTime,
-        site: SiteId,
-        desc: EventDesc,
-        old_value: Option<Value>,
-        rule: Option<RuleId>,
-        trigger: Option<EventId>,
-    ) {
-        if let Some(key) = ordkey::next() {
-            if self.tail_keys.is_empty() {
-                self.tail_start = self.events.len();
-            }
-            self.tail_keys.push(key);
-        } else {
-            self.note_order(time, site);
-        }
         let idx = u32::try_from(self.events.len()).expect("trace too long for u32 index");
-        if EventId::origin_of(id).is_some() {
-            self.by_id.insert(id.0, idx);
-        }
+        let id = EventId(u64::from(idx));
+        self.note_order(time, site);
         if let Some(item) = desc.item() {
             if !self.item_set.contains(item) {
                 self.item_set.insert(item.clone());
@@ -221,6 +177,7 @@ impl Trace {
             rule,
             trigger,
         });
+        id
     }
 
     /// Track push time order, counting index downgrades (an
@@ -255,85 +212,25 @@ impl Trace {
         &self.downgrade_log
     }
 
-    /// Restore canonical (serial) order after a parallel run: stably
-    /// sort the tagged tail by its ambient order keys, then rebuild
-    /// every derived index and the order-tracking state. No-op when
-    /// nothing was tagged (serial runs).
-    pub fn finalize_order(&mut self) {
-        if self.tail_keys.is_empty() {
-            return;
-        }
-        assert_eq!(
-            self.tail_start + self.tail_keys.len(),
-            self.events.len(),
-            "untagged pushes interleaved with a parallel run"
-        );
-        let tail: Vec<Event> = self.events.split_off(self.tail_start);
-        let mut keyed: Vec<(OrderKey, Event)> = std::mem::take(&mut self.tail_keys)
-            .into_iter()
-            .zip(tail)
-            .collect();
-        keyed.sort_by_key(|k| k.0);
-        self.events.extend(keyed.into_iter().map(|(_, e)| e));
-        self.rebuild_indexes();
-    }
-
-    /// Rebuild `writes`, `by_kind`, `by_id` and the order-tracking
-    /// state from the event list (used after a canonical re-sort).
-    fn rebuild_indexes(&mut self) {
-        self.writes.clear();
-        self.by_kind.clear();
-        self.by_id.clear();
-        self.last_time = SimTime::ZERO;
-        self.unordered = false;
-        self.downgrades = 0;
-        self.downgrade_log.clear();
-        for i in 0..self.events.len() {
-            let (id, time, site) = {
-                let e = &self.events[i];
-                (e.id, e.time, e.site)
-            };
-            self.note_order(time, site);
-            let idx = u32::try_from(i).expect("trace too long for u32 index");
-            if EventId::origin_of(id).is_some() {
-                self.by_id.insert(id.0, idx);
-            }
-            let e = &self.events[i];
-            if let Some(item) = e.desc.item() {
-                if e.desc.write_effect().is_some() {
-                    self.writes.entry(item.clone()).or_default().push(idx);
-                }
-            }
-            self.by_kind
-                .entry(desc_kind(&e.desc))
-                .or_default()
-                .push(idx);
-        }
-    }
-
     /// All events in occurrence order.
     #[must_use]
     pub fn events(&self) -> &[Event] {
         &self.events
     }
 
-    /// Event by id. Plain ids are indexes; scoped (origin-packed) ids
-    /// go through the id map.
+    /// Event by id.
     #[must_use]
     pub fn get(&self, id: EventId) -> Option<&Event> {
         self.index_of(id).map(|i| &self.events[i])
     }
 
-    /// Position of an event in the trace (occurrence order). This is
-    /// the "precedes" order of Appendix A — scoped ids carry no
-    /// positional information of their own.
+    /// Position of an event in the trace (occurrence order), or `None`
+    /// for an id the trace never assigned. Ids are positions, so this
+    /// is the id itself once bounds-checked.
     #[must_use]
     pub fn index_of(&self, id: EventId) -> Option<usize> {
-        if EventId::origin_of(id).is_some() {
-            return self.by_id.get(&id.0).map(|&i| i as usize);
-        }
-        let i = id.0 as usize;
-        self.events.get(i).is_some().then_some(i)
+        let i = usize::try_from(id.0).ok()?;
+        (i < self.events.len()).then_some(i)
     }
 
     /// Number of events.
@@ -545,34 +442,10 @@ impl Timeline {
     }
 }
 
-/// Shared, cheaply clonable handle to a trace under construction
-/// (`Arc<Mutex<…>>` — the sharded executor appends from worker
-/// threads); the recorded [`Trace`] is extracted once at the end.
-///
-/// A recorder is either *unscoped* (ids are trace indexes — the
-/// hand-built-trace path) or *scoped* to an origin via
-/// [`TraceRecorder::scoped`]: each simulation component records
-/// through its own scoped handle, which mints origin-packed
-/// [`EventId`]s from a private counter so ids are identical whether
-/// the run was serial or sharded.
-#[derive(Debug, Default)]
-pub struct TraceRecorder {
-    inner: Arc<Mutex<Trace>>,
-    /// `origin + 1` of a scoped recorder; 0 for unscoped.
-    origin: u32,
-    /// Next local sequence number (scoped recorders only).
-    next_seq: Cell<u32>,
-}
-
-impl Clone for TraceRecorder {
-    fn clone(&self) -> Self {
-        TraceRecorder {
-            inner: Arc::clone(&self.inner),
-            origin: self.origin,
-            next_seq: Cell::new(self.next_seq.get()),
-        }
-    }
-}
+/// Shared, cheaply clonable handle to a trace under construction;
+/// the recorded [`Trace`] is extracted once at the end.
+#[derive(Debug, Clone, Default)]
+pub struct TraceRecorder(Rc<RefCell<Trace>>);
 
 impl TraceRecorder {
     /// A recorder over an empty trace.
@@ -581,28 +454,12 @@ impl TraceRecorder {
         Self::default()
     }
 
-    /// A handle on the same trace that mints origin-packed event ids
-    /// for `origin` (one scoped recorder per recording component; the
-    /// component's actor id is the conventional origin). The returned
-    /// handle owns the origin's id counter — clone it only to move it.
-    #[must_use]
-    pub fn scoped(&self, origin: u32) -> TraceRecorder {
-        assert!(origin < u32::MAX, "origin out of range");
-        TraceRecorder {
-            inner: Arc::clone(&self.inner),
-            origin: origin + 1,
-            next_seq: Cell::new(0),
-        }
-    }
-
     /// Record an initial item value. See [`Trace::set_initial`].
     pub fn set_initial(&self, item: ItemId, value: Value) {
-        self.lock().set_initial(item, value);
+        self.0.borrow_mut().set_initial(item, value);
     }
 
-    /// Append an event. See [`Trace::push`]. Scoped recorders mint the
-    /// id from their origin counter; unscoped recorders use the trace
-    /// index.
+    /// Append an event. See [`Trace::push`].
     pub fn record(
         &self,
         time: SimTime,
@@ -612,49 +469,32 @@ impl TraceRecorder {
         rule: Option<RuleId>,
         trigger: Option<EventId>,
     ) -> EventId {
-        let mut t = self.lock();
-        if self.origin == 0 {
-            return t.push(time, site, desc, old_value, rule, trigger);
-        }
-        let seq = self.next_seq.get();
-        self.next_seq
-            .set(seq.checked_add(1).expect("per-origin event ids exhausted"));
-        let id = EventId::packed(self.origin - 1, seq);
-        t.push_with_id(id, time, site, desc, old_value, rule, trigger);
-        id
+        self.0
+            .borrow_mut()
+            .push(time, site, desc, old_value, rule, trigger)
     }
 
     /// Number of events recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.0.borrow().len()
     }
 
     /// `true` when nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.0.borrow().is_empty()
     }
 
     /// Snapshot the trace recorded so far.
     #[must_use]
     pub fn snapshot(&self) -> Trace {
-        self.lock().clone()
+        self.0.borrow().clone()
     }
 
     /// Run `f` with read access to the trace without cloning it.
     pub fn with<R>(&self, f: impl FnOnce(&Trace) -> R) -> R {
-        f(&self.lock())
-    }
-
-    /// Restore canonical order after a parallel run. See
-    /// [`Trace::finalize_order`].
-    pub fn finalize_order(&self) {
-        self.lock().finalize_order();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Trace> {
-        self.inner.lock().expect("trace lock poisoned")
+        f(&self.0.borrow())
     }
 }
 

@@ -56,13 +56,6 @@ impl Obs {
         Obs::default()
     }
 
-    /// Replay order-sensitive writes buffered during a sharded run in
-    /// canonical serial order (no-op after serial runs).
-    pub fn finalize_order(&self) {
-        self.metrics.finalize_order();
-        self.spans.finalize_order();
-    }
-
     /// Render the metrics registry as a human-readable table.
     #[must_use]
     pub fn table(&self) -> String {

@@ -15,10 +15,11 @@
 //! Everything is keyed `(Scope, name)` inside `BTreeMap`s, so snapshot
 //! iteration order never depends on allocation or insertion order.
 
-use hcm_core::{ordkey, OrderKey, SimDuration, SimTime};
+use hcm_core::{SimDuration, SimTime};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 /// What a metric is about: the whole run, a site, an actor, or a
 /// directed network channel.
@@ -183,20 +184,6 @@ pub struct Record {
     pub fields: Vec<(String, String)>,
 }
 
-/// An order-sensitive write buffered during a sharded run, replayed in
-/// canonical [`OrderKey`] order by [`MetricsRegistry::finalize_order`].
-///
-/// Only the non-commutative operations need buffering: `record` and
-/// `series_push` append (insertion order is observable), `gauge_set`
-/// overwrites (last writer wins). Counters, histograms, `gauge_add`
-/// and `gauge_track_max` commute, so workers apply them directly.
-#[derive(Debug, Clone)]
-enum PendingOp {
-    Record(Record),
-    SeriesPush(Scope, String, i64),
-    GaugeSet(Scope, String, i64),
-}
-
 /// The registry proper. Use through the [`Metrics`] handle; direct
 /// access is for exporters and tests.
 #[derive(Debug, Clone, Default)]
@@ -206,7 +193,6 @@ pub struct MetricsRegistry {
     histograms: BTreeMap<Key, Histogram>,
     series: BTreeMap<Key, Vec<i64>>,
     records: Vec<Record>,
-    pending: Vec<(OrderKey, PendingOp)>,
 }
 
 impl MetricsRegistry {
@@ -322,43 +308,11 @@ impl MetricsRegistry {
     pub fn records(&self) -> &[Record] {
         &self.records
     }
-
-    fn apply(&mut self, op: PendingOp) {
-        match op {
-            PendingOp::Record(r) => self.records.push(r),
-            PendingOp::SeriesPush(scope, name, v) => {
-                self.series.entry((scope, name)).or_default().push(v);
-            }
-            PendingOp::GaugeSet(scope, name, v) => {
-                self.gauges.insert((scope, name), v);
-            }
-        }
-    }
-
-    /// Replay writes buffered during a sharded run in canonical order.
-    /// Serial runs buffer nothing, so this is a no-op for them.
-    pub fn finalize_order(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|(k, _)| *k);
-        for (_, op) in pending {
-            self.apply(op);
-        }
-    }
 }
 
 /// The cheaply clonable handle every instrumented component holds.
-///
-/// Thread-safe: one registry is shared by every shard of a sharded run.
-/// Commutative writes apply directly under the lock; order-sensitive
-/// writes (`record`, `series_push`, `gauge_set`) are buffered with the
-/// thread's ambient [`OrderKey`] when one is installed and replayed in
-/// canonical order by [`Metrics::finalize_order`], so snapshots are
-/// byte-identical to the serial execution.
 #[derive(Debug, Clone, Default)]
-pub struct Metrics(Arc<Mutex<MetricsRegistry>>);
+pub struct Metrics(Rc<RefCell<MetricsRegistry>>);
 
 impl Metrics {
     /// A fresh, empty registry.
@@ -367,73 +321,57 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, MetricsRegistry> {
-        self.0.lock().expect("metrics registry lock poisoned")
-    }
-
     /// Increment a counter by one.
     pub fn inc(&self, scope: Scope, name: &str) {
-        self.lock().add(scope, name, 1);
+        self.0.borrow_mut().add(scope, name, 1);
     }
 
     /// Add `n` to a counter.
     pub fn add(&self, scope: Scope, name: &str, n: u64) {
-        self.lock().add(scope, name, n);
+        self.0.borrow_mut().add(scope, name, n);
     }
 
     /// Current counter value.
     #[must_use]
     pub fn counter(&self, scope: Scope, name: &str) -> u64 {
-        self.lock().counter(scope, name)
+        self.0.borrow().counter(scope, name)
     }
 
     /// Set a gauge.
     pub fn gauge_set(&self, scope: Scope, name: &str, v: i64) {
-        let mut reg = self.lock();
-        match ordkey::next() {
-            Some(k) => reg
-                .pending
-                .push((k, PendingOp::GaugeSet(scope, name.to_string(), v))),
-            None => reg.gauge_set(scope, name, v),
-        }
+        self.0.borrow_mut().gauge_set(scope, name, v);
     }
 
     /// Add `v` (possibly negative) to a gauge.
     pub fn gauge_add(&self, scope: Scope, name: &str, v: i64) {
-        self.lock().gauge_add(scope, name, v);
+        self.0.borrow_mut().gauge_add(scope, name, v);
     }
 
     /// Raise a high-water gauge.
     pub fn gauge_track_max(&self, scope: Scope, name: &str, v: i64) {
-        self.lock().gauge_track_max(scope, name, v);
+        self.0.borrow_mut().gauge_track_max(scope, name, v);
     }
 
     /// Current gauge value, if ever written.
     #[must_use]
     pub fn gauge(&self, scope: Scope, name: &str) -> Option<i64> {
-        self.lock().gauge(scope, name)
+        self.0.borrow().gauge(scope, name)
     }
 
     /// Record a duration observation.
     pub fn observe(&self, scope: Scope, name: &str, d: SimDuration) {
-        self.lock().observe(scope, name, d);
+        self.0.borrow_mut().observe(scope, name, d);
     }
 
     /// Append to a series.
     pub fn series_push(&self, scope: Scope, name: &str, v: i64) {
-        let mut reg = self.lock();
-        match ordkey::next() {
-            Some(k) => reg
-                .pending
-                .push((k, PendingOp::SeriesPush(scope, name.to_string(), v))),
-            None => reg.series_push(scope, name, v),
-        }
+        self.0.borrow_mut().series_push(scope, name, v);
     }
 
     /// Copy a series out.
     #[must_use]
     pub fn series(&self, scope: Scope, name: &str) -> Vec<i64> {
-        self.lock().series(scope, name).to_vec()
+        self.0.borrow().series(scope, name).to_vec()
     }
 
     /// Append a structured record.
@@ -443,33 +381,12 @@ impl Metrics {
         K: Into<String>,
         V: Into<String>,
     {
-        let mut reg = self.lock();
-        match ordkey::next() {
-            Some(k) => {
-                let record = Record {
-                    time,
-                    scope,
-                    name: name.to_string(),
-                    fields: fields
-                        .into_iter()
-                        .map(|(k, v)| (k.into(), v.into()))
-                        .collect(),
-                };
-                reg.pending.push((k, PendingOp::Record(record)));
-            }
-            None => reg.record(time, scope, name, fields),
-        }
-    }
-
-    /// Replay order-sensitive writes buffered during a sharded run in
-    /// canonical serial order. No-op after serial runs.
-    pub fn finalize_order(&self) {
-        self.lock().finalize_order();
+        self.0.borrow_mut().record(time, scope, name, fields);
     }
 
     /// Read-only access to the registry (exports, snapshot views).
     pub fn with<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> R {
-        f(&self.lock())
+        f(&self.0.borrow())
     }
 }
 
@@ -522,52 +439,12 @@ mod tests {
     }
 
     #[test]
-    fn tagged_writes_replay_in_canonical_order() {
-        use hcm_core::ordkey::{self, OrderKey};
-        let m = Metrics::new();
-        let key = |seq| OrderKey {
-            time: 4,
-            phase: 1,
-            src: 0,
-            seq,
-            minor: 0,
-            sub: 0,
-        };
-        // Arrival order 2, 1 — canonical order is by seq.
-        ordkey::install(key(2));
-        m.series_push(Scope::Global, "lat", 20);
-        m.gauge_set(Scope::Global, "g", 2);
-        m.record(SimTime::from_millis(4), Scope::Global, "ev", [("n", "b")]);
-        ordkey::install(key(1));
-        m.series_push(Scope::Global, "lat", 10);
-        m.gauge_set(Scope::Global, "g", 1);
-        m.record(SimTime::from_millis(4), Scope::Global, "ev", [("n", "a")]);
-        ordkey::clear();
-        // Nothing applied yet.
-        assert!(m.series(Scope::Global, "lat").is_empty());
-        assert_eq!(m.gauge(Scope::Global, "g"), None);
-        m.finalize_order();
-        assert_eq!(m.series(Scope::Global, "lat"), vec![10, 20]);
-        assert_eq!(m.gauge(Scope::Global, "g"), Some(2));
-        m.with(|reg| {
-            let names: Vec<_> = reg
-                .records()
-                .iter()
-                .map(|r| r.fields[0].1.clone())
-                .collect();
-            assert_eq!(names, vec!["a", "b"]);
-        });
-    }
-
-    #[test]
     fn untagged_writes_apply_immediately() {
         let m = Metrics::new();
         m.series_push(Scope::Global, "lat", 7);
         m.gauge_set(Scope::Global, "g", 7);
         assert_eq!(m.series(Scope::Global, "lat"), vec![7]);
         assert_eq!(m.gauge(Scope::Global, "g"), Some(7));
-        m.finalize_order(); // no-op
-        assert_eq!(m.series(Scope::Global, "lat"), vec![7]);
     }
 
     #[test]

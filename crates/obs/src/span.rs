@@ -15,22 +15,13 @@
 //! the walker reconstructs the chain those links form, and the two are
 //! differentially tested against each other.
 
-use hcm_core::{ordkey, EventId, OrderKey, RuleId, SimTime, SiteId, Trace};
-use std::cell::Cell;
-use std::collections::HashMap;
+use hcm_core::{EventId, RuleId, SimTime, SiteId, Trace};
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
-/// Identifier of a span within one [`SpanLog`].
-///
-/// Like [`EventId`], two encodings share the `u64`: **plain** ids
-/// (`< 2^32`) are log indexes in creation order (what raw
-/// [`SpanLog::start`] assigns), while **packed** ids carry the minting
-/// component's origin in the high bits and its private sequence number
-/// in the low bits (what [`Spans::scoped`] handles assign). Packed ids
-/// identify a span without encoding its position, so they are stable
-/// across serial and sharded executions.
+/// Identifier of a span within one [`SpanLog`]: its log index in
+/// creation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
@@ -39,31 +30,11 @@ impl SpanId {
     /// disabled. [`SpanLog::end`] and [`SpanLog::annotate`] on it are
     /// no-ops, so callers can hold it without checking.
     pub const DISABLED: SpanId = SpanId(u64::MAX);
-
-    /// A packed id: `origin`'s `seq`-th span.
-    #[must_use]
-    pub fn packed(origin: u32, seq: u32) -> SpanId {
-        SpanId((u64::from(origin) + 1) << 32 | u64::from(seq))
-    }
-
-    /// The origin of a packed id; `None` for plain (index) ids and the
-    /// [`SpanId::DISABLED`] sentinel.
-    #[must_use]
-    pub fn origin_of(id: SpanId) -> Option<u32> {
-        if id == SpanId::DISABLED {
-            return None;
-        }
-        let hi = id.0 >> 32;
-        (hi > 0).then(|| (hi - 1) as u32)
-    }
 }
 
 impl fmt::Display for SpanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match SpanId::origin_of(*self) {
-            Some(origin) => write!(f, "s{origin}.{}", self.0 & 0xFFFF_FFFF),
-            None => write!(f, "s{}", self.0),
-        }
+        write!(f, "s{}", self.0)
     }
 }
 
@@ -124,18 +95,10 @@ pub struct Span {
 }
 
 /// Append-only log of spans, in creation order (creation order is
-/// simulation order, hence deterministic per seed; sharded runs tag
-/// out-of-order arrivals and restore creation order in
-/// [`SpanLog::finalize_order`]).
+/// simulation order, hence deterministic per seed).
 #[derive(Debug, Clone, Default)]
 pub struct SpanLog {
     spans: Vec<Span>,
-    /// Packed id → index. Plain ids are their own index.
-    by_id: HashMap<u64, u32>,
-    /// Canonical keys of the tagged tail `spans[tail_start..]`,
-    /// parallel runs only.
-    tail_keys: Vec<OrderKey>,
-    tail_start: usize,
 }
 
 impl SpanLog {
@@ -152,33 +115,6 @@ impl SpanLog {
         note: impl Into<String>,
     ) -> SpanId {
         let id = SpanId(self.spans.len() as u64);
-        self.start_as(id, kind, parent, site, rule, trigger, start, note.into());
-        id
-    }
-
-    /// Open a span under a caller-minted (typically packed) id.
-    #[allow(clippy::too_many_arguments)]
-    fn start_as(
-        &mut self,
-        id: SpanId,
-        kind: SpanKind,
-        parent: Option<SpanId>,
-        site: SiteId,
-        rule: Option<RuleId>,
-        trigger: Option<EventId>,
-        start: SimTime,
-        note: String,
-    ) {
-        if let Some(key) = ordkey::next() {
-            if self.tail_keys.is_empty() {
-                self.tail_start = self.spans.len();
-            }
-            self.tail_keys.push(key);
-        }
-        let idx = self.spans.len() as u32;
-        if SpanId::origin_of(id).is_some() {
-            self.by_id.insert(id.0, idx);
-        }
         self.spans.push(Span {
             id,
             parent,
@@ -188,68 +124,37 @@ impl SpanLog {
             trigger,
             start,
             end: None,
-            note,
+            note: note.into(),
         });
+        id
     }
 
-    fn index_of(&self, id: SpanId) -> Option<usize> {
-        match SpanId::origin_of(id) {
-            Some(_) => self.by_id.get(&id.0).map(|&i| i as usize),
-            None => Some(id.0 as usize),
-        }
+    fn index_of(id: SpanId) -> usize {
+        usize::try_from(id.0).unwrap_or(usize::MAX)
     }
 
     /// Close a span (idempotent; closing an unknown id is a no-op so
     /// callers need not track lifecycle corner cases).
     pub fn end(&mut self, id: SpanId, at: SimTime) {
-        if let Some(i) = self.index_of(id) {
-            if let Some(s) = self.spans.get_mut(i) {
-                s.end.get_or_insert(at);
-            }
+        if let Some(s) = self.spans.get_mut(Self::index_of(id)) {
+            s.end.get_or_insert(at);
         }
     }
 
     /// Append to a span's note.
     pub fn annotate(&mut self, id: SpanId, note: &str) {
-        if let Some(i) = self.index_of(id) {
-            if let Some(s) = self.spans.get_mut(i) {
-                if !s.note.is_empty() {
-                    s.note.push_str("; ");
-                }
-                s.note.push_str(note);
+        if let Some(s) = self.spans.get_mut(Self::index_of(id)) {
+            if !s.note.is_empty() {
+                s.note.push_str("; ");
             }
-        }
-    }
-
-    /// Restore canonical creation order after a sharded run: stably
-    /// sort the tagged tail by its [`OrderKey`]s and rebuild the id
-    /// map. No-op after serial runs (nothing is tagged).
-    pub fn finalize_order(&mut self) {
-        if self.tail_keys.is_empty() {
-            return;
-        }
-        assert_eq!(
-            self.tail_start + self.tail_keys.len(),
-            self.spans.len(),
-            "tagged span tail must be contiguous"
-        );
-        let tail = self.spans.split_off(self.tail_start);
-        let keys = std::mem::take(&mut self.tail_keys);
-        let mut zipped: Vec<(OrderKey, Span)> = keys.into_iter().zip(tail).collect();
-        zipped.sort_by_key(|(k, _)| *k);
-        self.spans.extend(zipped.into_iter().map(|(_, s)| s));
-        self.by_id.clear();
-        for (i, s) in self.spans.iter().enumerate() {
-            if SpanId::origin_of(s.id).is_some() {
-                self.by_id.insert(s.id.0, i as u32);
-            }
+            s.note.push_str(note);
         }
     }
 
     /// Look a span up.
     #[must_use]
     pub fn get(&self, id: SpanId) -> Option<&Span> {
-        self.index_of(id).and_then(|i| self.spans.get(i))
+        self.spans.get(Self::index_of(id))
     }
 
     /// All spans in creation order.
@@ -271,31 +176,10 @@ impl SpanLog {
 /// [`SpanId::DISABLED`] without touching the log, and `end`/`annotate`
 /// on that sentinel are no-ops. The default is enabled — observability
 /// snapshots stay byte-identical unless a scenario opts out.
-///
-/// An unscoped handle assigns plain index ids (serial semantics). A
-/// [`Spans::scoped`] handle mints packed, position-independent ids
-/// from its own counter — what simulation actors must use so span ids
-/// are identical across serial and sharded executions. Scoped handles
-/// are single-owner: cloning one copies the counter, so treat the
-/// clone as a move.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Spans {
-    log: Arc<Mutex<SpanLog>>,
-    disabled: Arc<AtomicBool>,
-    /// `origin + 1` of a scoped handle; 0 for unscoped.
-    origin: u32,
-    next_seq: Cell<u32>,
-}
-
-impl Clone for Spans {
-    fn clone(&self) -> Self {
-        Spans {
-            log: Arc::clone(&self.log),
-            disabled: Arc::clone(&self.disabled),
-            origin: self.origin,
-            next_seq: self.next_seq.clone(),
-        }
-    }
+    log: Rc<RefCell<SpanLog>>,
+    disabled: Rc<Cell<bool>>,
 }
 
 impl Spans {
@@ -305,33 +189,15 @@ impl Spans {
         Spans::default()
     }
 
-    /// A handle over the same log that mints packed span ids scoped to
-    /// `origin` (conventionally the holding actor's id), starting at
-    /// sequence 0.
-    #[must_use]
-    pub fn scoped(&self, origin: u32) -> Spans {
-        assert!(origin < u32::MAX, "origin out of range");
-        Spans {
-            log: Arc::clone(&self.log),
-            disabled: Arc::clone(&self.disabled),
-            origin: origin + 1,
-            next_seq: Cell::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SpanLog> {
-        self.log.lock().expect("span log lock poisoned")
-    }
-
     /// Turn span recording on or off (shared across all clones).
     pub fn set_enabled(&self, enabled: bool) {
-        self.disabled.store(!enabled, Ordering::Relaxed);
+        self.disabled.set(!enabled);
     }
 
     /// Whether spans are currently being recorded.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        !self.disabled.load(Ordering::Relaxed)
+        !self.disabled.get()
     }
 
     /// Open a span.
@@ -349,16 +215,9 @@ impl Spans {
         if !self.enabled() {
             return SpanId::DISABLED;
         }
-        let mut log = self.lock();
-        if self.origin == 0 {
-            log.start(kind, parent, site, rule, trigger, start, note)
-        } else {
-            let seq = self.next_seq.get();
-            self.next_seq.set(seq + 1);
-            let id = SpanId::packed(self.origin - 1, seq);
-            log.start_as(id, kind, parent, site, rule, trigger, start, note.into());
-            id
-        }
+        self.log
+            .borrow_mut()
+            .start(kind, parent, site, rule, trigger, start, note)
     }
 
     /// Open a span with a lazily built note: the closure runs only
@@ -386,7 +245,7 @@ impl Spans {
         if id == SpanId::DISABLED {
             return;
         }
-        self.lock().end(id, at);
+        self.log.borrow_mut().end(id, at);
     }
 
     /// Append to a span's note.
@@ -394,18 +253,12 @@ impl Spans {
         if id == SpanId::DISABLED {
             return;
         }
-        self.lock().annotate(id, note);
-    }
-
-    /// Restore canonical span order after a sharded run (no-op after
-    /// serial runs).
-    pub fn finalize_order(&self) {
-        self.lock().finalize_order();
+        self.log.borrow_mut().annotate(id, note);
     }
 
     /// Read-only access to the log.
     pub fn with<R>(&self, f: impl FnOnce(&SpanLog) -> R) -> R {
-        f(&self.lock())
+        f(&self.log.borrow())
     }
 }
 
@@ -614,56 +467,6 @@ mod tests {
         );
         assert_ne!(id, SpanId::DISABLED);
         spans.with(|log| assert_eq!(log.spans().len(), 1));
-    }
-
-    #[test]
-    fn scoped_handles_mint_stable_packed_ids_and_reorder() {
-        use hcm_core::ordkey::{self, OrderKey};
-        let spans = Spans::new();
-        let a = spans.scoped(3);
-        let b = spans.scoped(5);
-        let key = |seq| OrderKey {
-            time: 1,
-            phase: 1,
-            src: 0,
-            seq,
-            minor: 0,
-            sub: 0,
-        };
-        // Arrival order b-then-a; canonical order a-then-b.
-        ordkey::install(key(2));
-        let sb = b.start(
-            SpanKind::Firing,
-            None,
-            SiteId::new(1),
-            None,
-            None,
-            SimTime::from_millis(1),
-            "b",
-        );
-        ordkey::install(key(1));
-        let sa = a.start(
-            SpanKind::Firing,
-            None,
-            SiteId::new(0),
-            None,
-            None,
-            SimTime::from_millis(1),
-            "a",
-        );
-        ordkey::clear();
-        assert_eq!(sa, SpanId::packed(3, 0));
-        assert_eq!(sb, SpanId::packed(5, 0));
-        assert_eq!(sa.to_string(), "s3.0");
-        // End via packed id works regardless of position.
-        spans.end(sb, SimTime::from_millis(2));
-        spans.finalize_order();
-        spans.with(|log| {
-            let notes: Vec<_> = log.spans().iter().map(|s| s.note.clone()).collect();
-            assert_eq!(notes, vec!["a", "b"]);
-            assert_eq!(log.get(sb).unwrap().end, Some(SimTime::from_millis(2)));
-            assert_eq!(log.get(sa).unwrap().end, None);
-        });
     }
 
     #[test]

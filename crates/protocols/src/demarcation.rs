@@ -26,7 +26,7 @@ use hcm_obs::{Metrics, Scope};
 use hcm_simkit::{Actor, ActorId, Ctx, RunOutcome};
 use hcm_toolkit::backends::RawStore;
 use hcm_toolkit::msg::{CmMsg, RequestKind, TranslatorEvent};
-use hcm_toolkit::{DispatchMode, Scenario, ScenarioBuilder};
+use hcm_toolkit::{Scenario, ScenarioBuilder};
 
 /// How much slack the peer gives away when asked for `need`, given
 /// `avail` (its distance from value to limit).
@@ -493,25 +493,6 @@ col = lim
 /// constraints (`X ≤ Lx`, `Y ≥ Ly`), a translator each, and the two
 /// protocol agents wired as their shells' peers.
 pub fn build(cfg: DemarcConfig) -> DemarcScenario {
-    build_with_dispatch(cfg, DispatchMode::default())
-}
-
-/// [`build`], but pinning the shells' rule-dispatch mode — the
-/// perf-equivalence suite runs E3 cells under both modes and demands
-/// byte-identical observability.
-pub fn build_with_dispatch(cfg: DemarcConfig, dispatch: DispatchMode) -> DemarcScenario {
-    build_with(cfg, dispatch, None)
-}
-
-/// [`build_with_dispatch`] with an explicit shard count for the
-/// sharded executor (`None` defers to `HCM_SIM_THREADS`). The two
-/// agents ride their own site's shard; peer traffic uses the network,
-/// so demarcation genuinely parallelizes across two shards.
-pub fn build_with(
-    cfg: DemarcConfig,
-    dispatch: DispatchMode,
-    shards: Option<u32>,
-) -> DemarcScenario {
     use hcm_ris::relational::{Check, CheckOperand, Database, SqlOp};
 
     let mut db_x = Database::new();
@@ -546,17 +527,14 @@ pub fn build_with(
     })
     .unwrap();
 
-    let mut b = ScenarioBuilder::new(cfg.seed)
+    let mut scenario = ScenarioBuilder::new(cfg.seed)
         .site("A", RawStore::Relational(db_x), RID_X)
         .unwrap()
         .site("B", RawStore::Relational(db_y), RID_Y)
         .unwrap()
         .strategy("[locate]\nx = A\nxlim = A\ny = B\nylim = B\n")
-        .dispatch_mode(dispatch);
-    if let Some(k) = shards {
-        b = b.shards(k);
-    }
-    let mut scenario = b.build().unwrap();
+        .build()
+        .unwrap();
 
     let metrics = scenario.sim.obs().metrics;
     let stats_x = DemarcStatsHandle::new(metrics.clone(), scenario.site("A").site);
@@ -578,10 +556,7 @@ pub fn build_with(
         stats_x.clone(),
     );
     ax.set_peer(expected_y);
-    ax.set_recorder(
-        scenario.recorder.scoped(expected_x.0),
-        scenario.site("A").site,
-    );
+    ax.set_recorder(scenario.recorder.clone(), scenario.site("A").site);
     let mut ay = DemarcAgent::new(
         Role::Upper,
         ty,
@@ -593,12 +568,9 @@ pub fn build_with(
         stats_y.clone(),
     );
     ay.set_peer(expected_x);
-    ay.set_recorder(
-        scenario.recorder.scoped(expected_y.0),
-        scenario.site("B").site,
-    );
-    let agent_x = scenario.add_actor_for("A", Box::new(ax));
-    let agent_y = scenario.add_actor_for("B", Box::new(ay));
+    ay.set_recorder(scenario.recorder.clone(), scenario.site("B").site);
+    let agent_x = scenario.add_actor(Box::new(ax));
+    let agent_y = scenario.add_actor(Box::new(ay));
     assert_eq!((agent_x, agent_y), (expected_x, expected_y));
     DemarcScenario {
         scenario,

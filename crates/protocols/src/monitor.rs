@@ -16,7 +16,7 @@
 //! database).
 
 use hcm_core::{
-    EventDesc, ItemId, RuleRegistry, Shared, SimDuration, SimTime, SiteId, TraceRecorder, Value,
+    EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, TraceRecorder, Value,
 };
 use hcm_obs::Scope;
 use hcm_simkit::{Actor, ActorId, Ctx, RunOutcome, Sim};
@@ -26,6 +26,8 @@ use hcm_toolkit::msg::{CmMsg, SpontaneousOp, TranslatorEvent};
 use hcm_toolkit::rid::CmRid;
 use hcm_toolkit::translator::{TranslatorActor, TranslatorStatsHandle};
 use hcm_toolkit::{StatePolicy, StoreBridge};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// What a lossy crash does to the monitor agent's volatile state —
 /// the protocols-level mirror of [`hcm_toolkit::Durability`].
@@ -53,7 +55,7 @@ pub struct MonitorAgent {
     policy: StatePolicy,
     crashed_lossy: bool,
     /// Count of Flag transitions (experiment metric).
-    pub transitions: Shared<u64>,
+    pub transitions: Rc<RefCell<u64>>,
 }
 
 impl MonitorAgent {
@@ -247,7 +249,7 @@ pub struct MonitorScenario {
     /// The shared shell.
     pub agent: ActorId,
     /// Flag-transition count.
-    pub transitions: Shared<u64>,
+    pub transitions: Rc<RefCell<u64>>,
     /// κ implied by the interfaces: the max notification bound plus
     /// service/processing slack.
     pub kappa: SimDuration,
@@ -291,7 +293,7 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
     // Actor layout: agent 0, translator_x 1, translator_y 2. The agent
     // is the CM-Shell of *both* sites (paper Fig. 1, Site 3).
     let agent_id = ActorId(0);
-    let transitions = Shared::new(0);
+    let transitions = Rc::new(RefCell::new(0));
     let policy = match memory {
         MonitorMemory::Keep => StatePolicy::Keep,
         MonitorMemory::Lose => StatePolicy::Lose,

@@ -307,25 +307,19 @@ pub fn build(seed: u64, accounts: &[(&str, i64)], batch_times: &[SimTime]) -> Ba
         .site("HQ", RawStore::Relational(mk_db(accounts)), RID_HQ)
         .unwrap()
         .strategy("[locate]\nbbal = BR\nhbal = HQ\n")
-        // The batch agent drives both translators with short local
-        // sends, so the two sites must share a shard in parallel runs.
-        .co_locate(&["BR", "HQ"])
         .build()
         .unwrap();
     let stats = BatchStatsHandle::new(scenario.obs.metrics.clone());
     let bt = scenario.site("BR").translator;
     let ht = scenario.site("HQ").translator;
-    let agent = scenario.add_actor_for(
-        "BR",
-        Box::new(BatchAgent {
-            branch_translator: bt,
-            hq_translator: ht,
-            schedule: batch_times.to_vec(),
-            next_req: 0,
-            phase: Phase::Idle,
-            stats: stats.clone(),
-        }),
-    );
+    let agent = scenario.add_actor(Box::new(BatchAgent {
+        branch_translator: bt,
+        hq_translator: ht,
+        schedule: batch_times.to_vec(),
+        next_req: 0,
+        phase: Phase::Idle,
+        stats: stats.clone(),
+    }));
     BankScenario {
         scenario,
         agent,

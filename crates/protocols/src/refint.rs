@@ -321,10 +321,6 @@ pub fn build(seed: u64, window: SimDuration, stop_at: SimTime) -> RefintScenario
         )
         .unwrap()
         .strategy("[locate]\nproject = P\nsalary = S\nnotice = M\n")
-        // The repair agent drives all three translators with short
-        // local sends, so the sites must share a shard in parallel
-        // runs.
-        .co_locate(&["P", "S", "M"])
         .build()
         .unwrap();
 
@@ -332,19 +328,16 @@ pub fn build(seed: u64, window: SimDuration, stop_at: SimTime) -> RefintScenario
     let pt = scenario.site("P").translator;
     let st = scenario.site("S").translator;
     let mt = scenario.site("M").translator;
-    let agent = scenario.add_actor_for(
-        "P",
-        Box::new(RefintAgent {
-            projects_translator: pt,
-            salaries_translator: st,
-            mail_translator: Some(mt),
-            period: window,
-            stop_at,
-            next_req: 0,
-            phase: Phase::Idle,
-            stats: stats.clone(),
-        }),
-    );
+    let agent = scenario.add_actor(Box::new(RefintAgent {
+        projects_translator: pt,
+        salaries_translator: st,
+        mail_translator: Some(mt),
+        period: window,
+        stop_at,
+        next_req: 0,
+        phase: Phase::Idle,
+        stats: stats.clone(),
+    }));
     RefintScenario {
         scenario,
         agent,

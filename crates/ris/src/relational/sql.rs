@@ -231,16 +231,23 @@ fn tokenize(src: &str) -> Result<Vec<T>, RisError> {
                 }
             }
             '\'' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < b.len() && b[j] != b'\'' {
+                // `''` inside a literal is one escaped quote.
+                let mut text = String::new();
+                let mut j = i + 1;
+                loop {
+                    let Some(off) = src[j..].find('\'') else {
+                        return Err(bad("unterminated string literal"));
+                    };
+                    text.push_str(&src[j..j + off]);
+                    j += off + 1;
+                    if b.get(j) != Some(&b'\'') {
+                        break;
+                    }
+                    text.push('\'');
                     j += 1;
                 }
-                if j >= b.len() {
-                    return Err(bad("unterminated string literal"));
-                }
-                out.push(T::Lit(Value::Str(src[start..j].to_owned())));
-                i = j + 1;
+                out.push(T::Lit(Value::Str(text)));
+                i = j;
             }
             _ if c.is_ascii_digit()
                 || (c == '-' && b.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
@@ -675,6 +682,18 @@ mod tests {
     }
 
     #[test]
+    fn doubled_quote_is_an_escaped_quote() {
+        let c = parse_command("INSERT INTO t VALUES ('O''Brien', '', '''')").unwrap();
+        match c {
+            Command::Insert { values, .. } => assert_eq!(
+                values,
+                vec![Value::from("O'Brien"), Value::from(""), Value::from("'")]
+            ),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn errors() {
         assert!(parse_command("TRUNCATE TABLE t").is_err());
         assert!(parse_command("SELECT FROM t").is_err());
@@ -682,6 +701,7 @@ mod tests {
         assert!(parse_command("UPDATE t SET a > 1").is_err());
         assert!(parse_command("SELECT a FROM t WHERE a").is_err());
         assert!(parse_command("INSERT INTO t VALUES ('unterminated)").is_err());
+        assert!(parse_command("INSERT INTO t VALUES ('a'')").is_err());
         assert!(parse_command("SELECT a FROM t WHERE a = $b").is_err());
     }
 }

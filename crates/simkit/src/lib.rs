@@ -18,18 +18,14 @@
 //!
 //! The programming model is an actor loop: components implement
 //! [`Actor`] and exchange a user-chosen message type through [`Sim`].
-//!
-//! Execution is serial by default. With [`Sim::set_shard_map`], the
-//! run is partitioned across one worker thread per shard in
-//! conservative lock-step epochs (see [`shard`]), producing results
-//! byte-identical to the serial execution.
+//! Execution is single-threaded: one event loop pops one event at a
+//! time, so a run is a pure function of its seed and schedule.
 
 #![warn(missing_docs)]
 
 pub mod actor;
 pub mod net;
 pub mod rng;
-mod shard;
 pub mod sim;
 
 pub use actor::{Actor, ActorId, Ctx};

@@ -93,26 +93,21 @@ pub enum ActorStatus {
 }
 
 /// Per-pair FIFO bookkeeping, delay sampling, and failure status.
-///
-/// Clonable so the sharded executor can hand each worker a private
-/// copy; `hcm-simkit`'s shard module merges the per-worker copies back
-/// (each channel's FIFO/traffic state is only ever advanced by the
-/// sender's shard, each actor's status only by its owning shard).
 #[derive(Debug, Clone)]
 pub struct Network {
-    pub(crate) default_delay: DelayModel,
-    pub(crate) per_channel: HashMap<(ActorId, ActorId), DelayModel>,
+    default_delay: DelayModel,
+    per_channel: HashMap<(ActorId, ActorId), DelayModel>,
     /// Latest delivery time already scheduled per channel (FIFO clamp).
-    pub(crate) last_delivery: HashMap<(ActorId, ActorId), SimTime>,
-    pub(crate) status: HashMap<ActorId, ActorStatus>,
+    last_delivery: HashMap<(ActorId, ActorId), SimTime>,
+    status: HashMap<ActorId, ActorStatus>,
     /// Messages sent over a channel, for the traffic-reduction
     /// experiments (E8/E9).
-    pub(crate) sent: HashMap<(ActorId, ActorId), u64>,
-    pub(crate) dropped: u64,
+    sent: HashMap<(ActorId, ActorId), u64>,
+    dropped: u64,
     /// In-order delivery per channel (the paper's Appendix property 7
     /// assumption). Disable ONLY for the ablation experiment that shows
     /// the assumption is load-bearing.
-    pub(crate) fifo: bool,
+    fifo: bool,
 }
 
 impl Default for Network {
@@ -164,18 +159,6 @@ impl Network {
         self.status.insert(a, s);
     }
 
-    /// The smallest possible one-way latency of any network send — the
-    /// conservative lookahead bound the sharded executor's epochs use:
-    /// a message sent at time `t` can never arrive before
-    /// `t + min_network_delay()`.
-    #[must_use]
-    pub fn min_network_delay(&self) -> SimDuration {
-        self.per_channel
-            .values()
-            .map(|m| m.base)
-            .fold(self.default_delay.base, SimDuration::min)
-    }
-
     /// Compute the delivery time for a message submitted `now` on
     /// `(from, to)` with the given send kind, maintaining the FIFO
     /// invariant: delivery times on one channel never decrease.
@@ -186,23 +169,6 @@ impl Network {
         from: ActorId,
         to: ActorId,
         kind: SendKind,
-        rng: &mut SimRng,
-    ) -> SimTime {
-        let to_status = self.status(to);
-        self.delivery_time_with_status(now, from, to, kind, to_status, rng)
-    }
-
-    /// [`Network::delivery_time`] with the receiver's status supplied
-    /// by the caller. The sharded executor uses this: a worker knows
-    /// the live status only of its own actors and derives remote
-    /// receivers' status from the pre-scheduled control timeline.
-    pub fn delivery_time_with_status(
-        &mut self,
-        now: SimTime,
-        from: ActorId,
-        to: ActorId,
-        kind: SendKind,
-        to_status: ActorStatus,
         rng: &mut SimRng,
     ) -> SimTime {
         let base = match kind {
@@ -217,7 +183,7 @@ impl Network {
         };
         let mut at = now + base;
         if !matches!(kind, SendKind::Timer(_)) {
-            if let ActorStatus::Overloaded { extra } = to_status {
+            if let ActorStatus::Overloaded { extra } = self.status(to) {
                 at += extra;
             }
             *self.sent.entry((from, to)).or_insert(0) += 1;

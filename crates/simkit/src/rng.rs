@@ -48,9 +48,8 @@ impl SimRng {
 
     /// Construct stream `stream` of the family keyed by `master` — the
     /// per-actor RNG streams of a simulation. Each actor draws from its
-    /// own stream, so draw order is independent of how actor
-    /// executions interleave (the property the sharded executor needs),
-    /// while the whole family is still fully determined by one seed.
+    /// own stream, so one actor's draws never shift another's, while
+    /// the whole family is still fully determined by one seed.
     #[must_use]
     pub fn derived(master: u64, stream: u64) -> Self {
         let mut sm = master ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);

@@ -10,12 +10,6 @@
 //! one submission counter, so they sort after actor traffic at the
 //! same instant, in schedule order.
 //!
-//! That key is the backbone of the **sharded execution mode**
-//! ([`Sim::set_shard_map`]): serial pop order equals key order, so
-//! per-shard executors can process disjoint key-ordered streams in
-//! parallel and every shared sink can reconstruct the exact serial
-//! order from the keys (see `hcm_core::ordkey` and [`crate::shard`]).
-//!
 //! Failure injection is scheduled through the same queue
 //! ([`Sim::crash_at`], [`Sim::recover_at`], [`Sim::overload_between`])
 //! so that an experiment's failure schedule composes deterministically
@@ -29,49 +23,32 @@ use hcm_obs::{Metrics, Obs, Scope};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-pub(crate) enum Entry<M> {
+enum Entry<M> {
     Deliver { to: ActorId, from: ActorId, msg: M },
     Control(Control),
 }
 
-impl<M> Entry<M> {
-    /// The actor this entry is processed at (deliveries at the
-    /// receiver, controls at the actor they manipulate) — the shard
-    /// routing key.
-    pub(crate) fn target(&self) -> ActorId {
-        match self {
-            Entry::Deliver { to, .. } => *to,
-            Entry::Control(c) => match c {
-                Control::Crash { who, .. }
-                | Control::Recover { who }
-                | Control::Overload { who, .. }
-                | Control::EndOverload { who } => *who,
-            },
-        }
-    }
-}
-
-pub(crate) enum Control {
+enum Control {
     Crash { who: ActorId, lossy: bool },
     Recover { who: ActorId },
     Overload { who: ActorId, extra: SimDuration },
     EndOverload { who: ActorId },
 }
 
-pub(crate) struct Scheduled<M> {
-    pub(crate) at: SimTime,
+struct Scheduled<M> {
+    at: SimTime,
     /// Sending actor (`ActorId::EXTERNAL.0` for injections/controls).
-    pub(crate) src: u32,
+    src: u32,
     /// The sender's submission sequence number.
-    pub(crate) seq: u64,
+    seq: u64,
     /// Tie-breaker for entries materialized *by* a dispatch (held
     /// messages replayed by a recovery control); 0 for normal sends.
-    pub(crate) minor: u32,
-    pub(crate) entry: Entry<M>,
+    minor: u32,
+    entry: Entry<M>,
 }
 
 impl<M> Scheduled<M> {
-    pub(crate) fn key(&self) -> (SimTime, u32, u64, u32) {
+    fn key(&self) -> (SimTime, u32, u64, u32) {
         (self.at, self.src, self.seq, self.minor)
     }
 }
@@ -110,35 +87,29 @@ pub enum RunOutcome {
 
 /// A deterministic discrete-event simulation over message type `M`.
 pub struct Sim<M> {
-    pub(crate) actors: Vec<Box<dyn Actor<M> + Send>>,
-    pub(crate) queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    actors: Vec<Box<dyn Actor<M>>>,
+    queue: BinaryHeap<Reverse<Scheduled<M>>>,
     /// Messages held for crashed (non-lossy) actors, replayed on
     /// recovery in arrival order: `(to, from, msg)`.
-    pub(crate) held: Vec<(ActorId, ActorId, M)>,
-    pub(crate) now: SimTime,
+    held: Vec<(ActorId, ActorId, M)>,
+    now: SimTime,
     /// Submission counter for external entries (injections, controls).
     ext_seq: u64,
     /// Per-actor deterministic RNG streams, derived from the master
-    /// seed and the actor id — identical in serial and sharded mode.
-    pub(crate) rngs: Vec<SimRng>,
+    /// seed and the actor id, so adding an actor never shifts another
+    /// actor's draws.
+    rngs: Vec<SimRng>,
     /// Per-actor submission counters (the `seq` half of the order key).
-    pub(crate) send_seqs: Vec<u64>,
+    send_seqs: Vec<u64>,
     seed: u64,
-    pub(crate) net: Network,
-    pub(crate) obs: Obs,
-    /// Engine-internal metrics (queue depths, epochs, shard traffic):
-    /// execution-strategy-dependent by nature, so they live outside the
-    /// snapshot registry that must stay byte-identical across modes.
-    pub(crate) engine: Metrics,
+    net: Network,
+    obs: Obs,
+    /// Engine-internal metrics (queue depth): kept outside the
+    /// snapshot registry so engine tuning never moves a snapshot.
+    engine: Metrics,
     started: bool,
-    pub(crate) steps: u64,
-    pub(crate) max_steps: u64,
-    /// Shard assignment per actor; all zeros (single shard) by default.
-    pub(crate) shard_of: Vec<u32>,
-    n_shards: u32,
-    /// Callbacks run after a sharded run so external order-tagged sinks
-    /// (the toolkit trace) can restore canonical order.
-    order_sinks: Vec<Box<dyn Fn()>>,
+    steps: u64,
+    max_steps: u64,
 }
 
 impl<M> Sim<M> {
@@ -166,73 +137,23 @@ impl<M> Sim<M> {
             started: false,
             steps: 0,
             max_steps: u64::MAX,
-            shard_of: Vec::new(),
-            n_shards: 1,
-            order_sinks: Vec::new(),
         }
     }
 
     /// Cap the number of deliveries (protection against accidental
-    /// infinite loops in scenario code). In sharded mode the budget is
-    /// enforced at epoch granularity.
+    /// infinite loops in scenario code).
     pub fn set_step_budget(&mut self, max_steps: u64) {
         self.max_steps = max_steps;
     }
 
     /// Register an actor, returning its id. The actor gets its own
     /// RNG stream derived from the simulation seed and this id.
-    pub fn add_actor(&mut self, actor: Box<dyn Actor<M> + Send>) -> ActorId {
+    pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
         self.actors.push(actor);
         self.rngs.push(SimRng::derived(self.seed, u64::from(id.0)));
         self.send_seqs.push(0);
-        self.shard_of.push(0);
         id
-    }
-
-    /// Assign every actor to a shard for parallel execution. `map[i]`
-    /// is actor `i`'s shard; shard ids must be dense from 0. With more
-    /// than one distinct shard (and a network with nonzero minimum
-    /// delay), [`Sim::run`] executes shards on worker threads in
-    /// conservative lock-step epochs; observable results are identical
-    /// to serial mode. Pass all-zeros (or never call this) for serial.
-    ///
-    /// # Panics
-    /// Panics if `map.len()` differs from the number of actors.
-    pub fn set_shard_map(&mut self, map: Vec<u32>) {
-        assert_eq!(
-            map.len(),
-            self.actors.len(),
-            "shard map must cover every actor"
-        );
-        self.n_shards = map.iter().copied().max().map_or(1, |m| m + 1);
-        self.shard_of = map;
-    }
-
-    /// The current shard assignment (one entry per actor).
-    #[must_use]
-    pub fn shard_map(&self) -> &[u32] {
-        &self.shard_of
-    }
-
-    /// Assign one actor to a shard (actors added after
-    /// [`Sim::set_shard_map`] default to shard 0).
-    pub fn assign_shard(&mut self, id: ActorId, shard: u32) {
-        self.shard_of[id.0 as usize] = shard;
-        self.n_shards = self.n_shards.max(shard + 1);
-    }
-
-    /// Number of shards the current assignment uses (1 = serial).
-    #[must_use]
-    pub fn shard_count(&self) -> u32 {
-        self.n_shards
-    }
-
-    /// Register a callback run after each sharded run completes, so
-    /// order-tagged sinks outside the simulation (the toolkit's trace)
-    /// can restore canonical order. Serial runs never invoke these.
-    pub fn add_order_sink(&mut self, sink: Box<dyn Fn()>) {
-        self.order_sinks.push(sink);
     }
 
     /// Number of registered actors.
@@ -265,10 +186,9 @@ impl<M> Sim<M> {
         self.obs.clone()
     }
 
-    /// The engine-internal metrics registry: queue depths, epoch and
-    /// cross-shard-traffic counters, per-shard utilization. Kept apart
-    /// from [`Sim::obs`] because these depend on the execution strategy
-    /// (serial vs sharded) while the observability snapshot must not.
+    /// The engine-internal metrics registry (`sim.queue_depth_max`).
+    /// Kept apart from [`Sim::obs`] so the observability snapshot
+    /// reports only what the simulated system did.
     #[must_use]
     pub fn engine_metrics(&self) -> Metrics {
         self.engine.clone()
@@ -405,7 +325,7 @@ impl<M> Sim<M> {
         }
     }
 
-    pub(crate) fn start_if_needed(&mut self) {
+    fn start_if_needed(&mut self) {
         if self.started {
             return;
         }
@@ -428,34 +348,10 @@ impl<M> Sim<M> {
         }
     }
 
-    pub(crate) fn take_started(&mut self) -> bool {
-        let was = self.started;
-        self.started = true;
-        was
-    }
-
     /// Run until the queue drains, an actor halts, the step budget is
     /// exhausted, or (if given) the horizon is passed. Events scheduled
     /// *at* the horizon still run; the clock never exceeds it.
-    ///
-    /// With a multi-shard assignment ([`Sim::set_shard_map`]) and a
-    /// network whose minimum delay is positive, the run executes on
-    /// one worker thread per shard in conservative lock-step epochs;
-    /// all observable results (trace, metrics snapshot, span log,
-    /// actor state) are byte-identical to the serial execution. Halt
-    /// and the step budget then act at epoch granularity.
-    pub fn run(&mut self, horizon: Option<SimTime>) -> RunOutcome
-    where
-        M: Send,
-    {
-        if self.n_shards > 1 && self.net.min_network_delay() > SimDuration::ZERO {
-            crate::shard::run_sharded(self, horizon)
-        } else {
-            self.run_serial(horizon)
-        }
-    }
-
-    fn run_serial(&mut self, horizon: Option<SimTime>) -> RunOutcome {
+    pub fn run(&mut self, horizon: Option<SimTime>) -> RunOutcome {
         self.start_if_needed();
         loop {
             let Some(Reverse(head)) = self.queue.peek() else {
@@ -521,18 +417,8 @@ impl<M> Sim<M> {
     }
 
     /// Run to quiescence with no horizon.
-    pub fn run_to_quiescence(&mut self) -> RunOutcome
-    where
-        M: Send,
-    {
+    pub fn run_to_quiescence(&mut self) -> RunOutcome {
         self.run(None)
-    }
-
-    pub(crate) fn finish_sharded_run(&mut self) {
-        self.obs.finalize_order();
-        for sink in &self.order_sinks {
-            sink();
-        }
     }
 
     fn apply_control(&mut self, c: Control, ctl_seq: u64) {
@@ -587,7 +473,7 @@ impl<M> Sim<M> {
                 // time, preserving their original arrival order. The
                 // replayed entries take this control's key with a
                 // nonzero `minor`, so they sort directly after the
-                // recovery hook's processing in canonical order.
+                // recovery hook's sends that share its instant.
                 let (replay, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.held)
                     .into_iter()
                     .partition(|(to, ..)| *to == who);
@@ -627,7 +513,14 @@ impl<M> Sim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::Shared;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Shared<T> = Rc<RefCell<T>>;
+
+    fn shared<T>(v: T) -> Shared<T> {
+        Rc::new(RefCell::new(v))
+    }
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -674,7 +567,7 @@ mod tests {
 
     #[test]
     fn ping_pong_runs_to_quiescence() {
-        let log = Shared::new(Vec::new());
+        let log = shared(Vec::new());
         let mut sim = fixed_sim(100);
         let a = sim.add_actor(Box::new(Echo {
             peer: None,
@@ -700,7 +593,7 @@ mod tests {
 
     #[test]
     fn timers_and_horizon() {
-        let log = Shared::new(Vec::new());
+        let log = shared(Vec::new());
         let mut sim = fixed_sim(10);
         let a = sim.add_actor(Box::new(Echo {
             peer: None,
@@ -721,7 +614,7 @@ mod tests {
 
     #[test]
     fn halt_stops_immediately() {
-        let log = Shared::new(Vec::new());
+        let log = shared(Vec::new());
         let mut sim = fixed_sim(10);
         let a = sim.add_actor(Box::new(Echo {
             peer: None,
@@ -736,7 +629,7 @@ mod tests {
 
     #[test]
     fn crash_holds_messages_until_recovery() {
-        let log = Shared::new(Vec::new());
+        let log = shared(Vec::new());
         let mut sim = fixed_sim(0);
         let a = sim.add_actor(Box::new(Echo {
             peer: None,
@@ -756,7 +649,7 @@ mod tests {
 
     #[test]
     fn lossy_crash_drops_messages() {
-        let log = Shared::new(Vec::new());
+        let log = shared(Vec::new());
         let mut sim = fixed_sim(0);
         let a = sim.add_actor(Box::new(Echo {
             peer: None,
@@ -774,7 +667,7 @@ mod tests {
 
     #[test]
     fn overload_window_delays_deliveries() {
-        let log = Shared::new(Vec::new());
+        let log = shared(Vec::new());
         let mut sim = fixed_sim(0);
         let a = sim.add_actor(Box::new(Echo {
             peer: None,
@@ -828,7 +721,7 @@ mod tests {
             }
             fn on_message(&mut self, _m: Msg, _ctx: &mut Ctx<'_, Msg>) {}
         }
-        let fired = Shared::new(0);
+        let fired = shared(0);
         let mut sim: Sim<Msg> = fixed_sim(0);
         sim.add_actor(Box::new(Starter {
             fired: fired.clone(),
@@ -864,8 +757,8 @@ mod tests {
                 ctx.schedule_self(SimDuration::from_millis(5), Msg::Tick);
             }
         }
-        let log = Shared::new(Vec::new());
-        let peer_log = Shared::new(Vec::new());
+        let log = shared(Vec::new());
+        let peer_log = shared(Vec::new());
         let mut sim = fixed_sim(0);
         let a = sim.add_actor(Box::new(Durable {
             log: log.clone(),
@@ -896,7 +789,7 @@ mod tests {
     #[test]
     fn inject_many_matches_repeated_inject_at() {
         fn run(batched: bool) -> Vec<(SimTime, Msg)> {
-            let log = Shared::new(Vec::new());
+            let log = shared(Vec::new());
             let mut sim = fixed_sim(0);
             let a = sim.add_actor(Box::new(Echo {
                 peer: None,
@@ -927,7 +820,7 @@ mod tests {
         for _ in 0..4 {
             let id = sim.add_actor(Box::new(Echo {
                 peer: None,
-                log: Shared::new(Vec::new()),
+                log: shared(Vec::new()),
                 ticks: 0,
             }));
             assert_ne!(id, ActorId::EXTERNAL);
@@ -959,7 +852,7 @@ mod tests {
     /// Build a 6-actor relay ring over a jittery network with a
     /// crash/recovery and an overload window, run it, and collect
     /// every observable artifact.
-    fn relay_artifacts(shards: Option<Vec<u32>>) -> RelayArtifacts {
+    fn relay_artifacts() -> RelayArtifacts {
         let mut sim = Sim::with_network(
             42,
             Network::new(DelayModel {
@@ -968,16 +861,12 @@ mod tests {
             }),
         );
         let n = 6u32;
-        let logs: Vec<Shared<Vec<(SimTime, u32)>>> =
-            (0..n).map(|_| Shared::new(Vec::new())).collect();
+        let logs: Vec<Shared<Vec<(SimTime, u32)>>> = (0..n).map(|_| shared(Vec::new())).collect();
         for i in 0..n {
             sim.add_actor(Box::new(Relay {
                 peer: ActorId((i + 1) % n),
                 log: logs[i as usize].clone(),
             }));
-        }
-        if let Some(map) = shards {
-            sim.set_shard_map(map);
         }
         for i in 0..4u64 {
             sim.inject_at(
@@ -995,6 +884,12 @@ mod tests {
             SimDuration::from_millis(30),
         );
         assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+        assert!(
+            sim.engine_metrics()
+                .gauge(Scope::Global, "sim.queue_depth_max")
+                .is_some_and(|d| d > 0),
+            "engine registry tracks the queue high-water mark"
+        );
         let out = logs.iter().map(|l| l.borrow().clone()).collect();
         (
             out,
@@ -1005,52 +900,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_serial_exactly() {
-        let serial = relay_artifacts(None);
-        for map in [
-            vec![0, 0, 0, 1, 1, 1],
-            vec![0, 1, 2, 0, 1, 2],
-            vec![0, 1, 2, 3, 4, 5],
-        ] {
-            let sharded = relay_artifacts(Some(map.clone()));
-            assert_eq!(serial.0, sharded.0, "actor logs differ for {map:?}");
-            assert_eq!(serial.1, sharded.1, "final time differs for {map:?}");
-            assert_eq!(serial.2, sharded.2, "traffic differs for {map:?}");
-            assert_eq!(serial.3, sharded.3, "metrics snapshot differs for {map:?}");
-        }
+    fn relay_run_replays_identically() {
+        let a = relay_artifacts();
+        let b = relay_artifacts();
+        assert_eq!(a, b, "same-seed runs must produce identical artifacts");
+        // The failure schedule really bit: actor 2 held traffic while
+        // down, and the overload window shows in the records.
+        assert!(a.3.contains("sim.held_while_crashed"), "{}", a.3);
+        assert!(a.3.contains("sim.overload"), "{}", a.3);
     }
 
     #[test]
-    fn sharded_engine_metrics_report_epochs() {
-        let mut sim = Sim::with_network(
-            7,
-            Network::new(DelayModel::fixed(SimDuration::from_millis(10))),
-        );
-        let log = Shared::new(Vec::new());
-        let a = sim.add_actor(Box::new(Relay {
-            peer: ActorId(1),
-            log: log.clone(),
-        }));
-        sim.add_actor(Box::new(Relay {
-            peer: ActorId(0),
-            log: Shared::new(Vec::new()),
-        }));
-        sim.set_shard_map(vec![0, 1]);
-        sim.inject_at(SimTime::ZERO, a, Msg::Ping(6));
-        sim.run_to_quiescence();
-        let engine = sim.engine_metrics().with(hcm_obs::export::snapshot_jsonl);
-        assert!(engine.contains("sim.epochs"), "engine metrics: {engine}");
-        assert!(
-            engine.contains("sim.cross_shard_msgs"),
-            "engine metrics: {engine}"
-        );
-        assert_eq!(log.borrow().len(), 4); // Ping(6), 4, 2, 0 at actor 0
-    }
-
-    #[test]
-    fn sharded_run_resumes_across_horizons() {
+    fn split_run_matches_unsplit_run() {
         type Logs = (Vec<(SimTime, u32)>, Vec<(SimTime, u32)>, SimTime);
-        fn run(map: Option<Vec<u32>>) -> Logs {
+        fn run(split: bool) -> Logs {
             let mut sim = Sim::with_network(
                 11,
                 Network::new(DelayModel {
@@ -1058,8 +921,8 @@ mod tests {
                     jitter: SimDuration::from_millis(4),
                 }),
             );
-            let la = Shared::new(Vec::new());
-            let lb = Shared::new(Vec::new());
+            let la = shared(Vec::new());
+            let lb = shared(Vec::new());
             sim.add_actor(Box::new(Relay {
                 peer: ActorId(1),
                 log: la.clone(),
@@ -1068,27 +931,31 @@ mod tests {
                 peer: ActorId(0),
                 log: lb.clone(),
             }));
-            if let Some(m) = map {
-                sim.set_shard_map(m);
-            }
             sim.inject_at(SimTime::ZERO, ActorId(0), Msg::Ping(20));
-            assert_eq!(
-                sim.run(Some(SimTime::from_millis(60))),
-                RunOutcome::HorizonReached
-            );
-            assert_eq!(sim.now(), SimTime::from_millis(60));
+            if split {
+                assert_eq!(
+                    sim.run(Some(SimTime::from_millis(60))),
+                    RunOutcome::HorizonReached
+                );
+                assert_eq!(sim.now(), SimTime::from_millis(60));
+            }
             assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
             let a = la.borrow().clone();
             let b = lb.borrow().clone();
             (a, b, sim.now())
         }
-        assert_eq!(run(None), run(Some(vec![0, 1])));
+        let unsplit = run(false);
+        assert!(
+            unsplit.2 > SimTime::from_millis(60),
+            "run must cross the split"
+        );
+        assert_eq!(run(true), unsplit);
     }
 
     #[test]
     fn determinism_same_seed_same_schedule() {
         fn run_once(seed: u64) -> Vec<(SimTime, Msg)> {
-            let log = Shared::new(Vec::new());
+            let log = shared(Vec::new());
             let mut sim = Sim::with_network(
                 seed,
                 Network::new(DelayModel {

@@ -6,11 +6,12 @@
 //! the suite needs no external crates and every failure reproduces
 //! from its printed seed.
 
-use hcm_core::Shared;
 use hcm_core::{SimDuration, SimTime};
 use hcm_simkit::{Actor, ActorId, Ctx, DelayModel, Network, Sim, SimRng};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-type Log = Shared<Vec<(SimTime, u32, u64)>>;
+type Log = Rc<RefCell<Vec<(SimTime, u32, u64)>>>;
 
 /// Sender: emits `n` sequenced messages to the receiver at given times.
 struct Sender {
@@ -51,7 +52,7 @@ fn run(seed: u64, jitter_ms: u64, emissions: &[(u8, u16)]) -> Vec<(SimTime, u32,
         jitter: SimDuration::from_millis(jitter_ms),
     });
     let mut sim: Sim<Msg> = Sim::with_network(seed, net);
-    let log: Log = Shared::new(Vec::new());
+    let log: Log = Rc::new(RefCell::new(Vec::new()));
     let receiver = sim.add_actor(Box::new(Receiver { log: log.clone() }));
     let s1 = sim.add_actor(Box::new(Sender { to: receiver }));
     let s2 = sim.add_actor(Box::new(Sender { to: receiver }));

@@ -43,17 +43,17 @@ pub use record::{
 };
 pub use wal::{FileStore, MemStore, Recovery, StateStore, StoreConfig, StoreError};
 
-use hcm_core::Shared;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A shared, interiorly mutable handle to a state store, as held by a
 /// scenario and the actor it backs. The handle lives *outside* the
 /// simulated actor, which is what makes the store survive a simulated
-/// crash that wipes the actor's own state. `Send` so the actor holding
-/// it can run on a sharded-execution worker thread.
-pub type SharedStore = Shared<Box<dyn StateStore + Send>>;
+/// crash that wipes the actor's own state.
+pub type SharedStore = Rc<RefCell<Box<dyn StateStore>>>;
 
 /// Wrap a concrete store into a [`SharedStore`].
 #[must_use]
-pub fn shared(store: impl StateStore + Send + 'static) -> SharedStore {
-    Shared::new(Box::new(store))
+pub fn shared(store: impl StateStore + 'static) -> SharedStore {
+    Rc::new(RefCell::new(Box::new(store)))
 }

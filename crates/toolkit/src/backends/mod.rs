@@ -43,7 +43,7 @@ pub enum RawStore {
 /// store variant does not match the RID's declared kind — that is a
 /// scenario construction bug, not a run-time condition.
 #[must_use]
-pub fn build_backend(store: RawStore, rid: &CmRid) -> Box<dyn RisBackend + Send> {
+pub fn build_backend(store: RawStore, rid: &CmRid) -> Box<dyn RisBackend> {
     match (store, rid.kind) {
         (RawStore::Relational(db), RisKind::Relational) => {
             Box::new(RelationalBackend::new(db, rid))

@@ -378,6 +378,18 @@ col = salary
     }
 
     #[test]
+    fn quoted_string_values_round_trip() {
+        let mut b = setup();
+        for name in ["O'Brien", "x', salary = 'y", "''", "$p0 $value"] {
+            let item = ItemId::with("salary1", [Value::from(name)]);
+            b.write(&item, &Value::from(name), SimTime::ZERO).unwrap();
+            assert_eq!(b.read(&item).unwrap(), Value::from(name), "key {name:?}");
+        }
+        // The injection attempt did not touch the existing row.
+        assert_eq!(b.read(&e1()).unwrap(), Value::Int(90000));
+    }
+
+    #[test]
     fn null_write_deletes() {
         let mut b = setup();
         b.write(&e1(), &Value::Null, SimTime::ZERO).unwrap();

@@ -29,7 +29,7 @@ use hcm_core::{RuleId, RuleRegistry, SiteId, Sym, TemplateDesc};
 use hcm_rulelang::{parse_guarantee, parse_strategy_rule, Guarantee, SpecFile, StrategyRule};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A strategy-compilation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,20 +123,20 @@ pub struct CompiledRule {
 /// A compiled strategy: placed rules, the locator, interest patterns,
 /// and the declared guarantees.
 ///
-/// The rule arena and the locator live behind `Arc`: every shell of a
+/// The rule arena and the locator live behind `Rc`: every shell of a
 /// deployment shares one copy instead of deep-cloning `sites ×
 /// total_rules` rules (and as many locator entries) at construction.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledStrategy {
     /// Rules in specification order (shared arena).
-    pub rules: Arc<Vec<CompiledRule>>,
+    pub rules: Rc<Vec<CompiledRule>>,
     /// Object placement (shared).
-    pub locator: Arc<Locator>,
+    pub locator: Rc<Locator>,
     /// Declared guarantees.
     pub guarantees: Vec<Guarantee>,
     /// Rule id → position in `rules`, built once and shared by every
     /// shell for remote-fire lookups.
-    lookup: Arc<HashMap<RuleId, usize>>,
+    lookup: Rc<HashMap<RuleId, usize>>,
 }
 
 impl CompiledStrategy {
@@ -190,17 +190,17 @@ impl CompiledStrategy {
 
         let lookup = rules.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
         Ok(CompiledStrategy {
-            rules: Arc::new(rules),
-            locator: Arc::new(locator),
+            rules: Rc::new(rules),
+            locator: Rc::new(locator),
             guarantees,
-            lookup: Arc::new(lookup),
+            lookup: Rc::new(lookup),
         })
     }
 
     /// The shared rule-id → arena-position lookup.
     #[must_use]
-    pub fn rule_lookup(&self) -> Arc<HashMap<RuleId, usize>> {
-        Arc::clone(&self.lookup)
+    pub fn rule_lookup(&self) -> Rc<HashMap<RuleId, usize>> {
+        Rc::clone(&self.lookup)
     }
 
     /// Rules whose LHS the given site's shell evaluates, excluding

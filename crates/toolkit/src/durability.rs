@@ -21,11 +21,13 @@
 //!   checkpoint + replay, demoting the crash to a metric failure:
 //!   obligations are delayed, never lost.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::rc::Rc;
 
 use crate::registry::{FailureKind, GuaranteeRegistry, GuaranteeStatus};
-use hcm_core::{ItemId, Shared, Value};
+use hcm_core::{ItemId, Value};
 use hcm_obs::{Metrics, Scope};
 use hcm_store::{FailureTag, LogRecord, SharedStore, ShellSnapshot, StatusTag};
 
@@ -236,8 +238,8 @@ pub fn tag_to_fail(t: FailureTag) -> FailureKind {
 /// state" can be asserted byte-for-byte across a crash.
 #[must_use]
 pub fn shell_state_blob(
-    private: &Shared<BTreeMap<ItemId, Value>>,
-    registry: &Shared<GuaranteeRegistry>,
+    private: &Rc<RefCell<BTreeMap<ItemId, Value>>>,
+    registry: &Rc<RefCell<GuaranteeRegistry>>,
 ) -> Vec<u8> {
     let snap = ShellSnapshot {
         private: private
@@ -288,8 +290,8 @@ mod tests {
 
     #[test]
     fn state_blob_is_deterministic_and_state_sensitive() {
-        let private = Shared::new(BTreeMap::new());
-        let registry = Shared::new(GuaranteeRegistry::new());
+        let private = Rc::new(RefCell::new(BTreeMap::new()));
+        let registry = Rc::new(RefCell::new(GuaranteeRegistry::new()));
         let a = shell_state_blob(&private, &registry);
         assert_eq!(a, shell_state_blob(&private, &registry));
         private

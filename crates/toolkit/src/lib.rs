@@ -41,7 +41,6 @@
 pub mod backend;
 pub mod backends;
 pub mod compile;
-pub mod dispatch;
 pub mod durability;
 pub mod menu;
 pub mod msg;
@@ -53,7 +52,6 @@ pub mod translator;
 pub mod workload;
 
 pub use compile::CompiledStrategy;
-pub use dispatch::DispatchMode;
 pub use durability::{Durability, StatePolicy, StoreBridge, StoreKind, StoreSetup};
 pub use msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 pub use registry::{FailureKind, GuaranteeRegistry, GuaranteeStatus};

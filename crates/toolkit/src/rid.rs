@@ -241,27 +241,57 @@ fn parse_duration(s: &str) -> Result<SimDuration, RidError> {
 
 /// Substitute `$value` and `$p0…$pk` placeholders in a native command
 /// template. String values are rendered in the backend's literal syntax
-/// via `quote` (SQL single quotes for the relational backend; identity
-/// elsewhere).
+/// via `quote` (SQL single quotes with embedded quotes doubled for the
+/// relational backend; identity elsewhere).
+///
+/// One left-to-right scan expands placeholders in the template text
+/// only: a substituted value is never scanned again, so a value that
+/// contains `$value`, `$p0` or a quote cannot rewrite the command.
+/// `$p` takes the longest index the parameters cover, so `$p10` is
+/// parameter 10 when there are eleven parameters and `$p1` then `0`
+/// otherwise. Placeholders with nothing to substitute stay as written.
 #[must_use]
 pub fn substitute(template: &str, params: &[Value], value: Option<&Value>, quote: bool) -> String {
-    let render = |v: &Value| -> String {
-        match v {
-            Value::Str(s) if quote => format!("'{s}'"),
-            Value::Str(s) => s.clone(),
-            Value::Null => "NULL".to_owned(),
-            other => other.to_string(),
+    let render = |out: &mut String, v: &Value| match v {
+        Value::Str(s) if quote => {
+            out.push('\'');
+            out.push_str(&s.replace('\'', "''"));
+            out.push('\'');
         }
+        Value::Str(s) => out.push_str(s),
+        Value::Null => out.push_str("NULL"),
+        other => out.push_str(&other.to_string()),
     };
-    let mut out = template.to_owned();
-    // Longest placeholder names first so `$p10` is not clobbered by `$p1`.
-    for i in (0..params.len()).rev() {
-        out = out.replace(&format!("$p{i}"), &render(&params[i]));
+    let mut out = String::with_capacity(template.len());
+    let mut rest = template;
+    while let Some(at) = rest.find('$') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        if let (Some(v), Some(tail)) = (value, rest.strip_prefix("$value")) {
+            render(&mut out, v);
+            rest = tail;
+        } else if let Some((i, tail)) = param_ref(rest, params.len()) {
+            render(&mut out, &params[i]);
+            rest = tail;
+        } else {
+            out.push('$');
+            rest = &rest[1..];
+        }
     }
-    if let Some(v) = value {
-        out = out.replace("$value", &render(v));
-    }
+    out.push_str(rest);
     out
+}
+
+/// The parameter `s` (starting `$p`) refers to, and the text after the
+/// reference: the longest canonical decimal index below `n`.
+fn param_ref(s: &str, n: usize) -> Option<(usize, &str)> {
+    let digits = s.strip_prefix("$p")?;
+    let len = digits.bytes().take_while(u8::is_ascii_digit).count();
+    (1..=len).rev().find_map(|k| {
+        let text = &digits[..k];
+        let i: usize = text.parse().ok()?;
+        (i < n && (k == 1 || !text.starts_with('0'))).then(|| (i, &digits[k..]))
+    })
 }
 
 #[cfg(test)]
@@ -350,6 +380,48 @@ select salary from employees where empid = $p0
         assert_eq!(unquoted, "phone/ann");
         let null = substitute("set x = $value", &[], Some(&Value::Null), true);
         assert_eq!(null, "set x = NULL");
+    }
+
+    #[test]
+    fn substitution_escapes_and_never_rescans_values() {
+        let tpl = "update t set c = $value where k = $p0";
+        // Embedded quotes are doubled, so the literal stays one literal.
+        let out = substitute(
+            tpl,
+            &[Value::from("e1")],
+            Some(&Value::from("O'Brien")),
+            true,
+        );
+        assert_eq!(out, "update t set c = 'O''Brien' where k = 'e1'");
+        let out = substitute(
+            tpl,
+            &[Value::from("e1")],
+            Some(&Value::from("x', c = 'y")),
+            true,
+        );
+        assert_eq!(out, "update t set c = 'x'', c = ''y' where k = 'e1'");
+        // Placeholders inside substituted values stay literal text.
+        let out = substitute(
+            tpl,
+            &[Value::from("$value")],
+            Some(&Value::from("$p0")),
+            true,
+        );
+        assert_eq!(out, "update t set c = '$p0' where k = '$value'");
+        let out = substitute(
+            "$p0/$p1",
+            &[Value::from("$p1"), Value::from("b")],
+            None,
+            false,
+        );
+        assert_eq!(out, "$p1/b");
+        // Unmatched placeholders and lone dollars are left as written.
+        let out = substitute("$p2 $value $ $pX", &[Value::Int(1)], None, false);
+        assert_eq!(out, "$p2 $value $ $pX");
+        // `$p10` with two parameters is `$p1` followed by `0`; `$p01`
+        // is `$p0` followed by `1`.
+        let two = [Value::Int(7), Value::Int(8)];
+        assert_eq!(substitute("$p10 $p01", &two, None, false), "80 71");
     }
 
     #[test]

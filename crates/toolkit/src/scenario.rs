@@ -11,7 +11,6 @@
 
 use crate::backends::{build_backend, RawStore};
 use crate::compile::CompiledStrategy;
-use crate::dispatch::DispatchMode;
 use crate::durability::{Durability, StatePolicy, StoreBridge, StoreKind};
 use crate::msg::{CmMsg, SpontaneousOp};
 use crate::registry::GuaranteeRegistry;
@@ -19,13 +18,15 @@ use crate::rid::CmRid;
 use crate::shell::{FailureConfig, ShellActor, ShellStatsHandle};
 use crate::translator::{TranslatorActor, TranslatorStatsHandle};
 use hcm_core::{
-    ItemId, RuleId, RuleRegistry, Shared, SimDuration, SimTime, SiteId, Trace, TraceRecorder, Value,
+    ItemId, RuleId, RuleRegistry, SimDuration, SimTime, SiteId, Trace, TraceRecorder, Value,
 };
 use hcm_obs::{Metrics, Scope};
 use hcm_simkit::{Actor, ActorId, Network, Obs, RunOutcome, Sim};
 use hcm_store::{FileStore, MemStore, SharedStore, StoreConfig};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// A scenario-construction error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,9 +71,9 @@ pub struct SiteHandle {
     /// CM-private/auxiliary data of the shell (§7.1: applications read
     /// auxiliary data through the shell's programmatic interface —
     /// this is that interface).
-    pub private: Shared<BTreeMap<ItemId, Value>>,
+    pub private: Rc<RefCell<BTreeMap<ItemId, Value>>>,
     /// The shell's guarantee registry.
-    pub registry: Shared<GuaranteeRegistry>,
+    pub registry: Rc<RefCell<GuaranteeRegistry>>,
     /// The shell's durable store when the scenario runs with
     /// [`Durability::Durable`]; `None` otherwise. Exposed so
     /// experiments can inspect (or damage) the log between runs.
@@ -127,9 +128,6 @@ pub struct ScenarioBuilder {
     stop_periodics_at: SimTime,
     private_init: Vec<(String, ItemId, Value)>,
     durability: Durability,
-    dispatch: DispatchMode,
-    shards: Option<u32>,
-    co_locate: Vec<Vec<String>>,
 }
 
 impl ScenarioBuilder {
@@ -145,20 +143,7 @@ impl ScenarioBuilder {
             stop_periodics_at: SimTime::from_millis(u64::MAX),
             private_init: Vec::new(),
             durability: Durability::default(),
-            dispatch: DispatchMode::default(),
-            shards: None,
-            co_locate: Vec::new(),
         }
-    }
-
-    /// Select the shells' LHS matching path. The default
-    /// [`DispatchMode::Indexed`] probes the discrimination index;
-    /// [`DispatchMode::Linear`] retains the reference full scan (same
-    /// observable behaviour, used for differential testing).
-    #[must_use]
-    pub fn dispatch_mode(mut self, mode: DispatchMode) -> Self {
-        self.dispatch = mode;
-        self
     }
 
     /// What a *lossy* crash does to component state (§5): the default
@@ -169,30 +154,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn durability(mut self, d: Durability) -> Self {
         self.durability = d;
-        self
-    }
-
-    /// Partition the deployment across `n` worker threads for the
-    /// sharded execution mode: each site's shell and translator are
-    /// co-located on one shard and sites round-robin across shards.
-    /// Observable results (trace, metrics snapshot, spans, checker
-    /// verdicts) are byte-identical to serial execution. Defaults to
-    /// the `HCM_SIM_THREADS` environment variable, else serial.
-    #[must_use]
-    pub fn shards(mut self, n: u32) -> Self {
-        self.shards = Some(n);
-        self
-    }
-
-    /// Constrain the named sites to one shard in sharded runs. Needed
-    /// when a protocol actor talks to several sites' translators with
-    /// short local sends (e.g. the batch propagator spanning BR and
-    /// HQ): the sharded executor requires sub-lookahead sends to stay
-    /// intra-shard. Unknown names are rejected by `build`.
-    #[must_use]
-    pub fn co_locate<S: AsRef<str>>(mut self, sites: &[S]) -> Self {
-        self.co_locate
-            .push(sites.iter().map(|s| s.as_ref().to_owned()).collect());
         self
     }
 
@@ -307,23 +268,18 @@ impl ScenarioBuilder {
                     private.insert(item.clone(), value.clone());
                 }
             }
-            privates.push(Shared::new(private));
+            privates.push(Rc::new(RefCell::new(private)));
             let mut greg = GuaranteeRegistry::new();
             for g in &strategy.guarantees {
                 greg.register(g.clone(), strategy.guarantee_sites(g));
             }
-            registries.push(Shared::new(greg));
+            registries.push(Rc::new(RefCell::new(greg)));
         }
 
         let mut shell_stores = Vec::with_capacity(n);
         for (i, _) in self.sites.iter().enumerate() {
             let site = SiteId::new(i as u32);
             let shell_stats = ShellStatsHandle::new(obs.metrics.clone(), site);
-            // Scoped recorder/span handles mint ids from a per-actor
-            // namespace, so ids are identical in serial and sharded
-            // execution regardless of interleaving.
-            let mut shell_obs = obs.clone();
-            shell_obs.spans = obs.spans.scoped(i as u32);
             let mut shell = ShellActor::new(
                 site,
                 ActorId((n + i) as u32),
@@ -331,12 +287,11 @@ impl ScenarioBuilder {
                 &strategy,
                 privates[i].clone(),
                 registries[i].clone(),
-                recorder.scoped(i as u32),
-                shell_obs,
+                recorder.clone(),
+                obs.clone(),
                 self.failure_cfg,
                 self.stop_periodics_at,
             );
-            shell.set_dispatch_mode(self.dispatch);
             let (policy, store) = actor_policy(
                 &self.durability,
                 &format!("site{i}-shell"),
@@ -364,7 +319,7 @@ impl ScenarioBuilder {
                 iface_ids[i].clone(),
                 strategy.interest_patterns(site),
                 self.stop_periodics_at,
-                recorder.scoped((n + i) as u32),
+                recorder.clone(),
                 t_stats.clone(),
             );
             let (policy, t_store) = actor_policy(
@@ -392,67 +347,6 @@ impl ScenarioBuilder {
             });
         }
 
-        // Shard assignment: a site's shell and translator are
-        // co-located (their interactions use short local delays), as
-        // is every co_locate group; groups round-robin across shards.
-        // An all-zeros map keeps the serial executor.
-        let shards = self
-            .shards
-            .or_else(|| {
-                std::env::var("HCM_SIM_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(1)
-            .clamp(1, n as u32);
-        // Union-find over site indexes: each co_locate group collapses
-        // into its first member's set.
-        let mut rep: Vec<usize> = (0..n).collect();
-        fn find(rep: &mut [usize], mut i: usize) -> usize {
-            while rep[i] != i {
-                rep[i] = rep[rep[i]];
-                i = rep[i];
-            }
-            i
-        }
-        for group in &self.co_locate {
-            let mut idx = Vec::with_capacity(group.len());
-            for name in group {
-                let Some(sid) = site_ids.get(name) else {
-                    return Err(ScenarioError {
-                        msg: format!("co_locate names unknown site `{name}`"),
-                    });
-                };
-                idx.push(sid.index() as usize);
-            }
-            for w in idx.windows(2) {
-                let (a, b) = (find(&mut rep, w[0]), find(&mut rep, w[1]));
-                rep[a.max(b)] = a.min(b);
-            }
-        }
-        let mut site_shard = vec![0u32; n];
-        let mut map = vec![0u32; 2 * n];
-        let mut root_shard: Vec<Option<u32>> = vec![None; n];
-        let mut next = 0u32;
-        for i in 0..n {
-            let r = find(&mut rep, i);
-            let sh = *root_shard[r].get_or_insert_with(|| {
-                let sh = next % shards;
-                next += 1;
-                sh
-            });
-            site_shard[i] = sh;
-            map[i] = sh; // shell
-            map[n + i] = sh; // translator
-        }
-        sim.set_shard_map(map);
-        // After a sharded run, restore the trace's canonical order
-        // (metrics and spans are finalized by the simulation itself).
-        {
-            let rec = recorder.clone();
-            sim.add_order_sink(Box::new(move || rec.finalize_order()));
-        }
-
         Ok(Scenario {
             obs,
             sim,
@@ -460,7 +354,6 @@ impl ScenarioBuilder {
             rule_registry: registry,
             strategy,
             sites: site_handles,
-            site_shard,
         })
     }
 }
@@ -481,9 +374,6 @@ pub struct Scenario {
     pub strategy: CompiledStrategy,
     /// Per-site handles, in site order.
     pub sites: Vec<SiteHandle>,
-    /// Shard of each site's shell+translator pair (all zeros when
-    /// running serially).
-    site_shard: Vec<u32>,
 }
 
 impl Scenario {
@@ -504,27 +394,9 @@ impl Scenario {
         self.sim.inject_at(at, target, CmMsg::Spontaneous(op));
     }
 
-    /// Add a workload (or protocol) actor (on shard 0 in sharded
-    /// runs — prefer [`Scenario::add_actor_for`] for actors that
-    /// interact with one site through local sends).
-    pub fn add_actor(&mut self, actor: Box<dyn Actor<CmMsg> + Send>) -> ActorId {
+    /// Add a workload (or protocol) actor.
+    pub fn add_actor(&mut self, actor: Box<dyn Actor<CmMsg>>) -> ActorId {
         self.sim.add_actor(actor)
-    }
-
-    /// Add an actor co-located with a named site's shard, so its
-    /// short-delay local interactions with that site's shell and
-    /// translator never cross a shard boundary in parallel runs.
-    pub fn add_actor_for(&mut self, site: &str, actor: Box<dyn Actor<CmMsg> + Send>) -> ActorId {
-        let shard = self.site_shard[self.site(site).site.index() as usize];
-        let id = self.sim.add_actor(actor);
-        self.sim.assign_shard(id, shard);
-        id
-    }
-
-    /// The shard hosting a named site's components (0 when serial).
-    #[must_use]
-    pub fn site_shard(&self, site: &str) -> u32 {
-        self.site_shard[self.site(site).site.index() as usize]
     }
 
     /// Inflict an overload window on a site's database: its internal

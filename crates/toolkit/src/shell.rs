@@ -15,22 +15,22 @@
 //! and keeps the site's [`GuaranteeRegistry`].
 
 use crate::compile::{CompiledRule, CompiledStrategy, Locator};
-use crate::dispatch::DispatchMode;
 use crate::durability::{
     fail_to_tag, status_to_tag, tag_to_fail, tag_to_status, StatePolicy, StoreBridge,
 };
 use crate::msg::{CmMsg, FailureKindMsg, RequestKind, TranslatorEvent};
 use crate::registry::{FailureKind, GuaranteeRegistry};
 use hcm_core::{
-    Bindings, EventDesc, EventId, ItemId, RuleId, RuleIndex, Shared, SimDuration, SimTime, SiteId,
+    Bindings, EventDesc, EventId, ItemId, RuleId, RuleIndex, SimDuration, SimTime, SiteId,
     TemplateDesc, TraceRecorder, Value,
 };
 use hcm_obs::{Metrics, Obs, Scope, SpanId, SpanKind, Spans};
 use hcm_rulelang::ast::BindingsEnv;
 use hcm_simkit::{Actor, ActorId, Ctx};
 use hcm_store::{LogRecord, ShellSnapshot};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Delay for shell→translator request submission (same machine).
 const LOCAL_DELAY: SimDuration = SimDuration::from_millis(1);
@@ -153,24 +153,21 @@ pub struct ShellActor {
     shells: Vec<ActorId>,
     /// Shared arena of every compiled rule (execution needs RHS
     /// definitions of rules matched elsewhere).
-    rules: Arc<Vec<CompiledRule>>,
-    /// Positions into `rules` whose LHS this shell evaluates.
-    my_rules: Vec<usize>,
-    /// Discrimination index over `my_rules`' LHS templates (see
+    rules: Rc<Vec<CompiledRule>>,
+    /// Discrimination index over the LHS templates of the rules this
+    /// shell evaluates, keyed by position in `rules` (see
     /// [`hcm_core::RuleIndex`]).
     dispatch: RuleIndex,
-    /// Which matching path `process_event` takes.
-    mode: DispatchMode,
     /// Rule id → arena position (remote fires look rules up by id);
     /// built once per strategy, shared by every shell.
-    rule_index: Arc<HashMap<RuleId, usize>>,
+    rule_index: Rc<HashMap<RuleId, usize>>,
     /// `P`-headed rules this shell arms timers for.
     periodic_rules: Vec<PeriodicRule>,
-    locator: Arc<Locator>,
+    locator: Rc<Locator>,
     /// CM-private and auxiliary data (shared with the scenario so
     /// applications can read it — §7.1).
-    private: Shared<BTreeMap<ItemId, Value>>,
-    registry: Shared<GuaranteeRegistry>,
+    private: Rc<RefCell<BTreeMap<ItemId, Value>>>,
+    registry: Rc<RefCell<GuaranteeRegistry>>,
     recorder: TraceRecorder,
     stats: ShellStatsHandle,
     metrics: Metrics,
@@ -212,14 +209,14 @@ impl ShellActor {
         translator: ActorId,
         shells: Vec<ActorId>,
         strategy: &CompiledStrategy,
-        private: Shared<BTreeMap<ItemId, Value>>,
-        registry: Shared<GuaranteeRegistry>,
+        private: Rc<RefCell<BTreeMap<ItemId, Value>>>,
+        registry: Rc<RefCell<GuaranteeRegistry>>,
         recorder: TraceRecorder,
         obs: Obs,
         failure_cfg: FailureConfig,
         stop_periodics_at: SimTime,
     ) -> Self {
-        let rules = Arc::clone(&strategy.rules);
+        let rules = Rc::clone(&strategy.rules);
         let my_rules: Vec<usize> = rules
             .iter()
             .enumerate()
@@ -240,12 +237,10 @@ impl ShellActor {
             site,
             translator,
             shells,
-            my_rules,
             dispatch,
-            mode: DispatchMode::default(),
             rule_index: strategy.rule_lookup(),
             periodic_rules,
-            locator: Arc::clone(&strategy.locator),
+            locator: Rc::clone(&strategy.locator),
             rules,
             private,
             registry,
@@ -263,14 +258,6 @@ impl ShellActor {
             firing_scratch: Vec::new(),
             cand_scratch: Vec::new(),
         }
-    }
-
-    /// Select the LHS matching path. The default is
-    /// [`DispatchMode::Indexed`]; [`DispatchMode::Linear`] retains the
-    /// reference full scan for differential testing — both produce
-    /// byte-identical traces, metrics and spans.
-    pub fn set_dispatch_mode(&mut self, mode: DispatchMode) {
-        self.mode = mode;
     }
 
     /// Registry-backed view of this shell's counters.
@@ -344,17 +331,13 @@ impl ShellActor {
 
     /// Match an event against this shell's rules and dispatch firings.
     ///
-    /// Under [`DispatchMode::Indexed`] the candidate set comes from
-    /// the discrimination index — a strict subset of `my_rules` in the
-    /// same relative order, excluding only guaranteed kind/base
-    /// mismatches — so every observable side effect (trace, metrics,
-    /// spans, firing order) is identical to the linear scan.
+    /// The candidate set comes from the discrimination index, which
+    /// excludes only guaranteed kind/base mismatches and yields rule
+    /// positions in ascending order, so firing order is the order of a
+    /// linear scan over this shell's rules.
     fn process_event(&mut self, id: EventId, desc: &EventDesc, ctx: &mut Ctx<'_, CmMsg>) {
         let mut cands = std::mem::take(&mut self.cand_scratch);
-        match self.mode {
-            DispatchMode::Linear => cands.extend_from_slice(&self.my_rules),
-            DispatchMode::Indexed => cands.extend(self.dispatch.candidates(desc)),
-        }
+        cands.extend(self.dispatch.candidates(desc));
         let mut bindings = std::mem::take(&mut self.match_scratch);
         let mut firings = std::mem::take(&mut self.firing_scratch);
         for &i in &cands {
@@ -389,7 +372,7 @@ impl ShellActor {
         self.cand_scratch = cands;
         bindings.clear();
         self.match_scratch = bindings;
-        let rules = Arc::clone(&self.rules);
+        let rules = Rc::clone(&self.rules);
         for (i, bindings) in firings.drain(..) {
             let r = &rules[i];
             if r.rhs_site == self.site {
@@ -468,7 +451,7 @@ impl ShellActor {
             now,
             "",
         );
-        let rules = Arc::clone(&self.rules);
+        let rules = Rc::clone(&self.rules);
         let rule = &rules[pos].rule;
         for (step_idx, step) in rule.steps.iter().enumerate() {
             // Step conditions are evaluated at firing time at the RHS
@@ -837,7 +820,7 @@ impl ShellActor {
         let Some(period) = pr.period else {
             return;
         };
-        let rules = Arc::clone(&self.rules);
+        let rules = Rc::clone(&self.rules);
         let r = &rules[pr.pos];
         let rule_id = r.id;
         let desc = EventDesc::P { period };

@@ -118,7 +118,7 @@ struct IfaceRule {
 pub struct TranslatorActor {
     site: SiteId,
     shell: ActorId,
-    backend: Box<dyn RisBackend + Send>,
+    backend: Box<dyn RisBackend>,
     interfaces: Vec<IfaceRule>,
     interest: Vec<TemplateDesc>,
     service: SimDuration,
@@ -147,7 +147,7 @@ impl TranslatorActor {
     pub fn new(
         site: SiteId,
         shell: ActorId,
-        backend: Box<dyn RisBackend + Send>,
+        backend: Box<dyn RisBackend>,
         rid: &CmRid,
         iface_ids: Vec<RuleId>,
         interest: Vec<TemplateDesc>,

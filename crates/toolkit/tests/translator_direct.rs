@@ -3,7 +3,7 @@
 //! behaviour in isolation (the scenario-level tests cover composition).
 
 use hcm_core::{
-    EventDesc, ItemId, RuleRegistry, Shared, SimDuration, SimTime, SiteId, TemplateDesc, Term,
+    EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, TemplateDesc, Term,
     TraceRecorder, Value,
 };
 use hcm_simkit::{Actor, ActorId, Ctx, Sim};
@@ -11,10 +11,12 @@ use hcm_toolkit::backends::{build_backend, RawStore};
 use hcm_toolkit::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use hcm_toolkit::rid::CmRid;
 use hcm_toolkit::translator::{TranslatorActor, TranslatorStatsHandle};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Records every CMI event it receives, with its arrival time.
 struct Probe {
-    log: Shared<Vec<(SimTime, TranslatorEvent)>>,
+    log: Rc<RefCell<Vec<(SimTime, TranslatorEvent)>>>,
 }
 
 impl Actor<CmMsg> for Probe {
@@ -48,7 +50,7 @@ struct Rig {
     sim: Sim<CmMsg>,
     translator: ActorId,
     probe: ActorId,
-    log: Shared<Vec<(SimTime, TranslatorEvent)>>,
+    log: Rc<RefCell<Vec<(SimTime, TranslatorEvent)>>>,
     recorder: TraceRecorder,
     stats: TranslatorStatsHandle,
 }
@@ -65,7 +67,7 @@ fn rig(interest: Vec<TemplateDesc>) -> Rig {
         .map(|s| registry.register(s.to_string()))
         .collect();
     let recorder = TraceRecorder::new();
-    let log = Shared::new(Vec::new());
+    let log = Rc::new(RefCell::new(Vec::new()));
 
     let mut sim = Sim::new(1);
     let stats = TranslatorStatsHandle::new(sim.obs().metrics, SiteId::new(0));

@@ -15,12 +15,14 @@
 mod common;
 
 use hcm::checker::guarantee::check_guarantee;
-use hcm::core::{ItemId, Shared, SimDuration, SimTime, Value};
+use hcm::core::{ItemId, SimDuration, SimTime, Value};
 use hcm::simkit::{Actor, ActorId, Ctx};
 use hcm::toolkit::backends::RawStore;
 use hcm::toolkit::msg::{CmMsg, RequestKind, TranslatorEvent};
 use hcm::toolkit::{Scenario, ScenarioBuilder, SpontaneousOp};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 const RID_X: &str = r#"
 ris = relational
@@ -85,7 +87,7 @@ N(Z, b) -> W(Zc, b) within 5s
 /// reads + one local write request — no cross-site access.
 struct RecomputeAgent {
     translator: ActorId,
-    private: Shared<BTreeMap<ItemId, Value>>,
+    private: Rc<RefCell<BTreeMap<ItemId, Value>>>,
     last_written: Option<i64>,
     period: SimDuration,
     stop_at: SimTime,
@@ -163,17 +165,14 @@ fn build(seed: u64, stop: u64) -> Scenario {
         .unwrap();
     let tx = sc.site("SX").translator;
     let private = sc.site("SX").private.clone();
-    sc.add_actor_for(
-        "SX",
-        Box::new(RecomputeAgent {
-            translator: tx,
-            private,
-            last_written: Some(30),
-            period: SimDuration::from_secs(1),
-            stop_at: SimTime::from_secs(stop),
-            next_req: 0,
-        }),
-    );
+    sc.add_actor(Box::new(RecomputeAgent {
+        translator: tx,
+        private,
+        last_written: Some(30),
+        period: SimDuration::from_secs(1),
+        stop_at: SimTime::from_secs(stop),
+        next_req: 0,
+    }));
     sc
 }
 

@@ -46,19 +46,16 @@ fn run(seed: u64) -> Scenario {
         .build()
         .unwrap();
     let target = sc.site("A").translator;
-    sc.add_actor_for(
-        "A",
-        Box::new(PoissonWriter::sql_updates(
-            target,
-            SimDuration::from_secs(25),
-            SimTime::from_secs(600),
-            "employees",
-            "salary",
-            "empid",
-            vec!["e1".into()],
-            (1, 100_000),
-        )),
-    );
+    sc.add_actor(Box::new(PoissonWriter::sql_updates(
+        target,
+        SimDuration::from_secs(25),
+        SimTime::from_secs(600),
+        "employees",
+        "salary",
+        "empid",
+        vec!["e1".into()],
+        (1, 100_000),
+    )));
     sc.run_to_quiescence();
     sc
 }

@@ -138,19 +138,16 @@ fn scripted_updates_satisfy_all_four_guarantees() {
 fn poisson_workload_satisfies_guarantees() {
     let mut sc = build(7);
     let target = sc.site("A").translator;
-    sc.add_actor_for(
-        "A",
-        Box::new(PoissonWriter::sql_updates(
-            target,
-            SimDuration::from_secs(30),
-            SimTime::from_secs(600),
-            "employees",
-            "salary",
-            "empid",
-            vec!["e1".into(), "e2".into()],
-            (50_000, 120_000),
-        )),
-    );
+    sc.add_actor(Box::new(PoissonWriter::sql_updates(
+        target,
+        SimDuration::from_secs(30),
+        SimTime::from_secs(600),
+        "employees",
+        "salary",
+        "empid",
+        vec!["e1".into(), "e2".into()],
+        (50_000, 120_000),
+    )));
     sc.run_to_quiescence();
     let trace = sc.trace();
     assert!(

@@ -25,10 +25,7 @@ use hcm::protocols::demarcation::{self, DemarcConfig, GrantPolicy};
 use hcm::rulelang::parse_guarantee;
 use hcm::simkit::SimRng;
 use hcm::toolkit::backends::RawStore;
-use hcm::toolkit::shell::FailureConfig;
-use hcm::toolkit::{
-    DispatchMode, Durability, Scenario, ScenarioBuilder, SpontaneousOp, StoreSetup,
-};
+use hcm::toolkit::{ScenarioBuilder, SpontaneousOp};
 use hcm_bench::sweep;
 
 const STRATEGY: &str = r#"
@@ -51,32 +48,7 @@ N(salary1(n), b) -> WR(salary2(n), b) within 5s
 /// includes the checker's own counters) plus the guarantee verdicts —
 /// as deterministic strings.
 fn salary_cell(seed: &u64) -> (String, String) {
-    let (metrics, _, verdicts) = salary_cell_mode(*seed, DispatchMode::default());
-    (metrics, verdicts)
-}
-
-/// The full observable surface a dispatch mode must not perturb: the
-/// metrics snapshot, the complete recorded trace, and the post-mortem
-/// guarantee verdicts — all as deterministic strings.
-fn observables(sc: &Scenario) -> (String, String, String) {
-    let pm = hcm::harness::post_mortem(sc);
-    let verdicts = pm
-        .guarantees
-        .iter()
-        .map(|g| format!("{}:{}:{}", g.name, g.holds, g.instantiations))
-        .collect::<Vec<_>>()
-        .join(";");
-    // The event list is the trace's observable content (its lookup
-    // indices are HashMaps whose Debug order is unstable).
-    let trace = sc.recorder.with(|t| format!("{:?}", t.events()));
-    (sc.metrics_jsonl(), trace, verdicts)
-}
-
-fn salary_cell_mode(seed: u64, mode: DispatchMode) -> (String, String, String) {
-    salary_cell_sharded(seed, mode, 1)
-}
-
-fn salary_cell_sharded(seed: u64, mode: DispatchMode, shards: u32) -> (String, String, String) {
+    let seed = *seed;
     let mut sc = ScenarioBuilder::new(seed)
         .site(
             "A",
@@ -91,8 +63,6 @@ fn salary_cell_sharded(seed: u64, mode: DispatchMode, shards: u32) -> (String, S
         )
         .unwrap()
         .strategy(STRATEGY)
-        .dispatch_mode(mode)
-        .shards(shards)
         .build()
         .unwrap();
     sc.inject(
@@ -104,7 +74,13 @@ fn salary_cell_sharded(seed: u64, mode: DispatchMode, shards: u32) -> (String, S
         )),
     );
     sc.run_to_quiescence();
-    observables(&sc)
+    let verdicts = hcm::harness::post_mortem(&sc)
+        .guarantees
+        .iter()
+        .map(|g| format!("{}:{}:{}", g.name, g.holds, g.instantiations))
+        .collect::<Vec<_>>()
+        .join(";");
+    (sc.metrics_jsonl(), verdicts)
 }
 
 #[test]
@@ -256,283 +232,4 @@ fn pruned_grids_keep_cross_atom_breakpoints() {
         check_guarantee(&tr, &wide, None).holds,
         "κ = 60s admits the 9s lag"
     );
-}
-
-// ───── dispatch pin: indexed rule dispatch must be invisible ─────
-//
-// The engine-fast-path PR replaced the shell's linear rule scan with a
-// discrimination index (plus Rc-shared rules and scratch-buffer
-// reuse). The linear path is retained as `DispatchMode::Linear`;
-// running the same seeded cell under both modes must produce
-// byte-identical metrics snapshots, traces, and post-mortem verdicts.
-
-#[test]
-fn dispatch_modes_agree_on_e1_salary_cells() {
-    for seed in [3u64, 8, 11] {
-        let lin = salary_cell_mode(seed, DispatchMode::Linear);
-        let idx = salary_cell_mode(seed, DispatchMode::Indexed);
-        assert_eq!(lin.0, idx.0, "metrics diverge at seed {seed}");
-        assert_eq!(lin.1, idx.1, "traces diverge at seed {seed}");
-        assert_eq!(lin.2, idx.2, "verdicts diverge at seed {seed}");
-    }
-}
-
-/// E3 demarcation cell under a pinned dispatch mode; custom limit-
-/// traffic events exercise the index's name-keyed bucket.
-fn demarc_mode_cell(seed: u64, mode: DispatchMode) -> (String, String, bool) {
-    let mut rng = SimRng::seeded(seed);
-    let mut t = SimTime::from_secs(5);
-    let ops: Vec<(SimTime, bool, i64)> = (0..12)
-        .map(|_| {
-            t += SimDuration::from_secs(rng.int_in(5, 40) as u64);
-            (t, rng.chance(0.5), rng.int_in(1, 15))
-        })
-        .collect();
-    let mut d = demarcation::build_with_dispatch(
-        DemarcConfig {
-            seed,
-            x0: 0,
-            y0: 400,
-            line: 200,
-            policy: GrantPolicy::HalfAvailable,
-        },
-        mode,
-    );
-    for &(at, lower, delta) in &ops {
-        d.try_update(at, lower, delta);
-    }
-    d.run();
-    let trace = d.scenario.recorder.with(|tr| format!("{:?}", tr.events()));
-    (d.scenario.metrics_jsonl(), trace, d.invariant_held())
-}
-
-#[test]
-fn dispatch_modes_agree_on_e3_demarcation_cells() {
-    for seed in [1u64, 9] {
-        let lin = demarc_mode_cell(seed, DispatchMode::Linear);
-        let idx = demarc_mode_cell(seed, DispatchMode::Indexed);
-        assert_eq!(lin, idx, "E3 observables diverge at seed {seed}");
-        assert!(idx.2, "demarcation invariant must hold at seed {seed}");
-    }
-}
-
-/// E7-style failure cell: an overload window (metric failure) and a
-/// lossy crash (logical failure) while updates keep flowing — the
-/// failure-detection and escalation paths run under both modes.
-fn failure_cell(seed: u64, mode: DispatchMode) -> (String, String, String) {
-    failure_cell_sharded(seed, mode, 1)
-}
-
-fn failure_cell_sharded(seed: u64, mode: DispatchMode, shards: u32) -> (String, String, String) {
-    let mut sc = ScenarioBuilder::new(seed)
-        .site(
-            "A",
-            RawStore::Relational(employees_db(&[("e1", 90_000)])),
-            RID_SRC,
-        )
-        .unwrap()
-        .site(
-            "B",
-            RawStore::Relational(employees_db(&[("e1", 90_000)])),
-            RID_DST,
-        )
-        .unwrap()
-        .strategy(STRATEGY)
-        .failure_config(FailureConfig {
-            deadline: SimDuration::from_secs(5),
-            escalation: SimDuration::from_secs(30),
-            heartbeat: None,
-        })
-        .dispatch_mode(mode)
-        .shards(shards)
-        .build()
-        .unwrap();
-    let upd = |v: i64| {
-        SpontaneousOp::Sql(format!(
-            "update employees set salary = {v} where empid = 'e1'"
-        ))
-    };
-    sc.inject(SimTime::from_secs(10), "A", upd(95_000 + seed as i64));
-    sc.overload(
-        "B",
-        SimTime::from_secs(20),
-        SimTime::from_secs(60),
-        SimDuration::from_secs(20),
-    );
-    sc.inject(SimTime::from_secs(30), "A", upd(96_000));
-    sc.crash("B", SimTime::from_secs(80), true);
-    sc.inject(SimTime::from_secs(90), "A", upd(97_000));
-    sc.run_until(SimTime::from_secs(300));
-    observables(&sc)
-}
-
-#[test]
-fn dispatch_modes_agree_on_e7_failure_cells() {
-    for seed in [2u64, 6] {
-        let lin = failure_cell(seed, DispatchMode::Linear);
-        let idx = failure_cell(seed, DispatchMode::Indexed);
-        assert_eq!(lin.0, idx.0, "metrics diverge at seed {seed}");
-        assert_eq!(lin.1, idx.1, "traces diverge at seed {seed}");
-        assert_eq!(lin.2, idx.2, "verdicts diverge at seed {seed}");
-    }
-}
-
-/// E3 demarcation cell under an explicit shard count — the two sites
-/// ride different shards, and the agents' peer traffic crosses the
-/// shard boundary over the network.
-fn demarc_sharded_cell(seed: u64, shards: u32) -> (String, String, bool) {
-    let mut rng = SimRng::seeded(seed);
-    let mut t = SimTime::from_secs(5);
-    let ops: Vec<(SimTime, bool, i64)> = (0..12)
-        .map(|_| {
-            t += SimDuration::from_secs(rng.int_in(5, 40) as u64);
-            (t, rng.chance(0.5), rng.int_in(1, 15))
-        })
-        .collect();
-    let mut d = demarcation::build_with(
-        DemarcConfig {
-            seed,
-            x0: 0,
-            y0: 400,
-            line: 200,
-            policy: GrantPolicy::HalfAvailable,
-        },
-        DispatchMode::default(),
-        Some(shards),
-    );
-    for &(at, lower, delta) in &ops {
-        d.try_update(at, lower, delta);
-    }
-    d.run();
-    let trace = d.scenario.recorder.with(|tr| format!("{:?}", tr.events()));
-    (d.scenario.metrics_jsonl(), trace, d.invariant_held())
-}
-
-/// E16-style durable crash/recovery cell: a lossy translator crash
-/// lands inside the accept-to-perform window, the write-ahead log
-/// replays it after recovery — all while the run is sharded.
-fn recovery_cell_sharded(seed: u64, shards: u32) -> (String, String, String) {
-    let mut sc = ScenarioBuilder::new(seed)
-        .site(
-            "A",
-            RawStore::Relational(employees_db(&[("e1", 90_000)])),
-            RID_SRC,
-        )
-        .unwrap()
-        .site(
-            "B",
-            RawStore::Relational(employees_db(&[("e1", 90_000)])),
-            RID_DST,
-        )
-        .unwrap()
-        .strategy(STRATEGY)
-        .failure_config(FailureConfig {
-            deadline: SimDuration::from_secs(5),
-            escalation: SimDuration::from_secs(30),
-            heartbeat: None,
-        })
-        .durability(Durability::Durable(StoreSetup::default()))
-        .shards(shards)
-        .build()
-        .unwrap();
-    let upd = |v: i64| {
-        SpontaneousOp::Sql(format!(
-            "update employees set salary = {v} where empid = 'e1'"
-        ))
-    };
-    sc.inject(SimTime::from_secs(10), "A", upd(95_000 + seed as i64));
-    sc.crash("B", SimTime::from_secs(21), true);
-    sc.recover("B", SimTime::from_secs(40));
-    sc.inject(SimTime::from_secs(50), "A", upd(96_000));
-    sc.run_until(SimTime::from_secs(200));
-    observables(&sc)
-}
-
-// ---- Sharded execution pins ------------------------------------------
-//
-// The sharded executor must be *invisible*: for every experiment
-// family, the full observable surface — metrics snapshot, recorded
-// trace, guarantee verdicts — is byte-identical at 1, 2 and 4 shards.
-// (Shard counts above the site count clamp down, so `4` also pins the
-// clamping path.)
-
-#[test]
-fn sharded_execution_agrees_on_e1_salary_cells() {
-    for seed in [3u64, 8] {
-        let serial = salary_cell_sharded(seed, DispatchMode::default(), 1);
-        for k in [2u32, 4] {
-            let sharded = salary_cell_sharded(seed, DispatchMode::default(), k);
-            assert_eq!(
-                serial.0, sharded.0,
-                "E1 metrics diverge: seed {seed}, {k} shards"
-            );
-            assert_eq!(
-                serial.1, sharded.1,
-                "E1 traces diverge: seed {seed}, {k} shards"
-            );
-            assert_eq!(
-                serial.2, sharded.2,
-                "E1 verdicts diverge: seed {seed}, {k} shards"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_execution_agrees_on_e3_demarcation_cells() {
-    for seed in [1u64, 9] {
-        let serial = demarc_sharded_cell(seed, 1);
-        for k in [2u32, 4] {
-            let sharded = demarc_sharded_cell(seed, k);
-            assert_eq!(
-                serial, sharded,
-                "E3 observables diverge: seed {seed}, {k} shards"
-            );
-        }
-        assert!(serial.2, "demarcation invariant must hold at seed {seed}");
-    }
-}
-
-#[test]
-fn sharded_execution_agrees_on_e7_failure_cells() {
-    for seed in [2u64, 6] {
-        let serial = failure_cell_sharded(seed, DispatchMode::default(), 1);
-        for k in [2u32, 4] {
-            let sharded = failure_cell_sharded(seed, DispatchMode::default(), k);
-            assert_eq!(
-                serial.0, sharded.0,
-                "E7 metrics diverge: seed {seed}, {k} shards"
-            );
-            assert_eq!(
-                serial.1, sharded.1,
-                "E7 traces diverge: seed {seed}, {k} shards"
-            );
-            assert_eq!(
-                serial.2, sharded.2,
-                "E7 verdicts diverge: seed {seed}, {k} shards"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_execution_agrees_on_e16_recovery_cells() {
-    for seed in [4u64, 12] {
-        let serial = recovery_cell_sharded(seed, 1);
-        for k in [2u32, 4] {
-            let sharded = recovery_cell_sharded(seed, k);
-            assert_eq!(
-                serial.0, sharded.0,
-                "E16 metrics diverge: seed {seed}, {k} shards"
-            );
-            assert_eq!(
-                serial.1, sharded.1,
-                "E16 traces diverge: seed {seed}, {k} shards"
-            );
-            assert_eq!(
-                serial.2, sharded.2,
-                "E16 verdicts diverge: seed {seed}, {k} shards"
-            );
-        }
-    }
 }
