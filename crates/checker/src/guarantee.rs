@@ -12,10 +12,8 @@
 //! formula's constant offsets, with ±1 ms neighbours. On the integer
 //! millisecond clock this is exact for the paper's formula class.
 
-use crate::state::StateIndex;
-use hcm_core::{ItemId, SimTime, Sym, Term, Trace, Value};
-use hcm_rulelang::{CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, TimeExpr};
-use std::borrow::Cow;
+use hcm_core::{ItemId, SimTime, StateIndex, Sym, Term, Trace, Value};
+use hcm_rulelang::{CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, Mention, TimeExpr};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -153,7 +151,7 @@ type AtSat = Rc<Vec<(SimTime, u32)>>;
 
 /// The evaluator.
 pub struct Evaluator<'a> {
-    idx: Cow<'a, StateIndex>,
+    idx: &'a StateIndex,
     horizon: SimTime,
     /// Pure-probe memo: number of satisfying pushes (all of which are
     /// clones of the probed env — see [`Evaluator::probe_memoized`]).
@@ -167,29 +165,13 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Build an evaluator over `trace`, with the quantification horizon
-    /// defaulting to the trace's end time.
+    /// Build an evaluator over `trace`'s state index, with the
+    /// quantification horizon defaulting to the trace's end time.
     #[must_use]
-    pub fn new(trace: &Trace, horizon: Option<SimTime>) -> Evaluator<'static> {
-        let horizon = horizon.unwrap_or_else(|| trace.end_time());
+    pub fn new(trace: &'a Trace, horizon: Option<SimTime>) -> Self {
         Evaluator {
-            idx: Cow::Owned(StateIndex::build(trace)),
-            horizon,
-            probe_memo: RefCell::new(HashMap::new()),
-            at_memo: RefCell::new(HashMap::new()),
-            cond_vars_cache: RefCell::new(HashMap::new()),
-            counters: EvalCounters::default(),
-        }
-    }
-
-    /// Build an evaluator over a prebuilt [`StateIndex`] (shared across
-    /// workers by the parallel driver), with the horizon defaulting to
-    /// the index's end time.
-    #[must_use]
-    pub fn with_index(idx: &'a StateIndex, horizon: Option<SimTime>) -> Self {
-        Evaluator {
-            horizon: horizon.unwrap_or_else(|| idx.end_time()),
-            idx: Cow::Borrowed(idx),
+            idx: trace.index(),
+            horizon: horizon.unwrap_or_else(|| trace.end_time()),
             probe_memo: RefCell::new(HashMap::new()),
             at_memo: RefCell::new(HashMap::new()),
             cond_vars_cache: RefCell::new(HashMap::new()),
@@ -674,7 +656,7 @@ impl<'a> Evaluator<'a> {
             }
             Cond::Exists(pattern) => {
                 let at = AtTime {
-                    idx: &self.idx,
+                    idx: self.idx,
                     t,
                     env,
                 };
@@ -687,7 +669,7 @@ impl<'a> Evaluator<'a> {
             }
             Cond::Cmp(a, op, b) => {
                 let at = AtTime {
-                    idx: &self.idx,
+                    idx: self.idx,
                     t,
                     env,
                 };
@@ -898,25 +880,12 @@ pub fn check_guarantee(trace: &Trace, g: &Guarantee, horizon: Option<SimTime>) -
     Evaluator::new(trace, horizon).check(g)
 }
 
-/// Check a guarantee and return the evaluator's counters alongside.
-#[must_use]
-pub fn check_guarantee_with_stats(
-    trace: &Trace,
-    g: &Guarantee,
-    horizon: Option<SimTime>,
-) -> (GuaranteeReport, EvalStats) {
-    let ev = Evaluator::new(trace, horizon);
-    let report = ev.check(g);
-    let stats = ev.stats();
-    (report, stats)
-}
-
 /// Check several guarantees against one trace concurrently: one worker
-/// per guarantee over a shared [`StateIndex`], `std::thread::scope` so
-/// nothing outlives the call. Guarantees are independent (each `check`
-/// touches only its own evaluator state), and results are joined in
-/// input order, so the output is identical to checking serially —
-/// regardless of scheduling.
+/// per guarantee over the trace's shared [`StateIndex`],
+/// `std::thread::scope` so nothing outlives the call. Guarantees are
+/// independent (each `check` touches only its own evaluator state),
+/// and results are joined in input order, so the output is identical
+/// to checking serially — regardless of scheduling.
 #[must_use]
 pub fn check_guarantees_parallel(
     trace: &Trace,
@@ -940,15 +909,14 @@ pub fn check_guarantees_parallel_stats(
     if gs.is_empty() {
         return Vec::new();
     }
-    let idx = StateIndex::build(trace);
-    let horizon = horizon.unwrap_or_else(|| trace.end_time());
+    // Build the shared index before the workers start.
+    let _ = trace.index();
     std::thread::scope(|scope| {
         let handles: Vec<_> = gs
             .iter()
             .map(|g| {
-                let idx = &idx;
                 scope.spawn(move || {
-                    let ev = Evaluator::with_index(idx, Some(horizon));
+                    let ev = Evaluator::new(trace, horizon);
                     let report = ev.check(g);
                     let stats = ev.stats();
                     (report, stats)
@@ -972,36 +940,14 @@ fn atom_time_exprs(atom: &GAtom) -> Vec<&TimeExpr> {
     }
 }
 
-/// Item base names a condition mentions.
+/// Item base names a condition mentions, sorted and deduplicated.
 fn cond_bases(c: &Cond) -> Vec<Sym> {
-    fn expr(e: &Expr, out: &mut Vec<Sym>) {
-        match e {
-            Expr::Item(p) => out.push(p.base),
-            Expr::Neg(a) | Expr::Abs(a) => expr(a, out),
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            _ => {}
-        }
-    }
-    fn cond(c: &Cond, out: &mut Vec<Sym>) {
-        match c {
-            Cond::Cmp(a, _, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                cond(a, out);
-                cond(b, out);
-            }
-            Cond::Not(a) => cond(a, out),
-            Cond::Exists(p) => out.push(p.base),
-            Cond::True => {}
-        }
-    }
     let mut out = Vec::new();
-    cond(c, &mut out);
+    c.visit(&mut |m| {
+        if let Mention::Item(p) = m {
+            out.push(p.base);
+        }
+    });
     out.sort();
     out.dedup();
     out
@@ -1009,92 +955,33 @@ fn cond_bases(c: &Cond) -> Vec<Sym> {
 
 /// `(base, position, var)` for each variable used as an item parameter.
 fn cond_param_positions(c: &Cond) -> Vec<(Sym, usize, String)> {
-    fn expr(e: &Expr, out: &mut Vec<(Sym, usize, String)>) {
-        match e {
-            Expr::Item(p) => {
-                for (i, t) in p.params.iter().enumerate() {
-                    if let Term::Var(v) = t {
-                        out.push((p.base, i, v.clone()));
-                    }
-                }
-            }
-            Expr::Neg(a) | Expr::Abs(a) => expr(a, out),
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            _ => {}
-        }
-    }
-    fn cond(c: &Cond, out: &mut Vec<(Sym, usize, String)>) {
-        match c {
-            Cond::Cmp(a, _, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                cond(a, out);
-                cond(b, out);
-            }
-            Cond::Not(a) => cond(a, out),
-            Cond::Exists(p) => {
-                for (i, t) in p.params.iter().enumerate() {
-                    if let Term::Var(v) = t {
-                        out.push((p.base, i, v.clone()));
-                    }
-                }
-            }
-            Cond::True => {}
-        }
-    }
     let mut out = Vec::new();
-    cond(c, &mut out);
-    out
-}
-
-/// Variable names an expression mentions.
-fn expr_vars(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Var(v) => {
-            out.insert(v.clone());
-        }
-        Expr::Item(p) => {
-            for t in &p.params {
+    c.visit(&mut |m| {
+        if let Mention::Item(p) = m {
+            for (i, t) in p.params.iter().enumerate() {
                 if let Term::Var(v) = t {
-                    out.insert(v.clone());
+                    out.push((p.base, i, v.clone()));
                 }
             }
         }
-        Expr::Neg(a) | Expr::Abs(a) => expr_vars(a, out),
-        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
-        }
-        Expr::Lit(_) => {}
-    }
+    });
+    out
 }
 
 /// Variable names a condition mentions (data and item-parameter).
 fn cond_vars(c: &Cond, out: &mut BTreeSet<String>) {
-    match c {
-        Cond::Cmp(a, _, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
+    c.visit(&mut |m| match m {
+        Mention::Var(v) => {
+            out.insert(v.to_owned());
         }
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            cond_vars(a, out);
-            cond_vars(b, out);
-        }
-        Cond::Not(a) => cond_vars(a, out),
-        Cond::Exists(p) => {
+        Mention::Item(p) => {
             for t in &p.params {
                 if let Term::Var(v) = t {
                     out.insert(v.clone());
                 }
             }
         }
-        Cond::True => {}
-    }
+    });
 }
 
 /// Every variable name (data or time) a group of atoms mentions.

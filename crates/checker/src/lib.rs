@@ -14,6 +14,11 @@
 //!   (`@@`) and sometime (`@?`) forms, with the paper's quantification
 //!   convention (left of `⇒` universal, right existential).
 //!
+//! Both read item state from the trace's one [`StateIndex`]
+//! (re-exported here from `hcm-core`): [`hcm_core::Trace::index`]
+//! builds it on the first query and shares it between the validity
+//! pass and every guarantee worker.
+//!
 //! ## Finite-trace semantics
 //!
 //! Guarantees quantify over continuous time; a recorded trace is
@@ -30,10 +35,9 @@
 
 pub mod guarantee;
 pub mod ruleset;
-pub mod state;
 pub mod validity;
 
 pub use guarantee::{GuaranteeOutcome, GuaranteeReport};
+pub use hcm_core::StateIndex;
 pub use ruleset::RuleSet;
-pub use state::StateIndex;
 pub use validity::{check_validity, ValidityReport, Violation};

@@ -44,12 +44,11 @@
 //! records their writes.
 
 use crate::ruleset::RuleSet;
-use crate::state::StateIndex;
 use hcm_core::{
-    Bindings, Event, EventDesc, EventId, ItemId, RuleIndex, SimTime, SiteId, Sym, TemplateDesc,
-    Trace, Value,
+    Bindings, Event, EventDesc, EventId, ItemId, RuleIndex, SimTime, SiteId, StateIndex,
+    TemplateDesc, Trace, Value,
 };
-use hcm_rulelang::{Cond, CondEnv, Expr};
+use hcm_rulelang::{Cond, CondEnv, Expr, Mention};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -145,7 +144,7 @@ fn bind_from_cond(cond: &Cond, idx: &StateIndex, t: SimTime, bindings: &mut Bind
 #[must_use]
 pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
     let mut report = ValidityReport::default();
-    let idx = StateIndex::build(trace);
+    let idx = trace.index();
     let events = trace.events();
 
     // ---- Property 1: time ordering -------------------------------------
@@ -161,18 +160,13 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
 
     // ---- Properties 2 & 3: write semantics + frame axiom ----------------
     // Replay: running state must match each write's recorded old value.
-    let mut state: HashMap<ItemId, Value> = HashMap::new();
-    for item in trace.items() {
-        if let Some(v) = trace.initial(item) {
-            state.insert(item.clone(), v.clone());
-        }
-    }
+    let mut state: HashMap<&ItemId, &Value> = trace.initial_values().collect();
     for e in events {
         if let Some((item, new)) = e.desc.write_effect() {
             let current = state.get(item);
             if let Some(recorded_old) = &e.old_value {
                 if let Some(current) = current {
-                    if current != recorded_old {
+                    if *current != recorded_old {
                         report.violations.push(Violation {
                             property: 2,
                             event: Some(e.id.0),
@@ -183,7 +177,7 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
                     }
                 }
             }
-            state.insert(item.clone(), new.clone());
+            state.insert(item, new);
         }
     }
 
@@ -268,8 +262,8 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
                 continue;
             }
             template_matched = true;
-            bind_from_cond(&rule.cond, &idx, trigger.time, &mut b);
-            if eval_cond(&rule.cond, &idx, trigger.time, &b) {
+            bind_from_cond(&rule.cond, idx, trigger.time, &mut b);
+            if eval_cond(&rule.cond, idx, trigger.time, &b) {
                 explained = true;
                 break;
             }
@@ -306,7 +300,7 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
     // ---- Property 6: obligations ------------------------------------------
     let firings = Firings::build(trace, rules);
     report.obligations_checked =
-        check_obligations(trace, rules, &idx, &firings, &mut report.violations);
+        check_obligations(trace, rules, idx, &firings, &mut report.violations);
 
     // ---- Property 7: in-order related rules --------------------------------
     check_related_order(events, rules, firings.groups, &mut report.violations);
@@ -512,7 +506,11 @@ fn holds_sometime(
         return true;
     }
     let mut bases = Vec::new();
-    cond_bases(cond, &mut bases);
+    cond.visit(&mut |m| {
+        if let Mention::Item(p) = m {
+            bases.push(p.base);
+        }
+    });
     bases.into_iter().any(|base| {
         let bps = idx.breakpoints_by_base(base);
         bps[bps.partition_point(|&t| t <= from)..]
@@ -520,35 +518,6 @@ fn holds_sometime(
             .take_while(|&&t| t <= to)
             .any(|&t| eval_cond(cond, idx, t, bindings))
     })
-}
-
-/// The item bases a condition reads.
-fn cond_bases(cond: &Cond, out: &mut Vec<Sym>) {
-    match cond {
-        Cond::True => {}
-        Cond::Cmp(a, _, b) => {
-            expr_bases(a, out);
-            expr_bases(b, out);
-        }
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            cond_bases(a, out);
-            cond_bases(b, out);
-        }
-        Cond::Not(c) => cond_bases(c, out),
-        Cond::Exists(p) => out.push(p.base),
-    }
-}
-
-fn expr_bases(expr: &Expr, out: &mut Vec<Sym>) {
-    match expr {
-        Expr::Item(p) => out.push(p.base),
-        Expr::Var(_) | Expr::Lit(_) => {}
-        Expr::Neg(e) | Expr::Abs(e) => expr_bases(e, out),
-        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-            expr_bases(a, out);
-            expr_bases(b, out);
-        }
-    }
 }
 
 /// Property 7 by sort and sweep. Within a group of related rules, an

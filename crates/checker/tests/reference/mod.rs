@@ -89,12 +89,10 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
     }
 
     // ---- Properties 2 & 3: write semantics + frame axiom ----------------
-    let mut state: HashMap<ItemId, Value> = HashMap::new();
-    for item in trace.items() {
-        if let Some(v) = trace.initial(item) {
-            state.insert(item.clone(), v.clone());
-        }
-    }
+    let mut state: HashMap<ItemId, Value> = trace
+        .initial_values()
+        .map(|(item, v)| (item.clone(), v.clone()))
+        .collect();
     for e in events {
         if let Some((item, new)) = e.desc.write_effect() {
             let current = state.get(item);

@@ -81,6 +81,20 @@ fn brute_force_two_var(
     true
 }
 
+/// Reference state lookup, independent of the trace's state index:
+/// scan the events in order, stopping at the first one later than `t`.
+fn value_at(tr: &Trace, item: &ItemId, t: SimTime) -> Option<Value> {
+    let mut current = tr.initial(item).cloned();
+    for e in tr.events().iter().take_while(|e| e.time <= t) {
+        if let Some((i, v)) = e.desc.write_effect() {
+            if i == item {
+                current = Some(v.clone());
+            }
+        }
+    }
+    current
+}
+
 fn x() -> ItemId {
     ItemId::plain("X")
 }
@@ -127,7 +141,7 @@ fn trace_of(
         tr.set_initial(item.clone(), v.clone());
     }
     for (t, item, new) in writes {
-        let old = tr.value_at(&item, SimTime::from_millis(t));
+        let old = value_at(&tr, &item, SimTime::from_millis(t));
         tr.push(
             SimTime::from_millis(t),
             SiteId::new(0),
@@ -188,8 +202,8 @@ fn follows_agrees_with_brute_force() {
         let fast = check_guarantee(&tr, &follows(), None).holds;
         let slow = brute_force_two_var(
             &tr,
-            |t, at| t.value_at(&y(), at),
-            |t, at| t.value_at(&x(), at),
+            |t, at| value_at(t, &y(), at),
+            |t, at| value_at(t, &x(), at),
             |t1, t2| t2 <= t1,
         );
         assert_eq!(fast, slow, "trace:\n{tr}");
@@ -211,8 +225,8 @@ fn leads_agrees_with_brute_force() {
         let fast = check_guarantee(&tr, &leads(), None).holds;
         let slow = brute_force_two_var(
             &tr,
-            |t, at| t.value_at(&x(), at),
-            |t, at| t.value_at(&y(), at),
+            |t, at| value_at(t, &x(), at),
+            |t, at| value_at(t, &y(), at),
             |t1, t2| t2 >= t1,
         );
         assert_eq!(fast, slow, "trace:\n{tr}");
@@ -236,8 +250,8 @@ fn metric_agrees_with_brute_force() {
         let fast = check_guarantee(&tr, &metric(kappa), None).holds;
         let slow = brute_force_two_var(
             &tr,
-            |t, at| t.value_at(&y(), at),
-            |t, at| t.value_at(&x(), at),
+            |t, at| value_at(t, &y(), at),
+            |t, at| value_at(t, &x(), at),
             |t1, t2| (t1 as i64 - kappa as i64) < t2 as i64 && t2 <= t1,
         );
         assert_eq!(fast, slow, "kappa={kappa}ms trace:\n{tr}");
@@ -263,7 +277,8 @@ fn throughout_agrees_with_brute_force() {
         let guar = parse_guarantee("inv", &format!("(X = Y) @@ [{a}ms, {b}ms]")).unwrap();
         let fast = check_guarantee(&tr, &guar, None).holds;
         let slow = (a..=b).all(|t| {
-            tr.value_at(&x(), SimTime::from_millis(t)) == tr.value_at(&y(), SimTime::from_millis(t))
+            value_at(&tr, &x(), SimTime::from_millis(t))
+                == value_at(&tr, &y(), SimTime::from_millis(t))
         });
         assert_eq!(fast, slow, "[{a}ms,{b}ms] trace:\n{tr}");
     }
@@ -311,8 +326,8 @@ fn parameterized_metric_agrees_with_brute_force() {
         let slow = ids.iter().all(|id| {
             brute_force_two_var(
                 &tr,
-                |t, at| t.value_at(&param("salary2", id), at),
-                |t, at| t.value_at(&param("salary1", id), at),
+                |t, at| value_at(t, &param("salary2", id), at),
+                |t, at| value_at(t, &param("salary1", id), at),
                 |t1, t2| (t1 as i64 - kappa as i64) < t2 as i64 && t2 <= t1,
             )
         });
@@ -346,7 +361,7 @@ fn strictly_follows_agrees_with_brute_force() {
         );
         let at = |item: ItemId| -> Vec<Option<Value>> {
             (0..=H)
-                .map(|t| tr.value_at(&item, SimTime::from_millis(t as u64)))
+                .map(|t| value_at(&tr, &item, SimTime::from_millis(t as u64)))
                 .collect()
         };
         let (xs, ys) = (at(x()), at(y()));
@@ -394,8 +409,7 @@ fn sometime_window_agrees_with_brute_force() {
         .unwrap();
         let fast = check_guarantee(&tr, &guar, None).holds;
         let exists = |base: &str, id: &str, t: u64| {
-            tr.value_at(&param(base, id), SimTime::from_millis(t))
-                .is_some_and(|v| v.exists())
+            value_at(&tr, &param(base, id), SimTime::from_millis(t)).is_some_and(|v| v.exists())
         };
         let slow = ids.iter().all(|id| {
             (0..=HORIZON_MS)

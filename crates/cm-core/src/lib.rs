@@ -20,7 +20,8 @@
 //! * [`RuleIndex`] — the discrimination index over rule LHS templates
 //!   that both the CM-Shell's dispatch and the validity checker use.
 //! * [`Trace`] — recorded executions, the object the
-//!   `hcm-checker` crate validates and evaluates guarantees over.
+//!   `hcm-checker` crate validates and evaluates guarantees over, and
+//!   [`StateIndex`], the per-item state every query on a trace reads.
 //!
 //! Everything downstream — the rule language, the raw information
 //! sources, the CM-Shell engine, the protocol library and the checkers —
@@ -35,6 +36,7 @@ pub mod item;
 pub mod rule;
 pub mod rule_index;
 pub mod site;
+pub mod state;
 pub mod template;
 pub mod time;
 pub mod trace;
@@ -47,6 +49,7 @@ pub use item::{ItemId, ItemPattern};
 pub use rule::{RuleId, RuleRegistry};
 pub use rule_index::RuleIndex;
 pub use site::SiteId;
+pub use state::StateIndex;
 pub use template::{Bindings, TemplateDesc, Term};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceRecorder};

@@ -156,8 +156,22 @@ fn repeated_variable_consistency() {
     }
 }
 
-/// Trace::value_at agrees with Timeline::at at every queried time, for
-/// arbitrary write sequences.
+/// Reference state lookup, independent of the trace's state index:
+/// scan the events in order, stopping at the first one later than `t`.
+fn linear_value_at(trace: &Trace, item: &ItemId, t: SimTime) -> Option<Value> {
+    let mut current = trace.initial(item).cloned();
+    for e in trace.events().iter().take_while(|e| e.time <= t) {
+        if let Some((i, v)) = e.desc.write_effect() {
+            if i == item {
+                current = Some(v.clone());
+            }
+        }
+    }
+    current
+}
+
+/// Trace::value_at and Timeline::at agree with a linear scan of the
+/// events at every queried time, for arbitrary write sequences.
 #[test]
 fn trace_and_timeline_agree() {
     let mut g = Gen::new(0xC0DE_0005);
@@ -181,7 +195,7 @@ fn trace_and_timeline_agree() {
             trace.set_initial(item.clone(), Value::Int(v));
         }
         for (t, v) in &writes {
-            let old = trace.value_at(&item, SimTime::from_millis(*t));
+            let old = linear_value_at(&trace, &item, SimTime::from_millis(*t));
             trace.push(
                 SimTime::from_millis(*t),
                 SiteId::new(0),
@@ -198,11 +212,9 @@ fn trace_and_timeline_agree() {
         let tl = trace.timeline(&item);
         for q in queries {
             let t = SimTime::from_millis(q);
-            assert_eq!(
-                trace.value_at(&item, t),
-                tl.at(t).cloned(),
-                "query at {q}ms"
-            );
+            let want = linear_value_at(&trace, &item, t);
+            assert_eq!(trace.value_at(&item, t), want, "query at {q}ms");
+            assert_eq!(tl.at(t).cloned(), want, "timeline query at {q}ms");
         }
     }
 }

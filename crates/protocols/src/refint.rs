@@ -212,7 +212,7 @@ impl Actor<CmMsg> for RefintAgent {
                                 kind: RequestKind::Write(
                                     notice,
                                     Value::from(format!(
-                                        "your project record {project} was deleted:                                          no salary record found"
+                                        "your project record {project} was deleted: no salary record found"
                                     )),
                                 ),
                             },

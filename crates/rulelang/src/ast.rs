@@ -99,6 +99,16 @@ pub enum Expr {
     Div(Box<Expr>, Box<Expr>),
 }
 
+/// One input a condition or expression reads, as [`Cond::visit`] and
+/// [`Expr::visit`] yield it.
+#[derive(Debug, Clone, Copy)]
+pub enum Mention<'a> {
+    /// A data item: an `Expr::Item` read or a `Cond::Exists` test.
+    Item(&'a ItemPattern),
+    /// A rule parameter or data variable (`Expr::Var`).
+    Var(&'a str),
+}
+
 /// Where conditions get their inputs: parameter bindings and local
 /// data-item state.
 pub trait CondEnv {
@@ -167,6 +177,21 @@ impl Expr {
             }
         }
     }
+
+    /// Call `f` on every item pattern and variable the expression
+    /// reads, left to right.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(Mention<'a>)) {
+        match self {
+            Expr::Item(p) => f(Mention::Item(p)),
+            Expr::Var(v) => f(Mention::Var(v)),
+            Expr::Lit(_) => {}
+            Expr::Neg(a) | Expr::Abs(a) => a.visit(f),
+            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+        }
+    }
 }
 
 impl fmt::Display for Expr {
@@ -219,6 +244,24 @@ impl Cond {
             Cond::Exists(pat) => Expr::Item(pat.clone())
                 .eval(env)
                 .is_some_and(|v| v.exists()),
+        }
+    }
+
+    /// Call `f` on every item pattern and variable the condition reads,
+    /// left to right.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(Mention<'a>)) {
+        match self {
+            Cond::True => {}
+            Cond::Cmp(a, _, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+            Cond::And(a, b) | Cond::Or(a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+            Cond::Not(c) => c.visit(f),
+            Cond::Exists(p) => f(Mention::Item(p)),
         }
     }
 
@@ -492,6 +535,54 @@ mod tests {
                 .map(|(n, v)| (n.to_string(), v.clone()))
                 .collect(),
         }
+    }
+
+    #[test]
+    fn visit_yields_items_and_vars_in_order() {
+        let item = |n: &str| Expr::Item(ItemPattern::plain(n));
+        let var = |n: &str| Expr::Var(n.into());
+        let lit = |v: i64| Expr::Lit(Value::Int(v));
+        // Every Cond and Expr variant appears once.
+        let sum = Expr::Add(
+            Box::new(Expr::Sub(Box::new(lit(1)), Box::new(var("b")))),
+            Box::new(Expr::Mul(
+                Box::new(Expr::Div(Box::new(item("B")), Box::new(lit(2)))),
+                Box::new(var("c")),
+            )),
+        );
+        let cond = Cond::Not(Box::new(Cond::And(
+            Box::new(Cond::Cmp(
+                Expr::Neg(Box::new(item("A"))),
+                CmpOp::Lt,
+                Expr::Abs(Box::new(var("a"))),
+            )),
+            Box::new(Cond::Or(
+                Box::new(Cond::Cmp(sum, CmpOp::Eq, var("d"))),
+                Box::new(Cond::And(
+                    Box::new(Cond::True),
+                    Box::new(Cond::Exists(ItemPattern::with("C", [Term::var("i")]))),
+                )),
+            )),
+        )));
+        let mut seen = Vec::new();
+        cond.visit(&mut |m| {
+            seen.push(match m {
+                Mention::Item(p) => format!("item {p}"),
+                Mention::Var(v) => format!("var {v}"),
+            });
+        });
+        assert_eq!(
+            seen,
+            [
+                "item A",
+                "var a",
+                "var b",
+                "item B",
+                "var c",
+                "var d",
+                "item C(i)"
+            ]
+        );
     }
 
     #[test]

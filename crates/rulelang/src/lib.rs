@@ -41,7 +41,8 @@ pub mod specfile;
 pub mod token;
 
 pub use ast::{
-    CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, InterfaceStmt, RhsStep, StrategyRule, TimeExpr,
+    CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, InterfaceStmt, Mention, RhsStep, StrategyRule,
+    TimeExpr,
 };
 pub use parser::{
     parse_cond, parse_guarantee, parse_interface, parse_strategy_rule, parse_template, ParseError,

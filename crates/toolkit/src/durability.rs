@@ -17,7 +17,7 @@
 //!   logical failure made concrete: promised notifications and
 //!   accepted writes are simply gone.
 //! * [`Durability::Durable`] — same wipe, but the component logs every
-//!   durable mutation to a [`StateStore`] and recovers from
+//!   durable mutation to a [`hcm_store::StateStore`] and recovers from
 //!   checkpoint + replay, demoting the crash to a metric failure:
 //!   obligations are delayed, never lost.
 

@@ -12,7 +12,7 @@
 //! transition rules, so any application can consult its local shell.
 
 use hcm_core::{SimTime, SiteId, Sym};
-use hcm_rulelang::{Cond, Expr, GAtom, Guarantee, TimeExpr};
+use hcm_rulelang::{GAtom, Guarantee, Mention, TimeExpr};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -73,37 +73,15 @@ pub fn is_metric(g: &Guarantee) -> bool {
 /// Item base names mentioned by a guarantee (to derive involved sites).
 #[must_use]
 pub fn mentioned_bases(g: &Guarantee) -> Vec<Sym> {
-    fn walk_expr(e: &Expr, out: &mut Vec<Sym>) {
-        match e {
-            Expr::Item(p) => out.push(p.base),
-            Expr::Neg(a) | Expr::Abs(a) => walk_expr(a, out),
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-                walk_expr(a, out);
-                walk_expr(b, out);
-            }
-            Expr::Var(_) | Expr::Lit(_) => {}
-        }
-    }
-    fn walk_cond(c: &Cond, out: &mut Vec<Sym>) {
-        match c {
-            Cond::Cmp(a, _, b) => {
-                walk_expr(a, out);
-                walk_expr(b, out);
-            }
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                walk_cond(a, out);
-                walk_cond(b, out);
-            }
-            Cond::Not(a) => walk_cond(a, out),
-            Cond::Exists(p) => out.push(p.base),
-            Cond::True => {}
-        }
-    }
     let mut out = Vec::new();
     for a in g.lhs.iter().chain(&g.rhs) {
         match a {
             GAtom::At(c, _) | GAtom::Throughout(c, _, _) | GAtom::Sometime(c, _, _) => {
-                walk_cond(c, &mut out)
+                c.visit(&mut |m| {
+                    if let Mention::Item(p) = m {
+                        out.push(p.base);
+                    }
+                });
             }
             GAtom::TimeCmp(..) => {}
         }

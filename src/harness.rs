@@ -62,23 +62,7 @@ impl PostMortem {
 #[must_use]
 pub fn post_mortem(scenario: &Scenario) -> PostMortem {
     let trace = scenario.trace();
-    // Surface the trace's silent linear-scan downgrade: an
-    // out-of-order push permanently demotes the indexed lookups every
-    // guarantee check below relies on. Zero for all simulation traces.
     let m = &scenario.obs.metrics;
-    if trace.index_downgrades() > 0 {
-        m.add(
-            Scope::Global,
-            "trace.index_downgrades",
-            trace.index_downgrades(),
-        );
-    }
-    for (at, last, site) in trace.downgrade_log() {
-        eprintln!(
-            "trace: out-of-order push at {at} (after {last}) from {site} — \
-             indexed lookups downgraded to linear scans"
-        );
-    }
     let rules = rule_set_of(scenario);
     let validity = check_validity(&trace, &rules);
     let checked = check_guarantees_parallel_stats(&trace, &scenario.strategy.guarantees, None);

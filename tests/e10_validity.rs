@@ -75,10 +75,8 @@ fn engine_traces_are_valid_across_seeds() {
 /// event at `idx` (f returns the replacement fields).
 fn corrupt(trace: &Trace, idx: usize, f: impl Fn(&hcm::core::Event) -> hcm::core::Event) -> Trace {
     let mut out = Trace::new();
-    for item in trace.items() {
-        if let Some(v) = trace.initial(item) {
-            out.set_initial(item.clone(), v.clone());
-        }
+    for (item, v) in trace.initial_values() {
+        out.set_initial(item.clone(), v.clone());
     }
     for (i, e) in trace.events().iter().enumerate() {
         let e = if i == idx { f(e) } else { e.clone() };
@@ -172,10 +170,8 @@ fn seeded_corruptions_are_each_caught() {
 
     // P6: drop the N entirely — the notify obligation goes unfulfilled.
     let mut dropped = Trace::new();
-    for item in trace.items() {
-        if let Some(v) = trace.initial(item) {
-            dropped.set_initial(item.clone(), v.clone());
-        }
+    for (item, v) in trace.initial_values() {
+        dropped.set_initial(item.clone(), v.clone());
     }
     for (i, e) in trace.events().iter().enumerate() {
         if i == n_pos {

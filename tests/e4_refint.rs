@@ -128,7 +128,10 @@ fn owners_are_notified_of_deletions() {
     match &notice_writes[0].desc {
         hcm::core::EventDesc::W { item, value } => {
             assert_eq!(item.params[0], Value::from("ada"));
-            assert!(value.as_str().unwrap().contains("deleted"));
+            assert_eq!(
+                value.as_str(),
+                Some("your project record project(\"ada\") was deleted: no salary record found")
+            );
         }
         _ => unreachable!(),
     }
