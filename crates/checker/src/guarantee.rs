@@ -11,8 +11,19 @@
 //! grid* (see the crate docs): item-change instants, shifted by the
 //! formula's constant offsets, with ±1 ms neighbours. On the integer
 //! millisecond clock this is exact for the paper's formula class.
+//!
+//! The witness side costs what the bound items' history costs, not
+//! what the grid costs. An `@` atom whose condition is fully bound
+//! (`(salary1(n) = y) @ t2` once `n` and `y` are) reads a fixed set of
+//! ground items, so its satisfying grid points are built once per
+//! binding from the segments between those items' change points. The
+//! search enters that list at the window its conjunction's time
+//! comparisons leave open (`t1 - 10s < t2 <= t1` once `t1` is fixed)
+//! and stops past it. The RHS search is memoized on the projection of
+//! the LHS environment only when the LHS binds a variable the RHS does
+//! not mention, the one case where two instantiations can share a key.
 
-use hcm_core::{ItemId, SimTime, StateIndex, Sym, Term, Trace, Value};
+use hcm_core::{ItemId, ItemPattern, SimTime, StateIndex, Sym, Term, Trace, Value};
 use hcm_rulelang::{CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, Mention, TimeExpr};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -122,7 +133,8 @@ pub struct EvalStats {
     /// `@`-atom expansions answered from the satisfying-candidate
     /// cache.
     pub atom_hits: u64,
-    /// `@`-atom expansions swept over the static grid and recorded.
+    /// `@`-atom expansions whose satisfying static candidates were
+    /// built, from the bound items' segments, and recorded.
     pub atom_misses: u64,
     /// Total static grid points across all time variables (after
     /// component pruning).
@@ -222,12 +234,15 @@ impl<'a> Evaluator<'a> {
 
         // The RHS only reads the variables its atoms mention; LHS
         // instantiations that agree on those are equivalent for the
-        // existential search. Memoizing on the projected environment
-        // collapses the (often large) multiplicity of universal time
-        // assignments. A key holds each RHS variable's data binding and
-        // time, in `rhs_vars` order.
+        // existential search. When the LHS binds a variable the RHS does
+        // not mention (`t1, t2` of strictly-follows), many instantiations
+        // share one projection, so the search is memoized on it: a key
+        // holds each RHS variable's data binding and time, in `rhs_vars`
+        // order. Otherwise every key is distinct and the environment
+        // already is its own projection, so it is searched directly.
         type MemoKey = (Vec<Option<Value>>, Vec<Option<SimTime>>);
         let rhs_vars = atoms_vars(&g.rhs);
+        let memoize = atoms_vars(&g.lhs).iter().any(|v| !rhs_vars.contains(v));
         let mut memo: HashMap<MemoKey, bool> = HashMap::new();
 
         let mut instantiations = 0;
@@ -237,22 +252,28 @@ impl<'a> Evaluator<'a> {
             // each searched for a first RHS witness (existential side).
             self.search(&g.lhs, &g.lhs, &mut base_env, &static_cands, &mut |env| {
                 instantiations += 1;
-                let key: MemoKey = (
-                    rhs_vars.iter().map(|k| env.vars.get(k).cloned()).collect(),
-                    rhs_vars.iter().map(|k| env.times.get(k).copied()).collect(),
-                );
-                let holds = *memo.entry(key).or_insert_with_key(|(vars, times)| {
-                    let mut projected = Env::new();
-                    for (k, (v, t)) in rhs_vars.iter().zip(vars.iter().zip(times)) {
-                        if let Some(v) = v {
-                            projected.vars.insert(k.clone(), v.clone());
+                let witness =
+                    |env: &mut Env| self.search(&g.rhs, &g.rhs, env, &static_cands, &mut |_| true);
+                let holds = if memoize {
+                    let key: MemoKey = (
+                        rhs_vars.iter().map(|k| env.vars.get(k).cloned()).collect(),
+                        rhs_vars.iter().map(|k| env.times.get(k).copied()).collect(),
+                    );
+                    *memo.entry(key).or_insert_with_key(|(vars, times)| {
+                        let mut projected = Env::new();
+                        for (k, (v, t)) in rhs_vars.iter().zip(vars.iter().zip(times)) {
+                            if let Some(v) = v {
+                                projected.vars.insert(k.clone(), v.clone());
+                            }
+                            if let Some(t) = t {
+                                projected.times.insert(k.clone(), *t);
+                            }
                         }
-                        if let Some(t) = t {
-                            projected.times.insert(k.clone(), *t);
-                        }
-                    }
-                    self.search(&g.rhs, &g.rhs, &mut projected, &static_cands, &mut |_| true)
-                });
+                        witness(&mut projected)
+                    })
+                } else {
+                    witness(env)
+                };
                 if !holds && violations.len() < MAX_VIOLATIONS {
                     violations.push(GuaranteeViolation {
                         instantiation: env.describe(),
@@ -310,119 +331,92 @@ impl<'a> Evaluator<'a> {
         cands: &BTreeMap<String, Vec<SimTime>>,
         emit: &mut dyn FnMut(&mut Env) -> bool,
     ) -> bool {
-        // Assign any unassigned time variables of this atom first. A
-        // variable already carrying a data binding is *not* free: the
-        // §6.3 monitor guarantee binds `s` from the auxiliary item `Tb`
-        // and then uses it as a time (timestamps stored in CM data).
-        let unassigned: Vec<&str> = atom
-            .time_vars()
-            .into_iter()
+        // Assign any unassigned time variables of this atom first,
+        // smallest name first. A variable already carrying a data
+        // binding is *not* free: the §6.3 monitor guarantee binds `s`
+        // from the auxiliary item `Tb` and then uses it as a time
+        // (timestamps stored in CM data).
+        let free = atom_time_exprs(atom)
+            .filter_map(time_var)
             .filter(|v| !env.times.contains_key(*v) && !env.vars.contains_key(*v))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        if let Some(v) = unassigned.first() {
-            let statics: &[SimTime] = cands.get(*v).map_or(&[], Vec::as_slice);
-            // Candidates derived from already-assigned variables that
+            .min();
+        if let Some(v) = free {
+            let statics: &[SimTime] = cands.get(v).map_or(&[], Vec::as_slice);
+            // Candidates derived from already-resolved variables that
             // any TimeCmp atom of the conjunction relates `v` to
             // (e.g. `t2 ≤ t1` / `t1 − κ < t2` with `t1` fixed): the
             // other side's value, corrected for `v`'s own offset, with
-            // ±1 ms for strictness.
-            let mut dynamic: BTreeSet<SimTime> = BTreeSet::new();
+            // ±1 ms for strictness. The same atoms confine `v` to the
+            // window `[lo, hi]`: any other value fails one of them when
+            // the search reaches it, as its other side is already fixed.
+            let horizon_ms = self.horizon.as_millis() as i64;
+            let (mut lo, mut hi) = (0i64, horizon_ms);
+            let mut dynamic: Vec<SimTime> = Vec::new();
             for other in all_atoms {
-                let GAtom::TimeCmp(a, _, b) = other else {
+                let GAtom::TimeCmp(a, op, b) = other else {
                     continue;
                 };
-                let sides = [(a, b), (b, a)];
-                for (mine, theirs) in sides {
+                for (mine, op, theirs) in [(a, *op, b), (b, flip(*op), a)] {
                     let my_shift = match mine {
-                        TimeExpr::Var(name) if name == *v => 0i64,
-                        TimeExpr::Offset(name, off) if name == *v => *off,
+                        TimeExpr::Var(name) if name == v => 0i64,
+                        TimeExpr::Offset(name, off) if name == v => *off,
                         _ => continue,
                     };
-                    let their_val = match theirs {
-                        TimeExpr::Const(t) => Some(t.as_millis() as i64),
-                        TimeExpr::Var(u) => env
-                            .times
-                            .get(u)
-                            .map(|t| t.as_millis() as i64)
-                            .or_else(|| env.vars.get(u).and_then(Value::as_int)),
-                        TimeExpr::Offset(u, off) => env
-                            .times
-                            .get(u)
-                            .map(|t| t.as_millis() as i64)
-                            .or_else(|| env.vars.get(u).and_then(Value::as_int))
-                            .map(|t| t + off),
+                    let Some(o) = resolve_signed(theirs, env) else {
+                        continue;
                     };
-                    if let Some(o) = their_val {
-                        for delta in [-1i64, 0, 1] {
-                            let ms = o - my_shift + delta;
-                            if ms >= 0 && ms as u64 <= self.horizon.as_millis() {
-                                dynamic.insert(SimTime::from_millis(ms as u64));
-                            }
+                    // `v op at`.
+                    let at = o - my_shift;
+                    match op {
+                        CmpOp::Lt => hi = hi.min(at - 1),
+                        CmpOp::Le => hi = hi.min(at),
+                        CmpOp::Gt => lo = lo.max(at + 1),
+                        CmpOp::Ge => lo = lo.max(at),
+                        CmpOp::Eq => (lo, hi) = (lo.max(at), hi.min(at)),
+                        CmpOp::Ne => {}
+                    }
+                    for delta in [-1i64, 0, 1] {
+                        let ms = at + delta;
+                        if (0..=horizon_ms).contains(&ms) {
+                            dynamic.push(SimTime::from_millis(ms as u64));
                         }
                     }
                 }
             }
+            dynamic.sort_unstable();
+            dynamic.dedup();
+            let fresh = |d: &SimTime| statics.binary_search(d).is_err();
 
             // Fast path: a single-variable `@` atom over a fully-bound
             // condition. Its satisfying static candidates depend only
             // on (condition, bindings), so they are cached and
-            // replayed; only the env-dependent dynamic candidates are
-            // probed individually. Interleaving keeps the output order
-            // identical to the generic union enumeration below.
+            // replayed from the window's start; only the env-dependent
+            // dynamic candidates in the window are probed individually.
             if let GAtom::At(cond, te) = atom {
                 let (off, applies) = match te {
-                    TimeExpr::Var(name) => (0i64, name == *v),
-                    TimeExpr::Offset(name, off) => (*off, name == *v),
+                    TimeExpr::Var(name) => (0i64, name == v),
+                    TimeExpr::Offset(name, off) => (*off, name == v),
                     TimeExpr::Const(_) => (0, false),
                 };
                 let cvars = self.cond_vars_of(cond);
                 if applies && cvars.iter().all(|cv| env.vars.contains_key(cv)) {
                     let sat = self.at_sat_cached(cond, off, statics, env, &cvars);
-                    let vkey = (*v).to_owned();
-                    env.times.insert(vkey.clone(), SimTime::ZERO);
-                    let mut si = sat.iter().peekable();
-                    let mut di = dynamic
+                    let ms = |t: SimTime| t.as_millis() as i64;
+                    let first = sat.partition_point(|&(c, _)| ms(c) < lo);
+                    let known = sat[first..]
                         .iter()
-                        .filter(|d| statics.binary_search(d).is_err())
-                        .peekable();
-                    let mut stopped = false;
-                    while !stopped {
-                        let take_static = match (si.peek(), di.peek()) {
-                            (Some(&&(ts, _)), Some(&&td)) => ts < td,
-                            (Some(_), None) => true,
-                            (None, Some(_)) => false,
-                            (None, None) => break,
-                        };
-                        stopped = if take_static {
-                            let &(ts, n) = si.next().expect("peeked");
-                            *env.times.get_mut(&vkey).expect("just inserted") = ts;
-                            (0..n).any(|_| emit(env))
-                        } else {
-                            let &td = di.next().expect("peeked");
-                            *env.times.get_mut(&vkey).expect("just inserted") = td;
-                            self.expand_atom(atom, all_atoms, env, cands, emit)
-                        };
-                    }
-                    env.times.remove(&vkey);
-                    return stopped;
+                        .take_while(|&&(c, _)| ms(c) <= hi)
+                        .map(|&(c, n)| (c, Some(n)));
+                    let probed = dynamic
+                        .iter()
+                        .filter(|&&d| (lo..=hi).contains(&ms(d)) && fresh(&d));
+                    return self.assign_each(v, known, probed, atom, all_atoms, env, cands, emit);
                 }
             }
 
-            // Assign in place and undo afterwards: candidate counts
-            // run into the millions on dense traces, and cloning the
-            // whole env per candidate dominated evaluation time.
-            let mut candidates: BTreeSet<SimTime> = statics.iter().copied().collect();
-            candidates.extend(&dynamic);
-            let vkey = (*v).to_owned();
-            env.times.insert(vkey.clone(), SimTime::ZERO);
-            let stopped = candidates.into_iter().any(|c| {
-                *env.times.get_mut(&vkey).expect("just inserted") = c;
-                self.expand_atom(atom, all_atoms, env, cands, emit)
-            });
-            env.times.remove(&vkey);
-            return stopped;
+            let statics = statics.iter().map(|&c| (c, None));
+            let probed = dynamic.iter().filter(|d| fresh(d));
+            return self.assign_each(v, statics, probed, atom, all_atoms, env, cands, emit);
         }
 
         // Fully time-assigned: evaluate. Time variables resolve from
@@ -431,19 +425,6 @@ impl<'a> Evaluator<'a> {
         // monitor guarantee). Offsets are computed *signed*: `t − 30s`
         // near the start of the trace is a legitimate (empty-interval /
         // always-satisfied-bound) case, not an error.
-        let lookup = |env: &Env, v: &str| -> Option<i64> {
-            env.times
-                .get(v)
-                .map(|t| t.as_millis() as i64)
-                .or_else(|| env.vars.get(v).and_then(Value::as_int))
-        };
-        let resolve_signed = |te: &TimeExpr, env: &Env| -> Option<i64> {
-            match te {
-                TimeExpr::Const(t) => Some(t.as_millis() as i64),
-                TimeExpr::Var(v) => lookup(env, v),
-                TimeExpr::Offset(v, off) => Some(lookup(env, v)? + off),
-            }
-        };
         match atom {
             GAtom::TimeCmp(a, op, b) => {
                 let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
@@ -504,6 +485,51 @@ impl<'a> Evaluator<'a> {
                 ok && emit(env)
             }
         }
+    }
+
+    /// Assigns the free time variable `v` to each candidate in
+    /// ascending time and continues the search there, stopping as soon
+    /// as `emit` returns `true`; `v` is unassigned again on return.
+    /// `known` yields static candidates, each with its push count when
+    /// the satisfying-candidate cache already knows it; `probed` yields
+    /// ascending dynamic candidates not among them. A candidate without
+    /// a count is evaluated through [`Evaluator::expand_atom`].
+    /// Assigning in place matters: candidate counts run into the
+    /// millions on dense traces, and cloning the whole env per
+    /// candidate dominated evaluation time.
+    #[allow(clippy::too_many_arguments)]
+    fn assign_each<'c>(
+        &self,
+        v: &str,
+        known: impl Iterator<Item = (SimTime, Option<u32>)>,
+        probed: impl Iterator<Item = &'c SimTime>,
+        atom: &GAtom,
+        all_atoms: &[GAtom],
+        env: &mut Env,
+        cands: &BTreeMap<String, Vec<SimTime>>,
+        emit: &mut dyn FnMut(&mut Env) -> bool,
+    ) -> bool {
+        let mut known = known.peekable();
+        let mut probed = probed.peekable();
+        env.times.insert(v.to_owned(), SimTime::ZERO);
+        let mut stopped = false;
+        while !stopped {
+            let next = match (known.peek(), probed.peek()) {
+                (Some(&(tk, _)), Some(&&tp)) if tp < tk => probed.next().map(|&t| (t, None)),
+                (Some(_), _) => known.next(),
+                (None, _) => probed.next().map(|&t| (t, None)),
+            };
+            let Some((t, count)) = next else {
+                break;
+            };
+            *env.times.get_mut(v).expect("just inserted") = t;
+            stopped = match count {
+                Some(n) => (0..n).any(|_| emit(env)),
+                None => self.expand_atom(atom, all_atoms, env, cands, emit),
+            };
+        }
+        env.times.remove(v);
+        stopped
     }
 
     /// Evaluate a condition at instant `t`, pushing each satisfying
@@ -589,6 +615,75 @@ impl<'a> Evaluator<'a> {
                 .set(self.counters.atom_hits.get() + 1);
             return Rc::clone(sat);
         }
+        let sat: AtSat = Rc::new(self.at_sat_segments(cond, off, statics, env));
+        self.at_memo.borrow_mut().insert(key, Rc::clone(&sat));
+        self.counters
+            .atom_misses
+            .set(self.counters.atom_misses.get() + 1);
+        sat
+    }
+
+    /// Builds [`Evaluator::at_sat_cached`]'s list from segments. Under
+    /// a full binding the condition reads a fixed set of ground items
+    /// (a `*` parameter names none), so its truth can change only at
+    /// their change points. Those points cut `[0, horizon]` into
+    /// segments; the condition is evaluated once per segment that some
+    /// `c + off` falls in, and every such candidate `c` gets that push
+    /// count. The cost follows the bound items' history, not the grid.
+    fn at_sat_segments(
+        &self,
+        cond: &Cond,
+        off: i64,
+        statics: &[SimTime],
+        env: &Env,
+    ) -> Vec<(SimTime, u32)> {
+        let mut bounds = vec![SimTime::ZERO];
+        cond.visit(&mut |m| {
+            if let Mention::Item(p) = m {
+                if let Some(item) = ground(p, env) {
+                    bounds.extend(self.idx.changes(&item).iter().map(|&(t, _)| t));
+                }
+            }
+        });
+        bounds.sort_unstable();
+        bounds.dedup();
+        let horizon_ms = self.horizon.as_millis() as i64;
+        // Index of the first candidate probing at or after `ms`.
+        let from = |ms: i64| statics.partition_point(|c| c.as_millis() as i64 + off < ms);
+        let mut sat = Vec::new();
+        let mut lo = from(0);
+        for (i, &start) in bounds.iter().enumerate() {
+            if start > self.horizon {
+                break;
+            }
+            let end_ms = bounds
+                .get(i + 1)
+                .map_or(horizon_ms, |t| t.as_millis() as i64 - 1)
+                .min(horizon_ms);
+            let hi = from(end_ms + 1);
+            if hi > lo {
+                let mut probe = Vec::new();
+                self.eval_cond_raw(cond, start, env, true, &mut probe);
+                let n = u32::try_from(probe.len()).expect("probe count overflow");
+                if n > 0 {
+                    sat.extend(statics[lo..hi].iter().map(|&c| (c, n)));
+                }
+            }
+            lo = hi;
+        }
+        sat
+    }
+
+    /// Unit reference for [`Evaluator::at_sat_segments`]: probe the
+    /// condition at every candidate.
+    #[cfg(test)]
+    fn at_sat_sweep(
+        &self,
+        cond: &Cond,
+        off: i64,
+        statics: &[SimTime],
+        env: &Env,
+    ) -> Vec<(SimTime, u32)> {
         let horizon_ms = self.horizon.as_millis() as i64;
         let mut sat = Vec::new();
         for &c in statics {
@@ -602,11 +697,6 @@ impl<'a> Evaluator<'a> {
                 sat.push((c, u32::try_from(probe.len()).expect("probe count overflow")));
             }
         }
-        let sat: AtSat = Rc::new(sat);
-        self.at_memo.borrow_mut().insert(key, Rc::clone(&sat));
-        self.counters
-            .atom_misses
-            .set(self.counters.atom_misses.get() + 1);
         sat
     }
 
@@ -931,13 +1021,69 @@ pub fn check_guarantees_parallel_stats(
 }
 
 /// The time expressions a single atom mentions.
-fn atom_time_exprs(atom: &GAtom) -> Vec<&TimeExpr> {
-    match atom {
-        GAtom::At(_, t) => vec![t],
+fn atom_time_exprs(atom: &GAtom) -> impl Iterator<Item = &TimeExpr> {
+    let (a, b) = match atom {
+        GAtom::At(_, t) => (t, None),
         GAtom::Throughout(_, a, b) | GAtom::Sometime(_, a, b) | GAtom::TimeCmp(a, _, b) => {
-            vec![a, b]
+            (a, Some(b))
         }
+    };
+    std::iter::once(a).chain(b)
+}
+
+/// The variable a time expression reads, if any.
+fn time_var(te: &TimeExpr) -> Option<&str> {
+    match te {
+        TimeExpr::Var(v) | TimeExpr::Offset(v, _) => Some(v),
+        TimeExpr::Const(_) => None,
     }
+}
+
+/// A time expression's value in milliseconds, *signed*. A variable
+/// resolves from the time assignment first, then from a data binding
+/// holding an integer (timestamps stored in auxiliary items, as in the
+/// §6.3 monitor guarantee).
+fn resolve_signed(te: &TimeExpr, env: &Env) -> Option<i64> {
+    let lookup = |v: &str| {
+        env.times
+            .get(v)
+            .map(|t| t.as_millis() as i64)
+            .or_else(|| env.vars.get(v).and_then(Value::as_int))
+    };
+    match te {
+        TimeExpr::Const(t) => Some(t.as_millis() as i64),
+        TimeExpr::Var(v) => lookup(v),
+        TimeExpr::Offset(v, off) => Some(lookup(v)? + off),
+    }
+}
+
+/// `op` with its operands swapped: `a op b` iff `b flip(op) a`.
+fn flip(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
+    }
+}
+
+/// The item `p` names under `env`'s bindings: `None` for a `*`
+/// parameter or an unbound variable, which no instant can read.
+fn ground(p: &ItemPattern, env: &Env) -> Option<ItemId> {
+    let params = p
+        .params
+        .iter()
+        .map(|t| match t {
+            Term::Const(c) => Some(c.clone()),
+            Term::Var(v) => env.vars.get(v).cloned(),
+            Term::Wild => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(ItemId {
+        base: p.base,
+        params,
+    })
 }
 
 /// Item base names a condition mentions, sorted and deduplicated.
@@ -1457,5 +1603,108 @@ mod tests {
                 .to_vec()
             )
         );
+    }
+
+    /// Minimal deterministic generator (SplitMix64).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn int_in(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % ((hi - lo) as u64 + 1)) as i64
+        }
+    }
+
+    /// The segment builder against the per-point sweep, on
+    /// random traces with same-instant writes, over conditions with
+    /// `or` multiplicity, parameters (bound and `*`) and negation, at
+    /// offsets that push `c + off` below 0 and past the horizon.
+    #[test]
+    fn segment_builder_matches_per_point_sweep() {
+        let conds = [
+            "(X = 1) @ t",
+            "(X = y) @ t",
+            "(X = y or Y = y) @ t",
+            "(X = 1 or X = 1 or Y < X) @ t",
+            "(X < Y and not (Y = 2)) @ t",
+            "(s(n) = y) @ t",
+            "(s(n) = X or s(m) = y) @ t",
+            "exists(s(n)) @ t",
+            "(exists(s(*)) or not (s(*) = 1)) @ t",
+            "(s(*) = y or X = y) @ t",
+        ]
+        .map(|src| match &parse_guarantee("c", src).unwrap().rhs[0] {
+            GAtom::At(c, _) => c.clone(),
+            other => panic!("not an `@` atom: {other:?}"),
+        });
+        let items = [
+            ItemId::plain("X"),
+            ItemId::plain("Y"),
+            ItemId::with("s", [Value::from("e1")]),
+            ItemId::with("s", [Value::from("e2")]),
+        ];
+        let mut g = Gen(0x5E6_0001);
+        let mut nonempty = 0;
+        for _ in 0..200 {
+            let mut tr = Trace::new();
+            tr.set_initial(items[0].clone(), Value::Int(g.int_in(0, 2)));
+            // Write times from a narrow range, so instants repeat.
+            let mut writes: Vec<(u64, usize, i64)> = (0..g.int_in(0, 12))
+                .map(|_| {
+                    (
+                        g.int_in(0, 20) as u64 * 10,
+                        g.int_in(0, 3) as usize,
+                        g.int_in(0, 3),
+                    )
+                })
+                .collect();
+            writes.sort_by_key(|w| w.0);
+            for (t, i, v) in writes {
+                let new = if v == 3 { Value::Null } else { Value::Int(v) };
+                tr.push(
+                    SimTime::from_millis(t),
+                    SiteId::new(0),
+                    EventDesc::Ws {
+                        item: items[i].clone(),
+                        old: None,
+                        new,
+                    },
+                    None,
+                    None,
+                    None,
+                );
+            }
+            // Horizons before, at and after the last write.
+            let horizon = SimTime::from_millis(g.int_in(1, 250) as u64);
+            let ev = Evaluator::new(&tr, Some(horizon));
+            let mut statics: Vec<SimTime> = (0..g.int_in(0, 40))
+                .map(|_| SimTime::from_millis(g.int_in(0, horizon.as_millis() as i64) as u64))
+                .collect();
+            statics.sort();
+            statics.dedup();
+            let off = g.int_in(-80, 80);
+            let mut env = Env::new();
+            env.vars.insert("y".into(), Value::Int(g.int_in(0, 2)));
+            for var in ["n", "m"] {
+                let id = ["e1", "e2", "e3"][g.int_in(0, 2) as usize];
+                env.vars.insert(var.into(), Value::from(id));
+            }
+            for cond in &conds {
+                let want = ev.at_sat_sweep(cond, off, &statics, &env);
+                nonempty += usize::from(!want.is_empty());
+                assert_eq!(
+                    ev.at_sat_segments(cond, off, &statics, &env),
+                    want,
+                    "{cond} off={off} horizon={horizon} env={env:?} statics={statics:?}\n{tr}"
+                );
+            }
+        }
+        assert!(nonempty > 500, "too few satisfiable cases: {nonempty}");
     }
 }

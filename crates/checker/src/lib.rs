@@ -27,8 +27,12 @@
 //! *salient grid*: event times, shifted by each constant offset in the
 //! formula, plus ±1 ms neighbours (the clock is integer milliseconds).
 //! Quantifying over this grid is exact for the formula class of the
-//! paper. Liveness-flavoured guarantees ("X leads Y") are evaluated up
-//! to a *quiescence horizon*: run the workload, drain the system, then
+//! paper. Under a fixed binding of its variables, a condition reads a
+//! fixed set of items, so its truth changes only at *those* items'
+//! change points: the evaluator evaluates a fully bound `@` atom once
+//! per segment between them, not once per grid point.
+//! Liveness-flavoured guarantees ("X leads Y") are evaluated up to a
+//! *quiescence horizon*: run the workload, drain the system, then
 //! check — `EXPERIMENTS.md` records the horizon per experiment.
 
 #![warn(missing_docs)]

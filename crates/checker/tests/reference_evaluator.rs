@@ -16,6 +16,8 @@ use hcm_core::{EventDesc, ItemId, SimTime, SiteId, Trace, Value};
 use hcm_rulelang::{parse_guarantee, Guarantee};
 
 const HORIZON_MS: u64 = 120;
+/// The time constraint of a formula's RHS, over `(t1, t2)` in ms.
+type TimeOk = Box<dyn Fn(i64, i64) -> bool>;
 /// Small enough for a brute force over four time variables.
 const SMALL_HORIZON_MS: u64 = 30;
 
@@ -419,4 +421,253 @@ fn sometime_window_agrees_with_brute_force() {
         seen[usize::from(slow)] = true;
     }
     assert_eq!(seen, [true; 2], "both outcomes must occur");
+}
+
+/// `follows` and `follows_metric` over three employees whose change
+/// points interleave. Write instants are drawn from a coarse set, so a
+/// bound item is often written twice at one instant: the last write
+/// wins, and only it may witness.
+#[test]
+fn salary_pair_over_interleaved_instances_agrees_with_brute_force() {
+    let ids = ["e1", "e2", "e3"];
+    let mut g = Gen::new(0xC4EC_0008);
+    let mut seen = [[false; 2]; 2];
+    let mut same_instant = 0;
+    for _ in 0..64 {
+        let mut initial = Vec::new();
+        let mut writes = Vec::new();
+        for id in ids {
+            let v0 = Value::Int(g.int_in(0, 3));
+            initial.push((param("salary1", id), v0.clone()));
+            initial.push((param("salary2", id), v0));
+            for _ in 0..g.int_in(0, 5) {
+                let t = g.int_in(0, 11) as u64 * 10;
+                let v = g.int_in(0, 3);
+                writes.push((t, param("salary1", id), Value::Int(v)));
+                let copied = if g.int_in(0, 3) == 0 {
+                    g.int_in(0, 3)
+                } else {
+                    v
+                };
+                let at = (t + g.int_in(0, 2) as u64 * 5).min(HORIZON_MS - 1);
+                writes.push((at, param("salary2", id), Value::Int(copied)));
+            }
+        }
+        writes.sort_by_key(|w| w.0);
+        same_instant += writes
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && w[0].1 == w[1].1)
+            .count();
+        let tr = trace_of(&initial, writes, HORIZON_MS);
+        let kappa = g.int_in(1, 40);
+        let forms: [(String, TimeOk); 2] = [
+            (
+                "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t2 <= t1".to_owned(),
+                Box::new(|t1, t2| t2 <= t1),
+            ),
+            (
+                format!(
+                    "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and \
+                     t1 - {kappa}ms < t2 and t2 <= t1"
+                ),
+                Box::new(move |t1, t2| t1 - kappa < t2 && t2 <= t1),
+            ),
+        ];
+        for (i, (src, time_ok)) in forms.iter().enumerate() {
+            let guar = parse_guarantee("salary", src).unwrap();
+            let fast = check_guarantee(&tr, &guar, None).holds;
+            let slow = ids.iter().all(|id| {
+                brute_force_two_var(
+                    &tr,
+                    |t, at| value_at(t, &param("salary2", id), at),
+                    |t, at| value_at(t, &param("salary1", id), at),
+                    |t1, t2| time_ok(t1 as i64, t2 as i64),
+                )
+            });
+            assert_eq!(fast, slow, "{src} trace:\n{tr}");
+            seen[i][usize::from(slow)] = true;
+        }
+    }
+    assert_eq!(
+        seen, [[true; 2]; 2],
+        "both outcomes of both forms must occur"
+    );
+    assert!(same_instant > 0, "no same-instant writes to one item");
+}
+
+/// Fully bound `or` conditions under `@`, each branch pushing its own
+/// copy: on the RHS, the witness side, and as a whole LHS, where every
+/// satisfied branch is an instantiation.
+#[test]
+fn bound_or_condition_agrees_with_brute_force() {
+    let z = || ItemId::plain("Z");
+    let mut g = Gen::new(0xC4EC_0009);
+    let mut seen = [[false; 2]; 2];
+    for _ in 0..64 {
+        let mut writes = Vec::new();
+        for item in [x(), y(), z()] {
+            for (t, v) in g.writes(4, 2, HORIZON_MS) {
+                writes.push((t, item.clone(), Value::Int(v)));
+            }
+        }
+        writes.sort_by_key(|w| w.0);
+        let initial = [x(), y(), z()].map(|item| (item, Value::Int(g.int_in(0, 2))));
+        let tr = trace_of(&initial, writes, HORIZON_MS);
+        let at = |item: &ItemId, t: u64| value_at(&tr, item, SimTime::from_millis(t));
+        let kappa = g.int_in(1, 60) as u64;
+
+        let rhs_or = parse_guarantee(
+            "rhs_or",
+            &format!("(Y = y) @ t1 => (X = y or Z = y) @ t2 and t1 - {kappa}ms < t2 and t2 <= t1"),
+        )
+        .unwrap();
+        let slow = (0..=HORIZON_MS).all(|t1| {
+            let yv = at(&y(), t1);
+            (t1.saturating_sub(kappa - 1)..=t1).any(|t2| at(&x(), t2) == yv || at(&z(), t2) == yv)
+        });
+        assert_eq!(
+            check_guarantee(&tr, &rhs_or, None).holds,
+            slow,
+            "trace:\n{tr}"
+        );
+        seen[0][usize::from(slow)] = true;
+
+        let lhs_or = parse_guarantee(
+            "lhs_or",
+            "(X = 1 or Y = 1) @ t1 => (Z = 1) @ t2 and t2 <= t1",
+        )
+        .unwrap();
+        let one = Some(Value::Int(1));
+        let slow = (0..=HORIZON_MS).all(|t1| {
+            (at(&x(), t1) != one && at(&y(), t1) != one) || (0..=t1).any(|t2| at(&z(), t2) == one)
+        });
+        assert_eq!(
+            check_guarantee(&tr, &lhs_or, None).holds,
+            slow,
+            "trace:\n{tr}"
+        );
+        seen[1][usize::from(slow)] = true;
+    }
+    assert_eq!(
+        seen, [[true; 2]; 2],
+        "both outcomes of both forms must occur"
+    );
+}
+
+/// A `*` parameter names no item, so the atom reading it is never
+/// satisfied and its negation always is, whatever the instances do.
+#[test]
+fn wildcard_parameter_agrees_with_brute_force() {
+    let ids = ["e1", "e2", "e3"];
+    let mut g = Gen::new(0xC4EC_000A);
+    let mut seen = [false; 2];
+    for _ in 0..64 {
+        let mut writes = Vec::new();
+        for id in ids {
+            for (t, v) in g.writes(2, 2, HORIZON_MS) {
+                writes.push((t, param("salary1", id), Value::Int(v)));
+                // A lagged copy, now and then of a value drawn afresh.
+                let copied = if g.int_in(0, 3) == 0 {
+                    g.int_in(0, 2)
+                } else {
+                    v
+                };
+                let at = (t + g.int_in(0, 20) as u64).min(HORIZON_MS - 1);
+                writes.push((at, param("salary2", id), Value::Int(copied)));
+            }
+        }
+        writes.sort_by_key(|w| w.0);
+        let tr = trace_of(&[], writes, HORIZON_MS);
+        let guar = parse_guarantee(
+            "wild",
+            "(salary2(n) = y and not (salary1(*) = y)) @ t1 => \
+             (salary1(n) = y or salary2(*) = y) @ t2 and t2 <= t1",
+        )
+        .unwrap();
+        let fast = check_guarantee(&tr, &guar, None).holds;
+        let slow = ids.iter().all(|id| {
+            brute_force_two_var(
+                &tr,
+                |t, at| value_at(t, &param("salary2", id), at),
+                |t, at| value_at(t, &param("salary1", id), at),
+                |t1, t2| t2 <= t1,
+            )
+        });
+        assert_eq!(fast, slow, "trace:\n{tr}");
+        seen[usize::from(slow)] = true;
+    }
+    assert_eq!(seen, [true; 2], "both outcomes must occur");
+}
+
+/// Time comparisons that bound the witness variable from either side,
+/// with the offset on the witness's own side, and `=` / `!=`. Y copies
+/// X after a lag near the bound `k`, so each form both holds and fails;
+/// the LHS starts at `k`, where every form can have a witness.
+#[test]
+fn time_comparison_forms_agree_with_brute_force() {
+    let mut g = Gen::new(0xC4EC_000B);
+    let mut seen = [[false; 2]; 5];
+    for _ in 0..64 {
+        let k = g.int_in(1, 40);
+        let lag = [k - 1, k, k + 1, g.int_in(0, 40)][g.int_in(0, 3) as usize] as u64;
+        let x_writes = g.writes(5, 2, HORIZON_MS);
+        let mut y_writes: Vec<(u64, i64)> = x_writes
+            .iter()
+            .map(|&(t, v)| (t + lag, v))
+            .filter(|&(t, _)| t < HORIZON_MS)
+            .collect();
+        if g.int_in(0, 3) == 0 {
+            y_writes.extend(g.writes(1, 2, HORIZON_MS));
+        }
+        let v0 = g.int_in(0, 2);
+        let tr = build_trace(&x_writes, &y_writes, v0, v0, HORIZON_MS);
+        let forms: [(String, TimeOk); 5] = [
+            (
+                format!("t2 + {k}ms > t1 and t2 <= t1"),
+                Box::new(move |t1, t2| t2 + k > t1 && t2 <= t1),
+            ),
+            (
+                format!("t1 >= t2 + {k}ms"),
+                Box::new(move |t1, t2| t1 >= t2 + k),
+            ),
+            (
+                format!("t2 = t1 - {k}ms"),
+                Box::new(move |t1, t2| t2 == t1 - k),
+            ),
+            (
+                format!("t2 + {k}ms = t1"),
+                Box::new(move |t1, t2| t2 + k == t1),
+            ),
+            (
+                "t2 != t1 and t2 <= t1".to_owned(),
+                Box::new(|t1, t2| t2 < t1),
+            ),
+        ];
+        for (i, (bound, time_ok)) in forms.iter().enumerate() {
+            let guar = parse_guarantee(
+                "cmp",
+                &format!("(Y = y) @ t1 and t1 >= {k}ms => (X = y) @ t2 and {bound}"),
+            )
+            .unwrap();
+            let fast = check_guarantee(&tr, &guar, None).holds;
+            let slow = brute_force_two_var(
+                &tr,
+                |t, at| {
+                    if at.as_millis() >= k as u64 {
+                        value_at(t, &y(), at)
+                    } else {
+                        None
+                    }
+                },
+                |t, at| value_at(t, &x(), at),
+                |t1, t2| time_ok(t1 as i64, t2 as i64),
+            );
+            assert_eq!(fast, slow, "{bound} trace:\n{tr}");
+            seen[i][usize::from(slow)] = true;
+        }
+    }
+    assert_eq!(
+        seen, [[true; 2]; 5],
+        "both outcomes of every form must occur"
+    );
 }
