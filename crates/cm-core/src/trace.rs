@@ -20,7 +20,7 @@ use crate::state::StateIndex;
 use crate::time::SimTime;
 use crate::value::Value;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::OnceLock;
@@ -208,16 +208,18 @@ impl Timeline {
         n.checked_sub(1).map(|i| &self.steps[i].1)
     }
 
-    /// Distinct values taken, in first-occurrence order.
+    /// Distinct values taken, in first-occurrence order, in one linear
+    /// pass. Distinct means unequal under `Value`'s `==`, so `Int(2)`
+    /// and `Float(2.0)` count once, as whichever came first.
     #[must_use]
     pub fn values_taken(&self) -> Vec<Value> {
-        let mut seen = Vec::new();
-        for (_, v) in &self.steps {
-            if !seen.contains(v) {
-                seen.push(v.clone());
-            }
-        }
-        seen
+        let mut seen = HashSet::with_capacity(self.steps.len());
+        self.steps
+            .iter()
+            .map(|(_, v)| v)
+            .filter(|v| seen.insert(*v))
+            .cloned()
+            .collect()
     }
 }
 
@@ -346,6 +348,67 @@ mod tests {
             tl.values_taken(),
             vec![Value::Int(0), Value::Int(1), Value::Int(2)]
         );
+    }
+
+    /// The quadratic dedup `values_taken` replaced: the reference it is
+    /// pinned against.
+    fn values_taken_reference(tl: &Timeline) -> Vec<Value> {
+        let mut seen = Vec::new();
+        for (_, v) in &tl.steps {
+            if !seen.contains(v) {
+                seen.push(v.clone());
+            }
+        }
+        seen
+    }
+
+    /// A value's exact identity: variant and bits, so `Int(2)` and
+    /// `Float(2.0)`, or two NaN payloads, never pass for each other.
+    fn exact(v: &Value) -> String {
+        match v {
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn values_taken_matches_quadratic_reference() {
+        // SplitMix64, so the cases are the same on every run.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let big = 1_i64 << 53;
+        for case in 0..300 {
+            let len = (next() % 40) as usize + case % 3;
+            let steps: Vec<(SimTime, Value)> = (0..len)
+                .map(|k| {
+                    let small = (next() % 4) as i64;
+                    let v = match next() % 10 {
+                        0 => Value::Null,
+                        1 => Value::Int(small),
+                        2 => Value::Float(small as f64),
+                        3 => Value::Float(f64::NAN),
+                        4 => Value::Float(f64::from_bits(f64::NAN.to_bits() | (next() % 3))),
+                        5 => Value::Float(if next() % 2 == 0 { 0.0 } else { -0.0 }),
+                        6 => Value::Str(["a", "b", "2"][small as usize % 3].into()),
+                        7 => Value::Bool(small % 2 == 0),
+                        // Ints past 2^53 equal one float but not each other.
+                        8 => Value::Int(big + small),
+                        _ => Value::Float(big as f64 + small as f64),
+                    };
+                    (SimTime::from_millis(k as u64), v)
+                })
+                .collect();
+            let tl = Timeline { steps };
+            let got: Vec<String> = tl.values_taken().iter().map(exact).collect();
+            let want: Vec<String> = values_taken_reference(&tl).iter().map(exact).collect();
+            assert_eq!(got, want, "case {case}: {:?}", tl.steps);
+        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * **records** — structured sim-time occurrences (crash, overload,
 //!   failure-detection lifecycle transitions).
 //!
-//! Everything is keyed `(Scope, name)` inside `BTreeMap`s, so snapshot
-//! iteration order never depends on allocation or insertion order.
+//! Each kind is a `BTreeMap` from scope to a `BTreeMap` from name to
+//! value, so snapshot iteration order is `(scope, name)` and never
+//! depends on allocation or insertion order. Writes look names up by
+//! `&str` and allocate a name only on its key's first write.
 
 use hcm_core::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -51,7 +53,32 @@ impl fmt::Display for Scope {
     }
 }
 
-type Key = (Scope, String);
+/// One metric kind: per scope, the metrics by name.
+type Kind<V> = BTreeMap<Scope, BTreeMap<String, V>>;
+
+/// The slot for `(scope, name)`, created with `init()` on first write.
+fn slot<'k, V>(
+    kind: &'k mut Kind<V>,
+    scope: Scope,
+    name: &str,
+    init: impl FnOnce() -> V,
+) -> &'k mut V {
+    let names = kind.entry(scope).or_default();
+    if !names.contains_key(name) {
+        names.insert(name.to_owned(), init());
+    }
+    names.get_mut(name).expect("inserted above")
+}
+
+fn get<'k, V>(kind: &'k Kind<V>, scope: Scope, name: &str) -> Option<&'k V> {
+    kind.get(&scope)?.get(name)
+}
+
+/// Every `(scope, name, value)` of a kind in key order.
+fn iter<V>(kind: &Kind<V>) -> impl Iterator<Item = (&Scope, &str, &V)> {
+    kind.iter()
+        .flat_map(|(s, names)| names.iter().map(move |(n, v)| (s, n.as_str(), v)))
+}
 
 /// Upper bucket bounds (milliseconds) of the latency histograms —
 /// fixed so same-seed snapshots are byte-identical and cross-run
@@ -188,79 +215,68 @@ pub struct Record {
 /// access is for exporters and tests.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, i64>,
-    histograms: BTreeMap<Key, Histogram>,
-    series: BTreeMap<Key, Vec<i64>>,
+    counters: Kind<u64>,
+    gauges: Kind<i64>,
+    histograms: Kind<Histogram>,
+    series: Kind<Vec<i64>>,
     records: Vec<Record>,
 }
 
 impl MetricsRegistry {
     /// Add `n` to a counter (creating it at zero).
     pub fn add(&mut self, scope: Scope, name: &str, n: u64) {
-        *self.counters.entry((scope, name.to_string())).or_insert(0) += n;
+        *slot(&mut self.counters, scope, name, || 0) += n;
     }
 
     /// Current counter value (zero when never written).
     #[must_use]
     pub fn counter(&self, scope: Scope, name: &str) -> u64 {
-        self.counters
-            .get(&(scope, name.to_string()))
-            .copied()
-            .unwrap_or(0)
+        get(&self.counters, scope, name).copied().unwrap_or(0)
     }
 
     /// Set a gauge.
     pub fn gauge_set(&mut self, scope: Scope, name: &str, v: i64) {
-        self.gauges.insert((scope, name.to_string()), v);
+        *slot(&mut self.gauges, scope, name, || v) = v;
     }
 
     /// Add `v` (possibly negative) to a gauge, creating it at zero.
     pub fn gauge_add(&mut self, scope: Scope, name: &str, v: i64) {
-        *self.gauges.entry((scope, name.to_string())).or_insert(0) += v;
+        *slot(&mut self.gauges, scope, name, || 0) += v;
     }
 
     /// Raise a gauge to `v` if `v` exceeds its current value
     /// (high-water marks).
     pub fn gauge_track_max(&mut self, scope: Scope, name: &str, v: i64) {
-        let g = self.gauges.entry((scope, name.to_string())).or_insert(v);
+        let g = slot(&mut self.gauges, scope, name, || v);
         *g = (*g).max(v);
     }
 
     /// Current gauge value, if ever written.
     #[must_use]
     pub fn gauge(&self, scope: Scope, name: &str) -> Option<i64> {
-        self.gauges.get(&(scope, name.to_string())).copied()
+        get(&self.gauges, scope, name).copied()
     }
 
     /// Record a duration observation into a histogram.
     pub fn observe(&mut self, scope: Scope, name: &str, d: SimDuration) {
-        self.histograms
-            .entry((scope, name.to_string()))
-            .or_default()
-            .observe(d);
+        slot(&mut self.histograms, scope, name, Histogram::default).observe(d);
     }
 
     /// Read a histogram, if any observation was recorded.
     #[must_use]
     pub fn histogram(&self, scope: Scope, name: &str) -> Option<&Histogram> {
-        self.histograms.get(&(scope, name.to_string()))
+        get(&self.histograms, scope, name)
     }
 
     /// Append a value to a series.
     pub fn series_push(&mut self, scope: Scope, name: &str, v: i64) {
-        self.series
-            .entry((scope, name.to_string()))
-            .or_default()
-            .push(v);
+        slot(&mut self.series, scope, name, Vec::new).push(v);
     }
 
     /// Read a series (empty when never written).
     #[must_use]
     pub fn series(&self, scope: Scope, name: &str) -> &[i64] {
-        self.series
-            .get(&(scope, name.to_string()))
-            .map_or(&[], |v| v.as_slice())
+        get(&self.series, scope, name).map_or(&[], |v| v.as_slice())
     }
 
     /// Append a structured record.
@@ -283,24 +299,22 @@ impl MetricsRegistry {
 
     /// All counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&Scope, &str, u64)> {
-        self.counters.iter().map(|((s, n), v)| (s, n.as_str(), *v))
+        iter(&self.counters).map(|(s, n, v)| (s, n, *v))
     }
 
     /// All gauges in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&Scope, &str, i64)> {
-        self.gauges.iter().map(|((s, n), v)| (s, n.as_str(), *v))
+        iter(&self.gauges).map(|(s, n, v)| (s, n, *v))
     }
 
     /// All histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&Scope, &str, &Histogram)> {
-        self.histograms.iter().map(|((s, n), h)| (s, n.as_str(), h))
+        iter(&self.histograms)
     }
 
     /// All series in key order.
     pub fn all_series(&self) -> impl Iterator<Item = (&Scope, &str, &[i64])> {
-        self.series
-            .iter()
-            .map(|((s, n), v)| (s, n.as_str(), v.as_slice()))
+        iter(&self.series).map(|(s, n, v)| (s, n, v.as_slice()))
     }
 
     /// All structured records in insertion (sim-time) order.
@@ -445,6 +459,164 @@ mod tests {
         m.gauge_set(Scope::Global, "g", 7);
         assert_eq!(m.series(Scope::Global, "lat"), vec![7]);
         assert_eq!(m.gauge(Scope::Global, "g"), Some(7));
+    }
+
+    /// The flat `(Scope, name)`-keyed maps the per-scope registry
+    /// replaced: the reference it is pinned against. Histograms keep
+    /// their raw observations so they can be replayed.
+    #[derive(Default)]
+    struct Reference {
+        counters: BTreeMap<(Scope, String), u64>,
+        gauges: BTreeMap<(Scope, String), i64>,
+        histograms: BTreeMap<(Scope, String), Vec<SimDuration>>,
+        series: BTreeMap<(Scope, String), Vec<i64>>,
+    }
+
+    impl Reference {
+        /// The snapshot, built one metric at a time: each line comes
+        /// from a registry holding only that metric, so the reference
+        /// alone decides the order.
+        fn snapshot_jsonl(&self) -> String {
+            let mut out = String::new();
+            let mut line = |write: &dyn Fn(&mut MetricsRegistry)| {
+                let mut one = MetricsRegistry::default();
+                write(&mut one);
+                out.push_str(&crate::export::snapshot_jsonl(&one));
+            };
+            for ((s, n), v) in &self.counters {
+                line(&|r| r.add(*s, n, *v));
+            }
+            for ((s, n), v) in &self.gauges {
+                line(&|r| r.gauge_set(*s, n, *v));
+            }
+            for ((s, n), ds) in &self.histograms {
+                line(&|r| ds.iter().for_each(|d| r.observe(*s, n, *d)));
+            }
+            for ((s, n), vs) in &self.series {
+                line(&|r| vs.iter().for_each(|v| r.series_push(*s, n, *v)));
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn per_scope_maps_match_flat_reference() {
+        // SplitMix64, so the cases are the same on every run.
+        let mut state = 0x0B5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let names = [
+            "",
+            "a",
+            "a.b",
+            "ab",
+            "shell.",
+            "shell.firings",
+            "shell.firings.x",
+        ];
+        for case in 0..50 {
+            let mut reg = MetricsRegistry::default();
+            let mut want = Reference::default();
+            for _ in 0..(next() % 200) {
+                let (a, b) = ((next() % 3) as u32, (next() % 3) as u32);
+                let scope = match next() % 4 {
+                    0 => Scope::Global,
+                    1 => Scope::Site(a),
+                    2 => Scope::Actor(a),
+                    _ => Scope::Channel { from: a, to: b },
+                };
+                let name = names[(next() % names.len() as u64) as usize];
+                let key = (scope, name.to_string());
+                let v = (next() % 2_001) as i64 - 1_000;
+                match next() % 7 {
+                    0 => {
+                        reg.add(scope, name, v.unsigned_abs());
+                        *want.counters.entry(key).or_insert(0) += v.unsigned_abs();
+                    }
+                    1 => {
+                        reg.gauge_set(scope, name, v);
+                        want.gauges.insert(key, v);
+                    }
+                    2 => {
+                        reg.gauge_add(scope, name, v);
+                        *want.gauges.entry(key).or_insert(0) += v;
+                    }
+                    3 => {
+                        reg.gauge_track_max(scope, name, v);
+                        let g = want.gauges.entry(key).or_insert(v);
+                        *g = (*g).max(v);
+                    }
+                    4 => {
+                        let d = SimDuration::from_millis(v.unsigned_abs() * 7);
+                        reg.observe(scope, name, d);
+                        want.histograms.entry(key).or_default().push(d);
+                    }
+                    5 => {
+                        reg.series_push(scope, name, v);
+                        want.series.entry(key).or_default().push(v);
+                    }
+                    _ => {
+                        assert_eq!(
+                            reg.counter(scope, name),
+                            want.counters.get(&key).copied().unwrap_or(0)
+                        );
+                        assert_eq!(reg.gauge(scope, name), want.gauges.get(&key).copied());
+                        assert_eq!(
+                            reg.series(scope, name),
+                            want.series.get(&key).map_or(&[][..], |v| v.as_slice())
+                        );
+                        assert_eq!(
+                            reg.histogram(scope, name).map(Histogram::count),
+                            want.histograms.get(&key).map(|ds| ds.len() as u64)
+                        );
+                    }
+                }
+            }
+            fn rows<V>(kind: &BTreeMap<(Scope, String), V>) -> Vec<(Scope, &str, &V)> {
+                kind.iter().map(|((s, n), v)| (*s, n.as_str(), v)).collect()
+            }
+            let counters: Vec<_> = reg.counters().map(|(s, n, v)| (*s, n, v)).collect();
+            let want_counters: Vec<_> = rows(&want.counters)
+                .into_iter()
+                .map(|(s, n, v)| (s, n, *v))
+                .collect();
+            assert_eq!(counters, want_counters, "case {case}: counters");
+            let gauges: Vec<_> = reg.gauges().map(|(s, n, v)| (*s, n, v)).collect();
+            let want_gauges: Vec<_> = rows(&want.gauges)
+                .into_iter()
+                .map(|(s, n, v)| (s, n, *v))
+                .collect();
+            assert_eq!(gauges, want_gauges, "case {case}: gauges");
+            let hists: Vec<_> = reg
+                .histograms()
+                .map(|(s, n, h)| (*s, n, h.clone()))
+                .collect();
+            let want_hists: Vec<_> = rows(&want.histograms)
+                .into_iter()
+                .map(|(s, n, ds)| {
+                    let mut h = Histogram::default();
+                    ds.iter().for_each(|d| h.observe(*d));
+                    (s, n, h)
+                })
+                .collect();
+            assert_eq!(hists, want_hists, "case {case}: histograms");
+            let series: Vec<_> = reg.all_series().map(|(s, n, vs)| (*s, n, vs)).collect();
+            let want_series: Vec<_> = rows(&want.series)
+                .into_iter()
+                .map(|(s, n, vs)| (s, n, vs.as_slice()))
+                .collect();
+            assert_eq!(series, want_series, "case {case}: series");
+            assert_eq!(
+                crate::export::snapshot_jsonl(&reg),
+                want.snapshot_jsonl(),
+                "case {case}: snapshot"
+            );
+        }
     }
 
     #[test]

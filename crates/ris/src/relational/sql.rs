@@ -162,9 +162,10 @@ pub enum Command {
     },
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum T {
-    Ident(String),
+/// A token; identifiers borrow from the command text.
+#[derive(Debug, PartialEq)]
+enum T<'a> {
+    Ident(&'a str),
     Lit(Value),
     LParen,
     RParen,
@@ -177,39 +178,46 @@ fn bad(msg: impl Into<String>) -> RisError {
     RisError::BadCommand(msg.into())
 }
 
-fn tokenize(src: &str) -> Result<Vec<T>, RisError> {
+/// The keyword in `keywords` that `word` spells, ignoring ASCII case.
+fn keyword_in<'k>(word: &str, keywords: &[&'k str]) -> Option<&'k str> {
+    keywords
+        .iter()
+        .copied()
+        .find(|k| word.eq_ignore_ascii_case(k))
+}
+
+fn tokenize(src: &str) -> Result<Vec<T<'_>>, RisError> {
     let b = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
     while i < b.len() {
-        let c = b[i] as char;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '(' => {
+        match b[i] {
+            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+            b'(' => {
                 out.push(T::LParen);
                 i += 1;
             }
-            ')' => {
+            b')' => {
                 out.push(T::RParen);
                 i += 1;
             }
-            ',' => {
+            b',' => {
                 out.push(T::Comma);
                 i += 1;
             }
-            '*' => {
+            b'*' => {
                 out.push(T::Star);
                 i += 1;
             }
-            '=' => {
+            b'=' => {
                 out.push(T::Op(SqlOp::Eq));
                 i += 1;
             }
-            '!' if b.get(i + 1) == Some(&b'=') => {
+            b'!' if b.get(i + 1) == Some(&b'=') => {
                 out.push(T::Op(SqlOp::Ne));
                 i += 2;
             }
-            '<' => {
+            b'<' => {
                 if b.get(i + 1) == Some(&b'=') {
                     out.push(T::Op(SqlOp::Le));
                     i += 2;
@@ -221,7 +229,7 @@ fn tokenize(src: &str) -> Result<Vec<T>, RisError> {
                     i += 1;
                 }
             }
-            '>' => {
+            b'>' => {
                 if b.get(i + 1) == Some(&b'=') {
                     out.push(T::Op(SqlOp::Ge));
                     i += 2;
@@ -230,7 +238,7 @@ fn tokenize(src: &str) -> Result<Vec<T>, RisError> {
                     i += 1;
                 }
             }
-            '\'' => {
+            b'\'' => {
                 // `''` inside a literal is one escaped quote.
                 let mut text = String::new();
                 let mut j = i + 1;
@@ -249,8 +257,8 @@ fn tokenize(src: &str) -> Result<Vec<T>, RisError> {
                 out.push(T::Lit(Value::Str(text)));
                 i = j;
             }
-            _ if c.is_ascii_digit()
-                || (c == '-' && b.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
+            c if c.is_ascii_digit()
+                || (c == b'-' && b.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
             {
                 let start = i;
                 i += 1;
@@ -269,41 +277,45 @@ fn tokenize(src: &str) -> Result<Vec<T>, RisError> {
                 };
                 out.push(T::Lit(v));
             }
-            _ if c.is_ascii_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < b.len() && ((b[i] as char).is_ascii_alphanumeric() || b[i] == b'_') {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
                 let word = &src[start..i];
-                match word.to_ascii_uppercase().as_str() {
-                    "NULL" => out.push(T::Lit(Value::Null)),
-                    "TRUE" => out.push(T::Lit(Value::Bool(true))),
-                    "FALSE" => out.push(T::Lit(Value::Bool(false))),
-                    _ => out.push(T::Ident(word.to_owned())),
-                }
+                out.push(match keyword_in(word, &["NULL", "TRUE", "FALSE"]) {
+                    Some("NULL") => T::Lit(Value::Null),
+                    Some(kw) => T::Lit(Value::Bool(kw == "TRUE")),
+                    None => T::Ident(word),
+                });
             }
-            other => return Err(bad(format!("unexpected character `{other}`"))),
+            _ => {
+                let other = src[i..].chars().next().expect("i < len");
+                return Err(bad(format!("unexpected character `{other}`")));
+            }
         }
     }
     Ok(out)
 }
 
-struct P {
-    toks: Vec<T>,
-    pos: usize,
+/// The parser state: the tokens not yet consumed, last token first,
+/// so consuming one pops it and moves it out.
+struct P<'a> {
+    rest: Vec<T<'a>>,
 }
 
-impl P {
-    fn next(&mut self) -> Option<T> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+impl<'a> P<'a> {
+    fn next(&mut self) -> Option<T<'a>> {
+        self.rest.pop()
     }
 
-    fn peek(&self) -> Option<&T> {
-        self.toks.get(self.pos)
+    fn peek(&self) -> Option<&T<'a>> {
+        self.rest.last()
+    }
+
+    /// The token after the next one.
+    fn peek2(&self) -> Option<&T<'a>> {
+        self.rest.len().checked_sub(2).map(|i| &self.rest[i])
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), RisError> {
@@ -317,11 +329,16 @@ impl P {
         matches!(self.peek(), Some(T::Ident(w)) if w.eq_ignore_ascii_case(kw))
     }
 
-    fn ident(&mut self) -> Result<String, RisError> {
+    fn word(&mut self) -> Result<&'a str, RisError> {
         match self.next() {
             Some(T::Ident(w)) => Ok(w),
             other => Err(bad(format!("expected identifier, found {other:?}"))),
         }
+    }
+
+    /// An identifier the command keeps: a table or column name.
+    fn ident(&mut self) -> Result<String, RisError> {
+        self.word().map(str::to_owned)
     }
 
     fn literal(&mut self) -> Result<Value, RisError> {
@@ -331,7 +348,7 @@ impl P {
         }
     }
 
-    fn expect(&mut self, t: &T) -> Result<(), RisError> {
+    fn expect(&mut self, t: &T<'_>) -> Result<(), RisError> {
         match self.next() {
             Some(x) if x == *t => Ok(()),
             other => Err(bad(format!("expected {t:?}, found {other:?}"))),
@@ -339,7 +356,7 @@ impl P {
     }
 
     fn end(&self) -> Result<(), RisError> {
-        if self.pos == self.toks.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(bad("trailing input after command"))
@@ -350,7 +367,7 @@ impl P {
         if !self.is_keyword("WHERE") {
             return Ok(Vec::new());
         }
-        self.pos += 1;
+        self.next();
         let mut preds = Vec::new();
         loop {
             let column = self.ident()?;
@@ -361,7 +378,7 @@ impl P {
             let value = self.literal()?;
             preds.push(Comparison { column, op, value });
             if self.is_keyword("AND") {
-                self.pos += 1;
+                self.next();
             } else {
                 break;
             }
@@ -400,24 +417,24 @@ impl P {
 
 /// Parse one command.
 pub fn parse_command(src: &str) -> Result<Command, RisError> {
-    let mut p = P {
-        toks: tokenize(src)?,
-        pos: 0,
-    };
-    let head = p.ident()?;
-    let cmd = match head.to_ascii_uppercase().as_str() {
-        "CREATE" => {
+    let mut rest = tokenize(src)?;
+    rest.reverse();
+    let mut p = P { rest };
+    let head = p.word()?;
+    let commands = ["CREATE", "DROP", "INSERT", "SELECT", "UPDATE", "DELETE"];
+    let cmd = match keyword_in(head, &commands) {
+        Some("CREATE") => {
             p.keyword("TABLE")?;
             let name = p.ident()?;
             let columns = p.ident_list()?;
             Command::CreateTable { name, columns }
         }
-        "DROP" => {
+        Some("DROP") => {
             p.keyword("TABLE")?;
             let name = p.ident()?;
             Command::DropTable { name }
         }
-        "INSERT" => {
+        Some("INSERT") => {
             p.keyword("INTO")?;
             let table = p.ident()?;
             let columns = if matches!(p.peek(), Some(T::LParen)) {
@@ -433,25 +450,27 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
                 values,
             }
         }
-        "SELECT" => {
+        Some("SELECT") => {
             // Aggregate head? `IDENT (` with an aggregate name.
             let agg = match p.peek() {
-                Some(T::Ident(w)) => match w.to_ascii_uppercase().as_str() {
-                    "COUNT" => Some(Aggregate::Count),
-                    "SUM" => Some(Aggregate::Sum),
-                    "MIN" => Some(Aggregate::Min),
-                    "MAX" => Some(Aggregate::Max),
-                    "AVG" => Some(Aggregate::Avg),
+                Some(T::Ident(w)) => match keyword_in(w, &["COUNT", "SUM", "MIN", "MAX", "AVG"]) {
+                    Some("COUNT") => Some(Aggregate::Count),
+                    Some("SUM") => Some(Aggregate::Sum),
+                    Some("MIN") => Some(Aggregate::Min),
+                    Some("MAX") => Some(Aggregate::Max),
+                    Some("AVG") => Some(Aggregate::Avg),
                     _ => None,
                 },
                 _ => None,
             };
             let agg = match agg {
-                Some(a) if p.toks.get(p.pos + 1) == Some(&T::LParen) => {
-                    p.pos += 2; // aggregate name + `(`
+                Some(a) if p.peek2() == Some(&T::LParen) => {
+                    // The aggregate name and its `(`.
+                    p.next();
+                    p.next();
                     let column = if a == Aggregate::Count {
                         if matches!(p.peek(), Some(T::Star)) {
-                            p.pos += 1;
+                            p.next();
                             None
                         } else {
                             Some(p.ident()?)
@@ -477,13 +496,13 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
             } else {
                 let mut columns = Vec::new();
                 if matches!(p.peek(), Some(T::Star)) {
-                    p.pos += 1;
+                    p.next();
                     columns.push("*".to_owned());
                 } else {
                     loop {
                         columns.push(p.ident()?);
                         if matches!(p.peek(), Some(T::Comma)) {
-                            p.pos += 1;
+                            p.next();
                         } else {
                             break;
                         }
@@ -493,15 +512,15 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
                 let table = p.ident()?;
                 let predicate = p.where_clause()?;
                 let order = if p.is_keyword("ORDER") {
-                    p.pos += 1;
+                    p.next();
                     p.keyword("BY")?;
                     let column = p.ident()?;
                     let desc = if p.is_keyword("DESC") {
-                        p.pos += 1;
+                        p.next();
                         true
                     } else {
                         if p.is_keyword("ASC") {
-                            p.pos += 1;
+                            p.next();
                         }
                         false
                     };
@@ -510,7 +529,7 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
                     None
                 };
                 let limit = if p.is_keyword("LIMIT") {
-                    p.pos += 1;
+                    p.next();
                     match p.next() {
                         Some(T::Lit(Value::Int(n))) if n >= 0 => Some(n as usize),
                         other => return Err(bad(format!("expected LIMIT count, found {other:?}"))),
@@ -527,7 +546,7 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
                 }
             }
         }
-        "UPDATE" => {
+        Some("UPDATE") => {
             let table = p.ident()?;
             p.keyword("SET")?;
             let mut assignments = Vec::new();
@@ -540,7 +559,7 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
                 let val = p.literal()?;
                 assignments.push((col, val));
                 if matches!(p.peek(), Some(T::Comma)) {
-                    p.pos += 1;
+                    p.next();
                 } else {
                     break;
                 }
@@ -552,13 +571,16 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
                 predicate,
             }
         }
-        "DELETE" => {
+        Some("DELETE") => {
             p.keyword("FROM")?;
             let table = p.ident()?;
             let predicate = p.where_clause()?;
             Command::Delete { table, predicate }
         }
-        other => return Err(bad(format!("unknown command `{other}`"))),
+        _ => {
+            let head = head.to_ascii_uppercase();
+            return Err(bad(format!("unknown command `{head}`")));
+        }
     };
     p.end()?;
     Ok(cmd)
@@ -689,6 +711,26 @@ mod tests {
                 values,
                 vec![Value::from("O'Brien"), Value::from(""), Value::from("'")]
             ),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_ascii_input_is_reported_as_written() {
+        for (src, bad_char) in [
+            ("SELECT a FROM t WHERE a = é", 'é'),
+            ("SELECT café FROM t", 'é'),
+        ] {
+            match parse_command(src) {
+                Err(RisError::BadCommand(msg)) => {
+                    assert_eq!(msg, format!("unexpected character `{bad_char}`"));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // Inside a literal it is just text.
+        match parse_command("INSERT INTO t VALUES ('café')").unwrap() {
+            Command::Insert { values, .. } => assert_eq!(values, vec![Value::from("café")]),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -107,6 +107,11 @@ pub struct Sim<M> {
     /// Engine-internal metrics (queue depth): kept outside the
     /// snapshot registry so engine tuning never moves a snapshot.
     engine: Metrics,
+    /// Per-actor deliveries not yet published as `sim.dispatches`.
+    dispatches: Vec<u64>,
+    /// Queue high-water mark not yet published as
+    /// `sim.queue_depth_max`.
+    depth_max: Option<usize>,
     started: bool,
     steps: u64,
     max_steps: u64,
@@ -134,6 +139,8 @@ impl<M> Sim<M> {
             net,
             obs: Obs::new(),
             engine: Metrics::new(),
+            dispatches: Vec::new(),
+            depth_max: None,
             started: false,
             steps: 0,
             max_steps: u64::MAX,
@@ -153,6 +160,7 @@ impl<M> Sim<M> {
         self.actors.push(actor);
         self.rngs.push(SimRng::derived(self.seed, u64::from(id.0)));
         self.send_seqs.push(0);
+        self.dispatches.push(0);
         id
     }
 
@@ -188,7 +196,9 @@ impl<M> Sim<M> {
 
     /// The engine-internal metrics registry (`sim.queue_depth_max`).
     /// Kept apart from [`Sim::obs`] so the observability snapshot
-    /// reports only what the simulated system did.
+    /// reports only what the simulated system did. The engine keeps
+    /// this gauge and the `sim.dispatches` counters as plain integers
+    /// during a run and publishes them when [`Sim::run`] returns.
     #[must_use]
     pub fn engine_metrics(&self) -> Metrics {
         self.engine.clone()
@@ -352,6 +362,32 @@ impl<M> Sim<M> {
     /// exhausted, or (if given) the horizon is passed. Events scheduled
     /// *at* the horizon still run; the clock never exceeds it.
     pub fn run(&mut self, horizon: Option<SimTime>) -> RunOutcome {
+        let outcome = self.run_loop(horizon);
+        self.publish_engine_counters();
+        outcome
+    }
+
+    /// Add the deliveries and queue high-water mark counted since the
+    /// last publication to `sim.dispatches` and `sim.queue_depth_max`.
+    fn publish_engine_counters(&mut self) {
+        let mut total = 0;
+        for (actor, n) in self.dispatches.iter_mut().enumerate() {
+            if *n > 0 {
+                let scope = Scope::Actor(actor as u32);
+                self.obs.metrics.add(scope, "sim.dispatches", *n);
+                total += std::mem::take(n);
+            }
+        }
+        if total > 0 {
+            self.obs.metrics.add(Scope::Global, "sim.dispatches", total);
+        }
+        if let Some(depth) = self.depth_max.take() {
+            self.engine
+                .gauge_track_max(Scope::Global, "sim.queue_depth_max", depth as i64);
+        }
+    }
+
+    fn run_loop(&mut self, horizon: Option<SimTime>) -> RunOutcome {
         self.start_if_needed();
         loop {
             let Some(Reverse(head)) = self.queue.peek() else {
@@ -366,19 +402,14 @@ impl<M> Sim<M> {
             if self.steps >= self.max_steps {
                 return RunOutcome::StepBudget;
             }
-            self.engine.gauge_track_max(
-                Scope::Global,
-                "sim.queue_depth_max",
-                self.queue.len() as i64,
-            );
+            self.depth_max = self.depth_max.max(Some(self.queue.len()));
             let Reverse(sched) = self.queue.pop().expect("peeked");
             self.now = sched.at;
             match sched.entry {
                 Entry::Control(c) => self.apply_control(c, sched.seq),
                 Entry::Deliver { to, from, msg } => {
                     self.steps += 1;
-                    self.obs.metrics.inc(Scope::Global, "sim.dispatches");
-                    self.obs.metrics.inc(Scope::Actor(to.0), "sim.dispatches");
+                    self.dispatches[to.0 as usize] += 1;
                     match self.net.status(to) {
                         ActorStatus::Crashed { lossy: true } => {
                             self.net.count_drop();
@@ -950,6 +981,87 @@ mod tests {
             "run must cross the split"
         );
         assert_eq!(run(true), unsplit);
+    }
+
+    /// `sim.dispatches` (global, then per actor) and
+    /// `sim.queue_depth_max`, as published to the two registries.
+    fn engine_counts(sim: &Sim<Msg>) -> (u64, Vec<u64>, Option<i64>) {
+        let m = sim.obs().metrics;
+        let per_actor = (0..sim.actor_count() as u32)
+            .map(|a| m.counter(Scope::Actor(a), "sim.dispatches"))
+            .collect();
+        let depth = sim
+            .engine_metrics()
+            .gauge(Scope::Global, "sim.queue_depth_max");
+        (m.counter(Scope::Global, "sim.dispatches"), per_actor, depth)
+    }
+
+    #[test]
+    fn engine_counters_publish_on_every_return() {
+        fn ring(n: u32, log: &Shared<Vec<(SimTime, u32)>>) -> Sim<Msg> {
+            let mut sim = fixed_sim(7);
+            for i in 0..n {
+                sim.add_actor(Box::new(Relay {
+                    peer: ActorId((i + 1) % n),
+                    log: log.clone(),
+                }));
+            }
+            sim
+        }
+        // A three-actor ring with a crash: a delivery held while its
+        // target is down counts when held and again when replayed. The
+        // queue peaks before the split, so the second leg publishes a
+        // lower high-water mark that must not replace the first.
+        fn run(split: bool) -> (u64, Vec<u64>, Option<i64>) {
+            let log = shared(Vec::new());
+            let mut sim = ring(3, &log);
+            for i in 0..3u64 {
+                sim.inject_at(SimTime::from_millis(i), ActorId(i as u32), Msg::Ping(6));
+            }
+            for i in 0..9u64 {
+                sim.inject_at(
+                    SimTime::from_millis(200),
+                    ActorId(i as u32 % 3),
+                    Msg::Ping(2),
+                );
+            }
+            sim.crash_at(ActorId(1), SimTime::from_millis(10), false);
+            sim.recover_at(ActorId(1), SimTime::from_millis(30));
+            if split {
+                assert_eq!(
+                    sim.run(Some(SimTime::from_millis(60))),
+                    RunOutcome::HorizonReached
+                );
+                assert_eq!(engine_counts(&sim), (24, vec![7, 10, 7], Some(14)));
+            }
+            assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+            assert_eq!(log.borrow().len(), 48);
+            engine_counts(&sim)
+        }
+        let unsplit = run(false);
+        assert_eq!(unsplit, (51, vec![16, 19, 16], Some(14)));
+        assert_eq!(run(true), unsplit);
+
+        // A run that ends by `Ctx::halt` publishes too.
+        let log = shared(Vec::new());
+        let mut sim = fixed_sim(10);
+        sim.add_actor(Box::new(Echo {
+            peer: None,
+            log: log.clone(),
+            ticks: 0,
+        }));
+        sim.inject_at(SimTime::ZERO, ActorId(0), Msg::Tick);
+        sim.inject_at(SimTime::from_millis(1500), ActorId(0), Msg::Stop);
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::Halted);
+        assert_eq!(engine_counts(&sim), (3, vec![3], Some(2)));
+
+        // So does one that exhausts its step budget.
+        let log = shared(Vec::new());
+        let mut sim = ring(2, &log);
+        sim.inject_at(SimTime::ZERO, ActorId(0), Msg::Ping(20));
+        sim.set_step_budget(5);
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::StepBudget);
+        assert_eq!(engine_counts(&sim), (5, vec![3, 2], Some(1)));
     }
 
     #[test]
