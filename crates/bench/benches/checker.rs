@@ -1,9 +1,9 @@
 //! E10 bench — validity checker and guarantee evaluator costs as the
-//! trace grows, plus raw rule-engine throughput.
+//! trace grows, and the §4.2 salary pair as the employee count grows.
 
 use hcm_bench::{harness, scenarios};
 use hcm_checker::{check_validity, guarantee::check_guarantee, RuleSet};
-use hcm_core::{Bindings, EventDesc, ItemId, SimDuration, SimTime, TemplateDesc, Term, Value};
+use hcm_core::{SimDuration, SimTime};
 use hcm_rulelang::parse_guarantee;
 use hcm_toolkit::Scenario;
 
@@ -32,7 +32,7 @@ fn trace_of_size(updates: u64) -> (hcm_core::Trace, RuleSet) {
     (sc.trace(), rule_set_of(&sc))
 }
 
-fn print_series() {
+fn main() {
     eprintln!("\n[E10] checker cost vs trace size:");
     eprintln!(
         "  {:<10} {:>8} {:>14} {:>16}",
@@ -108,46 +108,4 @@ fn print_series() {
             pair_ms
         );
     }
-}
-
-fn main() {
-    print_series();
-
-    let (trace, rules) = trace_of_size(60);
-    let follows = parse_guarantee(
-        "follows",
-        "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t2 <= t1",
-    )
-    .unwrap();
-
-    let mut timings = Vec::new();
-    timings.push(harness::time("validity", 10, || {
-        check_validity(&trace, &rules).violations.len()
-    }));
-    timings.push(harness::time("guarantee_follows", 10, || {
-        check_guarantee(&trace, &follows, None).instantiations
-    }));
-
-    // Rule-engine primitive: template matching throughput.
-    let template = TemplateDesc::N {
-        item: hcm_core::ItemPattern::with("salary1", [Term::var("n")]),
-        value: Term::var("b"),
-    };
-    let events: Vec<EventDesc> = (0..1000)
-        .map(|i| EventDesc::N {
-            item: ItemId::with("salary1", [Value::from(format!("e{}", i % 10))]),
-            value: Value::Int(i),
-        })
-        .collect();
-    timings.push(harness::time("match_1000_events", 10, || {
-        let mut hits = 0;
-        for e in &events {
-            let mut bind = Bindings::new();
-            if template.match_desc(e, &mut bind) {
-                hits += 1;
-            }
-        }
-        hits
-    }));
-    harness::report("checker", &timings);
 }

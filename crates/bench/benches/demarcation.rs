@@ -1,7 +1,6 @@
 //! E3 bench — Demarcation Protocol policies and the 2PC baseline:
 //! denial rates, message economy, latency, availability.
 
-use hcm_bench::harness;
 use hcm_core::{SimDuration, SimTime};
 use hcm_protocols::demarcation::{self, DemarcConfig, GrantPolicy};
 use hcm_protocols::tpc;
@@ -33,7 +32,7 @@ fn run_demarc(policy: GrantPolicy, ops: &[(SimTime, bool, i64)]) -> demarcation:
     d
 }
 
-fn print_series() {
+fn main() {
     let ops = workload(2024, 150);
     eprintln!(
         "\n[E3] demarcation policies vs 2PC baseline ({} mixed updates):",
@@ -82,30 +81,4 @@ fn print_series() {
     let avg = st.latencies_ms.iter().sum::<u64>() as f64 / st.latencies_ms.len().max(1) as f64;
     eprintln!("  2PC mean commit latency: {avg:.0} ms; demarcation local update: ~52 ms");
     eprintln!("  shape: weak consistency wins msg/op and latency; both deny saturated updates.");
-}
-
-fn main() {
-    print_series();
-
-    let ops = workload(7, 150);
-    let mut timings = Vec::new();
-    for policy in [GrantPolicy::Requested, GrantPolicy::All] {
-        timings.push(harness::time(
-            &format!("protocol_run/{policy:?}"),
-            5,
-            || {
-                let d = run_demarc(policy, &ops);
-                d.stats_x.borrow().attempts
-            },
-        ));
-    }
-    timings.push(harness::time("tpc_run", 5, || {
-        let mut t = tpc::build(7, 0, 1000);
-        for &(at, lower, delta) in &ops {
-            t.try_update(at, lower, delta);
-        }
-        t.run();
-        t.stats.borrow().submitted
-    }));
-    harness::report("demarcation", &timings);
 }

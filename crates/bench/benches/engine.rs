@@ -10,10 +10,10 @@
 //! throughput column counts *trace events* (every CM event the engine
 //! recorded), which is `(chain depth + 3) ×` the spontaneous op count.
 //!
-//! Case names are `s<sites>_r<total rules>_e<spontaneous ops>`; the
-//! last cell (max sites × max rules) is the headline number for the
-//! dispatch-index + zero-clone work — compare with
-//! `benches/baselines/{pre,post}/BENCH_engine.json`.
+//! Cell names are `s<sites>_r<total rules>_e<spontaneous ops>`. Each
+//! cell runs once and prints its event count, wall time and events/s;
+//! the regression gate is expbench's `engine_wide` workload, not this
+//! table.
 
 use hcm_bench::{harness, scenarios};
 use hcm_core::{SimDuration, SimTime};
@@ -91,17 +91,27 @@ fn main() {
             ops: 100_000,
         },
     ];
-    // Quick (CI) mode keeps the two smallest cells with their full
-    // event volume so case names still line up with the committed
-    // baselines for the regression gate.
+    // Quick (CI) mode keeps the two smallest cells.
     let cells = if harness::quick() {
         &cells[..2]
     } else {
         &cells[..]
     };
-    let mut timings = Vec::new();
+    eprintln!("\n[E17] online engine scale sweep (one run per cell):");
+    eprintln!(
+        "  {:<16} {:>10} {:>10} {:>12}",
+        "cell", "events", "wall (ms)", "events/s"
+    );
     for c in cells {
-        timings.push(harness::time_rate(&c.name(), 3, || c.run()));
+        let t0 = std::time::Instant::now();
+        let events = c.run();
+        let secs = t0.elapsed().as_secs_f64();
+        eprintln!(
+            "  {:<16} {:>10} {:>10.1} {:>12.0}",
+            c.name(),
+            events,
+            secs * 1000.0,
+            events as f64 / secs
+        );
     }
-    harness::report("engine", &timings);
 }

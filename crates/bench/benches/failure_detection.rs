@@ -1,7 +1,6 @@
 //! E7 bench — failure detection (§5): detection latency vs the
-//! configured deadline, and the cost of failure episodes.
+//! configured deadline.
 
-use hcm_bench::harness;
 use hcm_core::{EventDesc, SimDuration, SimTime, Value};
 use hcm_toolkit::backends::RawStore;
 use hcm_toolkit::shell::FailureConfig;
@@ -53,7 +52,7 @@ fn detection_latency(sc: &Scenario) -> Option<SimDuration> {
     Some(d.time.saturating_since(n.time))
 }
 
-fn print_series() {
+fn main() {
     eprintln!("\n[E7] metric-failure detection latency vs deadline (overloaded DB):");
     eprintln!("  {:<16} {:>18}", "deadline (ms)", "detected after (ms)");
     for deadline in [1_000u64, 5_000, 15_000] {
@@ -65,15 +64,4 @@ fn print_series() {
     }
     eprintln!("  shape: detection tracks the deadline — the paper's point that the");
     eprintln!("  toolkit makes timeout constants explicit as metric guarantees (§5).");
-}
-
-fn main() {
-    print_series();
-
-    let timings = [harness::time("overload_episode", 5, || {
-        let mut sc = scenario_with_deadline(9, 5_000);
-        sc.run_to_quiescence();
-        sc.site("B").shell_stats.borrow().metric_failures_detected
-    })];
-    harness::report("failure_detection", &timings);
 }

@@ -2,7 +2,6 @@
 //! conditional notify suppression, cached propagation, periodic notify
 //! cost.
 
-use hcm_bench::harness;
 use hcm_core::{ItemId, SimTime, Value};
 use hcm_toolkit::backends::RawStore;
 use hcm_toolkit::{Scenario, ScenarioBuilder, SpontaneousOp};
@@ -75,7 +74,7 @@ fn run_with_rid(rid_src: &str, seed: u64) -> Scenario {
     sc
 }
 
-fn print_series() {
+fn main() {
     eprintln!("\n[E9] conditional-notify suppression vs threshold (60 random-walk updates):");
     eprintln!(
         "  {:<12} {:>14} {:>12} {:>22}",
@@ -129,19 +128,4 @@ fn print_series() {
         "  plain notify interface: {} notifications, 0 suppressed",
         plain.site("A").translator_stats.borrow().notifications
     );
-}
-
-fn main() {
-    print_series();
-
-    let rid = RID_COND_TMPL.replace("FRAC", "0.1");
-    let timings = [
-        harness::time("plain_notify_60_updates", 5, || {
-            run_with_rid(RID_PLAIN, 9).trace().len()
-        }),
-        harness::time("conditional_notify_60_updates", 5, || {
-            run_with_rid(&rid, 9).trace().len()
-        }),
-    ];
-    harness::report("interface_modes", &timings);
 }

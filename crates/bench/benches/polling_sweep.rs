@@ -1,5 +1,5 @@
 //! E2 bench — the polling strategy (§4.2.3): miss-rate and staleness
-//! sweep over poll period × update rate, plus simulation cost.
+//! sweep over poll period × update rate.
 //!
 //! Paper claim reproduced as a series: guarantee (2) "X leads Y" fails
 //! exactly when updates outpace the polling interval; guarantees (1),
@@ -74,7 +74,7 @@ fn miss_rate(sc: &Scenario) -> f64 {
     missed as f64 / x.len() as f64
 }
 
-fn print_series() {
+fn main() {
     // Each cell builds, runs, and measures its own scenario — a pure
     // function of the key — so the parallel sweep prints the same
     // bytes a serial one would (merge is in key order).
@@ -141,22 +141,4 @@ fn print_series() {
         );
     }
     eprintln!("  shape: staleness grows linearly with the poll period (κ ≈ period + bounds).");
-}
-
-fn main() {
-    print_series();
-
-    let mut timings = Vec::new();
-    for period in [30u64, 120] {
-        timings.push(harness::time(
-            &format!("simulate_40min/{period}"),
-            5,
-            || {
-                let mut sc = polling_scenario(9, period, 45, 2400);
-                sc.run_to_quiescence();
-                sc.trace().len()
-            },
-        ));
-    }
-    harness::report("polling", &timings);
 }

@@ -1,12 +1,12 @@
 //! E1 bench — update propagation (§4.2): end-to-end latency series and
-//! engine throughput.
+//! the observability snapshot.
 
-use hcm_bench::{harness, scenarios};
+use hcm_bench::scenarios;
 use hcm_core::{SimDuration, SimTime};
 
 /// Print the E1 series: per-update propagation latency (Ws → W)
 /// distribution for the notify+write deployment.
-fn print_series() {
+fn main() {
     let mut sc =
         scenarios::salary_scenario(1, 10, SimDuration::from_secs(20), SimTime::from_secs(4000));
     sc.run_to_quiescence();
@@ -43,27 +43,4 @@ fn print_series() {
     for line in sc.metrics_table().lines() {
         eprintln!("  {line}");
     }
-}
-
-fn main() {
-    print_series();
-
-    let mut timings = Vec::new();
-    for employees in [1usize, 10, 50] {
-        timings.push(harness::time(
-            &format!("simulate_1h/{employees}"),
-            5,
-            || {
-                let mut sc = scenarios::salary_scenario(
-                    7,
-                    employees,
-                    SimDuration::from_secs(30),
-                    SimTime::from_secs(3600),
-                );
-                sc.run_to_quiescence();
-                sc.trace().len()
-            },
-        ));
-    }
-    harness::report("propagation", &timings);
 }

@@ -1,12 +1,11 @@
-//! E16 bench — durable-store costs: codec encode/decode, WAL append
-//! (memory and file-backed), checkpointing, and crash-recovery replay.
+//! E16 bench — durable-store costs: crash-recovery replay and decode of
+//! an in-memory WAL as the log grows.
 //!
 //! The interesting numbers are per-record, since every shell/translator
 //! durable mutation pays one append on the hot path.
 
-use hcm_bench::harness;
 use hcm_core::{ItemId, SimTime, Value};
-use hcm_store::{FileStore, LogRecord, MemStore, StateStore, StoreConfig};
+use hcm_store::{LogRecord, MemStore, StateStore};
 
 /// A representative mix of what shells and translators actually log.
 fn workload(n: usize) -> Vec<Vec<u8>> {
@@ -30,7 +29,7 @@ fn workload(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn print_series() {
+fn main() {
     eprintln!("\n[E16] store costs vs log size (records | replay ms):");
     for n in [1_000usize, 10_000, 50_000] {
         let payloads = workload(n);
@@ -52,71 +51,4 @@ fn print_series() {
             t0.elapsed().as_secs_f64() * 1000.0
         );
     }
-}
-
-fn main() {
-    print_series();
-
-    let payloads = workload(10_000);
-    let mut timings = Vec::new();
-
-    timings.push(harness::time("encode_10k", 20, || {
-        workload(10_000).iter().map(Vec::len).sum::<usize>()
-    }));
-
-    let encoded = payloads.clone();
-    timings.push(harness::time("decode_10k", 20, || {
-        encoded
-            .iter()
-            .filter(|p| LogRecord::decode(p).is_ok())
-            .count()
-    }));
-
-    timings.push(harness::time("mem_append_10k", 20, || {
-        let mut store = MemStore::new();
-        for p in &payloads {
-            store.append(p).unwrap();
-        }
-        store.record_count()
-    }));
-
-    timings.push(harness::time("mem_recover_10k", 20, || {
-        let mut store = MemStore::new();
-        for p in &payloads {
-            store.append(p).unwrap();
-        }
-        store.recover().unwrap().records.len()
-    }));
-
-    // File-backed: real frames + CRCs on disk, with segment rotation.
-    let dir = std::env::temp_dir().join(format!("hcm-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    timings.push(harness::time("file_append_10k", 5, || {
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = FileStore::open(&dir, StoreConfig::default()).unwrap();
-        let mut bytes = 0;
-        for p in &payloads {
-            bytes += store.append(p).unwrap();
-        }
-        bytes
-    }));
-    timings.push(harness::time("file_recover_10k", 5, || {
-        let mut store = FileStore::open(&dir, StoreConfig::default()).unwrap();
-        store.recover().unwrap().records.len()
-    }));
-    timings.push(harness::time("file_ckpt_every_64", 5, || {
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = FileStore::open(&dir, StoreConfig::default()).unwrap();
-        let snapshot = vec![0xAB; 4096];
-        for (i, p) in payloads.iter().take(2_000).enumerate() {
-            store.append(p).unwrap();
-            if i % 64 == 63 {
-                store.checkpoint(&snapshot).unwrap();
-            }
-        }
-        store.recover().unwrap().records.len()
-    }));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    harness::report("store", &timings);
 }

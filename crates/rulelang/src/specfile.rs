@@ -22,7 +22,7 @@
 //!
 //! Interpretation of section kinds is up to the consumer (`hcm-toolkit`).
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 /// One `[header …]` section with its body lines.
@@ -32,6 +32,8 @@ pub struct Section {
     pub header: Vec<String>,
     /// Non-empty, non-comment body lines, trimmed.
     pub lines: Vec<String>,
+    /// The 1-based file line of each entry of `lines`.
+    pub line_numbers: Vec<usize>,
 }
 
 impl Section {
@@ -47,20 +49,40 @@ impl Section {
         self.header.get(1..).unwrap_or(&[])
     }
 
-    /// Parse the body as `key = value` pairs; lines without `=` are
-    /// errors.
+    /// Parse the body as `key = value` pairs; lines without `=` and
+    /// repeated keys are errors.
     pub fn as_pairs(&self) -> Result<BTreeMap<String, String>, SpecError> {
         let mut m = BTreeMap::new();
-        for l in &self.lines {
+        for (l, &lineno) in self.lines.iter().zip(&self.line_numbers) {
             let (k, v) = l.split_once('=').ok_or_else(|| SpecError {
                 msg: format!(
-                    "expected `key = value` in section [{}], got `{l}`",
-                    self.kind()
+                    "line {lineno}: expected `key = value` in section [{}], got `{l}`",
+                    self.header.join(" ")
                 ),
             })?;
-            m.insert(k.trim().to_owned(), v.trim().to_owned());
+            if !insert_new(&mut m, k, v) {
+                return Err(SpecError {
+                    msg: format!(
+                        "line {lineno}: key `{}` repeated in section [{}]",
+                        k.trim(),
+                        self.header.join(" ")
+                    ),
+                });
+            }
         }
         Ok(m)
+    }
+}
+
+/// Insert `key = value`, both trimmed; `false`, and no change, when the
+/// key is already there.
+fn insert_new(m: &mut BTreeMap<String, String>, key: &str, value: &str) -> bool {
+    match m.entry(key.trim().to_owned()) {
+        Entry::Occupied(_) => false,
+        Entry::Vacant(e) => {
+            e.insert(value.trim().to_owned());
+            true
+        }
     }
 }
 
@@ -118,10 +140,14 @@ impl SpecFile {
                 current = Some(Section {
                     header,
                     lines: Vec::new(),
+                    line_numbers: Vec::new(),
                 });
             } else {
                 match &mut current {
-                    Some(s) => s.lines.push(line.to_owned()),
+                    Some(s) => {
+                        s.lines.push(line.to_owned());
+                        s.line_numbers.push(lineno + 1);
+                    }
                     None => {
                         let (k, v) = line.split_once('=').ok_or_else(|| SpecError {
                             msg: format!(
@@ -129,7 +155,15 @@ impl SpecFile {
                                 lineno + 1
                             ),
                         })?;
-                        spec.props.insert(k.trim().to_owned(), v.trim().to_owned());
+                        if !insert_new(&mut spec.props, k, v) {
+                            return Err(SpecError {
+                                msg: format!(
+                                    "line {}: key `{}` repeated in the top-level properties",
+                                    lineno + 1,
+                                    k.trim()
+                                ),
+                            });
+                        }
                     }
                 }
             }
@@ -232,6 +266,35 @@ retry = 3
         assert!(SpecFile::parse("[oops\nx=1").is_err());
         assert!(SpecFile::parse("stray line without equals").is_err());
         assert!(SpecFile::parse("[]").is_err());
+    }
+
+    #[test]
+    fn repeated_key_in_section_is_an_error() {
+        let spec = SpecFile::parse("[locate]\nsalary1 = A\n# moved?\nsalary1 = B\n").unwrap();
+        let err = spec.sections[0].as_pairs().unwrap_err();
+        assert_eq!(
+            err.msg,
+            "line 4: key `salary1` repeated in section [locate]"
+        );
+        // Keys are compared trimmed, and the header names the section.
+        let spec = SpecFile::parse("[map salary1]\ncol = a\n col=b\n").unwrap();
+        let err = spec.sections[0].as_pairs().unwrap_err();
+        assert_eq!(
+            err.msg,
+            "line 3: key `col` repeated in section [map salary1]"
+        );
+    }
+
+    #[test]
+    fn repeated_top_level_property_is_an_error() {
+        let err = SpecFile::parse("ris = kv\nservice = 1ms\nris = relational\n").unwrap_err();
+        assert_eq!(
+            err.msg,
+            "line 3: key `ris` repeated in the top-level properties"
+        );
+        // The same key in two different sections is fine.
+        let spec = SpecFile::parse("[a]\nx = 1\n[b]\nx = 2\n").unwrap();
+        assert!(spec.sections.iter().all(|s| s.as_pairs().is_ok()));
     }
 
     #[test]
