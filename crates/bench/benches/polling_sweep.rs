@@ -5,7 +5,7 @@
 //! exactly when updates outpace the polling interval; guarantees (1),
 //! (3), (4) survive at every point of the sweep.
 
-use hcm_bench::{harness, sweep};
+use hcm_bench::harness;
 use hcm_core::{ItemId, SimDuration, SimTime, Value};
 use hcm_toolkit::backends::RawStore;
 use hcm_toolkit::{Scenario, ScenarioBuilder, SpontaneousOp};
@@ -75,19 +75,19 @@ fn miss_rate(sc: &Scenario) -> f64 {
 }
 
 fn main() {
-    // Each cell builds, runs, and measures its own scenario — a pure
-    // function of the key — so the parallel sweep prints the same
-    // bytes a serial one would (merge is in key order).
     let gaps: &[u64] = if harness::quick() {
         &[60, 15]
     } else {
         &[120, 60, 30, 15, 5]
     };
-    let misses = sweep::run(gaps, |&gap| {
-        let mut sc = polling_scenario(3, 60, gap, 2400);
-        sc.run_to_quiescence();
-        miss_rate(&sc)
-    });
+    let misses: Vec<f64> = gaps
+        .iter()
+        .map(|&gap| {
+            let mut sc = polling_scenario(3, 60, gap, 2400);
+            sc.run_to_quiescence();
+            miss_rate(&sc)
+        })
+        .collect();
     eprintln!("\n[E2] polling miss-rate sweep (poll period 60s):");
     eprintln!(
         "  {:<22} {:>10} {:>18}",
@@ -108,29 +108,32 @@ fn main() {
     } else {
         &[30, 60, 120, 300]
     };
-    let worsts = sweep::run(periods, |&period| {
-        let mut sc = polling_scenario(5, period, 10 * period, 8 * period);
-        sc.run_to_quiescence();
-        let trace = sc.trace();
-        // Worst-case observed staleness: time from a Ws on salary1 to
-        // the W that lands that value on salary2.
-        let mut worst = SimDuration::ZERO;
-        for e in trace.events() {
-            let hcm_core::EventDesc::Ws { new, .. } = &e.desc else {
-                continue;
-            };
-            if let Some(w) = trace.events().iter().find(|w| {
-                matches!(&w.desc, hcm_core::EventDesc::W { item, value }
-                    if item.base == "salary2" && value == new)
-            }) {
-                let lag = w.time.saturating_since(e.time);
-                if lag > worst {
-                    worst = lag;
+    let worsts: Vec<SimDuration> = periods
+        .iter()
+        .map(|&period| {
+            let mut sc = polling_scenario(5, period, 10 * period, 8 * period);
+            sc.run_to_quiescence();
+            let trace = sc.trace();
+            // Worst-case observed staleness: time from a Ws on salary1 to
+            // the W that lands that value on salary2.
+            let mut worst = SimDuration::ZERO;
+            for e in trace.events() {
+                let hcm_core::EventDesc::Ws { new, .. } = &e.desc else {
+                    continue;
+                };
+                if let Some(w) = trace.events().iter().find(|w| {
+                    matches!(&w.desc, hcm_core::EventDesc::W { item, value }
+                        if item.base == "salary2" && value == new)
+                }) {
+                    let lag = w.time.saturating_since(e.time);
+                    if lag > worst {
+                        worst = lag;
+                    }
                 }
             }
-        }
-        worst
-    });
+            worst
+        })
+        .collect();
     eprintln!("\n[E2] staleness vs poll period (one update mid-interval):");
     eprintln!("  {:<22} {:>16}", "poll period (s)", "staleness κ (s)");
     for (period, worst) in periods.iter().zip(&worsts) {

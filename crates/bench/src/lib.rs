@@ -23,88 +23,6 @@ pub mod harness {
     }
 }
 
-/// Deterministic parallel sweep driver.
-///
-/// Experiment sweeps (poll period × update rate, employee count ×
-/// horizon, seed batteries) are embarrassingly parallel: every cell
-/// builds its own [`hcm_toolkit::Scenario`] from its key and returns
-/// plain data. `Scenario` holds `Rc`/`RefCell` state and is not
-/// `Send`, so the *job* crosses threads, never the scenario: each
-/// worker constructs, runs, and drops its cells entirely locally.
-///
-/// Determinism: cells are handed out via an atomic cursor (so wall
-/// clock decides *who* computes a cell) but results are placed back by
-/// cell index and returned in input order (so scheduling never decides
-/// *where* a result lands). A job that is a pure function of its key —
-/// which scenario runs are, seeded sim-time simulation end to end —
-/// therefore produces byte-identical tables and obs snapshots whether
-/// the sweep runs on one thread or sixteen. The only global shared
-/// state is the `Sym` interner, whose assignment order varies across
-/// schedules by design; nothing observable orders by symbol id (see
-/// `hcm_core::intern`).
-pub mod sweep {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Worker count: the machine's available parallelism.
-    #[must_use]
-    pub fn worker_count() -> usize {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    }
-
-    /// Run `job` over every key, in parallel, returning results in
-    /// input order. See the module docs for the determinism argument.
-    pub fn run<K, R, F>(keys: &[K], job: F) -> Vec<R>
-    where
-        K: Sync,
-        R: Send,
-        F: Fn(&K) -> R + Sync,
-    {
-        let workers = worker_count().min(keys.len().max(1));
-        if workers <= 1 {
-            return run_serial(keys, job);
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(keys.len());
-        slots.resize_with(keys.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let job = &job;
-                    scope.spawn(move || {
-                        let mut done: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(key) = keys.get(i) else {
-                                break;
-                            };
-                            done.push((i, job(key)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("sweep worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every cell computed"))
-            .collect()
-    }
-
-    /// The serial reference: same cells, same order, one thread.
-    pub fn run_serial<K, R, F>(keys: &[K], job: F) -> Vec<R>
-    where
-        F: Fn(&K) -> R,
-    {
-        keys.iter().map(job).collect()
-    }
-}
-
 /// Common scenario builders shared by the bench targets.
 pub mod scenarios {
     use hcm_core::{SimDuration, SimTime, Value};

@@ -19,9 +19,12 @@
 //! binding from the segments between those items' change points. The
 //! search enters that list at the window its conjunction's time
 //! comparisons leave open (`t1 - 10s < t2 <= t1` once `t1` is fixed)
-//! and stops past it. The RHS search is memoized on the projection of
-//! the LHS environment only when the LHS binds a variable the RHS does
-//! not mention, the one case where two instantiations can share a key.
+//! and stops past it. An interval atom (`@@`, `@?`) reads the same
+//! change points: its condition is evaluated at the window's start and
+//! at each change point of its bound items inside the window. The RHS
+//! search is memoized on the projection of the LHS environment only
+//! when the LHS binds a variable the RHS does not mention, the one case
+//! where two instantiations can share a key.
 
 use hcm_core::{ItemId, ItemPattern, SimTime, StateIndex, Sym, Term, Trace, Value};
 use hcm_rulelang::{CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, Mention, TimeExpr};
@@ -126,9 +129,10 @@ impl CondEnv for AtTime<'_> {
 /// Evaluation counters, exposed for observability and benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Condition probes answered from the memo table.
+    /// Always 0: condition evaluations are not memoized. The field
+    /// stays for callers that still read it.
     pub probe_hits: u64,
-    /// Condition probes evaluated and recorded.
+    /// Condition evaluations, one per instant a condition is read at.
     pub probe_misses: u64,
     /// `@`-atom expansions answered from the satisfying-candidate
     /// cache.
@@ -143,16 +147,11 @@ pub struct EvalStats {
 
 #[derive(Default)]
 struct EvalCounters {
-    probe_hits: Cell<u64>,
     probe_misses: Cell<u64>,
     atom_hits: Cell<u64>,
     atom_misses: Cell<u64>,
     grid_points: Cell<u64>,
 }
-
-/// Memo key for a pure condition probe: condition node address,
-/// instant, and the condition's variable bindings in a fixed order.
-type ProbeKey = (usize, SimTime, Vec<Option<Value>>);
 
 /// Memo key for a single-variable `@` atom: condition node address,
 /// the occurrence's time offset, and the condition's variable
@@ -165,9 +164,6 @@ type AtSat = Rc<Vec<(SimTime, u32)>>;
 pub struct Evaluator<'a> {
     idx: &'a StateIndex,
     horizon: SimTime,
-    /// Pure-probe memo: number of satisfying pushes (all of which are
-    /// clones of the probed env — see [`Evaluator::probe_memoized`]).
-    probe_memo: RefCell<HashMap<ProbeKey, u32>>,
     /// Per-atom satisfying-candidate cache (see
     /// [`Evaluator::at_sat_cached`]).
     at_memo: RefCell<HashMap<AtKey, AtSat>>,
@@ -184,7 +180,6 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             idx: trace.index(),
             horizon: horizon.unwrap_or_else(|| trace.end_time()),
-            probe_memo: RefCell::new(HashMap::new()),
             at_memo: RefCell::new(HashMap::new()),
             cond_vars_cache: RefCell::new(HashMap::new()),
             counters: EvalCounters::default(),
@@ -195,7 +190,7 @@ impl<'a> Evaluator<'a> {
     #[must_use]
     pub fn stats(&self) -> EvalStats {
         EvalStats {
-            probe_hits: self.counters.probe_hits.get(),
+            probe_hits: 0,
             probe_misses: self.counters.probe_misses.get(),
             atom_hits: self.counters.atom_hits.get(),
             atom_misses: self.counters.atom_misses.get(),
@@ -208,7 +203,6 @@ impl<'a> Evaluator<'a> {
     pub fn check(&self, g: &Guarantee) -> GuaranteeReport {
         // Both caches key on condition node addresses, which are only
         // stable within one guarantee's lifetime.
-        self.probe_memo.borrow_mut().clear();
         self.at_memo.borrow_mut().clear();
         self.cond_vars_cache.borrow_mut().clear();
         let static_cands = self.static_candidates(g);
@@ -349,8 +343,8 @@ impl<'a> Evaluator<'a> {
             // ±1 ms for strictness. The same atoms confine `v` to the
             // window `[lo, hi]`: any other value fails one of them when
             // the search reaches it, as its other side is already fixed.
-            let horizon_ms = self.horizon.as_millis() as i64;
-            let (mut lo, mut hi) = (0i64, horizon_ms);
+            let horizon_ms = i128::from(self.horizon.as_millis());
+            let (mut lo, mut hi) = (0, horizon_ms);
             let mut dynamic: Vec<SimTime> = Vec::new();
             for other in all_atoms {
                 let GAtom::TimeCmp(a, op, b) = other else {
@@ -366,7 +360,7 @@ impl<'a> Evaluator<'a> {
                         continue;
                     };
                     // `v op at`.
-                    let at = o - my_shift;
+                    let at = o - i128::from(my_shift);
                     match op {
                         CmpOp::Lt => hi = hi.min(at - 1),
                         CmpOp::Le => hi = hi.min(at),
@@ -375,7 +369,7 @@ impl<'a> Evaluator<'a> {
                         CmpOp::Eq => (lo, hi) = (lo.max(at), hi.min(at)),
                         CmpOp::Ne => {}
                     }
-                    for delta in [-1i64, 0, 1] {
+                    for delta in [-1, 0, 1] {
                         let ms = at + delta;
                         if (0..=horizon_ms).contains(&ms) {
                             dynamic.push(SimTime::from_millis(ms as u64));
@@ -401,7 +395,7 @@ impl<'a> Evaluator<'a> {
                 let cvars = self.cond_vars_of(cond);
                 if applies && cvars.iter().all(|cv| env.vars.contains_key(cv)) {
                     let sat = self.at_sat_cached(cond, off, statics, env, &cvars);
-                    let ms = |t: SimTime| t.as_millis() as i64;
+                    let ms = |t: SimTime| i128::from(t.as_millis());
                     let first = sat.partition_point(|&(c, _)| ms(c) < lo);
                     let known = sat[first..]
                         .iter()
@@ -442,46 +436,42 @@ impl<'a> Evaluator<'a> {
             }
             GAtom::At(cond, te) => {
                 let Some(ms) = resolve_signed(te, env)
-                    .filter(|&ms| ms >= 0 && ms as u64 <= self.horizon.as_millis())
+                    .filter(|ms| (0..=i128::from(self.horizon.as_millis())).contains(ms))
                 else {
                     return false;
                 };
-                let mut bound = Vec::new();
-                self.eval_cond(cond, SimTime::from_millis(ms as u64), env, true, &mut bound);
-                bound.iter_mut().any(emit)
+                self.probe(cond, SimTime::from_millis(ms as u64), env, true)
+                    .iter_mut()
+                    .any(emit)
             }
-            GAtom::Throughout(cond, a, b) => {
+            GAtom::Throughout(cond, a, b) | GAtom::Sometime(cond, a, b) => {
+                let throughout = matches!(atom, GAtom::Throughout(..));
                 let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
                     return false;
                 };
-                if ta > tb {
-                    return emit(env); // empty interval: vacuous
+                // An empty window: `@@` holds vacuously, `@?` finds no
+                // instant. A `@?` window wholly before 0 finds none
+                // either; a `@@` one reads the state at 0.
+                if ta > tb || (!throughout && tb < 0) {
+                    return throughout && emit(env);
                 }
-                let ta = SimTime::from_millis(ta.max(0) as u64);
-                let tb = SimTime::from_millis(tb.max(0) as u64);
-                let grid = self.interval_grid(cond, ta, tb);
-                let ok = grid.iter().all(|&t| {
-                    let mut probe = Vec::new();
-                    self.eval_cond(cond, t, env, false, &mut probe);
-                    !probe.is_empty()
-                });
-                ok && emit(env)
-            }
-            GAtom::Sometime(cond, a, b) => {
-                let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
-                    return false;
+                let instant =
+                    |ms: i128| SimTime::from_millis(u64::try_from(ms.max(0)).unwrap_or(u64::MAX));
+                let (ta, tb) = (instant(ta), instant(tb));
+                // The condition reads the same values from one change
+                // point to the next, so the window's start and the change
+                // points inside it are every instant that matters. Those
+                // past the horizon count: a window may end there.
+                let points = self.change_points(cond, env);
+                let inside =
+                    points.partition_point(|&t| t <= ta)..points.partition_point(|&t| t <= tb);
+                let mut instants = std::iter::once(ta).chain(points[inside].iter().copied());
+                let mut holds_at = |t| !self.probe(cond, t, env, false).is_empty();
+                let ok = if throughout {
+                    instants.all(&mut holds_at)
+                } else {
+                    instants.any(&mut holds_at)
                 };
-                if ta > tb || tb < 0 {
-                    return false;
-                }
-                let ta = SimTime::from_millis(ta.max(0) as u64);
-                let tb = SimTime::from_millis(tb.max(0) as u64);
-                let grid = self.interval_grid(cond, ta, tb);
-                let ok = grid.iter().any(|&t| {
-                    let mut probe = Vec::new();
-                    self.eval_cond(cond, t, env, false, &mut probe);
-                    !probe.is_empty()
-                });
                 ok && emit(env)
             }
         }
@@ -532,59 +522,16 @@ impl<'a> Evaluator<'a> {
         stopped
     }
 
-    /// Evaluate a condition at instant `t`, pushing each satisfying
-    /// binding extension. With `allow_bind`, an `item = var` comparison
-    /// against an unbound variable binds it (the paper's implicit data
-    /// binding); `@@`/`@?` evaluation forbids it because a binding
-    /// valid at one instant must not leak to others.
-    ///
-    /// Pure evaluations (those that cannot bind) are memoized — see
-    /// [`Evaluator::probe_memoized`].
-    fn eval_cond(&self, cond: &Cond, t: SimTime, env: &Env, allow_bind: bool, out: &mut Vec<Env>) {
-        if let Some(n) = self.probe_memoized(cond, t, env, allow_bind) {
-            for _ in 0..n {
-                out.push(env.clone());
-            }
-            return;
-        }
-        self.eval_cond_raw(cond, t, env, allow_bind, out);
-    }
-
-    /// Memoized condition probe. A *pure* evaluation — one that cannot
-    /// bind new variables — pushes only clones of `env`, and how many
-    /// is a function of (condition node, instant, the bindings of the
-    /// condition's own variables). So the memo stores the push *count*
-    /// (a count, not a boolean: `Or` pushes one env per satisfied
-    /// branch and replay must preserve that multiplicity). With
-    /// `allow_bind` the evaluation is pure exactly when every
-    /// condition variable is already bound; without it, always.
-    /// Returns `None` when not memoizable.
-    fn probe_memoized(&self, cond: &Cond, t: SimTime, env: &Env, allow_bind: bool) -> Option<u32> {
-        let vars = self.cond_vars_of(cond);
-        if allow_bind && !vars.iter().all(|v| env.vars.contains_key(v)) {
-            return None;
-        }
-        let key = (
-            cond as *const Cond as usize,
-            t,
-            vars.iter()
-                .map(|v| env.vars.get(v).cloned())
-                .collect::<Vec<_>>(),
-        );
-        if let Some(&n) = self.probe_memo.borrow().get(&key) {
-            self.counters
-                .probe_hits
-                .set(self.counters.probe_hits.get() + 1);
-            return Some(n);
-        }
-        let mut probe = Vec::new();
-        self.eval_cond_raw(cond, t, env, allow_bind, &mut probe);
-        let n = u32::try_from(probe.len()).expect("probe count overflow");
-        self.probe_memo.borrow_mut().insert(key, n);
+    /// Evaluate `cond` at instant `t` for the search (see
+    /// [`Evaluator::eval_cond`]): its satisfying binding extensions,
+    /// counted in [`EvalStats::probe_misses`].
+    fn probe(&self, cond: &Cond, t: SimTime, env: &Env, allow_bind: bool) -> Vec<Env> {
         self.counters
             .probe_misses
             .set(self.counters.probe_misses.get() + 1);
-        Some(n)
+        let mut out = Vec::new();
+        self.eval_cond(cond, t, env, allow_bind, &mut out);
+        out
     }
 
     /// Satisfying static candidates for a single-variable `@` atom
@@ -623,13 +570,32 @@ impl<'a> Evaluator<'a> {
         sat
     }
 
-    /// Builds [`Evaluator::at_sat_cached`]'s list from segments. Under
-    /// a full binding the condition reads a fixed set of ground items
-    /// (a `*` parameter names none), so its truth can change only at
-    /// their change points. Those points cut `[0, horizon]` into
-    /// segments; the condition is evaluated once per segment that some
-    /// `c + off` falls in, and every such candidate `c` gets that push
-    /// count. The cost follows the bound items' history, not the grid.
+    /// Instant 0 and the change points of the items `cond` names under
+    /// `env`, ascending. Under that binding the condition reads a fixed
+    /// set of ground items, so its truth can change only at these
+    /// instants. An item with a `*` or unbound parameter contributes
+    /// none: it reads nothing at any instant. Points past the horizon
+    /// are kept.
+    fn change_points(&self, cond: &Cond, env: &Env) -> Vec<SimTime> {
+        let mut points = vec![SimTime::ZERO];
+        cond.visit(&mut |m| {
+            if let Mention::Item(p) = m {
+                if let Some(item) = ground(p, env) {
+                    points.extend(self.idx.changes(&item).iter().map(|&(t, _)| t));
+                }
+            }
+        });
+        points.sort_unstable();
+        points.dedup();
+        points
+    }
+
+    /// Builds [`Evaluator::at_sat_cached`]'s list from segments. The
+    /// fully bound condition's [`Evaluator::change_points`] cut
+    /// `[0, horizon]` into segments; the condition is evaluated once per
+    /// segment that some `c + off` falls in, and every such candidate
+    /// `c` gets that push count. The cost follows the bound items'
+    /// history, not the grid.
     fn at_sat_segments(
         &self,
         cond: &Cond,
@@ -637,16 +603,7 @@ impl<'a> Evaluator<'a> {
         statics: &[SimTime],
         env: &Env,
     ) -> Vec<(SimTime, u32)> {
-        let mut bounds = vec![SimTime::ZERO];
-        cond.visit(&mut |m| {
-            if let Mention::Item(p) = m {
-                if let Some(item) = ground(p, env) {
-                    bounds.extend(self.idx.changes(&item).iter().map(|&(t, _)| t));
-                }
-            }
-        });
-        bounds.sort_unstable();
-        bounds.dedup();
+        let bounds = self.change_points(cond, env);
         let horizon_ms = self.horizon.as_millis() as i64;
         // Index of the first candidate probing at or after `ms`.
         let from = |ms: i64| statics.partition_point(|c| c.as_millis() as i64 + off < ms);
@@ -662,9 +619,8 @@ impl<'a> Evaluator<'a> {
                 .min(horizon_ms);
             let hi = from(end_ms + 1);
             if hi > lo {
-                let mut probe = Vec::new();
-                self.eval_cond_raw(cond, start, env, true, &mut probe);
-                let n = u32::try_from(probe.len()).expect("probe count overflow");
+                let n = self.probe(cond, start, env, true).len();
+                let n = u32::try_from(n).expect("probe count overflow");
                 if n > 0 {
                     sat.extend(statics[lo..hi].iter().map(|&c| (c, n)));
                 }
@@ -691,8 +647,7 @@ impl<'a> Evaluator<'a> {
             if !(0..=horizon_ms).contains(&ms) {
                 continue;
             }
-            let mut probe = Vec::new();
-            self.eval_cond_raw(cond, SimTime::from_millis(ms as u64), env, true, &mut probe);
+            let probe = self.probe(cond, SimTime::from_millis(ms as u64), env, true);
             if !probe.is_empty() {
                 sat.push((c, u32::try_from(probe.len()).expect("probe count overflow")));
             }
@@ -715,14 +670,12 @@ impl<'a> Evaluator<'a> {
         vs
     }
 
-    fn eval_cond_raw(
-        &self,
-        cond: &Cond,
-        t: SimTime,
-        env: &Env,
-        allow_bind: bool,
-        out: &mut Vec<Env>,
-    ) {
+    /// Evaluate a condition at instant `t`, pushing each satisfying
+    /// binding extension. With `allow_bind`, an `item = var` comparison
+    /// against an unbound variable binds it (the paper's implicit data
+    /// binding); `@@`/`@?` evaluation forbids it because a binding
+    /// valid at one instant must not leak to others.
+    fn eval_cond(&self, cond: &Cond, t: SimTime, env: &Env, allow_bind: bool, out: &mut Vec<Env>) {
         match cond {
             Cond::True => out.push(env.clone()),
             Cond::And(a, b) => {
@@ -787,21 +740,6 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-    }
-
-    /// Evaluation grid inside `[a, b]` for an interval atom: the
-    /// endpoints plus every change point of the mentioned items in
-    /// range (values are constant in between, so this is exact).
-    fn interval_grid(&self, cond: &Cond, a: SimTime, b: SimTime) -> Vec<SimTime> {
-        let mut grid: BTreeSet<SimTime> = [a, b].into_iter().collect();
-        for base in cond_bases(cond) {
-            for &t in self.idx.breakpoints_by_base(base) {
-                if t >= a && t <= b {
-                    grid.insert(t);
-                }
-            }
-        }
-        grid.into_iter().collect()
     }
 
     /// Static per-variable time candidates: the salient grid.
@@ -970,55 +908,25 @@ pub fn check_guarantee(trace: &Trace, g: &Guarantee, horizon: Option<SimTime>) -
     Evaluator::new(trace, horizon).check(g)
 }
 
-/// Check several guarantees against one trace concurrently: one worker
-/// per guarantee over the trace's shared [`StateIndex`],
-/// `std::thread::scope` so nothing outlives the call. Guarantees are
-/// independent (each `check` touches only its own evaluator state),
-/// and results are joined in input order, so the output is identical
-/// to checking serially — regardless of scheduling.
+/// Check each guarantee against one trace, in order, returning its
+/// report with its evaluator's counters.
 #[must_use]
-pub fn check_guarantees_parallel(
-    trace: &Trace,
-    gs: &[Guarantee],
-    horizon: Option<SimTime>,
-) -> Vec<GuaranteeReport> {
-    check_guarantees_parallel_stats(trace, gs, horizon)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// [`check_guarantees_parallel`], also returning each worker's
-/// evaluation counters (for observability wiring).
-#[must_use]
-pub fn check_guarantees_parallel_stats(
+pub fn check_guarantees(
     trace: &Trace,
     gs: &[Guarantee],
     horizon: Option<SimTime>,
 ) -> Vec<(GuaranteeReport, EvalStats)> {
-    if gs.is_empty() {
-        return Vec::new();
-    }
-    // Build the shared index before the workers start.
-    let _ = trace.index();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = gs
-            .iter()
-            .map(|g| {
-                scope.spawn(move || {
-                    let ev = Evaluator::new(trace, horizon);
-                    let report = ev.check(g);
-                    let stats = ev.stats();
-                    (report, stats)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("guarantee worker panicked"))
-            .collect()
-    })
+    gs.iter()
+        .map(|g| {
+            let ev = Evaluator::new(trace, horizon);
+            (ev.check(g), ev.stats())
+        })
+        .collect()
 }
+
+/// The former name of [`check_guarantees`], kept for the benchmark.
+#[doc(hidden)]
+pub use check_guarantees as check_guarantees_parallel_stats;
 
 /// The time expressions a single atom mentions.
 fn atom_time_exprs(atom: &GAtom) -> impl Iterator<Item = &TimeExpr> {
@@ -1042,18 +950,20 @@ fn time_var(te: &TimeExpr) -> Option<&str> {
 /// A time expression's value in milliseconds, *signed*. A variable
 /// resolves from the time assignment first, then from a data binding
 /// holding an integer (timestamps stored in auxiliary items, as in the
-/// §6.3 monitor guarantee).
-fn resolve_signed(te: &TimeExpr, env: &Env) -> Option<i64> {
+/// §6.3 monitor guarantee). A stored timestamp can be any `i64`, so the
+/// value is an `i128`: an offset on it, and the window arithmetic in
+/// [`Evaluator::expand_atom`], cannot overflow.
+fn resolve_signed(te: &TimeExpr, env: &Env) -> Option<i128> {
     let lookup = |v: &str| {
         env.times
             .get(v)
-            .map(|t| t.as_millis() as i64)
-            .or_else(|| env.vars.get(v).and_then(Value::as_int))
+            .map(|t| i128::from(t.as_millis()))
+            .or_else(|| env.vars.get(v).and_then(Value::as_int).map(i128::from))
     };
     match te {
-        TimeExpr::Const(t) => Some(t.as_millis() as i64),
+        TimeExpr::Const(t) => Some(i128::from(t.as_millis())),
         TimeExpr::Var(v) => lookup(v),
-        TimeExpr::Offset(v, off) => Some(lookup(v)? + off),
+        TimeExpr::Offset(v, off) => Some(lookup(v)? + i128::from(*off)),
     }
 }
 
@@ -1603,6 +1513,38 @@ mod tests {
                 .to_vec()
             )
         );
+    }
+
+    /// A timestamp stored in the trace can be any `i64`. An offset on it
+    /// and the windows it bounds must give the verdicts of exact
+    /// arithmetic, and must not overflow: a wrapped `s + 1s` would turn
+    /// an empty window into one reaching back to 0, and a bound that
+    /// admits every instant into one that admits none.
+    #[test]
+    fn stored_timestamps_at_the_ends_of_i64_do_not_overflow() {
+        let forms = [
+            "(Tb = s) @ t => (X = 0) @@ [s + 1s, t]",
+            "(Tb = s) @ t => (X = 0) @ u and u <= s + 1s",
+            "(Tb = s) @ t => (X = 0) @ u and u >= s - 1s",
+        ]
+        .map(|src| parse_guarantee("ts", src).unwrap());
+        for (tb, want) in [
+            (i64::MAX, [true, true, false]),
+            (i64::MIN, [false, false, true]),
+            (i64::MAX - 500, [true, true, false]),
+        ] {
+            // X = 0 until 10s, so only a window reaching 10s fails.
+            let mut tr = Trace::new();
+            tr.set_initial(ItemId::plain("X"), Value::Int(0));
+            tr.set_initial(ItemId::plain("Tb"), Value::Int(tb));
+            write(&mut tr, 10, "X", 1);
+            write(&mut tr, 20, "Pad", 0);
+            for (g, want) in forms.iter().zip(want) {
+                let r = check_guarantee(&tr, g, None);
+                assert_eq!(r.holds, want, "Tb={tb}: {g:?} {:?}", r.violations);
+                assert!(r.instantiations > 0);
+            }
+        }
     }
 
     /// Minimal deterministic generator (SplitMix64).

@@ -17,7 +17,7 @@
 //! Both read item state from the trace's one [`StateIndex`]
 //! (re-exported here from `hcm-core`): [`hcm_core::Trace::index`]
 //! builds it on the first query and shares it between the validity
-//! pass and every guarantee worker.
+//! pass and every guarantee check.
 //!
 //! ## Finite-trace semantics
 //!
@@ -30,7 +30,8 @@
 //! paper. Under a fixed binding of its variables, a condition reads a
 //! fixed set of items, so its truth changes only at *those* items'
 //! change points: the evaluator evaluates a fully bound `@` atom once
-//! per segment between them, not once per grid point.
+//! per segment between them, not once per grid point, and a `@@`/`@?`
+//! atom at its window's start and at those change points inside it.
 //! Liveness-flavoured guarantees ("X leads Y") are evaluated up to a
 //! *quiescence horizon*: run the workload, drain the system, then
 //! check — `EXPERIMENTS.md` records the horizon per experiment.

@@ -671,3 +671,92 @@ fn time_comparison_forms_agree_with_brute_force() {
         "both outcomes of every form must occur"
     );
 }
+
+/// The §6.3 monitor shape, parameterized: a `@@` window from a
+/// timestamp stored in the trace to `t - κ`. The horizon lies below
+/// the trace's end, stored timestamps fall around it, and `κ` may be
+/// negative, so windows come out empty, wholly before 0, and reaching
+/// past the horizon. The reference reads every millisecond of the
+/// window, a negative instant as instant 0.
+#[test]
+fn monitor_window_agrees_with_brute_force() {
+    const END_MS: usize = HORIZON_MS as usize + 40;
+    let ids = ["e1", "e2"];
+    let mut g = Gen::new(0xC4EC_000C);
+    let mut seen = [false; 2];
+    // Empty, wholly before 0, reaching past the horizon.
+    let mut shapes = [0; 3];
+    for _ in 0..64 {
+        let h = g.int_in(60, HORIZON_MS as i64 - 20);
+        let mut initial = Vec::new();
+        let mut writes = Vec::new();
+        for id in ids {
+            let v0 = Value::Int(g.int_in(0, 1));
+            initial.push((param("Flag", id), Value::Bool(g.int_in(0, 1) == 1)));
+            initial.push((param("Tb", id), Value::Int(g.int_in(-40, h + 40))));
+            initial.push((param("X", id), v0.clone()));
+            initial.push((param("Y", id), v0));
+            for (t, v) in g.writes(3, 1, HORIZON_MS) {
+                writes.push((t, param("Flag", id), Value::Bool(v == 1)));
+            }
+            for (t, _) in g.writes(2, 0, HORIZON_MS) {
+                writes.push((t, param("Tb", id), Value::Int(g.int_in(-40, h + 40))));
+            }
+            // Y copies X after a short lag, so the two mostly agree.
+            for (t, v) in g.writes(3, 2, HORIZON_MS) {
+                writes.push((t, param("X", id), Value::Int(v)));
+                let at = (t + g.int_in(0, 8) as u64).min(HORIZON_MS - 1);
+                writes.push((at, param("Y", id), Value::Int(v)));
+            }
+        }
+        writes.sort_by_key(|w| w.0);
+        let tr = trace_of(&initial, writes, HORIZON_MS);
+        let kappa = g.int_in(-30, 30);
+        let end = if kappa >= 0 {
+            format!("t - {kappa}ms")
+        } else {
+            format!("t + {}ms", -kappa)
+        };
+        let guar = parse_guarantee(
+            "monitor",
+            &format!("(Flag(i) = true and Tb(i) = s) @ t => (X(i) = Y(i)) @@ [s, {end}]"),
+        )
+        .unwrap();
+        let fast = check_guarantee(&tr, &guar, Some(SimTime::from_millis(h as u64))).holds;
+
+        let mut slow = true;
+        for id in ids {
+            let at = |base: &str| -> Vec<Option<Value>> {
+                (0..=END_MS)
+                    .map(|t| value_at(&tr, &param(base, id), SimTime::from_millis(t as u64)))
+                    .collect()
+            };
+            let (flag, tb, xs, ys) = (at("Flag"), at("Tb"), at("X"), at("Y"));
+            let agree = |u: i64| {
+                let u = u.max(0) as usize;
+                xs[u].is_some() && xs[u] == ys[u]
+            };
+            for t in 0..=h {
+                let t_ix = t as usize;
+                let Some(s) = tb[t_ix].as_ref().and_then(Value::as_int) else {
+                    continue;
+                };
+                if flag[t_ix] != Some(Value::Bool(true)) {
+                    continue;
+                }
+                let end = t - kappa;
+                shapes[0] += usize::from(s > end);
+                shapes[1] += usize::from(s <= end && end < 0);
+                shapes[2] += usize::from(s <= h && h < end);
+                slow &= (s..=end).all(agree);
+            }
+        }
+        assert_eq!(fast, slow, "kappa={kappa}ms horizon={h}ms trace:\n{tr}");
+        seen[usize::from(slow)] = true;
+    }
+    assert_eq!(seen, [true; 2], "both outcomes must occur");
+    assert!(
+        shapes.iter().all(|&n| n > 0),
+        "every window shape must occur (empty, before 0, past the horizon): {shapes:?}"
+    );
+}

@@ -8,11 +8,12 @@
 //! display name resolves through the interned `&'static str` only at
 //! formatting time.
 //!
-//! Determinism: symbols are assigned in first-intern order, which under
-//! the parallel sweep driver depends on thread scheduling. `Ord` is
-//! therefore defined by *string content*, never by symbol id, so
-//! `BTreeMap`s and sorts keyed on `Sym` order identically in serial and
-//! parallel runs. (`Hash` uses the id — `HashMap` iteration order is
+//! Determinism: symbols are assigned in first-intern order, which
+//! depends on everything the process interned before (every earlier
+//! scenario of a batch; under the test harness, thread scheduling).
+//! `Ord` is therefore defined by *string content*, never by symbol id,
+//! so `BTreeMap`s and sorts keyed on `Sym` order identically whatever
+//! ran first. (`Hash` uses the id — `HashMap` iteration order is
 //! unspecified anyway, and every determinism-sensitive structure in the
 //! workspace is a `BTreeMap` or an explicit sort.)
 
@@ -93,7 +94,7 @@ impl PartialOrd for Sym {
 impl Ord for Sym {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // By content, not id: keeps sort order deterministic when the
-        // interning order varied (parallel sweeps).
+        // interning order varied (see the module docs).
         self.s.cmp(other.s)
     }
 }

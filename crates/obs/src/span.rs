@@ -16,7 +16,7 @@
 //! differentially tested against each other.
 
 use hcm_core::{EventId, RuleId, SimTime, SiteId, Trace};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -24,13 +24,6 @@ use std::rc::Rc;
 /// creation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
-
-impl SpanId {
-    /// Sentinel returned by [`Spans::start`] while recording is
-    /// disabled. [`SpanLog::end`] and [`SpanLog::annotate`] on it are
-    /// no-ops, so callers can hold it without checking.
-    pub const DISABLED: SpanId = SpanId(u64::MAX);
-}
 
 impl fmt::Display for SpanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -170,34 +163,16 @@ impl SpanLog {
 }
 
 /// Cheaply clonable handle to a shared [`SpanLog`].
-///
-/// Recording can be switched off ([`Spans::set_enabled`]) for
-/// throughput-critical runs: `start` then returns
-/// [`SpanId::DISABLED`] without touching the log, and `end`/`annotate`
-/// on that sentinel are no-ops. The default is enabled — observability
-/// snapshots stay byte-identical unless a scenario opts out.
 #[derive(Debug, Clone, Default)]
 pub struct Spans {
     log: Rc<RefCell<SpanLog>>,
-    disabled: Rc<Cell<bool>>,
 }
 
 impl Spans {
-    /// A fresh, empty log (recording enabled).
+    /// A fresh, empty log.
     #[must_use]
     pub fn new() -> Self {
         Spans::default()
-    }
-
-    /// Turn span recording on or off (shared across all clones).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.disabled.set(!enabled);
-    }
-
-    /// Whether spans are currently being recorded.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        !self.disabled.get()
     }
 
     /// Open a span.
@@ -212,47 +187,18 @@ impl Spans {
         start: SimTime,
         note: impl Into<String>,
     ) -> SpanId {
-        if !self.enabled() {
-            return SpanId::DISABLED;
-        }
         self.log
             .borrow_mut()
             .start(kind, parent, site, rule, trigger, start, note)
     }
 
-    /// Open a span with a lazily built note: the closure runs only
-    /// when recording is enabled, so hot paths don't pay for `format!`
-    /// labels nobody will read.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with(
-        &self,
-        kind: SpanKind,
-        parent: Option<SpanId>,
-        site: SiteId,
-        rule: Option<RuleId>,
-        trigger: Option<EventId>,
-        start: SimTime,
-        note: impl FnOnce() -> String,
-    ) -> SpanId {
-        if !self.enabled() {
-            return SpanId::DISABLED;
-        }
-        self.start(kind, parent, site, rule, trigger, start, note())
-    }
-
     /// Close a span.
     pub fn end(&self, id: SpanId, at: SimTime) {
-        if id == SpanId::DISABLED {
-            return;
-        }
         self.log.borrow_mut().end(id, at);
     }
 
     /// Append to a span's note.
     pub fn annotate(&self, id: SpanId, note: &str) {
-        if id == SpanId::DISABLED {
-            return;
-        }
         self.log.borrow_mut().annotate(id, note);
     }
 
@@ -430,43 +376,6 @@ mod tests {
             assert_eq!(kids.len(), 1);
             assert_eq!(kids[0].kind, SpanKind::RhsStep(0));
         });
-    }
-
-    #[test]
-    fn disabled_spans_record_nothing_and_reenable() {
-        let spans = Spans::new();
-        spans.set_enabled(false);
-        assert!(!spans.enabled());
-        let mut built = false;
-        let id = spans.start_with(
-            SpanKind::Firing,
-            None,
-            SiteId::new(0),
-            None,
-            None,
-            SimTime::ZERO,
-            || {
-                built = true;
-                "expensive".to_string()
-            },
-        );
-        assert_eq!(id, SpanId::DISABLED);
-        assert!(!built, "note closure must not run while disabled");
-        spans.end(id, SimTime::from_millis(1));
-        spans.annotate(id, "late");
-        spans.with(|log| assert!(log.spans().is_empty()));
-        spans.set_enabled(true);
-        let id = spans.start(
-            SpanKind::Firing,
-            None,
-            SiteId::new(0),
-            None,
-            None,
-            SimTime::ZERO,
-            "",
-        );
-        assert_ne!(id, SpanId::DISABLED);
-        spans.with(|log| assert_eq!(log.spans().len(), 1));
     }
 
     #[test]

@@ -379,14 +379,14 @@ impl ShellActor {
                 self.execute_rhs(r.id, id, bindings, ctx);
             } else {
                 let target = self.shells[r.rhs_site.index() as usize];
-                let s = self.spans.start_with(
+                let s = self.spans.start(
                     SpanKind::RemoteFire,
                     None,
                     self.site,
                     Some(r.id),
                     Some(id),
                     ctx.now(),
-                    || format!("to {}", r.rhs_site),
+                    format!("to {}", r.rhs_site),
                 );
                 self.spans.end(s, ctx.now());
                 ctx.send(

@@ -7,7 +7,7 @@
 //! standard post-mortem (validity + every guarantee the strategy
 //! specification declared).
 
-use hcm_checker::guarantee::{check_guarantees_parallel_stats, GuaranteeReport};
+use hcm_checker::guarantee::{check_guarantees, GuaranteeReport};
 use hcm_checker::{check_validity, RuleSet, ValidityReport};
 use hcm_core::Trace;
 use hcm_obs::Scope;
@@ -53,22 +53,20 @@ impl PostMortem {
 /// validity properties against the deployed rules, and each guarantee
 /// declared in the strategy specification.
 ///
-/// Guarantees are checked concurrently (they are independent; see
-/// `check_guarantees_parallel`) and reported in declaration order.
-/// The checker's cache/grid counters are recorded into the scenario's
-/// metrics registry under `checker.*` — evaluation is deterministic,
-/// so this keeps `metrics_jsonl` byte-identical across runs of the
-/// same seed.
+/// Guarantees are checked one after another on the calling thread and
+/// reported in declaration order. The checker's evaluation, cache and
+/// grid counters are recorded into the scenario's metrics registry
+/// under `checker.*` — evaluation is deterministic, so this keeps
+/// `metrics_jsonl` byte-identical across runs of the same seed.
 #[must_use]
 pub fn post_mortem(scenario: &Scenario) -> PostMortem {
     let trace = scenario.trace();
     let m = &scenario.obs.metrics;
     let rules = rule_set_of(scenario);
     let validity = check_validity(&trace, &rules);
-    let checked = check_guarantees_parallel_stats(&trace, &scenario.strategy.guarantees, None);
+    let checked = check_guarantees(&trace, &scenario.strategy.guarantees, None);
     let mut guarantees = Vec::with_capacity(checked.len());
     for (report, stats) in checked {
-        m.add(Scope::Global, "checker.probe_hits", stats.probe_hits);
         m.add(Scope::Global, "checker.probe_misses", stats.probe_misses);
         m.add(Scope::Global, "checker.atom_cache_hits", stats.atom_hits);
         m.add(
