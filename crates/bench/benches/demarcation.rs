@@ -2,6 +2,7 @@
 //! denial rates, message economy, latency, availability.
 
 use hcm_core::{SimDuration, SimTime};
+use hcm_obs::Scope;
 use hcm_protocols::demarcation::{self, DemarcConfig, GrantPolicy};
 use hcm_protocols::tpc;
 use hcm_simkit::SimRng;
@@ -49,16 +50,15 @@ fn main() {
     ] {
         let d = run_demarc(policy, &ops);
         assert!(d.invariant_held());
-        let sx = d.stats_x.borrow();
-        let sy = d.stats_y.borrow();
-        let ok = sx.local_ok + sx.granted + sy.local_ok + sy.granted;
+        let both = |name| d.scenario.counter("A", name) + d.scenario.counter("B", name);
+        let ok = both("demarc.local_ok") + both("demarc.granted");
         let msgs = d.scenario.sim.network().total_sent();
         eprintln!(
             "  {:<15} {:>6} {:>8} {:>10} {:>10} {:>12.2}",
             format!("{policy:?}"),
             ok,
-            sx.denied + sy.denied,
-            sx.limit_requests + sy.limit_requests,
+            both("demarc.denied"),
+            both("demarc.limit_requests"),
             msgs,
             msgs as f64 / ok as f64
         );
@@ -68,17 +68,19 @@ fn main() {
         t.try_update(at, lower, delta);
     }
     t.run();
-    let st = t.stats.borrow();
+    let tpc = |name| t.sim.obs().metrics.counter(Scope::Global, name);
+    let (committed, messages) = (tpc("tpc.committed"), tpc("tpc.messages"));
     eprintln!(
         "  {:<15} {:>6} {:>8} {:>10} {:>10} {:>12.2}",
         "2PC",
-        st.committed,
-        st.aborted_constraint + st.aborted_unavailable,
+        committed,
+        tpc("tpc.aborted_constraint") + tpc("tpc.aborted_unavailable"),
         "-",
-        st.messages,
-        st.messages as f64 / st.committed.max(1) as f64
+        messages,
+        messages as f64 / committed.max(1) as f64
     );
-    let avg = st.latencies_ms.iter().sum::<u64>() as f64 / st.latencies_ms.len().max(1) as f64;
+    let latencies = t.sim.obs().metrics.series(Scope::Global, "tpc.latency_ms");
+    let avg = latencies.iter().sum::<i64>() as f64 / latencies.len().max(1) as f64;
     eprintln!("  2PC mean commit latency: {avg:.0} ms; demarcation local update: ~52 ms");
     eprintln!("  shape: weak consistency wins msg/op and latency; both deny saturated updates.");
 }

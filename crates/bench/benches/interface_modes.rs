@@ -83,7 +83,8 @@ fn main() {
     for frac in ["0.0", "0.05", "0.1", "0.25"] {
         let rid = RID_COND_TMPL.replace("FRAC", frac);
         let sc = run_with_rid(&rid, 5);
-        let stats = sc.site("A").translator_stats.borrow().clone();
+        let notifications = sc.counter("A", "translator.notifications");
+        let suppressed = sc.counter("A", "translator.suppressed");
         // Mirror error: worst *settled* relative gap — measured just
         // before each source change, i.e. after the previous change's
         // propagation (if any) completed. Mid-flight transients are a
@@ -117,7 +118,7 @@ fn main() {
         }
         eprintln!(
             "  {:<12} {:>14} {:>12} {:>22.1}",
-            frac, stats.notifications, stats.suppressed, worst
+            frac, notifications, suppressed, worst
         );
     }
     eprintln!("  shape: higher thresholds trade traffic for a bounded mirror error.");
@@ -126,6 +127,6 @@ fn main() {
     let plain = run_with_rid(RID_PLAIN, 5);
     eprintln!(
         "  plain notify interface: {} notifications, 0 suppressed",
-        plain.site("A").translator_stats.borrow().notifications
+        plain.counter("A", "translator.notifications")
     );
 }

@@ -604,9 +604,10 @@ impl<'a> Evaluator<'a> {
         env: &Env,
     ) -> Vec<(SimTime, u32)> {
         let bounds = self.change_points(cond, env);
-        let horizon_ms = self.horizon.as_millis() as i64;
-        // Index of the first candidate probing at or after `ms`.
-        let from = |ms: i64| statics.partition_point(|c| c.as_millis() as i64 + off < ms);
+        let ms = |t: SimTime| i128::from(t.as_millis());
+        // Index of the first candidate probing at or after `at` (in
+        // i128, as `off` may reach ±(2^63 - 1) ms).
+        let from = |at: i128| statics.partition_point(|&c| ms(c) + i128::from(off) < at);
         let mut sat = Vec::new();
         let mut lo = from(0);
         for (i, &start) in bounds.iter().enumerate() {
@@ -615,8 +616,8 @@ impl<'a> Evaluator<'a> {
             }
             let end_ms = bounds
                 .get(i + 1)
-                .map_or(horizon_ms, |t| t.as_millis() as i64 - 1)
-                .min(horizon_ms);
+                .map_or(ms(self.horizon), |&t| ms(t) - 1)
+                .min(ms(self.horizon));
             let hi = from(end_ms + 1);
             if hi > lo {
                 let n = self.probe(cond, start, env, true).len();
@@ -640,10 +641,10 @@ impl<'a> Evaluator<'a> {
         statics: &[SimTime],
         env: &Env,
     ) -> Vec<(SimTime, u32)> {
-        let horizon_ms = self.horizon.as_millis() as i64;
+        let horizon_ms = i128::from(self.horizon.as_millis());
         let mut sat = Vec::new();
         for &c in statics {
-            let ms = c.as_millis() as i64 + off;
+            let ms = i128::from(c.as_millis()) + i128::from(off);
             if !(0..=horizon_ms).contains(&ms) {
                 continue;
             }
@@ -757,7 +758,7 @@ impl<'a> Evaluator<'a> {
     /// atom's time-variable set is a clique) and give every component
     /// its own base-instant and offset sets.
     fn static_candidates(&self, g: &Guarantee) -> BTreeMap<String, Vec<SimTime>> {
-        let horizon_ms = self.horizon.as_millis() as i64;
+        let horizon_ms = i128::from(self.horizon.as_millis());
         let atoms: Vec<&GAtom> = g.lhs.iter().chain(&g.rhs).collect();
 
         // Union-find over time variables; each atom unions its set.
@@ -846,8 +847,11 @@ impl<'a> Evaluator<'a> {
                     for &off in &comp.offsets {
                         for delta in [-1i64, 0, 1] {
                             // Candidate v such that v + shift lands near
-                            // a breakpoint (possibly offset-shifted).
-                            let ms = bt.as_millis() as i64 - shift + off + delta;
+                            // a breakpoint (possibly offset-shifted); in
+                            // i128, as offsets may reach ±(2^63 - 1) ms.
+                            let ms = i128::from(bt.as_millis()) - i128::from(shift)
+                                + i128::from(off)
+                                + i128::from(delta);
                             if (0..=horizon_ms).contains(&ms) {
                                 entry.insert(SimTime::from_millis(ms as u64));
                             }
@@ -1110,6 +1114,32 @@ mod tests {
         // Quiescence padding so `leads` has room after the last write.
         write(&mut tr, 60, "Pad", 0);
         tr
+    }
+
+    /// Offsets up to the largest the lexer admits check without
+    /// overflow, with the verdict of an offset that has the same effect
+    /// at this trace's scale (always or never true, past the horizon).
+    #[test]
+    fn offsets_near_the_duration_limit_check_exactly() {
+        let tr = copy_trace();
+        let verdict = |src: &str, off: &str| {
+            let g = parse_guarantee("g", &src.replace("OFF", off)).unwrap();
+            let r = check_guarantee(&tr, &g, None);
+            (r.holds, r.violations.len())
+        };
+        let max = "9223372036854775807ms";
+        for src in [
+            "(X = x) @ t1 => (Y = x) @ t2 and t2 >= t1 - OFF",
+            "(X = x) @ t1 => (Y = x) @ t2 and t2 >= t1 + OFF",
+            "(X = x) @ t1 => (Y = x) @ t1 + OFF",
+            "(X = 1) @ t1 + OFF => (Y = 1) @ t1",
+            "(X = 1) @ t1 - OFF => (Y = 1) @ t1",
+            "(X = x) @ t1 => (Y = x) @@ [t1 - OFF, t1 - 1000s]",
+        ] {
+            assert_eq!(verdict(src, max), verdict(src, "2000s"), "{src}");
+        }
+        assert!(verdict("(X = x) @ t1 => (Y = x) @ t2 and t2 >= t1 - OFF", max).0);
+        assert!(!verdict("(X = x) @ t1 => (Y = x) @ t2 and t2 >= t1 + OFF", max).0);
     }
 
     #[test]

@@ -81,63 +81,6 @@ pub enum Role {
     Upper,
 }
 
-/// Protocol counters (shared with the experiment driver).
-#[derive(Debug, Default, Clone)]
-pub struct DemarcStats {
-    /// Application update attempts.
-    pub attempts: u64,
-    /// Attempts satisfied locally (within the limit).
-    pub local_ok: u64,
-    /// Attempts satisfied after a granted limit change.
-    pub granted: u64,
-    /// Attempts denied (peer had no slack).
-    pub denied: u64,
-    /// Limit-change request messages sent.
-    pub limit_requests: u64,
-    /// Total slack received via grants.
-    pub slack_received: i64,
-}
-
-/// Registry-backed view of one side's protocol counters. `borrow()`
-/// materializes an owned [`DemarcStats`] snapshot.
-#[derive(Debug, Clone)]
-pub struct DemarcStatsHandle {
-    metrics: Metrics,
-    scope: Scope,
-}
-
-impl DemarcStatsHandle {
-    /// View over `site`'s demarcation metrics in `metrics`.
-    #[must_use]
-    pub fn new(metrics: Metrics, site: SiteId) -> Self {
-        DemarcStatsHandle {
-            metrics,
-            scope: Scope::Site(site.index()),
-        }
-    }
-
-    fn inc(&self, name: &str) {
-        self.metrics.inc(self.scope, name);
-    }
-
-    /// Snapshot the counters as an owned [`DemarcStats`].
-    #[must_use]
-    pub fn borrow(&self) -> DemarcStats {
-        let get = |n: &str| self.metrics.counter(self.scope, n);
-        DemarcStats {
-            attempts: get("demarc.attempts"),
-            local_ok: get("demarc.local_ok"),
-            granted: get("demarc.granted"),
-            denied: get("demarc.denied"),
-            limit_requests: get("demarc.limit_requests"),
-            slack_received: self
-                .metrics
-                .gauge(self.scope, "demarc.slack_received")
-                .unwrap_or(0),
-        }
-    }
-}
-
 /// One site's protocol agent. It acts as the CM-Shell of its site for
 /// this constraint: the translator's events are addressed to it.
 pub struct DemarcAgent {
@@ -155,7 +98,10 @@ pub struct DemarcAgent {
     next_req: u64,
     /// Writes in flight: req_id → (is_limit_write, new cached value).
     inflight: std::collections::BTreeMap<u64, (bool, i64)>,
-    stats: DemarcStatsHandle,
+    metrics: Metrics,
+    /// `Scope::Site` of the agent's site: every `demarc.*` metric is
+    /// written there.
+    scope: Scope,
     /// Trace recording: §6.1 formalizes the limit-change negotiation
     /// "by introducing an event to denote a request for a limit-change
     /// operation" — LimitReq / LimitGrant / LimitDeny land in the trace
@@ -165,7 +111,8 @@ pub struct DemarcAgent {
 
 impl DemarcAgent {
     /// Create an agent. `value`/`limit` must match the store's initial
-    /// contents. The peer id is wired afterwards with
+    /// contents; `demarc.*` metrics go to `metrics` under
+    /// `Scope::Site(site)`. The peer id is wired afterwards with
     /// [`DemarcAgent::set_peer`] (agents reference each other).
     #[must_use]
     #[allow(clippy::too_many_arguments)]
@@ -177,7 +124,8 @@ impl DemarcAgent {
         value: i64,
         limit: i64,
         policy: GrantPolicy,
-        stats: DemarcStatsHandle,
+        metrics: Metrics,
+        site: SiteId,
     ) -> Self {
         DemarcAgent {
             role,
@@ -191,7 +139,8 @@ impl DemarcAgent {
             pending: None,
             next_req: 0,
             inflight: std::collections::BTreeMap::new(),
-            stats,
+            metrics,
+            scope: Scope::Site(site.index()),
             recorder: None,
         }
     }
@@ -262,19 +211,19 @@ impl DemarcAgent {
     /// (positive for `Lower`, i.e. X += δ consumes slack; for `Upper`,
     /// δ is how far Y decreases).
     fn try_update(&mut self, delta: i64, ctx: &mut Ctx<'_, CmMsg>) {
-        self.stats.inc("demarc.attempts");
+        self.metrics.inc(self.scope, "demarc.attempts");
         if delta <= self.headroom() {
             let new = match self.role {
                 Role::Lower => self.value + delta,
                 Role::Upper => self.value - delta,
             };
-            self.stats.inc("demarc.local_ok");
+            self.metrics.inc(self.scope, "demarc.local_ok");
             self.value = new;
             self.write(ctx, false, new);
         } else if self.pending.is_none() {
             let need = delta - self.headroom();
             self.pending = Some(delta);
-            self.stats.inc("demarc.limit_requests");
+            self.metrics.inc(self.scope, "demarc.limit_requests");
             self.record_custom(ctx.now(), "LimitReqSent", vec![Value::Int(need)]);
             if let Some(peer) = self.peer {
                 ctx.send(
@@ -292,7 +241,7 @@ impl DemarcAgent {
         } else {
             // One outstanding negotiation at a time; concurrent
             // attempts beyond the limit are denied outright.
-            self.stats.inc("demarc.denied");
+            self.metrics.inc(self.scope, "demarc.denied");
         }
     }
 
@@ -348,9 +297,8 @@ impl DemarcAgent {
     fn on_grant(&mut self, g: i64, ctx: &mut Ctx<'_, CmMsg>) {
         // Widen own limit by the granted slack, then retry the pending
         // update.
-        self.stats
-            .metrics
-            .gauge_add(self.stats.scope, "demarc.slack_received", g);
+        self.metrics
+            .gauge_add(self.scope, "demarc.slack_received", g);
         let new_limit = match self.role {
             Role::Lower => self.limit + g,
             Role::Upper => self.limit - g,
@@ -363,18 +311,18 @@ impl DemarcAgent {
                     Role::Lower => self.value + delta,
                     Role::Upper => self.value - delta,
                 };
-                self.stats.inc("demarc.granted");
+                self.metrics.inc(self.scope, "demarc.granted");
                 self.value = new;
                 self.write(ctx, false, new);
             } else {
-                self.stats.inc("demarc.denied");
+                self.metrics.inc(self.scope, "demarc.denied");
             }
         }
     }
 
     fn on_deny(&mut self) {
         if self.pending.take().is_some() {
-            self.stats.inc("demarc.denied");
+            self.metrics.inc(self.scope, "demarc.denied");
         }
     }
 }
@@ -410,7 +358,8 @@ impl Actor<CmMsg> for DemarcAgent {
 }
 
 /// A built demarcation scenario: the toolkit scenario plus the agent
-/// actors and shared stats.
+/// actors. The agents' `demarc.*` counters are in the scenario's
+/// metrics registry, under site A (X) and site B (Y).
 pub struct DemarcScenario {
     /// The underlying toolkit scenario.
     pub scenario: Scenario,
@@ -418,10 +367,6 @@ pub struct DemarcScenario {
     pub agent_x: ActorId,
     /// Agent for Y (site B).
     pub agent_y: ActorId,
-    /// X-side counters.
-    pub stats_x: DemarcStatsHandle,
-    /// Y-side counters.
-    pub stats_y: DemarcStatsHandle,
 }
 
 /// Configuration for [`build`].
@@ -537,8 +482,7 @@ pub fn build(cfg: DemarcConfig) -> DemarcScenario {
         .unwrap();
 
     let metrics = scenario.sim.obs().metrics;
-    let stats_x = DemarcStatsHandle::new(metrics.clone(), scenario.site("A").site);
-    let stats_y = DemarcStatsHandle::new(metrics, scenario.site("B").site);
+    let (site_x, site_y) = (scenario.site("A").site, scenario.site("B").site);
     let tx = scenario.site("A").translator;
     let ty = scenario.site("B").translator;
     // Actor ids are sequential: the next two additions get these ids,
@@ -553,10 +497,11 @@ pub fn build(cfg: DemarcConfig) -> DemarcScenario {
         cfg.x0,
         cfg.line,
         cfg.policy,
-        stats_x.clone(),
+        metrics.clone(),
+        site_x,
     );
     ax.set_peer(expected_y);
-    ax.set_recorder(scenario.recorder.clone(), scenario.site("A").site);
+    ax.set_recorder(scenario.recorder.clone(), site_x);
     let mut ay = DemarcAgent::new(
         Role::Upper,
         ty,
@@ -565,10 +510,11 @@ pub fn build(cfg: DemarcConfig) -> DemarcScenario {
         cfg.y0,
         cfg.line,
         cfg.policy,
-        stats_y.clone(),
+        metrics,
+        site_y,
     );
     ay.set_peer(expected_x);
-    ay.set_recorder(scenario.recorder.clone(), scenario.site("B").site);
+    ay.set_recorder(scenario.recorder.clone(), site_y);
     let agent_x = scenario.add_actor(Box::new(ax));
     let agent_y = scenario.add_actor(Box::new(ay));
     assert_eq!((agent_x, agent_y), (expected_x, expected_y));
@@ -576,8 +522,6 @@ pub fn build(cfg: DemarcConfig) -> DemarcScenario {
         scenario,
         agent_x,
         agent_y,
-        stats_x,
-        stats_y,
     }
 }
 
@@ -648,11 +592,11 @@ mod tests {
         d.try_update(SimTime::from_secs(2), false, 40); // Y: 100 → 60 ≥ 50
         d.run();
         assert!(d.invariant_held());
-        let sx = d.stats_x.borrow();
-        let sy = d.stats_y.borrow();
-        assert_eq!(sx.local_ok, 1);
-        assert_eq!(sy.local_ok, 1);
-        assert_eq!(sx.limit_requests + sy.limit_requests, 0);
+        let sc = &d.scenario;
+        assert_eq!(sc.counter("A", "demarc.local_ok"), 1);
+        assert_eq!(sc.counter("B", "demarc.local_ok"), 1);
+        assert_eq!(sc.counter("A", "demarc.limit_requests"), 0);
+        assert_eq!(sc.counter("B", "demarc.limit_requests"), 0);
     }
 
     #[test]
@@ -662,10 +606,14 @@ mod tests {
         d.try_update(SimTime::from_secs(1), true, 80);
         d.run();
         assert!(d.invariant_held());
-        let sx = d.stats_x.borrow();
-        assert_eq!(sx.granted, 1);
-        assert_eq!(sx.denied, 0);
-        assert_eq!(sx.slack_received, 30);
+        let sc = &d.scenario;
+        assert_eq!(sc.counter("A", "demarc.granted"), 1);
+        assert_eq!(sc.counter("A", "demarc.denied"), 0);
+        let slack = sc
+            .obs
+            .metrics
+            .gauge(Scope::Site(0), "demarc.slack_received");
+        assert_eq!(slack, Some(30));
         // Final value reached.
         let trace = d.scenario.trace();
         let x = ItemId::plain("x");
@@ -679,9 +627,8 @@ mod tests {
         d.try_update(SimTime::from_secs(1), true, 200);
         d.run();
         assert!(d.invariant_held());
-        let sx = d.stats_x.borrow();
-        assert_eq!(sx.granted, 0);
-        assert_eq!(sx.denied, 1);
+        assert_eq!(d.scenario.counter("A", "demarc.granted"), 0);
+        assert_eq!(d.scenario.counter("A", "demarc.denied"), 1);
     }
 
     #[test]
@@ -701,8 +648,9 @@ mod tests {
             }
             d.run();
             assert!(d.invariant_held());
-            let s = d.stats_x.borrow();
-            (s.limit_requests, s.granted + s.local_ok, s.denied)
+            let x = |name| d.scenario.counter("A", name);
+            let ok = x("demarc.granted") + x("demarc.local_ok");
+            (x("demarc.limit_requests"), ok, x("demarc.denied"))
         };
         let (req_exact, ok_exact, _) = run_with(GrantPolicy::Requested);
         let (req_all, ok_all, _) = run_with(GrantPolicy::All);
@@ -730,8 +678,8 @@ mod tests {
         d.try_update(SimTime::from_secs(20), false, 20); // Y has no slack left anywhere
         d.run();
         assert!(d.invariant_held());
-        let sy = d.stats_y.borrow();
-        assert_eq!(sy.denied, 1, "Y gave away its slack and is now stuck");
+        let denied = d.scenario.counter("B", "demarc.denied");
+        assert_eq!(denied, 1, "Y gave away its slack and is now stuck");
     }
 
     #[test]

@@ -18,16 +18,14 @@
 use hcm_core::{
     EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, TraceRecorder, Value,
 };
-use hcm_obs::Scope;
+use hcm_obs::{Metrics, Scope};
 use hcm_simkit::{Actor, ActorId, Ctx, RunOutcome, Sim};
 use hcm_store::{LogRecord, MemStore};
 use hcm_toolkit::backends::{build_backend, RawStore};
 use hcm_toolkit::msg::{CmMsg, SpontaneousOp, TranslatorEvent};
 use hcm_toolkit::rid::CmRid;
-use hcm_toolkit::translator::{TranslatorActor, TranslatorStatsHandle};
+use hcm_toolkit::translator::TranslatorActor;
 use hcm_toolkit::{StatePolicy, StoreBridge};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// What a lossy crash does to the monitor agent's volatile state —
 /// the protocols-level mirror of [`hcm_toolkit::Durability`].
@@ -54,8 +52,9 @@ pub struct MonitorAgent {
     recorder: TraceRecorder,
     policy: StatePolicy,
     crashed_lossy: bool,
-    /// Count of Flag transitions (experiment metric).
-    pub transitions: Rc<RefCell<u64>>,
+    /// Where the `monitor.transitions` count of Flag transitions goes
+    /// (`Scope::Global`).
+    metrics: Metrics,
 }
 
 impl MonitorAgent {
@@ -81,7 +80,7 @@ impl MonitorAgent {
         let eq = self.cx == self.cy;
         if eq && !self.flag {
             self.flag = true;
-            *self.transitions.borrow_mut() += 1;
+            self.metrics.inc(Scope::Global, "monitor.transitions");
             self.set_aux(now, "Flag", Value::Bool(true), Value::Bool(false));
             // Tb records *when the agent established* equality; the
             // guarantee's κ absorbs the notification lag.
@@ -93,7 +92,7 @@ impl MonitorAgent {
             });
         } else if !eq && self.flag {
             self.flag = false;
-            *self.transitions.borrow_mut() += 1;
+            self.metrics.inc(Scope::Global, "monitor.transitions");
             self.set_aux(now, "Flag", Value::Bool(false), Value::Bool(true));
             self.log_durable(&LogRecord::PrivateWrite {
                 at: now,
@@ -248,8 +247,6 @@ pub struct MonitorScenario {
     pub translator_y: ActorId,
     /// The shared shell.
     pub agent: ActorId,
-    /// Flag-transition count.
-    pub transitions: Rc<RefCell<u64>>,
     /// κ implied by the interfaces: the max notification bound plus
     /// service/processing slack.
     pub kappa: SimDuration,
@@ -293,7 +290,6 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
     // Actor layout: agent 0, translator_x 1, translator_y 2. The agent
     // is the CM-Shell of *both* sites (paper Fig. 1, Site 3).
     let agent_id = ActorId(0);
-    let transitions = Rc::new(RefCell::new(0));
     let policy = match memory {
         MonitorMemory::Keep => StatePolicy::Keep,
         MonitorMemory::Lose => StatePolicy::Lose,
@@ -314,7 +310,7 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
         recorder: recorder.clone(),
         policy,
         crashed_lossy: false,
-        transitions: transitions.clone(),
+        metrics: sim.obs().metrics,
     };
     assert_eq!(sim.add_actor(Box::new(agent)), agent_id);
 
@@ -328,7 +324,7 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
         Vec::new(),
         never,
         recorder.clone(),
-        TranslatorStatsHandle::new(sim.obs().metrics, SiteId::new(0)),
+        sim.obs().metrics,
     );
     let ty = TranslatorActor::new(
         SiteId::new(1),
@@ -339,7 +335,7 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
         Vec::new(),
         never,
         recorder.clone(),
-        TranslatorStatsHandle::new(sim.obs().metrics, SiteId::new(1)),
+        sim.obs().metrics,
     );
     let translator_x = sim.add_actor(Box::new(tx));
     let translator_y = sim.add_actor(Box::new(ty));
@@ -350,7 +346,6 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
         translator_x,
         translator_y,
         agent: agent_id,
-        transitions,
         // 2s notify bound + 100ms service + margin.
         kappa: SimDuration::from_millis(2500),
     }
@@ -422,7 +417,8 @@ mod tests {
         m.write_x(SimTime::from_secs(10), 20); // diverge
         m.write_y(SimTime::from_secs(40), 20); // converge
         assert_eq!(m.run(), RunOutcome::Quiescent);
-        assert_eq!(*m.transitions.borrow(), 2);
+        let metrics = m.sim.obs().metrics;
+        assert_eq!(metrics.counter(Scope::Global, "monitor.transitions"), 2);
         let trace = m.recorder.snapshot();
         let flag = trace.value_at(&ItemId::plain("Flag"), trace.end_time());
         assert_eq!(flag, Some(Value::Bool(true)));
@@ -485,7 +481,8 @@ mod tests {
         // The recovered agent remembered cx = 20 and flag = false, so
         // the Y notification re-establishes equality: two transitions,
         // Flag true, guarantee intact.
-        assert_eq!(*m.transitions.borrow(), 2);
+        let metrics = m.sim.obs().metrics;
+        assert_eq!(metrics.counter(Scope::Global, "monitor.transitions"), 2);
         let trace = m.recorder.snapshot();
         assert_eq!(
             trace.value_at(&ItemId::plain("Flag"), trace.end_time()),
@@ -493,7 +490,6 @@ mod tests {
         );
         let r = check_guarantee(&trace, &m.guarantee(), None);
         assert!(r.holds, "{:#?}", r.violations);
-        let metrics = m.sim.obs().metrics;
         assert!(metrics.counter(Scope::Actor(0), "store.appends") > 0);
         assert_eq!(metrics.counter(Scope::Actor(0), "store.recoveries"), 1);
     }
@@ -510,7 +506,9 @@ mod tests {
         m.recover_agent(SimTime::from_secs(35));
         m.write_y(SimTime::from_secs(40), 20);
         m.run();
-        assert_eq!(*m.transitions.borrow(), 1, "only the divergence");
+        let metrics = m.sim.obs().metrics;
+        let transitions = metrics.counter(Scope::Global, "monitor.transitions");
+        assert_eq!(transitions, 1, "only the divergence");
         let trace = m.recorder.snapshot();
         assert_eq!(
             trace.value_at(&ItemId::plain("Flag"), trace.end_time()),

@@ -20,54 +20,6 @@ use hcm_toolkit::msg::{CmMsg, RequestKind, TranslatorEvent};
 use hcm_toolkit::{Scenario, ScenarioBuilder};
 use std::collections::BTreeMap;
 
-/// Batch counters.
-#[derive(Debug, Default, Clone)]
-pub struct BatchStats {
-    /// Batches run.
-    pub batches: u64,
-    /// Balances propagated.
-    pub propagated: u64,
-    /// Time the last batch finished (last write acknowledged).
-    pub last_finish: Option<SimTime>,
-}
-
-/// Registry-backed view of the batch counters; [`BatchStats`] is the
-/// snapshot it materializes.
-#[derive(Clone)]
-pub struct BatchStatsHandle {
-    metrics: Metrics,
-    scope: Scope,
-}
-
-impl BatchStatsHandle {
-    /// A handle recording under `batch.*` at the global scope.
-    #[must_use]
-    pub fn new(metrics: Metrics) -> Self {
-        BatchStatsHandle {
-            metrics,
-            scope: Scope::Global,
-        }
-    }
-
-    fn inc(&self, name: &str) {
-        self.metrics.inc(self.scope, name);
-    }
-
-    /// Materialize an owned snapshot (source-compatible with the former
-    /// `RefCell` accessor).
-    #[must_use]
-    pub fn borrow(&self) -> BatchStats {
-        BatchStats {
-            batches: self.metrics.counter(self.scope, "batch.batches"),
-            propagated: self.metrics.counter(self.scope, "batch.propagated"),
-            last_finish: self
-                .metrics
-                .gauge(self.scope, "batch.last_finish_ms")
-                .map(|ms| SimTime::from_millis(ms as u64)),
-        }
-    }
-}
-
 enum Phase {
     Idle,
     Enumerating {
@@ -91,7 +43,8 @@ pub struct BatchAgent {
     schedule: Vec<SimTime>,
     next_req: u64,
     phase: Phase,
-    stats: BatchStatsHandle,
+    /// Where the `batch.*` metrics go (`Scope::Global`).
+    metrics: Metrics,
 }
 
 impl BatchAgent {
@@ -115,7 +68,7 @@ impl Actor<CmMsg> for BatchAgent {
     fn on_message(&mut self, msg: CmMsg, ctx: &mut Ctx<'_, CmMsg>) {
         match msg {
             CmMsg::RuleTick { .. } => {
-                self.stats.inc("batch.batches");
+                self.metrics.inc(Scope::Global, "batch.batches");
                 let req = self.req();
                 self.phase = Phase::Enumerating { req };
                 let me = ctx.me();
@@ -187,7 +140,7 @@ impl Actor<CmMsg> for BatchAgent {
                     params: branch_item.params,
                 };
                 let r = self.req();
-                self.stats.inc("batch.propagated");
+                self.metrics.inc(Scope::Global, "batch.propagated");
                 let me = ctx.me();
                 ctx.send_local(
                     self.hq_translator,
@@ -222,8 +175,8 @@ impl Actor<CmMsg> for BatchAgent {
                 };
                 if done {
                     self.phase = Phase::Idle;
-                    self.stats.metrics.gauge_set(
-                        self.stats.scope,
+                    self.metrics.gauge_set(
+                        Scope::Global,
                         "batch.last_finish_ms",
                         ctx.now().as_millis() as i64,
                     );
@@ -281,10 +234,10 @@ pub mod clock {
 pub struct BankScenario {
     /// Underlying toolkit scenario ("BR" = branch, "HQ" = head office).
     pub scenario: Scenario,
-    /// The batch agent.
+    /// The batch agent. Its `batch.*` counters, and the
+    /// `batch.last_finish_ms` gauge, are in the scenario's metrics
+    /// registry at `Scope::Global`.
     pub agent: ActorId,
-    /// Counters.
-    pub stats: BatchStatsHandle,
 }
 
 /// Build the banking deployment: `accounts` at both sites with the
@@ -309,7 +262,6 @@ pub fn build(seed: u64, accounts: &[(&str, i64)], batch_times: &[SimTime]) -> Ba
         .strategy("[locate]\nbbal = BR\nhbal = HQ\n")
         .build()
         .unwrap();
-    let stats = BatchStatsHandle::new(scenario.obs.metrics.clone());
     let bt = scenario.site("BR").translator;
     let ht = scenario.site("HQ").translator;
     let agent = scenario.add_actor(Box::new(BatchAgent {
@@ -318,13 +270,9 @@ pub fn build(seed: u64, accounts: &[(&str, i64)], batch_times: &[SimTime]) -> Ba
         schedule: batch_times.to_vec(),
         next_req: 0,
         phase: Phase::Idle,
-        stats: stats.clone(),
+        metrics: scenario.obs.metrics.clone(),
     }));
-    BankScenario {
-        scenario,
-        agent,
-        stats,
-    }
+    BankScenario { scenario, agent }
 }
 
 impl BankScenario {
@@ -388,13 +336,14 @@ mod tests {
         pad_horizon(&mut b);
         b.scenario.run_to_quiescence();
         let trace = b.scenario.trace();
-        assert_eq!(b.stats.borrow().batches, 1);
-        assert!(b.stats.borrow().propagated >= 2);
+        let m = &b.scenario.obs.metrics;
+        assert_eq!(m.counter(Scope::Global, "batch.batches"), 1);
+        assert!(m.counter(Scope::Global, "batch.propagated") >= 2);
         // Batch finished within the 15-minute window.
-        let finish = b.stats.borrow().last_finish.unwrap();
+        let finish = m.gauge(Scope::Global, "batch.last_finish_ms").unwrap();
         assert!(
-            finish <= SimTime::from_secs(FIVE_FIFTEEN_PM),
-            "batch finished at {finish}"
+            finish <= FIVE_FIFTEEN_PM as i64 * 1000,
+            "batch finished at {finish}ms"
         );
         let g = BankScenario::night_guarantee(FIVE_FIFTEEN_PM * 1000, EIGHT_AM_NEXT * 1000);
         let r = check_guarantee(&trace, &g, None);

@@ -30,54 +30,6 @@ use hcm_toolkit::msg::{CmMsg, RequestKind, TranslatorEvent};
 use hcm_toolkit::{Scenario, ScenarioBuilder};
 use std::collections::BTreeMap;
 
-/// Repair-cycle counters.
-#[derive(Debug, Default, Clone)]
-pub struct RefintStats {
-    /// Repair cycles run.
-    pub cycles: u64,
-    /// Project records examined.
-    pub examined: u64,
-    /// Dangling project records deleted.
-    pub deleted: u64,
-    /// Owner notifications mailed.
-    pub notices_sent: u64,
-}
-
-/// Registry-backed view of the repair counters; [`RefintStats`] is the
-/// snapshot it materializes.
-#[derive(Clone)]
-pub struct RefintStatsHandle {
-    metrics: Metrics,
-    scope: Scope,
-}
-
-impl RefintStatsHandle {
-    /// A handle recording under `refint.*` at the global scope.
-    #[must_use]
-    pub fn new(metrics: Metrics) -> Self {
-        RefintStatsHandle {
-            metrics,
-            scope: Scope::Global,
-        }
-    }
-
-    fn inc(&self, name: &str) {
-        self.metrics.inc(self.scope, name);
-    }
-
-    /// Materialize an owned snapshot (source-compatible with the former
-    /// `RefCell` accessor).
-    #[must_use]
-    pub fn borrow(&self) -> RefintStats {
-        RefintStats {
-            cycles: self.metrics.counter(self.scope, "refint.cycles"),
-            examined: self.metrics.counter(self.scope, "refint.examined"),
-            deleted: self.metrics.counter(self.scope, "refint.deleted"),
-            notices_sent: self.metrics.counter(self.scope, "refint.notices_sent"),
-        }
-    }
-}
-
 enum Phase {
     Idle,
     Enumerating { req: u64 },
@@ -96,7 +48,8 @@ pub struct RefintAgent {
     stop_at: SimTime,
     next_req: u64,
     phase: Phase,
-    stats: RefintStatsHandle,
+    /// Where the `refint.*` counters go (`Scope::Global`).
+    metrics: Metrics,
 }
 
 impl RefintAgent {
@@ -121,7 +74,7 @@ impl Actor<CmMsg> for RefintAgent {
     fn on_message(&mut self, msg: CmMsg, ctx: &mut Ctx<'_, CmMsg>) {
         match msg {
             CmMsg::RuleTick { .. } => {
-                self.stats.inc("refint.cycles");
+                self.metrics.inc(Scope::Global, "refint.cycles");
                 let req = self.req();
                 self.phase = Phase::Enumerating { req };
                 let me = ctx.me();
@@ -150,9 +103,8 @@ impl Actor<CmMsg> for RefintAgent {
                 if *req != req_id {
                     return;
                 }
-                self.stats
-                    .metrics
-                    .add(self.stats.scope, "refint.examined", items.len() as u64);
+                self.metrics
+                    .add(Scope::Global, "refint.examined", items.len() as u64);
                 let mut pending = BTreeMap::new();
                 let me = ctx.me();
                 for project in items {
@@ -192,11 +144,11 @@ impl Actor<CmMsg> for RefintAgent {
                     // Dangling: delete the project record and notify
                     // its owner (§6.2: "perhaps notifying the database
                     // owner of the deleted records").
-                    self.stats.inc("refint.deleted");
+                    self.metrics.inc(Scope::Global, "refint.deleted");
                     let r = self.req();
                     let me = ctx.me();
                     if let Some(mailer) = self.mail_translator {
-                        self.stats.inc("refint.notices_sent");
+                        self.metrics.inc(Scope::Global, "refint.notices_sent");
                         let notice = ItemId {
                             base: "notice".into(),
                             params: project.params.clone(),
@@ -288,10 +240,9 @@ pub struct RefintScenario {
     /// Underlying toolkit scenario ("P" = projects site, "S" = salaries
     /// site).
     pub scenario: Scenario,
-    /// Repair agent.
+    /// Repair agent. Its `refint.*` counters are in the scenario's
+    /// metrics registry at `Scope::Global`.
     pub agent: ActorId,
-    /// Counters.
-    pub stats: RefintStatsHandle,
     /// The repair period (the guarantee window W).
     pub window: SimDuration,
 }
@@ -324,7 +275,6 @@ pub fn build(seed: u64, window: SimDuration, stop_at: SimTime) -> RefintScenario
         .build()
         .unwrap();
 
-    let stats = RefintStatsHandle::new(scenario.obs.metrics.clone());
     let pt = scenario.site("P").translator;
     let st = scenario.site("S").translator;
     let mt = scenario.site("M").translator;
@@ -336,12 +286,11 @@ pub fn build(seed: u64, window: SimDuration, stop_at: SimTime) -> RefintScenario
         stop_at,
         next_req: 0,
         phase: Phase::Idle,
-        stats: stats.clone(),
+        metrics: scenario.obs.metrics.clone(),
     }));
     RefintScenario {
         scenario,
         agent,
-        stats,
         window,
     }
 }
@@ -401,7 +350,12 @@ mod tests {
         r.add_project(SimTime::from_secs(600), "e1", "apollo");
         // No salary for e1.
         r.scenario.run_to_quiescence();
-        assert_eq!(r.stats.borrow().deleted, 1);
+        let deleted = r
+            .scenario
+            .obs
+            .metrics
+            .counter(Scope::Global, "refint.deleted");
+        assert_eq!(deleted, 1);
         let trace = r.scenario.trace();
         let p = ItemId::with("project", [Value::from("e1")]);
         assert_eq!(trace.value_at(&p, trace.end_time()), Some(Value::Null));
@@ -418,7 +372,12 @@ mod tests {
         r.add_salary(SimTime::from_secs(100), "e2", 80_000);
         r.add_project(SimTime::from_secs(600), "e2", "gemini");
         r.scenario.run_to_quiescence();
-        assert_eq!(r.stats.borrow().deleted, 0);
+        let deleted = r
+            .scenario
+            .obs
+            .metrics
+            .counter(Scope::Global, "refint.deleted");
+        assert_eq!(deleted, 0);
         let trace = r.scenario.trace();
         let p = ItemId::with("project", [Value::from("e2")]);
         assert_eq!(
@@ -437,7 +396,12 @@ mod tests {
         r.add_project(SimTime::from_secs(600), "e3", "x");
         r.add_salary(SimTime::from_secs(3000), "e3", 1);
         r.scenario.run_to_quiescence();
-        assert_eq!(r.stats.borrow().deleted, 0);
+        let deleted = r
+            .scenario
+            .obs
+            .metrics
+            .counter(Scope::Global, "refint.deleted");
+        assert_eq!(deleted, 0);
     }
 
     #[test]
@@ -466,9 +430,9 @@ mod tests {
         r.add_project(SimTime::from_secs(100), "a", "p1");
         r.add_project(SimTime::from_secs(4000), "b", "p2");
         r.scenario.run_to_quiescence();
-        let s = r.stats.borrow();
-        assert_eq!(s.cycles, 3);
-        assert_eq!(s.deleted, 2);
-        assert!(s.examined >= 2);
+        let m = &r.scenario.obs.metrics;
+        assert_eq!(m.counter(Scope::Global, "refint.cycles"), 3);
+        assert_eq!(m.counter(Scope::Global, "refint.deleted"), 2);
+        assert!(m.counter(Scope::Global, "refint.examined") >= 2);
     }
 }

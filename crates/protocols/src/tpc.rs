@@ -155,70 +155,6 @@ impl Actor<TpcMsg> for Participant {
     }
 }
 
-/// Transaction outcome counters and latency series.
-#[derive(Debug, Default, Clone)]
-pub struct TpcStats {
-    /// Updates submitted.
-    pub submitted: u64,
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted: would have violated `X ≤ Y`.
-    pub aborted_constraint: u64,
-    /// Aborted: lock conflict or participant unreachable.
-    pub aborted_unavailable: u64,
-    /// Commit latencies (ms) in completion order.
-    pub latencies_ms: Vec<u64>,
-    /// Messages the coordinator sent.
-    pub messages: u64,
-}
-
-/// Registry-backed view of the 2PC counters; [`TpcStats`] is the
-/// snapshot it materializes. Commit latencies live in the registry's
-/// `tpc.latency_ms` series so exporters see them too.
-#[derive(Clone)]
-pub struct TpcStatsHandle {
-    metrics: Metrics,
-    scope: Scope,
-}
-
-impl TpcStatsHandle {
-    /// A handle recording under `tpc.*` at the global scope.
-    #[must_use]
-    pub fn new(metrics: Metrics) -> Self {
-        TpcStatsHandle {
-            metrics,
-            scope: Scope::Global,
-        }
-    }
-
-    fn inc(&self, name: &str) {
-        self.metrics.inc(self.scope, name);
-    }
-
-    fn add(&self, name: &str, n: u64) {
-        self.metrics.add(self.scope, name, n);
-    }
-
-    /// Materialize an owned snapshot (source-compatible with the former
-    /// `RefCell` accessor).
-    #[must_use]
-    pub fn borrow(&self) -> TpcStats {
-        TpcStats {
-            submitted: self.metrics.counter(self.scope, "tpc.submitted"),
-            committed: self.metrics.counter(self.scope, "tpc.committed"),
-            aborted_constraint: self.metrics.counter(self.scope, "tpc.aborted_constraint"),
-            aborted_unavailable: self.metrics.counter(self.scope, "tpc.aborted_unavailable"),
-            latencies_ms: self
-                .metrics
-                .series(self.scope, "tpc.latency_ms")
-                .into_iter()
-                .map(|v| v as u64)
-                .collect(),
-            messages: self.metrics.counter(self.scope, "tpc.messages"),
-        }
-    }
-}
-
 struct Txn {
     target: ActorId,
     delta: i64,
@@ -244,13 +180,15 @@ pub struct Coordinator {
     next_txn: u64,
     pending_acks: std::collections::BTreeMap<u64, u8>,
     timeout: SimDuration,
-    stats: TpcStatsHandle,
+    /// Where the `tpc.*` counters and the `tpc.latency_ms` series of
+    /// commit latencies go (`Scope::Global`).
+    metrics: Metrics,
 }
 
 impl Coordinator {
     /// A coordinator over the two participants.
     #[must_use]
-    pub fn new(px: ActorId, py: ActorId, timeout: SimDuration, stats: TpcStatsHandle) -> Self {
+    pub fn new(px: ActorId, py: ActorId, timeout: SimDuration, metrics: Metrics) -> Self {
         Coordinator {
             px,
             py,
@@ -260,7 +198,7 @@ impl Coordinator {
             next_txn: 0,
             pending_acks: std::collections::BTreeMap::new(),
             timeout,
-            stats,
+            metrics,
         }
     }
 
@@ -286,7 +224,7 @@ impl Coordinator {
         self.active = Some(txn);
         ctx.send(self.px, TpcMsg::Prepare { txn });
         ctx.send(self.py, TpcMsg::Prepare { txn });
-        self.stats.add("tpc.messages", 2);
+        self.metrics.add(Scope::Global, "tpc.messages", 2);
         ctx.schedule_self(self.timeout, TpcMsg::Timeout { txn });
     }
 
@@ -309,17 +247,14 @@ impl Coordinator {
             let lat = ctx.now().saturating_since(t.submitted);
             ctx.send(self.px, TpcMsg::Commit { txn, delta: dx });
             ctx.send(self.py, TpcMsg::Commit { txn, delta: dy });
-            self.stats.add("tpc.messages", 2);
-            self.stats.inc("tpc.committed");
-            self.stats.metrics.series_push(
-                self.stats.scope,
-                "tpc.latency_ms",
-                lat.as_millis() as i64,
-            );
+            self.metrics.add(Scope::Global, "tpc.messages", 2);
+            self.metrics.inc(Scope::Global, "tpc.committed");
+            self.metrics
+                .series_push(Scope::Global, "tpc.latency_ms", lat.as_millis() as i64);
         } else {
             ctx.send(self.px, TpcMsg::Abort { txn });
             ctx.send(self.py, TpcMsg::Abort { txn });
-            self.stats.add("tpc.messages", 2);
+            self.metrics.add(Scope::Global, "tpc.messages", 2);
         }
     }
 
@@ -337,7 +272,7 @@ impl Actor<TpcMsg> for Coordinator {
     fn on_message(&mut self, msg: TpcMsg, ctx: &mut Ctx<'_, TpcMsg>) {
         match msg {
             TpcMsg::Submit { target, delta } => {
-                self.stats.inc("tpc.submitted");
+                self.metrics.inc(Scope::Global, "tpc.submitted");
                 self.queue.push_back((target, delta, ctx.now()));
                 self.start_next(ctx);
             }
@@ -357,7 +292,7 @@ impl Actor<TpcMsg> for Coordinator {
                         return;
                     }
                     if !ok {
-                        self.stats.inc("tpc.aborted_unavailable");
+                        self.metrics.inc(Scope::Global, "tpc.aborted_unavailable");
                         self.resolve(txn, false, ctx);
                         return;
                     }
@@ -386,7 +321,7 @@ impl Actor<TpcMsg> for Coordinator {
                     constraint_abort = !resolve_commit;
                 }
                 if constraint_abort {
-                    self.stats.inc("tpc.aborted_constraint");
+                    self.metrics.inc(Scope::Global, "tpc.aborted_constraint");
                 }
                 self.resolve(txn, resolve_commit, ctx);
             }
@@ -408,7 +343,7 @@ impl Actor<TpcMsg> for Coordinator {
                     .get(&txn)
                     .is_some_and(|t| t.state == TxnState::Preparing);
                 if still_preparing {
-                    self.stats.inc("tpc.aborted_unavailable");
+                    self.metrics.inc(Scope::Global, "tpc.aborted_unavailable");
                     // Participants may be dead: abort best-effort and
                     // move on without waiting for acks.
                     if let Some(t) = self.txns.get_mut(&txn) {
@@ -416,7 +351,7 @@ impl Actor<TpcMsg> for Coordinator {
                     }
                     ctx.send(self.px, TpcMsg::Abort { txn });
                     ctx.send(self.py, TpcMsg::Abort { txn });
-                    self.stats.add("tpc.messages", 2);
+                    self.metrics.add(Scope::Global, "tpc.messages", 2);
                     self.finish(txn, ctx);
                 }
             }
@@ -435,8 +370,6 @@ pub struct TpcScenario {
     pub px: ActorId,
     /// Y participant.
     pub py: ActorId,
-    /// Counters.
-    pub stats: TpcStatsHandle,
 }
 
 /// Build a 2PC scenario maintaining `X ≤ Y` with the given initial
@@ -444,7 +377,6 @@ pub struct TpcScenario {
 #[must_use]
 pub fn build(seed: u64, x0: i64, y0: i64) -> TpcScenario {
     let mut sim = Sim::new(seed);
-    let stats = TpcStatsHandle::new(sim.obs().metrics);
     // Ids: participants 0,1; coordinator 2.
     let px_id = ActorId(0);
     let py_id = ActorId(1);
@@ -458,14 +390,13 @@ pub fn build(seed: u64, x0: i64, y0: i64) -> TpcScenario {
         sim.add_actor(Box::new(Participant::new(y0, coord_id, service))),
         py_id
     );
-    let c = Coordinator::new(px_id, py_id, SimDuration::from_secs(5), stats.clone());
+    let c = Coordinator::new(px_id, py_id, SimDuration::from_secs(5), sim.obs().metrics);
     assert_eq!(sim.add_actor(Box::new(c)), coord_id);
     TpcScenario {
         sim,
         coordinator: coord_id,
         px: px_id,
         py: py_id,
-        stats,
     }
 }
 
@@ -507,19 +438,16 @@ mod tests {
         s.try_update(SimTime::from_secs(20), false, 30); // Y: 100→70 ok (X=50)
         s.try_update(SimTime::from_secs(30), false, 30); // Y: 70→40 < X=50: abort
         assert_eq!(s.run(), RunOutcome::Quiescent);
-        let st = s.stats.borrow();
-        assert_eq!(st.submitted, 4);
-        assert_eq!(st.committed, 2);
-        assert_eq!(st.aborted_constraint, 2);
-        assert_eq!(st.aborted_unavailable, 0);
-        assert_eq!(st.latencies_ms.len(), 2);
+        let m = s.sim.obs().metrics;
+        assert_eq!(m.counter(Scope::Global, "tpc.submitted"), 4);
+        assert_eq!(m.counter(Scope::Global, "tpc.committed"), 2);
+        assert_eq!(m.counter(Scope::Global, "tpc.aborted_constraint"), 2);
+        assert_eq!(m.counter(Scope::Global, "tpc.aborted_unavailable"), 0);
+        let latencies = m.series(Scope::Global, "tpc.latency_ms");
+        assert_eq!(latencies.len(), 2);
         // Every committed update pays prepare + vote round trips plus
         // participant service time.
-        assert!(
-            st.latencies_ms.iter().all(|&ms| ms >= 50),
-            "{:?}",
-            st.latencies_ms
-        );
+        assert!(latencies.iter().all(|&ms| ms >= 50), "{latencies:?}");
     }
 
     #[test]
@@ -529,9 +457,9 @@ mod tests {
             s.try_update(SimTime::from_millis(1000 + i), true, 10);
         }
         assert_eq!(s.run(), RunOutcome::Quiescent);
-        let st = s.stats.borrow();
-        assert_eq!(st.committed, 10);
-        assert_eq!(st.aborted_unavailable, 0);
+        let m = s.sim.obs().metrics;
+        assert_eq!(m.counter(Scope::Global, "tpc.committed"), 10);
+        assert_eq!(m.counter(Scope::Global, "tpc.aborted_unavailable"), 0);
     }
 
     #[test]
@@ -541,9 +469,10 @@ mod tests {
         s.try_update(SimTime::from_secs(1), true, 10);
         s.try_update(SimTime::from_secs(2), true, 10);
         assert_eq!(s.run(), RunOutcome::Quiescent);
-        let st = s.stats.borrow();
-        assert_eq!(st.committed, 0, "no commits while a participant is down");
-        assert_eq!(st.aborted_unavailable, 2);
+        let m = s.sim.obs().metrics;
+        let committed = m.counter(Scope::Global, "tpc.committed");
+        assert_eq!(committed, 0, "no commits while a participant is down");
+        assert_eq!(m.counter(Scope::Global, "tpc.aborted_unavailable"), 2);
     }
 
     #[test]
@@ -553,7 +482,7 @@ mod tests {
         let mut s = build(4, 0, 1_000_000);
         s.try_update(SimTime::from_secs(1), true, 1);
         s.run();
-        let st = s.stats.borrow();
-        assert!(st.messages >= 4, "prepare+commit to both participants");
+        let messages = s.sim.obs().metrics.counter(Scope::Global, "tpc.messages");
+        assert!(messages >= 4, "prepare+commit to both participants");
     }
 }

@@ -386,9 +386,8 @@ impl TimeExpr {
             TimeExpr::Const(t) => Some(*t),
             TimeExpr::Var(v) => lookup(v),
             TimeExpr::Offset(v, off) => {
-                let base = lookup(v)?.as_millis() as i64;
-                let ms = base + off;
-                (ms >= 0).then(|| SimTime::from_millis(ms as u64))
+                let ms = i128::from(lookup(v)?.as_millis()) + i128::from(*off);
+                u64::try_from(ms).ok().map(SimTime::from_millis)
             }
         }
     }

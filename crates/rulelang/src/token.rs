@@ -276,21 +276,28 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
                             toks.push(Tok::Int(v));
                         }
                     }
-                    "s" => {
-                        let secs = num.parse::<f64>().map_err(|e| LexError {
-                            pos: start,
-                            msg: format!("bad duration: {e}"),
-                        })?;
-                        toks.push(Tok::Duration(SimDuration::from_millis(
-                            (secs * 1000.0).round() as u64,
-                        )));
-                    }
-                    "ms" => {
-                        let ms = num.parse::<f64>().map_err(|e| LexError {
-                            pos: start,
-                            msg: format!("bad duration: {e}"),
-                        })?;
-                        toks.push(Tok::Duration(SimDuration::from_millis(ms.round() as u64)));
+                    "s" | "ms" => {
+                        let scale: i64 = if suffix == "s" { 1000 } else { 1 };
+                        // Every duration must fit `i64` milliseconds, so
+                        // time arithmetic can neither overflow nor flip
+                        // sign.
+                        let ms = if is_float {
+                            let v = num.parse::<f64>().map_err(|e| LexError {
+                                pos: start,
+                                msg: format!("bad duration: {e}"),
+                            })?;
+                            let ms = (v * scale as f64).round();
+                            (ms < 9_223_372_036_854_775_808.0).then_some(ms as i64)
+                        } else {
+                            num.parse::<i64>().ok().and_then(|v| v.checked_mul(scale))
+                        };
+                        let Some(ms) = ms else {
+                            return Err(LexError {
+                                pos: start,
+                                msg: format!("duration `{num}{suffix}` is 2^63 ms or more"),
+                            });
+                        };
+                        toks.push(Tok::Duration(SimDuration::from_millis(ms as u64)));
                     }
                     other => {
                         return Err(LexError {
@@ -360,6 +367,26 @@ mod tests {
             vec![Tok::Duration(SimDuration::from_millis(2500))]
         );
         assert!(lex("5kg").is_err());
+    }
+
+    #[test]
+    fn durations_must_fit_i64_millis() {
+        let ms = |n: u64| vec![Tok::Duration(SimDuration::from_millis(n))];
+        assert_eq!(lex("9223372036854775807ms").unwrap(), ms(i64::MAX as u64));
+        assert_eq!(
+            lex("9223372036854775s").unwrap(),
+            ms(9_223_372_036_854_775_000)
+        );
+        for past in [
+            "9223372036854775808ms",
+            "9223372036854776s",
+            "99999999999999999999999s",
+            "9223372036854775807.9ms",
+            "9223372036854775.9s",
+        ] {
+            let err = lex(past).unwrap_err();
+            assert!(err.msg.contains("2^63 ms or more"), "{past}: {err}");
+        }
     }
 
     #[test]

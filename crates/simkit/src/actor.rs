@@ -113,8 +113,8 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Schedule a message to oneself after `delay` — a timer. Timers
-    /// fire even while the actor is overloaded (an overloaded database
-    /// still runs; it is merely slow), but not while it is crashed.
+    /// are not network traffic, and do not fire while the actor is
+    /// crashed.
     pub fn schedule_self(&mut self, delay: SimDuration, msg: M) {
         self.outbox.push((self.me, msg, SendKind::Timer(delay)));
     }

@@ -11,9 +11,8 @@
 //! * **in-order message delivery** between any pair of actors (the
 //!   paper's Appendix property 7 assumes "in-order message delivery
 //!   between sites and in-order processing at each site");
-//! * **failure injection** — crashes (logical failures), overload
-//!   windows (metric failures), message-dropping variants — driving the
-//!   §5 experiments;
+//! * **failure injection** — crashes (the §5 logical failures) that
+//!   hold or drop in-flight messages until recovery;
 //! * **seeded randomness** so every experiment is reproducible.
 //!
 //! The programming model is an actor loop: components implement

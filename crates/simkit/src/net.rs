@@ -5,15 +5,12 @@
 //! with in-order delivery between sites (Appendix property 7). The
 //! [`Network`] therefore provides **reliable FIFO channels** with a
 //! configurable delay model, and failures are modeled at the *receiving
-//! actor*:
-//!
-//! * [`ActorStatus::Overloaded`] — deliveries incur extra latency, the
-//!   database misses its interface time bounds ⇒ the paper's **metric
-//!   failure**;
-//! * [`ActorStatus::Crashed`] — deliveries are held (a database "with
-//!   some basic recovery facilities" that replays on recovery) or
-//!   dropped (`lossy`), the interface statements are void ⇒ the paper's
-//!   **logical failure**.
+//! actor*: while it is [`ActorStatus::Crashed`], deliveries are held (a
+//! database "with some basic recovery facilities" that replays on
+//! recovery) or dropped (`lossy`), the interface statements are void ⇒
+//! the paper's **logical failure**. The **metric failure** — a slow
+//! database missing its interface time bounds — is the translator's
+//! own inflated service delay, not a network status.
 
 use crate::actor::ActorId;
 use crate::rng::SimRng;
@@ -27,7 +24,7 @@ pub enum SendKind {
     Network,
     /// Local interaction with an explicit delay; no channel jitter.
     Local(SimDuration),
-    /// Timer to self; fires even when overloaded.
+    /// Timer to self.
     Timer(SimDuration),
 }
 
@@ -77,12 +74,6 @@ pub enum ActorStatus {
     /// Normal operation.
     #[default]
     Up,
-    /// Metric-failure mode: every delivery is delayed by the extra
-    /// duration. Timers still fire (the site is slow, not dead).
-    Overloaded {
-        /// Additional processing delay per delivery.
-        extra: SimDuration,
-    },
     /// Logical-failure mode: the actor processes nothing. If `lossy`,
     /// messages that arrive while crashed are lost; otherwise they are
     /// queued and replayed at recovery time in arrival order.
@@ -162,7 +153,6 @@ impl Network {
     /// Compute the delivery time for a message submitted `now` on
     /// `(from, to)` with the given send kind, maintaining the FIFO
     /// invariant: delivery times on one channel never decrease.
-    /// Overload extra delay is added for network and local sends.
     pub fn delivery_time(
         &mut self,
         now: SimTime,
@@ -183,9 +173,6 @@ impl Network {
         };
         let mut at = now + base;
         if !matches!(kind, SendKind::Timer(_)) {
-            if let ActorStatus::Overloaded { extra } = self.status(to) {
-                at += extra;
-            }
             *self.sent.entry((from, to)).or_insert(0) += 1;
             if self.fifo {
                 let last = self.last_delivery.entry((from, to)).or_insert(at);
@@ -266,28 +253,6 @@ mod tests {
         let t2 = net.delivery_time(SimTime::ZERO, a(0), a(1), SendKind::Network, &mut rng);
         assert_eq!(t1, SimTime::from_millis(500));
         assert_eq!(t2, SimTime::from_millis(10)); // not clamped by other channel
-    }
-
-    #[test]
-    fn overload_adds_delay_but_not_to_timers() {
-        let mut net = Network::new(DelayModel::fixed(SimDuration::from_millis(10)));
-        net.set_status(
-            a(1),
-            ActorStatus::Overloaded {
-                extra: SimDuration::from_secs(5),
-            },
-        );
-        let mut rng = SimRng::seeded(4);
-        let at = net.delivery_time(SimTime::ZERO, a(0), a(1), SendKind::Network, &mut rng);
-        assert_eq!(at, SimTime::from_millis(5010));
-        let timer = net.delivery_time(
-            SimTime::ZERO,
-            a(1),
-            a(1),
-            SendKind::Timer(SimDuration::from_millis(100)),
-            &mut rng,
-        );
-        assert_eq!(timer, SimTime::from_millis(100));
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! one submission counter, so they sort after actor traffic at the
 //! same instant, in schedule order.
 //!
-//! Failure injection is scheduled through the same queue
-//! ([`Sim::crash_at`], [`Sim::recover_at`], [`Sim::overload_between`])
-//! so that an experiment's failure schedule composes deterministically
-//! with its workload.
+//! Crash and recovery are scheduled through the same queue
+//! ([`Sim::crash_at`], [`Sim::recover_at`]) so that an experiment's
+//! failure schedule composes deterministically with its workload.
 
 use crate::actor::{Actor, ActorId, Ctx};
 use crate::net::{ActorStatus, DelayModel, Network, SendKind};
 use crate::rng::SimRng;
-use hcm_core::{SimDuration, SimTime};
+use hcm_core::SimTime;
 use hcm_obs::{Metrics, Obs, Scope};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,8 +30,6 @@ enum Entry<M> {
 enum Control {
     Crash { who: ActorId, lossy: bool },
     Recover { who: ActorId },
-    Overload { who: ActorId, extra: SimDuration },
-    EndOverload { who: ActorId },
 }
 
 struct Scheduled<M> {
@@ -275,33 +272,6 @@ impl<M> Sim<M> {
         }));
     }
 
-    /// Schedule an overload window `[from, to)` during which every
-    /// delivery to `who` takes `extra` additional time.
-    pub fn overload_between(
-        &mut self,
-        who: ActorId,
-        from: SimTime,
-        to: SimTime,
-        extra: SimDuration,
-    ) {
-        let seq = self.bump_ext_seq();
-        self.queue.push(Reverse(Scheduled {
-            at: from,
-            src: ActorId::EXTERNAL.0,
-            seq,
-            minor: 0,
-            entry: Entry::Control(Control::Overload { who, extra }),
-        }));
-        let seq = self.bump_ext_seq();
-        self.queue.push(Reverse(Scheduled {
-            at: to,
-            src: ActorId::EXTERNAL.0,
-            seq,
-            minor: 0,
-            entry: Entry::Control(Control::EndOverload { who }),
-        }));
-    }
-
     fn bump_ext_seq(&mut self) -> u64 {
         let s = self.ext_seq;
         self.ext_seq += 1;
@@ -519,24 +489,6 @@ impl<M> Sim<M> {
                     }));
                 }
             }
-            Control::Overload { who, extra } => {
-                self.net.set_status(who, ActorStatus::Overloaded { extra });
-                self.obs.metrics.record(
-                    self.now,
-                    Scope::Actor(who.0),
-                    "sim.overload",
-                    [("extra_ms", extra.as_millis().to_string())],
-                );
-            }
-            Control::EndOverload { who } => {
-                self.net.set_status(who, ActorStatus::Up);
-                self.obs.metrics.record(
-                    self.now,
-                    Scope::Actor(who.0),
-                    "sim.end_overload",
-                    std::iter::empty::<(&str, String)>(),
-                );
-            }
         }
     }
 }
@@ -544,6 +496,7 @@ impl<M> Sim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcm_core::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -694,35 +647,6 @@ mod tests {
         assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
         assert_eq!(log.borrow().len(), 3); // Tick at 11s, 12s, 13s; Ping lost
         assert_eq!(sim.network().total_dropped(), 1);
-    }
-
-    #[test]
-    fn overload_window_delays_deliveries() {
-        let log = shared(Vec::new());
-        let mut sim = fixed_sim(0);
-        let a = sim.add_actor(Box::new(Echo {
-            peer: None,
-            log: log.clone(),
-            ticks: 0,
-        }));
-        let b = sim.add_actor(Box::new(Echo {
-            peer: Some(a),
-            log: log.clone(),
-            ticks: 0,
-        }));
-        sim.overload_between(
-            a,
-            SimTime::from_secs(1),
-            SimTime::from_secs(5),
-            SimDuration::from_secs(60),
-        );
-        // b forwards Ping to a during the overload window.
-        sim.inject_at(SimTime::from_secs(2), b, Msg::Ping(1));
-        assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
-        let log = log.borrow();
-        assert_eq!(log[0], (SimTime::from_secs(2), Msg::Ping(1)));
-        // a's delivery delayed by 60s.
-        assert_eq!(log[1], (SimTime::from_secs(62), Msg::Ping(0)));
     }
 
     #[test]
@@ -881,7 +805,7 @@ mod tests {
     type RelayArtifacts = (Vec<Vec<(SimTime, u32)>>, SimTime, u64, String);
 
     /// Build a 6-actor relay ring over a jittery network with a
-    /// crash/recovery and an overload window, run it, and collect
+    /// crash/recovery, run it, and collect
     /// every observable artifact.
     fn relay_artifacts() -> RelayArtifacts {
         let mut sim = Sim::with_network(
@@ -908,12 +832,6 @@ mod tests {
         }
         sim.crash_at(ActorId(2), SimTime::from_millis(40), false);
         sim.recover_at(ActorId(2), SimTime::from_millis(120));
-        sim.overload_between(
-            ActorId(4),
-            SimTime::from_millis(20),
-            SimTime::from_millis(90),
-            SimDuration::from_millis(30),
-        );
         assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
         assert!(
             sim.engine_metrics()
@@ -936,9 +854,8 @@ mod tests {
         let b = relay_artifacts();
         assert_eq!(a, b, "same-seed runs must produce identical artifacts");
         // The failure schedule really bit: actor 2 held traffic while
-        // down, and the overload window shows in the records.
+        // down.
         assert!(a.3.contains("sim.held_while_crashed"), "{}", a.3);
-        assert!(a.3.contains("sim.overload"), "{}", a.3);
     }
 
     #[test]

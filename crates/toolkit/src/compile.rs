@@ -268,6 +268,17 @@ fn place_rule(
     // RHS site: every step with a determinable site must agree.
     let mut rhs_site: Option<SiteId> = None;
     for step in &rule.steps {
+        // A shell performs RHS `W`s on its own CM-private data; a
+        // database is written through `WR`.
+        if let TemplateDesc::W { item, .. } = &step.event {
+            if !locator.is_private(item.base) {
+                return Err(err(format!(
+                    "RHS `{}` of `{rule}` writes `{}`, which is not [private] data \
+                     (write database items with WR)",
+                    step.event, item.base
+                )));
+            }
+        }
         if let Some(s) = locator.template_site(&step.event) {
             match rhs_site {
                 None => rhs_site = Some(s),
@@ -412,8 +423,24 @@ N(X, b) -> WR(Y, b) ; WR(Z, b) within 5s
     fn rejects_unknown_site_and_unplaceable() {
         let mut reg = RuleRegistry::new();
         assert!(CompiledStrategy::from_spec("[locate]\nX = Q\n", &sites(), &mut reg).is_err());
-        let unplace = "[strategy]\nN(Unlocated, b) -> W(AlsoUnlocated, b) within 1s\n";
-        assert!(CompiledStrategy::from_spec(unplace, &sites(), &mut reg).is_err());
+        let unplace = "[strategy]\nN(Unlocated, b) -> WR(AlsoUnlocated, b) within 1s\n";
+        let e = CompiledStrategy::from_spec(unplace, &sites(), &mut reg).unwrap_err();
+        assert!(e.msg.contains("cannot place rule"), "{e}");
+    }
+
+    #[test]
+    fn rejects_rhs_write_to_non_private_data() {
+        let spec = "[locate]\nsalary1 = A\nsalary2 = B\n[private]\nCx = B\n[strategy]\n";
+        let mut reg = RuleRegistry::new();
+        let bad = format!("{spec}N(salary1(n), b) -> W(salary2(n), b) within 1s\n");
+        let e = CompiledStrategy::from_spec(&bad, &sites(), &mut reg).unwrap_err();
+        assert!(
+            e.msg.contains("N(salary1(n), b) -> W(salary2(n), b)"),
+            "{e}"
+        );
+        assert!(e.msg.contains("not [private] data"), "{e}");
+        let good = format!("{spec}N(salary1(n), b) -> W(Cx, b) within 1s\n");
+        assert!(CompiledStrategy::from_spec(&good, &sites(), &mut reg).is_ok());
     }
 
     #[test]

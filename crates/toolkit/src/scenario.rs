@@ -15,8 +15,8 @@ use crate::durability::{Durability, StatePolicy, StoreBridge, StoreKind};
 use crate::msg::{CmMsg, SpontaneousOp};
 use crate::registry::GuaranteeRegistry;
 use crate::rid::CmRid;
-use crate::shell::{FailureConfig, ShellActor, ShellStatsHandle};
-use crate::translator::{TranslatorActor, TranslatorStatsHandle};
+use crate::shell::{FailureConfig, ShellActor};
+use crate::translator::TranslatorActor;
 use hcm_core::{
     ItemId, RuleId, RuleRegistry, SimDuration, SimTime, SiteId, Trace, TraceRecorder, Value,
 };
@@ -64,10 +64,6 @@ pub struct SiteHandle {
     /// The parsed CM-RID (interface statements in the same order as
     /// `iface_ids`) — checkers rebuild the rule set from this.
     pub rid: CmRid,
-    /// Translator counters (registry-backed view).
-    pub translator_stats: TranslatorStatsHandle,
-    /// Shell counters (registry-backed view).
-    pub shell_stats: ShellStatsHandle,
     /// CM-private/auxiliary data of the shell (§7.1: applications read
     /// auxiliary data through the shell's programmatic interface —
     /// this is that interface).
@@ -258,7 +254,6 @@ impl ScenarioBuilder {
         let shell_ids: Vec<ActorId> = (0..n).map(|i| ActorId(i as u32)).collect();
 
         // Per-site shared state.
-        let mut handles = Vec::with_capacity(n);
         let mut privates = Vec::with_capacity(n);
         let mut registries = Vec::with_capacity(n);
         for i in 0..n {
@@ -279,7 +274,6 @@ impl ScenarioBuilder {
         let mut shell_stores = Vec::with_capacity(n);
         for (i, _) in self.sites.iter().enumerate() {
             let site = SiteId::new(i as u32);
-            let shell_stats = ShellStatsHandle::new(obs.metrics.clone(), site);
             let mut shell = ShellActor::new(
                 site,
                 ActorId((n + i) as u32),
@@ -302,7 +296,6 @@ impl ScenarioBuilder {
             shell_stores.push(store);
             let id = sim.add_actor(Box::new(shell));
             assert_eq!(id, ActorId(i as u32), "actor id layout violated");
-            handles.push((shell_stats, ActorId(i as u32)));
         }
 
         let mut site_handles = Vec::with_capacity(n);
@@ -310,7 +303,6 @@ impl ScenarioBuilder {
             let site = SiteId::new(i as u32);
             let rid_copy = s.rid.clone();
             let backend = build_backend(s.store, &s.rid);
-            let t_stats = TranslatorStatsHandle::new(obs.metrics.clone(), site);
             let mut translator = TranslatorActor::new(
                 site,
                 ActorId(i as u32),
@@ -320,7 +312,7 @@ impl ScenarioBuilder {
                 strategy.interest_patterns(site),
                 self.stop_periodics_at,
                 recorder.clone(),
-                t_stats.clone(),
+                obs.metrics.clone(),
             );
             let (policy, t_store) = actor_policy(
                 &self.durability,
@@ -335,11 +327,9 @@ impl ScenarioBuilder {
                 site,
                 name: s.name,
                 translator: id,
-                shell: handles[i].1,
+                shell: shell_ids[i],
                 iface_ids: iface_ids[i].clone(),
                 rid: rid_copy,
-                translator_stats: t_stats,
-                shell_stats: handles[i].0.clone(),
                 private: privates[i].clone(),
                 registry: registries[i].clone(),
                 shell_store: shell_stores[i].clone(),
@@ -385,6 +375,14 @@ impl Scenario {
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("no site named `{name}`"))
+    }
+
+    /// Counter `name` of a named site (`Scope::Site`), as its shell,
+    /// translator or protocol agent wrote it to the metrics registry.
+    #[must_use]
+    pub fn counter(&self, site: &str, name: &str) -> u64 {
+        let scope = Scope::Site(self.site(site).site.index());
+        self.obs.metrics.counter(scope, name)
     }
 
     /// Inject a spontaneous application operation at a named site at an
@@ -572,13 +570,9 @@ N(salary1(n), b) -> WR(salary2(n), b) within 5s
             "propagation took {delay}"
         );
         // Stats.
-        assert_eq!(sc.site("A").translator_stats.borrow().notifications, 1);
-        assert_eq!(sc.site("B").translator_stats.borrow().writes_done, 1);
-        assert_eq!(
-            sc.site("B").shell_stats.borrow().firings,
-            1,
-            "RHS executes at B"
-        );
+        assert_eq!(sc.counter("A", "translator.notifications"), 1);
+        assert_eq!(sc.counter("B", "translator.writes_done"), 1);
+        assert_eq!(sc.counter("B", "shell.firings"), 1, "RHS executes at B");
     }
 
     #[test]
@@ -654,13 +648,7 @@ N(salary1(n), b) -> WR(salary2(n), b) within 5s
             SpontaneousOp::Sql("update employees set salary = 1 where empid = 'e1'".into()),
         );
         sc.run_to_quiescence();
-        assert_eq!(
-            sc.site("B")
-                .translator_stats
-                .borrow()
-                .prohibition_violations,
-            1
-        );
+        assert_eq!(sc.counter("B", "translator.prohibition_violations"), 1);
     }
 
     #[test]
@@ -687,6 +675,6 @@ P(10s) -> RR(salary1(n)) within 1s
             .build()
             .unwrap();
         sc.run_to_quiescence();
-        assert!(sc.site("A").shell_stats.borrow().steps_skipped >= 1);
+        assert!(sc.counter("A", "shell.steps_skipped") >= 1);
     }
 }

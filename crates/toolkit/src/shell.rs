@@ -35,71 +35,6 @@ use std::rc::Rc;
 /// Delay for shell→translator request submission (same machine).
 const LOCAL_DELAY: SimDuration = SimDuration::from_millis(1);
 
-/// Observable shell counters, materialized from the metrics registry.
-#[derive(Debug, Default, Clone)]
-pub struct ShellStats {
-    /// Rule firings executed (RHS runs).
-    pub firings: u64,
-    /// LHS matches whose condition failed.
-    pub cond_suppressed: u64,
-    /// RHS steps skipped by their step condition.
-    pub steps_skipped: u64,
-    /// Write/read requests sent to the local translator.
-    pub requests_sent: u64,
-    /// Metric failures detected (deadline missed).
-    pub metric_failures_detected: u64,
-    /// Logical failures detected (escalation deadline missed).
-    pub logical_failures_detected: u64,
-    /// Failures cleared (late response arrived).
-    pub failures_cleared: u64,
-}
-
-/// Registry-backed view of one shell's counters.
-///
-/// The shell writes every counter straight into the shared
-/// [`Metrics`] registry under `Scope::Site`; this handle is a thin
-/// typed view over those entries. `borrow()` materializes an owned
-/// [`ShellStats`] snapshot, so existing `stats.borrow().firings`
-/// call sites read naturally.
-#[derive(Debug, Clone)]
-pub struct ShellStatsHandle {
-    metrics: Metrics,
-    scope: Scope,
-}
-
-impl ShellStatsHandle {
-    /// View over `site`'s shell metrics in `metrics`.
-    #[must_use]
-    pub fn new(metrics: Metrics, site: SiteId) -> Self {
-        ShellStatsHandle {
-            metrics,
-            scope: Scope::Site(site.index()),
-        }
-    }
-
-    fn inc(&self, name: &str) {
-        self.metrics.inc(self.scope, name);
-    }
-
-    fn get(&self, name: &str) -> u64 {
-        self.metrics.counter(self.scope, name)
-    }
-
-    /// Snapshot the counters as an owned [`ShellStats`].
-    #[must_use]
-    pub fn borrow(&self) -> ShellStats {
-        ShellStats {
-            firings: self.get("shell.firings"),
-            cond_suppressed: self.get("shell.cond_suppressed"),
-            steps_skipped: self.get("shell.steps_skipped"),
-            requests_sent: self.get("shell.requests_sent"),
-            metric_failures_detected: self.get("shell.metric_failures_detected"),
-            logical_failures_detected: self.get("shell.logical_failures_detected"),
-            failures_cleared: self.get("shell.failures_cleared"),
-        }
-    }
-}
-
 /// Failure-detection timing configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FailureConfig {
@@ -169,8 +104,10 @@ pub struct ShellActor {
     private: Rc<RefCell<BTreeMap<ItemId, Value>>>,
     registry: Rc<RefCell<GuaranteeRegistry>>,
     recorder: TraceRecorder,
-    stats: ShellStatsHandle,
     metrics: Metrics,
+    /// `Scope::Site` of this shell's site, under which every
+    /// `shell.*` metric is written.
+    scope: Scope,
     spans: Spans,
     failure_cfg: FailureConfig,
     outstanding: BTreeMap<u64, Outstanding>,
@@ -245,8 +182,8 @@ impl ShellActor {
             private,
             registry,
             recorder,
-            stats: ShellStatsHandle::new(obs.metrics.clone(), site),
             metrics: obs.metrics,
+            scope: Scope::Site(site.index()),
             spans: obs.spans,
             failure_cfg,
             outstanding: BTreeMap::new(),
@@ -258,12 +195,6 @@ impl ShellActor {
             firing_scratch: Vec::new(),
             cand_scratch: Vec::new(),
         }
-    }
-
-    /// Registry-backed view of this shell's counters.
-    #[must_use]
-    pub fn stats(&self) -> ShellStatsHandle {
-        self.stats.clone()
     }
 
     /// Set how this shell's state relates to crashes. With
@@ -353,7 +284,7 @@ impl ShellActor {
                 lookup: |item: &ItemId| self.private_lookup(item),
             };
             if !r.rule.cond.eval(&env) {
-                self.stats.inc("shell.cond_suppressed");
+                self.metrics.inc(self.scope, "shell.cond_suppressed");
                 let s = self.spans.start(
                     SpanKind::CondEval,
                     None,
@@ -415,8 +346,7 @@ impl ShellActor {
         // to a recorded logical-failure event + counter instead of
         // killing the whole simulation.
         let Some(&pos) = self.rule_index.get(&rule_id) else {
-            self.metrics
-                .inc(Scope::Site(self.site.index()), "shell.unknown_rule");
+            self.metrics.inc(self.scope, "shell.unknown_rule");
             self.record(
                 now,
                 EventDesc::Custom {
@@ -432,12 +362,12 @@ impl ShellActor {
             );
             return;
         };
-        self.stats.inc("shell.firings");
+        self.metrics.inc(self.scope, "shell.firings");
         // Firing latency: how long after its trigger occurred did this
         // rule's RHS begin executing (LHS transport + matching).
         if let Some(trigger_time) = self.recorder.with(|t| t.get(trigger).map(|e| e.time)) {
             self.metrics.observe(
-                Scope::Site(self.site.index()),
+                self.scope,
                 "shell.firing_latency",
                 now.saturating_since(trigger_time),
             );
@@ -464,12 +394,12 @@ impl ShellActor {
                 step.cond.eval(&env)
             };
             if !cond_ok {
-                self.stats.inc("shell.steps_skipped");
+                self.metrics.inc(self.scope, "shell.steps_skipped");
                 continue;
             }
             let Some(desc) = step.event.instantiate(&bindings) else {
                 // Unbound variable: specification bug; skip the step.
-                self.stats.inc("shell.steps_skipped");
+                self.metrics.inc(self.scope, "shell.steps_skipped");
                 continue;
             };
             let step_span = self.spans.start(
@@ -504,7 +434,7 @@ impl ShellActor {
                 // the request — the translator records it.
                 let req_id =
                     self.track_request(SpanKind::Request, Some(parent_span), Some(rule), ctx);
-                self.stats.inc("shell.requests_sent");
+                self.metrics.inc(self.scope, "shell.requests_sent");
                 let me = ctx.me();
                 ctx.send_local(
                     self.translator,
@@ -521,7 +451,7 @@ impl ShellActor {
             EventDesc::Rr { item } => {
                 let req_id =
                     self.track_request(SpanKind::Request, Some(parent_span), Some(rule), ctx);
-                self.stats.inc("shell.requests_sent");
+                self.metrics.inc(self.scope, "shell.requests_sent");
                 let me = ctx.me();
                 ctx.send_local(
                     self.translator,
@@ -608,8 +538,7 @@ impl ShellActor {
         let span = self
             .spans
             .start(kind, parent, self.site, rule, None, now, "");
-        self.metrics
-            .inc(Scope::Site(self.site.index()), "shell.deadlines_armed");
+        self.metrics.inc(self.scope, "shell.deadlines_armed");
         self.outstanding.insert(
             req_id,
             Outstanding {
@@ -634,7 +563,7 @@ impl ShellActor {
             let now = ctx.now();
             self.log_durable(&LogRecord::RequestResolved { req_id });
             self.metrics.observe(
-                Scope::Site(self.site.index()),
+                self.scope,
                 "shell.request_latency",
                 now.saturating_since(o.sent_at),
             );
@@ -643,10 +572,10 @@ impl ShellActor {
                 // Late response: the failure was metric after all and
                 // has now cleared.
                 self.spans.annotate(o.span, "cleared-late");
-                self.stats.inc("shell.failures_cleared");
+                self.metrics.inc(self.scope, "shell.failures_cleared");
                 self.metrics.record(
                     now,
-                    Scope::Site(self.site.index()),
+                    self.scope,
                     "shell.failure",
                     [
                         ("phase", "cleared".to_string()),
@@ -684,10 +613,11 @@ impl ShellActor {
         }
         if escalation {
             // Still unanswered well past the bound: logical failure.
-            self.stats.inc("shell.logical_failures_detected");
+            self.metrics
+                .inc(self.scope, "shell.logical_failures_detected");
             self.metrics.record(
                 now,
-                Scope::Site(self.site.index()),
+                self.scope,
                 "shell.failure",
                 [
                     ("phase", "logical".to_string()),
@@ -724,10 +654,11 @@ impl ShellActor {
             if let Some(o) = self.outstanding.get_mut(&req_id) {
                 o.flagged = true;
             }
-            self.stats.inc("shell.metric_failures_detected");
+            self.metrics
+                .inc(self.scope, "shell.metric_failures_detected");
             self.metrics.record(
                 now,
-                Scope::Site(self.site.index()),
+                self.scope,
                 "shell.failure",
                 [("phase", "metric".to_string()), ("req", req_id.to_string())],
             );
@@ -772,8 +703,7 @@ impl ShellActor {
         let Some(period) = self.failure_cfg.heartbeat else {
             return;
         };
-        self.metrics
-            .inc(Scope::Site(self.site.index()), "shell.heartbeats");
+        self.metrics.inc(self.scope, "shell.heartbeats");
         let req_id = self.track_request(SpanKind::Heartbeat, None, None, ctx);
         let me = ctx.me();
         ctx.send_local(
@@ -838,7 +768,7 @@ impl ShellActor {
         if cond_ok {
             self.execute_rhs(rule_id, p_id, bindings, ctx);
         } else {
-            self.stats.inc("shell.cond_suppressed");
+            self.metrics.inc(self.scope, "shell.cond_suppressed");
         }
         if now + period <= self.stop_periodics_at {
             ctx.schedule_self(period, CmMsg::RuleTick { idx });
@@ -960,7 +890,7 @@ impl Actor<CmMsg> for ShellActor {
             }
             self.metrics.record(
                 now,
-                Scope::Site(self.site.index()),
+                self.scope,
                 "shell.recovered",
                 [("outstanding", outstanding_count.to_string())],
             );

@@ -35,79 +35,6 @@ use std::collections::BTreeMap;
 /// Delay for forwarding an observed event to the co-located shell.
 const FORWARD_DELAY: SimDuration = SimDuration::from_millis(1);
 
-/// Observable counters for experiment measurement (E8/E9 count
-/// messages; E7 counts rejections), materialized from the metrics
-/// registry.
-#[derive(Debug, Default, Clone)]
-pub struct TranslatorStats {
-    /// Notifications sent to the shell.
-    pub notifications: u64,
-    /// Spontaneous changes that matched a notify interface but failed
-    /// its condition (conditional-notify suppression).
-    pub suppressed: u64,
-    /// CM write requests rejected by local constraints.
-    pub writes_rejected: u64,
-    /// CM write requests performed.
-    pub writes_done: u64,
-    /// Read requests served.
-    pub reads_served: u64,
-    /// Spontaneous operations that failed natively (e.g. deleting a
-    /// missing key).
-    pub spontaneous_errors: u64,
-    /// Spontaneous writes that violated a prohibition interface.
-    pub prohibition_violations: u64,
-}
-
-/// Registry-backed view of one translator's counters.
-///
-/// Counters live in the shared [`Metrics`] registry under
-/// `Scope::Site`; `borrow()` materializes an owned
-/// [`TranslatorStats`] snapshot so `stats.borrow().notifications`
-/// call sites read naturally.
-#[derive(Debug, Clone)]
-pub struct TranslatorStatsHandle {
-    metrics: Metrics,
-    scope: Scope,
-}
-
-impl TranslatorStatsHandle {
-    /// View over `site`'s translator metrics in `metrics`.
-    #[must_use]
-    pub fn new(metrics: Metrics, site: SiteId) -> Self {
-        TranslatorStatsHandle {
-            metrics,
-            scope: Scope::Site(site.index()),
-        }
-    }
-
-    fn inc(&self, name: &str) {
-        self.metrics.inc(self.scope, name);
-    }
-
-    fn get(&self, name: &str) -> u64 {
-        self.metrics.counter(self.scope, name)
-    }
-
-    fn observe_service(&self, d: SimDuration) {
-        self.metrics
-            .observe(self.scope, "translator.service_delay", d);
-    }
-
-    /// Snapshot the counters as an owned [`TranslatorStats`].
-    #[must_use]
-    pub fn borrow(&self) -> TranslatorStats {
-        TranslatorStats {
-            notifications: self.get("translator.notifications"),
-            suppressed: self.get("translator.suppressed"),
-            writes_rejected: self.get("translator.writes_rejected"),
-            writes_done: self.get("translator.writes_done"),
-            reads_served: self.get("translator.reads_served"),
-            spontaneous_errors: self.get("translator.spontaneous_errors"),
-            prohibition_violations: self.get("translator.prohibition_violations"),
-        }
-    }
-}
-
 struct IfaceRule {
     stmt: InterfaceStmt,
     class: IfaceClass,
@@ -125,7 +52,10 @@ pub struct TranslatorActor {
     extra: SimDuration,
     stop_periodics_at: SimTime,
     recorder: TraceRecorder,
-    stats: TranslatorStatsHandle,
+    metrics: Metrics,
+    /// `Scope::Site` of this translator's site, under which every
+    /// `translator.*` metric is written.
+    scope: Scope,
     /// How this translator's state relates to crashes (see
     /// [`crate::durability`]). Default keeps historical behaviour.
     policy: StatePolicy,
@@ -142,7 +72,8 @@ pub struct TranslatorActor {
 impl TranslatorActor {
     /// Build a translator. `iface_ids` are the rule ids assigned to the
     /// CM-RID's interface statements (same order) in the scenario's
-    /// shared rule registry.
+    /// shared rule registry; `translator.*` metrics go to `metrics`
+    /// under `Scope::Site(site)`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         site: SiteId,
@@ -153,7 +84,7 @@ impl TranslatorActor {
         interest: Vec<TemplateDesc>,
         stop_periodics_at: SimTime,
         recorder: TraceRecorder,
-        stats: TranslatorStatsHandle,
+        metrics: Metrics,
     ) -> Self {
         assert_eq!(rid.interfaces.len(), iface_ids.len());
         let interfaces = rid
@@ -176,7 +107,8 @@ impl TranslatorActor {
             extra: SimDuration::ZERO,
             stop_periodics_at,
             recorder,
-            stats,
+            metrics,
+            scope: Scope::Site(site.index()),
             policy: StatePolicy::default(),
             crashed_lossy: false,
             pending: BTreeMap::new(),
@@ -297,7 +229,8 @@ impl TranslatorActor {
         let changes = match self.backend.apply_spontaneous(op, now) {
             Ok(c) => c,
             Err(_) => {
-                self.stats.inc("translator.spontaneous_errors");
+                self.metrics
+                    .inc(self.scope, "translator.spontaneous_errors");
                 return;
             }
         };
@@ -316,7 +249,8 @@ impl TranslatorActor {
                 if iface.class == IfaceClass::Prohibition {
                     let mut b = Bindings::new();
                     if iface.stmt.lhs.match_desc(&desc, &mut b) {
-                        self.stats.inc("translator.prohibition_violations");
+                        self.metrics
+                            .inc(self.scope, "translator.prohibition_violations");
                     }
                 }
             }
@@ -343,7 +277,7 @@ impl TranslatorActor {
                     lookup: |item: &ItemId| backend.read(item).ok(),
                 };
                 if !iface.stmt.cond.eval(&env) {
-                    self.stats.inc("translator.suppressed");
+                    self.metrics.inc(self.scope, "translator.suppressed");
                     continue;
                 }
                 if let Some(EventDesc::N { item, value }) = iface.stmt.rhs.instantiate(&bindings) {
@@ -351,8 +285,9 @@ impl TranslatorActor {
                 }
             }
             for (item, value, rule) in to_send {
-                self.stats.inc("translator.notifications");
-                self.stats.observe_service(self.delay());
+                self.metrics.inc(self.scope, "translator.notifications");
+                self.metrics
+                    .observe(self.scope, "translator.service_delay", self.delay());
                 ctx.send_local(
                     self.shell,
                     CmMsg::Cmi(TranslatorEvent::Notify {
@@ -388,7 +323,8 @@ impl TranslatorActor {
         ctx: &mut Ctx<'_, CmMsg>,
     ) {
         let now = ctx.now();
-        self.stats.observe_service(self.delay());
+        self.metrics
+            .observe(self.scope, "translator.service_delay", self.delay());
         match kind {
             RequestKind::Write(item, value) => {
                 let desc = EventDesc::Wr {
@@ -399,7 +335,7 @@ impl TranslatorActor {
                 self.forward_if_interesting(wr_id, &desc, ctx);
                 let Some(iface) = self.find_iface(IfaceClass::Write, item) else {
                     // No write interface offered: refuse immediately.
-                    self.stats.inc("translator.writes_rejected");
+                    self.metrics.inc(self.scope, "translator.writes_rejected");
                     ctx.send_local(
                         reply_to,
                         CmMsg::Cmi(TranslatorEvent::WriteDone { req_id, ok: false }),
@@ -455,7 +391,7 @@ impl TranslatorActor {
                     return; // no read interface: request goes unanswered
                 };
                 let value = self.backend.read(item).unwrap_or(Value::Null);
-                self.stats.inc("translator.reads_served");
+                self.metrics.inc(self.scope, "translator.reads_served");
                 ctx.send_local(
                     reply_to,
                     CmMsg::Cmi(TranslatorEvent::ReadResult {
@@ -496,7 +432,7 @@ impl TranslatorActor {
                 };
                 let w_id = self.record(now, desc.clone(), old, Some(rule), Some(trigger));
                 self.forward_if_interesting(w_id, &desc, ctx);
-                self.stats.inc("translator.writes_done");
+                self.metrics.inc(self.scope, "translator.writes_done");
                 ctx.send_local(
                     reply_to,
                     CmMsg::Cmi(TranslatorEvent::WriteDone { req_id, ok: true }),
@@ -504,7 +440,7 @@ impl TranslatorActor {
                 );
             }
             Err(_) => {
-                self.stats.inc("translator.writes_rejected");
+                self.metrics.inc(self.scope, "translator.writes_rejected");
                 self.record(
                     now,
                     EventDesc::Custom {
@@ -569,14 +505,15 @@ impl TranslatorActor {
                     lookup: |i: &ItemId| backend.read(i).ok(),
                 };
                 if !iface.stmt.cond.eval(&env) {
-                    self.stats.inc("translator.suppressed");
+                    self.metrics.inc(self.scope, "translator.suppressed");
                     continue;
                 }
                 to_send.push((item, value, iface.id));
             }
             for (item, value, rule) in to_send {
-                self.stats.inc("translator.notifications");
-                self.stats.observe_service(self.delay());
+                self.metrics.inc(self.scope, "translator.notifications");
+                self.metrics
+                    .observe(self.scope, "translator.service_delay", self.delay());
                 ctx.send_local(
                     self.shell,
                     CmMsg::Cmi(TranslatorEvent::Notify {
@@ -650,7 +587,7 @@ impl Actor<CmMsg> for TranslatorActor {
         // store they are gone for good.
         if matches!(self.policy, StatePolicy::Lose) {
             for _ in 0..self.pending.len() {
-                self.stats.inc("translator.writes_lost");
+                self.metrics.inc(self.scope, "translator.writes_lost");
             }
         }
         self.pending.clear();
@@ -704,7 +641,7 @@ impl Actor<CmMsg> for TranslatorActor {
         // delayed, not lost (§5's metric demotion).
         let survivors: Vec<PendingWrite> = self.pending.values().cloned().collect();
         for pw in survivors {
-            self.stats.inc("translator.writes_recovered");
+            self.metrics.inc(self.scope, "translator.writes_recovered");
             ctx.schedule_self(
                 self.delay(),
                 CmMsg::PerformWrite {

@@ -6,11 +6,12 @@ use hcm_core::{
     EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, TemplateDesc, Term,
     TraceRecorder, Value,
 };
+use hcm_obs::Scope;
 use hcm_simkit::{Actor, ActorId, Ctx, Sim};
 use hcm_toolkit::backends::{build_backend, RawStore};
 use hcm_toolkit::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use hcm_toolkit::rid::CmRid;
-use hcm_toolkit::translator::{TranslatorActor, TranslatorStatsHandle};
+use hcm_toolkit::translator::TranslatorActor;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -52,7 +53,12 @@ struct Rig {
     probe: ActorId,
     log: Rc<RefCell<Vec<(SimTime, TranslatorEvent)>>>,
     recorder: TraceRecorder,
-    stats: TranslatorStatsHandle,
+}
+
+impl Rig {
+    fn counter(&self, name: &str) -> u64 {
+        self.sim.obs().metrics.counter(Scope::Site(0), name)
+    }
 }
 
 fn rig(interest: Vec<TemplateDesc>) -> Rig {
@@ -70,7 +76,6 @@ fn rig(interest: Vec<TemplateDesc>) -> Rig {
     let log = Rc::new(RefCell::new(Vec::new()));
 
     let mut sim = Sim::new(1);
-    let stats = TranslatorStatsHandle::new(sim.obs().metrics, SiteId::new(0));
     let probe = sim.add_actor(Box::new(Probe { log: log.clone() }));
     let t = TranslatorActor::new(
         SiteId::new(0),
@@ -81,7 +86,7 @@ fn rig(interest: Vec<TemplateDesc>) -> Rig {
         interest,
         SimTime::from_millis(u64::MAX),
         recorder.clone(),
-        stats.clone(),
+        sim.obs().metrics,
     );
     let translator = sim.add_actor(Box::new(t));
     Rig {
@@ -90,7 +95,6 @@ fn rig(interest: Vec<TemplateDesc>) -> Rig {
         probe,
         log,
         recorder,
-        stats,
     }
 }
 
@@ -140,7 +144,7 @@ fn write_request_performs_within_service_delay_and_acks() {
         trace.value_at(&e1(), trace.end_time()),
         Some(Value::Int(20))
     );
-    assert_eq!(r.stats.borrow().writes_done, 1);
+    assert_eq!(r.counter("translator.writes_done"), 1);
 }
 
 #[test]
@@ -172,7 +176,7 @@ fn read_request_returns_current_value() {
         }
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(r.stats.borrow().reads_served, 1);
+    assert_eq!(r.counter("translator.reads_served"), 1);
 }
 
 #[test]
@@ -217,7 +221,7 @@ fn spontaneous_change_notifies_within_bound() {
     }
     // Within the 2s notify bound (service 100ms).
     assert!(log[0].0 <= SimTime::from_secs(7));
-    assert_eq!(r.stats.borrow().notifications, 1);
+    assert_eq!(r.counter("translator.notifications"), 1);
 }
 
 #[test]
@@ -310,6 +314,6 @@ fn failed_spontaneous_op_counted_not_crashed() {
         CmMsg::Spontaneous(SpontaneousOp::Sql("garbage command".into())),
     );
     r.sim.run_to_quiescence();
-    assert_eq!(r.stats.borrow().spontaneous_errors, 1);
+    assert_eq!(r.counter("translator.spontaneous_errors"), 1);
     assert!(r.log.borrow().is_empty());
 }

@@ -13,6 +13,7 @@
 
 use hcm::checker::guarantee::check_guarantee;
 use hcm::core::{ItemId, SimTime, Value};
+use hcm::obs::Scope;
 use hcm::protocols::periodic::{clock, BankScenario};
 use hcm::simkit::SimRng;
 
@@ -54,13 +55,16 @@ fn main() {
     bank.scenario.run_to_quiescence();
     let trace = bank.scenario.trace();
 
-    let finish = bank.stats.borrow().last_finish.expect("batch ran");
+    let m = &bank.scenario.obs.metrics;
+    let finish_ms = m
+        .gauge(Scope::Global, "batch.last_finish_ms")
+        .expect("batch ran");
     println!("\n── End-of-day batch ───────────────────────────────────────────");
     println!("  started  {}", hhmm(clock::FIVE_PM));
     println!(
         "  finished {} ({} balances propagated)",
-        hhmm(finish.as_secs()),
-        bank.stats.borrow().propagated
+        hhmm(finish_ms as u64 / 1000),
+        m.counter(Scope::Global, "batch.propagated")
     );
 
     println!("\n── Periodic guarantee ─────────────────────────────────────────");

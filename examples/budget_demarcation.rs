@@ -15,6 +15,7 @@
 //! and under the 2PC baseline, printing the trade-offs.
 
 use hcm::core::{SimDuration, SimTime};
+use hcm::obs::Scope;
 use hcm::protocols::demarcation::{self, DemarcConfig, GrantPolicy};
 use hcm::protocols::tpc;
 use hcm::simkit::SimRng;
@@ -59,16 +60,16 @@ fn main() {
         }
         d.run();
         assert!(d.invariant_held(), "X ≤ Y must always hold");
-        let sx = d.stats_x.borrow();
-        let sy = d.stats_y.borrow();
+        let both = |name| d.scenario.counter("A", name) + d.scenario.counter("B", name);
+        let (local, granted) = (both("demarc.local_ok"), both("demarc.granted"));
         println!(
             "{:<14} {:>6} {:>8} {:>8} {:>8} {:>10} {:>10}",
             format!("{policy:?}"),
-            sx.local_ok + sx.granted + sy.local_ok + sy.granted,
-            sx.local_ok + sy.local_ok,
-            sx.granted + sy.granted,
-            sx.denied + sy.denied,
-            sx.limit_requests + sy.limit_requests,
+            local + granted,
+            local,
+            granted,
+            both("demarc.denied"),
+            both("demarc.limit_requests"),
             d.scenario.sim.network().total_sent(),
         );
     }
@@ -79,18 +80,19 @@ fn main() {
         t2.try_update(t, lower, delta);
     }
     t2.run();
-    let st = t2.stats.borrow();
-    let avg_latency =
-        st.latencies_ms.iter().sum::<u64>() as f64 / st.latencies_ms.len().max(1) as f64;
+    let m = t2.sim.obs().metrics;
+    let tpc = |name| m.counter(Scope::Global, name);
+    let latencies = m.series(Scope::Global, "tpc.latency_ms");
+    let avg_latency = latencies.iter().sum::<i64>() as f64 / latencies.len().max(1) as f64;
     println!(
         "{:<14} {:>6} {:>8} {:>8} {:>8} {:>10} {:>10}",
         "2PC baseline",
-        st.committed,
+        tpc("tpc.committed"),
         0,
-        st.committed,
-        st.aborted_constraint + st.aborted_unavailable,
+        tpc("tpc.committed"),
+        tpc("tpc.aborted_constraint") + tpc("tpc.aborted_unavailable"),
         "-",
-        st.messages,
+        tpc("tpc.messages"),
     );
     println!("\n2PC mean commit latency: {avg_latency:.0} ms (every update pays coordination)");
     println!("Demarcation local updates complete in one local write (~52 ms).");
@@ -109,10 +111,10 @@ fn main() {
         d.try_update(t, lower, delta);
     }
     d.run();
-    let sx = d.stats_x.borrow();
     println!(
         "  demarcation: {} of {} spend updates still succeeded locally",
-        sx.local_ok, sx.attempts
+        d.scenario.counter("A", "demarc.local_ok"),
+        d.scenario.counter("A", "demarc.attempts")
     );
 
     let mut t3 = tpc::build(9, 0, 1200);
@@ -123,7 +125,7 @@ fn main() {
     t3.run();
     println!(
         "  2PC:         {} of {} committed (blocked on the dead site)",
-        t3.stats.borrow().committed,
-        t3.stats.borrow().submitted
+        t3.sim.obs().metrics.counter(Scope::Global, "tpc.committed"),
+        t3.sim.obs().metrics.counter(Scope::Global, "tpc.submitted")
     );
 }

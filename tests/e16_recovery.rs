@@ -135,10 +135,13 @@ fn durable_translator_demotes_lossy_crash_to_metric_failure() {
 
     // §5 demotion: detected as metric (the deadline passed while B was
     // down), then cleared by the late response — never logical.
-    let b = sc.site("B").shell_stats.borrow();
-    assert_eq!(b.metric_failures_detected, 1);
-    assert_eq!(b.logical_failures_detected, 0, "durable crash is metric");
-    assert_eq!(b.failures_cleared, 1);
+    assert_eq!(sc.counter("B", "shell.metric_failures_detected"), 1);
+    assert_eq!(
+        sc.counter("B", "shell.logical_failures_detected"),
+        0,
+        "durable crash is metric"
+    );
+    assert_eq!(sc.counter("B", "shell.failures_cleared"), 1);
     assert_eq!(
         sc.site("B").registry.borrow().status("follows"),
         Some(GuaranteeStatus::Valid)
@@ -195,9 +198,12 @@ fn lossy_crash_without_store_loses_the_write_for_good() {
 
     // §5 promotion: never served, the metric failure escalates to
     // logical, voiding even non-metric guarantees until a reset.
-    let b = sc.site("B").shell_stats.borrow();
-    assert_eq!(b.metric_failures_detected, 1);
-    assert_eq!(b.logical_failures_detected, 1, "lost state is logical");
+    assert_eq!(sc.counter("B", "shell.metric_failures_detected"), 1);
+    assert_eq!(
+        sc.counter("B", "shell.logical_failures_detected"),
+        1,
+        "lost state is logical"
+    );
     assert_eq!(
         sc.site("B").registry.borrow().status("follows"),
         Some(GuaranteeStatus::SuspendedLogical)
@@ -222,34 +228,12 @@ fn durability_is_the_only_difference_between_metric_and_logical() {
     }
     // Both detect the outage the same way…
     assert_eq!(
-        durable
-            .site("B")
-            .shell_stats
-            .borrow()
-            .metric_failures_detected,
-        lossy
-            .site("B")
-            .shell_stats
-            .borrow()
-            .metric_failures_detected,
+        durable.counter("B", "shell.metric_failures_detected"),
+        lossy.counter("B", "shell.metric_failures_detected"),
     );
     // …but only the storeless run escalates and loses data.
-    assert_eq!(
-        durable
-            .site("B")
-            .shell_stats
-            .borrow()
-            .logical_failures_detected,
-        0
-    );
-    assert_eq!(
-        lossy
-            .site("B")
-            .shell_stats
-            .borrow()
-            .logical_failures_detected,
-        1
-    );
+    assert_eq!(durable.counter("B", "shell.logical_failures_detected"), 0);
+    assert_eq!(lossy.counter("B", "shell.logical_failures_detected"), 1);
     assert_ne!(salary2_at_end(&durable), salary2_at_end(&lossy));
 }
 
@@ -407,10 +391,7 @@ fn file_backed_store_recovers_across_the_same_schedule() {
 
     // Same behaviour as the in-memory store…
     assert_eq!(salary2_at_end(&sc), Some(Value::Int(95_000)));
-    assert_eq!(
-        sc.site("B").shell_stats.borrow().logical_failures_detected,
-        0
-    );
+    assert_eq!(sc.counter("B", "shell.logical_failures_detected"), 0);
     // …with real per-actor directories on disk.
     for sub in ["site0-shell", "site1-translator"] {
         assert!(dir.join(sub).is_dir(), "missing store dir {sub}");

@@ -10,6 +10,7 @@
 //! 2PC baseline on the *same* workload.
 
 use hcm::core::{SimDuration, SimTime};
+use hcm::obs::Scope;
 use hcm::protocols::demarcation::{self, DemarcConfig, GrantPolicy};
 use hcm::protocols::tpc;
 use hcm::simkit::SimRng;
@@ -79,10 +80,9 @@ fn most_updates_are_local() {
         d.try_update(t, lower, delta);
     }
     d.run();
-    let sx = d.stats_x.borrow();
-    let sy = d.stats_y.borrow();
-    let local = sx.local_ok + sy.local_ok;
-    let attempts = sx.attempts + sy.attempts;
+    let both = |name| d.scenario.counter("A", name) + d.scenario.counter("B", name);
+    let local = both("demarc.local_ok");
+    let attempts = both("demarc.attempts");
     assert!(
         local as f64 / attempts as f64 > 0.6,
         "expected mostly-local updates, got {local}/{attempts}"
@@ -94,8 +94,11 @@ fn policies_trade_requests_for_future_denials() {
     let ops = workload(11, 100);
     let exact = run_demarc(GrantPolicy::Requested, 11, &ops);
     let all = run_demarc(GrantPolicy::All, 11, &ops);
-    let req_exact = exact.stats_x.borrow().limit_requests + exact.stats_y.borrow().limit_requests;
-    let req_all = all.stats_x.borrow().limit_requests + all.stats_y.borrow().limit_requests;
+    let requests = |d: &demarcation::DemarcScenario| {
+        d.scenario.counter("A", "demarc.limit_requests")
+            + d.scenario.counter("B", "demarc.limit_requests")
+    };
+    let (req_exact, req_all) = (requests(&exact), requests(&all));
     // Granting everything means the *granter* runs out sooner and must
     // come asking; the requester asks less. Net message counts differ —
     // the bench sweeps this; here we only require both runs safe and
@@ -111,11 +114,8 @@ fn demarcation_beats_tpc_on_latency_and_messages_for_local_updates() {
     // Demarcation run.
     let d = run_demarc(GrantPolicy::Requested, 13, &ops);
     let d_messages = d.scenario.sim.network().total_sent();
-    let d_ok = {
-        let sx = d.stats_x.borrow();
-        let sy = d.stats_y.borrow();
-        sx.local_ok + sx.granted + sy.local_ok + sy.granted
-    };
+    let both = |name| d.scenario.counter("A", name) + d.scenario.counter("B", name);
+    let d_ok = both("demarc.local_ok") + both("demarc.granted");
 
     // 2PC run on the same workload.
     let mut t = tpc::build(13, 0, 400);
@@ -123,17 +123,19 @@ fn demarcation_beats_tpc_on_latency_and_messages_for_local_updates() {
         t.try_update(at, lower, delta);
     }
     t.run();
-    let t_stats = t.stats.borrow();
+    let m = t.sim.obs().metrics;
+    let t_messages = m.counter(Scope::Global, "tpc.messages");
+    let t_submitted = m.counter(Scope::Global, "tpc.submitted");
 
     // Strict consistency commits at most as many updates as the weak
     // protocol satisfies (it aborts on conflicts the demarcation
     // protocol denies too), but pays global coordination for *every*
     // attempt.
-    assert!(t_stats.messages as f64 / t_stats.submitted as f64 >= 4.0);
+    assert!(t_messages as f64 / t_submitted as f64 >= 4.0);
     // Latency: every 2PC commit pays ≥ one prepare/vote round trip +
     // service; demarcation local updates complete in ~1 write.
-    let avg_tpc =
-        t_stats.latencies_ms.iter().sum::<u64>() as f64 / t_stats.latencies_ms.len().max(1) as f64;
+    let latencies = m.series(Scope::Global, "tpc.latency_ms");
+    let avg_tpc = latencies.iter().sum::<i64>() as f64 / latencies.len().max(1) as f64;
     assert!(
         avg_tpc >= 90.0,
         "2PC per-commit latency should include coordination, got {avg_tpc}ms"
@@ -142,7 +144,7 @@ fn demarcation_beats_tpc_on_latency_and_messages_for_local_updates() {
     // Message economy: demarcation messages per satisfied update are
     // lower than 2PC messages per submitted update.
     let d_rate = d_messages as f64 / d_ok as f64;
-    let t_rate = t_stats.messages as f64 / t_stats.submitted as f64;
+    let t_rate = t_messages as f64 / t_submitted as f64;
     assert!(
         d_rate < t_rate,
         "demarcation {d_rate:.2} msg/op should beat 2PC {t_rate:.2} msg/op"
@@ -165,11 +167,8 @@ fn under_site_failure_demarcation_keeps_local_updates_flowing() {
         d.try_update(SimTime::from_secs(10 + i * 10), true, 5); // X: all local
     }
     d.run();
-    assert_eq!(
-        d.stats_x.borrow().local_ok,
-        10,
-        "local updates unaffected by B's crash"
-    );
+    let local = d.scenario.counter("A", "demarc.local_ok");
+    assert_eq!(local, 10, "local updates unaffected by B's crash");
     assert!(d.invariant_held());
 
     let mut t = tpc::build(17, 0, 400);
@@ -178,12 +177,10 @@ fn under_site_failure_demarcation_keeps_local_updates_flowing() {
         t.try_update(SimTime::from_secs(10 + i * 10), true, 5);
     }
     t.run();
-    assert_eq!(
-        t.stats.borrow().committed,
-        0,
-        "2PC commits nothing while Y is down"
-    );
-    assert_eq!(t.stats.borrow().aborted_unavailable, 10);
+    let m = t.sim.obs().metrics;
+    let committed = m.counter(Scope::Global, "tpc.committed");
+    assert_eq!(committed, 0, "2PC commits nothing while Y is down");
+    assert_eq!(m.counter(Scope::Global, "tpc.aborted_unavailable"), 10);
 }
 
 /// §6.1's responsiveness guarantee, formalized: "if there is enough

@@ -2,6 +2,7 @@
 //! integration level: randomized workloads, measured violation windows.
 
 use hcm::core::{ItemId, SimDuration, SimTime, Value};
+use hcm::obs::Scope;
 use hcm::protocols::refint;
 use hcm::simkit::SimRng;
 
@@ -81,11 +82,12 @@ fn deletion_rate_tracks_dangling_fraction() {
         }
     }
     r.scenario.run_to_quiescence();
-    assert_eq!(
-        r.stats.borrow().deleted,
-        6,
-        "exactly the dangling records go"
-    );
+    let deleted = r
+        .scenario
+        .obs
+        .metrics
+        .counter(Scope::Global, "refint.deleted");
+    assert_eq!(deleted, 6, "exactly the dangling records go");
     let trace = r.scenario.trace();
     // Employees with salaries keep their projects.
     for i in 0..4 {
@@ -112,9 +114,10 @@ fn owners_are_notified_of_deletions() {
     r.add_project(SimTime::from_secs(200), "bob", "mainline");
     r.scenario.run_to_quiescence();
 
-    let s = r.stats.borrow();
-    assert_eq!(s.deleted, 1, "only ada's record dangles");
-    assert_eq!(s.notices_sent, 1);
+    let m = &r.scenario.obs.metrics;
+    let deleted = m.counter(Scope::Global, "refint.deleted");
+    assert_eq!(deleted, 1, "only ada's record dangles");
+    assert_eq!(m.counter(Scope::Global, "refint.notices_sent"), 1);
 
     let trace = r.scenario.trace();
     let notice_writes: Vec<_> = trace

@@ -7,6 +7,7 @@
 
 use hcm::checker::guarantee::check_guarantee;
 use hcm::core::SimTime;
+use hcm::obs::Scope;
 use hcm::protocols::monitor;
 use hcm::simkit::SimRng;
 
@@ -41,11 +42,12 @@ fn flag_actually_transitions_under_divergence() {
     m.write_x(SimTime::from_secs(50), 3);
     m.write_y(SimTime::from_secs(70), 3);
     m.run();
-    assert_eq!(
-        *m.transitions.borrow(),
-        4,
-        "two divergences, two re-convergences"
-    );
+    let transitions = m
+        .sim
+        .obs()
+        .metrics
+        .counter(Scope::Global, "monitor.transitions");
+    assert_eq!(transitions, 4, "two divergences, two re-convergences");
 }
 
 #[test]

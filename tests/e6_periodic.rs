@@ -2,6 +2,7 @@
 //! integration level (multi-account randomized day).
 
 use hcm::core::SimTime;
+use hcm::obs::Scope;
 use hcm::protocols::periodic::{clock, BankScenario};
 use hcm::simkit::SimRng;
 
@@ -31,10 +32,13 @@ fn randomized_working_day_yields_the_night_guarantee() {
         let trace = b.scenario.trace();
 
         // The batch finished inside the 15-minute window.
-        let finish = b.stats.borrow().last_finish.expect("batch ran");
+        let m = &b.scenario.obs.metrics;
+        let finish = m
+            .gauge(Scope::Global, "batch.last_finish_ms")
+            .expect("batch ran");
         assert!(
-            finish <= SimTime::from_secs(clock::FIVE_FIFTEEN_PM),
-            "seed {seed}: batch finished at {finish}"
+            finish <= clock::FIVE_FIFTEEN_PM as i64 * 1000,
+            "seed {seed}: batch finished at {finish}ms"
         );
 
         let g = BankScenario::night_guarantee(
@@ -64,9 +68,10 @@ fn batch_cost_scales_with_accounts_not_updates() {
         );
     }
     b.scenario.run_to_quiescence();
-    assert_eq!(
-        b.stats.borrow().propagated,
-        3,
-        "one write per account, not per update"
-    );
+    let propagated = b
+        .scenario
+        .obs
+        .metrics
+        .counter(Scope::Global, "batch.propagated");
+    assert_eq!(propagated, 3, "one write per account, not per update");
 }

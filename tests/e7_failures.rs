@@ -103,15 +103,9 @@ fn overload_causes_metric_failure_and_suspends_only_metric_guarantees() {
         Some(GuaranteeStatus::Valid),
         "late response clears a metric failure"
     );
-    assert_eq!(
-        sc.site("B").shell_stats.borrow().metric_failures_detected,
-        1
-    );
-    assert_eq!(sc.site("B").shell_stats.borrow().failures_cleared, 1);
-    assert_eq!(
-        sc.site("B").shell_stats.borrow().logical_failures_detected,
-        0
-    );
+    assert_eq!(sc.counter("B", "shell.metric_failures_detected"), 1);
+    assert_eq!(sc.counter("B", "shell.failures_cleared"), 1);
+    assert_eq!(sc.counter("B", "shell.logical_failures_detected"), 0);
 
     // The trace confirms the paper's semantics: the *non-metric*
     // follows guarantee still holds on the actual data…
@@ -144,8 +138,8 @@ fn crash_causes_logical_failure_requiring_reset() {
 
     // 5s deadline → metric flag; +30s escalation → logical.
     let b = sc.site("B");
-    assert_eq!(b.shell_stats.borrow().metric_failures_detected, 1);
-    assert_eq!(b.shell_stats.borrow().logical_failures_detected, 1);
+    assert_eq!(sc.counter("B", "shell.metric_failures_detected"), 1);
+    assert_eq!(sc.counter("B", "shell.logical_failures_detected"), 1);
     assert_eq!(
         b.registry.borrow().status("follows"),
         Some(GuaranteeStatus::SuspendedLogical),
@@ -211,9 +205,9 @@ fn recovery_replays_and_clears_even_after_crash() {
     update(&mut sc, 40, 95_000);
     sc.run_to_quiescence();
     let b = sc.site("B");
-    assert_eq!(b.shell_stats.borrow().metric_failures_detected, 1);
-    assert_eq!(b.shell_stats.borrow().logical_failures_detected, 0);
-    assert_eq!(b.shell_stats.borrow().failures_cleared, 1);
+    assert_eq!(sc.counter("B", "shell.metric_failures_detected"), 1);
+    assert_eq!(sc.counter("B", "shell.logical_failures_detected"), 0);
+    assert_eq!(sc.counter("B", "shell.failures_cleared"), 1);
     assert_eq!(
         b.registry.borrow().status("follows_metric"),
         Some(GuaranteeStatus::Valid)
@@ -238,10 +232,7 @@ fn no_failure_no_suspension() {
         assert_eq!(reg.status("follows"), Some(GuaranteeStatus::Valid));
         assert_eq!(reg.status("follows_metric"), Some(GuaranteeStatus::Valid));
     }
-    assert_eq!(
-        sc.site("B").shell_stats.borrow().metric_failures_detected,
-        0
-    );
+    assert_eq!(sc.counter("B", "shell.metric_failures_detected"), 0);
 }
 
 #[test]
@@ -281,10 +272,10 @@ fn heartbeat_detects_silent_failure_without_traffic() {
     sc.run_until(SimTime::from_secs(120));
     let b = sc.site("B");
     assert!(
-        b.shell_stats.borrow().metric_failures_detected >= 1,
+        sc.counter("B", "shell.metric_failures_detected") >= 1,
         "heartbeat must detect the silent crash"
     );
-    assert!(b.shell_stats.borrow().logical_failures_detected >= 1);
+    assert!(sc.counter("B", "shell.logical_failures_detected") >= 1);
     assert_eq!(
         b.registry.borrow().status("follows"),
         Some(GuaranteeStatus::SuspendedLogical)
@@ -308,7 +299,7 @@ fn heartbeat_detects_silent_failure_without_traffic() {
     sc2.crash("B", SimTime::from_secs(15), true);
     sc2.run_until(SimTime::from_secs(120));
     assert_eq!(
-        sc2.site("B").shell_stats.borrow().metric_failures_detected,
+        sc2.counter("B", "shell.metric_failures_detected"),
         0,
         "no probing, no traffic, no detection — the paper's silent-failure gap"
     );
@@ -350,19 +341,18 @@ fn heartbeat_detects_silent_crash_and_escalates() {
     sc.crash("B", SimTime::from_secs(32), true);
     sc.run_until(SimTime::from_secs(300));
 
-    let b = sc.site("B").shell_stats.borrow();
     assert!(
-        b.metric_failures_detected >= 1,
+        sc.counter("B", "shell.metric_failures_detected") >= 1,
         "heartbeat missed the silent crash"
     );
     assert!(
-        b.logical_failures_detected >= 1,
+        sc.counter("B", "shell.logical_failures_detected") >= 1,
         "metric failure never escalated"
     );
     // No rule ever fired and no application request was sent: the
     // detection really came from the heartbeat path.
-    assert_eq!(b.firings, 0);
-    assert_eq!(b.requests_sent, 0);
+    assert_eq!(sc.counter("B", "shell.firings"), 0);
+    assert_eq!(sc.counter("B", "shell.requests_sent"), 0);
     let hb = sc.obs.metrics.counter(
         hcm::obs::Scope::Site(sc.site("B").site.index()),
         "shell.heartbeats",
@@ -407,14 +397,17 @@ fn heartbeat_metric_failure_clears_on_late_response() {
     );
     sc.run_to_quiescence();
 
-    let b = sc.site("B").shell_stats.borrow();
-    assert!(b.metric_failures_detected >= 1, "slow probe never flagged");
     assert!(
-        b.failures_cleared >= 1,
+        sc.counter("B", "shell.metric_failures_detected") >= 1,
+        "slow probe never flagged"
+    );
+    assert!(
+        sc.counter("B", "shell.failures_cleared") >= 1,
         "late probe response never cleared the flag"
     );
     assert_eq!(
-        b.logical_failures_detected, 0,
+        sc.counter("B", "shell.logical_failures_detected"),
+        0,
         "12s delay must not escalate"
     );
     assert_eq!(

@@ -182,9 +182,8 @@ fn step_order_matters_cache_updated_after_comparison() {
         "cache-then-compare ordering bug: no writes forwarded"
     );
     // And the suppressed duplicates are visible in the shell stats.
-    let skipped = sc.site("A").shell_stats.borrow().steps_skipped;
-    let fired =
-        sc.site("B").shell_stats.borrow().firings + sc.site("A").shell_stats.borrow().firings;
+    let skipped = sc.counter("A", "shell.steps_skipped");
+    let fired = sc.counter("B", "shell.firings") + sc.counter("A", "shell.firings");
     assert!(fired > 0);
     let _ = skipped; // may be zero when the source deduplicates
 }

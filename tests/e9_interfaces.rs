@@ -79,9 +79,8 @@ fn conditional_notify_suppresses_small_changes() {
         );
     }
     sc.run_to_quiescence();
-    let a = sc.site("A");
-    assert_eq!(a.translator_stats.borrow().notifications, 1);
-    assert_eq!(a.translator_stats.borrow().suppressed, 2);
+    assert_eq!(sc.counter("A", "translator.notifications"), 1);
+    assert_eq!(sc.counter("A", "translator.suppressed"), 2);
     let trace = sc.trace();
     // Only the big change propagated.
     let item2 = ItemId::with("salary2", [Value::from("e1")]);
