@@ -176,7 +176,7 @@ impl<'a> Evaluator<'a> {
     /// Build an evaluator over `trace`'s state index, with the
     /// quantification horizon defaulting to the trace's end time.
     #[must_use]
-    pub fn new(trace: &'a Trace, horizon: Option<SimTime>) -> Self {
+    pub(crate) fn new(trace: &'a Trace, horizon: Option<SimTime>) -> Self {
         Evaluator {
             idx: trace.index(),
             horizon: horizon.unwrap_or_else(|| trace.end_time()),
@@ -188,7 +188,7 @@ impl<'a> Evaluator<'a> {
 
     /// Counters accumulated by every `check` on this evaluator.
     #[must_use]
-    pub fn stats(&self) -> EvalStats {
+    pub(crate) fn stats(&self) -> EvalStats {
         EvalStats {
             probe_hits: 0,
             probe_misses: self.counters.probe_misses.get(),
@@ -200,7 +200,7 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluate a guarantee.
     #[must_use]
-    pub fn check(&self, g: &Guarantee) -> GuaranteeReport {
+    pub(crate) fn check(&self, g: &Guarantee) -> GuaranteeReport {
         // Both caches key on condition node addresses, which are only
         // stable within one guarantee's lifetime.
         self.at_memo.borrow_mut().clear();

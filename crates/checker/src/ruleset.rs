@@ -29,9 +29,6 @@ pub struct CheckedRule {
     pub lhs_site: SiteId,
     /// Site of the RHS events.
     pub rhs_site: SiteId,
-    /// Whether this is an interface statement (database promise) or a
-    /// strategy rule (CM behaviour).
-    pub is_interface: bool,
 }
 
 /// The rules in force during an execution.
@@ -62,7 +59,6 @@ impl RuleSet {
             bound: stmt.bound,
             lhs_site: site,
             rhs_site: site,
-            is_interface: true,
         });
     }
 
@@ -82,7 +78,6 @@ impl RuleSet {
             bound: rule.bound,
             lhs_site,
             rhs_site,
-            is_interface: false,
         });
     }
 
@@ -100,7 +95,7 @@ impl RuleSet {
 
     /// Look up a rule by id (the first added with that id).
     #[must_use]
-    pub fn get(&self, id: RuleId) -> Option<&CheckedRule> {
+    pub(crate) fn get(&self, id: RuleId) -> Option<&CheckedRule> {
         self.position(id).map(|i| &self.rules[i])
     }
 
@@ -139,8 +134,8 @@ mod tests {
         let s = parse_strategy_rule("N(X, b) -> WR(Y, b) within 5s").unwrap();
         rs.add_strategy(RuleId(1), SiteId::new(0), SiteId::new(1), &s);
         assert_eq!(rs.rules().len(), 2);
-        assert!(rs.get(RuleId(0)).unwrap().is_interface);
-        assert!(!rs.get(RuleId(1)).unwrap().is_interface);
+        assert_eq!(rs.get(RuleId(0)).unwrap().lhs_site, SiteId::new(1));
+        assert_eq!(rs.get(RuleId(1)).unwrap().lhs_site, SiteId::new(0));
         assert!(rs.get(RuleId(9)).is_none());
         assert_eq!(rs.get(RuleId(1)).unwrap().steps.len(), 1);
     }
@@ -153,7 +148,8 @@ mod tests {
         let s = parse_strategy_rule("N(X, b) -> WR(Y, b) within 5s").unwrap();
         rs.add_strategy(RuleId(3), SiteId::new(0), SiteId::new(1), &s);
         assert_eq!(rs.position(RuleId(3)), Some(0));
-        assert!(rs.get(RuleId(3)).unwrap().is_interface);
+        // The interface statement, placed at its database's site.
+        assert_eq!(rs.get(RuleId(3)).unwrap().lhs_site, SiteId::new(1));
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl Sym {
     pub fn as_str(self) -> &'static str {
         self.s
     }
-
-    /// The `u32` symbol id. Assigned in first-intern order: stable
-    /// within a run, **not** across runs or thread schedules — never
-    /// order output by it.
-    #[must_use]
-    pub fn id(self) -> u32 {
-        self.id
-    }
 }
 
 impl PartialEq for Sym {
@@ -193,7 +185,6 @@ mod tests {
         let a = Sym::intern("alpha-test-sym");
         let b = Sym::intern("alpha-test-sym");
         assert_eq!(a, b);
-        assert_eq!(a.id(), b.id());
         assert!(std::ptr::eq(a.as_str(), b.as_str()));
     }
 
@@ -202,7 +193,6 @@ mod tests {
         let a = Sym::intern("sym-one");
         let b = Sym::intern("sym-two");
         assert_ne!(a, b);
-        assert_ne!(a.id(), b.id());
     }
 
     #[test]

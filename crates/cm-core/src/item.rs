@@ -124,12 +124,6 @@ impl ItemPattern {
             params,
         })
     }
-
-    /// `true` when the pattern contains no variables or wild-cards.
-    #[must_use]
-    pub fn is_ground(&self) -> bool {
-        self.params.iter().all(|t| matches!(t, Term::Const(_)))
-    }
 }
 
 impl fmt::Display for ItemPattern {
@@ -231,13 +225,5 @@ mod tests {
         let mut b = Bindings::new();
         assert!(!pat.match_item(&item, &mut b));
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn groundness() {
-        assert!(ItemPattern::plain("X").is_ground());
-        assert!(ItemPattern::with("f", [Term::Const(Value::Int(1))]).is_ground());
-        assert!(!ItemPattern::with("f", [Term::var("x")]).is_ground());
-        assert!(!ItemPattern::with("f", [Term::Wild]).is_ground());
     }
 }

@@ -3,8 +3,7 @@
 //! The rule ASTs (interface statements, strategy rules, guarantees) live
 //! in `hcm-rulelang`; events only need to *name* the rule that generated
 //! them (the `rule` component of the six-tuple). [`RuleId`] is that name
-//! and [`RuleRegistry`] maps ids back to human-readable rule text for
-//! diagnostics and for the checker's property-5/6 reports.
+//! and [`RuleRegistry`] hands the names out.
 
 use std::fmt;
 
@@ -18,12 +17,12 @@ impl fmt::Display for RuleId {
     }
 }
 
-/// Registry assigning stable ids to rules and remembering their printed
-/// form. The toolkit registers every interface statement and strategy
-/// rule here during initialization.
+/// Registry assigning stable ids to rules, in registration order. The
+/// toolkit registers every interface statement and strategy rule here
+/// during initialization.
 #[derive(Debug, Default, Clone)]
 pub struct RuleRegistry {
-    texts: Vec<String>,
+    count: u32,
 }
 
 impl RuleRegistry {
@@ -33,38 +32,23 @@ impl RuleRegistry {
         Self::default()
     }
 
-    /// Register a rule, returning its id. The text is the rule's printed
-    /// form, used only for diagnostics.
-    pub fn register(&mut self, text: impl Into<String>) -> RuleId {
-        let id = RuleId(self.texts.len() as u32);
-        self.texts.push(text.into());
+    /// Register a rule, returning its id.
+    pub fn register(&mut self) -> RuleId {
+        let id = RuleId(self.count);
+        self.count += 1;
         id
-    }
-
-    /// The printed form of a rule, if the id is known.
-    #[must_use]
-    pub fn text(&self, id: RuleId) -> Option<&str> {
-        self.texts.get(id.0 as usize).map(String::as_str)
     }
 
     /// Number of registered rules.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.texts.len()
+        self.count as usize
     }
 
     /// `true` when no rule has been registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.texts.is_empty()
-    }
-
-    /// Iterate `(id, text)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (RuleId, &str)> {
-        self.texts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (RuleId(i as u32), t.as_str()))
+        self.count == 0
     }
 }
 
@@ -76,13 +60,10 @@ mod tests {
     fn register_and_lookup() {
         let mut reg = RuleRegistry::new();
         assert!(reg.is_empty());
-        let a = reg.register("N(X, b) -> WR(Y, b) within 5s");
-        let b = reg.register("WR(Y, b) -> W(Y, b) within 1s");
+        let a = reg.register();
+        let b = reg.register();
         assert_ne!(a, b);
-        assert_eq!(reg.text(a), Some("N(X, b) -> WR(Y, b) within 5s"));
-        assert_eq!(reg.text(RuleId(99)), None);
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.iter().count(), 2);
         assert_eq!(a.to_string(), "r0");
     }
 }

@@ -121,20 +121,6 @@ impl RuleIndex {
             generic: &self.generic,
         }
     }
-
-    /// Total indexed rules (keyed + generic), for diagnostics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.values().map(Vec::len).sum::<usize>()
-            + self.custom.values().map(Vec::len).sum::<usize>()
-            + self.generic.len()
-    }
-
-    /// True when nothing is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Ascending merge of a keyed bucket with the generic bucket (both
@@ -208,7 +194,6 @@ mod tests {
             n("X", Term::Const(Value::Int(7))),
         ];
         let idx = index(&templates);
-        assert_eq!(idx.len(), 4);
         let n_x = EventDesc::N {
             item: ItemId::with("X", [Value::Int(1)]),
             value: Value::Int(7),
@@ -244,8 +229,6 @@ mod tests {
             TemplateDesc::False,
         ];
         let idx = index(&templates);
-        // `𝓕` is never indexed.
-        assert_eq!(idx.len(), 3);
         let custom = EventDesc::Custom {
             name: "LimitReq".into(),
             args: vec![Value::Int(1)],

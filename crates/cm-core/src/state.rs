@@ -113,7 +113,7 @@ impl StateIndex {
 
     /// `SimTime::ZERO` and every event time, sorted and deduplicated.
     #[must_use]
-    pub fn salient_times(&self) -> &[SimTime] {
+    pub(crate) fn salient_times(&self) -> &[SimTime] {
         &self.salient
     }
 }

@@ -41,7 +41,7 @@ impl Term {
 
     /// Unify the term with a concrete value, extending `bindings`.
     /// A variable already bound must agree with its binding.
-    pub fn unify(&self, value: &Value, bindings: &mut Bindings) -> bool {
+    pub(crate) fn unify(&self, value: &Value, bindings: &mut Bindings) -> bool {
         match self {
             Term::Wild => true,
             Term::Const(c) => c == value,
@@ -58,7 +58,7 @@ impl Term {
     /// Resolve the term to a value under `bindings`. Wild-cards and
     /// unbound variables yield `None`.
     #[must_use]
-    pub fn instantiate(&self, bindings: &Bindings) -> Option<Value> {
+    pub(crate) fn instantiate(&self, bindings: &Bindings) -> Option<Value> {
         match self {
             Term::Const(c) => Some(c.clone()),
             Term::Var(name) => bindings.get(name).cloned(),
@@ -113,12 +113,6 @@ impl Bindings {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Number of bound variables.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
     }
 
     /// A checkpoint for [`Bindings::rollback`]: unification of a
@@ -422,9 +416,9 @@ mod tests {
         b.bind("c", Value::Int(3));
         b.bind("d", Value::Int(4));
         b.rollback(cp);
-        assert_eq!(b.len(), 1);
         assert_eq!(b.get("a"), Some(&Value::Int(1)));
         assert_eq!(b.get("c"), None);
+        assert_eq!(b.get("d"), None);
     }
 
     #[test]

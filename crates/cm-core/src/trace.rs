@@ -195,12 +195,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// The change points `(time, value)` in time order.
-    #[must_use]
-    pub fn steps(&self) -> &[(SimTime, Value)] {
-        &self.steps
-    }
-
     /// Value at time `t` (last change point at or before `t`).
     #[must_use]
     pub fn at(&self, t: SimTime) -> Option<&Value> {
@@ -253,18 +247,6 @@ impl TraceRecorder {
         self.0
             .borrow_mut()
             .push(time, site, desc, old_value, rule, trigger)
-    }
-
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-
-    /// `true` when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.borrow().is_empty()
     }
 
     /// Snapshot the trace recorded so far.
@@ -340,7 +322,6 @@ mod tests {
         write(&mut tr, 20, 1, Some(1)); // rewrite of same value kept
         write(&mut tr, 30, 2, Some(1));
         let tl = tr.timeline(&x());
-        assert_eq!(tl.steps().len(), 4);
         assert_eq!(tl.at(SimTime::from_secs(25)), Some(&Value::Int(1)));
         assert_eq!(tl.at(SimTime::from_secs(5)), Some(&Value::Int(0)));
         assert_eq!(tl.at(SimTime::from_secs(30)), Some(&Value::Int(2)));
@@ -451,12 +432,8 @@ mod tests {
         assert_eq!(at(15), Some(Value::Int(3)));
         assert_eq!(at(30), Some(Value::Int(2)));
         assert_eq!(
-            tr.timeline(&x()).steps(),
-            &[
-                (SimTime::from_secs(10), Value::Int(1)),
-                (SimTime::from_secs(10), Value::Int(3)),
-                (SimTime::from_secs(20), Value::Int(2)),
-            ]
+            tr.timeline(&x()).values_taken(),
+            vec![Value::Int(1), Value::Int(3), Value::Int(2)]
         );
         assert_eq!(
             tr.salient_times(),
@@ -497,7 +474,6 @@ mod tests {
     #[test]
     fn recorder_round_trip() {
         let rec = TraceRecorder::new();
-        assert!(rec.is_empty());
         rec.set_initial(x(), Value::Int(0));
         let id = rec.record(
             SimTime::from_secs(1),
@@ -508,7 +484,6 @@ mod tests {
             None,
         );
         assert_eq!(id, EventId(0));
-        assert_eq!(rec.len(), 1);
         let snap = rec.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap.initial(&x()), Some(&Value::Int(0)));

@@ -65,15 +65,6 @@ impl Value {
         }
     }
 
-    /// Boolean view of the value, if it is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Numeric addition; integers stay integers, mixed arithmetic widens
     /// to float. Returns `None` for non-numeric operands.
     #[must_use]
@@ -328,6 +319,5 @@ mod tests {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Float(1.5).as_f64(), Some(1.5));
         assert_eq!(Value::Str("s".into()).as_str(), Some("s"));
-        assert_eq!(Value::Bool(false).as_bool(), Some(false));
     }
 }

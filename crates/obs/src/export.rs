@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 /// Escape a string into a JSON string literal body (no surrounding
 /// quotes).
-pub fn json_escape(s: &str, out: &mut String) {
+pub(crate) fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -66,7 +66,7 @@ fn hist_fields(out: &mut String, h: &Histogram) {
 /// fixed kind-then-key order. Counters first, then gauges, histograms,
 /// series, and structured records.
 #[must_use]
-pub fn snapshot_jsonl(reg: &MetricsRegistry) -> String {
+pub(crate) fn snapshot_jsonl(reg: &MetricsRegistry) -> String {
     let mut out = String::new();
     for (scope, name, v) in reg.counters() {
         line_head(&mut out, "counter", scope, name);
@@ -110,7 +110,7 @@ pub fn snapshot_jsonl(reg: &MetricsRegistry) -> String {
 
 /// Render the registry as an aligned, human-readable table.
 #[must_use]
-pub fn render_table(reg: &MetricsRegistry) -> String {
+pub(crate) fn render_table(reg: &MetricsRegistry) -> String {
     let mut out = String::new();
     let counters: Vec<_> = reg.counters().collect();
     if !counters.is_empty() {

@@ -1,7 +1,8 @@
 //! # hcm-obs — deterministic sim-time observability
 //!
-//! Unified metrics, causal spans and snapshot exporters for the whole
-//! toolkit stack. Three design rules make every artifact reproducible:
+//! Unified metrics, the causal-chain walker and snapshot exporters for
+//! the whole toolkit stack. Three design rules make every artifact
+//! reproducible:
 //!
 //! 1. **Sim-time only.** Every timestamp is a [`hcm_core::SimTime`];
 //!    nothing here ever reads a wall clock.
@@ -13,40 +14,35 @@
 //!    are plain string builders (no serde, per `DESIGN.md` §7), so a
 //!    same-seed run produces a byte-identical snapshot.
 //!
-//! The crate has three layers:
+//! The crate has three modules:
 //!
 //! * [`metrics`] — [`MetricsRegistry`]: counters, gauges, fixed-bucket
 //!   [`SimDuration`](hcm_core::SimDuration) histograms (p50/p90/p99/
 //!   max), append-only series, and structured sim-time records, all
 //!   behind the cheaply clonable [`Metrics`] handle.
-//! * [`span`] — [`SpanLog`]: rule-firing lifecycle spans (trigger →
-//!   condition → RHS steps → requests → completion) with parent
-//!   links, plus the [`causality`](span::causal_chain) walker that
-//!   reconstructs any event's provenance chain back to its
-//!   spontaneous root from the six-tuple's `trigger` links.
+//! * [`causality`] — the [`causal_chain`] walker that reconstructs any
+//!   event's provenance chain back to its spontaneous root from the
+//!   six-tuple's `trigger` links.
 //! * [`export`] — text table and JSON-lines snapshot writers.
 //!
-//! [`Obs`] bundles one [`Metrics`] and one [`Spans`] handle; the
-//! simulation owns the bundle and every instrumented component clones
-//! it.
+//! [`Obs`] bundles the simulation's [`Metrics`] handle; the simulation
+//! owns the bundle and every instrumented component clones it.
 
 #![warn(missing_docs)]
 
+pub mod causality;
 pub mod export;
 pub mod metrics;
-pub mod span;
 
+pub use causality::{causal_chain, render_chain, CausalChain};
 pub use metrics::{Histogram, Metrics, MetricsRegistry, Record, Scope};
-pub use span::{causal_chain, render_chain, CausalChain, Span, SpanId, SpanKind, SpanLog, Spans};
 
 /// The observability bundle one simulation owns: a metrics registry
-/// and a span log, both behind cheaply clonable handles.
+/// behind a cheaply clonable handle.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     /// Counters, gauges, histograms, series, structured records.
     pub metrics: Metrics,
-    /// Rule-firing lifecycle spans.
-    pub spans: Spans,
 }
 
 impl Obs {

@@ -111,7 +111,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Record one observation.
-    pub fn observe(&mut self, d: SimDuration) {
+    pub(crate) fn observe(&mut self, d: SimDuration) {
         let ms = d.as_millis();
         let idx = BUCKET_BOUNDS_MS
             .iter()
@@ -131,30 +131,21 @@ impl Histogram {
 
     /// Exact sum of all observations.
     #[must_use]
-    pub fn sum(&self) -> SimDuration {
+    pub(crate) fn sum(&self) -> SimDuration {
         SimDuration::from_millis(self.sum_ms)
     }
 
     /// Exact maximum observation.
     #[must_use]
-    pub fn max(&self) -> SimDuration {
+    pub(crate) fn max(&self) -> SimDuration {
         SimDuration::from_millis(self.max_ms)
-    }
-
-    /// Mean observation (zero when empty).
-    #[must_use]
-    pub fn mean(&self) -> SimDuration {
-        match self.sum_ms.checked_div(self.count) {
-            Some(mean) => SimDuration::from_millis(mean),
-            None => SimDuration::ZERO,
-        }
     }
 
     /// The `q`-quantile (`0 < q <= 1`) at bucket resolution: the upper
     /// bound of the bucket holding the ⌈q·n⌉-th smallest observation
     /// (the exact max for the overflow bucket).
     #[must_use]
-    pub fn quantile(&self, q: f64) -> SimDuration {
+    pub(crate) fn quantile(&self, q: f64) -> SimDuration {
         if self.count == 0 {
             return SimDuration::ZERO;
         }
@@ -172,26 +163,26 @@ impl Histogram {
 
     /// Median (bucket resolution).
     #[must_use]
-    pub fn p50(&self) -> SimDuration {
+    pub(crate) fn p50(&self) -> SimDuration {
         self.quantile(0.50)
     }
 
     /// 90th percentile (bucket resolution).
     #[must_use]
-    pub fn p90(&self) -> SimDuration {
+    pub(crate) fn p90(&self) -> SimDuration {
         self.quantile(0.90)
     }
 
     /// 99th percentile (bucket resolution).
     #[must_use]
-    pub fn p99(&self) -> SimDuration {
+    pub(crate) fn p99(&self) -> SimDuration {
         self.quantile(0.99)
     }
 
     /// Per-bucket counts, in bound order (last entry is the overflow
     /// bucket).
     #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
+    pub(crate) fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 }
@@ -224,63 +215,57 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Add `n` to a counter (creating it at zero).
-    pub fn add(&mut self, scope: Scope, name: &str, n: u64) {
+    pub(crate) fn add(&mut self, scope: Scope, name: &str, n: u64) {
         *slot(&mut self.counters, scope, name, || 0) += n;
     }
 
     /// Current counter value (zero when never written).
     #[must_use]
-    pub fn counter(&self, scope: Scope, name: &str) -> u64 {
+    pub(crate) fn counter(&self, scope: Scope, name: &str) -> u64 {
         get(&self.counters, scope, name).copied().unwrap_or(0)
     }
 
     /// Set a gauge.
-    pub fn gauge_set(&mut self, scope: Scope, name: &str, v: i64) {
+    pub(crate) fn gauge_set(&mut self, scope: Scope, name: &str, v: i64) {
         *slot(&mut self.gauges, scope, name, || v) = v;
     }
 
     /// Add `v` (possibly negative) to a gauge, creating it at zero.
-    pub fn gauge_add(&mut self, scope: Scope, name: &str, v: i64) {
+    pub(crate) fn gauge_add(&mut self, scope: Scope, name: &str, v: i64) {
         *slot(&mut self.gauges, scope, name, || 0) += v;
     }
 
     /// Raise a gauge to `v` if `v` exceeds its current value
     /// (high-water marks).
-    pub fn gauge_track_max(&mut self, scope: Scope, name: &str, v: i64) {
+    pub(crate) fn gauge_track_max(&mut self, scope: Scope, name: &str, v: i64) {
         let g = slot(&mut self.gauges, scope, name, || v);
         *g = (*g).max(v);
     }
 
     /// Current gauge value, if ever written.
     #[must_use]
-    pub fn gauge(&self, scope: Scope, name: &str) -> Option<i64> {
+    pub(crate) fn gauge(&self, scope: Scope, name: &str) -> Option<i64> {
         get(&self.gauges, scope, name).copied()
     }
 
     /// Record a duration observation into a histogram.
-    pub fn observe(&mut self, scope: Scope, name: &str, d: SimDuration) {
+    pub(crate) fn observe(&mut self, scope: Scope, name: &str, d: SimDuration) {
         slot(&mut self.histograms, scope, name, Histogram::default).observe(d);
     }
 
-    /// Read a histogram, if any observation was recorded.
-    #[must_use]
-    pub fn histogram(&self, scope: Scope, name: &str) -> Option<&Histogram> {
-        get(&self.histograms, scope, name)
-    }
-
     /// Append a value to a series.
-    pub fn series_push(&mut self, scope: Scope, name: &str, v: i64) {
+    pub(crate) fn series_push(&mut self, scope: Scope, name: &str, v: i64) {
         slot(&mut self.series, scope, name, Vec::new).push(v);
     }
 
     /// Read a series (empty when never written).
     #[must_use]
-    pub fn series(&self, scope: Scope, name: &str) -> &[i64] {
+    pub(crate) fn series(&self, scope: Scope, name: &str) -> &[i64] {
         get(&self.series, scope, name).map_or(&[], |v| v.as_slice())
     }
 
     /// Append a structured record.
-    pub fn record<I, K, V>(&mut self, time: SimTime, scope: Scope, name: &str, fields: I)
+    pub(crate) fn record<I, K, V>(&mut self, time: SimTime, scope: Scope, name: &str, fields: I)
     where
         I: IntoIterator<Item = (K, V)>,
         K: Into<String>,
@@ -303,7 +288,7 @@ impl MetricsRegistry {
     }
 
     /// All gauges in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&Scope, &str, i64)> {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&Scope, &str, i64)> {
         iter(&self.gauges).map(|(s, n, v)| (s, n, *v))
     }
 
@@ -313,13 +298,13 @@ impl MetricsRegistry {
     }
 
     /// All series in key order.
-    pub fn all_series(&self) -> impl Iterator<Item = (&Scope, &str, &[i64])> {
+    pub(crate) fn all_series(&self) -> impl Iterator<Item = (&Scope, &str, &[i64])> {
         iter(&self.series).map(|(s, n, v)| (s, n, v.as_slice()))
     }
 
     /// All structured records in insertion (sim-time) order.
     #[must_use]
-    pub fn records(&self) -> &[Record] {
+    pub(crate) fn records(&self) -> &[Record] {
         &self.records
     }
 }
@@ -569,10 +554,6 @@ mod tests {
                         assert_eq!(
                             reg.series(scope, name),
                             want.series.get(&key).map_or(&[][..], |v| v.as_slice())
-                        );
-                        assert_eq!(
-                            reg.histogram(scope, name).map(Histogram::count),
-                            want.histograms.get(&key).map(|ds| ds.len() as u64)
                         );
                     }
                 }

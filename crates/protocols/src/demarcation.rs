@@ -45,7 +45,7 @@ pub enum GrantPolicy {
 impl GrantPolicy {
     /// The granted amount (0 = denial).
     #[must_use]
-    pub fn grant(self, need: i64, avail: i64) -> i64 {
+    pub(crate) fn grant(self, need: i64, avail: i64) -> i64 {
         if avail <= 0 || need <= 0 {
             return 0;
         }
@@ -116,7 +116,7 @@ impl DemarcAgent {
     /// [`DemarcAgent::set_peer`] (agents reference each other).
     #[must_use]
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         role: Role,
         translator: ActorId,
         item_value: ItemId,
@@ -146,12 +146,12 @@ impl DemarcAgent {
     }
 
     /// Wire the peer agent.
-    pub fn set_peer(&mut self, peer: ActorId) {
+    pub(crate) fn set_peer(&mut self, peer: ActorId) {
         self.peer = Some(peer);
     }
 
     /// Attach a trace recorder (events recorded at `site`).
-    pub fn set_recorder(&mut self, recorder: TraceRecorder, site: SiteId) {
+    pub(crate) fn set_recorder(&mut self, recorder: TraceRecorder, site: SiteId) {
         self.recorder = Some((recorder, site));
     }
 

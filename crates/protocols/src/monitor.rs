@@ -245,8 +245,6 @@ pub struct MonitorScenario {
     pub translator_x: ActorId,
     /// Translator for the relational store holding `Y`.
     pub translator_y: ActorId,
-    /// The shared shell.
-    pub agent: ActorId,
     /// κ implied by the interfaces: the max notification bound plus
     /// service/processing slack.
     pub kappa: SimDuration,
@@ -262,7 +260,7 @@ pub fn build(seed: u64, v0: i64) -> MonitorScenario {
 /// for the agent (§5: "crashes can be mapped to metric failures if the
 /// database … can remember").
 #[must_use]
-pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorScenario {
+pub(crate) fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorScenario {
     let mut sim = Sim::new(seed);
     let recorder = TraceRecorder::new();
     let mut registry = RuleRegistry::new();
@@ -279,12 +277,12 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
     let iface_x: Vec<_> = rid_x
         .interfaces
         .iter()
-        .map(|s| registry.register(s.to_string()))
+        .map(|_| registry.register())
         .collect();
     let iface_y: Vec<_> = rid_y
         .interfaces
         .iter()
-        .map(|s| registry.register(s.to_string()))
+        .map(|_| registry.register())
         .collect();
 
     // Actor layout: agent 0, translator_x 1, translator_y 2. The agent
@@ -345,7 +343,6 @@ pub fn build_with_memory(seed: u64, v0: i64, memory: MonitorMemory) -> MonitorSc
         recorder,
         translator_x,
         translator_y,
-        agent: agent_id,
         // 2s notify bound + 100ms service + margin.
         kappa: SimDuration::from_millis(2500),
     }
@@ -373,18 +370,6 @@ impl MonitorScenario {
                 "update items set value = {v} where name = 'Y'"
             ))),
         );
-    }
-
-    /// Crash the monitor agent at `t`; with `lossy`, in-flight
-    /// notifications are dropped and (under [`MonitorMemory::Lose`] or
-    /// [`MonitorMemory::Durable`]) its volatile state is wiped.
-    pub fn crash_agent(&mut self, t: SimTime, lossy: bool) {
-        self.sim.crash_at(self.agent, t, lossy);
-    }
-
-    /// Recover the crashed monitor agent at `t`.
-    pub fn recover_agent(&mut self, t: SimTime) {
-        self.sim.recover_at(self.agent, t);
     }
 
     /// Run to quiescence.
@@ -474,8 +459,9 @@ mod tests {
     fn durable_agent_recovers_its_mirror_and_keeps_monitoring() {
         let mut m = build_with_memory(7, 10, MonitorMemory::Durable);
         m.write_x(SimTime::from_secs(10), 20); // diverge: Flag clears
-        m.crash_agent(SimTime::from_secs(30), true);
-        m.recover_agent(SimTime::from_secs(35));
+                                               // The agent is actor 0.
+        m.sim.crash_at(ActorId(0), SimTime::from_secs(30), true);
+        m.sim.recover_at(ActorId(0), SimTime::from_secs(35));
         m.write_y(SimTime::from_secs(40), 20); // converge again
         m.run();
         // The recovered agent remembered cx = 20 and flag = false, so
@@ -502,8 +488,9 @@ mod tests {
         // never returns to true even though X = Y in the world.
         let mut m = build_with_memory(7, 10, MonitorMemory::Lose);
         m.write_x(SimTime::from_secs(10), 20);
-        m.crash_agent(SimTime::from_secs(30), true);
-        m.recover_agent(SimTime::from_secs(35));
+        // The agent is actor 0.
+        m.sim.crash_at(ActorId(0), SimTime::from_secs(30), true);
+        m.sim.recover_at(ActorId(0), SimTime::from_secs(35));
         m.write_y(SimTime::from_secs(40), 20);
         m.run();
         let metrics = m.sim.obs().metrics;

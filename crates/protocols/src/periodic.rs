@@ -230,14 +230,12 @@ pub mod clock {
     pub const EIGHT_AM_NEXT: u64 = 32 * 3600;
 }
 
-/// A built banking deployment.
+/// A built banking deployment. The batch agent's `batch.*` counters,
+/// and the `batch.last_finish_ms` gauge, are in the scenario's metrics
+/// registry at `Scope::Global`.
 pub struct BankScenario {
     /// Underlying toolkit scenario ("BR" = branch, "HQ" = head office).
     pub scenario: Scenario,
-    /// The batch agent. Its `batch.*` counters, and the
-    /// `batch.last_finish_ms` gauge, are in the scenario's metrics
-    /// registry at `Scope::Global`.
-    pub agent: ActorId,
 }
 
 /// Build the banking deployment: `accounts` at both sites with the
@@ -264,7 +262,7 @@ pub fn build(seed: u64, accounts: &[(&str, i64)], batch_times: &[SimTime]) -> Ba
         .unwrap();
     let bt = scenario.site("BR").translator;
     let ht = scenario.site("HQ").translator;
-    let agent = scenario.add_actor(Box::new(BatchAgent {
+    scenario.add_actor(Box::new(BatchAgent {
         branch_translator: bt,
         hq_translator: ht,
         schedule: batch_times.to_vec(),
@@ -272,7 +270,7 @@ pub fn build(seed: u64, accounts: &[(&str, i64)], batch_times: &[SimTime]) -> Ba
         phase: Phase::Idle,
         metrics: scenario.obs.metrics.clone(),
     }));
-    BankScenario { scenario, agent }
+    BankScenario { scenario }
 }
 
 impl BankScenario {

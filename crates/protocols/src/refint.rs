@@ -235,14 +235,13 @@ key = empid
 col = amount
 "#;
 
-/// A built referential-integrity deployment.
+/// A built referential-integrity deployment. The repair agent's
+/// `refint.*` counters are in the scenario's metrics registry at
+/// `Scope::Global`.
 pub struct RefintScenario {
     /// Underlying toolkit scenario ("P" = projects site, "S" = salaries
     /// site).
     pub scenario: Scenario,
-    /// Repair agent. Its `refint.*` counters are in the scenario's
-    /// metrics registry at `Scope::Global`.
-    pub agent: ActorId,
     /// The repair period (the guarantee window W).
     pub window: SimDuration,
 }
@@ -278,7 +277,7 @@ pub fn build(seed: u64, window: SimDuration, stop_at: SimTime) -> RefintScenario
     let pt = scenario.site("P").translator;
     let st = scenario.site("S").translator;
     let mt = scenario.site("M").translator;
-    let agent = scenario.add_actor(Box::new(RefintAgent {
+    scenario.add_actor(Box::new(RefintAgent {
         projects_translator: pt,
         salaries_translator: st,
         mail_translator: Some(mt),
@@ -288,11 +287,7 @@ pub fn build(seed: u64, window: SimDuration, stop_at: SimTime) -> RefintScenario
         phase: Phase::Idle,
         metrics: scenario.obs.metrics.clone(),
     }));
-    RefintScenario {
-        scenario,
-        agent,
-        window,
-    }
+    RefintScenario { scenario, window }
 }
 
 impl RefintScenario {

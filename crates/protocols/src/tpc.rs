@@ -95,19 +95,13 @@ pub struct Participant {
 impl Participant {
     /// A participant with an initial value.
     #[must_use]
-    pub fn new(value: i64, coordinator: ActorId, service: SimDuration) -> Self {
+    pub(crate) fn new(value: i64, coordinator: ActorId, service: SimDuration) -> Self {
         Participant {
             value,
             locked_by: None,
             coordinator,
             service,
         }
-    }
-
-    /// Current value (test inspection).
-    #[must_use]
-    pub fn value(&self) -> i64 {
-        self.value
     }
 }
 
@@ -188,7 +182,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// A coordinator over the two participants.
     #[must_use]
-    pub fn new(px: ActorId, py: ActorId, timeout: SimDuration, metrics: Metrics) -> Self {
+    pub(crate) fn new(px: ActorId, py: ActorId, timeout: SimDuration, metrics: Metrics) -> Self {
         Coordinator {
             px,
             py,

@@ -11,8 +11,6 @@
 //! notify-like behaviour by periodically diffing query results (the
 //! monotone key space makes "new since key k" queries cheap).
 
-use crate::RisError;
-
 /// One publication record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BiblioRecord {
@@ -58,31 +56,12 @@ impl BiblioDb {
         self.records.iter().filter(|r| r.author == author).collect()
     }
 
-    /// Fetch a record by key.
-    pub fn get(&self, key: u64) -> Result<&BiblioRecord, RisError> {
-        self.records
-            .get(key as usize)
-            .ok_or_else(|| RisError::NotFound(format!("record {key}")))
-    }
-
     /// Records with keys strictly greater than `after` — the polling
     /// primitive translators build on.
     #[must_use]
     pub fn since(&self, after: Option<u64>) -> &[BiblioRecord] {
         let start = after.map_or(0, |k| (k + 1) as usize);
         self.records.get(start..).unwrap_or(&[])
-    }
-
-    /// Total number of records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 
@@ -93,13 +72,13 @@ mod tests {
     #[test]
     fn append_assigns_monotone_keys() {
         let mut db = BiblioDb::new();
-        assert!(db.is_empty());
+        assert!(db.since(None).is_empty());
         let k1 = db.append("widom", "Active DB", 1994);
         let k2 = db.append("widom", "Constraints", 1996);
         assert!(k1 < k2);
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.get(k1).unwrap().title, "Active DB");
-        assert!(db.get(99).is_err());
+        let all = db.since(None);
+        assert_eq!(all.len(), 2);
+        assert_eq!((all[0].key, all[0].title.as_str()), (k1, "Active DB"));
     }
 
     #[test]

@@ -54,18 +54,6 @@ impl MailSystem {
         self.messages.iter().filter(|m| m.to == to).collect()
     }
 
-    /// Total messages delivered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// Whether no mail has been sent.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
-    }
-
     /// Mail cannot be recalled — the deletion API exists only to return
     /// the error a translator would see.
     pub fn recall(&mut self, _to: &str) -> Result<(), RisError> {
@@ -80,11 +68,10 @@ mod tests {
     #[test]
     fn send_and_inbox() {
         let mut m = MailSystem::new();
-        assert!(m.is_empty());
         m.send("ann", "hello", "body1", SimTime::from_secs(1));
         m.send("bob", "hi", "body2", SimTime::from_secs(2));
         m.send("ann", "again", "body3", SimTime::from_secs(3));
-        assert_eq!(m.len(), 3);
+        assert_eq!(m.inbox("bob").len(), 1);
         let ann = m.inbox("ann");
         assert_eq!(ann.len(), 2);
         assert_eq!(ann[0].subject, "hello");

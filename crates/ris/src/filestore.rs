@@ -4,27 +4,18 @@
 //! relational databases" (§4.3) and describes detecting Read Interface
 //! failures through `read()` return codes (§5). This store models that
 //! RIS profile: named files holding **plain text**, whole-file read and
-//! replace, modification times — and *no* notification facility, so the
-//! only way to observe changes is polling (mtime comparison or content
-//! reads).
+//! replace — and *no* notification facility, so the only way to observe
+//! changes is polling (content reads).
 //!
 //! Contents are strings; any typing is the translator's business.
 
 use crate::RisError;
-use hcm_core::SimTime;
 use std::collections::BTreeMap;
 
-/// One file's state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct File {
-    contents: String,
-    mtime: SimTime,
-}
-
-/// The file store.
+/// The file store: path → contents.
 #[derive(Debug, Default, Clone)]
 pub struct FileStore {
-    files: BTreeMap<String, File>,
+    files: BTreeMap<String, String>,
 }
 
 impl FileStore {
@@ -39,29 +30,13 @@ impl FileStore {
     pub fn read(&self, path: &str) -> Result<&str, RisError> {
         self.files
             .get(path)
-            .map(|f| f.contents.as_str())
+            .map(String::as_str)
             .ok_or_else(|| RisError::NotFound(format!("file `{path}`")))
     }
 
-    /// Modification time of a file.
-    pub fn mtime(&self, path: &str) -> Result<SimTime, RisError> {
-        self.files
-            .get(path)
-            .map(|f| f.mtime)
-            .ok_or_else(|| RisError::NotFound(format!("file `{path}`")))
-    }
-
-    /// Create or replace a file. `now` stamps the mtime (the store has
-    /// no clock of its own; the caller — translator or workload — is in
-    /// the simulation and does).
-    pub fn write(&mut self, path: &str, contents: &str, now: SimTime) {
-        self.files.insert(
-            path.to_owned(),
-            File {
-                contents: contents.to_owned(),
-                mtime: now,
-            },
-        );
+    /// Create or replace a file.
+    pub fn write(&mut self, path: &str, contents: &str) {
+        self.files.insert(path.to_owned(), contents.to_owned());
     }
 
     /// Remove a file.
@@ -72,26 +47,10 @@ impl FileStore {
             .ok_or_else(|| RisError::NotFound(format!("file `{path}`")))
     }
 
-    /// Whether a file exists.
-    #[must_use]
-    pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(path)
-    }
-
     /// List all paths (sorted).
     #[must_use]
     pub fn list(&self) -> Vec<&str> {
         self.files.keys().map(String::as_str).collect()
-    }
-
-    /// List paths under a directory prefix (sorted).
-    #[must_use]
-    pub fn list_prefix(&self, prefix: &str) -> Vec<&str> {
-        self.files
-            .keys()
-            .filter(|p| p.starts_with(prefix))
-            .map(String::as_str)
-            .collect()
     }
 }
 
@@ -102,39 +61,33 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let mut fs = FileStore::new();
-        fs.write("/etc/phone", "555-0100", SimTime::from_secs(10));
+        fs.write("/etc/phone", "555-0100");
         assert_eq!(fs.read("/etc/phone").unwrap(), "555-0100");
-        assert_eq!(fs.mtime("/etc/phone").unwrap(), SimTime::from_secs(10));
-        assert!(fs.exists("/etc/phone"));
     }
 
     #[test]
-    fn overwrite_updates_mtime() {
+    fn overwrite_replaces_contents() {
         let mut fs = FileStore::new();
-        fs.write("f", "a", SimTime::from_secs(1));
-        fs.write("f", "b", SimTime::from_secs(5));
+        fs.write("f", "a");
+        fs.write("f", "b");
         assert_eq!(fs.read("f").unwrap(), "b");
-        assert_eq!(fs.mtime("f").unwrap(), SimTime::from_secs(5));
     }
 
     #[test]
     fn missing_file_is_not_found() {
         let fs = FileStore::new();
         assert!(matches!(fs.read("nope"), Err(RisError::NotFound(_))));
-        assert!(matches!(fs.mtime("nope"), Err(RisError::NotFound(_))));
-        assert!(!fs.exists("nope"));
     }
 
     #[test]
     fn remove_and_list() {
         let mut fs = FileStore::new();
-        fs.write("/a/1", "x", SimTime::ZERO);
-        fs.write("/a/2", "y", SimTime::ZERO);
-        fs.write("/b/1", "z", SimTime::ZERO);
+        fs.write("/a/1", "x");
+        fs.write("/a/2", "y");
+        fs.write("/b/1", "z");
         assert_eq!(fs.list(), vec!["/a/1", "/a/2", "/b/1"]);
-        assert_eq!(fs.list_prefix("/a/"), vec!["/a/1", "/a/2"]);
         fs.remove("/a/1").unwrap();
-        assert!(!fs.exists("/a/1"));
+        assert!(fs.read("/a/1").is_err());
         assert!(fs.remove("/a/1").is_err());
     }
 }

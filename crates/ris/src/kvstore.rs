@@ -70,17 +70,6 @@ impl KvStore {
         }
     }
 
-    /// Compare-and-swap: set `key` to `new` only if its current value
-    /// equals `expected`. Returns whether the swap happened.
-    pub fn cas(&mut self, key: &str, expected: &Value, new: Value) -> bool {
-        if self.map.get(key) == Some(expected) {
-            self.put(key, new);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Register a watch on all keys with the given prefix; returns the
     /// watch id carried by matching [`WatchEvent`]s.
     pub fn watch_prefix(&mut self, prefix: &str) -> u32 {
@@ -93,11 +82,6 @@ impl KvStore {
         id
     }
 
-    /// Remove a watch.
-    pub fn unwatch(&mut self, id: u32) {
-        self.watches.retain(|w| w.id != id);
-    }
-
     /// Drain buffered watch events.
     pub fn take_events(&mut self) -> Vec<WatchEvent> {
         std::mem::take(&mut self.pending)
@@ -107,18 +91,6 @@ impl KvStore {
     #[must_use]
     pub fn keys(&self) -> Vec<&str> {
         self.map.keys().map(String::as_str).collect()
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     fn notify(&mut self, key: &str, old: Option<Value>, new: Option<Value>) {
@@ -142,7 +114,6 @@ mod tests {
     #[test]
     fn put_get_delete() {
         let mut kv = KvStore::new();
-        assert!(kv.is_empty());
         assert_eq!(kv.put("phone/ann", Value::from("555-0100")), None);
         assert_eq!(kv.get("phone/ann"), Some(&Value::from("555-0100")));
         assert_eq!(
@@ -171,32 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn unwatch_stops_events() {
-        let mut kv = KvStore::new();
-        let w = kv.watch_prefix("");
-        kv.unwatch(w);
-        kv.put("k", Value::Int(1));
-        assert!(kv.take_events().is_empty());
-    }
-
-    #[test]
-    fn cas_semantics() {
-        let mut kv = KvStore::new();
-        kv.put("k", Value::Int(1));
-        kv.watch_prefix("k");
-        kv.take_events();
-        assert!(kv.cas("k", &Value::Int(1), Value::Int(2)));
-        assert!(!kv.cas("k", &Value::Int(1), Value::Int(3)));
-        assert_eq!(kv.get("k"), Some(&Value::Int(2)));
-        assert_eq!(kv.take_events().len(), 1); // only the successful swap
-    }
-
-    #[test]
     fn keys_sorted() {
         let mut kv = KvStore::new();
         kv.put("b", Value::Int(1));
         kv.put("a", Value::Int(2));
         assert_eq!(kv.keys(), vec!["a", "b"]);
-        assert_eq!(kv.len(), 2);
     }
 }

@@ -13,7 +13,7 @@
 //! | store | native capability profile |
 //! |---|---|
 //! | [`relational::Database`] | textual SQL-subset commands, per-row CHECK constraints (a *local constraint manager*), update **triggers** |
-//! | [`filestore::FileStore`] | whole-file read/replace of strings, mtimes; no triggers — must be **polled** |
+//! | [`filestore::FileStore`] | whole-file read/replace of strings; no triggers — must be **polled** |
 //! | [`kvstore::KvStore`] | typed get/put/delete, **watch** registrations reporting changes |
 //! | [`biblio::BiblioDb`] | append-only records, query by author; **read-only** to outsiders |
 //! | [`whois::WhoisDir`] | name → field lookup and full dumps; **read-only**, no change feed |

@@ -160,11 +160,6 @@ impl Database {
         Ok(id)
     }
 
-    /// Remove a trigger.
-    pub fn drop_trigger(&mut self, id: u32) {
-        self.triggers.retain(|t| t.id != id);
-    }
-
     /// Install a CHECK constraint. Existing rows must already satisfy
     /// it.
     pub fn add_check(&mut self, check: Check) -> Result<(), RisError> {
@@ -189,27 +184,6 @@ impl Database {
         std::mem::take(&mut self.firings)
     }
 
-    /// Direct single-cell read helper used by tests and translators:
-    /// value of `col` in the unique row where `key_col = key`.
-    pub fn lookup(
-        &self,
-        table: &str,
-        key_col: &str,
-        key: &Value,
-        col: &str,
-    ) -> Result<Option<Value>, RisError> {
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| RisError::NotFound(format!("table `{table}`")))?;
-        let ki = t.col_index(key_col)?;
-        let ci = t.col_index(col)?;
-        Ok(t.rows()
-            .iter()
-            .find(|r| &r[ki] == key)
-            .map(|r| r[ci].clone()))
-    }
-
     /// Execute a textual command — the RISI. This is the *only* channel
     /// the CM-Translator uses at run time (besides draining trigger
     /// firings).
@@ -219,7 +193,7 @@ impl Database {
     }
 
     /// Execute a pre-parsed command (saves re-parsing in hot loops).
-    pub fn execute_parsed(&mut self, cmd: &Command) -> Result<QueryResult, RisError> {
+    pub(crate) fn execute_parsed(&mut self, cmd: &Command) -> Result<QueryResult, RisError> {
         match cmd {
             Command::CreateTable { name, columns } => {
                 let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
@@ -490,12 +464,6 @@ impl Database {
         }
     }
 
-    /// Names of all tables (deterministic order).
-    #[must_use]
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// Borrow a table for inspection.
     pub fn get_table(&self, name: &str) -> Result<&Table, RisError> {
         self.table(name)
@@ -594,11 +562,10 @@ mod tests {
         let mut db = salary_db();
         db.execute("update employees set salary = 70000 where empid = 'e2'")
             .unwrap();
-        assert_eq!(
-            db.lookup("employees", "empid", &Value::from("e2"), "salary")
-                .unwrap(),
-            Some(Value::Int(70000))
-        );
+        let r = db
+            .execute("select salary from employees where empid = 'e2'")
+            .unwrap();
+        assert_eq!(r.scalar(), Some(&Value::Int(70000)));
     }
 
     #[test]
@@ -632,16 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_trigger_stops_firings() {
-        let mut db = salary_db();
-        let tid = db.add_trigger("employees", &[TriggerOp::Update]).unwrap();
-        db.drop_trigger(tid);
-        db.execute("UPDATE employees SET salary = 1 WHERE empid = 'e1'")
-            .unwrap();
-        assert!(db.take_firings().is_empty());
-    }
-
-    #[test]
     fn check_constraint_rejects_violating_update_atomically() {
         // The demarcation local constraint: value <= lim, per row.
         let mut db = Database::new();
@@ -664,11 +621,10 @@ mod tests {
             .execute("UPDATE demarc SET value = 101 WHERE name = 'X'")
             .unwrap_err();
         assert!(matches!(err, RisError::ConstraintViolation(_)));
-        assert_eq!(
-            db.lookup("demarc", "name", &Value::from("X"), "value")
-                .unwrap(),
-            Some(Value::Int(100))
-        );
+        let r = db
+            .execute("SELECT value FROM demarc WHERE name = 'X'")
+            .unwrap();
+        assert_eq!(r.scalar(), Some(&Value::Int(100)));
         // Raising the limit then writing works.
         db.execute("UPDATE demarc SET lim = 200 WHERE name = 'X'")
             .unwrap();
@@ -751,7 +707,6 @@ mod tests {
         let db = salary_db();
         let s = db.to_string();
         assert!(s.contains("employees(empid, name, salary) — 2 rows"));
-        assert_eq!(db.table_names(), vec!["employees"]);
         assert!(db.get_table("employees").is_ok());
     }
 }

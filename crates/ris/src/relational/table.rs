@@ -18,18 +18,12 @@ pub struct Table {
 impl Table {
     /// A new empty table.
     #[must_use]
-    pub fn new(name: &str, columns: &[&str]) -> Self {
+    pub(crate) fn new(name: &str, columns: &[&str]) -> Self {
         Table {
             name: name.to_owned(),
             columns: columns.iter().map(|c| (*c).to_owned()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Table name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Column names in order.
@@ -53,20 +47,20 @@ impl Table {
     }
 
     /// Append a row (arity already validated by the caller).
-    pub fn push_row(&mut self, row: Row) {
+    pub(crate) fn push_row(&mut self, row: Row) {
         debug_assert_eq!(row.len(), self.columns.len());
         self.rows.push(row);
     }
 
     /// Replace row `i`.
-    pub fn replace_row(&mut self, i: usize, row: Row) {
+    pub(crate) fn replace_row(&mut self, i: usize, row: Row) {
         debug_assert_eq!(row.len(), self.columns.len());
         self.rows[i] = row;
     }
 
     /// Remove rows matching the predicate, returning them in original
     /// order.
-    pub fn remove_rows(&mut self, mut pred: impl FnMut(&Row) -> bool) -> Vec<Row> {
+    pub(crate) fn remove_rows(&mut self, mut pred: impl FnMut(&Row) -> bool) -> Vec<Row> {
         let mut removed = Vec::new();
         let mut kept = Vec::with_capacity(self.rows.len());
         for row in self.rows.drain(..) {
@@ -88,7 +82,6 @@ mod tests {
     #[test]
     fn basic_operations() {
         let mut t = Table::new("t", &["a", "b"]);
-        assert_eq!(t.name(), "t");
         assert_eq!(t.col_index("b").unwrap(), 1);
         assert!(t.col_index("zz").is_err());
         t.push_row(vec![Value::Int(1), Value::Int(2)]);

@@ -44,7 +44,7 @@ impl WhoisDir {
     }
 
     /// Public lookup of one person's entry.
-    pub fn lookup(&self, name: &str) -> Result<&Fields, RisError> {
+    pub(crate) fn lookup(&self, name: &str) -> Result<&Fields, RisError> {
         self.entries
             .get(name)
             .ok_or_else(|| RisError::NotFound(format!("entry `{name}`")))
@@ -63,18 +63,6 @@ impl WhoisDir {
     #[must_use]
     pub fn dump(&self) -> Vec<(&str, &Fields)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v)).collect()
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the directory is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -101,7 +89,6 @@ mod tests {
         let dump = d.dump();
         assert_eq!(dump.len(), 2);
         assert_eq!(dump[0].0, "ann");
-        assert_eq!(d.len(), 2);
     }
 
     #[test]
@@ -109,7 +96,7 @@ mod tests {
         let mut d = WhoisDir::new();
         d.admin_set("ann", "phone", "1");
         d.admin_remove("ann").unwrap();
-        assert!(d.is_empty());
+        assert!(d.dump().is_empty());
         assert!(d.admin_remove("ann").is_err());
     }
 

@@ -46,19 +46,6 @@ impl CmpOp {
             }
         }
     }
-
-    /// Apply to two time points.
-    #[must_use]
-    pub fn apply_time(self, a: SimTime, b: SimTime) -> bool {
-        match self {
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
-        }
-    }
 }
 
 impl fmt::Display for CmpOp {
@@ -99,8 +86,8 @@ pub enum Expr {
     Div(Box<Expr>, Box<Expr>),
 }
 
-/// One input a condition or expression reads, as [`Cond::visit`] and
-/// [`Expr::visit`] yield it.
+/// One input a condition or expression reads, as [`Cond::visit`]
+/// yields it.
 #[derive(Debug, Clone, Copy)]
 pub enum Mention<'a> {
     /// A data item: an `Expr::Item` read or a `Cond::Exists` test.
@@ -180,7 +167,7 @@ impl Expr {
 
     /// Call `f` on every item pattern and variable the expression
     /// reads, left to right.
-    pub fn visit<'a>(&'a self, f: &mut impl FnMut(Mention<'a>)) {
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(Mention<'a>)) {
         match self {
             Expr::Item(p) => f(Mention::Item(p)),
             Expr::Var(v) => f(Mention::Var(v)),
@@ -262,15 +249,6 @@ impl Cond {
             }
             Cond::Not(c) => c.visit(f),
             Cond::Exists(p) => f(Mention::Item(p)),
-        }
-    }
-
-    /// Conjoin two conditions, simplifying `True`.
-    #[must_use]
-    pub fn and(self, other: Cond) -> Cond {
-        match (self, other) {
-            (Cond::True, c) | (c, Cond::True) => c,
-            (a, b) => Cond::And(Box::new(a), Box::new(b)),
         }
     }
 }
@@ -379,22 +357,9 @@ pub enum TimeExpr {
 }
 
 impl TimeExpr {
-    /// Resolve under an assignment of time variables.
-    #[must_use]
-    pub fn resolve(&self, lookup: &dyn Fn(&str) -> Option<SimTime>) -> Option<SimTime> {
-        match self {
-            TimeExpr::Const(t) => Some(*t),
-            TimeExpr::Var(v) => lookup(v),
-            TimeExpr::Offset(v, off) => {
-                let ms = i128::from(lookup(v)?.as_millis()) + i128::from(*off);
-                u64::try_from(ms).ok().map(SimTime::from_millis)
-            }
-        }
-    }
-
     /// Time variables mentioned.
     #[must_use]
-    pub fn vars(&self) -> Vec<&str> {
+    pub(crate) fn vars(&self) -> Vec<&str> {
         match self {
             TimeExpr::Const(_) => vec![],
             TimeExpr::Var(v) | TimeExpr::Offset(v, _) => vec![v.as_str()],
@@ -644,7 +609,6 @@ mod tests {
         );
         assert!(c_eq.eval(&env));
         assert!(!Cond::Not(Box::new(Cond::True)).eval(&env));
-        assert!(Cond::True.and(c_eq.clone()) == c_eq);
     }
 
     #[test]
@@ -676,32 +640,6 @@ mod tests {
             None
         );
         assert_eq!(CmpOp::Ne.apply(&Value::Int(1), &Value::Int(2)), Some(true));
-        assert!(CmpOp::Lt.apply_time(SimTime::from_secs(1), SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn time_expr_resolution() {
-        let lookup = |n: &str| (n == "t").then(|| SimTime::from_secs(100));
-        assert_eq!(
-            TimeExpr::Var("t".into()).resolve(&lookup),
-            Some(SimTime::from_secs(100))
-        );
-        assert_eq!(
-            TimeExpr::Offset("t".into(), -10_000).resolve(&lookup),
-            Some(SimTime::from_secs(90))
-        );
-        assert_eq!(
-            TimeExpr::Offset("t".into(), 5_000).resolve(&lookup),
-            Some(SimTime::from_secs(105))
-        );
-        // Negative absolute time: unresolvable.
-        let early = |_: &str| Some(SimTime::from_secs(1));
-        assert_eq!(TimeExpr::Offset("t".into(), -10_000).resolve(&early), None);
-        assert_eq!(TimeExpr::Var("u".into()).resolve(&lookup), None);
-        assert_eq!(
-            TimeExpr::Const(SimTime::from_secs(5)).resolve(&lookup),
-            Some(SimTime::from_secs(5))
-        );
     }
 
     #[test]

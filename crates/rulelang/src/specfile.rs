@@ -39,7 +39,7 @@ pub struct Section {
 impl Section {
     /// The section kind (first header word).
     #[must_use]
-    pub fn kind(&self) -> &str {
+    pub(crate) fn kind(&self) -> &str {
         self.header.first().map_or("", String::as_str)
     }
 
@@ -180,20 +180,6 @@ impl SpecFile {
         self.sections.iter().filter(move |s| s.kind() == kind)
     }
 
-    /// The single section of a kind; error if absent or duplicated.
-    pub fn unique_section(&self, kind: &str) -> Result<&Section, SpecError> {
-        let mut it = self.sections_of(kind);
-        let first = it.next().ok_or_else(|| SpecError {
-            msg: format!("missing required section [{kind}]"),
-        })?;
-        if it.next().is_some() {
-            return Err(SpecError {
-                msg: format!("duplicate section [{kind}]"),
-            });
-        }
-        Ok(first)
-    }
-
     /// A required top-level property.
     pub fn require(&self, key: &str) -> Result<&str, SpecError> {
         self.props
@@ -243,16 +229,14 @@ retry = 3
     #[test]
     fn pairs_helper() {
         let spec = SpecFile::parse(SAMPLE).unwrap();
-        let opts = spec.unique_section("options").unwrap().as_pairs().unwrap();
+        let opts = spec
+            .sections_of("options")
+            .next()
+            .unwrap()
+            .as_pairs()
+            .unwrap();
         assert_eq!(opts.get("poll").map(String::as_str), Some("60s"));
         assert_eq!(opts.get("retry").map(String::as_str), Some("3"));
-    }
-
-    #[test]
-    fn unique_section_errors() {
-        let spec = SpecFile::parse("[a]\nx = 1\n[a]\ny = 2\n").unwrap();
-        assert!(spec.unique_section("a").is_err());
-        assert!(spec.unique_section("zzz").is_err());
     }
 
     #[test]

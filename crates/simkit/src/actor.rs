@@ -74,7 +74,6 @@ pub struct Ctx<'a, M> {
     pub(crate) me: ActorId,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) outbox: &'a mut Vec<(ActorId, M, SendKind)>,
-    pub(crate) halted: &'a mut bool,
 }
 
 impl<M> Ctx<'_, M> {
@@ -118,12 +117,6 @@ impl<M> Ctx<'_, M> {
     pub fn schedule_self(&mut self, delay: SimDuration, msg: M) {
         self.outbox.push((self.me, msg, SendKind::Timer(delay)));
     }
-
-    /// Ask the simulation to stop after this handler returns. Used by
-    /// scenario drivers when their stop condition is met.
-    pub fn halt(&mut self) {
-        *self.halted = true;
-    }
 }
 
 #[cfg(test)]
@@ -139,21 +132,17 @@ mod tests {
     fn ctx_collects_sends_in_order() {
         let mut rng = SimRng::seeded(1);
         let mut outbox = Vec::new();
-        let mut halted = false;
         let mut ctx: Ctx<'_, &str> = Ctx {
             now: SimTime::from_secs(5),
             me: ActorId(1),
             rng: &mut rng,
             outbox: &mut outbox,
-            halted: &mut halted,
         };
         assert_eq!(ctx.now(), SimTime::from_secs(5));
         assert_eq!(ctx.me(), ActorId(1));
         ctx.send(ActorId(2), "a");
         ctx.send_local(ActorId(3), "b", SimDuration::from_millis(10));
         ctx.schedule_self(SimDuration::from_secs(1), "tick");
-        ctx.halt();
-        assert!(halted);
         assert_eq!(outbox.len(), 3);
         assert_eq!(outbox[0].0, ActorId(2));
         assert!(matches!(outbox[1].2, SendKind::Local(d) if d == SimDuration::from_millis(10)));

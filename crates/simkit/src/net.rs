@@ -48,7 +48,7 @@ impl DelayModel {
     }
 
     /// Sample a one-way delay.
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> SimDuration {
         if self.jitter == SimDuration::ZERO {
             self.base
         } else {
@@ -87,14 +87,12 @@ pub enum ActorStatus {
 #[derive(Debug, Clone)]
 pub struct Network {
     default_delay: DelayModel,
-    per_channel: HashMap<(ActorId, ActorId), DelayModel>,
     /// Latest delivery time already scheduled per channel (FIFO clamp).
     last_delivery: HashMap<(ActorId, ActorId), SimTime>,
     status: HashMap<ActorId, ActorStatus>,
-    /// Messages sent over a channel, for the traffic-reduction
+    /// Messages sent over all channels, for the traffic-reduction
     /// experiments (E8/E9).
-    sent: HashMap<(ActorId, ActorId), u64>,
-    dropped: u64,
+    sent: u64,
     /// In-order delivery per channel (the paper's Appendix property 7
     /// assumption). Disable ONLY for the ablation experiment that shows
     /// the assumption is load-bearing.
@@ -105,11 +103,9 @@ impl Default for Network {
     fn default() -> Self {
         Network {
             default_delay: DelayModel::default(),
-            per_channel: HashMap::new(),
             last_delivery: HashMap::new(),
             status: HashMap::new(),
-            sent: HashMap::new(),
-            dropped: 0,
+            sent: 0,
             fifo: true,
         }
     }
@@ -133,27 +129,22 @@ impl Network {
         self.fifo = fifo;
     }
 
-    /// Override the delay model of one directed channel.
-    pub fn set_channel(&mut self, from: ActorId, to: ActorId, model: DelayModel) {
-        self.per_channel.insert((from, to), model);
-    }
-
     /// Current failure status of an actor.
     #[must_use]
-    pub fn status(&self, a: ActorId) -> ActorStatus {
+    pub(crate) fn status(&self, a: ActorId) -> ActorStatus {
         self.status.get(&a).copied().unwrap_or_default()
     }
 
     /// Set the failure status of an actor (used by the simulation's
     /// failure-injection schedule).
-    pub fn set_status(&mut self, a: ActorId, s: ActorStatus) {
+    pub(crate) fn set_status(&mut self, a: ActorId, s: ActorStatus) {
         self.status.insert(a, s);
     }
 
     /// Compute the delivery time for a message submitted `now` on
     /// `(from, to)` with the given send kind, maintaining the FIFO
     /// invariant: delivery times on one channel never decrease.
-    pub fn delivery_time(
+    pub(crate) fn delivery_time(
         &mut self,
         now: SimTime,
         from: ActorId,
@@ -162,18 +153,12 @@ impl Network {
         rng: &mut SimRng,
     ) -> SimTime {
         let base = match kind {
-            SendKind::Network => {
-                let model = self
-                    .per_channel
-                    .get(&(from, to))
-                    .unwrap_or(&self.default_delay);
-                model.sample(rng)
-            }
+            SendKind::Network => self.default_delay.sample(rng),
             SendKind::Local(d) | SendKind::Timer(d) => d,
         };
         let mut at = now + base;
         if !matches!(kind, SendKind::Timer(_)) {
-            *self.sent.entry((from, to)).or_insert(0) += 1;
+            self.sent += 1;
             if self.fifo {
                 let last = self.last_delivery.entry((from, to)).or_insert(at);
                 if *last > at {
@@ -186,27 +171,10 @@ impl Network {
         at
     }
 
-    /// Record a message lost to a lossy crash.
-    pub fn count_drop(&mut self) {
-        self.dropped += 1;
-    }
-
-    /// Messages sent on a directed channel so far.
-    #[must_use]
-    pub fn sent_on(&self, from: ActorId, to: ActorId) -> u64 {
-        self.sent.get(&(from, to)).copied().unwrap_or(0)
-    }
-
     /// Total messages sent over all channels.
     #[must_use]
     pub fn total_sent(&self) -> u64 {
-        self.sent.values().sum()
-    }
-
-    /// Total messages dropped by lossy crashes.
-    #[must_use]
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped
+        self.sent
     }
 }
 
@@ -247,9 +215,9 @@ mod tests {
     #[test]
     fn channels_are_independent() {
         let mut net = Network::new(DelayModel::fixed(SimDuration::from_millis(10)));
-        net.set_channel(a(0), a(2), DelayModel::fixed(SimDuration::from_millis(500)));
         let mut rng = SimRng::seeded(3);
-        let t1 = net.delivery_time(SimTime::ZERO, a(0), a(2), SendKind::Network, &mut rng);
+        let slow = SendKind::Local(SimDuration::from_millis(500));
+        let t1 = net.delivery_time(SimTime::ZERO, a(0), a(2), slow, &mut rng);
         let t2 = net.delivery_time(SimTime::ZERO, a(0), a(1), SendKind::Network, &mut rng);
         assert_eq!(t1, SimTime::from_millis(500));
         assert_eq!(t2, SimTime::from_millis(10)); // not clamped by other channel
@@ -276,10 +244,14 @@ mod tests {
         for _ in 0..3 {
             net.delivery_time(SimTime::ZERO, a(0), a(1), SendKind::Network, &mut rng);
         }
-        net.count_drop();
-        assert_eq!(net.sent_on(a(0), a(1)), 3);
-        assert_eq!(net.total_sent(), 3);
-        assert_eq!(net.total_dropped(), 1);
+        net.delivery_time(
+            SimTime::ZERO,
+            a(0),
+            a(0),
+            SendKind::Timer(SimDuration::ZERO),
+            &mut rng,
+        );
+        assert_eq!(net.total_sent(), 3, "timers are not traffic");
     }
 
     #[test]

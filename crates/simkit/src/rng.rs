@@ -51,7 +51,7 @@ impl SimRng {
     /// own stream, so one actor's draws never shift another's, while
     /// the whole family is still fully determined by one seed.
     #[must_use]
-    pub fn derived(master: u64, stream: u64) -> Self {
+    pub(crate) fn derived(master: u64, stream: u64) -> Self {
         let mut sm = master ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);
         // One splitmix step decorrelates adjacent stream indexes before
         // the normal seeding expansion.
@@ -85,7 +85,7 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -96,7 +96,7 @@ impl SimRng {
 
     /// Uniform duration in `[lo, hi]` (inclusive, millisecond
     /// granularity). Used for network jitter.
-    pub fn duration_in(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
+    pub(crate) fn duration_in(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
         let ms = self.int_in(lo.as_millis() as i64, hi.as_millis() as i64);
         SimDuration::from_millis(ms as u64)
     }
@@ -109,12 +109,6 @@ impl SimRng {
         let u = 1.0 - self.unit();
         let ms = (-u.ln() * mean.as_millis() as f64).round() as u64;
         SimDuration::from_millis(ms.max(1))
-    }
-
-    /// Choose an element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "choose from empty slice");
-        &xs[self.int_in(0, xs.len() as i64 - 1) as usize]
     }
 }
 
@@ -169,15 +163,6 @@ mod tests {
         let mut r = SimRng::seeded(3);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn choose_in_bounds() {
-        let mut r = SimRng::seeded(5);
-        let xs = [10, 20, 30];
-        for _ in 0..50 {
-            assert!(xs.contains(r.choose(&xs)));
-        }
     }
 
     #[test]

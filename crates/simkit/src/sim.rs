@@ -76,8 +76,6 @@ pub enum RunOutcome {
     Quiescent,
     /// The time horizon was reached with work still pending.
     HorizonReached,
-    /// An actor called [`Ctx::halt`].
-    Halted,
     /// The step budget was exhausted (runaway protection).
     StepBudget,
 }
@@ -173,11 +171,6 @@ impl<M> Sim<M> {
         self.now
     }
 
-    /// The network model (for channel configuration and traffic stats).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
     /// Read-only network access.
     #[must_use]
     pub fn network(&self) -> &Network {
@@ -185,7 +178,7 @@ impl<M> Sim<M> {
     }
 
     /// A clone of the simulation's observability bundle — the metrics
-    /// registry and span log every instrumented component writes to.
+    /// registry every instrumented component writes to.
     #[must_use]
     pub fn obs(&self) -> Obs {
         self.obs.clone()
@@ -199,19 +192,6 @@ impl<M> Sim<M> {
     #[must_use]
     pub fn engine_metrics(&self) -> Metrics {
         self.engine.clone()
-    }
-
-    /// Direct access to a registered actor (used by scenario drivers to
-    /// inspect component state between runs; not available during a
-    /// delivery).
-    #[must_use]
-    pub fn actor(&self, id: ActorId) -> &dyn Actor<M> {
-        self.actors[id.0 as usize].as_ref()
-    }
-
-    /// Mutable access to a registered actor between runs.
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut dyn Actor<M> {
-        self.actors[id.0 as usize].as_mut()
     }
 
     /// Inject a message from "outside" (workload drivers, test
@@ -230,19 +210,6 @@ impl<M> Sim<M> {
                 msg,
             },
         }));
-    }
-
-    /// Batched injection: reserve queue capacity for the whole batch
-    /// up front, then inject each `(at, to, msg)` with consecutive
-    /// sequence numbers — semantically identical to calling
-    /// [`Sim::inject_at`] per message, without per-push reallocation.
-    pub fn inject_many(&mut self, msgs: impl IntoIterator<Item = (SimTime, ActorId, M)>) {
-        let msgs = msgs.into_iter();
-        let (lo, hi) = msgs.size_hint();
-        self.queue.reserve(hi.unwrap_or(lo));
-        for (at, to, msg) in msgs {
-            self.inject_at(at, to, msg);
-        }
     }
 
     /// Schedule a crash. `lossy` controls whether messages arriving
@@ -313,14 +280,12 @@ impl<M> Sim<M> {
         for i in 0..self.actors.len() {
             let id = ActorId(i as u32);
             let mut outbox = Vec::new();
-            let mut halted = false;
             {
                 let mut ctx = Ctx {
                     now: self.now,
                     me: id,
                     rng: &mut self.rngs[i],
                     outbox: &mut outbox,
-                    halted: &mut halted,
                 };
                 self.actors[i].on_start(&mut ctx);
             }
@@ -328,7 +293,7 @@ impl<M> Sim<M> {
         }
     }
 
-    /// Run until the queue drains, an actor halts, the step budget is
+    /// Run until the queue drains, the step budget is
     /// exhausted, or (if given) the horizon is passed. Events scheduled
     /// *at* the horizon still run; the clock never exceeds it.
     pub fn run(&mut self, horizon: Option<SimTime>) -> RunOutcome {
@@ -382,7 +347,6 @@ impl<M> Sim<M> {
                     self.dispatches[to.0 as usize] += 1;
                     match self.net.status(to) {
                         ActorStatus::Crashed { lossy: true } => {
-                            self.net.count_drop();
                             self.obs
                                 .metrics
                                 .inc(Scope::Actor(to.0), "sim.dropped_while_crashed");
@@ -395,21 +359,16 @@ impl<M> Sim<M> {
                         }
                         _ => {
                             let mut outbox = Vec::new();
-                            let mut halted = false;
                             {
                                 let mut ctx = Ctx {
                                     now: self.now,
                                     me: to,
                                     rng: &mut self.rngs[to.0 as usize],
                                     outbox: &mut outbox,
-                                    halted: &mut halted,
                                 };
                                 self.actors[to.0 as usize].on_message(msg, &mut ctx);
                             }
                             self.flush_outbox(to, outbox);
-                            if halted {
-                                return RunOutcome::Halted;
-                            }
                         }
                     }
                 }
@@ -436,13 +395,11 @@ impl<M> Sim<M> {
                 // durable actor's volatile state). Anything it tries to
                 // send is discarded — it is down.
                 let mut discard = Vec::new();
-                let mut halted = false;
                 let mut ctx = Ctx {
                     now: self.now,
                     me: who,
                     rng: &mut self.rngs[who.0 as usize],
                     outbox: &mut discard,
-                    halted: &mut halted,
                 };
                 self.actors[who.0 as usize].on_crash(lossy, &mut ctx);
             }
@@ -458,14 +415,12 @@ impl<M> Sim<M> {
                 // state, re-arm timers) before held traffic lands. Its
                 // sends are real and flushed normally.
                 let mut outbox = Vec::new();
-                let mut halted = false;
                 {
                     let mut ctx = Ctx {
                         now: self.now,
                         me: who,
                         rng: &mut self.rngs[who.0 as usize],
                         outbox: &mut outbox,
-                        halted: &mut halted,
                     };
                     self.actors[who.0 as usize].on_recover(&mut ctx);
                 }
@@ -510,7 +465,6 @@ mod tests {
     enum Msg {
         Ping(u32),
         Tick,
-        Stop,
     }
 
     /// Records (time, payload) of everything it receives; replies to
@@ -537,7 +491,6 @@ mod tests {
                         ctx.schedule_self(SimDuration::from_secs(1), Msg::Tick);
                     }
                 }
-                Msg::Stop => ctx.halt(),
             }
         }
     }
@@ -597,21 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn halt_stops_immediately() {
-        let log = shared(Vec::new());
-        let mut sim = fixed_sim(10);
-        let a = sim.add_actor(Box::new(Echo {
-            peer: None,
-            log: log.clone(),
-            ticks: 0,
-        }));
-        sim.inject_at(SimTime::from_secs(1), a, Msg::Stop);
-        sim.inject_at(SimTime::from_secs(2), a, Msg::Ping(0));
-        assert_eq!(sim.run_to_quiescence(), RunOutcome::Halted);
-        assert_eq!(log.borrow().len(), 1);
-    }
-
-    #[test]
     fn crash_holds_messages_until_recovery() {
         let log = shared(Vec::new());
         let mut sim = fixed_sim(0);
@@ -646,7 +584,12 @@ mod tests {
         sim.inject_at(SimTime::from_secs(11), a, Msg::Tick);
         assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
         assert_eq!(log.borrow().len(), 3); // Tick at 11s, 12s, 13s; Ping lost
-        assert_eq!(sim.network().total_dropped(), 1);
+        assert_eq!(
+            sim.obs()
+                .metrics
+                .counter(Scope::Actor(a.0), "sim.dropped_while_crashed"),
+            1
+        );
     }
 
     #[test]
@@ -739,34 +682,6 @@ mod tests {
         );
         // The send attempted from on_crash never reached the peer.
         assert!(peer_log.borrow().is_empty());
-    }
-
-    #[test]
-    fn inject_many_matches_repeated_inject_at() {
-        fn run(batched: bool) -> Vec<(SimTime, Msg)> {
-            let log = shared(Vec::new());
-            let mut sim = fixed_sim(0);
-            let a = sim.add_actor(Box::new(Echo {
-                peer: None,
-                log: log.clone(),
-                ticks: 0,
-            }));
-            let msgs: Vec<_> = (0..5u64)
-                .map(|i| (SimTime::from_millis(i * 3), a, Msg::Ping(0)))
-                .collect();
-            if batched {
-                sim.inject_many(msgs);
-            } else {
-                for (at, to, m) in msgs {
-                    sim.inject_at(at, to, m);
-                }
-            }
-            sim.run_to_quiescence();
-            let out = log.borrow().clone();
-            out
-        }
-        assert_eq!(run(true), run(false));
-        assert_eq!(run(true).len(), 5);
     }
 
     #[test]
@@ -959,20 +874,7 @@ mod tests {
         assert_eq!(unsplit, (51, vec![16, 19, 16], Some(14)));
         assert_eq!(run(true), unsplit);
 
-        // A run that ends by `Ctx::halt` publishes too.
-        let log = shared(Vec::new());
-        let mut sim = fixed_sim(10);
-        sim.add_actor(Box::new(Echo {
-            peer: None,
-            log: log.clone(),
-            ticks: 0,
-        }));
-        sim.inject_at(SimTime::ZERO, ActorId(0), Msg::Tick);
-        sim.inject_at(SimTime::from_millis(1500), ActorId(0), Msg::Stop);
-        assert_eq!(sim.run_to_quiescence(), RunOutcome::Halted);
-        assert_eq!(engine_counts(&sim), (3, vec![3], Some(2)));
-
-        // So does one that exhausts its step budget.
+        // A run that exhausts its step budget publishes too.
         let log = shared(Vec::new());
         let mut sim = ring(2, &log);
         sim.inject_at(SimTime::ZERO, ActorId(0), Msg::Ping(20));

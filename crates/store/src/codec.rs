@@ -87,48 +87,48 @@ impl Encoder {
     }
 
     /// Write one raw byte.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Write a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// Write a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write an `i64`, little-endian.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write an `f64` as its IEEE-754 bit pattern, little-endian.
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Write a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Write a [`SimTime`] (milliseconds).
-    pub fn time(&mut self, t: SimTime) {
+    pub(crate) fn time(&mut self, t: SimTime) {
         self.u64(t.as_millis());
     }
 
     /// Write a [`SimDuration`] (milliseconds).
-    pub fn duration(&mut self, d: SimDuration) {
+    pub(crate) fn duration(&mut self, d: SimDuration) {
         self.u64(d.as_millis());
     }
 
@@ -156,7 +156,7 @@ impl Encoder {
     }
 
     /// Write an optional [`Value`].
-    pub fn opt_value(&mut self, v: Option<&Value>) {
+    pub(crate) fn opt_value(&mut self, v: Option<&Value>) {
         match v {
             None => self.u8(0),
             Some(v) => {
@@ -254,12 +254,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read one raw byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a bool.
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -268,39 +268,39 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, CodecError> {
+    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
     }
 
     /// Read a [`SimTime`].
-    pub fn time(&mut self) -> Result<SimTime, CodecError> {
+    pub(crate) fn time(&mut self) -> Result<SimTime, CodecError> {
         Ok(SimTime::from_millis(self.u64()?))
     }
 
     /// Read a [`SimDuration`].
-    pub fn duration(&mut self) -> Result<SimDuration, CodecError> {
+    pub(crate) fn duration(&mut self) -> Result<SimDuration, CodecError> {
         Ok(SimDuration::from_millis(self.u64()?))
     }
 
@@ -317,7 +317,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read an optional [`Value`].
-    pub fn opt_value(&mut self) -> Result<Option<Value>, CodecError> {
+    pub(crate) fn opt_value(&mut self) -> Result<Option<Value>, CodecError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.value()?)),

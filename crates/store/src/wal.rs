@@ -122,12 +122,6 @@ impl MemStore {
     pub fn new() -> Self {
         MemStore::default()
     }
-
-    /// Number of records appended since the last checkpoint.
-    #[must_use]
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
 }
 
 impl StateStore for MemStore {
@@ -183,12 +177,6 @@ impl FileStore {
             active,
             active_bytes,
         })
-    }
-
-    /// The directory backing this store.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn rotate(&mut self) -> Result<(), StoreError> {

@@ -14,7 +14,6 @@
 //!    interfaces and initial-state capture.
 
 use crate::msg::SpontaneousOp;
-use crate::rid::RisKind;
 use hcm_core::{ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::RisError;
 
@@ -31,9 +30,6 @@ pub struct Change {
 
 /// Adapter over one raw store. See the module docs.
 pub trait RisBackend {
-    /// Which store kind this adapts.
-    fn kind(&self) -> RisKind;
-
     /// Whether the store has a *native* change feed (triggers,
     /// watches). When `false`, the changes returned by
     /// [`RisBackend::apply_spontaneous`] are ground truth for the
@@ -69,7 +65,7 @@ pub trait RisBackend {
 /// Render a value in the plain-text form the file store and whois
 /// directory hold.
 #[must_use]
-pub fn value_to_text(v: &Value) -> String {
+pub(crate) fn value_to_text(v: &Value) -> String {
     match v {
         Value::Str(s) => s.clone(),
         Value::Null => String::new(),
@@ -80,7 +76,7 @@ pub fn value_to_text(v: &Value) -> String {
 /// Parse plain text into a typed value according to a CM-RID
 /// `type = int|float|str|bool` mapping property (default `str`).
 #[must_use]
-pub fn text_to_value(text: &str, ty: Option<&str>) -> Value {
+pub(crate) fn text_to_value(text: &str, ty: Option<&str>) -> Value {
     match ty.unwrap_or("str") {
         "int" => text.trim().parse::<i64>().map_or(Value::Null, Value::Int),
         "float" => text.trim().parse::<f64>().map_or(Value::Null, Value::Float),
@@ -107,7 +103,7 @@ impl KeyPattern {
     /// Parse a pattern containing exactly one `$p0` placeholder, or a
     /// constant pattern (no placeholder — an unparameterized item).
     #[must_use]
-    pub fn parse(pattern: &str) -> KeyPattern {
+    pub(crate) fn parse(pattern: &str) -> KeyPattern {
         match pattern.split_once("$p0") {
             Some((pre, suf)) => KeyPattern {
                 prefix: pre.to_owned(),
@@ -122,18 +118,11 @@ impl KeyPattern {
         }
     }
 
-    /// Whether the pattern carries a `$p0` placeholder; constant
-    /// patterns name *unparameterized* items.
-    #[must_use]
-    pub fn has_param(&self) -> bool {
-        self.has_param
-    }
-
     /// Build the item for `base` from a native key's extracted
     /// parameter: parameterized patterns yield `base(param)`, constant
     /// patterns yield the plain `base`.
     #[must_use]
-    pub fn item_for(&self, base: &str, param: &str) -> crate::ItemIdAlias {
+    pub(crate) fn item_for(&self, base: &str, param: &str) -> crate::ItemIdAlias {
         if self.has_param {
             hcm_core::ItemId::with(base.to_owned(), [hcm_core::Value::from(param)])
         } else {
@@ -144,13 +133,13 @@ impl KeyPattern {
     /// Render a native key for a parameter (pass `""` for constant
     /// patterns).
     #[must_use]
-    pub fn render(&self, param: &str) -> String {
+    pub(crate) fn render(&self, param: &str) -> String {
         format!("{}{}{}", self.prefix, param, self.suffix)
     }
 
     /// Extract the parameter from a native key, if it matches.
     #[must_use]
-    pub fn extract<'a>(&self, key: &'a str) -> Option<&'a str> {
+    pub(crate) fn extract<'a>(&self, key: &'a str) -> Option<&'a str> {
         key.strip_prefix(&self.prefix)?.strip_suffix(&self.suffix)
     }
 }

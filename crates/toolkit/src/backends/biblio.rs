@@ -8,7 +8,7 @@
 
 use crate::backend::{value_to_text, Change, RisBackend};
 use crate::msg::SpontaneousOp;
-use crate::rid::{CmRid, RisKind};
+use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::biblio::BiblioDb;
 use hcm_ris::RisError;
@@ -22,7 +22,7 @@ pub struct BiblioBackend {
 impl BiblioBackend {
     /// Wrap a store per the CM-RID.
     #[must_use]
-    pub fn new(db: BiblioDb, rid: &CmRid) -> Self {
+    pub(crate) fn new(db: BiblioDb, rid: &CmRid) -> Self {
         BiblioBackend {
             db,
             bases: rid.maps.keys().cloned().collect(),
@@ -53,10 +53,6 @@ impl BiblioBackend {
 }
 
 impl RisBackend for BiblioBackend {
-    fn kind(&self) -> RisKind {
-        RisKind::Biblio
-    }
-
     fn has_change_feed(&self) -> bool {
         false // the CM must poll; changes below are trace ground truth
     }

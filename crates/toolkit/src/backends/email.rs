@@ -7,7 +7,7 @@
 
 use crate::backend::{single_param, value_to_text, Change, RisBackend};
 use crate::msg::SpontaneousOp;
-use crate::rid::{CmRid, RisKind};
+use crate::rid::CmRid;
 use hcm_core::{ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::email::MailSystem;
 use hcm_ris::RisError;
@@ -26,7 +26,7 @@ pub struct EmailBackend {
 impl EmailBackend {
     /// Wrap a mail system per the CM-RID.
     #[must_use]
-    pub fn new(mail: MailSystem, rid: &CmRid) -> Self {
+    pub(crate) fn new(mail: MailSystem, rid: &CmRid) -> Self {
         let maps = rid
             .maps
             .iter()
@@ -40,20 +40,9 @@ impl EmailBackend {
             .collect();
         EmailBackend { mail, maps }
     }
-
-    /// Test/inspection access to the underlying mailboxes (the
-    /// *recipients'* view, not the CM's).
-    #[must_use]
-    pub fn mailboxes(&self) -> &MailSystem {
-        &self.mail
-    }
 }
 
 impl RisBackend for EmailBackend {
-    fn kind(&self) -> RisKind {
-        RisKind::Email
-    }
-
     fn has_change_feed(&self) -> bool {
         false
     }
@@ -122,7 +111,7 @@ mod tests {
             SimTime::from_secs(9),
         )
         .unwrap();
-        let inbox = b.mailboxes().inbox("ann");
+        let inbox = b.mail.inbox("ann");
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].subject, "record deleted");
         assert_eq!(inbox[0].body, "your project record was removed");

@@ -10,7 +10,7 @@
 
 use crate::backend::{single_param, text_to_value, value_to_text, Change, KeyPattern, RisBackend};
 use crate::msg::SpontaneousOp;
-use crate::rid::{CmRid, RisKind};
+use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::filestore::FileStore;
 use hcm_ris::RisError;
@@ -30,7 +30,7 @@ pub struct FileBackend {
 impl FileBackend {
     /// Wrap a file store per the CM-RID.
     #[must_use]
-    pub fn new(fs: FileStore, rid: &CmRid) -> Self {
+    pub(crate) fn new(fs: FileStore, rid: &CmRid) -> Self {
         let maps = rid
             .maps
             .iter()
@@ -54,10 +54,6 @@ impl FileBackend {
 }
 
 impl RisBackend for FileBackend {
-    fn kind(&self) -> RisKind {
-        RisKind::File
-    }
-
     fn has_change_feed(&self) -> bool {
         false // the CM must poll; changes below are trace ground truth
     }
@@ -65,7 +61,7 @@ impl RisBackend for FileBackend {
     fn apply_spontaneous(
         &mut self,
         op: &SpontaneousOp,
-        now: SimTime,
+        _now: SimTime,
     ) -> Result<Vec<Change>, RisError> {
         // Ground-truth bookkeeping for the recorded trace: the mapped
         // item's old/new value around the native operation. The
@@ -90,7 +86,7 @@ impl RisBackend for FileBackend {
         }
         match op {
             SpontaneousOp::FileWrite { path, contents } => {
-                self.fs.write(path, contents, now);
+                self.fs.write(path, contents);
             }
             SpontaneousOp::FileRemove { path } => {
                 self.fs.remove(path)?;
@@ -121,7 +117,7 @@ impl RisBackend for FileBackend {
         &mut self,
         item: &ItemId,
         value: &Value,
-        now: SimTime,
+        _now: SimTime,
     ) -> Result<Option<Value>, RisError> {
         let m = self.map_for(&item.base)?;
         let path = m.path.render(&single_param(item)?);
@@ -134,7 +130,7 @@ impl RisBackend for FileBackend {
             // Removing an absent file is idempotent for the CM.
             let _ = self.fs.remove(&path);
         } else {
-            self.fs.write(&path, &value_to_text(value), now);
+            self.fs.write(&path, &value_to_text(value));
         }
         Ok(old.or(Some(Value::Null)))
     }
@@ -174,7 +170,7 @@ mod tests {
 
     fn setup() -> FileBackend {
         let mut fs = FileStore::new();
-        fs.write("/phones/ann.txt", "5550100", SimTime::ZERO);
+        fs.write("/phones/ann.txt", "5550100");
         let rid =
             CmRid::parse("ris = file\n[map phone]\npath = /phones/$p0.txt\ntype = int\n").unwrap();
         FileBackend::new(fs, &rid)

@@ -5,7 +5,7 @@
 
 use crate::backend::{single_param, Change, KeyPattern, RisBackend};
 use crate::msg::SpontaneousOp;
-use crate::rid::{CmRid, RisKind};
+use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::kvstore::KvStore;
 use hcm_ris::RisError;
@@ -25,7 +25,7 @@ impl KvBackend {
     /// Wrap a store per the CM-RID, registering a watch on every mapped
     /// key space.
     #[must_use]
-    pub fn new(kv: KvStore, rid: &CmRid) -> Self {
+    pub(crate) fn new(kv: KvStore, rid: &CmRid) -> Self {
         let mut kv = kv;
         let mut maps = Vec::new();
         for (base, props) in &rid.maps {
@@ -72,10 +72,6 @@ impl KvBackend {
 }
 
 impl RisBackend for KvBackend {
-    fn kind(&self) -> RisKind {
-        RisKind::Kv
-    }
-
     fn has_change_feed(&self) -> bool {
         true // watches
     }

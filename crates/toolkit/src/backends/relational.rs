@@ -9,7 +9,7 @@
 
 use crate::backend::{single_param, Change, RisBackend};
 use crate::msg::SpontaneousOp;
-use crate::rid::{substitute, CmRid, RisKind};
+use crate::rid::{substitute, CmRid};
 use hcm_core::{ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::relational::{Database, QueryResult, TriggerOp};
 use hcm_ris::RisError;
@@ -52,7 +52,7 @@ impl RelationalBackend {
     /// mapped tables need (the paper's "a CM-Translator supporting a
     /// Notify Interface … may need to declare triggers").
     #[must_use]
-    pub fn new(db: Database, rid: &CmRid) -> Self {
+    pub(crate) fn new(db: Database, rid: &CmRid) -> Self {
         let mut db = db;
         let mut maps = Vec::new();
         for (base, props) in &rid.maps {
@@ -136,10 +136,6 @@ impl RelationalBackend {
 }
 
 impl RisBackend for RelationalBackend {
-    fn kind(&self) -> RisKind {
-        RisKind::Relational
-    }
-
     fn has_change_feed(&self) -> bool {
         true // triggers
     }

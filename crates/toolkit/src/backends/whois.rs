@@ -7,7 +7,7 @@
 
 use crate::backend::{single_param, Change, RisBackend};
 use crate::msg::SpontaneousOp;
-use crate::rid::{CmRid, RisKind};
+use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::whois::WhoisDir;
 use hcm_ris::RisError;
@@ -26,7 +26,7 @@ pub struct WhoisBackend {
 impl WhoisBackend {
     /// Wrap a directory per the CM-RID.
     #[must_use]
-    pub fn new(dir: WhoisDir, rid: &CmRid) -> Self {
+    pub(crate) fn new(dir: WhoisDir, rid: &CmRid) -> Self {
         let maps = rid
             .maps
             .iter()
@@ -49,10 +49,6 @@ impl WhoisBackend {
 }
 
 impl RisBackend for WhoisBackend {
-    fn kind(&self) -> RisKind {
-        RisKind::Whois
-    }
-
     fn has_change_feed(&self) -> bool {
         false // the CM must poll; changes below are trace ground truth
     }

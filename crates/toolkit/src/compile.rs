@@ -64,17 +64,17 @@ pub struct Locator {
 impl Locator {
     /// An empty locator.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Locate a database item base at a site.
-    pub fn locate(&mut self, base: impl Into<Sym>, site: SiteId) {
+    pub(crate) fn locate(&mut self, base: impl Into<Sym>, site: SiteId) {
         self.base_to_site.insert(base.into(), site);
     }
 
     /// Locate a CM-private item base at a site's shell.
-    pub fn locate_private(&mut self, base: impl Into<Sym>, site: SiteId) {
+    pub(crate) fn locate_private(&mut self, base: impl Into<Sym>, site: SiteId) {
         let base = base.into();
         self.private.insert(base);
         self.base_to_site.insert(base, site);
@@ -82,20 +82,20 @@ impl Locator {
 
     /// The site of a base name.
     #[must_use]
-    pub fn site_of(&self, base: impl Into<Sym>) -> Option<SiteId> {
+    pub(crate) fn site_of(&self, base: impl Into<Sym>) -> Option<SiteId> {
         self.base_to_site.get(&base.into()).copied()
     }
 
     /// Whether a base names CM-private (shell-resident) data.
     #[must_use]
-    pub fn is_private(&self, base: impl Into<Sym>) -> bool {
+    pub(crate) fn is_private(&self, base: impl Into<Sym>) -> bool {
         self.private.contains(&base.into())
     }
 
     /// The site a template's event occurs at, if determined by its
     /// name (`P` templates have no inherent site).
     #[must_use]
-    pub fn template_site(&self, t: &TemplateDesc) -> Option<SiteId> {
+    pub(crate) fn template_site(&self, t: &TemplateDesc) -> Option<SiteId> {
         match t {
             TemplateDesc::P { .. } | TemplateDesc::False => None,
             TemplateDesc::Custom { name, .. } => self.site_of(name),
@@ -199,23 +199,8 @@ impl CompiledStrategy {
 
     /// The shared rule-id → arena-position lookup.
     #[must_use]
-    pub fn rule_lookup(&self) -> Rc<HashMap<RuleId, usize>> {
+    pub(crate) fn rule_lookup(&self) -> Rc<HashMap<RuleId, usize>> {
         Rc::clone(&self.lookup)
-    }
-
-    /// Rules whose LHS the given site's shell evaluates, excluding
-    /// periodic (`P`-headed) rules.
-    pub fn rules_at(&self, site: SiteId) -> impl Iterator<Item = &CompiledRule> {
-        self.rules
-            .iter()
-            .filter(move |r| r.lhs_site == site && !matches!(r.rule.lhs, TemplateDesc::P { .. }))
-    }
-
-    /// Periodic rules the given site's shell must arm timers for.
-    pub fn periodic_rules_at(&self, site: SiteId) -> impl Iterator<Item = &CompiledRule> {
-        self.rules
-            .iter()
-            .filter(move |r| r.lhs_site == site && matches!(r.rule.lhs, TemplateDesc::P { .. }))
     }
 
     /// Interest patterns for a site's translator: LHS templates of
@@ -223,7 +208,7 @@ impl CompiledStrategy {
     /// at this site watches. The translator forwards matching events to
     /// its shell; everything else stays local to the database.
     #[must_use]
-    pub fn interest_patterns(&self, site: SiteId) -> Vec<TemplateDesc> {
+    pub(crate) fn interest_patterns(&self, site: SiteId) -> Vec<TemplateDesc> {
         self.rules
             .iter()
             .filter(|r| r.lhs_site == site)
@@ -243,7 +228,7 @@ impl CompiledStrategy {
     /// The sites a guarantee involves, derived from the item bases its
     /// formula mentions.
     #[must_use]
-    pub fn guarantee_sites(&self, g: &Guarantee) -> Vec<SiteId> {
+    pub(crate) fn guarantee_sites(&self, g: &Guarantee) -> Vec<SiteId> {
         let mut sites: Vec<SiteId> = mentioned_bases(g)
             .iter()
             .filter_map(|b| self.locator.site_of(b))
@@ -251,12 +236,6 @@ impl CompiledStrategy {
         sites.sort();
         sites.dedup();
         sites
-    }
-
-    /// Look up a compiled rule by id.
-    #[must_use]
-    pub fn rule(&self, id: RuleId) -> Option<&CompiledRule> {
-        self.lookup.get(&id).map(|&i| &self.rules[i])
     }
 }
 
@@ -305,7 +284,7 @@ fn place_rule(
             )))
         }
     };
-    let id = registry.register(rule.to_string());
+    let id = registry.register();
     Ok(CompiledRule {
         id,
         rule,
@@ -360,19 +339,8 @@ P(60s) -> RR(salary1(n)) within 1s
             cs.guarantee_sites(&cs.guarantees[0]),
             vec![SiteId::new(0), SiteId::new(1)]
         );
-        assert!(cs.rule(cs.rules[0].id).is_some());
-        assert!(cs.rule(RuleId(99)).is_none());
-    }
-
-    #[test]
-    fn rule_distribution_by_lhs_site() {
-        let mut reg = RuleRegistry::new();
-        let cs = CompiledStrategy::from_spec(SPEC, &sites(), &mut reg).unwrap();
-        let at_a: Vec<_> = cs.rules_at(SiteId::new(0)).collect();
-        assert_eq!(at_a.len(), 1); // the N rule; the P rule is periodic
-        assert_eq!(cs.rules_at(SiteId::new(1)).count(), 0);
-        assert_eq!(cs.periodic_rules_at(SiteId::new(0)).count(), 1);
-        assert_eq!(cs.periodic_rules_at(SiteId::new(1)).count(), 0);
+        assert_eq!(cs.rule_lookup().get(&cs.rules[1].id), Some(&1));
+        assert_eq!(cs.rule_lookup().get(&RuleId(99)), None);
     }
 
     #[test]

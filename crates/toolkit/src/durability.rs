@@ -152,7 +152,7 @@ impl StoreBridge {
     }
 
     /// Install a checkpoint blob and reset the cadence counter.
-    pub fn save_checkpoint(&mut self, snapshot: &[u8]) {
+    pub(crate) fn save_checkpoint(&mut self, snapshot: &[u8]) {
         match self.store.borrow_mut().checkpoint(snapshot) {
             Ok(bytes) => {
                 self.metrics.inc(self.scope, "store.checkpoints");
@@ -196,7 +196,7 @@ impl StoreBridge {
 
 /// [`GuaranteeStatus`] → its storable tag.
 #[must_use]
-pub fn status_to_tag(s: GuaranteeStatus) -> StatusTag {
+pub(crate) fn status_to_tag(s: GuaranteeStatus) -> StatusTag {
     match s {
         GuaranteeStatus::Valid => StatusTag::Valid,
         GuaranteeStatus::SuspendedMetric => StatusTag::SuspendedMetric,
@@ -206,7 +206,7 @@ pub fn status_to_tag(s: GuaranteeStatus) -> StatusTag {
 
 /// Storable tag → [`GuaranteeStatus`].
 #[must_use]
-pub fn tag_to_status(t: StatusTag) -> GuaranteeStatus {
+pub(crate) fn tag_to_status(t: StatusTag) -> GuaranteeStatus {
     match t {
         StatusTag::Valid => GuaranteeStatus::Valid,
         StatusTag::SuspendedMetric => GuaranteeStatus::SuspendedMetric,
@@ -216,7 +216,7 @@ pub fn tag_to_status(t: StatusTag) -> GuaranteeStatus {
 
 /// [`FailureKind`] → its storable tag.
 #[must_use]
-pub fn fail_to_tag(k: FailureKind) -> FailureTag {
+pub(crate) fn fail_to_tag(k: FailureKind) -> FailureTag {
     match k {
         FailureKind::Metric => FailureTag::Metric,
         FailureKind::Logical => FailureTag::Logical,
@@ -225,7 +225,7 @@ pub fn fail_to_tag(k: FailureKind) -> FailureTag {
 
 /// Storable tag → [`FailureKind`].
 #[must_use]
-pub fn tag_to_fail(t: FailureTag) -> FailureKind {
+pub(crate) fn tag_to_fail(t: FailureTag) -> FailureKind {
     match t {
         FailureTag::Metric => FailureKind::Metric,
         FailureTag::Logical => FailureKind::Logical,

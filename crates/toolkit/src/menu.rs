@@ -85,7 +85,7 @@ pub mod strategies {
 
     /// Update propagation (§4.2.2): `N(src, b) →δ WR(dst, b)`.
     #[must_use]
-    pub fn propagate(src: &str, dst: &str, bound: SimDuration) -> String {
+    pub(crate) fn propagate(src: &str, dst: &str, bound: SimDuration) -> String {
         format!("N({src}, b) -> WR({dst}, b) within {}", secs(bound))
     }
 
@@ -93,7 +93,12 @@ pub mod strategies {
     /// from the CM-private cache, then refresh the cache. `cache` must
     /// be declared in the `[private]` section.
     #[must_use]
-    pub fn propagate_cached(src: &str, dst: &str, cache: &str, bound: SimDuration) -> String {
+    pub(crate) fn propagate_cached(
+        src: &str,
+        dst: &str,
+        cache: &str,
+        bound: SimDuration,
+    ) -> String {
         format!(
             "N({src}, b) -> if {cache} != b then WR({dst}, b) ; W({cache}, b) within {}",
             secs(bound)
@@ -103,7 +108,7 @@ pub mod strategies {
     /// The polling pair (§4.2.3): poll the source every `period`, and
     /// propagate each read result.
     #[must_use]
-    pub fn poll_and_propagate(
+    pub(crate) fn poll_and_propagate(
         src: &str,
         dst: &str,
         period: SimDuration,

@@ -56,7 +56,7 @@ pub struct RegisteredGuarantee {
 /// Is a guarantee metric? — it is iff some time expression carries an
 /// offset or an absolute constant.
 #[must_use]
-pub fn is_metric(g: &Guarantee) -> bool {
+pub(crate) fn is_metric(g: &Guarantee) -> bool {
     fn te_metric(t: &TimeExpr) -> bool {
         matches!(t, TimeExpr::Const(_) | TimeExpr::Offset(..))
     }
@@ -72,7 +72,7 @@ pub fn is_metric(g: &Guarantee) -> bool {
 
 /// Item base names mentioned by a guarantee (to derive involved sites).
 #[must_use]
-pub fn mentioned_bases(g: &Guarantee) -> Vec<Sym> {
+pub(crate) fn mentioned_bases(g: &Guarantee) -> Vec<Sym> {
     let mut out = Vec::new();
     for a in g.lhs.iter().chain(&g.rhs) {
         match a {
@@ -100,12 +100,12 @@ pub struct GuaranteeRegistry {
 impl GuaranteeRegistry {
     /// An empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register a guarantee with the sites it involves.
-    pub fn register(&mut self, guarantee: Guarantee, sites: Vec<SiteId>) {
+    pub(crate) fn register(&mut self, guarantee: Guarantee, sites: Vec<SiteId>) {
         let metric = is_metric(&guarantee);
         self.entries.insert(
             guarantee.name.clone(),
@@ -120,7 +120,7 @@ impl GuaranteeRegistry {
     }
 
     /// Apply a failure of `site` at `now` (§5 transition rules).
-    pub fn on_failure(&mut self, site: SiteId, kind: FailureKind, now: SimTime) {
+    pub(crate) fn on_failure(&mut self, site: SiteId, kind: FailureKind, now: SimTime) {
         for e in self.entries.values_mut() {
             if !e.sites.contains(&site) {
                 continue;
@@ -146,7 +146,7 @@ impl GuaranteeRegistry {
     /// Clear a metric failure of `site`: metric-suspended guarantees on
     /// that site return to valid. Logically suspended guarantees stay
     /// down (they need [`GuaranteeRegistry::reset`]).
-    pub fn on_clear(&mut self, site: SiteId, now: SimTime) {
+    pub(crate) fn on_clear(&mut self, site: SiteId, now: SimTime) {
         for e in self.entries.values_mut() {
             if e.sites.contains(&site) && e.status == GuaranteeStatus::SuspendedMetric {
                 e.status = GuaranteeStatus::Valid;
@@ -173,7 +173,7 @@ impl GuaranteeRegistry {
     /// `(name, status, since)` of every entry in name order — the
     /// durable portion of the registry, checkpointed by the store.
     #[must_use]
-    pub fn statuses(&self) -> Vec<(String, GuaranteeStatus, SimTime)> {
+    pub(crate) fn statuses(&self) -> Vec<(String, GuaranteeStatus, SimTime)> {
         self.entries
             .iter()
             .map(|(name, e)| (name.clone(), e.status, e.since))
@@ -183,34 +183,11 @@ impl GuaranteeRegistry {
     /// Restore one entry's status from a checkpoint. Unknown names are
     /// ignored (the strategy, and hence the registered set, is static
     /// configuration that recovery re-derives before restoring).
-    pub fn restore(&mut self, name: &str, status: GuaranteeStatus, since: SimTime) {
+    pub(crate) fn restore(&mut self, name: &str, status: GuaranteeStatus, since: SimTime) {
         if let Some(e) = self.entries.get_mut(name) {
             e.status = status;
             e.since = since;
         }
-    }
-
-    /// Full entry by name.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&RegisteredGuarantee> {
-        self.entries.get(name)
-    }
-
-    /// Iterate entries in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &RegisteredGuarantee> {
-        self.entries.values()
-    }
-
-    /// Number of registered guarantees.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -315,7 +292,7 @@ mod tests {
         r.on_failure(s1, FailureKind::Metric, SimTime::from_secs(10));
         r.on_clear(s1, SimTime::from_secs(15));
         assert_eq!(r.status("m"), Some(GuaranteeStatus::Valid));
-        let e = r.get("m").unwrap();
+        let e = &r.entries["m"];
         assert_eq!(e.since, SimTime::from_secs(15));
     }
 
@@ -327,8 +304,7 @@ mod tests {
         r.on_failure(s1, FailureKind::Metric, SimTime::from_secs(10));
         r.on_failure(s1, FailureKind::Logical, SimTime::from_secs(12));
         assert_eq!(r.status("m"), Some(GuaranteeStatus::SuspendedLogical));
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
+        assert_eq!(r.entries.len(), 1);
         assert!(r.to_string().contains("metric"));
     }
 }

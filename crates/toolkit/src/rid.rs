@@ -22,6 +22,7 @@
 //!   converts to typed values.
 
 use hcm_core::{SimDuration, TemplateDesc, Value};
+use hcm_rulelang::token::{lex, Tok};
 use hcm_rulelang::{parse_interface, InterfaceStmt, SpecFile};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,7 +32,7 @@ use std::fmt;
 pub enum RisKind {
     /// `hcm_ris::relational::Database` — SQL commands, triggers, CHECKs.
     Relational,
-    /// `hcm_ris::filestore::FileStore` — whole-file text, mtimes.
+    /// `hcm_ris::filestore::FileStore` — whole-file text.
     File,
     /// `hcm_ris::kvstore::KvStore` — typed get/put, watches.
     Kv,
@@ -93,7 +94,7 @@ pub enum IfaceClass {
 /// Classify an interface statement; `None` for shapes the translator
 /// does not know how to implement.
 #[must_use]
-pub fn classify(stmt: &InterfaceStmt) -> Option<IfaceClass> {
+pub(crate) fn classify(stmt: &InterfaceStmt) -> Option<IfaceClass> {
     if stmt.rhs == TemplateDesc::False {
         return Some(IfaceClass::Prohibition);
     }
@@ -194,48 +195,20 @@ impl CmRid {
             maps,
         })
     }
-
-    /// Interface statements of a given class.
-    pub fn of_class(&self, class: IfaceClass) -> impl Iterator<Item = &InterfaceStmt> {
-        self.interfaces
-            .iter()
-            .filter(move |s| classify(s) == Some(class))
-    }
-
-    /// The command template for `(op, base)`, with placeholders intact.
-    #[must_use]
-    pub fn command(&self, op: &str, base: &str) -> Option<&str> {
-        self.commands
-            .get(&(op.to_owned(), base.to_owned()))
-            .map(String::as_str)
-    }
-
-    /// A mapping property for an item base (`key`, `path`, `type`, …).
-    #[must_use]
-    pub fn map_prop(&self, base: &str, prop: &str) -> Option<&str> {
-        self.maps
-            .get(base)
-            .and_then(|m| m.get(prop))
-            .map(String::as_str)
-    }
 }
 
+/// A duration in the rule language's grammar: exactly one duration
+/// token, so CM-RIDs and rule files share one syntax and one 2^63 ms
+/// bound.
 fn parse_duration(s: &str) -> Result<SimDuration, RidError> {
-    let s = s.trim();
-    if let Some(ms) = s.strip_suffix("ms") {
-        let v: f64 = ms.parse().map_err(|e| RidError {
-            msg: format!("bad duration `{s}`: {e}"),
-        })?;
-        Ok(SimDuration::from_millis(v.round() as u64))
-    } else if let Some(secs) = s.strip_suffix('s') {
-        let v: f64 = secs.parse().map_err(|e| RidError {
-            msg: format!("bad duration `{s}`: {e}"),
-        })?;
-        Ok(SimDuration::from_millis((v * 1000.0).round() as u64))
-    } else {
-        Err(RidError {
-            msg: format!("duration `{s}` needs an `s` or `ms` suffix"),
-        })
+    let toks = lex(s).map_err(|e| RidError {
+        msg: format!("bad duration `{s}`: {e}"),
+    })?;
+    match toks.as_slice() {
+        [Tok::Duration(d)] => Ok(*d),
+        _ => Err(RidError {
+            msg: format!("`{s}` is not one duration (a number with an `s` or `ms` suffix)"),
+        }),
     }
 }
 
@@ -251,7 +224,12 @@ fn parse_duration(s: &str) -> Result<SimDuration, RidError> {
 /// parameter 10 when there are eleven parameters and `$p1` then `0`
 /// otherwise. Placeholders with nothing to substitute stay as written.
 #[must_use]
-pub fn substitute(template: &str, params: &[Value], value: Option<&Value>, quote: bool) -> String {
+pub(crate) fn substitute(
+    template: &str,
+    params: &[Value],
+    value: Option<&Value>,
+    quote: bool,
+) -> String {
     let render = |out: &mut String, v: &Value| match v {
         Value::Str(s) if quote => {
             out.push('\'');
@@ -320,11 +298,14 @@ select salary from employees where empid = $p0
         assert_eq!(rid.kind, RisKind::Relational);
         assert_eq!(rid.service, SimDuration::from_millis(200));
         assert_eq!(rid.interfaces.len(), 3);
-        assert_eq!(rid.of_class(IfaceClass::Notify).count(), 1);
-        assert_eq!(rid.of_class(IfaceClass::Write).count(), 1);
-        assert_eq!(rid.of_class(IfaceClass::Read).count(), 1);
-        assert!(rid.command("write", "salary2").unwrap().contains("$value"));
-        assert!(rid.command("write", "salary1").is_none());
+        let classes: Vec<_> = rid.interfaces.iter().filter_map(classify).collect();
+        assert_eq!(
+            classes,
+            [IfaceClass::Notify, IfaceClass::Write, IfaceClass::Read]
+        );
+        let command = |op: &str, base: &str| rid.commands.get(&(op.into(), base.into()));
+        assert!(command("write", "salary2").unwrap().contains("$value"));
+        assert!(command("write", "salary1").is_none());
     }
 
     #[test]
@@ -335,9 +316,10 @@ select salary from employees where empid = $p0
         )
         .unwrap();
         assert_eq!(rid.kind, RisKind::Kv);
-        assert_eq!(rid.map_prop("phone", "key"), Some("phone/$p0"));
-        assert_eq!(rid.map_prop("phone", "type"), Some("str"));
-        assert_eq!(rid.map_prop("other", "key"), None);
+        let phone = &rid.maps["phone"];
+        assert_eq!(phone["key"], "phone/$p0");
+        assert_eq!(phone["type"], "str");
+        assert!(!rid.maps.contains_key("other"));
     }
 
     #[test]
@@ -441,5 +423,25 @@ select salary from employees where empid = $p0
     fn duration_suffixes() {
         let rid = CmRid::parse("ris = whois\nservice = 1.5s\n").unwrap();
         assert_eq!(rid.service, SimDuration::from_millis(1500));
+    }
+
+    #[test]
+    fn durations_outside_the_rule_language_grammar_are_errors() {
+        for bad in [
+            "-5s",
+            "-infms",
+            "nans",
+            "infs",
+            "1e30s",
+            "18446744073709551615ms",
+            "5",
+            "5s 3s",
+        ] {
+            let src = format!("ris = whois\nservice = {bad}\n");
+            assert!(
+                CmRid::parse(&src).is_err(),
+                "service = {bad} must not parse"
+            );
+        }
     }
 }

@@ -70,26 +70,19 @@ pub struct SiteHandle {
     pub private: Rc<RefCell<BTreeMap<ItemId, Value>>>,
     /// The shell's guarantee registry.
     pub registry: Rc<RefCell<GuaranteeRegistry>>,
-    /// The shell's durable store when the scenario runs with
-    /// [`Durability::Durable`]; `None` otherwise. Exposed so
-    /// experiments can inspect (or damage) the log between runs.
-    pub shell_store: Option<SharedStore>,
-    /// The translator's durable store, likewise.
-    pub translator_store: Option<SharedStore>,
 }
 
 /// Build the per-actor state policy for one component of a durable
-/// (or state-losing) site, returning the policy plus a handle to the
-/// backing store when one was created.
+/// (or state-losing) site.
 fn actor_policy(
     durability: &Durability,
     label: &str,
     scope: Scope,
     metrics: &Metrics,
-) -> Result<(StatePolicy, Option<SharedStore>), ScenarioError> {
+) -> Result<StatePolicy, ScenarioError> {
     match durability {
-        Durability::MessageOnly => Ok((StatePolicy::Keep, None)),
-        Durability::LoseState => Ok((StatePolicy::Lose, None)),
+        Durability::MessageOnly => Ok(StatePolicy::Keep),
+        Durability::LoseState => Ok(StatePolicy::Lose),
         Durability::Durable(setup) => {
             let store: SharedStore = match &setup.kind {
                 StoreKind::Memory => hcm_store::shared(MemStore::new()),
@@ -103,13 +96,8 @@ fn actor_policy(
                     hcm_store::shared(fs)
                 }
             };
-            let bridge = StoreBridge::new(
-                store.clone(),
-                metrics.clone(),
-                scope,
-                setup.checkpoint_every,
-            );
-            Ok((StatePolicy::Durable(bridge), Some(store)))
+            let bridge = StoreBridge::new(store, metrics.clone(), scope, setup.checkpoint_every);
+            Ok(StatePolicy::Durable(bridge))
         }
     }
 }
@@ -239,7 +227,7 @@ impl ScenarioBuilder {
                 s.rid
                     .interfaces
                     .iter()
-                    .map(|st| registry.register(st.to_string()))
+                    .map(|_| registry.register())
                     .collect(),
             );
         }
@@ -271,7 +259,6 @@ impl ScenarioBuilder {
             registries.push(Rc::new(RefCell::new(greg)));
         }
 
-        let mut shell_stores = Vec::with_capacity(n);
         for (i, _) in self.sites.iter().enumerate() {
             let site = SiteId::new(i as u32);
             let mut shell = ShellActor::new(
@@ -286,14 +273,13 @@ impl ScenarioBuilder {
                 self.failure_cfg,
                 self.stop_periodics_at,
             );
-            let (policy, store) = actor_policy(
+            let policy = actor_policy(
                 &self.durability,
                 &format!("site{i}-shell"),
                 Scope::Actor(i as u32),
                 &obs.metrics,
             )?;
             shell.set_state_policy(policy);
-            shell_stores.push(store);
             let id = sim.add_actor(Box::new(shell));
             assert_eq!(id, ActorId(i as u32), "actor id layout violated");
         }
@@ -314,7 +300,7 @@ impl ScenarioBuilder {
                 recorder.clone(),
                 obs.metrics.clone(),
             );
-            let (policy, t_store) = actor_policy(
+            let policy = actor_policy(
                 &self.durability,
                 &format!("site{i}-translator"),
                 Scope::Actor((n + i) as u32),
@@ -332,8 +318,6 @@ impl ScenarioBuilder {
                 rid: rid_copy,
                 private: privates[i].clone(),
                 registry: registries[i].clone(),
-                shell_store: shell_stores[i].clone(),
-                translator_store: t_store,
             });
         }
 

@@ -24,7 +24,7 @@ use hcm_core::{
     Bindings, EventDesc, EventId, ItemId, RuleId, RuleIndex, SimDuration, SimTime, SiteId,
     TemplateDesc, TraceRecorder, Value,
 };
-use hcm_obs::{Metrics, Obs, Scope, SpanId, SpanKind, Spans};
+use hcm_obs::{Metrics, Obs, Scope};
 use hcm_rulelang::ast::BindingsEnv;
 use hcm_simkit::{Actor, ActorId, Ctx};
 use hcm_store::{LogRecord, ShellSnapshot};
@@ -62,9 +62,6 @@ impl Default for FailureConfig {
 struct Outstanding {
     /// Whether a metric failure has already been flagged for it.
     flagged: bool,
-    /// The request's causal span, ended when the reply (or the
-    /// escalation verdict) arrives.
-    span: SpanId,
     /// When the request was issued, for latency histograms.
     sent_at: SimTime,
 }
@@ -108,7 +105,6 @@ pub struct ShellActor {
     /// `Scope::Site` of this shell's site, under which every
     /// `shell.*` metric is written.
     scope: Scope,
-    spans: Spans,
     failure_cfg: FailureConfig,
     outstanding: BTreeMap<u64, Outstanding>,
     next_req: u64,
@@ -141,7 +137,7 @@ impl ShellActor {
     /// and the locator; `shells` holds every site's shell actor,
     /// indexed by site ordinal.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         site: SiteId,
         translator: ActorId,
         shells: Vec<ActorId>,
@@ -184,7 +180,6 @@ impl ShellActor {
             recorder,
             metrics: obs.metrics,
             scope: Scope::Site(site.index()),
-            spans: obs.spans,
             failure_cfg,
             outstanding: BTreeMap::new(),
             next_req: 0,
@@ -200,7 +195,7 @@ impl ShellActor {
     /// Set how this shell's state relates to crashes. With
     /// [`StatePolicy::Durable`], every durable mutation is
     /// write-ahead-logged and recovery replays checkpoint + log.
-    pub fn set_state_policy(&mut self, policy: StatePolicy) {
+    pub(crate) fn set_state_policy(&mut self, policy: StatePolicy) {
         self.policy = policy;
     }
 
@@ -285,16 +280,6 @@ impl ShellActor {
             };
             if !r.rule.cond.eval(&env) {
                 self.metrics.inc(self.scope, "shell.cond_suppressed");
-                let s = self.spans.start(
-                    SpanKind::CondEval,
-                    None,
-                    self.site,
-                    Some(r.id),
-                    Some(id),
-                    ctx.now(),
-                    "suppressed",
-                );
-                self.spans.end(s, ctx.now());
                 continue;
             }
             firings.push((i, std::mem::take(&mut bindings)));
@@ -310,16 +295,6 @@ impl ShellActor {
                 self.execute_rhs(r.id, id, bindings, ctx);
             } else {
                 let target = self.shells[r.rhs_site.index() as usize];
-                let s = self.spans.start(
-                    SpanKind::RemoteFire,
-                    None,
-                    self.site,
-                    Some(r.id),
-                    Some(id),
-                    ctx.now(),
-                    format!("to {}", r.rhs_site),
-                );
-                self.spans.end(s, ctx.now());
                 ctx.send(
                     target,
                     CmMsg::RemoteFire {
@@ -372,18 +347,9 @@ impl ShellActor {
                 now.saturating_since(trigger_time),
             );
         }
-        let firing_span = self.spans.start(
-            SpanKind::Firing,
-            None,
-            self.site,
-            Some(rule_id),
-            Some(trigger),
-            now,
-            "",
-        );
         let rules = Rc::clone(&self.rules);
         let rule = &rules[pos].rule;
-        for (step_idx, step) in rule.steps.iter().enumerate() {
+        for step in &rule.steps {
             // Step conditions are evaluated at firing time at the RHS
             // site (Appendix A.1), against CM-local data.
             let cond_ok = {
@@ -402,38 +368,19 @@ impl ShellActor {
                 self.metrics.inc(self.scope, "shell.steps_skipped");
                 continue;
             };
-            let step_span = self.spans.start(
-                SpanKind::RhsStep(step_idx),
-                Some(firing_span),
-                self.site,
-                Some(rule_id),
-                Some(trigger),
-                ctx.now(),
-                desc.tag(),
-            );
-            self.emit(desc, rule_id, trigger, step_span, ctx);
-            self.spans.end(step_span, ctx.now());
+            self.emit(desc, rule_id, trigger, ctx);
         }
-        self.spans.end(firing_span, ctx.now());
     }
 
     /// Emit one generated event: route it to the right component and
     /// record it where the paper says it occurs.
-    fn emit(
-        &mut self,
-        desc: EventDesc,
-        rule: RuleId,
-        trigger: EventId,
-        parent_span: SpanId,
-        ctx: &mut Ctx<'_, CmMsg>,
-    ) {
+    fn emit(&mut self, desc: EventDesc, rule: RuleId, trigger: EventId, ctx: &mut Ctx<'_, CmMsg>) {
         let now = ctx.now();
         match desc {
             EventDesc::Wr { item, value } => {
                 // The WR event occurs at the database when it receives
                 // the request — the translator records it.
-                let req_id =
-                    self.track_request(SpanKind::Request, Some(parent_span), Some(rule), ctx);
+                let req_id = self.track_request(ctx);
                 self.metrics.inc(self.scope, "shell.requests_sent");
                 let me = ctx.me();
                 ctx.send_local(
@@ -449,8 +396,7 @@ impl ShellActor {
                 );
             }
             EventDesc::Rr { item } => {
-                let req_id =
-                    self.track_request(SpanKind::Request, Some(parent_span), Some(rule), ctx);
+                let req_id = self.track_request(ctx);
                 self.metrics.inc(self.scope, "shell.requests_sent");
                 let me = ctx.me();
                 ctx.send_local(
@@ -525,25 +471,15 @@ impl ShellActor {
         );
     }
 
-    fn track_request(
-        &mut self,
-        kind: SpanKind,
-        parent: Option<SpanId>,
-        rule: Option<RuleId>,
-        ctx: &mut Ctx<'_, CmMsg>,
-    ) -> u64 {
+    fn track_request(&mut self, ctx: &mut Ctx<'_, CmMsg>) -> u64 {
         let req_id = self.next_req;
         self.next_req += 1;
         let now = ctx.now();
-        let span = self
-            .spans
-            .start(kind, parent, self.site, rule, None, now, "");
         self.metrics.inc(self.scope, "shell.deadlines_armed");
         self.outstanding.insert(
             req_id,
             Outstanding {
                 flagged: false,
-                span,
                 sent_at: now,
             },
         );
@@ -567,11 +503,9 @@ impl ShellActor {
                 "shell.request_latency",
                 now.saturating_since(o.sent_at),
             );
-            self.spans.end(o.span, now);
             if o.flagged {
                 // Late response: the failure was metric after all and
                 // has now cleared.
-                self.spans.annotate(o.span, "cleared-late");
                 self.metrics.inc(self.scope, "shell.failures_cleared");
                 self.metrics.record(
                     now,
@@ -624,10 +558,6 @@ impl ShellActor {
                     ("req", req_id.to_string()),
                 ],
             );
-            if let Some(o) = self.outstanding.get(&req_id) {
-                self.spans.annotate(o.span, "logical-failure");
-                self.spans.end(o.span, now);
-            }
             self.record(
                 now,
                 EventDesc::Custom {
@@ -662,9 +592,6 @@ impl ShellActor {
                 "shell.failure",
                 [("phase", "metric".to_string()), ("req", req_id.to_string())],
             );
-            if let Some(o) = self.outstanding.get(&req_id) {
-                self.spans.annotate(o.span, "metric-failure");
-            }
             self.record(
                 now,
                 EventDesc::Custom {
@@ -704,7 +631,7 @@ impl ShellActor {
             return;
         };
         self.metrics.inc(self.scope, "shell.heartbeats");
-        let req_id = self.track_request(SpanKind::Heartbeat, None, None, ctx);
+        let req_id = self.track_request(ctx);
         let me = ctx.me();
         ctx.send_local(
             self.translator,
@@ -864,23 +791,8 @@ impl Actor<CmMsg> for ShellActor {
             // metric deadline measured from recovery.
             let outstanding_count = pending.len() as u64;
             for (req_id, (sent_at, flagged)) in pending {
-                let span = self.spans.start(
-                    SpanKind::Request,
-                    None,
-                    self.site,
-                    None,
-                    None,
-                    now,
-                    "recovered",
-                );
-                self.outstanding.insert(
-                    req_id,
-                    Outstanding {
-                        flagged,
-                        span,
-                        sent_at,
-                    },
-                );
+                self.outstanding
+                    .insert(req_id, Outstanding { flagged, sent_at });
                 let (delay, escalation) = if flagged {
                     (self.failure_cfg.escalation, true)
                 } else {

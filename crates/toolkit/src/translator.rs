@@ -119,7 +119,7 @@ impl TranslatorActor {
     /// Set how this translator's state relates to crashes. With
     /// [`StatePolicy::Durable`], accepted writes and armed periodic
     /// interfaces are write-ahead-logged and recovered after a crash.
-    pub fn set_state_policy(&mut self, policy: StatePolicy) {
+    pub(crate) fn set_state_policy(&mut self, policy: StatePolicy) {
         self.policy = policy;
     }
 

@@ -67,11 +67,7 @@ fn rig(interest: Vec<TemplateDesc>) -> Rig {
     db.execute("insert into t values ('e1', 10)").unwrap();
     let rid = CmRid::parse(RID).unwrap();
     let mut registry = RuleRegistry::new();
-    let iface_ids: Vec<_> = rid
-        .interfaces
-        .iter()
-        .map(|s| registry.register(s.to_string()))
-        .collect();
+    let iface_ids: Vec<_> = rid.interfaces.iter().map(|_| registry.register()).collect();
     let recorder = TraceRecorder::new();
     let log = Rc::new(RefCell::new(Vec::new()));
 

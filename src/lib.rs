@@ -18,7 +18,7 @@
 //! * [`protocols`] — demarcation, polling, caching, monitor,
 //!   referential integrity, periodic propagation, and the 2PC baseline.
 //! * [`obs`] — deterministic sim-time observability: metrics registry,
-//!   causal rule-firing spans, snapshot exporters.
+//!   causal-chain reconstruction, snapshot exporters.
 //! * [`store`] — durable state: append-only CRC-checked event log,
 //!   checkpoints, crash-recovery replay (§5 "remember messages").
 //! * [`harness`] — toolkit↔checker glue: build a rule set from a

@@ -103,7 +103,7 @@ fn salary_copy_chain_renders_end_to_end() {
     let chain = causal_chain(&trace, w.id);
     assert!(chain.rooted);
     assert_eq!(
-        chain.len(),
+        chain.ids.len(),
         4,
         "expected W ⇐ WR ⇐ N ⇐ Ws:\n{}",
         render_chain(&trace, &chain)
