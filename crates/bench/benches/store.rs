@@ -5,7 +5,8 @@
 //! durable mutation pays one append on the hot path.
 
 use hcm_core::{ItemId, SimTime, Value};
-use hcm_store::{LogRecord, MemStore, StateStore};
+use hcm_store::{MemStore, StateStore};
+use hcm_toolkit::durability::LogRecord;
 
 /// A representative mix of what shells and translators actually log.
 fn workload(n: usize) -> Vec<Vec<u8>> {

@@ -14,8 +14,6 @@ use std::collections::BTreeMap;
 /// A change observed by a watch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchEvent {
-    /// The watch registration that matched.
-    pub watch_id: u32,
     /// Key affected.
     pub key: String,
     /// Previous value (`None` when the key was absent).
@@ -24,19 +22,13 @@ pub struct WatchEvent {
     pub new: Option<Value>,
 }
 
-#[derive(Debug, Clone)]
-struct Watch {
-    id: u32,
-    prefix: String,
-}
-
 /// The key-value store.
 #[derive(Debug, Default)]
 pub struct KvStore {
     map: BTreeMap<String, Value>,
-    watches: Vec<Watch>,
+    /// Key prefixes under watch.
+    watches: Vec<String>,
     pending: Vec<WatchEvent>,
-    next_watch: u32,
 }
 
 impl KvStore {
@@ -70,16 +62,10 @@ impl KvStore {
         }
     }
 
-    /// Register a watch on all keys with the given prefix; returns the
-    /// watch id carried by matching [`WatchEvent`]s.
-    pub fn watch_prefix(&mut self, prefix: &str) -> u32 {
-        let id = self.next_watch;
-        self.next_watch += 1;
-        self.watches.push(Watch {
-            id,
-            prefix: prefix.to_owned(),
-        });
-        id
+    /// Register a watch on all keys with the given prefix: each change
+    /// to a matching key buffers one [`WatchEvent`].
+    pub fn watch_prefix(&mut self, prefix: &str) {
+        self.watches.push(prefix.to_owned());
     }
 
     /// Drain buffered watch events.
@@ -94,10 +80,9 @@ impl KvStore {
     }
 
     fn notify(&mut self, key: &str, old: Option<Value>, new: Option<Value>) {
-        for w in &self.watches {
-            if key.starts_with(&w.prefix) {
+        for prefix in &self.watches {
+            if key.starts_with(prefix.as_str()) {
                 self.pending.push(WatchEvent {
-                    watch_id: w.id,
                     key: key.to_owned(),
                     old: old.clone(),
                     new: new.clone(),
@@ -127,14 +112,14 @@ mod tests {
     #[test]
     fn watches_match_prefix_and_drain() {
         let mut kv = KvStore::new();
-        let w = kv.watch_prefix("phone/");
+        kv.watch_prefix("phone/");
         kv.put("phone/ann", Value::from("1"));
         kv.put("office/ann", Value::from("b12"));
         kv.put("phone/ann", Value::from("2"));
         kv.delete("phone/ann").unwrap();
         let events = kv.take_events();
         assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.watch_id == w));
+        assert!(events.iter().all(|e| e.key == "phone/ann"));
         assert_eq!(events[0].old, None);
         assert_eq!(events[1].old, Some(Value::from("1")));
         assert_eq!(events[2].new, None);

@@ -1,8 +1,8 @@
 //! Hand-rolled binary codec.
 //!
 //! Fixed-width little-endian integers, length-prefixed UTF-8 strings,
-//! and tagged unions for the domain types the log records mention
-//! ([`Value`], [`ItemId`], [`EventDesc`], times). The encoding is
+//! and tagged unions for the domain types the toolkit's log records
+//! mention ([`Value`], [`ItemId`], times). The encoding is
 //! deterministic — the same value always produces the same bytes — so
 //! recovered state can be compared byte-for-byte against live state.
 //!
@@ -10,7 +10,7 @@
 //! `0xEDB88320`) guards every log record and checkpoint payload; see
 //! [`crc32`].
 
-use hcm_core::{EventDesc, ItemId, SimDuration, SimTime, Sym, Value};
+use hcm_core::{ItemId, SimDuration, SimTime, Sym, Value};
 use std::fmt;
 
 /// A decode failure. Encoding is infallible; decoding is not, because
@@ -87,22 +87,22 @@ impl Encoder {
     }
 
     /// Write one raw byte.
-    pub(crate) fn u8(&mut self, v: u8) {
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Write a bool as one byte.
-    pub(crate) fn bool(&mut self, v: bool) {
+    pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// Write a `u32`, little-endian.
-    pub(crate) fn u32(&mut self, v: u32) {
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write a `u64`, little-endian.
-    pub(crate) fn u64(&mut self, v: u64) {
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -117,18 +117,18 @@ impl Encoder {
     }
 
     /// Write a length-prefixed UTF-8 string.
-    pub(crate) fn str(&mut self, s: &str) {
+    pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Write a [`SimTime`] (milliseconds).
-    pub(crate) fn time(&mut self, t: SimTime) {
+    pub fn time(&mut self, t: SimTime) {
         self.u64(t.as_millis());
     }
 
     /// Write a [`SimDuration`] (milliseconds).
-    pub(crate) fn duration(&mut self, d: SimDuration) {
+    pub fn duration(&mut self, d: SimDuration) {
         self.u64(d.as_millis());
     }
 
@@ -155,71 +155,12 @@ impl Encoder {
         }
     }
 
-    /// Write an optional [`Value`].
-    pub(crate) fn opt_value(&mut self, v: Option<&Value>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.value(v);
-            }
-        }
-    }
-
     /// Write an [`ItemId`]: base name + parameter values.
     pub fn item(&mut self, item: &ItemId) {
         self.str(item.base.as_str());
         self.u32(item.params.len() as u32);
         for p in &item.params {
             self.value(p);
-        }
-    }
-
-    /// Write an [`EventDesc`] (tagged union over the descriptor set).
-    pub fn event_desc(&mut self, d: &EventDesc) {
-        match d {
-            EventDesc::Ws { item, old, new } => {
-                self.u8(0);
-                self.item(item);
-                self.opt_value(old.as_ref());
-                self.value(new);
-            }
-            EventDesc::W { item, value } => {
-                self.u8(1);
-                self.item(item);
-                self.value(value);
-            }
-            EventDesc::Wr { item, value } => {
-                self.u8(2);
-                self.item(item);
-                self.value(value);
-            }
-            EventDesc::Rr { item } => {
-                self.u8(3);
-                self.item(item);
-            }
-            EventDesc::R { item, value } => {
-                self.u8(4);
-                self.item(item);
-                self.value(value);
-            }
-            EventDesc::N { item, value } => {
-                self.u8(5);
-                self.item(item);
-                self.value(value);
-            }
-            EventDesc::P { period } => {
-                self.u8(6);
-                self.duration(*period);
-            }
-            EventDesc::Custom { name, args } => {
-                self.u8(7);
-                self.str(name);
-                self.u32(args.len() as u32);
-                for a in args {
-                    self.value(a);
-                }
-            }
         }
     }
 }
@@ -254,12 +195,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read one raw byte.
-    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a bool.
-    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -268,12 +209,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a little-endian `u32`.
-    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
-    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -288,19 +229,19 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a length-prefixed UTF-8 string.
-    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
+    pub fn str(&mut self) -> Result<String, CodecError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
     }
 
     /// Read a [`SimTime`].
-    pub(crate) fn time(&mut self) -> Result<SimTime, CodecError> {
+    pub fn time(&mut self) -> Result<SimTime, CodecError> {
         Ok(SimTime::from_millis(self.u64()?))
     }
 
     /// Read a [`SimDuration`].
-    pub(crate) fn duration(&mut self) -> Result<SimDuration, CodecError> {
+    pub fn duration(&mut self) -> Result<SimDuration, CodecError> {
         Ok(SimDuration::from_millis(self.u64()?))
     }
 
@@ -316,15 +257,6 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Read an optional [`Value`].
-    pub(crate) fn opt_value(&mut self) -> Result<Option<Value>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.value()?)),
-            t => Err(CodecError::BadTag(t)),
-        }
-    }
-
     /// Read an [`ItemId`].
     pub fn item(&mut self) -> Result<ItemId, CodecError> {
         let base = Sym::intern(&self.str()?);
@@ -334,47 +266,6 @@ impl<'a> Decoder<'a> {
             params.push(self.value()?);
         }
         Ok(ItemId { base, params })
-    }
-
-    /// Read an [`EventDesc`].
-    pub fn event_desc(&mut self) -> Result<EventDesc, CodecError> {
-        match self.u8()? {
-            0 => Ok(EventDesc::Ws {
-                item: self.item()?,
-                old: self.opt_value()?,
-                new: self.value()?,
-            }),
-            1 => Ok(EventDesc::W {
-                item: self.item()?,
-                value: self.value()?,
-            }),
-            2 => Ok(EventDesc::Wr {
-                item: self.item()?,
-                value: self.value()?,
-            }),
-            3 => Ok(EventDesc::Rr { item: self.item()? }),
-            4 => Ok(EventDesc::R {
-                item: self.item()?,
-                value: self.value()?,
-            }),
-            5 => Ok(EventDesc::N {
-                item: self.item()?,
-                value: self.value()?,
-            }),
-            6 => Ok(EventDesc::P {
-                period: self.duration()?,
-            }),
-            7 => {
-                let name = self.str()?;
-                let n = self.u32()? as usize;
-                let mut args = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    args.push(self.value()?);
-                }
-                Ok(EventDesc::Custom { name, args })
-            }
-            t => Err(CodecError::BadTag(t)),
-        }
     }
 }
 

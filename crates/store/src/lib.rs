@@ -3,13 +3,19 @@
 //! The paper's failure model (§5) turns on durability: "crashes can be
 //! mapped to metric failures if the database … can remember messages".
 //! This crate is the *remembering*: an append-only write-ahead log of
-//! CM events, periodic checkpoints of component state, and a recovery
-//! path that loads the latest valid checkpoint and replays the log
-//! suffix. A CM-Shell or CM-Translator wired to a [`StateStore`] can
-//! lose its entire in-memory state to a lossy crash and come back
-//! holding exactly the registry, private data and pending obligations
-//! it had logged — demoting what would have been a logical failure to
-//! a metric one.
+//! opaque record payloads, checkpoints of component state, and a
+//! recovery path that loads the latest valid checkpoint and returns
+//! the log suffix after it. A CM-Shell or CM-Translator wired to a
+//! [`StateStore`] can lose its entire in-memory state to a lossy crash
+//! and come back holding exactly the registry, private data and
+//! pending obligations it had logged — demoting what would have been a
+//! logical failure to a metric one.
+//!
+//! The store does not know what it holds. The records and checkpoint
+//! payloads themselves (`LogRecord`, `ShellSnapshot`,
+//! `TranslatorSnapshot`) live in `hcm_toolkit::durability`, next to the
+//! replay code that reads them, and are encoded with this crate's
+//! [`codec`].
 //!
 //! Design rules (shared with the rest of the workspace):
 //!
@@ -34,13 +40,9 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod record;
 pub mod wal;
 
 pub use codec::{crc32, CodecError, Decoder, Encoder};
-pub use record::{
-    FailureTag, LogRecord, PendingWrite, ShellSnapshot, StatusTag, TranslatorSnapshot,
-};
 pub use wal::{FileStore, MemStore, Recovery, StateStore, StoreConfig, StoreError};
 
 use std::cell::RefCell;

@@ -1,17 +1,13 @@
 //! Generator-driven round-trip tests for the store codec.
 //!
 //! A SplitMix64 generator (same pattern as cm-core's property tests —
-//! deterministic, dependency-free) drives random instances of every
-//! encodable type: [`Value`], [`ItemId`], [`EventDesc`], every
-//! [`LogRecord`] variant, and both checkpoint snapshots. Each instance
-//! must decode back to an equal value, and every strict prefix of its
-//! encoding must fail with an error rather than panic.
+//! deterministic, dependency-free) drives random [`Value`]s and
+//! [`ItemId`]s; each must decode back to an equal value. The toolkit's
+//! log records, built from these, have their own round-trip suite in
+//! `hcm-toolkit`.
 
-use hcm_core::{EventDesc, EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, Value};
-use hcm_store::{
-    Decoder, Encoder, FailureTag, LogRecord, PendingWrite, ShellSnapshot, StatusTag,
-    TranslatorSnapshot,
-};
+use hcm_core::{ItemId, Value};
+use hcm_store::{Decoder, Encoder};
 
 /// SplitMix64: tiny, deterministic, well-distributed.
 struct Gen(u64);
@@ -57,148 +53,6 @@ impl Gen {
         let n = self.below(4) as usize;
         ItemId::with(base, (0..n).map(|_| self.value()).collect::<Vec<_>>())
     }
-
-    fn time(&mut self) -> SimTime {
-        SimTime::from_millis(self.below(1 << 40))
-    }
-
-    fn duration(&mut self) -> SimDuration {
-        SimDuration::from_millis(self.below(1 << 30))
-    }
-
-    fn event_desc(&mut self) -> EventDesc {
-        match self.below(8) {
-            0 => EventDesc::Ws {
-                item: self.item(),
-                old: if self.below(2) == 0 {
-                    None
-                } else {
-                    Some(self.value())
-                },
-                new: self.value(),
-            },
-            1 => EventDesc::W {
-                item: self.item(),
-                value: self.value(),
-            },
-            2 => EventDesc::Wr {
-                item: self.item(),
-                value: self.value(),
-            },
-            3 => EventDesc::Rr { item: self.item() },
-            4 => EventDesc::R {
-                item: self.item(),
-                value: self.value(),
-            },
-            5 => EventDesc::N {
-                item: self.item(),
-                value: self.value(),
-            },
-            6 => EventDesc::P {
-                period: self.duration(),
-            },
-            _ => EventDesc::Custom {
-                name: self.string(),
-                args: (0..self.below(3)).map(|_| self.value()).collect(),
-            },
-        }
-    }
-
-    fn pending_write(&mut self) -> PendingWrite {
-        PendingWrite {
-            req_id: self.next(),
-            reply_to: self.below(16) as u32,
-            item: self.item(),
-            value: self.value(),
-            rule: RuleId(self.below(100) as u32),
-            trigger: EventId(self.next()),
-        }
-    }
-
-    fn log_record(&mut self) -> LogRecord {
-        match self.below(10) {
-            0 => LogRecord::PrivateWrite {
-                at: self.time(),
-                item: self.item(),
-                value: self.value(),
-            },
-            1 => LogRecord::Failure {
-                at: self.time(),
-                site: SiteId::new(self.below(8) as u32),
-                kind: if self.below(2) == 0 {
-                    FailureTag::Metric
-                } else {
-                    FailureTag::Logical
-                },
-            },
-            2 => LogRecord::Clear {
-                at: self.time(),
-                site: SiteId::new(self.below(8) as u32),
-            },
-            3 => LogRecord::Reset { at: self.time() },
-            4 => LogRecord::RequestSent {
-                at: self.time(),
-                req_id: self.next(),
-            },
-            5 => LogRecord::RequestResolved {
-                req_id: self.next(),
-            },
-            6 => LogRecord::WriteAccepted(self.pending_write()),
-            7 => LogRecord::WritePerformed {
-                req_id: self.next(),
-            },
-            8 => LogRecord::PollArmed {
-                idx: self.below(16),
-                period: self.duration(),
-            },
-            _ => LogRecord::PollDisarmed {
-                idx: self.below(16),
-            },
-        }
-    }
-
-    fn status(&mut self) -> StatusTag {
-        match self.below(3) {
-            0 => StatusTag::Valid,
-            1 => StatusTag::SuspendedMetric,
-            _ => StatusTag::SuspendedLogical,
-        }
-    }
-
-    fn shell_snapshot(&mut self) -> ShellSnapshot {
-        ShellSnapshot {
-            private: (0..self.below(5))
-                .map(|_| (self.item(), self.value()))
-                .collect(),
-            registry: (0..self.below(5))
-                .map(|_| (self.string(), self.status(), self.time()))
-                .collect(),
-            next_req: self.next(),
-            outstanding: (0..self.below(4))
-                .map(|_| (self.next(), self.time(), self.below(2) == 1))
-                .collect(),
-        }
-    }
-
-    fn translator_snapshot(&mut self) -> TranslatorSnapshot {
-        TranslatorSnapshot {
-            armed: (0..self.below(4))
-                .map(|_| (self.below(8), self.duration()))
-                .collect(),
-            pending: (0..self.below(4)).map(|_| self.pending_write()).collect(),
-        }
-    }
-}
-
-/// Every strict prefix of `bytes` must make `decode` fail cleanly.
-fn assert_prefixes_fail<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> Option<T>) {
-    for cut in 0..bytes.len() {
-        assert!(
-            decode(&bytes[..cut]).is_none(),
-            "prefix of length {cut}/{} decoded successfully",
-            bytes.len()
-        );
-    }
 }
 
 #[test]
@@ -224,54 +78,6 @@ fn values_and_items_round_trip() {
 }
 
 #[test]
-fn event_descs_round_trip() {
-    let mut g = Gen::new(0xBEE);
-    for _ in 0..400 {
-        let desc = g.event_desc();
-        let mut e = Encoder::new();
-        e.event_desc(&desc);
-        let bytes = e.finish();
-        let mut d = Decoder::new(&bytes);
-        assert_eq!(d.event_desc().unwrap(), desc);
-        assert!(d.is_empty());
-    }
-}
-
-#[test]
-fn log_records_round_trip_and_reject_prefixes() {
-    let mut g = Gen::new(0xC0FFEE);
-    let mut seen = [false; 10];
-    for _ in 0..600 {
-        let rec = g.log_record();
-        let bytes = rec.encode();
-        seen[bytes[0] as usize] = true;
-        assert_eq!(LogRecord::decode(&bytes).unwrap(), rec);
-        assert_prefixes_fail(&bytes, |b| LogRecord::decode(b).ok());
-    }
-    assert!(
-        seen.iter().all(|&s| s),
-        "generator failed to cover every LogRecord variant: {seen:?}"
-    );
-}
-
-#[test]
-fn snapshots_round_trip_and_reject_prefixes() {
-    let mut g = Gen::new(0xD1CE);
-    for _ in 0..150 {
-        let s = g.shell_snapshot();
-        let bytes = s.encode();
-        assert_eq!(ShellSnapshot::decode(&bytes).unwrap(), s);
-        if !bytes.is_empty() {
-            assert_prefixes_fail(&bytes, |b| ShellSnapshot::decode(b).ok());
-        }
-
-        let t = g.translator_snapshot();
-        let bytes = t.encode();
-        assert_eq!(TranslatorSnapshot::decode(&bytes).unwrap(), t);
-    }
-}
-
-#[test]
 fn float_edge_cases_round_trip_bitwise() {
     for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::MIN] {
         let mut e = Encoder::new();
@@ -281,14 +87,5 @@ fn float_edge_cases_round_trip_bitwise() {
             Value::Float(back) => assert_eq!(back.to_bits(), f.to_bits()),
             other => panic!("decoded {other:?}"),
         }
-    }
-}
-
-#[test]
-fn encoding_is_deterministic() {
-    let mut g = Gen::new(7);
-    for _ in 0..100 {
-        let rec = g.log_record();
-        assert_eq!(rec.encode(), rec.encode());
     }
 }

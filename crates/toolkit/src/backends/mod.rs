@@ -19,7 +19,7 @@ use crate::backend::RisBackend;
 use crate::rid::{CmRid, RisKind};
 use hcm_ris::{
     biblio::BiblioDb, email::MailSystem, filestore::FileStore, kvstore::KvStore,
-    relational::Database, whois::WhoisDir,
+    relational::Database, whois::WhoisDir, RisError,
 };
 
 /// A prepared raw store, handed to [`build_backend`] together with its
@@ -39,20 +39,23 @@ pub enum RawStore {
     Email(MailSystem),
 }
 
-/// Wrap a raw store in the backend matching the CM-RID. Panics when the
-/// store variant does not match the RID's declared kind — that is a
-/// scenario construction bug, not a run-time condition.
-#[must_use]
-pub fn build_backend(store: RawStore, rid: &CmRid) -> Box<dyn RisBackend> {
-    match (store, rid.kind) {
+/// Wrap a raw store in the backend matching the CM-RID. Fails when the
+/// store variant does not match the RID's declared kind, or when the
+/// RID maps a base onto a relational table the database lacks.
+pub fn build_backend(store: RawStore, rid: &CmRid) -> Result<Box<dyn RisBackend>, RisError> {
+    Ok(match (store, rid.kind) {
         (RawStore::Relational(db), RisKind::Relational) => {
-            Box::new(RelationalBackend::new(db, rid))
+            Box::new(RelationalBackend::new(db, rid)?)
         }
         (RawStore::File(fs), RisKind::File) => Box::new(FileBackend::new(fs, rid)),
         (RawStore::Kv(kv), RisKind::Kv) => Box::new(KvBackend::new(kv, rid)),
         (RawStore::Biblio(db), RisKind::Biblio) => Box::new(BiblioBackend::new(db, rid)),
         (RawStore::Whois(d), RisKind::Whois) => Box::new(WhoisBackend::new(d, rid)),
         (RawStore::Email(m), RisKind::Email) => Box::new(EmailBackend::new(m, rid)),
-        (_, kind) => panic!("raw store does not match CM-RID kind {kind:?}"),
-    }
+        (_, kind) => {
+            return Err(RisError::Unsupported(format!(
+                "raw store does not match CM-RID kind {kind:?}"
+            )))
+        }
+    })
 }

@@ -50,9 +50,10 @@ pub struct RelationalBackend {
 impl RelationalBackend {
     /// Wrap a database per the CM-RID, declaring the triggers the
     /// mapped tables need (the paper's "a CM-Translator supporting a
-    /// Notify Interface … may need to declare triggers").
-    #[must_use]
-    pub(crate) fn new(db: Database, rid: &CmRid) -> Self {
+    /// Notify Interface … may need to declare triggers"). Fails when a
+    /// mapped table does not exist: its notify interface could never
+    /// fire.
+    pub(crate) fn new(db: Database, rid: &CmRid) -> Result<Self, RisError> {
         let mut db = db;
         let mut maps = Vec::new();
         for (base, props) in &rid.maps {
@@ -64,10 +65,11 @@ impl RelationalBackend {
             // Triggers power the native change feed; tables may be
             // mapped by several bases, but one trigger each suffices.
             if !maps.iter().any(|m: &TableMap| &m.table == table) {
-                let _ = db.add_trigger(
+                db.add_trigger(
                     table,
                     &[TriggerOp::Insert, TriggerOp::Update, TriggerOp::Delete],
-                );
+                )
+                .map_err(|_| RisError::NotFound(format!("table `{table}` of `[map {base}]`")))?;
             }
             maps.push(TableMap {
                 base: base.clone(),
@@ -77,11 +79,11 @@ impl RelationalBackend {
                 fixed_key: props.get("row").cloned(),
             });
         }
-        RelationalBackend {
+        Ok(RelationalBackend {
             db,
             maps,
             commands: rid.commands.clone(),
-        }
+        })
     }
 
     fn command(&self, op: &str, base: &str) -> Result<&str, RisError> {
@@ -183,53 +185,20 @@ impl RisBackend for RelationalBackend {
     }
 
     fn read(&self, item: &ItemId) -> Result<Value, RisError> {
-        let tpl = self
-            .commands
-            .get(&("read".to_owned(), item.base.as_str().to_owned()))
-            .ok_or_else(|| {
-                RisError::Unsupported(format!("no `read` command template for `{}`", item.base))
-            })?;
+        let tpl = self.command("read", &item.base)?;
         let param = single_param(item)?;
-        let cmd = substitute(tpl, &[Value::Str(param)], None, true);
-        // `read` must not mutate; the parser only yields SELECTs for
-        // SELECT text, so executing on a clone-free path is fine — but
-        // Database::execute takes &mut self for triggers. Route through
-        // a SELECT-only check instead.
-        let parsed = hcm_ris::relational::parse_command(&cmd)?;
-        match &parsed {
-            hcm_ris::relational::Command::Select {
-                table,
-                columns,
-                predicate,
-                order: _,
-                limit: _,
-            } => {
-                let t = self.db.get_table(table)?;
-                let proj: Vec<usize> = if columns.len() == 1 && columns[0] == "*" {
-                    (0..t.columns().len()).collect()
-                } else {
-                    columns
-                        .iter()
-                        .map(|c| t.col_index(c))
-                        .collect::<Result<_, _>>()?
-                };
-                let mut value = Value::Null;
-                'rows: for row in t.rows() {
-                    for cmp in predicate {
-                        let i = t.col_index(&cmp.column)?;
-                        if !cmp.op.apply(&row[i], &cmp.value) {
-                            continue 'rows;
-                        }
-                    }
-                    value = row[proj[0]].clone();
-                    break;
-                }
-                Ok(value)
-            }
-            _ => Err(RisError::BadCommand(
-                "read template must be a SELECT".into(),
-            )),
-        }
+        let result = self
+            .db
+            .query(&substitute(tpl, &[Value::Str(param)], None, true))?;
+        // The first column of the first row; no row reads as Null.
+        let QueryResult::Rows { rows, .. } = result else {
+            return Ok(Value::Null);
+        };
+        Ok(rows
+            .into_iter()
+            .next()
+            .and_then(|row| row.into_iter().next())
+            .unwrap_or(Value::Null))
     }
 
     fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
@@ -287,7 +256,7 @@ col = salary
         db.execute("INSERT INTO employees VALUES ('e1', 90000)")
             .unwrap();
         let rid = CmRid::parse(RID).unwrap();
-        RelationalBackend::new(db, &rid)
+        RelationalBackend::new(db, &rid).unwrap()
     }
 
     fn e1() -> ItemId {
@@ -339,7 +308,7 @@ col = salary
         db.execute("INSERT INTO employees VALUES ('e1', 90000, 'b1')")
             .unwrap();
         let rid = CmRid::parse(RID).unwrap();
-        let mut b = RelationalBackend::new(db, &rid);
+        let mut b = RelationalBackend::new(db, &rid).unwrap();
         let changes = b
             .apply_spontaneous(
                 &SpontaneousOp::Sql("update employees set office = 'b2' where empid = 'e1'".into()),

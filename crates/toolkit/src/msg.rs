@@ -5,6 +5,8 @@
 //! interface a CM-Translator presents to its CM-Shell — is the
 //! [`RequestKind`] / [`TranslatorEvent`] pair.
 
+use crate::durability::PendingWrite;
+use crate::registry::FailureKind;
 use hcm_core::{Bindings, EventDesc, EventId, RuleId, SimDuration, SiteId, Value};
 
 /// A native, store-shaped operation performed by a local application —
@@ -133,18 +135,6 @@ pub enum TranslatorEvent {
     },
 }
 
-/// Failure classification, §5 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKindMsg {
-    /// Interface time bounds missed but service eventually provided.
-    Metric,
-    /// Interface statements void (crash without recovery in sight).
-    Logical,
-    /// A previously flagged failure has been cleared (site answered
-    /// again / system reset).
-    Cleared,
-}
-
 /// The toolkit's message type (the `M` of `hcm_simkit::Sim`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CmMsg {
@@ -194,20 +184,7 @@ pub enum CmMsg {
         idx: usize,
     },
     /// Translator self-timer: perform a previously accepted write.
-    PerformWrite {
-        /// Correlation id.
-        req_id: u64,
-        /// Requesting shell.
-        reply_to: hcm_simkit::ActorId,
-        /// Item to write.
-        item: hcm_core::ItemId,
-        /// Value to write.
-        value: Value,
-        /// Interface rule performing the write.
-        rule: RuleId,
-        /// The `WR` event.
-        trigger: EventId,
-    },
+    PerformWrite(PendingWrite),
     /// Shell self-timer: the `idx`-th local periodic strategy rule
     /// fires (`P(p)`-headed rules).
     RuleTick {
@@ -229,8 +206,9 @@ pub enum CmMsg {
     FailureNotice {
         /// The affected site.
         site: SiteId,
-        /// What happened.
-        kind: FailureKindMsg,
+        /// The failure class, or `None` when a previously flagged
+        /// failure has cleared (the site answered again).
+        kind: Option<FailureKind>,
     },
     /// Failure injection → translator: add `extra` to every internal
     /// service delay (models database overload; `ZERO` restores

@@ -11,29 +11,32 @@
 //! propagate between shells and every registry applies the same
 //! transition rules, so any application can consult its local shell.
 
+use crate::durability::LogRecord;
 use hcm_core::{SimTime, SiteId, Sym};
 use hcm_rulelang::{GAtom, Guarantee, Mention, TimeExpr};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Failure classification (§5).
+/// Failure classification (§5). The discriminant is the byte a
+/// [`LogRecord::Failure`] stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// Time bounds missed; service eventually provided.
-    Metric,
+    Metric = 0,
     /// Interface statements void.
-    Logical,
+    Logical = 1,
 }
 
-/// Current standing of a registered guarantee.
+/// Current standing of a registered guarantee. The discriminant is
+/// the byte a shell checkpoint stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuaranteeStatus {
     /// The guarantee is in force.
-    Valid,
+    Valid = 0,
     /// A metric failure suspended it (metric guarantees only).
-    SuspendedMetric,
+    SuspendedMetric = 1,
     /// A logical failure suspended it; a reset is required.
-    SuspendedLogical,
+    SuspendedLogical = 2,
 }
 
 /// A registered guarantee plus derived metadata.
@@ -119,8 +122,21 @@ impl GuaranteeRegistry {
         );
     }
 
+    /// Apply the registry transition a log record describes (`Failure`,
+    /// `Clear` or `Reset`); other records leave the registry alone. A
+    /// shell applies each transition through here both when it happens
+    /// and when it replays the record after a crash.
+    pub(crate) fn apply(&mut self, rec: &LogRecord) {
+        match *rec {
+            LogRecord::Failure { at, site, kind } => self.on_failure(site, kind, at),
+            LogRecord::Clear { at, site } => self.on_clear(site, at),
+            LogRecord::Reset { at } => self.reset(at),
+            _ => {}
+        }
+    }
+
     /// Apply a failure of `site` at `now` (§5 transition rules).
-    pub(crate) fn on_failure(&mut self, site: SiteId, kind: FailureKind, now: SimTime) {
+    fn on_failure(&mut self, site: SiteId, kind: FailureKind, now: SimTime) {
         for e in self.entries.values_mut() {
             if !e.sites.contains(&site) {
                 continue;
@@ -146,7 +162,7 @@ impl GuaranteeRegistry {
     /// Clear a metric failure of `site`: metric-suspended guarantees on
     /// that site return to valid. Logically suspended guarantees stay
     /// down (they need [`GuaranteeRegistry::reset`]).
-    pub(crate) fn on_clear(&mut self, site: SiteId, now: SimTime) {
+    fn on_clear(&mut self, site: SiteId, now: SimTime) {
         for e in self.entries.values_mut() {
             if e.sites.contains(&site) && e.status == GuaranteeStatus::SuspendedMetric {
                 e.status = GuaranteeStatus::Valid;

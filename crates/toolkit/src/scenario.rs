@@ -11,7 +11,7 @@
 
 use crate::backends::{build_backend, RawStore};
 use crate::compile::CompiledStrategy;
-use crate::durability::{Durability, StatePolicy, StoreBridge, StoreKind};
+use crate::durability::{Durability, StatePolicy};
 use crate::msg::{CmMsg, SpontaneousOp};
 use crate::registry::GuaranteeRegistry;
 use crate::rid::CmRid;
@@ -20,9 +20,8 @@ use crate::translator::TranslatorActor;
 use hcm_core::{
     ItemId, RuleId, RuleRegistry, SimDuration, SimTime, SiteId, Trace, TraceRecorder, Value,
 };
-use hcm_obs::{Metrics, Scope};
+use hcm_obs::Scope;
 use hcm_simkit::{Actor, ActorId, Network, Obs, RunOutcome, Sim};
-use hcm_store::{FileStore, MemStore, SharedStore, StoreConfig};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,36 +69,6 @@ pub struct SiteHandle {
     pub private: Rc<RefCell<BTreeMap<ItemId, Value>>>,
     /// The shell's guarantee registry.
     pub registry: Rc<RefCell<GuaranteeRegistry>>,
-}
-
-/// Build the per-actor state policy for one component of a durable
-/// (or state-losing) site.
-fn actor_policy(
-    durability: &Durability,
-    label: &str,
-    scope: Scope,
-    metrics: &Metrics,
-) -> Result<StatePolicy, ScenarioError> {
-    match durability {
-        Durability::MessageOnly => Ok(StatePolicy::Keep),
-        Durability::LoseState => Ok(StatePolicy::Lose),
-        Durability::Durable(setup) => {
-            let store: SharedStore = match &setup.kind {
-                StoreKind::Memory => hcm_store::shared(MemStore::new()),
-                StoreKind::File(dir) => {
-                    let cfg = StoreConfig {
-                        segment_bytes: setup.segment_bytes,
-                    };
-                    let fs = FileStore::open(dir.join(label), cfg).map_err(|e| ScenarioError {
-                        msg: format!("store `{label}`: {e}"),
-                    })?;
-                    hcm_store::shared(fs)
-                }
-            };
-            let bridge = StoreBridge::new(store, metrics.clone(), scope, setup.checkpoint_every);
-            Ok(StatePolicy::Durable(bridge))
-        }
-    }
 }
 
 /// Builder for a toolkit deployment. See the module docs.
@@ -237,6 +206,13 @@ impl ScenarioBuilder {
 
         let mut sim = Sim::with_network(self.seed, self.network.unwrap_or_default());
         let obs = sim.obs();
+        let policy = |label: String, scope| {
+            StatePolicy::new(&self.durability, &label, scope, &obs.metrics).map_err(|e| {
+                ScenarioError {
+                    msg: format!("store `{label}`: {e}"),
+                }
+            })
+        };
 
         // Actor id layout: shells first (0..n), translators next (n..2n).
         let shell_ids: Vec<ActorId> = (0..n).map(|i| ActorId(i as u32)).collect();
@@ -273,13 +249,7 @@ impl ScenarioBuilder {
                 self.failure_cfg,
                 self.stop_periodics_at,
             );
-            let policy = actor_policy(
-                &self.durability,
-                &format!("site{i}-shell"),
-                Scope::Actor(i as u32),
-                &obs.metrics,
-            )?;
-            shell.set_state_policy(policy);
+            shell.set_state_policy(policy(format!("site{i}-shell"), Scope::Actor(i as u32))?);
             let id = sim.add_actor(Box::new(shell));
             assert_eq!(id, ActorId(i as u32), "actor id layout violated");
         }
@@ -288,7 +258,9 @@ impl ScenarioBuilder {
         for (i, s) in self.sites.into_iter().enumerate() {
             let site = SiteId::new(i as u32);
             let rid_copy = s.rid.clone();
-            let backend = build_backend(s.store, &s.rid);
+            let backend = build_backend(s.store, &s.rid).map_err(|e| ScenarioError {
+                msg: format!("site `{}`: {e}", s.name),
+            })?;
             let mut translator = TranslatorActor::new(
                 site,
                 ActorId(i as u32),
@@ -300,13 +272,10 @@ impl ScenarioBuilder {
                 recorder.clone(),
                 obs.metrics.clone(),
             );
-            let policy = actor_policy(
-                &self.durability,
-                &format!("site{i}-translator"),
+            translator.set_state_policy(policy(
+                format!("site{i}-translator"),
                 Scope::Actor((n + i) as u32),
-                &obs.metrics,
-            )?;
-            translator.set_state_policy(policy);
+            )?);
             let id = sim.add_actor(Box::new(translator));
             assert_eq!(id, ActorId((n + i) as u32), "actor id layout violated");
             site_handles.push(SiteHandle {

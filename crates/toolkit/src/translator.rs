@@ -18,7 +18,7 @@
 //!   crashes — the two §5 classes.
 
 use crate::backend::RisBackend;
-use crate::durability::{StatePolicy, StoreBridge};
+use crate::durability::{LogRecord, PendingWrite, Restart, StatePolicy, TranslatorSnapshot};
 use crate::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use crate::rid::{classify, CmRid, IfaceClass};
 use hcm_core::{
@@ -29,7 +29,6 @@ use hcm_obs::{Metrics, Scope};
 use hcm_rulelang::ast::BindingsEnv;
 use hcm_rulelang::InterfaceStmt;
 use hcm_simkit::{Actor, ActorId, Ctx};
-use hcm_store::{LogRecord, PendingWrite, TranslatorSnapshot};
 use std::collections::BTreeMap;
 
 /// Delay for forwarding an observed event to the co-located shell.
@@ -59,8 +58,6 @@ pub struct TranslatorActor {
     /// How this translator's state relates to crashes (see
     /// [`crate::durability`]). Default keeps historical behaviour.
     policy: StatePolicy,
-    /// Set by a lossy crash; consumed by the next recovery.
-    crashed_lossy: bool,
     /// Writes accepted (scheduled against the backend) but not yet
     /// performed — the §5 obligations a durable translator must not
     /// lose across a crash.
@@ -110,7 +107,6 @@ impl TranslatorActor {
             metrics,
             scope: Scope::Site(site.index()),
             policy: StatePolicy::default(),
-            crashed_lossy: false,
             pending: BTreeMap::new(),
             armed: BTreeMap::new(),
         }
@@ -123,27 +119,17 @@ impl TranslatorActor {
         self.policy = policy;
     }
 
-    /// Log one durable mutation; checkpoint when the cadence says so.
+    /// Log one durable mutation; the checkpoint, when one is due, is
+    /// the translator's durable state after it.
     fn log_durable(&mut self, rec: &LogRecord) {
-        let due = match self.policy.bridge() {
-            Some(b) => b.log(rec),
-            None => return,
-        };
-        if due {
-            self.write_checkpoint();
-        }
-    }
-
-    /// Snapshot the translator's durable state into the store.
-    fn write_checkpoint(&mut self) {
-        let snap = TranslatorSnapshot {
-            armed: self.armed.iter().map(|(&i, &p)| (i, p)).collect(),
-            pending: self.pending.values().cloned().collect(),
-        };
-        let blob = snap.encode();
-        if let Some(b) = self.policy.bridge() {
-            b.save_checkpoint(&blob);
-        }
+        let (armed, pending) = (&self.armed, &self.pending);
+        self.policy.log(rec, || {
+            TranslatorSnapshot {
+                armed: armed.iter().map(|(&i, &p)| (i, p)).collect(),
+                pending: pending.values().cloned().collect(),
+            }
+            .encode()
+        });
     }
 
     /// Capture initial values of all tracked items into the trace and
@@ -346,30 +332,19 @@ impl TranslatorActor {
                 // Perform after the database's service delay — within
                 // the interface bound in normal operation, beyond it
                 // under overload (metric failure).
-                let iface_rule = iface.id;
-                ctx.schedule_self(
-                    self.delay(),
-                    CmMsg::PerformWrite {
-                        req_id,
-                        reply_to,
-                        item: item.clone(),
-                        value: value.clone(),
-                        rule: iface_rule,
-                        trigger: wr_id,
-                    },
-                );
+                let pw = PendingWrite {
+                    req_id,
+                    reply_to,
+                    item: item.clone(),
+                    value: value.clone(),
+                    rule: iface.id,
+                    trigger: wr_id,
+                };
+                ctx.schedule_self(self.delay(), CmMsg::PerformWrite(pw.clone()));
                 // The write is now an accepted obligation: a durable
                 // translator remembers it until performed, so a crash
                 // in the acceptance-to-perform window delays it
                 // instead of losing it (§5's metric demotion).
-                let pw = PendingWrite {
-                    req_id,
-                    reply_to: reply_to.0,
-                    item: item.clone(),
-                    value: value.clone(),
-                    rule: iface_rule,
-                    trigger: wr_id,
-                };
                 self.pending.insert(req_id, pw.clone());
                 self.log_durable(&LogRecord::WriteAccepted(pw));
             }
@@ -407,29 +382,24 @@ impl TranslatorActor {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_perform_write(
-        &mut self,
-        req_id: u64,
-        reply_to: ActorId,
-        item: &ItemId,
-        value: &Value,
-        rule: RuleId,
-        trigger: EventId,
-        ctx: &mut Ctx<'_, CmMsg>,
-    ) {
+    fn handle_perform_write(&mut self, pw: PendingWrite, ctx: &mut Ctx<'_, CmMsg>) {
+        let PendingWrite {
+            req_id,
+            reply_to,
+            item,
+            value,
+            rule,
+            trigger,
+        } = pw;
         let now = ctx.now();
         // Performed or definitively rejected — either way the
         // obligation is discharged.
         if self.pending.remove(&req_id).is_some() {
             self.log_durable(&LogRecord::WritePerformed { req_id });
         }
-        match self.backend.write(item, value, now) {
+        match self.backend.write(&item, &value, now) {
             Ok(old) => {
-                let desc = EventDesc::W {
-                    item: item.clone(),
-                    value: value.clone(),
-                };
+                let desc = EventDesc::W { item, value };
                 let w_id = self.record(now, desc.clone(), old, Some(rule), Some(trigger));
                 self.forward_if_interesting(w_id, &desc, ctx);
                 self.metrics.inc(self.scope, "translator.writes_done");
@@ -445,7 +415,7 @@ impl TranslatorActor {
                     now,
                     EventDesc::Custom {
                         name: "WriteRejected".into(),
-                        args: vec![Value::Str(item.to_string()), value.clone()],
+                        args: vec![Value::Str(item.to_string()), value],
                     },
                     None,
                     Some(rule),
@@ -579,13 +549,12 @@ impl Actor<CmMsg> for TranslatorActor {
     }
 
     fn on_crash(&mut self, lossy: bool, _ctx: &mut Ctx<'_, CmMsg>) {
-        if !lossy || !self.policy.wipes_on_lossy_crash() {
+        if !self.policy.crash(lossy) {
             return;
         }
-        self.crashed_lossy = true;
         // Obligations destroyed with the process image; without a
         // store they are gone for good.
-        if matches!(self.policy, StatePolicy::Lose) {
+        if !self.policy.remembers() {
             for _ in 0..self.pending.len() {
                 self.metrics.inc(self.scope, "translator.writes_lost");
             }
@@ -596,19 +565,17 @@ impl Actor<CmMsg> for TranslatorActor {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, CmMsg>) {
-        if !std::mem::take(&mut self.crashed_lossy) {
-            return;
-        }
-        if matches!(self.policy, StatePolicy::Lose) {
-            // Restarted from static configuration alone: periodic
-            // interfaces re-arm (the CM-RID is config); accepted
-            // writes are lost.
-            self.arm_from_config();
-            self.rearm_polls(ctx);
-            return;
-        }
-        let Some((ckpt, records)) = self.policy.bridge().map(StoreBridge::recover) else {
-            return;
+        let (ckpt, records) = match self.policy.recover() {
+            Restart::Warm => return,
+            Restart::Cold => {
+                // Restarted from static configuration alone: periodic
+                // interfaces re-arm (the CM-RID is config); accepted
+                // writes are lost.
+                self.arm_from_config();
+                self.rearm_polls(ctx);
+                return;
+            }
+            Restart::Replay(ckpt, records) => (ckpt, records),
         };
         // Snapshot first, then the log suffix on top.
         if let Some(snap) = ckpt.and_then(|blob| TranslatorSnapshot::decode(&blob).ok()) {
@@ -642,17 +609,7 @@ impl Actor<CmMsg> for TranslatorActor {
         let survivors: Vec<PendingWrite> = self.pending.values().cloned().collect();
         for pw in survivors {
             self.metrics.inc(self.scope, "translator.writes_recovered");
-            ctx.schedule_self(
-                self.delay(),
-                CmMsg::PerformWrite {
-                    req_id: pw.req_id,
-                    reply_to: ActorId(pw.reply_to),
-                    item: pw.item,
-                    value: pw.value,
-                    rule: pw.rule,
-                    trigger: pw.trigger,
-                },
-            );
+            ctx.schedule_self(self.delay(), CmMsg::PerformWrite(pw));
         }
     }
 
@@ -666,14 +623,7 @@ impl Actor<CmMsg> for TranslatorActor {
                 trigger,
                 kind,
             } => self.handle_request(req_id, reply_to, rule, trigger, &kind, ctx),
-            CmMsg::PerformWrite {
-                req_id,
-                reply_to,
-                item,
-                value,
-                rule,
-                trigger,
-            } => self.handle_perform_write(req_id, reply_to, &item, &value, rule, trigger, ctx),
+            CmMsg::PerformWrite(pw) => self.handle_perform_write(pw, ctx),
             CmMsg::PollTick { idx } => self.handle_poll_tick(idx, ctx),
             CmMsg::SetServiceExtra(d) => self.extra = d,
             other => panic!(

@@ -76,7 +76,7 @@ fn rig(interest: Vec<TemplateDesc>) -> Rig {
     let t = TranslatorActor::new(
         SiteId::new(0),
         probe,
-        build_backend(RawStore::Relational(db), &rid),
+        build_backend(RawStore::Relational(db), &rid).unwrap(),
         &rid,
         iface_ids,
         interest,
