@@ -122,6 +122,12 @@ pub mod strategies {
 }
 
 /// Guarantee menu (§3.3.1), as formula text for `[guarantee]` sections.
+///
+/// (1), (2) and (4) compare times weakly (`t2 <= t1`, `t2 >= t1`): both
+/// copies share the initial interpretation at time 0, and a value that
+/// reaches the copy at the end of the trace has no later instant to
+/// witness it. The strict forms fail on every trace for exactly those
+/// two reasons.
 pub mod guarantees {
     use super::secs;
     use hcm_core::SimDuration;
@@ -129,13 +135,13 @@ pub mod guarantees {
     /// (1) "Y follows X": Y only takes values X has taken.
     #[must_use]
     pub fn follows(x: &str, y: &str) -> String {
-        format!("({y} = y) @ t1 => ({x} = y) @ t2 and t2 < t1")
+        format!("({y} = y) @ t1 => ({x} = y) @ t2 and t2 <= t1")
     }
 
     /// (2) "X leads Y": every value of X eventually reaches Y.
     #[must_use]
     pub fn leads(x: &str, y: &str) -> String {
-        format!("({x} = x) @ t1 => ({y} = x) @ t2 and t2 > t1")
+        format!("({x} = x) @ t1 => ({y} = x) @ t2 and t2 >= t1")
     }
 
     /// (3) "Y strictly follows X": order of values is preserved.
@@ -347,7 +353,7 @@ mod tests {
 /// estimate δ: sum the interface bounds along the propagation path,
 /// plus the strategy bound, plus a messaging allowance.
 pub mod derive {
-    use super::{classify, IfaceClass};
+    use super::{classify, guarantees, IfaceClass};
     use hcm_core::{SimDuration, TemplateDesc, Term, Value};
     use hcm_rulelang::InterfaceStmt;
 
@@ -388,6 +394,30 @@ pub mod derive {
             })
     }
 
+    /// The copy guarantees for `dst = copy of src` in menu order:
+    /// (1), (3), then (2) when the source loses no values, then (4)
+    /// with the computed κ.
+    fn copy_guarantees(src: &str, dst: &str, lossless: bool, kappa: SimDuration) -> Vec<Derived> {
+        let derived = |name, formula| Derived {
+            name,
+            formula,
+            kappa: None,
+        };
+        let mut out = vec![
+            derived("follows", guarantees::follows(src, dst)),
+            derived("strictly_follows", guarantees::strictly_follows(src, dst)),
+        ];
+        if lossless {
+            out.push(derived("leads", guarantees::leads(src, dst)));
+        }
+        out.push(Derived {
+            name: "follows_metric",
+            formula: guarantees::follows_metric(src, dst, kappa),
+            kappa: Some(kappa),
+        });
+        out
+    }
+
     /// Derive the copy guarantees valid for `dst = copy of src` under
     /// the *propagation* strategy (`N(src,b) →δ WR(dst,b)`), given the
     /// two sites' interface statements. Returns an empty vector when
@@ -410,7 +440,6 @@ pub mod derive {
                 bound_of(src_ifaces, IfaceClass::PeriodicNotify).unwrap_or_default(),
             )
         });
-        let mut out = Vec::new();
         let (source_lag, lossless) = match (notify, periodic) {
             // Plain notify: every change surfaces within its bound.
             (Some(nb), _) => (nb, true),
@@ -419,40 +448,13 @@ pub mod derive {
             (None, Some((p, eps))) => (p + eps, false),
             (None, None) => return Vec::new(),
         };
-        out.push(Derived {
-            name: "follows",
-            formula: format!("({dst} = y) @ t1 => ({src} = y) @ t2 and t2 <= t1"),
-            kappa: None,
-        });
-        out.push(Derived {
-            name: "strictly_follows",
-            formula: format!(
-                "({dst} = y1) @ t1 and ({dst} = y2) @ t2 and t1 < t2 and y1 != y2 => \
-                 ({src} = y1) @ t3 and ({src} = y2) @ t4 and t3 < t4"
-            ),
-            kappa: None,
-        });
-        if lossless {
-            out.push(Derived {
-                name: "leads",
-                formula: format!("({src} = x) @ t1 => ({dst} = x) @ t2 and t2 >= t1"),
-                kappa: None,
-            });
-        }
         let kappa = source_lag + strategy_bound + write_bound + MESSAGING_ALLOWANCE;
-        out.push(Derived {
-            name: "follows_metric",
-            formula: format!(
-                "({dst} = y) @ t1 => ({src} = y) @ t2 and t1 - {}ms < t2 and t2 <= t1",
-                kappa.as_millis()
-            ),
-            kappa: Some(kappa),
-        });
-        out
+        copy_guarantees(src, dst, lossless, kappa)
     }
 
     /// Derive the guarantees for the polling strategy
-    /// (`P(p) → RR(src); R(src,b) → WR(dst,b)`).
+    /// (`P(p) → RR(src); R(src,b) → WR(dst,b)`). There is no (2):
+    /// polling misses values that change twice within one period.
     #[must_use]
     pub fn polling_guarantees(
         src: &str,
@@ -474,30 +476,7 @@ pub mod derive {
             + strategy_bound // P→RR and R→WR each carry the bound
             + write_bound
             + MESSAGING_ALLOWANCE;
-        vec![
-            Derived {
-                name: "follows",
-                formula: format!("({dst} = y) @ t1 => ({src} = y) @ t2 and t2 <= t1"),
-                kappa: None,
-            },
-            Derived {
-                name: "strictly_follows",
-                formula: format!(
-                    "({dst} = y1) @ t1 and ({dst} = y2) @ t2 and t1 < t2 and y1 != y2 => \
-                     ({src} = y1) @ t3 and ({src} = y2) @ t4 and t3 < t4"
-                ),
-                kappa: None,
-            },
-            // NOTE: no "leads" — polling misses intra-interval values.
-            Derived {
-                name: "follows_metric",
-                formula: format!(
-                    "({dst} = y) @ t1 => ({src} = y) @ t2 and t1 - {}ms < t2 and t2 <= t1",
-                    kappa.as_millis()
-                ),
-                kappa: Some(kappa),
-            },
-        ]
+        copy_guarantees(src, dst, false, kappa)
     }
 }
 

@@ -14,26 +14,45 @@
 
 mod common;
 
-use common::{employees_db, rule_set_of, RID_DST};
+use common::{employees_db, rule_set_of};
 use hcm::checker::{check_validity, guarantee::check_guarantee};
-use hcm::core::{SimTime, Value};
+use hcm::core::{SimDuration, SimTime, Value};
 use hcm::rulelang::parse_guarantee;
 use hcm::toolkit::backends::RawStore;
+use hcm::toolkit::menu::{derive, guarantees, interfaces};
 use hcm::toolkit::{Scenario, ScenarioBuilder, SpontaneousOp};
 
+/// A relational CM-RID for `base` over the employees table, offering
+/// `interfaces` (menu text).
+fn salary_rid(base: &str, interfaces: &[String]) -> String {
+    format!(
+        "ris = relational\nservice = 200ms\n[interface]\n{}\n\
+         [command write {base}]\nupdate employees set salary = $value where empid = $p0\n\
+         [command insert {base}]\ninsert into employees values ($p0, $value)\n\
+         [command read {base}]\nselect salary from employees where empid = $p0\n\
+         [map {base}]\ntable = employees\nkey = empid\ncol = salary\n",
+        interfaces.join("\n")
+    )
+}
+
 /// Site A now offers only the read interface (no notify).
-const RID_SRC_READONLY: &str = r#"
-ris = relational
-service = 200ms
-[interface]
-RR(salary1(n)) when salary1(n) = b -> R(salary1(n), b) within 1s
-[command read salary1]
-select salary from employees where empid = $p0
-[map salary1]
-table = employees
-key = empid
-col = salary
-"#;
+fn rid_src_readonly() -> String {
+    salary_rid(
+        "salary1",
+        &[interfaces::read("salary1(n)", SimDuration::from_secs(1))],
+    )
+}
+
+/// Site B accepts CM writes and promises no spontaneous ones.
+fn rid_dst() -> String {
+    salary_rid(
+        "salary2",
+        &[
+            interfaces::write("salary2(n)", SimDuration::from_secs(1)),
+            interfaces::no_spontaneous_write("salary2(n)"),
+        ],
+    )
+}
 
 const POLLING_STRATEGY: &str = r#"
 [locate]
@@ -50,13 +69,13 @@ fn build(seed: u64, horizon_secs: u64) -> Scenario {
         .site(
             "A",
             RawStore::Relational(employees_db(&[("e1", 90_000)])),
-            RID_SRC_READONLY,
+            &rid_src_readonly(),
         )
         .unwrap()
         .site(
             "B",
             RawStore::Relational(employees_db(&[("e1", 90_000)])),
-            RID_DST,
+            &rid_dst(),
         )
         .unwrap()
         .strategy(POLLING_STRATEGY)
@@ -75,8 +94,9 @@ fn update(sc: &mut Scenario, t: u64, v: i64) {
     );
 }
 
-fn g(name: &str, body: &str) -> hcm::rulelang::Guarantee {
-    parse_guarantee(name, body).unwrap()
+/// (2) "X leads Y", as the menu writes it.
+fn leads() -> hcm::rulelang::Guarantee {
+    parse_guarantee("leads", &guarantees::leads("salary1(n)", "salary2(n)")).unwrap()
 }
 
 #[test]
@@ -96,37 +116,27 @@ fn polling_keeps_follows_and_order_but_loses_leads() {
     let report = check_validity(&trace, &rule_set_of(&sc));
     assert!(report.is_valid(), "{:#?}", report.violations);
 
-    // (1) follows: Y only takes values X has taken.
-    let follows = g(
-        "follows",
-        "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t2 <= t1",
+    // (1) follows, (3) strictly follows and (4) metric follows — the
+    // guarantees the menu derives for polling, with κ = poll period +
+    // the bounds along the path (72.5s) — hold.
+    let derived = derive::polling_guarantees(
+        "salary1(n)",
+        "salary2(n)",
+        &sc.site("A").rid.interfaces,
+        &sc.site("B").rid.interfaces,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(5),
     );
-    let r = check_guarantee(&trace, &follows, None);
-    assert!(r.holds, "{:#?}", r.violations);
-
-    // (3) strictly follows: sampled subsequence preserves order.
-    let strict = g(
-        "strictly_follows",
-        "(salary2(n) = y1) @ t1 and (salary2(n) = y2) @ t2 and t1 < t2 and y1 != y2 => \
-         (salary1(n) = y1) @ t3 and (salary1(n) = y2) @ t4 and t3 < t4",
-    );
-    let r = check_guarantee(&trace, &strict, None);
-    assert!(r.holds, "{:#?}", r.violations);
-
-    // (4) metric follows with κ = poll period + bounds (60s + 10s).
-    let metric = g(
-        "follows_metric",
-        "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t1 - 70s < t2 and t2 <= t1",
-    );
-    let r = check_guarantee(&trace, &metric, None);
-    assert!(r.holds, "{:#?}", r.violations);
+    let names: Vec<_> = derived.iter().map(|d| d.name).collect();
+    assert_eq!(names, ["follows", "strictly_follows", "follows_metric"]);
+    for d in &derived {
+        let g = parse_guarantee(d.name, &d.formula).unwrap();
+        let r = check_guarantee(&trace, &g, None);
+        assert!(r.holds, "`{}`: {:#?}", d.name, r.violations);
+    }
 
     // (2) leads: VIOLATED — 95k never reaches Y.
-    let leads = g(
-        "leads",
-        "(salary1(n) = x) @ t1 => (salary2(n) = x) @ t2 and t2 >= t1",
-    );
-    let r = check_guarantee(&trace, &leads, None);
+    let r = check_guarantee(&trace, &leads(), None);
     assert!(
         !r.holds,
         "guarantee (2) must fail under polling with intra-interval updates"
@@ -153,11 +163,7 @@ fn leads_survives_when_updates_are_slower_than_polling() {
     update(&mut sc, 140, 99_000);
     sc.run_to_quiescence();
     let trace = sc.trace();
-    let leads = g(
-        "leads",
-        "(salary1(n) = x) @ t1 => (salary2(n) = x) @ t2 and t2 >= t1",
-    );
-    let r = check_guarantee(&trace, &leads, None);
+    let r = check_guarantee(&trace, &leads(), None);
     assert!(r.holds, "{:#?}", r.violations);
 }
 

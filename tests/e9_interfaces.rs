@@ -10,37 +10,37 @@ mod common;
 
 use common::{employees_db, rule_set_of, RID_DST};
 use hcm::checker::{check_validity, guarantee::check_guarantee};
-use hcm::core::{ItemId, SimTime, Value};
+use hcm::core::{ItemId, SimDuration, SimTime, Value};
+use hcm::rulelang::parse_guarantee;
 use hcm::toolkit::backends::RawStore;
+use hcm::toolkit::menu::{guarantees, interfaces};
 use hcm::toolkit::{ScenarioBuilder, SpontaneousOp};
 
 /// Site A with a *conditional* notify interface: only >10% changes are
 /// reported.
-const RID_SRC_CONDITIONAL: &str = r#"
-ris = relational
-service = 200ms
-[interface]
-Ws(salary1(n), a, b) when abs(b - a) > 0.1 * a -> N(salary1(n), b) within 2s
-RR(salary1(n)) when salary1(n) = b -> R(salary1(n), b) within 1s
-[command read salary1]
-select salary from employees where empid = $p0
-[map salary1]
-table = employees
-key = empid
-col = salary
-"#;
+fn rid_src_conditional() -> String {
+    format!(
+        "ris = relational\nservice = 200ms\n[interface]\n{}\n{}\n\
+         [command read salary1]\nselect salary from employees where empid = $p0\n\
+         [map salary1]\ntable = employees\nkey = empid\ncol = salary\n",
+        interfaces::conditional_notify("salary1(n)", 0.1, SimDuration::from_secs(2)),
+        interfaces::read("salary1(n)", SimDuration::from_secs(1)),
+    )
+}
 
 /// Site A (a whois directory!) with a periodic notify interface: the
 /// phone directory is dumped every 60s. No triggers, no SQL — the
 /// weakest realistic source.
-const RID_SRC_PERIODIC_WHOIS: &str = r#"
-ris = whois
-service = 100ms
-[interface]
-P(60s) when wphone(n) = b -> N(wphone(n), b) within 1s
-[map wphone]
-field = phone
-"#;
+fn rid_src_periodic_whois() -> String {
+    format!(
+        "ris = whois\nservice = 100ms\n[interface]\n{}\n[map wphone]\nfield = phone\n",
+        interfaces::periodic_notify(
+            "wphone(n)",
+            SimDuration::from_secs(60),
+            SimDuration::from_secs(1)
+        ),
+    )
+}
 
 const PROPAGATE: &str = r#"
 [locate]
@@ -56,7 +56,7 @@ fn conditional_notify_suppresses_small_changes() {
         .site(
             "A",
             RawStore::Relational(employees_db(&[("e1", 100_000)])),
-            RID_SRC_CONDITIONAL,
+            &rid_src_conditional(),
         )
         .unwrap()
         .site(
@@ -93,18 +93,11 @@ fn conditional_notify_suppresses_small_changes() {
     let report = check_validity(&trace, &rule_set_of(&sc));
     assert!(report.is_valid(), "{:#?}", report.violations);
     // "leads" cannot hold (suppression loses values); "follows" can.
-    let follows = hcm::rulelang::parse_guarantee(
-        "follows",
-        "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t2 <= t1",
-    )
-    .unwrap();
+    let follows =
+        parse_guarantee("follows", &guarantees::follows("salary1(n)", "salary2(n)")).unwrap();
     let fr = check_guarantee(&trace, &follows, None);
     assert!(fr.holds, "violations {:#?}\ntrace:\n{trace}", fr.violations);
-    let leads = hcm::rulelang::parse_guarantee(
-        "leads",
-        "(salary1(n) = x) @ t1 => (salary2(n) = x) @ t2 and t2 >= t1",
-    )
-    .unwrap();
+    let leads = parse_guarantee("leads", &guarantees::leads("salary1(n)", "salary2(n)")).unwrap();
     assert!(!check_guarantee(&trace, &leads, None).holds);
 }
 
@@ -146,7 +139,7 @@ fn periodic_notify_bounds_staleness_by_period() {
         .unwrap();
 
     let mut sc = ScenarioBuilder::new(2)
-        .site("A", RawStore::Whois(dir), RID_SRC_PERIODIC_WHOIS)
+        .site("A", RawStore::Whois(dir), &rid_src_periodic_whois())
         .unwrap()
         .site("B", RawStore::Relational(phones), RID_DST_PHONES)
         .unwrap()
@@ -188,7 +181,7 @@ fn periodic_notify_bounds_staleness_by_period() {
 
     // Metric guarantee with κ = period + slack (70s) holds; κ smaller
     // than the period cannot.
-    let wide = hcm::rulelang::parse_guarantee(
+    let wide = parse_guarantee(
         "mirror_fresh",
         "(mphone(n) = y) @ t1 => (wphone(n) = y) @ t2 and t1 - 70s < t2 and t2 <= t1",
     )
@@ -211,7 +204,7 @@ fn periodic_notify_trace_is_valid() {
     let mut phones = hcm::ris::relational::Database::new();
     phones.create_table("phones", &["name", "phone"]).unwrap();
     let mut sc = ScenarioBuilder::new(3)
-        .site("A", RawStore::Whois(dir), RID_SRC_PERIODIC_WHOIS)
+        .site("A", RawStore::Whois(dir), &rid_src_periodic_whois())
         .unwrap()
         .site("B", RawStore::Relational(phones), RID_DST_PHONES)
         .unwrap()

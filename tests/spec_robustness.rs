@@ -19,6 +19,8 @@ mod common;
 use common::{employees_db, RID_DST, RID_SRC};
 use hcm::core::{RuleRegistry, SimTime, SiteId};
 use hcm::harness::post_mortem;
+use hcm::ris::kvstore::KvStore;
+use hcm::ris::relational::Database;
 use hcm::rulelang::{
     parse_cond, parse_guarantee, parse_interface, parse_strategy_rule, parse_template,
 };
@@ -388,4 +390,45 @@ fn repeated_keys_are_rejected() {
             "{e:?}"
         );
     }
+}
+
+/// A raw store of another kind than the CM-RID's `ris =` is a build
+/// error naming the site, not a panic.
+#[test]
+fn store_of_the_wrong_kind_is_a_build_error() {
+    let e = ScenarioBuilder::new(1)
+        .site("A", RawStore::Relational(employees_db(&[])), RID_SRC)
+        .unwrap()
+        .site("B", RawStore::Kv(KvStore::new()), RID_DST)
+        .unwrap()
+        .build()
+        .err()
+        .expect("a kv store behind a relational CM-RID must not build");
+    assert!(
+        e.msg
+            .contains("site `B`: unsupported operation: raw store does not match CM-RID kind"),
+        "{e:?}"
+    );
+}
+
+/// A relational `[map]` onto a table the database lacks is a build
+/// error naming the site and the table: its notify interface could
+/// never fire.
+#[test]
+fn map_onto_a_missing_table_is_a_build_error() {
+    let mut db = Database::new();
+    db.create_table("staff", &["empid", "salary"]).unwrap();
+    let e = ScenarioBuilder::new(1)
+        .site("A", RawStore::Relational(db), RID_SRC)
+        .unwrap()
+        .site("B", RawStore::Relational(employees_db(&[])), RID_DST)
+        .unwrap()
+        .build()
+        .err()
+        .expect("a map onto a missing table must not build");
+    assert!(
+        e.msg
+            .contains("site `A`: not found: table `employees` of `[map salary1]`"),
+        "{e:?}"
+    );
 }
