@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod event;
 pub mod intern;
 pub mod item;
@@ -42,7 +41,6 @@ pub mod time;
 pub mod trace;
 pub mod value;
 
-pub use error::CoreError;
 pub use event::{Event, EventDesc, EventId};
 pub use intern::Sym;
 pub use item::{ItemId, ItemPattern};

@@ -13,35 +13,22 @@
 //!   need to declare triggers on the underlying database");
 //! * it enforces **local CHECK constraints**, the "local constraint
 //!   managers" the Demarcation Protocol builds on (§6.1).
+//!
+//! The textual dialect is what those callers send: `INSERT`,
+//! `SELECT cols|* FROM t [WHERE …]`, `UPDATE` and `DELETE`, each read by
+//! [`parse_command`]. Tables, triggers and CHECKs are declared
+//! programmatically. A trigger fires on every insert, update and
+//! delete of its table.
 
 mod sql;
 mod table;
 
-pub use sql::{parse_command, Aggregate, Command, Comparison, OrderBy, SqlOp};
+pub use sql::{parse_command, Command, Comparison, SqlOp};
 pub use table::{Row, Table};
 
 use crate::RisError;
 use hcm_core::Value;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// Which mutations a trigger observes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerOp {
-    /// Row inserted.
-    Insert,
-    /// Row updated.
-    Update,
-    /// Row deleted.
-    Delete,
-}
-
-/// A trigger registration.
-#[derive(Debug, Clone)]
-struct Trigger {
-    table: String,
-    ops: Vec<TriggerOp>,
-}
 
 /// A recorded trigger firing, drained by the owner (the CM-Translator)
 /// after each command.
@@ -49,8 +36,6 @@ struct Trigger {
 pub struct TriggerFiring {
     /// Affected table.
     pub table: String,
-    /// Kind of mutation.
-    pub op: TriggerOp,
     /// Row before the mutation (`None` for inserts).
     pub old_row: Option<Row>,
     /// Row after the mutation (`None` for deletes).
@@ -84,17 +69,10 @@ pub enum CheckOperand {
 /// Result of executing a command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
-    /// Rows returned by a SELECT (projected columns, then rows).
-    Rows {
-        /// Projected column names.
-        columns: Vec<String>,
-        /// Result rows.
-        rows: Vec<Row>,
-    },
+    /// Rows returned by a SELECT, projected to its columns.
+    Rows(Vec<Row>),
     /// Rows affected by INSERT/UPDATE/DELETE.
     Affected(usize),
-    /// DDL acknowledged.
-    Ok,
 }
 
 impl QueryResult {
@@ -103,9 +81,7 @@ impl QueryResult {
     #[must_use]
     pub fn scalar(&self) -> Option<&Value> {
         match self {
-            QueryResult::Rows { rows, .. } if rows.len() == 1 && rows[0].len() == 1 => {
-                Some(&rows[0][0])
-            }
+            QueryResult::Rows(rows) if rows.len() == 1 && rows[0].len() == 1 => Some(&rows[0][0]),
             _ => None,
         }
     }
@@ -116,7 +92,8 @@ impl QueryResult {
 #[derive(Debug, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    triggers: Vec<Trigger>,
+    /// The table of each declared trigger.
+    triggers: Vec<String>,
     checks: Vec<Check>,
     firings: Vec<TriggerFiring>,
 }
@@ -128,7 +105,7 @@ impl Database {
         Self::default()
     }
 
-    /// Create a table programmatically (equivalent to `CREATE TABLE`).
+    /// Create a table.
     pub fn create_table(&mut self, name: &str, columns: &[&str]) -> Result<(), RisError> {
         if self.tables.contains_key(name) {
             return Err(RisError::BadCommand(format!(
@@ -140,15 +117,14 @@ impl Database {
         Ok(())
     }
 
-    /// Declare a trigger on `table` for the given operations.
-    pub fn add_trigger(&mut self, table: &str, ops: &[TriggerOp]) -> Result<(), RisError> {
+    /// Declare a trigger on `table`: from now on, every row a command
+    /// inserts into it, updates or deletes is recorded as a
+    /// [`TriggerFiring`].
+    pub fn add_trigger(&mut self, table: &str) -> Result<(), RisError> {
         if !self.tables.contains_key(table) {
             return Err(RisError::NotFound(format!("table `{table}`")));
         }
-        self.triggers.push(Trigger {
-            table: table.to_owned(),
-            ops: ops.to_vec(),
-        });
+        self.triggers.push(table.to_owned());
         Ok(())
     }
 
@@ -184,8 +160,8 @@ impl Database {
         self.execute_parsed(&cmd)
     }
 
-    /// Run a read-only command (a SELECT, plain or aggregate) without
-    /// mutating anything; any other command is rejected.
+    /// Run a read-only command (a SELECT) without mutating anything;
+    /// any other command is rejected.
     pub fn query(&self, command: &str) -> Result<QueryResult, RisError> {
         self.query_parsed(&parse_command(command)?)
     }
@@ -196,15 +172,7 @@ impl Database {
                 table,
                 columns,
                 predicate,
-                order,
-                limit,
-            } => self.select(table, columns, predicate, order.as_ref(), *limit),
-            Command::SelectAggregate {
-                table,
-                agg,
-                column,
-                predicate,
-            } => self.select_aggregate(table, *agg, column.as_deref(), predicate),
+            } => self.select(table, columns, predicate),
             _ => Err(RisError::BadCommand("a query must be a SELECT".to_owned())),
         }
     }
@@ -212,22 +180,12 @@ impl Database {
     /// Execute a pre-parsed command (saves re-parsing in hot loops).
     pub(crate) fn execute_parsed(&mut self, cmd: &Command) -> Result<QueryResult, RisError> {
         match cmd {
-            Command::CreateTable { name, columns } => {
-                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                self.create_table(name, &cols)?;
-                Ok(QueryResult::Ok)
-            }
             Command::Insert {
                 table,
                 columns,
                 values,
             } => self.insert(table, columns.as_deref(), values.clone()),
-            Command::DropTable { name } => self
-                .tables
-                .remove(name)
-                .map(|_| QueryResult::Ok)
-                .ok_or_else(|| RisError::NotFound(format!("table `{name}`"))),
-            Command::Select { .. } | Command::SelectAggregate { .. } => self.query_parsed(cmd),
+            Command::Select { .. } => self.query_parsed(cmd),
             Command::Update {
                 table,
                 assignments,
@@ -283,7 +241,7 @@ impl Database {
         }
         let t = self.tables.get_mut(table).expect("checked");
         t.push_row(row.clone());
-        self.fire(table, TriggerOp::Insert, None, Some(row));
+        self.fire(table, None, Some(row));
         Ok(QueryResult::Affected(1))
     }
 
@@ -292,8 +250,6 @@ impl Database {
         table: &str,
         columns: &[String],
         predicate: &[Comparison],
-        order: Option<&OrderBy>,
-        limit: Option<usize>,
     ) -> Result<QueryResult, RisError> {
         let t = self.table(table)?;
         let proj: Vec<usize> = if columns.len() == 1 && columns[0] == "*" {
@@ -305,89 +261,14 @@ impl Database {
                 .collect::<Result<_, _>>()?
         };
         let pred_idx = compile_predicate(t, predicate)?;
-        let matched = t.rows().iter().filter(|row| matches_pred(row, &pred_idx));
-        let project = |row: &Row| proj.iter().map(|&i| row[i].clone()).collect();
-        let limit = limit.unwrap_or(usize::MAX);
-        let rows = match order {
-            // Without ORDER BY, rows stream in table order.
-            None => matched.take(limit).map(project).collect(),
-            Some(ob) => {
-                let oi = t.col_index(&ob.column)?;
-                let mut matched: Vec<&Row> = matched.collect();
-                matched.sort_by(|a, b| {
-                    let ord = a[oi].cmp(&b[oi]);
-                    if ob.desc {
-                        ord.reverse()
-                    } else {
-                        ord
-                    }
-                });
-                matched.into_iter().take(limit).map(project).collect()
-            }
-        };
-        let out_cols = proj.iter().map(|&i| t.columns()[i].clone()).collect();
-        Ok(QueryResult::Rows {
-            columns: out_cols,
-            rows,
-        })
-    }
-
-    fn select_aggregate(
-        &self,
-        table: &str,
-        agg: Aggregate,
-        column: Option<&str>,
-        predicate: &[Comparison],
-    ) -> Result<QueryResult, RisError> {
-        let t = self.table(table)?;
-        let pred_idx = compile_predicate(t, predicate)?;
-        let matched: Vec<&Row> = t
+        // Rows stream in table order.
+        let rows = t
             .rows()
             .iter()
             .filter(|row| matches_pred(row, &pred_idx))
+            .map(|row| proj.iter().map(|&i| row[i].clone()).collect())
             .collect();
-        let value = match agg {
-            Aggregate::Count => Value::Int(matched.len() as i64),
-            _ => {
-                let col = column
-                    .ok_or_else(|| RisError::BadCommand(format!("{agg:?} needs a column")))?;
-                let ci = t.col_index(col)?;
-                let nums: Vec<&Value> = matched
-                    .iter()
-                    .map(|r| &r[ci])
-                    .filter(|v| v.exists())
-                    .collect();
-                if nums.is_empty() {
-                    Value::Null
-                } else {
-                    match agg {
-                        Aggregate::Sum => nums
-                            .iter()
-                            .try_fold(Value::Int(0), |acc, v| acc.add(v))
-                            .ok_or_else(|| {
-                                RisError::BadCommand(format!("SUM over non-numeric `{col}`"))
-                            })?,
-                        Aggregate::Avg => {
-                            let sum = nums
-                                .iter()
-                                .try_fold(Value::Int(0), |acc, v| acc.add(v))
-                                .and_then(|s| s.as_f64())
-                                .ok_or_else(|| {
-                                    RisError::BadCommand(format!("AVG over non-numeric `{col}`"))
-                                })?;
-                            Value::Float(sum / nums.len() as f64)
-                        }
-                        Aggregate::Min => (*nums.iter().min().expect("non-empty")).clone(),
-                        Aggregate::Max => (*nums.iter().max().expect("non-empty")).clone(),
-                        Aggregate::Count => unreachable!(),
-                    }
-                }
-            }
-        };
-        Ok(QueryResult::Rows {
-            columns: vec![format!("{agg:?}").to_lowercase()],
-            rows: vec![vec![value]],
-        })
+        Ok(QueryResult::Rows(rows))
     }
 
     fn update(
@@ -435,7 +316,7 @@ impl Database {
             t_mut.replace_row(*i, new_row.clone());
         }
         for (_, old_row, new_row) in planned {
-            self.fire(table, TriggerOp::Update, Some(old_row), Some(new_row));
+            self.fire(table, Some(old_row), Some(new_row));
         }
         Ok(QueryResult::Affected(n))
     }
@@ -447,17 +328,16 @@ impl Database {
         let removed = t_mut.remove_rows(|row| matches_pred(row, &pred_idx));
         let n = removed.len();
         for row in removed {
-            self.fire(table, TriggerOp::Delete, Some(row), None);
+            self.fire(table, Some(row), None);
         }
         Ok(QueryResult::Affected(n))
     }
 
-    fn fire(&mut self, table: &str, op: TriggerOp, old_row: Option<Row>, new_row: Option<Row>) {
+    fn fire(&mut self, table: &str, old_row: Option<Row>, new_row: Option<Row>) {
         for tr in &self.triggers {
-            if tr.table == table && tr.ops.contains(&op) {
+            if tr == table {
                 self.firings.push(TriggerFiring {
                     table: table.to_owned(),
-                    op,
                     old_row: old_row.clone(),
                     new_row: new_row.clone(),
                 });
@@ -468,20 +348,6 @@ impl Database {
     /// Borrow a table for inspection.
     pub fn get_table(&self, name: &str) -> Result<&Table, RisError> {
         self.table(name)
-    }
-}
-
-impl fmt::Display for Database {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, t) in &self.tables {
-            writeln!(
-                f,
-                "{name}({}) — {} rows",
-                t.columns().join(", "),
-                t.rows().len()
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -517,7 +383,7 @@ mod tests {
 
     fn salary_db() -> Database {
         let mut db = Database::new();
-        db.execute("CREATE TABLE employees (empid, name, salary)")
+        db.create_table("employees", &["empid", "name", "salary"])
             .unwrap();
         db.execute("INSERT INTO employees VALUES ('e1', 'ann', 90000)")
             .unwrap();
@@ -548,13 +414,14 @@ mod tests {
             .unwrap();
         assert_eq!(r, QueryResult::Affected(1));
         let r = db.execute("SELECT * FROM employees").unwrap();
-        match r {
-            QueryResult::Rows { rows, columns } => {
-                assert_eq!(rows.len(), 1);
-                assert_eq!(columns, vec!["empid", "name", "salary"]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            r,
+            QueryResult::Rows(vec![vec![
+                Value::from("e1"),
+                Value::from("ann"),
+                Value::Int(95000)
+            ]])
+        );
     }
 
     #[test]
@@ -572,12 +439,11 @@ mod tests {
     #[test]
     fn triggers_fire_on_update_with_old_and_new() {
         let mut db = salary_db();
-        db.add_trigger("employees", &[TriggerOp::Update]).unwrap();
+        db.add_trigger("employees").unwrap();
         db.execute("UPDATE employees SET salary = 91000 WHERE empid = 'e1'")
             .unwrap();
         let firings = db.take_firings();
         assert_eq!(firings.len(), 1);
-        assert_eq!(firings[0].op, TriggerOp::Update);
         assert_eq!(firings[0].old_row.as_ref().unwrap()[2], Value::Int(90000));
         assert_eq!(firings[0].new_row.as_ref().unwrap()[2], Value::Int(91000));
         // Drained.
@@ -586,16 +452,20 @@ mod tests {
 
     #[test]
     fn triggers_filter_by_op_and_table() {
+        // Every operation fires; only the trigger's table does.
         let mut db = salary_db();
         db.create_table("other", &["a"]).unwrap();
-        db.add_trigger("employees", &[TriggerOp::Delete]).unwrap();
-        db.execute("UPDATE employees SET salary = 1 WHERE empid = 'e1'")
-            .unwrap();
+        db.add_trigger("employees").unwrap();
         db.execute("INSERT INTO other VALUES (1)").unwrap();
+        db.execute("UPDATE other SET a = 2").unwrap();
+        db.execute("DELETE FROM other").unwrap();
         assert!(db.take_firings().is_empty());
         db.execute("DELETE FROM employees WHERE empid = 'e1'")
             .unwrap();
-        assert_eq!(db.take_firings().len(), 1);
+        let firings = db.take_firings();
+        assert_eq!(firings.len(), 1);
+        assert_eq!(firings[0].table, "employees");
+        assert_eq!(firings[0].new_row, None);
     }
 
     #[test]
@@ -669,12 +539,10 @@ mod tests {
         db.create_table("t", &["a", "b", "c"]).unwrap();
         db.execute("INSERT INTO t (c, a) VALUES (3, 1)").unwrap();
         let r = db.execute("SELECT a, b, c FROM t").unwrap();
-        match r {
-            QueryResult::Rows { rows, .. } => {
-                assert_eq!(rows[0], vec![Value::Int(1), Value::Null, Value::Int(3)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            r,
+            QueryResult::Rows(vec![vec![Value::Int(1), Value::Null, Value::Int(3)]])
+        );
     }
 
     #[test]
@@ -688,148 +556,17 @@ mod tests {
             db.execute("SELECT nosuchcol FROM employees"),
             Err(RisError::BadCommand(_))
         ));
-        assert!(db.execute("CREATE TABLE employees (a)").is_err());
+        assert!(db.create_table("employees", &["a"]).is_err());
         assert!(db.execute("INSERT INTO employees VALUES (1)").is_err());
-        assert!(db.add_trigger("nope", &[TriggerOp::Insert]).is_err());
+        assert!(db.add_trigger("nope").is_err());
     }
 
     #[test]
     fn multi_row_update_counts_and_fires_per_row() {
         let mut db = salary_db();
-        db.add_trigger("employees", &[TriggerOp::Update]).unwrap();
+        db.add_trigger("employees").unwrap();
         let r = db.execute("UPDATE employees SET salary = 0").unwrap();
         assert_eq!(r, QueryResult::Affected(2));
         assert_eq!(db.take_firings().len(), 2);
-    }
-
-    #[test]
-    fn display_summarizes() {
-        let db = salary_db();
-        let s = db.to_string();
-        assert!(s.contains("employees(empid, name, salary) — 2 rows"));
-        assert!(db.get_table("employees").is_ok());
-    }
-}
-
-#[cfg(test)]
-mod sql_extension_tests {
-    use super::*;
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.create_table("accounts", &["acct", "bal"]).unwrap();
-        for (a, v) in [("a1", 100), ("a2", 250), ("a3", 50), ("a4", 250)] {
-            db.execute(&format!("INSERT INTO accounts VALUES ('{a}', {v})"))
-                .unwrap();
-        }
-        db
-    }
-
-    #[test]
-    fn count_sum_min_max_avg() {
-        let mut d = db();
-        assert_eq!(
-            d.execute("SELECT COUNT(*) FROM accounts").unwrap().scalar(),
-            Some(&Value::Int(4))
-        );
-        assert_eq!(
-            d.execute("SELECT SUM(bal) FROM accounts").unwrap().scalar(),
-            Some(&Value::Int(650))
-        );
-        assert_eq!(
-            d.execute("SELECT MIN(bal) FROM accounts").unwrap().scalar(),
-            Some(&Value::Int(50))
-        );
-        assert_eq!(
-            d.execute("SELECT MAX(bal) FROM accounts").unwrap().scalar(),
-            Some(&Value::Int(250))
-        );
-        assert_eq!(
-            d.execute("SELECT AVG(bal) FROM accounts").unwrap().scalar(),
-            Some(&Value::Float(162.5))
-        );
-    }
-
-    #[test]
-    fn aggregates_respect_where() {
-        let mut d = db();
-        assert_eq!(
-            d.execute("SELECT COUNT(*) FROM accounts WHERE bal >= 100")
-                .unwrap()
-                .scalar(),
-            Some(&Value::Int(3))
-        );
-        assert_eq!(
-            d.execute("SELECT SUM(bal) FROM accounts WHERE bal < 100")
-                .unwrap()
-                .scalar(),
-            Some(&Value::Int(50))
-        );
-        // Empty match: SUM/MIN/MAX yield NULL, COUNT yields 0.
-        assert_eq!(
-            d.execute("SELECT SUM(bal) FROM accounts WHERE bal > 9999")
-                .unwrap()
-                .scalar(),
-            Some(&Value::Null)
-        );
-        assert_eq!(
-            d.execute("SELECT COUNT(*) FROM accounts WHERE bal > 9999")
-                .unwrap()
-                .scalar(),
-            Some(&Value::Int(0))
-        );
-    }
-
-    #[test]
-    fn order_by_and_limit() {
-        let mut d = db();
-        let r = d
-            .execute("SELECT acct FROM accounts ORDER BY bal DESC LIMIT 2")
-            .unwrap();
-        match r {
-            QueryResult::Rows { rows, .. } => {
-                // a2 and a4 tie at 250; deterministic by stable sort on
-                // insertion order.
-                assert_eq!(rows.len(), 2);
-                assert_eq!(rows[0][0], Value::from("a2"));
-                assert_eq!(rows[1][0], Value::from("a4"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let r = d
-            .execute("SELECT acct FROM accounts ORDER BY bal ASC LIMIT 1")
-            .unwrap();
-        assert_eq!(r.scalar(), Some(&Value::from("a3")));
-    }
-
-    #[test]
-    fn drop_table() {
-        let mut d = db();
-        d.execute("DROP TABLE accounts").unwrap();
-        assert!(d.execute("SELECT * FROM accounts").is_err());
-        assert!(d.execute("DROP TABLE accounts").is_err());
-    }
-
-    #[test]
-    fn aggregate_errors() {
-        let mut d = db();
-        assert!(d.execute("SELECT SUM(nosuch) FROM accounts").is_err());
-        assert!(
-            d.execute("SELECT SUM(acct) FROM accounts").is_err(),
-            "non-numeric"
-        );
-        assert!(d.execute("SELECT LIMIT FROM accounts").is_err());
-    }
-
-    #[test]
-    fn count_distinct_column_form() {
-        // COUNT(col) counts matching rows (no DISTINCT semantics).
-        let mut d = db();
-        assert_eq!(
-            d.execute("SELECT COUNT(bal) FROM accounts")
-                .unwrap()
-                .scalar(),
-            Some(&Value::Int(4))
-        );
     }
 }

@@ -3,16 +3,17 @@
 //! Grammar (keywords case-insensitive, identifiers case-sensitive):
 //!
 //! ```text
-//! CREATE TABLE t (c1, c2, …)
-//! DROP TABLE t
 //! INSERT INTO t VALUES (v1, v2, …)
 //! INSERT INTO t (c1, c2) VALUES (v1, v2)
-//! SELECT c1, c2 FROM t [WHERE c = v [AND …]] [ORDER BY c [DESC]] [LIMIT n]
+//! SELECT c1, c2 FROM t [WHERE c = v [AND …]]
 //! SELECT * FROM t [WHERE …]
-//! SELECT COUNT(*) | SUM(c) | MIN(c) | MAX(c) | AVG(c) FROM t [WHERE …]
 //! UPDATE t SET c = v [, c = v …] [WHERE …]
 //! DELETE FROM t [WHERE …]
 //! ```
+//!
+//! Tables are created programmatically
+//! ([`super::Database::create_table`]); the textual interface carries
+//! only the commands a CM-RID template or an application sends.
 //!
 //! Literals: integers, floats, `'single-quoted strings'`, `NULL`,
 //! `TRUE`, `FALSE`. Predicates compare a column to a literal with
@@ -72,45 +73,9 @@ pub struct Comparison {
     pub value: Value,
 }
 
-/// An aggregate function in a SELECT head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Aggregate {
-    /// `COUNT(*)`.
-    Count,
-    /// `SUM(col)`.
-    Sum,
-    /// `MIN(col)`.
-    Min,
-    /// `MAX(col)`.
-    Max,
-    /// `AVG(col)`.
-    Avg,
-}
-
-/// `ORDER BY` clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderBy {
-    /// Sort column.
-    pub column: String,
-    /// Descending order when set.
-    pub desc: bool,
-}
-
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `CREATE TABLE`.
-    CreateTable {
-        /// Table name.
-        name: String,
-        /// Column names.
-        columns: Vec<String>,
-    },
-    /// `DROP TABLE`.
-    DropTable {
-        /// Table name.
-        name: String,
-    },
     /// `INSERT INTO`.
     Insert {
         /// Table name.
@@ -127,21 +92,6 @@ pub enum Command {
         /// Projected columns (`["*"]` for all).
         columns: Vec<String>,
         /// WHERE conjuncts (empty = all rows).
-        predicate: Vec<Comparison>,
-        /// Optional `ORDER BY`.
-        order: Option<OrderBy>,
-        /// Optional `LIMIT`.
-        limit: Option<usize>,
-    },
-    /// `SELECT <agg>(…)`.
-    SelectAggregate {
-        /// Table name.
-        table: String,
-        /// The aggregate function.
-        agg: Aggregate,
-        /// Aggregated column (ignored for COUNT).
-        column: Option<String>,
-        /// WHERE conjuncts.
         predicate: Vec<Comparison>,
     },
     /// `UPDATE`.
@@ -313,11 +263,6 @@ impl<'a> P<'a> {
         self.rest.last()
     }
 
-    /// The token after the next one.
-    fn peek2(&self) -> Option<&T<'a>> {
-        self.rest.len().checked_sub(2).map(|i| &self.rest[i])
-    }
-
     fn keyword(&mut self, kw: &str) -> Result<(), RisError> {
         match self.next() {
             Some(T::Ident(w)) if w.eq_ignore_ascii_case(kw) => Ok(()),
@@ -421,19 +366,7 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
     rest.reverse();
     let mut p = P { rest };
     let head = p.word()?;
-    let commands = ["CREATE", "DROP", "INSERT", "SELECT", "UPDATE", "DELETE"];
-    let cmd = match keyword_in(head, &commands) {
-        Some("CREATE") => {
-            p.keyword("TABLE")?;
-            let name = p.ident()?;
-            let columns = p.ident_list()?;
-            Command::CreateTable { name, columns }
-        }
-        Some("DROP") => {
-            p.keyword("TABLE")?;
-            let name = p.ident()?;
-            Command::DropTable { name }
-        }
+    let cmd = match keyword_in(head, &["INSERT", "SELECT", "UPDATE", "DELETE"]) {
         Some("INSERT") => {
             p.keyword("INTO")?;
             let table = p.ident()?;
@@ -451,99 +384,27 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
             }
         }
         Some("SELECT") => {
-            // Aggregate head? `IDENT (` with an aggregate name.
-            let agg = match p.peek() {
-                Some(T::Ident(w)) => match keyword_in(w, &["COUNT", "SUM", "MIN", "MAX", "AVG"]) {
-                    Some("COUNT") => Some(Aggregate::Count),
-                    Some("SUM") => Some(Aggregate::Sum),
-                    Some("MIN") => Some(Aggregate::Min),
-                    Some("MAX") => Some(Aggregate::Max),
-                    Some("AVG") => Some(Aggregate::Avg),
-                    _ => None,
-                },
-                _ => None,
-            };
-            let agg = match agg {
-                Some(a) if p.peek2() == Some(&T::LParen) => {
-                    // The aggregate name and its `(`.
-                    p.next();
-                    p.next();
-                    let column = if a == Aggregate::Count {
-                        if matches!(p.peek(), Some(T::Star)) {
-                            p.next();
-                            None
-                        } else {
-                            Some(p.ident()?)
-                        }
-                    } else {
-                        Some(p.ident()?)
-                    };
-                    p.expect(&T::RParen)?;
-                    Some((a, column))
-                }
-                _ => None,
-            };
-            if let Some((agg, column)) = agg {
-                p.keyword("FROM")?;
-                let table = p.ident()?;
-                let predicate = p.where_clause()?;
-                Command::SelectAggregate {
-                    table,
-                    agg,
-                    column,
-                    predicate,
-                }
+            let mut columns = Vec::new();
+            if matches!(p.peek(), Some(T::Star)) {
+                p.next();
+                columns.push("*".to_owned());
             } else {
-                let mut columns = Vec::new();
-                if matches!(p.peek(), Some(T::Star)) {
-                    p.next();
-                    columns.push("*".to_owned());
-                } else {
-                    loop {
-                        columns.push(p.ident()?);
-                        if matches!(p.peek(), Some(T::Comma)) {
-                            p.next();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                p.keyword("FROM")?;
-                let table = p.ident()?;
-                let predicate = p.where_clause()?;
-                let order = if p.is_keyword("ORDER") {
-                    p.next();
-                    p.keyword("BY")?;
-                    let column = p.ident()?;
-                    let desc = if p.is_keyword("DESC") {
+                loop {
+                    columns.push(p.ident()?);
+                    if matches!(p.peek(), Some(T::Comma)) {
                         p.next();
-                        true
                     } else {
-                        if p.is_keyword("ASC") {
-                            p.next();
-                        }
-                        false
-                    };
-                    Some(OrderBy { column, desc })
-                } else {
-                    None
-                };
-                let limit = if p.is_keyword("LIMIT") {
-                    p.next();
-                    match p.next() {
-                        Some(T::Lit(Value::Int(n))) if n >= 0 => Some(n as usize),
-                        other => return Err(bad(format!("expected LIMIT count, found {other:?}"))),
+                        break;
                     }
-                } else {
-                    None
-                };
-                Command::Select {
-                    table,
-                    columns,
-                    predicate,
-                    order,
-                    limit,
                 }
+            }
+            p.keyword("FROM")?;
+            let table = p.ident()?;
+            let predicate = p.where_clause()?;
+            Command::Select {
+                table,
+                columns,
+                predicate,
             }
         }
         Some("UPDATE") => {
@@ -589,18 +450,6 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_create() {
-        let c = parse_command("CREATE TABLE t (a, b)").unwrap();
-        assert_eq!(
-            c,
-            Command::CreateTable {
-                name: "t".into(),
-                columns: vec!["a".into(), "b".into()]
-            }
-        );
-    }
 
     #[test]
     fn parses_insert_variants() {

@@ -13,7 +13,8 @@
 //! same cases.
 
 use hcm_core::Value;
-use hcm_ris::relational::{parse_command, Check, CheckOperand, Database, SqlOp, TriggerOp};
+use hcm_ris::relational::{parse_command, Check, CheckOperand, Database, SqlOp};
+use hcm_ris::RisError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Minimal deterministic generator (SplitMix64).
@@ -36,8 +37,6 @@ impl Gen {
 /// One command of every shape the grammar accepts, valid against
 /// [`populated`].
 const SHAPES: &[&str] = &[
-    "CREATE TABLE fresh (a, b, c)",
-    "DROP TABLE scratch",
     "INSERT INTO employees VALUES ('e9', 'zoe', 70000)",
     "INSERT INTO employees (salary, empid) VALUES (-5, 'e8')",
     "INSERT INTO accounts VALUES ('O''Brien', 2.5)",
@@ -45,14 +44,8 @@ const SHAPES: &[&str] = &[
     "SELECT salary FROM employees WHERE empid = 'e1'",
     "select empid, name from employees where salary >= 0 and salary < 100000",
     "SELECT * FROM employees",
-    "SELECT acct FROM accounts ORDER BY bal DESC LIMIT 2",
-    "SELECT acct FROM accounts WHERE bal <> 3 ORDER BY bal ASC LIMIT 1",
-    "SELECT COUNT(*) FROM accounts WHERE bal > 9999",
-    "SELECT COUNT(bal) FROM accounts",
-    "SELECT SUM(bal) FROM accounts WHERE bal <= 100",
-    "SELECT MIN(bal) FROM accounts",
-    "SELECT MAX(bal) FROM accounts",
-    "SELECT AVG(bal) FROM accounts WHERE acct != 'a'",
+    "SELECT * FROM accounts WHERE bal <> 3 AND acct != 'a'",
+    "SELECT acct, bal FROM accounts WHERE bal <= 100 AND bal > -1",
     "update employees set salary = 90000 where empid = 'e42'",
     "UPDATE employees SET salary = 1, name = 'x' WHERE empid = 'e1' AND salary > -1",
     "UPDATE accounts SET bal = 0",
@@ -64,10 +57,11 @@ const SHAPES: &[&str] = &[
 /// CHECK constraint, so execution reaches every code path.
 fn populated() -> Database {
     let mut db = Database::new();
+    db.create_table("employees", &["empid", "name", "salary"])
+        .unwrap();
+    db.create_table("accounts", &["acct", "bal"]).unwrap();
+    db.create_table("scratch", &["x", "y", "z"]).unwrap();
     for cmd in [
-        "CREATE TABLE employees (empid, name, salary)",
-        "CREATE TABLE accounts (acct, bal)",
-        "CREATE TABLE scratch (x, y, z)",
         "INSERT INTO employees VALUES ('e1', 'ann', 90000)",
         "INSERT INTO employees VALUES ('e2', 'bob', 80000)",
         "INSERT INTO accounts VALUES ('a', 10)",
@@ -75,8 +69,7 @@ fn populated() -> Database {
     ] {
         db.execute(cmd).unwrap();
     }
-    db.add_trigger("employees", &[TriggerOp::Update, TriggerOp::Delete])
-        .unwrap();
+    db.add_trigger("employees").unwrap();
     db.add_check(Check {
         table: "accounts".into(),
         left: CheckOperand::Col("bal".into()),
@@ -155,6 +148,27 @@ fn every_shape_parses_and_runs_unmutated() {
         populated()
             .execute(shape)
             .unwrap_or_else(|e| panic!("{shape}: {e}"));
+    }
+}
+
+/// The forms outside the dialect — SQL DDL, aggregates, ORDER BY and
+/// LIMIT — are ordinary bad commands, and leave the database as it was.
+#[test]
+fn removed_forms_are_bad_commands() {
+    for cmd in [
+        "CREATE TABLE fresh (a, b, c)",
+        "DROP TABLE scratch",
+        "SELECT COUNT(*) FROM accounts",
+        "SELECT acct FROM accounts ORDER BY bal",
+        "SELECT acct FROM accounts LIMIT 1",
+    ] {
+        let mut db = populated();
+        match db.execute(cmd) {
+            Err(RisError::BadCommand(_)) => {}
+            other => panic!("{cmd}: expected BadCommand, got {other:?}"),
+        }
+        assert!(db.get_table("scratch").is_ok(), "{cmd}");
+        assert!(db.get_table("fresh").is_err(), "{cmd}");
     }
 }
 

@@ -62,6 +62,13 @@ pub trait RisBackend {
     fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId>;
 }
 
+/// The error a backend returns for a spontaneous operation shaped for
+/// another kind of store; the translator counts it in
+/// `translator.spontaneous_errors`.
+pub(crate) fn wrong_op(store: &str, op: &SpontaneousOp) -> RisError {
+    RisError::Unsupported(format!("{store} RIS takes no {op:?}"))
+}
+
 /// Render a value in the plain-text form the file store and whois
 /// directory hold.
 #[must_use]

@@ -6,7 +6,7 @@
 //! referential-integrity `E(x)` predicate works directly. **Read-only**
 //! to the CM; no change feed (translators poll).
 
-use crate::backend::{value_to_text, Change, RisBackend};
+use crate::backend::{value_to_text, wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
@@ -81,7 +81,7 @@ impl RisBackend for BiblioBackend {
                     });
                 }
             }
-            other => panic!("biblio RIS received non-biblio spontaneous op: {other:?}"),
+            other => return Err(wrong_op("biblio", other)),
         }
         Ok(out)
     }

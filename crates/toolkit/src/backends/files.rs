@@ -8,7 +8,9 @@
 //! read/enumerate, exactly the situation of the paper's polling example
 //! (§4.2.3).
 
-use crate::backend::{single_param, text_to_value, value_to_text, Change, KeyPattern, RisBackend};
+use crate::backend::{
+    single_param, text_to_value, value_to_text, wrong_op, Change, KeyPattern, RisBackend,
+};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
@@ -82,7 +84,7 @@ impl RisBackend for FileBackend {
                     }
                 }
             }
-            other => panic!("file RIS received non-file spontaneous op: {other:?}"),
+            other => return Err(wrong_op("file", other)),
         }
         match op {
             SpontaneousOp::FileWrite { path, contents } => {

@@ -3,7 +3,7 @@
 //! Items map onto native keys via `[map <base>] key = prefix$p0suffix`.
 //! Spontaneous changes surface through the store's **watch** facility.
 
-use crate::backend::{single_param, Change, KeyPattern, RisBackend};
+use crate::backend::{single_param, wrong_op, Change, KeyPattern, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
@@ -88,7 +88,7 @@ impl RisBackend for KvBackend {
             SpontaneousOp::KvDelete { key } => {
                 self.kv.delete(key)?;
             }
-            other => panic!("kv RIS received non-kv spontaneous op: {other:?}"),
+            other => return Err(wrong_op("kv", other)),
         }
         Ok(self.drain_changes())
     }

@@ -7,11 +7,11 @@
 //! back to item names via the `[map <base>]` sections
 //! (`table = …`, `key = …`, `col = …`).
 
-use crate::backend::{single_param, Change, RisBackend};
+use crate::backend::{single_param, wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::{substitute, CmRid};
 use hcm_core::{ItemId, ItemPattern, SimTime, Value};
-use hcm_ris::relational::{Database, QueryResult, TriggerOp};
+use hcm_ris::relational::{Database, QueryResult};
 use hcm_ris::RisError;
 
 struct TableMap {
@@ -65,11 +65,9 @@ impl RelationalBackend {
             // Triggers power the native change feed; tables may be
             // mapped by several bases, but one trigger each suffices.
             if !maps.iter().any(|m: &TableMap| &m.table == table) {
-                db.add_trigger(
-                    table,
-                    &[TriggerOp::Insert, TriggerOp::Update, TriggerOp::Delete],
-                )
-                .map_err(|_| RisError::NotFound(format!("table `{table}` of `[map {base}]`")))?;
+                db.add_trigger(table).map_err(|_| {
+                    RisError::NotFound(format!("table `{table}` of `[map {base}]`"))
+                })?;
             }
             maps.push(TableMap {
                 base: base.clone(),
@@ -148,7 +146,7 @@ impl RisBackend for RelationalBackend {
         _now: SimTime,
     ) -> Result<Vec<Change>, RisError> {
         let SpontaneousOp::Sql(cmd) = op else {
-            panic!("relational RIS received non-SQL spontaneous op: {op:?}");
+            return Err(wrong_op("relational", op));
         };
         self.run(cmd)?;
         Ok(self.changes_from_firings())
@@ -191,7 +189,7 @@ impl RisBackend for RelationalBackend {
             .db
             .query(&substitute(tpl, &[Value::Str(param)], None, true))?;
         // The first column of the first row; no row reads as Null.
-        let QueryResult::Rows { rows, .. } = result else {
+        let QueryResult::Rows(rows) = result else {
             return Ok(Value::Null);
         };
         Ok(rows
@@ -379,15 +377,18 @@ col = salary
     }
 
     #[test]
-    #[should_panic(expected = "non-SQL")]
-    fn wrong_op_shape_panics() {
+    fn wrong_op_shape_is_an_error() {
         let mut b = setup();
-        let _ = b.apply_spontaneous(
-            &SpontaneousOp::KvPut {
-                key: "k".into(),
-                value: Value::Int(1),
-            },
-            SimTime::ZERO,
-        );
+        let err = b
+            .apply_spontaneous(
+                &SpontaneousOp::KvPut {
+                    key: "k".into(),
+                    value: Value::Int(1),
+                },
+                SimTime::ZERO,
+            )
+            .unwrap_err();
+        assert!(matches!(err, RisError::Unsupported(_)), "{err:?}");
+        assert_eq!(b.read(&e1()).unwrap(), Value::Int(90000));
     }
 }

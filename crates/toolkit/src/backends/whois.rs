@@ -5,7 +5,7 @@
 //! rejected with `Unsupported` — a constraint over whois data can only
 //! be monitored or enforced *elsewhere* (paper §6.3). No change feed.
 
-use crate::backend::{single_param, Change, RisBackend};
+use crate::backend::{single_param, wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
 use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
@@ -91,7 +91,7 @@ impl RisBackend for WhoisBackend {
                 }
                 self.dir.admin_remove(name)?;
             }
-            other => panic!("whois RIS received non-whois spontaneous op: {other:?}"),
+            other => return Err(wrong_op("whois", other)),
         }
         Ok(out)
     }

@@ -11,8 +11,9 @@ use hcm_core::{Bindings, EventDesc, EventId, RuleId, SimDuration, SiteId, Value}
 
 /// A native, store-shaped operation performed by a local application —
 /// *spontaneous* from the CM's point of view. Each variant matches one
-/// RIS's RISI; sending the wrong shape to a translator is a scenario
-/// bug and panics.
+/// RIS's RISI; a backend refuses another store's shape with
+/// `RisError::Unsupported`, which the translator counts in
+/// `translator.spontaneous_errors`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpontaneousOp {
     /// Relational: the application executes a SQL command.
@@ -210,6 +211,11 @@ pub enum CmMsg {
         /// failure has cleared (the site answered again).
         kind: Option<FailureKind>,
     },
+    /// Application → shell: reset the system at this site (§5: a
+    /// logical failure suspends guarantees "until the system is
+    /// reset"). The shell returns every guarantee to valid and logs
+    /// the reset.
+    Reset,
     /// Failure injection → translator: add `extra` to every internal
     /// service delay (models database overload; `ZERO` restores
     /// normal operation).

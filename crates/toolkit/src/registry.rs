@@ -172,8 +172,10 @@ impl GuaranteeRegistry {
     }
 
     /// System reset (§5: logical suspensions last "until the system is
-    /// reset"): everything returns to valid.
-    pub fn reset(&mut self, now: SimTime) {
+    /// reset"): everything returns to valid. Applications reset a site
+    /// through `Scenario::reset`, which reaches the shell as a message
+    /// and is logged like every other transition.
+    pub(crate) fn reset(&mut self, now: SimTime) {
         for e in self.entries.values_mut() {
             e.status = GuaranteeStatus::Valid;
             e.since = now;

@@ -391,6 +391,15 @@ impl Scenario {
         self.sim.recover_at(s, at);
     }
 
+    /// Reset the system at a site at `at` (§5: logical suspensions
+    /// last "until the system is reset"). The site's shell returns
+    /// every guarantee to valid and logs the reset, so a durable shell
+    /// that crashes afterwards replays it and stays reset.
+    pub fn reset(&mut self, site: &str, at: SimTime) {
+        let s = self.site(site).shell;
+        self.sim.inject_at(at, s, CmMsg::Reset);
+    }
+
     /// Run until `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         self.sim.run(Some(horizon))

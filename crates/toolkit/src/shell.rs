@@ -117,8 +117,10 @@ pub struct ShellActor {
     cand_scratch: Vec<usize>,
 }
 
-/// The constant period of a `P`-headed LHS, when it has one.
-fn const_period(lhs: &TemplateDesc) -> Option<SimDuration> {
+/// The constant period of a `P`-headed template, when it has one: the
+/// shell arms its periodic rules and the translator its
+/// periodic-notify interfaces by this.
+pub(crate) fn const_period(lhs: &TemplateDesc) -> Option<SimDuration> {
     match lhs {
         TemplateDesc::P {
             period: hcm_core::Term::Const(Value::Int(ms @ 1..)),
@@ -216,13 +218,9 @@ impl ShellActor {
         });
     }
 
-    /// Apply a registry transition for `site` at `at` — a failure of
-    /// `kind`, or a clear when `kind` is `None` — and log it.
-    fn transition(&mut self, site: SiteId, kind: Option<FailureKind>, at: SimTime) {
-        let rec = match kind {
-            Some(kind) => LogRecord::Failure { at, site, kind },
-            None => LogRecord::Clear { at, site },
-        };
+    /// Apply a registry transition — a `Failure`, `Clear` or `Reset`
+    /// record — and log it.
+    fn transition(&mut self, rec: LogRecord) {
         self.registry.borrow_mut().apply(&rec);
         self.log_durable(&rec);
     }
@@ -365,39 +363,13 @@ impl ShellActor {
     fn emit(&mut self, desc: EventDesc, rule: RuleId, trigger: EventId, ctx: &mut Ctx<'_, CmMsg>) {
         let now = ctx.now();
         match desc {
+            // The WR/RR event occurs at the database when it receives
+            // the request — the translator records it.
             EventDesc::Wr { item, value } => {
-                // The WR event occurs at the database when it receives
-                // the request — the translator records it.
-                let req_id = self.track_request(ctx);
-                self.metrics.inc(self.scope, "shell.requests_sent");
-                let me = ctx.me();
-                ctx.send_local(
-                    self.translator,
-                    CmMsg::Request {
-                        req_id,
-                        reply_to: me,
-                        rule: Some(rule),
-                        trigger: Some(trigger),
-                        kind: RequestKind::Write(item, value),
-                    },
-                    LOCAL_DELAY,
-                );
+                self.request(Some((rule, trigger)), RequestKind::Write(item, value), ctx);
             }
             EventDesc::Rr { item } => {
-                let req_id = self.track_request(ctx);
-                self.metrics.inc(self.scope, "shell.requests_sent");
-                let me = ctx.me();
-                ctx.send_local(
-                    self.translator,
-                    CmMsg::Request {
-                        req_id,
-                        reply_to: me,
-                        rule: Some(rule),
-                        trigger: Some(trigger),
-                        kind: RequestKind::Read(item),
-                    },
-                    LOCAL_DELAY,
-                );
+                self.request(Some((rule, trigger)), RequestKind::Read(item), ctx);
             }
             EventDesc::W { item, value } => {
                 // Writes on the RHS address CM-private data (remote
@@ -459,6 +431,34 @@ impl ShellActor {
         );
     }
 
+    /// Send a CMI request to the local translator under a fresh,
+    /// deadline-tracked id. `cause` is the rule firing behind it; a
+    /// heartbeat probe has none and is not counted in
+    /// `shell.requests_sent`.
+    fn request(
+        &mut self,
+        cause: Option<(RuleId, EventId)>,
+        kind: RequestKind,
+        ctx: &mut Ctx<'_, CmMsg>,
+    ) {
+        let req_id = self.track_request(ctx);
+        if cause.is_some() {
+            self.metrics.inc(self.scope, "shell.requests_sent");
+        }
+        let me = ctx.me();
+        ctx.send_local(
+            self.translator,
+            CmMsg::Request {
+                req_id,
+                reply_to: me,
+                rule: cause.map(|(rule, _)| rule),
+                trigger: cause.map(|(_, trigger)| trigger),
+                kind,
+            },
+            LOCAL_DELAY,
+        );
+    }
+
     fn track_request(&mut self, ctx: &mut Ctx<'_, CmMsg>) -> u64 {
         let req_id = self.next_req;
         self.next_req += 1;
@@ -504,7 +504,10 @@ impl ShellActor {
                         ("req", req_id.to_string()),
                     ],
                 );
-                self.transition(self.site, None, now);
+                self.transition(LogRecord::Clear {
+                    at: now,
+                    site: self.site,
+                });
                 self.broadcast_failure(None, ctx);
             }
         }
@@ -526,64 +529,52 @@ impl ShellActor {
 
     fn handle_deadline(&mut self, req_id: u64, escalation: bool, ctx: &mut Ctx<'_, CmMsg>) {
         let now = ctx.now();
-        if !self.outstanding.contains_key(&req_id) {
+        let Some(o) = self.outstanding.get_mut(&req_id) else {
             return; // answered in time
-        }
-        if escalation {
-            // Still unanswered well past the bound: logical failure.
-            self.metrics
-                .inc(self.scope, "shell.logical_failures_detected");
-            self.metrics.record(
-                now,
-                self.scope,
-                "shell.failure",
-                [
-                    ("phase", "logical".to_string()),
-                    ("req", req_id.to_string()),
-                ],
-            );
-            self.record(
-                now,
-                EventDesc::Custom {
-                    name: "FailureDetected".into(),
-                    args: vec![
-                        Value::Int(i64::from(self.site.index())),
-                        Value::Str("logical".into()),
-                    ],
-                },
-                None,
-                None,
-                None,
-            );
-            self.transition(self.site, Some(FailureKind::Logical), now);
-            self.broadcast_failure(Some(FailureKind::Logical), ctx);
+        };
+        o.flagged = true;
+        // Unanswered past the deadline: metric failure. Still
+        // unanswered past the escalation: logical failure.
+        let (kind, phase, counter) = if escalation {
+            (
+                FailureKind::Logical,
+                "logical",
+                "shell.logical_failures_detected",
+            )
         } else {
-            if let Some(o) = self.outstanding.get_mut(&req_id) {
-                o.flagged = true;
-            }
-            self.metrics
-                .inc(self.scope, "shell.metric_failures_detected");
-            self.metrics.record(
-                now,
-                self.scope,
-                "shell.failure",
-                [("phase", "metric".to_string()), ("req", req_id.to_string())],
-            );
-            self.record(
-                now,
-                EventDesc::Custom {
-                    name: "FailureDetected".into(),
-                    args: vec![
-                        Value::Int(i64::from(self.site.index())),
-                        Value::Str("metric".into()),
-                    ],
-                },
-                None,
-                None,
-                None,
-            );
-            self.transition(self.site, Some(FailureKind::Metric), now);
-            self.broadcast_failure(Some(FailureKind::Metric), ctx);
+            (
+                FailureKind::Metric,
+                "metric",
+                "shell.metric_failures_detected",
+            )
+        };
+        self.metrics.inc(self.scope, counter);
+        self.metrics.record(
+            now,
+            self.scope,
+            "shell.failure",
+            [("phase", phase.to_string()), ("req", req_id.to_string())],
+        );
+        self.record(
+            now,
+            EventDesc::Custom {
+                name: "FailureDetected".into(),
+                args: vec![
+                    Value::Int(i64::from(self.site.index())),
+                    Value::Str(phase.into()),
+                ],
+            },
+            None,
+            None,
+            None,
+        );
+        self.transition(LogRecord::Failure {
+            at: now,
+            site: self.site,
+            kind,
+        });
+        self.broadcast_failure(Some(kind), ctx);
+        if !escalation {
             ctx.schedule_self(
                 self.failure_cfg.escalation,
                 CmMsg::CheckDeadline {
@@ -601,19 +592,8 @@ impl ShellActor {
             return;
         };
         self.metrics.inc(self.scope, "shell.heartbeats");
-        let req_id = self.track_request(ctx);
-        let me = ctx.me();
-        ctx.send_local(
-            self.translator,
-            CmMsg::Request {
-                req_id,
-                reply_to: me,
-                rule: None,
-                trigger: None,
-                kind: RequestKind::Enumerate(hcm_core::ItemPattern::plain("__probe__")),
-            },
-            LOCAL_DELAY,
-        );
+        let probe = RequestKind::Enumerate(hcm_core::ItemPattern::plain("__probe__"));
+        self.request(None, probe, ctx);
         if ctx.now() + period <= self.stop_periodics_at {
             ctx.schedule_self(period, CmMsg::Heartbeat);
         }
@@ -822,7 +802,14 @@ impl Actor<CmMsg> for ShellActor {
             CmMsg::CheckDeadline { req_id, escalation } => {
                 self.handle_deadline(req_id, escalation, ctx)
             }
-            CmMsg::FailureNotice { site, kind } => self.transition(site, kind, ctx.now()),
+            CmMsg::FailureNotice { site, kind } => {
+                let at = ctx.now();
+                self.transition(match kind {
+                    Some(kind) => LogRecord::Failure { at, site, kind },
+                    None => LogRecord::Clear { at, site },
+                });
+            }
+            CmMsg::Reset => self.transition(LogRecord::Reset { at: ctx.now() }),
             other => panic!(
                 "shell at {} received unexpected message {other:?}",
                 self.site

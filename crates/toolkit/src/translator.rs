@@ -21,6 +21,7 @@ use crate::backend::RisBackend;
 use crate::durability::{LogRecord, PendingWrite, Restart, StatePolicy, TranslatorSnapshot};
 use crate::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use crate::rid::{classify, CmRid, IfaceClass};
+use crate::shell::const_period;
 use hcm_core::{
     Bindings, EventDesc, EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, TemplateDesc,
     TraceRecorder, Value,
@@ -46,6 +47,10 @@ pub struct TranslatorActor {
     shell: ActorId,
     backend: Box<dyn RisBackend>,
     interfaces: Vec<IfaceRule>,
+    /// `(statement index, period)` of every periodic-notify interface
+    /// with a constant period: the ones armed at start and after a
+    /// restart from configuration.
+    periodic: Vec<(u64, SimDuration)>,
     interest: Vec<TemplateDesc>,
     service: SimDuration,
     extra: SimDuration,
@@ -84,7 +89,7 @@ impl TranslatorActor {
         metrics: Metrics,
     ) -> Self {
         assert_eq!(rid.interfaces.len(), iface_ids.len());
-        let interfaces = rid
+        let interfaces: Vec<IfaceRule> = rid
             .interfaces
             .iter()
             .cloned()
@@ -94,11 +99,18 @@ impl TranslatorActor {
                 IfaceRule { stmt, class, id }
             })
             .collect();
+        let periodic = interfaces
+            .iter()
+            .enumerate()
+            .filter(|(_, iface)| iface.class == IfaceClass::PeriodicNotify)
+            .filter_map(|(idx, iface)| Some((idx as u64, const_period(&iface.stmt.lhs)?)))
+            .collect();
         TranslatorActor {
             site,
             shell,
             backend,
             interfaces,
+            periodic,
             interest,
             service: rid.service,
             extra: SimDuration::ZERO,
@@ -153,26 +165,11 @@ impl TranslatorActor {
                 }
             }
         }
-        let to_arm: Vec<(usize, u64)> = self
-            .interfaces
-            .iter()
-            .enumerate()
-            .filter(|(_, iface)| iface.class == IfaceClass::PeriodicNotify)
-            .filter_map(|(idx, iface)| {
-                let TemplateDesc::P { period } = &iface.stmt.lhs else {
-                    return None;
-                };
-                period_millis(period).map(|ms| (idx, ms))
-            })
-            .collect();
-        for (idx, ms) in to_arm {
-            let period = SimDuration::from_millis(ms);
-            self.armed.insert(idx as u64, period);
-            self.log_durable(&LogRecord::PollArmed {
-                idx: idx as u64,
-                period,
-            });
-            ctx.schedule_self(period, CmMsg::PollTick { idx });
+        for i in 0..self.periodic.len() {
+            let (idx, period) = self.periodic[i];
+            self.armed.insert(idx, period);
+            self.log_durable(&LogRecord::PollArmed { idx, period });
+            ctx.schedule_self(period, CmMsg::PollTick { idx: idx as usize });
         }
     }
 
@@ -435,21 +432,10 @@ impl TranslatorActor {
         let Some(iface) = self.interfaces.get(idx) else {
             return;
         };
-        let TemplateDesc::P { period } = &iface.stmt.lhs else {
+        let Some(period) = const_period(&iface.stmt.lhs) else {
             return;
         };
-        let Some(period_ms) = period_millis(period) else {
-            return;
-        };
-        let p_id = self.record(
-            now,
-            EventDesc::P {
-                period: SimDuration::from_millis(period_ms),
-            },
-            None,
-            None,
-            None,
-        );
+        let p_id = self.record(now, EventDesc::P { period }, None, None, None);
         // Instantiate the N template for every currently existing item.
         if let TemplateDesc::N {
             item: item_pat,
@@ -496,8 +482,8 @@ impl TranslatorActor {
                 );
             }
         }
-        if now + SimDuration::from_millis(period_ms) <= self.stop_periodics_at {
-            ctx.schedule_self(SimDuration::from_millis(period_ms), CmMsg::PollTick { idx });
+        if now + period <= self.stop_periodics_at {
+            ctx.schedule_self(period, CmMsg::PollTick { idx });
         } else if self.armed.remove(&(idx as u64)).is_some() {
             self.log_durable(&LogRecord::PollDisarmed { idx: idx as u64 });
         }
@@ -512,34 +498,6 @@ impl TranslatorActor {
                 ctx.schedule_self(period, CmMsg::PollTick { idx: idx as usize });
             }
         }
-    }
-
-    /// Rebuild `self.armed` from the CM-RID alone — what a restarted
-    /// translator with no durable store can still do, since the RID is
-    /// static configuration.
-    fn arm_from_config(&mut self) {
-        let to_arm: Vec<(usize, u64)> = self
-            .interfaces
-            .iter()
-            .enumerate()
-            .filter(|(_, iface)| iface.class == IfaceClass::PeriodicNotify)
-            .filter_map(|(idx, iface)| {
-                let TemplateDesc::P { period } = &iface.stmt.lhs else {
-                    return None;
-                };
-                period_millis(period).map(|ms| (idx, ms))
-            })
-            .collect();
-        for (idx, ms) in to_arm {
-            self.armed.insert(idx as u64, SimDuration::from_millis(ms));
-        }
-    }
-}
-
-fn period_millis(period: &hcm_core::Term) -> Option<u64> {
-    match period {
-        hcm_core::Term::Const(Value::Int(ms)) if *ms > 0 => Some(*ms as u64),
-        _ => None,
     }
 }
 
@@ -571,7 +529,7 @@ impl Actor<CmMsg> for TranslatorActor {
                 // Restarted from static configuration alone: periodic
                 // interfaces re-arm (the CM-RID is config); accepted
                 // writes are lost.
-                self.arm_from_config();
+                self.armed.extend(self.periodic.iter().copied());
                 self.rearm_polls(ctx);
                 return;
             }

@@ -237,6 +237,37 @@ fn durability_is_the_only_difference_between_metric_and_logical() {
     assert_ne!(salary2_at_end(&durable), salary2_at_end(&lossy));
 }
 
+/// A reset is a logged transition like a failure: a durable shell that
+/// crashes after one replays the failures and then the reset, and
+/// comes back with its guarantees valid.
+#[test]
+fn durable_shell_replays_a_reset() {
+    let mut sc = build(21, Durability::Durable(StoreSetup::default()));
+    // B's database goes down for good: the request for the update at
+    // 40s is never answered, and B's shell escalates to logical.
+    sc.crash("B", SimTime::from_secs(30), true);
+    update(&mut sc, 40, 95_000);
+    sc.run_until(SimTime::from_secs(100));
+    let follows = |sc: &Scenario| sc.site("B").registry.borrow().status("follows");
+    assert_eq!(follows(&sc), Some(GuaranteeStatus::SuspendedLogical));
+
+    sc.reset("B", SimTime::from_secs(100));
+    sc.run_until(SimTime::from_secs(100));
+    assert_eq!(follows(&sc), Some(GuaranteeStatus::Valid));
+
+    // A lossy shell crash wipes the registry; recovery rebuilds it
+    // from the log, reset included. The run ends before the recovered
+    // request's fresh deadline (recovery + 5s) can fire again.
+    sc.crash_shell("B", SimTime::from_secs(110), true);
+    sc.recover_shell("B", SimTime::from_secs(120));
+    sc.run_until(SimTime::from_secs(122));
+    assert_eq!(
+        sc.obs.metrics.counter(Scope::Actor(1), "store.recoveries"),
+        1
+    );
+    assert_eq!(follows(&sc), Some(GuaranteeStatus::Valid));
+}
+
 // ---------------------------------------------------------------------
 // Shell-state recovery: CM-private data + guarantee registry.
 // ---------------------------------------------------------------------

@@ -151,10 +151,8 @@ fn crash_causes_logical_failure_requiring_reset() {
     );
 
     // Only a reset restores validity (§5).
-    sc.site("B")
-        .registry
-        .borrow_mut()
-        .reset(SimTime::from_secs(300));
+    sc.reset("B", SimTime::from_secs(300));
+    sc.run_until(SimTime::from_secs(300));
     assert_eq!(
         sc.site("B").registry.borrow().status("follows"),
         Some(GuaranteeStatus::Valid)

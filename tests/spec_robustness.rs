@@ -17,7 +17,7 @@
 mod common;
 
 use common::{employees_db, RID_DST, RID_SRC};
-use hcm::core::{RuleRegistry, SimTime, SiteId};
+use hcm::core::{RuleRegistry, SimTime, SiteId, Value};
 use hcm::harness::post_mortem;
 use hcm::ris::kvstore::KvStore;
 use hcm::ris::relational::Database;
@@ -431,4 +431,26 @@ fn map_onto_a_missing_table_is_a_build_error() {
             .contains("site `A`: not found: table `employees` of `[map salary1]`"),
         "{e:?}"
     );
+}
+
+/// A spontaneous operation shaped for another kind of store is refused
+/// by the backend and counted, not a panic: the run goes on.
+#[test]
+fn spontaneous_op_of_the_wrong_shape_is_counted() {
+    let db = || RawStore::Relational(employees_db(&[("e1", 90_000)]));
+    let mut sc = ScenarioBuilder::new(1)
+        .site("A", db(), RID_SRC)
+        .unwrap()
+        .site("B", db(), RID_DST)
+        .unwrap()
+        .build()
+        .unwrap();
+    let put = SpontaneousOp::KvPut {
+        key: "e1".into(),
+        value: Value::Int(1),
+    };
+    sc.inject(SimTime::from_secs(1), "A", put);
+    sc.run_to_quiescence();
+    assert_eq!(sc.counter("A", "translator.spontaneous_errors"), 1);
+    assert!(sc.trace().is_empty(), "nothing happened at either site");
 }
