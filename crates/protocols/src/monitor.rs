@@ -21,7 +21,7 @@ use hcm_core::{
 use hcm_obs::{Metrics, Scope};
 use hcm_simkit::{Actor, ActorId, Ctx, RunOutcome, Sim};
 use hcm_toolkit::backends::{build_backend, RawStore};
-use hcm_toolkit::durability::{LogRecord, Restart, ShellSnapshot};
+use hcm_toolkit::durability::{LogRecord, Restart};
 use hcm_toolkit::msg::{CmMsg, SpontaneousOp, TranslatorEvent};
 use hcm_toolkit::rid::CmRid;
 use hcm_toolkit::translator::TranslatorActor;
@@ -81,22 +81,10 @@ impl MonitorAgent {
     }
 
     /// Log one write of the agent's state — a mirror or `Flag`, as a
-    /// CM-private item — when the agent is durable. A due checkpoint
-    /// holds all three items.
+    /// CM-private item — when the agent is durable.
     fn log_durable(&mut self, at: SimTime, item: ItemId, value: Value) {
-        let (x, y, cx, cy, flag) = (&self.item_x, &self.item_y, &self.cx, &self.cy, self.flag);
         self.policy
-            .log(&LogRecord::PrivateWrite { at, item, value }, || {
-                ShellSnapshot {
-                    private: vec![
-                        (x.clone(), cx.clone()),
-                        (y.clone(), cy.clone()),
-                        (ItemId::plain("Flag"), Value::Bool(flag)),
-                    ],
-                    ..ShellSnapshot::default()
-                }
-                .encode()
-            });
+            .log(&LogRecord::PrivateWrite { at, item, value });
     }
 
     /// Set one item of the agent's state (a mirror or `Flag`), from a
@@ -175,13 +163,9 @@ impl Actor<CmMsg> for MonitorAgent {
     }
 
     fn on_recover(&mut self, _ctx: &mut Ctx<'_, CmMsg>) {
-        let Restart::Replay(ckpt, records) = self.policy.recover() else {
+        let Restart::Replay(records) = self.policy.recover() else {
             return;
         };
-        let snapshot = ckpt.and_then(|blob| ShellSnapshot::decode(&blob).ok());
-        for (item, value) in snapshot.map(|s| s.private).unwrap_or_default() {
-            self.set_state(item, value);
-        }
         for rec in records {
             if let LogRecord::PrivateWrite { item, value, .. } = rec {
                 self.set_state(item, value);

@@ -49,16 +49,17 @@ pub trait Actor<M> {
     /// Called when the simulation crashes this actor. `lossy` mirrors
     /// the crash control: a lossy crash destroys in-flight messages
     /// *and*, for durable-state actors, their volatile state — the
-    /// hook is where such an actor wipes itself. Sends made from this
-    /// hook are discarded (the actor is already down). Default:
-    /// nothing.
+    /// hook is where such an actor wipes itself, and cancels the
+    /// timers that state had armed ([`Ctx::cancel_timers`]). Sends
+    /// made from this hook are discarded (the actor is already down).
+    /// Default: nothing.
     fn on_crash(&mut self, lossy: bool, ctx: &mut Ctx<'_, M>) {
         let _ = (lossy, ctx);
     }
 
     /// Called when the simulation recovers this actor, *before* any
-    /// held message is redelivered. A durable-state actor reloads its
-    /// checkpoint + log here and re-arms its timers. Default: nothing.
+    /// held message is redelivered. A durable-state actor replays its
+    /// log here and re-arms its timers. Default: nothing.
     fn on_recover(&mut self, ctx: &mut Ctx<'_, M>) {
         let _ = ctx;
     }
@@ -74,6 +75,8 @@ pub struct Ctx<'a, M> {
     pub(crate) me: ActorId,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) outbox: &'a mut Vec<(ActorId, M, SendKind)>,
+    /// Set by [`Ctx::cancel_timers`].
+    pub(crate) timers_cancelled: bool,
 }
 
 impl<M> Ctx<'_, M> {
@@ -117,6 +120,15 @@ impl<M> Ctx<'_, M> {
     pub fn schedule_self(&mut self, delay: SimDuration, msg: M) {
         self.outbox.push((self.me, msg, SendKind::Timer(delay)));
     }
+
+    /// Cancel every message this actor has sent itself and not yet
+    /// received — its pending timers. Honoured from
+    /// [`Actor::on_crash`] only: a crash that wipes an actor's state
+    /// takes the timers that state armed with it, and recovery
+    /// re-arms the ones it still needs.
+    pub fn cancel_timers(&mut self) {
+        self.timers_cancelled = true;
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +149,7 @@ mod tests {
             me: ActorId(1),
             rng: &mut rng,
             outbox: &mut outbox,
+            timers_cancelled: false,
         };
         assert_eq!(ctx.now(), SimTime::from_secs(5));
         assert_eq!(ctx.me(), ActorId(1));

@@ -286,6 +286,7 @@ impl<M> Sim<M> {
                     me: id,
                     rng: &mut self.rngs[i],
                     outbox: &mut outbox,
+                    timers_cancelled: false,
                 };
                 self.actors[i].on_start(&mut ctx);
             }
@@ -365,6 +366,7 @@ impl<M> Sim<M> {
                                     me: to,
                                     rng: &mut self.rngs[to.0 as usize],
                                     outbox: &mut outbox,
+                                    timers_cancelled: false,
                                 };
                                 self.actors[to.0 as usize].on_message(msg, &mut ctx);
                             }
@@ -400,8 +402,17 @@ impl<M> Sim<M> {
                     me: who,
                     rng: &mut self.rngs[who.0 as usize],
                     outbox: &mut discard,
+                    timers_cancelled: false,
                 };
                 self.actors[who.0 as usize].on_crash(lossy, &mut ctx);
+                // A wiped actor's timers die with its state. The queue's
+                // keys are unique, so dropping entries leaves the pop
+                // order of the rest unchanged.
+                if ctx.timers_cancelled {
+                    self.queue.retain(|Reverse(s)| {
+                        !matches!(s.entry, Entry::Deliver { to, from, .. } if to == who && from == who)
+                    });
+                }
             }
             Control::Recover { who } => {
                 self.net.set_status(who, ActorStatus::Up);
@@ -421,6 +432,7 @@ impl<M> Sim<M> {
                         me: who,
                         rng: &mut self.rngs[who.0 as usize],
                         outbox: &mut outbox,
+                        timers_cancelled: false,
                     };
                     self.actors[who.0 as usize].on_recover(&mut ctx);
                 }
@@ -682,6 +694,47 @@ mod tests {
         );
         // The send attempted from on_crash never reached the peer.
         assert!(peer_log.borrow().is_empty());
+    }
+
+    #[test]
+    fn a_crash_that_cancels_timers_drops_only_the_crashed_actors() {
+        /// Arms a timer at 2s and one at 10s; cancels its timers on a
+        /// crash when `wipe` is set.
+        struct Timed {
+            log: Shared<Vec<u64>>,
+            wipe: bool,
+        }
+        impl Actor<Msg> for Timed {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                ctx.schedule_self(SimDuration::from_secs(2), Msg::Tick);
+                ctx.schedule_self(SimDuration::from_secs(10), Msg::Tick);
+            }
+            fn on_message(&mut self, _msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+                self.log.borrow_mut().push(ctx.now().as_millis());
+            }
+            fn on_crash(&mut self, _lossy: bool, ctx: &mut Ctx<'_, Msg>) {
+                if self.wipe {
+                    ctx.cancel_timers();
+                }
+            }
+        }
+        let logs: Vec<_> = (0..3).map(|_| shared(Vec::new())).collect();
+        let mut sim = fixed_sim(0);
+        for (i, log) in logs.iter().enumerate() {
+            sim.add_actor(Box::new(Timed {
+                log: log.clone(),
+                wipe: i == 0,
+            }));
+        }
+        // Actors 0 and 1 crash over [1s, 3s]; actor 2 never does.
+        for a in [ActorId(0), ActorId(1)] {
+            sim.crash_at(a, SimTime::from_secs(1), true);
+            sim.recover_at(a, SimTime::from_secs(3));
+        }
+        sim.run_to_quiescence();
+        assert_eq!(*logs[0].borrow(), Vec::<u64>::new());
+        assert_eq!(*logs[1].borrow(), vec![10_000]);
+        assert_eq!(*logs[2].borrow(), vec![2_000, 10_000]);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! and tagged unions for the domain types the toolkit's log records
 //! mention ([`Value`], [`ItemId`], times). The encoding is
 //! deterministic — the same value always produces the same bytes — so
-//! recovered state can be compared byte-for-byte against live state.
+//! a record's encoding can be pinned byte-for-byte.
 //!
 //! A table-driven CRC32 (IEEE 802.3, reflected, polynomial
-//! `0xEDB88320`) guards every log record and checkpoint payload; see
+//! `0xEDB88320`) guards every log record; see
 //! [`crc32`].
 
 use hcm_core::{ItemId, SimDuration, SimTime, Sym, Value};

@@ -3,19 +3,17 @@
 //! The paper's failure model (§5) turns on durability: "crashes can be
 //! mapped to metric failures if the database … can remember messages".
 //! This crate is the *remembering*: an append-only write-ahead log of
-//! opaque record payloads, checkpoints of component state, and a
-//! recovery path that loads the latest valid checkpoint and returns
-//! the log suffix after it. A CM-Shell or CM-Translator wired to a
+//! opaque record payloads and a recovery path that returns every
+//! record logged so far. A CM-Shell or CM-Translator wired to a
 //! [`StateStore`] can lose its entire in-memory state to a lossy crash
-//! and come back holding exactly the registry, private data and
-//! pending obligations it had logged — demoting what would have been a
-//! logical failure to a metric one.
+//! and come back, by replaying its log from the first record, holding
+//! exactly the registry, private data and pending obligations it had
+//! logged — demoting what would have been a logical failure to a
+//! metric one.
 //!
-//! The store does not know what it holds. The records and checkpoint
-//! payloads themselves (`LogRecord`, `ShellSnapshot`,
-//! `TranslatorSnapshot`) live in `hcm_toolkit::durability`, next to the
-//! replay code that reads them, and are encoded with this crate's
-//! [`codec`].
+//! The store does not know what it holds. The records themselves
+//! (`LogRecord`) live in `hcm_toolkit::durability`, next to the replay
+//! code that reads them, and are encoded with this crate's [`codec`].
 //!
 //! Design rules (shared with the rest of the workspace):
 //!
@@ -34,8 +32,8 @@
 //! Two [`StateStore`] implementations are provided: [`MemStore`] (an
 //! in-memory log for tests and simulations, durable across *simulated*
 //! crashes because it lives outside the actor) and [`FileStore`]
-//! (length-prefixed CRC-checked segment files with rotation,
-//! checkpoint files, and tail truncation on recovery).
+//! (length-prefixed CRC-checked segment files with rotation and tail
+//! truncation on recovery).
 
 #![warn(missing_docs)]
 

@@ -1,24 +1,19 @@
-//! Append-only log, checkpoints, and recovery.
+//! Append-only log and recovery.
 //!
-//! A [`StateStore`] holds two things for one component: an ordered
-//! sequence of opaque log-record payloads (appended one at a time) and
-//! at most one checkpoint blob (replacing any earlier one). Recovery
-//! returns the latest valid checkpoint plus every record appended
-//! after it, in order.
+//! A [`StateStore`] holds one component's ordered sequence of opaque
+//! log-record payloads, appended one at a time. Recovery returns every
+//! record, in order: the component rebuilds its state by replaying
+//! them from the first.
 //!
-//! [`FileStore`] maps this onto a directory of files:
+//! [`FileStore`] maps this onto a directory of segment files:
 //!
 //! ```text
 //! wal-<k>.seg   = "HCMWAL1\n"  frame*          (append-only segment)
-//! ckpt-<j>.bin  = "HCMCKPT\n"  frame           (one snapshot blob)
 //! frame         = u32le payload_len  u32le crc32(payload)  payload
 //! ```
 //!
-//! Indices `<k>`/`<j>` come from one monotone counter shared by both
-//! file kinds, so "records after checkpoint `j`" is exactly "segments
-//! with index greater than `j`". Segments rotate at
-//! [`StoreConfig::segment_bytes`]; a checkpoint prunes every
-//! lower-indexed file. A half-written tail (short frame or checksum
+//! Segments rotate at [`StoreConfig::segment_bytes`] and are replayed
+//! in index order. A half-written tail (short frame or checksum
 //! mismatch) is truncated on recovery and reported — torn tails are
 //! data loss, never a panic.
 
@@ -32,8 +27,6 @@ use crate::codec::crc32;
 
 /// Magic line opening every WAL segment file.
 pub const WAL_MAGIC: &[u8; 8] = b"HCMWAL1\n";
-/// Magic line opening every checkpoint file.
-pub const CKPT_MAGIC: &[u8; 8] = b"HCMCKPT\n";
 /// Bytes of framing overhead per record (length + checksum).
 pub const FRAME_OVERHEAD: u64 = 8;
 
@@ -42,15 +35,12 @@ pub const FRAME_OVERHEAD: u64 = 8;
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(String),
-    /// A file was structurally invalid beyond tail truncation.
-    Corrupt(String),
 }
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(m) => write!(f, "store i/o error: {m}"),
-            StoreError::Corrupt(m) => write!(f, "store corruption: {m}"),
         }
     }
 }
@@ -76,34 +66,23 @@ impl Default for StoreConfig {
     }
 }
 
-/// What recovery found: the newest valid checkpoint (if any) and every
-/// record logged after it, oldest first.
+/// What recovery found: every valid record, oldest first.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
-    /// Snapshot blob from the newest checkpoint whose checksum verified.
-    pub checkpoint: Option<Vec<u8>>,
-    /// Log-record payloads appended after that checkpoint, in order.
+    /// Log-record payloads, in append order.
     pub records: Vec<Vec<u8>>,
     /// Torn or corrupt tails dropped (and, for files, truncated away).
     pub torn_truncations: u64,
-    /// Total payload bytes scanned during recovery.
-    pub bytes_read: u64,
 }
 
-/// Durable state for one component: an append-only record log plus a
-/// replacing checkpoint blob.
+/// Durable state for one component: an append-only record log.
 pub trait StateStore {
     /// Append one record payload. Returns the number of bytes the
     /// store persisted for it (payload plus framing).
     fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError>;
 
-    /// Install a checkpoint blob, superseding any earlier checkpoint
-    /// and every record appended before this call. Returns the bytes
-    /// persisted.
-    fn checkpoint(&mut self, snapshot: &[u8]) -> Result<u64, StoreError>;
-
-    /// Read back the newest valid checkpoint and the records appended
-    /// after it. Idempotent; safe to call on an empty store.
+    /// Read back every record appended so far. Idempotent; safe to
+    /// call on an empty store.
     fn recover(&mut self) -> Result<Recovery, StoreError>;
 }
 
@@ -112,7 +91,6 @@ pub trait StateStore {
 /// simulated actor (see [`crate::SharedStore`]).
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
-    checkpoint: Option<Vec<u8>>,
     records: Vec<Vec<u8>>,
 }
 
@@ -130,41 +108,31 @@ impl StateStore for MemStore {
         Ok(payload.len() as u64 + FRAME_OVERHEAD)
     }
 
-    fn checkpoint(&mut self, snapshot: &[u8]) -> Result<u64, StoreError> {
-        self.checkpoint = Some(snapshot.to_vec());
-        self.records.clear();
-        Ok(snapshot.len() as u64 + FRAME_OVERHEAD)
-    }
-
     fn recover(&mut self) -> Result<Recovery, StoreError> {
-        let bytes_read = self.checkpoint.as_ref().map_or(0, |c| c.len() as u64)
-            + self.records.iter().map(|r| r.len() as u64).sum::<u64>();
         Ok(Recovery {
-            checkpoint: self.checkpoint.clone(),
             records: self.records.clone(),
             torn_truncations: 0,
-            bytes_read,
         })
     }
 }
 
 /// File-backed [`StateStore`]: CRC-checked segment files with
-/// rotation, checkpoint files, pruning, and tail truncation.
+/// rotation and tail truncation.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
     config: StoreConfig,
-    /// Index of the active segment; ckpt and wal files share the counter.
+    /// Index of the active segment.
     active_index: u64,
     active: fs::File,
     active_bytes: u64,
 }
 
 impl FileStore {
-    /// Open (creating if needed) a store rooted at `dir`. Existing log
-    /// and checkpoint files are left untouched until [`Self::recover`]
-    /// or [`Self::checkpoint`] runs; a fresh active segment is started
-    /// after the highest existing file index.
+    /// Open (creating if needed) a store rooted at `dir`. Existing
+    /// segments are left untouched until [`Self::recover`] runs; a
+    /// fresh active segment is started after the highest existing
+    /// index.
     pub fn open(dir: impl Into<PathBuf>, config: StoreConfig) -> Result<Self, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(io_err)?;
@@ -202,66 +170,22 @@ impl StateStore for FileStore {
         Ok(framed)
     }
 
-    fn checkpoint(&mut self, snapshot: &[u8]) -> Result<u64, StoreError> {
-        self.active_index += 1;
-        let ckpt_index = self.active_index;
-        let path = self.dir.join(format!("ckpt-{ckpt_index}.bin"));
-        let mut file = fs::File::create(&path).map_err(io_err)?;
-        file.write_all(CKPT_MAGIC).map_err(io_err)?;
-        write_frame(&mut file, snapshot)?;
-        file.sync_all().map_err(io_err)?;
-        // Everything below the checkpoint is superseded.
-        for (index, entry) in scan(&self.dir)? {
-            if index < ckpt_index {
-                let _ = fs::remove_file(entry.path);
-            }
-        }
-        self.rotate()?;
-        Ok(snapshot.len() as u64 + FRAME_OVERHEAD + CKPT_MAGIC.len() as u64)
-    }
-
     fn recover(&mut self) -> Result<Recovery, StoreError> {
         let mut out = Recovery::default();
-        let files = scan(&self.dir)?;
-
-        // Newest checkpoint whose magic and checksum verify; fall back
-        // to older ones when the newest was half-written.
-        let mut ckpt_index = None;
-        for (&index, entry) in files.iter().rev() {
-            if entry.kind != FileKind::Checkpoint {
-                continue;
-            }
-            match read_checkpoint(&entry.path) {
-                Ok(blob) => {
-                    out.bytes_read += blob.len() as u64;
-                    out.checkpoint = Some(blob);
-                    ckpt_index = Some(index);
-                    break;
-                }
-                Err(_) => out.torn_truncations += 1,
-            }
-        }
-
-        // Replay every segment after the checkpoint, oldest first,
-        // stopping for good at the first torn record: anything beyond
-        // it post-dates the corruption and cannot be trusted.
-        for (&index, entry) in &files {
-            if entry.kind != FileKind::Segment || Some(index) <= ckpt_index {
-                continue;
-            }
-            let buf = fs::read(&entry.path).map_err(io_err)?;
+        // Replay every segment, oldest first, stopping for good at the
+        // first torn record: anything beyond it post-dates the
+        // corruption and cannot be trusted.
+        for (index, path) in scan(&self.dir)? {
+            let buf = fs::read(&path).map_err(io_err)?;
             if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
                 out.torn_truncations += 1;
                 break;
             }
             let (records, valid_end, torn) = parse_frames(&buf, WAL_MAGIC.len());
-            for r in &records {
-                out.bytes_read += r.len() as u64;
-            }
             out.records.extend(records);
             if torn {
                 out.torn_truncations += 1;
-                truncate_file(&entry.path, valid_end as u64)?;
+                truncate_file(&path, valid_end as u64)?;
                 if index == self.active_index {
                     self.active_bytes = valid_end as u64;
                 }
@@ -272,44 +196,19 @@ impl StateStore for FileStore {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileKind {
-    Segment,
-    Checkpoint,
-}
-
-#[derive(Debug)]
-struct DirEntry {
-    kind: FileKind,
-    path: PathBuf,
-}
-
-/// Index every `wal-<k>.seg` / `ckpt-<j>.bin` in `dir`.
-fn scan(dir: &Path) -> Result<BTreeMap<u64, DirEntry>, StoreError> {
+/// Index every `wal-<k>.seg` in `dir`.
+fn scan(dir: &Path) -> Result<BTreeMap<u64, PathBuf>, StoreError> {
     let mut out = BTreeMap::new();
     for entry in fs::read_dir(dir).map_err(io_err)? {
         let entry = entry.map_err(io_err)?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let parsed = name
-            .strip_prefix("wal-")
+        let index = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("wal-"))
             .and_then(|r| r.strip_suffix(".seg"))
-            .map(|n| (FileKind::Segment, n))
-            .or_else(|| {
-                name.strip_prefix("ckpt-")
-                    .and_then(|r| r.strip_suffix(".bin"))
-                    .map(|n| (FileKind::Checkpoint, n))
-            });
-        if let Some((kind, digits)) = parsed {
-            if let Ok(index) = digits.parse::<u64>() {
-                out.insert(
-                    index,
-                    DirEntry {
-                        kind,
-                        path: entry.path(),
-                    },
-                );
-            }
+            .and_then(|digits| digits.parse::<u64>().ok());
+        if let Some(index) = index {
+            out.insert(index, entry.path());
         }
     }
     Ok(out)
@@ -359,20 +258,6 @@ fn parse_frames(buf: &[u8], start: usize) -> (Vec<Vec<u8>>, usize, bool) {
     }
 }
 
-fn read_checkpoint(path: &Path) -> Result<Vec<u8>, StoreError> {
-    let buf = fs::read(path).map_err(io_err)?;
-    if buf.len() < CKPT_MAGIC.len() || &buf[..CKPT_MAGIC.len()] != CKPT_MAGIC {
-        return Err(StoreError::Corrupt(format!("bad magic in {path:?}")));
-    }
-    let (mut frames, _, torn) = parse_frames(&buf, CKPT_MAGIC.len());
-    if torn || frames.len() != 1 {
-        return Err(StoreError::Corrupt(format!(
-            "checkpoint {path:?} is torn or malformed"
-        )));
-    }
-    Ok(frames.pop().unwrap())
-}
-
 fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
     fs::OpenOptions::new()
         .write(true)
@@ -398,11 +283,8 @@ mod tests {
         let mut s = MemStore::new();
         s.append(b"a").unwrap();
         s.append(b"b").unwrap();
-        s.checkpoint(b"snap").unwrap();
-        s.append(b"c").unwrap();
         let r = s.recover().unwrap();
-        assert_eq!(r.checkpoint.as_deref(), Some(&b"snap"[..]));
-        assert_eq!(r.records, vec![b"c".to_vec()]);
+        assert_eq!(r.records, vec![b"a".to_vec(), b"b".to_vec()]);
         assert_eq!(r.torn_truncations, 0);
         // Idempotent.
         let again = s.recover().unwrap();
@@ -419,13 +301,12 @@ mod tests {
         }
         let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
         let r = s.recover().unwrap();
-        assert_eq!(r.checkpoint, None);
         assert_eq!(r.records, vec![b"one".to_vec(), b"two".to_vec()]);
         assert_eq!(r.torn_truncations, 0);
     }
 
     #[test]
-    fn rotation_and_checkpoint_prune() {
+    fn rotated_segments_replay_in_order() {
         let dir = tmpdir("rotate");
         let cfg = StoreConfig { segment_bytes: 32 };
         let mut s = FileStore::open(&dir, cfg).unwrap();
@@ -433,13 +314,9 @@ mod tests {
             s.append(&[i; 10]).unwrap();
         }
         assert!(scan(&dir).unwrap().len() > 1, "should have rotated");
-        s.checkpoint(b"snapshot").unwrap();
-        s.append(b"after").unwrap();
-        let files = scan(&dir).unwrap();
-        assert_eq!(files.len(), 2, "checkpoint + fresh segment, rest pruned");
         let r = s.recover().unwrap();
-        assert_eq!(r.checkpoint.as_deref(), Some(&b"snapshot"[..]));
-        assert_eq!(r.records, vec![b"after".to_vec()]);
+        let want: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 10]).collect();
+        assert_eq!(r.records, want);
     }
 
     #[test]
@@ -463,34 +340,5 @@ mod tests {
         let r2 = s.recover().unwrap();
         assert_eq!(r2.records, vec![b"good".to_vec()]);
         assert_eq!(r2.torn_truncations, 0);
-    }
-
-    #[test]
-    fn corrupt_checkpoint_falls_back_to_older_one() {
-        let dir = tmpdir("badckpt");
-        let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
-        s.append(b"r0").unwrap();
-        s.checkpoint(b"old-snap").unwrap();
-        s.append(b"r1").unwrap();
-        s.checkpoint(b"new-snap").unwrap();
-        s.append(b"r2").unwrap();
-        // Corrupt the newest checkpoint's payload byte.
-        let files = scan(&dir).unwrap();
-        let newest_ckpt = files
-            .iter()
-            .filter(|(_, e)| e.kind == FileKind::Checkpoint)
-            .map(|(i, e)| (*i, e.path.clone()))
-            .next_back()
-            .unwrap();
-        let mut buf = fs::read(&newest_ckpt.1).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 0xFF;
-        fs::write(&newest_ckpt.1, &buf).unwrap();
-        // Newest ckpt pruned the older one, so fallback finds nothing:
-        // recovery degrades to "no checkpoint, replay what remains".
-        let r = s.recover().unwrap();
-        assert_eq!(r.checkpoint, None);
-        assert_eq!(r.torn_truncations, 1);
-        assert_eq!(r.records, vec![b"r2".to_vec()]);
     }
 }

@@ -143,39 +143,6 @@ fn empty_and_magic_only_stores_recover_clean() {
     let dir = tmpdir("empty");
     let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
     let r = s.recover().unwrap();
-    assert!(r.checkpoint.is_none());
     assert!(r.records.is_empty());
     assert_eq!(r.torn_truncations, 0);
-}
-
-#[test]
-fn torn_checkpoint_truncated_mid_snapshot() {
-    let dir = tmpdir("tornckpt");
-    let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
-    s.append(b"pre").unwrap();
-    s.checkpoint(b"a-reasonably-long-snapshot-blob").unwrap();
-    s.append(b"post").unwrap();
-    // Tear the checkpoint file itself.
-    let files: Vec<_> = fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| {
-            p.file_name()
-                .unwrap()
-                .to_str()
-                .unwrap()
-                .starts_with("ckpt-")
-        })
-        .collect();
-    assert_eq!(files.len(), 1);
-    let len = fs::metadata(&files[0]).unwrap().len();
-    set_len(&files[0], len - 10);
-
-    let r = s.recover().unwrap();
-    // Checkpoint lost (and the pre-checkpoint log was pruned by the
-    // checkpoint), but the post-checkpoint suffix survives and nothing
-    // panics.
-    assert!(r.checkpoint.is_none());
-    assert_eq!(r.torn_truncations, 1);
-    assert_eq!(r.records, vec![b"post".to_vec()]);
 }

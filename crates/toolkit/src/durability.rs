@@ -6,9 +6,8 @@
 //! remembers:
 //!
 //! * the records it write-ahead-logs ([`LogRecord`], with the accepted
-//!   writes of [`PendingWrite`]) and its checkpoint payloads
-//!   ([`ShellSnapshot`], [`TranslatorSnapshot`]), encoded with the
-//!   `hcm-store` codec into an [`hcm_store::StateStore`];
+//!   writes of [`PendingWrite`]), encoded with the `hcm-store` codec
+//!   into an [`hcm_store::StateStore`];
 //! * the three memory regimes a scenario can pick ([`Durability`]) and
 //!   the per-actor [`StatePolicy`] built from one.
 //!
@@ -24,16 +23,17 @@
 //!   logical failure made concrete: promised notifications and
 //!   accepted writes are simply gone.
 //! * [`Durability::Durable`] — same wipe, but the component logs every
-//!   durable mutation and recovers from checkpoint + replay, demoting
+//!   durable mutation and recovers by replaying its whole log, demoting
 //!   the crash to a metric failure: obligations are delayed, never
 //!   lost.
+//!
+//! A wiping crash also cancels the component's pending timers: they
+//! belonged to the state it lost, and recovery re-arms the ones that
+//! state still calls for.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::rc::Rc;
 
-use crate::registry::{FailureKind, GuaranteeRegistry, GuaranteeStatus};
+use crate::registry::FailureKind;
 use hcm_core::{EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, Value};
 use hcm_obs::{Metrics, Scope};
 use hcm_simkit::ActorId;
@@ -45,15 +45,6 @@ fn decode_failure(b: u8) -> Result<FailureKind, CodecError> {
     match b {
         0 => Ok(FailureKind::Metric),
         1 => Ok(FailureKind::Logical),
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
-fn decode_status(b: u8) -> Result<GuaranteeStatus, CodecError> {
-    match b {
-        0 => Ok(GuaranteeStatus::Valid),
-        1 => Ok(GuaranteeStatus::SuspendedMetric),
-        2 => Ok(GuaranteeStatus::SuspendedLogical),
         t => Err(CodecError::BadTag(t)),
     }
 }
@@ -103,8 +94,8 @@ impl PendingWrite {
 /// One durable log record: every durable state mutation a CM-Shell or
 /// CM-Translator performs is logged as one record *before* (or
 /// atomically with) the in-memory mutation, so replaying the records
-/// over the latest checkpoint reconstructs the component's state at
-/// the moment of the crash.
+/// from the first reconstructs the component's state at the moment of
+/// the crash.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// A shell wrote CM-private data (`W` on a strategy RHS).
@@ -145,8 +136,15 @@ pub enum LogRecord {
         /// The request id.
         req_id: u64,
     },
-    /// A shell's CMI request was answered (obligation discharged).
+    /// A shell's CMI request was answered, or given up as a logical
+    /// failure (obligation discharged either way).
     RequestResolved {
+        /// The request id.
+        req_id: u64,
+    },
+    /// A shell's CMI request missed its deadline and was flagged as a
+    /// metric failure; only its escalation check is left.
+    RequestFlagged {
         /// The request id.
         req_id: u64,
     },
@@ -226,6 +224,10 @@ impl LogRecord {
                 e.u8(9);
                 e.u64(*idx);
             }
+            LogRecord::RequestFlagged { req_id } => {
+                e.u8(10);
+                e.u64(*req_id);
+            }
         }
         e.finish()
     }
@@ -261,123 +263,10 @@ impl LogRecord {
                 period: d.duration()?,
             },
             9 => LogRecord::PollDisarmed { idx: d.u64()? },
+            10 => LogRecord::RequestFlagged { req_id: d.u64()? },
             t => return Err(CodecError::BadTag(t)),
         };
         Ok(rec)
-    }
-}
-
-/// Checkpoint payload for a CM-Shell: the durable subset of its state
-/// (CM-private data, guarantee registry, outstanding requests). A
-/// checkpoint lets recovery prune the log prefix.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ShellSnapshot {
-    /// CM-private data, sorted by item (BTreeMap iteration order).
-    pub private: Vec<(ItemId, Value)>,
-    /// Guarantee registry entries: `(name, status, since)`, name-sorted.
-    pub registry: Vec<(String, GuaranteeStatus, SimTime)>,
-    /// Next request id (kept monotone across crashes so stale replies
-    /// cannot collide with new requests).
-    pub next_req: u64,
-    /// Outstanding CMI requests: `(req_id, sent_at, metric-flagged)`.
-    pub outstanding: Vec<(u64, SimTime, bool)>,
-}
-
-impl ShellSnapshot {
-    /// Encode the snapshot to bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u32(self.private.len() as u32);
-        for (item, value) in &self.private {
-            e.item(item);
-            e.value(value);
-        }
-        e.u32(self.registry.len() as u32);
-        for (name, status, since) in &self.registry {
-            e.str(name);
-            e.u8(*status as u8);
-            e.time(*since);
-        }
-        e.u64(self.next_req);
-        e.u32(self.outstanding.len() as u32);
-        for (req_id, sent_at, flagged) in &self.outstanding {
-            e.u64(*req_id);
-            e.time(*sent_at);
-            e.bool(*flagged);
-        }
-        e.finish()
-    }
-
-    /// Decode a snapshot from bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let n = d.u32()? as usize;
-        let mut private = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            private.push((d.item()?, d.value()?));
-        }
-        let n = d.u32()? as usize;
-        let mut registry = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            registry.push((d.str()?, decode_status(d.u8()?)?, d.time()?));
-        }
-        let next_req = d.u64()?;
-        let n = d.u32()? as usize;
-        let mut outstanding = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            outstanding.push((d.u64()?, d.time()?, d.bool()?));
-        }
-        Ok(ShellSnapshot {
-            private,
-            registry,
-            next_req,
-            outstanding,
-        })
-    }
-}
-
-/// Checkpoint payload for a CM-Translator: armed periodic interfaces
-/// and accepted-but-unperformed writes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TranslatorSnapshot {
-    /// Armed periodic-notify interfaces: `(iface idx, period)`.
-    pub armed: Vec<(u64, SimDuration)>,
-    /// Accepted-but-unperformed writes, in acceptance order.
-    pub pending: Vec<PendingWrite>,
-}
-
-impl TranslatorSnapshot {
-    /// Encode the snapshot to bytes.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u32(self.armed.len() as u32);
-        for (idx, period) in &self.armed {
-            e.u64(*idx);
-            e.duration(*period);
-        }
-        e.u32(self.pending.len() as u32);
-        for pw in &self.pending {
-            pw.encode_into(&mut e);
-        }
-        e.finish()
-    }
-
-    /// Decode a snapshot from bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let n = d.u32()? as usize;
-        let mut armed = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            armed.push((d.u64()?, d.duration()?));
-        }
-        let n = d.u32()? as usize;
-        let mut pending = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            pending.push(PendingWrite::decode_from(&mut d)?);
-        }
-        Ok(TranslatorSnapshot { armed, pending })
     }
 }
 
@@ -398,8 +287,6 @@ pub enum StoreKind {
 pub struct StoreSetup {
     /// Backing medium.
     pub kind: StoreKind,
-    /// Write a checkpoint after this many appended records.
-    pub checkpoint_every: u64,
     /// Segment rotation threshold for file-backed stores.
     pub segment_bytes: u64,
 }
@@ -408,7 +295,6 @@ impl Default for StoreSetup {
     fn default() -> Self {
         StoreSetup {
             kind: StoreKind::Memory,
-            checkpoint_every: 64,
             segment_bytes: 64 * 1024,
         }
     }
@@ -422,15 +308,15 @@ pub enum Durability {
     MessageOnly,
     /// Lossy crashes wipe volatile state; nothing is recovered.
     LoseState,
-    /// Lossy crashes wipe volatile state; a write-ahead log and
-    /// checkpoints bring it back on recovery.
+    /// Lossy crashes wipe volatile state; replaying a write-ahead log
+    /// brings it back on recovery.
     Durable(StoreSetup),
 }
 
 /// One actor's side of its [`Durability`] regime, and the crash
 /// bookkeeping every stateful actor shares: whether a lossy crash
-/// wiped it since its last recovery, and the log-then-maybe-checkpoint
-/// step. The default keeps state across crashes.
+/// wiped it since its last recovery, and the logging step. The default
+/// keeps state across crashes.
 #[derive(Default)]
 pub struct StatePolicy {
     memory: Memory,
@@ -451,9 +337,9 @@ pub enum Restart {
     Warm,
     /// A crash wiped the actor and nothing remembers its state.
     Cold,
-    /// A crash wiped the actor: its latest checkpoint, if any, and the
-    /// decoded log suffix to replay over it.
-    Replay(Option<Vec<u8>>, Vec<LogRecord>),
+    /// A crash wiped the actor: every record it logged, decoded, to
+    /// replay in order.
+    Replay(Vec<LogRecord>),
 }
 
 impl StatePolicy {
@@ -479,12 +365,11 @@ impl StatePolicy {
                         hcm_store::shared(FileStore::open(dir.join(label), cfg)?)
                     }
                 };
-                Memory::Durable(StoreBridge::new(
+                Memory::Durable(StoreBridge {
                     store,
-                    metrics.clone(),
+                    metrics: metrics.clone(),
                     scope,
-                    setup.checkpoint_every,
-                ))
+                })
             }
         };
         Ok(StatePolicy {
@@ -495,7 +380,9 @@ impl StatePolicy {
 
     /// Note a crash. Returns `true` when it wipes the actor's volatile
     /// state — a lossy crash under any regime but
-    /// [`Durability::MessageOnly`]; the caller then clears that state.
+    /// [`Durability::MessageOnly`]; the caller then clears that state
+    /// and cancels its pending timers
+    /// ([`hcm_simkit::Ctx::cancel_timers`]).
     pub fn crash(&mut self, lossy: bool) -> bool {
         let wipes = lossy && !matches!(self.memory, Memory::Keep);
         self.crashed_lossy |= wipes;
@@ -515,52 +402,32 @@ impl StatePolicy {
             return Restart::Warm;
         }
         match &mut self.memory {
-            Memory::Durable(bridge) => {
-                let (checkpoint, records) = bridge.recover();
-                Restart::Replay(checkpoint, records)
-            }
+            Memory::Durable(bridge) => Restart::Replay(bridge.recover()),
             _ => Restart::Cold,
         }
     }
 
-    /// Write-ahead-log one durable mutation when the actor is durable;
-    /// when the checkpoint cadence comes due, save `snapshot()` as the
-    /// new checkpoint.
-    pub fn log(&mut self, rec: &LogRecord, snapshot: impl FnOnce() -> Vec<u8>) {
+    /// Write-ahead-log one durable mutation when the actor is durable.
+    pub fn log(&mut self, rec: &LogRecord) {
         if let Memory::Durable(bridge) = &mut self.memory {
-            if bridge.log(rec) {
-                bridge.save_checkpoint(&snapshot());
-            }
+            bridge.log(rec);
         }
     }
 }
 
-/// An actor's handle to its [`hcm_store::StateStore`]: logging with
-/// checkpoint cadence, recovery, and `store.*` metrics.
+/// An actor's handle to its [`hcm_store::StateStore`]: logging,
+/// recovery, and `store.*` metrics.
 struct StoreBridge {
     store: SharedStore,
     metrics: Metrics,
     scope: Scope,
-    checkpoint_every: u64,
-    appends_since_ckpt: u64,
 }
 
 impl StoreBridge {
-    fn new(store: SharedStore, metrics: Metrics, scope: Scope, checkpoint_every: u64) -> Self {
-        StoreBridge {
-            store,
-            metrics,
-            scope,
-            checkpoint_every: checkpoint_every.max(1),
-            appends_since_ckpt: 0,
-        }
-    }
-
-    /// Append one record to the WAL. Returns `true` when the
-    /// checkpoint cadence says the caller should snapshot now. Store
-    /// errors are counted, not propagated: a component must not fall
-    /// over because its log did (§5 degrades, never halts).
-    fn log(&mut self, rec: &LogRecord) -> bool {
+    /// Append one record to the WAL. Store errors are counted, not
+    /// propagated: a component must not fall over because its log did
+    /// (§5 degrades, never halts).
+    fn log(&mut self, rec: &LogRecord) {
         let payload = rec.encode();
         match self.store.borrow_mut().append(&payload) {
             Ok(bytes) => {
@@ -569,23 +436,6 @@ impl StoreBridge {
                 // Every append is flushed before the component moves
                 // on — the sim-world analogue of an fsync per record.
                 self.metrics.inc(self.scope, "store.fsyncs");
-                self.appends_since_ckpt += 1;
-                self.appends_since_ckpt >= self.checkpoint_every
-            }
-            Err(_) => {
-                self.metrics.inc(self.scope, "store.errors");
-                false
-            }
-        }
-    }
-
-    /// Install a checkpoint blob and reset the cadence counter.
-    fn save_checkpoint(&mut self, snapshot: &[u8]) {
-        match self.store.borrow_mut().checkpoint(snapshot) {
-            Ok(bytes) => {
-                self.metrics.inc(self.scope, "store.checkpoints");
-                self.metrics.add(self.scope, "store.bytes", bytes);
-                self.appends_since_ckpt = 0;
             }
             Err(_) => {
                 self.metrics.inc(self.scope, "store.errors");
@@ -593,15 +443,14 @@ impl StoreBridge {
         }
     }
 
-    /// Load the latest checkpoint and the decoded log suffix. Records
-    /// that fail to decode are skipped (and counted) — recovery is
-    /// best-effort by design.
-    fn recover(&mut self) -> (Option<Vec<u8>>, Vec<LogRecord>) {
+    /// Load and decode the whole log. Records that fail to decode are
+    /// skipped (and counted) — recovery is best-effort by design.
+    fn recover(&mut self) -> Vec<LogRecord> {
         let recovery = match self.store.borrow_mut().recover() {
             Ok(r) => r,
             Err(_) => {
                 self.metrics.inc(self.scope, "store.errors");
-                return (None, Vec::new());
+                return Vec::new();
             }
         };
         self.metrics.inc(self.scope, "store.recoveries");
@@ -618,30 +467,8 @@ impl StoreBridge {
         }
         self.metrics
             .add(self.scope, "store.replayed", records.len() as u64);
-        (recovery.checkpoint, records)
+        records
     }
-}
-
-/// Canonical byte encoding of a shell's externally visible durable
-/// state — its CM-private data and guarantee registry. Deterministic
-/// (BTreeMap order, fixed-width codec), so "recovered to the same
-/// state" can be asserted byte-for-byte across a crash.
-#[must_use]
-pub fn shell_state_blob(
-    private: &Rc<RefCell<BTreeMap<ItemId, Value>>>,
-    registry: &Rc<RefCell<GuaranteeRegistry>>,
-) -> Vec<u8> {
-    let snap = ShellSnapshot {
-        private: private
-            .borrow()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect(),
-        registry: registry.borrow().statuses(),
-        next_req: 0,
-        outstanding: Vec::new(),
-    };
-    snap.encode()
 }
 
 #[cfg(test)]
@@ -651,52 +478,30 @@ mod tests {
     use hcm_store::MemStore;
 
     #[test]
-    fn bridge_logs_checkpoints_and_recovers() {
+    fn bridge_logs_and_recovers() {
         let obs = Obs::new();
-        let store = hcm_store::shared(MemStore::new());
         let scope = Scope::Site(3);
-        let mut bridge = StoreBridge::new(store.clone(), obs.metrics.clone(), scope, 2);
+        let mut bridge = StoreBridge {
+            store: hcm_store::shared(MemStore::new()),
+            metrics: obs.metrics.clone(),
+            scope,
+        };
         let rec = LogRecord::Reset { at: SimTime::ZERO };
-        assert!(!bridge.log(&rec)); // 1 of 2
-        assert!(bridge.log(&rec)); // cadence reached
-        bridge.save_checkpoint(b"snap");
-        assert!(!bridge.log(&rec)); // counter reset
-        let (ckpt, records) = bridge.recover();
-        assert_eq!(ckpt.as_deref(), Some(&b"snap"[..]));
-        assert_eq!(records, vec![rec]);
-        assert_eq!(obs.metrics.counter(scope, "store.appends"), 3);
-        assert_eq!(obs.metrics.counter(scope, "store.fsyncs"), 3);
-        assert_eq!(obs.metrics.counter(scope, "store.checkpoints"), 1);
+        bridge.log(&rec);
+        bridge.log(&rec);
+        assert_eq!(bridge.recover(), vec![rec.clone(), rec]);
+        assert_eq!(obs.metrics.counter(scope, "store.appends"), 2);
+        assert_eq!(obs.metrics.counter(scope, "store.fsyncs"), 2);
         assert_eq!(obs.metrics.counter(scope, "store.recoveries"), 1);
-        assert_eq!(obs.metrics.counter(scope, "store.replayed"), 1);
+        assert_eq!(obs.metrics.counter(scope, "store.replayed"), 2);
         assert!(obs.metrics.counter(scope, "store.bytes") > 0);
     }
 
     #[test]
-    fn state_blob_is_deterministic_and_state_sensitive() {
-        let private = Rc::new(RefCell::new(BTreeMap::new()));
-        let registry = Rc::new(RefCell::new(GuaranteeRegistry::new()));
-        let a = shell_state_blob(&private, &registry);
-        assert_eq!(a, shell_state_blob(&private, &registry));
-        private
-            .borrow_mut()
-            .insert(ItemId::plain("Cx"), Value::Int(1));
-        assert_ne!(a, shell_state_blob(&private, &registry));
-    }
-
-    #[test]
     fn status_tags_round_trip() {
-        for s in [
-            GuaranteeStatus::Valid,
-            GuaranteeStatus::SuspendedMetric,
-            GuaranteeStatus::SuspendedLogical,
-        ] {
-            assert_eq!(decode_status(s as u8).unwrap(), s);
-        }
         for k in [FailureKind::Metric, FailureKind::Logical] {
             assert_eq!(decode_failure(k as u8).unwrap(), k);
         }
-        assert!(decode_status(3).is_err());
         assert!(decode_failure(2).is_err());
     }
 
@@ -747,6 +552,7 @@ mod tests {
                 period: SimDuration::from_secs(60),
             },
             LogRecord::PollDisarmed { idx: 2 },
+            LogRecord::RequestFlagged { req_id: 7 },
         ];
         for r in records {
             assert_eq!(LogRecord::decode(&r.encode()).unwrap(), r);
@@ -754,41 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_round_trip() {
-        let s = ShellSnapshot {
-            private: vec![(ItemId::plain("Flag"), Value::Bool(true))],
-            registry: vec![(
-                "g".into(),
-                GuaranteeStatus::SuspendedMetric,
-                SimTime::from_secs(4),
-            )],
-            next_req: 11,
-            outstanding: vec![(10, SimTime::from_secs(2), true)],
-        };
-        assert_eq!(ShellSnapshot::decode(&s.encode()).unwrap(), s);
-
-        let t = TranslatorSnapshot {
-            armed: vec![(0, SimDuration::from_secs(30))],
-            pending: vec![PendingWrite {
-                req_id: 3,
-                reply_to: ActorId(0),
-                item: ItemId::with("salary2", [Value::from("e1")]),
-                value: Value::Int(95_000),
-                rule: RuleId(1),
-                trigger: EventId(5),
-            }],
-        };
-        assert_eq!(TranslatorSnapshot::decode(&t.encode()).unwrap(), t);
-        assert_eq!(
-            TranslatorSnapshot::decode(&TranslatorSnapshot::default().encode()).unwrap(),
-            TranslatorSnapshot::default()
-        );
-    }
-
-    #[test]
     fn garbage_is_rejected() {
         assert!(LogRecord::decode(&[]).is_err());
         assert!(LogRecord::decode(&[200]).is_err());
-        assert!(ShellSnapshot::decode(&[1]).is_err());
     }
 }

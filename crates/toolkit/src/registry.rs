@@ -27,16 +27,15 @@ pub enum FailureKind {
     Logical = 1,
 }
 
-/// Current standing of a registered guarantee. The discriminant is
-/// the byte a shell checkpoint stores.
+/// Current standing of a registered guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuaranteeStatus {
     /// The guarantee is in force.
-    Valid = 0,
+    Valid,
     /// A metric failure suspended it (metric guarantees only).
-    SuspendedMetric = 1,
+    SuspendedMetric,
     /// A logical failure suspended it; a reset is required.
-    SuspendedLogical = 2,
+    SuspendedLogical,
 }
 
 /// A registered guarantee plus derived metadata.
@@ -186,26 +185,6 @@ impl GuaranteeRegistry {
     #[must_use]
     pub fn status(&self, name: &str) -> Option<GuaranteeStatus> {
         self.entries.get(name).map(|e| e.status)
-    }
-
-    /// `(name, status, since)` of every entry in name order — the
-    /// durable portion of the registry, checkpointed by the store.
-    #[must_use]
-    pub(crate) fn statuses(&self) -> Vec<(String, GuaranteeStatus, SimTime)> {
-        self.entries
-            .iter()
-            .map(|(name, e)| (name.clone(), e.status, e.since))
-            .collect()
-    }
-
-    /// Restore one entry's status from a checkpoint. Unknown names are
-    /// ignored (the strategy, and hence the registered set, is static
-    /// configuration that recovery re-derives before restoring).
-    pub(crate) fn restore(&mut self, name: &str, status: GuaranteeStatus, since: SimTime) {
-        if let Some(e) = self.entries.get_mut(name) {
-            e.status = status;
-            e.since = since;
-        }
     }
 }
 

@@ -102,8 +102,9 @@ impl ScenarioBuilder {
     /// What a *lossy* crash does to component state (§5): the default
     /// [`Durability::MessageOnly`] only drops messages,
     /// [`Durability::LoseState`] also wipes volatile shell/translator
-    /// state, and [`Durability::Durable`] wipes it but recovers from a
-    /// write-ahead log + checkpoints.
+    /// state, and [`Durability::Durable`] wipes it but recovers it by
+    /// replaying a write-ahead log. Under both, the crash also cancels
+    /// the component's pending timers.
     #[must_use]
     pub fn durability(mut self, d: Durability) -> Self {
         self.durability = d;
@@ -384,8 +385,8 @@ impl Scenario {
         self.sim.crash_at(s, at, lossy);
     }
 
-    /// Recover a crashed CM-Shell at `at`. Durable shells reload the
-    /// latest checkpoint and replay the log suffix before resuming.
+    /// Recover a crashed CM-Shell at `at`. Durable shells replay their
+    /// whole log before resuming.
     pub fn recover_shell(&mut self, site: &str, at: SimTime) {
         let s = self.site(site).shell;
         self.sim.recover_at(s, at);

@@ -15,7 +15,7 @@
 //! and keeps the site's [`GuaranteeRegistry`].
 
 use crate::compile::{CompiledRule, CompiledStrategy, Locator};
-use crate::durability::{LogRecord, Restart, ShellSnapshot, StatePolicy};
+use crate::durability::{LogRecord, Restart, StatePolicy};
 use crate::msg::{CmMsg, RequestKind, TranslatorEvent};
 use crate::registry::{FailureKind, GuaranteeRegistry};
 use hcm_core::{
@@ -188,41 +188,18 @@ impl ShellActor {
         }
     }
 
-    /// Set how this shell's state relates to crashes. With
-    /// [`StatePolicy::Durable`], every durable mutation is
-    /// write-ahead-logged and recovery replays checkpoint + log.
+    /// Set how this shell's state relates to crashes. Under
+    /// [`crate::Durability::Durable`], every durable mutation is
+    /// write-ahead-logged and recovery replays the log.
     pub(crate) fn set_state_policy(&mut self, policy: StatePolicy) {
         self.policy = policy;
-    }
-
-    /// Log one durable mutation; the checkpoint, when one is due, is
-    /// the shell's durable state after it.
-    fn log_durable(&mut self, rec: &LogRecord) {
-        let (private, registry, outstanding) = (&self.private, &self.registry, &self.outstanding);
-        let next_req = self.next_req;
-        self.policy.log(rec, || {
-            ShellSnapshot {
-                private: private
-                    .borrow()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-                registry: registry.borrow().statuses(),
-                next_req,
-                outstanding: outstanding
-                    .iter()
-                    .map(|(&req_id, o)| (req_id, o.sent_at, o.flagged))
-                    .collect(),
-            }
-            .encode()
-        });
     }
 
     /// Apply a registry transition — a `Failure`, `Clear` or `Reset`
     /// record — and log it.
     fn transition(&mut self, rec: LogRecord) {
         self.registry.borrow_mut().apply(&rec);
-        self.log_durable(&rec);
+        self.policy.log(&rec);
     }
 
     fn record(
@@ -382,7 +359,7 @@ impl ShellActor {
                     .private
                     .borrow_mut()
                     .insert(item.clone(), value.clone());
-                self.log_durable(&LogRecord::PrivateWrite {
+                self.policy.log(&LogRecord::PrivateWrite {
                     at: now,
                     item: item.clone(),
                     value: value.clone(),
@@ -471,7 +448,7 @@ impl ShellActor {
                 sent_at: now,
             },
         );
-        self.log_durable(&LogRecord::RequestSent { at: now, req_id });
+        self.policy.log(&LogRecord::RequestSent { at: now, req_id });
         ctx.schedule_self(
             self.failure_cfg.deadline,
             CmMsg::CheckDeadline {
@@ -485,7 +462,7 @@ impl ShellActor {
     fn resolve_request(&mut self, req_id: u64, ctx: &mut Ctx<'_, CmMsg>) {
         if let Some(o) = self.outstanding.remove(&req_id) {
             let now = ctx.now();
-            self.log_durable(&LogRecord::RequestResolved { req_id });
+            self.policy.log(&LogRecord::RequestResolved { req_id });
             self.metrics.observe(
                 self.scope,
                 "shell.request_latency",
@@ -532,22 +509,28 @@ impl ShellActor {
         let Some(o) = self.outstanding.get_mut(&req_id) else {
             return; // answered in time
         };
-        o.flagged = true;
-        // Unanswered past the deadline: metric failure. Still
-        // unanswered past the escalation: logical failure.
-        let (kind, phase, counter) = if escalation {
+        // Unanswered past the deadline: metric failure, and the request
+        // waits for its escalation check. Still unanswered past the
+        // escalation: logical failure, and the request is given up, so
+        // a late reply clears nothing and a reset stays final.
+        let (kind, phase, counter, rec) = if escalation {
+            self.outstanding.remove(&req_id);
             (
                 FailureKind::Logical,
                 "logical",
                 "shell.logical_failures_detected",
+                LogRecord::RequestResolved { req_id },
             )
         } else {
+            o.flagged = true;
             (
                 FailureKind::Metric,
                 "metric",
                 "shell.metric_failures_detected",
+                LogRecord::RequestFlagged { req_id },
             )
         };
+        self.policy.log(&rec);
         self.metrics.inc(self.scope, counter);
         self.metrics.record(
             now,
@@ -665,20 +648,28 @@ impl Actor<CmMsg> for ShellActor {
                 ctx.schedule_self(period, CmMsg::RuleTick { idx });
             }
         }
-        // Seed initial values of private items into the trace.
+        // Seed initial values of private items into the trace, and into
+        // the log: a durable shell rebuilds its private data from the
+        // log alone.
         for (item, value) in self.private.borrow().iter() {
             self.recorder.set_initial(item.clone(), value.clone());
+            self.policy.log(&LogRecord::PrivateWrite {
+                at: SimTime::ZERO,
+                item: item.clone(),
+                value: value.clone(),
+            });
         }
     }
 
-    fn on_crash(&mut self, lossy: bool, _ctx: &mut Ctx<'_, CmMsg>) {
+    fn on_crash(&mut self, lossy: bool, ctx: &mut Ctx<'_, CmMsg>) {
         if !self.policy.crash(lossy) {
             return;
         }
-        // The process image is gone: private data, registry statuses
-        // and request bookkeeping reset to a fresh start. `next_req`
-        // stays monotone so late replies to pre-crash requests cannot
-        // collide with requests issued after recovery.
+        // The process image is gone: private data, registry statuses,
+        // request bookkeeping and pending timers reset to a fresh
+        // start. `next_req` stays monotone so late replies to pre-crash
+        // requests cannot collide with requests issued after recovery.
+        ctx.cancel_timers();
         self.private.borrow_mut().clear();
         self.registry.borrow_mut().reset(SimTime::ZERO);
         self.outstanding.clear();
@@ -690,25 +681,10 @@ impl Actor<CmMsg> for ShellActor {
         if matches!(restart, Restart::Warm) {
             return;
         }
-        if let Restart::Replay(ckpt, records) = restart {
-            // Snapshot first, then the log suffix on top. Replay only
-            // rebuilds in-memory state — the trace recorder already
-            // holds the original events as ground truth and must not
-            // see them twice.
-            let mut pending: BTreeMap<u64, (SimTime, bool)> = BTreeMap::new();
-            if let Some(snap) = ckpt.and_then(|blob| ShellSnapshot::decode(&blob).ok()) {
-                self.private.borrow_mut().extend(snap.private);
-                {
-                    let mut reg = self.registry.borrow_mut();
-                    for (name, status, since) in snap.registry {
-                        reg.restore(&name, status, since);
-                    }
-                }
-                self.next_req = self.next_req.max(snap.next_req);
-                for (req_id, sent_at, flagged) in snap.outstanding {
-                    pending.insert(req_id, (sent_at, flagged));
-                }
-            }
+        if let Restart::Replay(records) = restart {
+            // Replay only rebuilds in-memory state — the trace recorder
+            // already holds the original events as ground truth and
+            // must not see them twice.
             for rec in records {
                 match rec {
                     LogRecord::PrivateWrite { item, value, .. } => {
@@ -716,10 +692,21 @@ impl Actor<CmMsg> for ShellActor {
                     }
                     LogRecord::RequestSent { at, req_id } => {
                         self.next_req = self.next_req.max(req_id + 1);
-                        pending.insert(req_id, (at, false));
+                        self.outstanding.insert(
+                            req_id,
+                            Outstanding {
+                                flagged: false,
+                                sent_at: at,
+                            },
+                        );
+                    }
+                    LogRecord::RequestFlagged { req_id } => {
+                        if let Some(o) = self.outstanding.get_mut(&req_id) {
+                            o.flagged = true;
+                        }
                     }
                     LogRecord::RequestResolved { req_id } => {
-                        pending.remove(&req_id);
+                        self.outstanding.remove(&req_id);
                     }
                     // Registry transitions. Translator-only records
                     // never appear in a shell log; `apply` ignores them.
@@ -730,11 +717,8 @@ impl Actor<CmMsg> for ShellActor {
             // failure detection. A request already flagged metric goes
             // straight to its escalation check; the rest get a fresh
             // metric deadline measured from recovery.
-            let outstanding_count = pending.len() as u64;
-            for (req_id, (sent_at, flagged)) in pending {
-                self.outstanding
-                    .insert(req_id, Outstanding { flagged, sent_at });
-                let (delay, escalation) = if flagged {
+            for (&req_id, o) in &self.outstanding {
+                let (delay, escalation) = if o.flagged {
                     (self.failure_cfg.escalation, true)
                 } else {
                     (self.failure_cfg.deadline, false)
@@ -745,7 +729,7 @@ impl Actor<CmMsg> for ShellActor {
                 now,
                 self.scope,
                 "shell.recovered",
-                [("outstanding", outstanding_count.to_string())],
+                [("outstanding", self.outstanding.len().to_string())],
             );
         }
         self.rearm_periodics(ctx);

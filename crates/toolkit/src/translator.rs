@@ -18,7 +18,7 @@
 //!   crashes — the two §5 classes.
 
 use crate::backend::RisBackend;
-use crate::durability::{LogRecord, PendingWrite, Restart, StatePolicy, TranslatorSnapshot};
+use crate::durability::{LogRecord, PendingWrite, Restart, StatePolicy};
 use crate::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use crate::rid::{classify, CmRid, IfaceClass};
 use crate::shell::const_period;
@@ -124,24 +124,12 @@ impl TranslatorActor {
         }
     }
 
-    /// Set how this translator's state relates to crashes. With
-    /// [`StatePolicy::Durable`], accepted writes and armed periodic
-    /// interfaces are write-ahead-logged and recovered after a crash.
+    /// Set how this translator's state relates to crashes. Under
+    /// [`crate::Durability::Durable`], accepted writes and armed
+    /// periodic interfaces are write-ahead-logged and recovered after a
+    /// crash.
     pub(crate) fn set_state_policy(&mut self, policy: StatePolicy) {
         self.policy = policy;
-    }
-
-    /// Log one durable mutation; the checkpoint, when one is due, is
-    /// the translator's durable state after it.
-    fn log_durable(&mut self, rec: &LogRecord) {
-        let (armed, pending) = (&self.armed, &self.pending);
-        self.policy.log(rec, || {
-            TranslatorSnapshot {
-                armed: armed.iter().map(|(&i, &p)| (i, p)).collect(),
-                pending: pending.values().cloned().collect(),
-            }
-            .encode()
-        });
     }
 
     /// Capture initial values of all tracked items into the trace and
@@ -168,7 +156,7 @@ impl TranslatorActor {
         for i in 0..self.periodic.len() {
             let (idx, period) = self.periodic[i];
             self.armed.insert(idx, period);
-            self.log_durable(&LogRecord::PollArmed { idx, period });
+            self.policy.log(&LogRecord::PollArmed { idx, period });
             ctx.schedule_self(period, CmMsg::PollTick { idx: idx as usize });
         }
     }
@@ -343,7 +331,7 @@ impl TranslatorActor {
                 // in the acceptance-to-perform window delays it
                 // instead of losing it (§5's metric demotion).
                 self.pending.insert(req_id, pw.clone());
-                self.log_durable(&LogRecord::WriteAccepted(pw));
+                self.policy.log(&LogRecord::WriteAccepted(pw));
             }
             RequestKind::Enumerate(pattern) => {
                 // A meta-operation of the CMI: not part of the event
@@ -392,7 +380,7 @@ impl TranslatorActor {
         // Performed or definitively rejected — either way the
         // obligation is discharged.
         if self.pending.remove(&req_id).is_some() {
-            self.log_durable(&LogRecord::WritePerformed { req_id });
+            self.policy.log(&LogRecord::WritePerformed { req_id });
         }
         match self.backend.write(&item, &value, now) {
             Ok(old) => {
@@ -485,7 +473,8 @@ impl TranslatorActor {
         if now + period <= self.stop_periodics_at {
             ctx.schedule_self(period, CmMsg::PollTick { idx });
         } else if self.armed.remove(&(idx as u64)).is_some() {
-            self.log_durable(&LogRecord::PollDisarmed { idx: idx as u64 });
+            self.policy
+                .log(&LogRecord::PollDisarmed { idx: idx as u64 });
         }
     }
 
@@ -506,12 +495,13 @@ impl Actor<CmMsg> for TranslatorActor {
         self.initialize(ctx);
     }
 
-    fn on_crash(&mut self, lossy: bool, _ctx: &mut Ctx<'_, CmMsg>) {
+    fn on_crash(&mut self, lossy: bool, ctx: &mut Ctx<'_, CmMsg>) {
         if !self.policy.crash(lossy) {
             return;
         }
-        // Obligations destroyed with the process image; without a
-        // store they are gone for good.
+        // Obligations and timers destroyed with the process image;
+        // without a store they are gone for good.
+        ctx.cancel_timers();
         if !self.policy.remembers() {
             for _ in 0..self.pending.len() {
                 self.metrics.inc(self.scope, "translator.writes_lost");
@@ -523,7 +513,7 @@ impl Actor<CmMsg> for TranslatorActor {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, CmMsg>) {
-        let (ckpt, records) = match self.policy.recover() {
+        let records = match self.policy.recover() {
             Restart::Warm => return,
             Restart::Cold => {
                 // Restarted from static configuration alone: periodic
@@ -533,15 +523,8 @@ impl Actor<CmMsg> for TranslatorActor {
                 self.rearm_polls(ctx);
                 return;
             }
-            Restart::Replay(ckpt, records) => (ckpt, records),
+            Restart::Replay(records) => records,
         };
-        // Snapshot first, then the log suffix on top.
-        if let Some(snap) = ckpt.and_then(|blob| TranslatorSnapshot::decode(&blob).ok()) {
-            self.armed.extend(snap.armed);
-            for pw in snap.pending {
-                self.pending.insert(pw.req_id, pw);
-            }
-        }
         for rec in records {
             match rec {
                 LogRecord::WriteAccepted(pw) => {

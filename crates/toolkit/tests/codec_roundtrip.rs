@@ -1,21 +1,21 @@
 //! The durable records' byte encoding: pinned, and round-tripped.
 //!
 //! A write-ahead log outlives the binary that wrote it, so the
-//! encoding of every [`LogRecord`] variant and of both checkpoint
-//! snapshots is part of the contract: one fixed instance of each is
-//! encoded and compared against committed hex bytes. A change to a
-//! record's layout fails here before it can strand existing logs.
+//! encoding of every [`LogRecord`] variant is part of the contract:
+//! one fixed instance of each is encoded and compared against
+//! committed hex bytes. A change to a record's layout fails here
+//! before it can strand existing logs.
 //!
 //! A SplitMix64 generator (same pattern as cm-core's property tests —
 //! deterministic, dependency-free) then drives random instances of
-//! every record variant and both snapshots. Each must decode back to an
-//! equal value, and every strict prefix of its encoding must fail with
-//! an error rather than panic.
+//! every record variant. Each must decode back to an equal value, and
+//! every strict prefix of its encoding must fail with an error rather
+//! than panic.
 
 use hcm_core::{EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, Value};
 use hcm_simkit::ActorId;
-use hcm_toolkit::durability::{LogRecord, PendingWrite, ShellSnapshot, TranslatorSnapshot};
-use hcm_toolkit::{FailureKind, GuaranteeStatus};
+use hcm_toolkit::durability::{LogRecord, PendingWrite};
+use hcm_toolkit::FailureKind;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -90,6 +90,7 @@ fn golden_records() -> Vec<(LogRecord, &'static str)> {
             "08020000000000000060ea000000000000",
         ),
         (LogRecord::PollDisarmed { idx: 2 }, "090200000000000000"),
+        (LogRecord::RequestFlagged { req_id: 7 }, "0a0700000000000000"),
     ]
 }
 
@@ -100,41 +101,6 @@ fn records_encode_to_the_committed_bytes() {
         assert_eq!(hex(&bytes), want, "{rec:?}");
         assert_eq!(LogRecord::decode(&bytes).unwrap(), rec);
     }
-}
-
-#[test]
-fn snapshots_encode_to_the_committed_bytes() {
-    let shell = ShellSnapshot {
-        private: vec![(ItemId::plain("Flag"), Value::Bool(true))],
-        registry: vec![
-            ("a".into(), GuaranteeStatus::Valid, SimTime::ZERO),
-            (
-                "b".into(),
-                GuaranteeStatus::SuspendedMetric,
-                SimTime::from_secs(4),
-            ),
-            (
-                "c".into(),
-                GuaranteeStatus::SuspendedLogical,
-                SimTime::from_secs(5),
-            ),
-        ],
-        next_req: 11,
-        outstanding: vec![(10, SimTime::from_secs(2), true)],
-    };
-    let bytes = shell.encode();
-    assert_eq!(hex(&bytes),
-        "0100000004000000466c6167000000000101030000000100000061000000000000000000010000006201a00f00000000000001000000630288130000000000000b00000000000000010000000a00000000000000d00700000000000001");
-    assert_eq!(ShellSnapshot::decode(&bytes).unwrap(), shell);
-
-    let translator = TranslatorSnapshot {
-        armed: vec![(0, SimDuration::from_secs(30))],
-        pending: vec![pending_write()],
-    };
-    let bytes = translator.encode();
-    assert_eq!(hex(&bytes),
-        "0100000000000000000000003075000000000000010000000900000000000000010000000700000073616c617279320100000004020000006531021873010000000000040000000c00000000000000");
-    assert_eq!(TranslatorSnapshot::decode(&bytes).unwrap(), translator);
 }
 
 /// SplitMix64: tiny, deterministic, well-distributed.
@@ -202,7 +168,7 @@ impl Gen {
     }
 
     fn log_record(&mut self) -> LogRecord {
-        match self.below(10) {
+        match self.below(11) {
             0 => LogRecord::PrivateWrite {
                 at: self.time(),
                 item: self.item(),
@@ -237,41 +203,12 @@ impl Gen {
                 idx: self.below(16),
                 period: self.duration(),
             },
-            _ => LogRecord::PollDisarmed {
+            9 => LogRecord::PollDisarmed {
                 idx: self.below(16),
             },
-        }
-    }
-
-    fn status(&mut self) -> GuaranteeStatus {
-        match self.below(3) {
-            0 => GuaranteeStatus::Valid,
-            1 => GuaranteeStatus::SuspendedMetric,
-            _ => GuaranteeStatus::SuspendedLogical,
-        }
-    }
-
-    fn shell_snapshot(&mut self) -> ShellSnapshot {
-        ShellSnapshot {
-            private: (0..self.below(5))
-                .map(|_| (self.item(), self.value()))
-                .collect(),
-            registry: (0..self.below(5))
-                .map(|_| (self.string(), self.status(), self.time()))
-                .collect(),
-            next_req: self.next(),
-            outstanding: (0..self.below(4))
-                .map(|_| (self.next(), self.time(), self.below(2) == 1))
-                .collect(),
-        }
-    }
-
-    fn translator_snapshot(&mut self) -> TranslatorSnapshot {
-        TranslatorSnapshot {
-            armed: (0..self.below(4))
-                .map(|_| (self.below(8), self.duration()))
-                .collect(),
-            pending: (0..self.below(4)).map(|_| self.pending_write()).collect(),
+            _ => LogRecord::RequestFlagged {
+                req_id: self.next(),
+            },
         }
     }
 }
@@ -290,7 +227,7 @@ fn assert_prefixes_fail<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> Option<T>) {
 #[test]
 fn log_records_round_trip_and_reject_prefixes() {
     let mut g = Gen::new(0xC0FFEE);
-    let mut seen = [false; 10];
+    let mut seen = [false; 11];
     for _ in 0..600 {
         let rec = g.log_record();
         let bytes = rec.encode();
@@ -302,23 +239,6 @@ fn log_records_round_trip_and_reject_prefixes() {
         seen.iter().all(|&s| s),
         "generator failed to cover every LogRecord variant: {seen:?}"
     );
-}
-
-#[test]
-fn snapshots_round_trip_and_reject_prefixes() {
-    let mut g = Gen::new(0xD1CE);
-    for _ in 0..150 {
-        let s = g.shell_snapshot();
-        let bytes = s.encode();
-        assert_eq!(ShellSnapshot::decode(&bytes).unwrap(), s);
-        if !bytes.is_empty() {
-            assert_prefixes_fail(&bytes, |b| ShellSnapshot::decode(b).ok());
-        }
-
-        let t = g.translator_snapshot();
-        let bytes = t.encode();
-        assert_eq!(TranslatorSnapshot::decode(&bytes).unwrap(), t);
-    }
 }
 
 #[test]

@@ -19,8 +19,8 @@
 //!   referential integrity, periodic propagation, and the 2PC baseline.
 //! * [`obs`] — deterministic sim-time observability: metrics registry,
 //!   causal-chain reconstruction, snapshot exporters.
-//! * [`store`] — durable state: append-only CRC-checked event log,
-//!   checkpoints, crash-recovery replay (§5 "remember messages").
+//! * [`store`] — durable state: append-only CRC-checked event log and
+//!   crash-recovery replay (§5 "remember messages").
 //! * [`harness`] — toolkit↔checker glue: build a rule set from a
 //!   scenario, run the standard post-mortem.
 

@@ -14,7 +14,10 @@
 //!   replays it, the write lands late, and the failure stays *metric*
 //!   (detected, then cleared) — delayed, never lost.
 //! * Shells recover their CM-private data and guarantee registry
-//!   byte-for-byte from checkpoint + log suffix.
+//!   exactly, by replaying their whole log.
+//! * A crash that wipes an actor cancels the timers it had pending:
+//!   recovery re-arms what the replayed state calls for, and nothing
+//!   fires twice.
 //!
 //! `Durability::MessageOnly` (the default) is the historical behaviour
 //! exercised by E7 and stays bit-for-bit unchanged.
@@ -26,11 +29,11 @@ use hcm::checker::{check_validity, guarantee::check_guarantee};
 use hcm::core::{ItemId, SimDuration, SimTime, Value};
 use hcm::obs::Scope;
 use hcm::toolkit::backends::RawStore;
-use hcm::toolkit::durability::shell_state_blob;
 use hcm::toolkit::shell::FailureConfig;
 use hcm::toolkit::{
     Durability, GuaranteeStatus, Scenario, ScenarioBuilder, SpontaneousOp, StoreKind, StoreSetup,
 };
+use std::collections::BTreeMap;
 
 /// Site B with a deliberately slow database (2s service time) so a
 /// crash can land inside the accept-to-perform window of a write.
@@ -256,16 +259,45 @@ fn durable_shell_replays_a_reset() {
     assert_eq!(follows(&sc), Some(GuaranteeStatus::Valid));
 
     // A lossy shell crash wipes the registry; recovery rebuilds it
-    // from the log, reset included. The run ends before the recovered
-    // request's fresh deadline (recovery + 5s) can fire again.
+    // from the log, reset included. The escalated request was given
+    // up, so recovery re-arms no deadline for it and the reset stays
+    // final.
     sc.crash_shell("B", SimTime::from_secs(110), true);
     sc.recover_shell("B", SimTime::from_secs(120));
-    sc.run_until(SimTime::from_secs(122));
+    sc.run_until(SimTime::from_secs(200));
     assert_eq!(
         sc.obs.metrics.counter(Scope::Actor(1), "store.recoveries"),
         1
     );
     assert_eq!(follows(&sc), Some(GuaranteeStatus::Valid));
+    assert_eq!(sc.counter("B", "shell.metric_failures_detected"), 1);
+    assert_eq!(sc.counter("B", "shell.logical_failures_detected"), 1);
+}
+
+/// A request flagged metric before a shell crash goes straight to its
+/// escalation check after recovery: the outage is detected once as
+/// metric and once as logical, as in a run whose shell never crashed.
+#[test]
+fn replayed_metric_flag_is_not_detected_again() {
+    let detections = |crash_shell: bool| {
+        let mut sc = build(22, Durability::Durable(StoreSetup::default()));
+        // B's database holds the request for the update at 40s until
+        // 300s: the deadline passes at ~45s, the escalation at ~75s.
+        sc.crash("B", SimTime::from_secs(39), false);
+        update(&mut sc, 40, 95_000);
+        if crash_shell {
+            sc.crash_shell("B", SimTime::from_secs(50), true);
+            sc.recover_shell("B", SimTime::from_secs(52));
+        }
+        sc.recover("B", SimTime::from_secs(300));
+        sc.run_until(SimTime::from_secs(120));
+        (
+            sc.counter("B", "shell.metric_failures_detected"),
+            sc.counter("B", "shell.logical_failures_detected"),
+        )
+    };
+    assert_eq!(detections(false), (1, 1));
+    assert_eq!(detections(true), (1, 1));
 }
 
 // ---------------------------------------------------------------------
@@ -310,28 +342,31 @@ fn build_cached(seed: u64, durability: Durability) -> Scenario {
         .unwrap()
 }
 
+/// The shell's durable state as the tests compare it: its CM-private
+/// data and the text of its guarantee registry (statuses and since).
+fn shell_state(sc: &Scenario, site: &str) -> (BTreeMap<ItemId, Value>, String) {
+    let h = sc.site(site);
+    let private = h.private.borrow().clone();
+    (private, h.registry.borrow().to_string())
+}
+
 #[test]
 fn durable_shell_recovers_byte_identical_state() {
-    let setup = StoreSetup {
-        checkpoint_every: 4, // small cadence: exercise checkpoint + suffix replay
-        ..StoreSetup::default()
-    };
-    let mut sc = build_cached(18, Durability::Durable(setup));
+    let mut sc = build_cached(18, Durability::Durable(StoreSetup::default()));
     for (i, v) in [95_000, 96_000, 97_000].iter().enumerate() {
         update(&mut sc, 10 + 10 * i as u64, *v);
     }
-    // Let the updates fully propagate, then snapshot the shell's
-    // canonical durable-state encoding.
+    // Let the updates fully propagate, then take the shell's state.
     sc.run_until(SimTime::from_secs(36));
-    let before = shell_state_blob(&sc.site("B").private, &sc.site("B").registry);
+    let before = shell_state(&sc, "B");
 
     // Lossy shell crash: private data and registry are wiped…
     sc.crash_shell("B", SimTime::from_secs(37), true);
     sc.recover_shell("B", SimTime::from_secs(39));
-    // …and rebuilt from checkpoint + log replay on recovery.
+    // …and rebuilt by log replay on recovery.
     sc.run_until(SimTime::from_secs(45));
-    let after = shell_state_blob(&sc.site("B").private, &sc.site("B").registry);
-    assert_eq!(before, after, "recovered state must be byte-identical");
+    let after = shell_state(&sc, "B");
+    assert_eq!(before, after, "recovered state must be identical");
     assert_eq!(
         sc.site("B")
             .private
@@ -375,11 +410,27 @@ fn durable_shell_recovers_byte_identical_state() {
     );
     assert_eq!(salary2_at_end(&sc), salary2_at_end(&baseline));
 
-    // Shell B (actor 1) exercised checkpoints, appends, and recovery.
+    // Shell B (actor 1) exercised appends and recovery.
     let scope = Scope::Actor(1);
     assert!(sc.obs.metrics.counter(scope, "store.appends") > 0);
-    assert!(sc.obs.metrics.counter(scope, "store.checkpoints") >= 1);
     assert_eq!(sc.obs.metrics.counter(scope, "store.recoveries"), 1);
+}
+
+/// The initial CM-private data is in the log from the start, so a
+/// lossy crash before the first write does not wipe it.
+#[test]
+fn durable_shell_logs_its_initial_private_data() {
+    let mut sc = build_cached(23, Durability::Durable(StoreSetup::default()));
+    sc.crash_shell("B", SimTime::from_secs(5), true);
+    sc.recover_shell("B", SimTime::from_secs(7));
+    sc.run_until(SimTime::from_secs(10));
+    assert_eq!(
+        sc.site("B")
+            .private
+            .borrow()
+            .get(&ItemId::with("Cx", [Value::from("e1")])),
+        Some(&Value::Int(90_000))
+    );
 }
 
 #[test]
@@ -413,7 +464,6 @@ fn file_backed_store_recovers_across_the_same_schedule() {
 
     let setup = StoreSetup {
         kind: StoreKind::File(dir.clone()),
-        checkpoint_every: 2,
         segment_bytes: 256, // force rotation with tiny segments
     };
     let mut sc = build(20, Durability::Durable(setup));
@@ -441,4 +491,72 @@ fn file_backed_store_recovers_across_the_same_schedule() {
     assert_eq!(sc.obs.metrics.counter(t_scope, "store.truncations"), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Timers die with the state that armed them.
+// ---------------------------------------------------------------------
+
+/// A shell polling A every 5s, crashed for 1s: after recovery it polls
+/// at the crash-free rate, not twice as often (the pre-crash tick
+/// beside the one recovery re-arms).
+#[test]
+fn wiping_shell_crash_cancels_pending_timers() {
+    const POLLING: &str = r#"
+[locate]
+salary1 = A
+salary2 = B
+[strategy]
+P(5s) -> RR(salary1("e1")) within 1s
+"#;
+    let firings = |durability: Durability, crash: bool| {
+        let mut sc = ScenarioBuilder::new(24)
+            .site(
+                "A",
+                RawStore::Relational(employees_db(&[("e1", 90_000)])),
+                RID_SRC,
+            )
+            .unwrap()
+            .site(
+                "B",
+                RawStore::Relational(employees_db(&[("e1", 90_000)])),
+                common::RID_DST,
+            )
+            .unwrap()
+            .strategy(POLLING)
+            .durability(durability)
+            .build()
+            .unwrap();
+        if crash {
+            sc.crash_shell("A", SimTime::from_secs(51), true);
+            sc.recover_shell("A", SimTime::from_secs(52));
+        }
+        sc.run_until(SimTime::from_secs(100));
+        let before = sc.counter("A", "shell.firings");
+        sc.run_until(SimTime::from_secs(150));
+        sc.counter("A", "shell.firings") - before
+    };
+    for durability in [
+        Durability::LoseState,
+        Durability::Durable(StoreSetup::default()),
+    ] {
+        let crash_free = firings(durability.clone(), false);
+        assert_eq!(crash_free, 10);
+        assert_eq!(firings(durability, true), crash_free);
+    }
+}
+
+/// A translator crashed for 1s inside a write's accept-to-perform
+/// window performs the recovered write once: the perform timer armed
+/// before the crash died with it.
+#[test]
+fn recovered_write_is_performed_once() {
+    let mut sc = build(25, Durability::Durable(StoreSetup::default()));
+    update(&mut sc, 40, 95_000);
+    sc.crash("B", SimTime::from_secs(41), true);
+    sc.recover("B", SimTime::from_secs(42));
+    sc.run_to_quiescence();
+    assert_eq!(salary2_at_end(&sc), Some(Value::Int(95_000)));
+    assert_eq!(sc.counter("B", "translator.writes_recovered"), 1);
+    assert_eq!(sc.counter("B", "translator.writes_done"), 1);
 }
