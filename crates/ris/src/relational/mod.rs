@@ -75,18 +75,6 @@ pub enum QueryResult {
     Affected(usize),
 }
 
-impl QueryResult {
-    /// The single scalar of a one-row, one-column result, if that is
-    /// what this is.
-    #[must_use]
-    pub fn scalar(&self) -> Option<&Value> {
-        match self {
-            QueryResult::Rows(rows) if rows.len() == 1 && rows[0].len() == 1 => Some(&rows[0][0]),
-            _ => None,
-        }
-    }
-}
-
 /// The database: named tables, triggers, CHECK constraints, and a
 /// pending-firings buffer.
 #[derive(Debug, Default)]
@@ -398,7 +386,7 @@ mod tests {
         let r = db
             .execute("SELECT salary FROM employees WHERE empid = 'e1'")
             .unwrap();
-        assert_eq!(r.scalar(), Some(&Value::Int(90000)));
+        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(90000)]]));
 
         let r = db
             .execute("UPDATE employees SET salary = 95000 WHERE empid = 'e1'")
@@ -407,7 +395,7 @@ mod tests {
         let r = db
             .execute("SELECT salary FROM employees WHERE empid = 'e1'")
             .unwrap();
-        assert_eq!(r.scalar(), Some(&Value::Int(95000)));
+        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(95000)]]));
 
         let r = db
             .execute("DELETE FROM employees WHERE empid = 'e2'")
@@ -433,7 +421,7 @@ mod tests {
         let r = db
             .execute("select salary from employees where empid = 'e2'")
             .unwrap();
-        assert_eq!(r.scalar(), Some(&Value::Int(70000)));
+        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(70000)]]));
     }
 
     #[test]
@@ -494,7 +482,7 @@ mod tests {
         let r = db
             .execute("SELECT value FROM demarc WHERE name = 'X'")
             .unwrap();
-        assert_eq!(r.scalar(), Some(&Value::Int(100)));
+        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(100)]]));
         // Raising the limit then writing works.
         db.execute("UPDATE demarc SET lim = 200 WHERE name = 'X'")
             .unwrap();

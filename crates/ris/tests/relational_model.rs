@@ -152,13 +152,12 @@ fn engine_agrees_with_model() {
                     let r = db
                         .execute(&format!("SELECT v FROM t WHERE id = {id}"))
                         .unwrap();
-                    match (r.scalar(), model.get(&id)) {
-                        (Some(got), Some(want)) => assert_eq!(got, &Value::Int(*want)),
-                        (None, None) => {}
-                        (got, want) => {
-                            panic!("case {case}: select mismatch for {id}: engine {got:?}, model {want:?}")
-                        }
-                    }
+                    let want: Vec<Row> = model
+                        .get(&id)
+                        .map(|v| vec![Value::Int(*v)])
+                        .into_iter()
+                        .collect();
+                    assert_eq!(r, QueryResult::Rows(want), "case {case}: select {id}");
                 }
                 Op::SelectIds => {
                     let got = sorted_rows(db.execute("SELECT id FROM t").unwrap());
@@ -213,7 +212,11 @@ fn check_constraints_are_exact() {
                 assert!(r.is_err(), "case {case}: update to {v} accepted");
             }
             let got = db.execute("SELECT v FROM t WHERE id = 1").unwrap();
-            assert_eq!(got.scalar(), Some(&Value::Int(current)), "case {case}");
+            assert_eq!(
+                got,
+                QueryResult::Rows(vec![vec![Value::Int(current)]]),
+                "case {case}"
+            );
         }
     }
 }

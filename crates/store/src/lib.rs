@@ -19,7 +19,7 @@
 //!
 //! * **Dependency-free.** crates.io is unreachable in this
 //!   environment, so the binary codec ([`codec`]), the CRC32
-//!   checksums and the segment format are all hand-rolled on `std`.
+//!   checksums and the log-file format are all hand-rolled on `std`.
 //! * **Deterministic.** Encoding is fixed-width little-endian with
 //!   length-prefixed strings; the same state always encodes to the
 //!   same bytes, so recovery equivalence can be asserted
@@ -31,9 +31,10 @@
 //!
 //! Two [`StateStore`] implementations are provided: [`MemStore`] (an
 //! in-memory log for tests and simulations, durable across *simulated*
-//! crashes because it lives outside the actor) and [`FileStore`]
-//! (length-prefixed CRC-checked segment files with rotation and tail
-//! truncation on recovery).
+//! crashes because a crash's wipe never touches the actor's durability
+//! policy, which owns the store) and [`FileStore`] (one append-only
+//! file of length-prefixed CRC-checked frames per component, truncated
+//! at its first torn frame when opened or recovered).
 
 #![warn(missing_docs)]
 
@@ -41,19 +42,4 @@ pub mod codec;
 pub mod wal;
 
 pub use codec::{crc32, CodecError, Decoder, Encoder};
-pub use wal::{FileStore, MemStore, Recovery, StateStore, StoreConfig, StoreError};
-
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// A shared, interiorly mutable handle to a state store, as held by a
-/// scenario and the actor it backs. The handle lives *outside* the
-/// simulated actor, which is what makes the store survive a simulated
-/// crash that wipes the actor's own state.
-pub type SharedStore = Rc<RefCell<Box<dyn StateStore>>>;
-
-/// Wrap a concrete store into a [`SharedStore`].
-#[must_use]
-pub fn shared(store: impl StateStore + 'static) -> SharedStore {
-    Rc::new(RefCell::new(Box::new(store)))
-}
+pub use wal::{FileStore, MemStore, Recovery, StateStore, StoreError};

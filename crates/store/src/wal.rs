@@ -5,27 +5,26 @@
 //! record, in order: the component rebuilds its state by replaying
 //! them from the first.
 //!
-//! [`FileStore`] maps this onto a directory of segment files:
+//! [`FileStore`] maps this onto one append-only file:
 //!
 //! ```text
-//! wal-<k>.seg   = "HCMWAL1\n"  frame*          (append-only segment)
+//! file          = "HCMWAL1\n"  frame*
 //! frame         = u32le payload_len  u32le crc32(payload)  payload
 //! ```
 //!
-//! Segments rotate at [`StoreConfig::segment_bytes`] and are replayed
-//! in index order. A half-written tail (short frame or checksum
-//! mismatch) is truncated on recovery and reported — torn tails are
-//! data loss, never a panic.
+//! Opening and recovering share one scan, which truncates the file at
+//! the first frame that does not verify (short frame or checksum
+//! mismatch) and reports the loss — torn tails are data loss, never a
+//! panic, and every later recovery returns the same records.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
 
 use crate::codec::crc32;
 
-/// Magic line opening every WAL segment file.
+/// Magic line opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"HCMWAL1\n";
 /// Bytes of framing overhead per record (length + checksum).
 pub const FRAME_OVERHEAD: u64 = 8;
@@ -51,21 +50,6 @@ fn io_err(e: std::io::Error) -> StoreError {
     StoreError::Io(e.to_string())
 }
 
-/// Tunables for a file-backed store.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreConfig {
-    /// Rotate the active segment once it would exceed this many bytes.
-    pub segment_bytes: u64,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            segment_bytes: 64 * 1024,
-        }
-    }
-}
-
 /// What recovery found: every valid record, oldest first.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
@@ -86,9 +70,9 @@ pub trait StateStore {
     fn recover(&mut self) -> Result<Recovery, StoreError>;
 }
 
-/// In-memory [`StateStore`] for simulations and tests. Durability
-/// across *simulated* crashes comes from the handle living outside the
-/// simulated actor (see [`crate::SharedStore`]).
+/// In-memory [`StateStore`] for simulations and tests. It is durable
+/// across *simulated* crashes because the actor's durability policy
+/// owns it, and a crash's wipe never touches that policy.
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
     records: Vec<Vec<u8>>,
@@ -116,110 +100,75 @@ impl StateStore for MemStore {
     }
 }
 
-/// File-backed [`StateStore`]: CRC-checked segment files with
-/// rotation and tail truncation.
+/// File-backed [`StateStore`]: one append-only file of CRC-checked
+/// frames.
 #[derive(Debug)]
 pub struct FileStore {
-    dir: PathBuf,
-    config: StoreConfig,
-    /// Index of the active segment.
-    active_index: u64,
-    active: fs::File,
-    active_bytes: u64,
+    file: fs::File,
+    /// Torn tails the opening scan dropped, reported by the next
+    /// [`Self::recover`].
+    torn_at_open: u64,
 }
 
 impl FileStore {
-    /// Open (creating if needed) a store rooted at `dir`. Existing
-    /// segments are left untouched until [`Self::recover`] runs; a
-    /// fresh active segment is started after the highest existing
-    /// index.
-    pub fn open(dir: impl Into<PathBuf>, config: StoreConfig) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(io_err)?;
-        let next = scan(&dir)?.keys().next_back().map_or(0, |i| i + 1);
-        let (active, active_bytes) = new_segment(&dir, next)?;
+    /// Open the log file at `path`, creating it (and its directory) if
+    /// needed. Opening scans the file and truncates it at the first
+    /// frame that does not verify, so appends continue from the last
+    /// record a recovery returns.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let path = path.as_ref();
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir).map_err(io_err)?;
+        }
+        let mut file = fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(io_err)?;
+        let (_, torn) = scan(&mut file)?;
         Ok(FileStore {
-            dir,
-            config,
-            active_index: next,
-            active,
-            active_bytes,
+            file,
+            torn_at_open: u64::from(torn),
         })
-    }
-
-    fn rotate(&mut self) -> Result<(), StoreError> {
-        self.active_index += 1;
-        let (file, bytes) = new_segment(&self.dir, self.active_index)?;
-        self.active = file;
-        self.active_bytes = bytes;
-        Ok(())
     }
 }
 
 impl StateStore for FileStore {
     fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
-        let framed = payload.len() as u64 + FRAME_OVERHEAD;
-        if self.active_bytes > WAL_MAGIC.len() as u64
-            && self.active_bytes + framed > self.config.segment_bytes
-        {
-            self.rotate()?;
-        }
-        write_frame(&mut self.active, payload)?;
-        self.active.flush().map_err(io_err)?;
-        self.active_bytes += framed;
-        Ok(framed)
+        write_frame(&mut self.file, payload)?;
+        self.file.flush().map_err(io_err)?;
+        Ok(payload.len() as u64 + FRAME_OVERHEAD)
     }
 
     fn recover(&mut self) -> Result<Recovery, StoreError> {
-        let mut out = Recovery::default();
-        // Replay every segment, oldest first, stopping for good at the
-        // first torn record: anything beyond it post-dates the
-        // corruption and cannot be trusted.
-        for (index, path) in scan(&self.dir)? {
-            let buf = fs::read(&path).map_err(io_err)?;
-            if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
-                out.torn_truncations += 1;
-                break;
-            }
-            let (records, valid_end, torn) = parse_frames(&buf, WAL_MAGIC.len());
-            out.records.extend(records);
-            if torn {
-                out.torn_truncations += 1;
-                truncate_file(&path, valid_end as u64)?;
-                if index == self.active_index {
-                    self.active_bytes = valid_end as u64;
-                }
-                break;
-            }
-        }
-        Ok(out)
+        let (records, torn) = scan(&mut self.file)?;
+        Ok(Recovery {
+            records,
+            torn_truncations: std::mem::take(&mut self.torn_at_open) + u64::from(torn),
+        })
     }
 }
 
-/// Index every `wal-<k>.seg` in `dir`.
-fn scan(dir: &Path) -> Result<BTreeMap<u64, PathBuf>, StoreError> {
-    let mut out = BTreeMap::new();
-    for entry in fs::read_dir(dir).map_err(io_err)? {
-        let entry = entry.map_err(io_err)?;
-        let name = entry.file_name();
-        let index = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("wal-"))
-            .and_then(|r| r.strip_suffix(".seg"))
-            .and_then(|digits| digits.parse::<u64>().ok());
-        if let Some(index) = index {
-            out.insert(index, entry.path());
-        }
+/// Read every valid record of `file` and truncate it just past the
+/// last one, so a torn tail is dropped exactly once. Returns the
+/// records and whether a tail was dropped. A file without a whole,
+/// valid [`WAL_MAGIC`] header holds nothing to trust: it restarts as
+/// the bare header, which counts as a dropped tail unless it was empty.
+fn scan(file: &mut fs::File) -> Result<(Vec<Vec<u8>>, bool), StoreError> {
+    let mut buf = Vec::new();
+    file.seek(SeekFrom::Start(0)).map_err(io_err)?;
+    file.read_to_end(&mut buf).map_err(io_err)?;
+    if !buf.starts_with(WAL_MAGIC) {
+        file.set_len(0).map_err(io_err)?;
+        file.write_all(WAL_MAGIC).map_err(io_err)?;
+        return Ok((Vec::new(), !buf.is_empty()));
     }
-    Ok(out)
-}
-
-fn new_segment(dir: &Path, index: u64) -> Result<(fs::File, u64), StoreError> {
-    let path = dir.join(format!("wal-{index}.seg"));
-    let mut file = fs::File::create(&path).map_err(io_err)?;
-    file.write_all(WAL_MAGIC).map_err(io_err)?;
-    file.flush().map_err(io_err)?;
-    Ok((file, WAL_MAGIC.len() as u64))
+    let (records, valid_end, torn) = parse_frames(&buf, WAL_MAGIC.len());
+    if torn {
+        file.set_len(valid_end as u64).map_err(io_err)?;
+    }
+    Ok((records, torn))
 }
 
 fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), StoreError> {
@@ -258,24 +207,16 @@ fn parse_frames(buf: &[u8], start: usize) -> (Vec<Vec<u8>>, usize, bool) {
     }
 }
 
-fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
-    fs::OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(io_err)?
-        .set_len(len)
-        .map_err(io_err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("hcm-store-wal-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpfile(tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("hcm-store-wal-{tag}-{}.wal", std::process::id()));
+        let _ = fs::remove_file(&path);
+        path
     }
 
     #[test]
@@ -293,46 +234,30 @@ mod tests {
 
     #[test]
     fn file_store_round_trip_across_reopen() {
-        let dir = tmpdir("roundtrip");
+        let path = tmpfile("roundtrip");
         {
-            let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+            let mut s = FileStore::open(&path).unwrap();
             s.append(b"one").unwrap();
             s.append(b"two").unwrap();
         }
-        let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut s = FileStore::open(&path).unwrap();
         let r = s.recover().unwrap();
         assert_eq!(r.records, vec![b"one".to_vec(), b"two".to_vec()]);
         assert_eq!(r.torn_truncations, 0);
     }
 
     #[test]
-    fn rotated_segments_replay_in_order() {
-        let dir = tmpdir("rotate");
-        let cfg = StoreConfig { segment_bytes: 32 };
-        let mut s = FileStore::open(&dir, cfg).unwrap();
-        for i in 0..10u8 {
-            s.append(&[i; 10]).unwrap();
-        }
-        assert!(scan(&dir).unwrap().len() > 1, "should have rotated");
-        let r = s.recover().unwrap();
-        let want: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 10]).collect();
-        assert_eq!(r.records, want);
-    }
-
-    #[test]
     fn torn_tail_is_truncated_not_fatal() {
-        let dir = tmpdir("torn");
-        let path;
+        let path = tmpfile("torn");
         {
-            let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+            let mut s = FileStore::open(&path).unwrap();
             s.append(b"good").unwrap();
             s.append(b"doomed").unwrap();
-            path = dir.join("wal-0.seg");
         }
         // Chop mid-way through the last record's payload.
-        let full = fs::metadata(&path).unwrap().len();
-        truncate_file(&path, full - 3).unwrap();
-        let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+        let file = fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(file.metadata().unwrap().len() - 3).unwrap();
+        let mut s = FileStore::open(&path).unwrap();
         let r = s.recover().unwrap();
         assert_eq!(r.records, vec![b"good".to_vec()]);
         assert_eq!(r.torn_truncations, 1);

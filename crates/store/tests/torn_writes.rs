@@ -5,33 +5,33 @@
 //! payload bit, a flipped checksum bit, an absurd length field — and
 //! asserts the invariant from the crate docs: recovery stops at the
 //! last record whose checksum verifies, truncates the tail, reports
-//! the loss, and never panics.
+//! the loss once, and never panics; every later recovery, and every
+//! append after it, sees the same surviving prefix.
 
 use std::fs;
 use std::path::PathBuf;
 
-use hcm_store::{FileStore, StateStore, StoreConfig};
+use hcm_store::{FileStore, StateStore};
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hcm-store-torn-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+fn tmpfile(tag: &str) -> PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("hcm-store-torn-{tag}-{}.wal", std::process::id()));
+    let _ = fs::remove_file(&path);
+    path
 }
 
-/// Build a store with three records in one segment, then mutilate the
-/// segment file with `damage` and recover.
+/// Build a store with three records, then mutilate its file with
+/// `damage` and recover.
 fn recover_after(tag: &str, damage: impl FnOnce(&PathBuf)) -> hcm_store::Recovery {
-    let dir = tmpdir(tag);
+    let path = tmpfile(tag);
     {
-        let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut s = FileStore::open(&path).unwrap();
         s.append(b"alpha").unwrap();
         s.append(b"beta").unwrap();
         s.append(b"gamma").unwrap();
     }
-    let seg = dir.join("wal-0.seg");
-    damage(&seg);
-    let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+    damage(&path);
+    let mut s = FileStore::open(&path).unwrap();
     s.recover().unwrap()
 }
 
@@ -53,9 +53,9 @@ fn flip_byte(path: &PathBuf, offset_from_end: u64) {
 
 #[test]
 fn truncated_inside_last_payload() {
-    let r = recover_after("payload", |seg| {
-        let len = fs::metadata(seg).unwrap().len();
-        set_len(seg, len - 2); // drop the last 2 bytes of "gamma"
+    let r = recover_after("payload", |log| {
+        let len = fs::metadata(log).unwrap().len();
+        set_len(log, len - 2); // drop the last 2 bytes of "gamma"
     });
     assert_eq!(r.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
     assert_eq!(r.torn_truncations, 1);
@@ -63,9 +63,9 @@ fn truncated_inside_last_payload() {
 
 #[test]
 fn truncated_inside_last_header() {
-    let r = recover_after("header", |seg| {
-        let len = fs::metadata(seg).unwrap().len();
-        set_len(seg, len - 5 - 5); // "gamma" payload + 5 of its 8 header bytes
+    let r = recover_after("header", |log| {
+        let len = fs::metadata(log).unwrap().len();
+        set_len(log, len - 5 - 5); // "gamma" payload + 5 of its 8 header bytes
     });
     assert_eq!(r.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
     assert_eq!(r.torn_truncations, 1);
@@ -73,7 +73,7 @@ fn truncated_inside_last_header() {
 
 #[test]
 fn flipped_bit_in_last_payload() {
-    let r = recover_after("bitflip", |seg| flip_byte(seg, 0));
+    let r = recover_after("bitflip", |log| flip_byte(log, 0));
     assert_eq!(r.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
     assert_eq!(r.torn_truncations, 1);
 }
@@ -81,7 +81,7 @@ fn flipped_bit_in_last_payload() {
 #[test]
 fn flipped_bit_in_last_checksum() {
     // "gamma" is 5 bytes; its CRC field sits 5+0..5+4 bytes from EOF.
-    let r = recover_after("crcflip", |seg| flip_byte(seg, 6));
+    let r = recover_after("crcflip", |log| flip_byte(log, 6));
     assert_eq!(r.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
     assert_eq!(r.torn_truncations, 1);
 }
@@ -90,10 +90,10 @@ fn flipped_bit_in_last_checksum() {
 fn corruption_mid_log_drops_everything_after_it() {
     // A flipped bit in "beta" invalidates beta AND gamma: records past
     // a corrupt one cannot be trusted (framing may be desynced).
-    let r = recover_after("midlog", |seg| {
+    let r = recover_after("midlog", |log| {
         // gamma frame = 8 + 5 = 13 bytes; beta's payload ends 13 bytes
         // from EOF, so its last byte is 13 from the end.
-        flip_byte(seg, 13);
+        flip_byte(log, 13);
     });
     assert_eq!(r.records, vec![b"alpha".to_vec()]);
     assert_eq!(r.torn_truncations, 1);
@@ -101,31 +101,41 @@ fn corruption_mid_log_drops_everything_after_it() {
 
 #[test]
 fn absurd_length_field_is_torn_not_alloc_bomb() {
-    let r = recover_after("hugelen", |seg| {
-        let mut buf = fs::read(seg).unwrap();
+    let r = recover_after("hugelen", |log| {
+        let mut buf = fs::read(log).unwrap();
         // Overwrite gamma's length field (13 bytes from EOF) with u32::MAX.
         let at = buf.len() - 13;
         buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        fs::write(seg, &buf).unwrap();
+        fs::write(log, &buf).unwrap();
     });
     assert_eq!(r.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
     assert_eq!(r.torn_truncations, 1);
 }
 
 #[test]
+fn flipped_bit_in_header_drops_the_whole_log() {
+    let r = recover_after("magic", |log| {
+        let mut buf = fs::read(log).unwrap();
+        buf[0] ^= 0x01;
+        fs::write(log, &buf).unwrap();
+    });
+    assert!(r.records.is_empty());
+    assert_eq!(r.torn_truncations, 1);
+}
+
+#[test]
 fn truncation_repairs_the_file_for_future_appends() {
-    let dir = tmpdir("repair");
+    let path = tmpfile("repair");
     {
-        let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut s = FileStore::open(&path).unwrap();
         s.append(b"keep").unwrap();
         s.append(b"lose").unwrap();
     }
-    let seg = dir.join("wal-0.seg");
-    let len = fs::metadata(&seg).unwrap().len();
-    set_len(&seg, len - 1);
+    let len = fs::metadata(&path).unwrap().len();
+    set_len(&path, len - 1);
 
     // First recovery truncates the torn tail in place.
-    let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+    let mut s = FileStore::open(&path).unwrap();
     let r = s.recover().unwrap();
     assert_eq!(r.records, vec![b"keep".to_vec()]);
     assert_eq!(r.torn_truncations, 1);
@@ -140,9 +150,49 @@ fn truncation_repairs_the_file_for_future_appends() {
 
 #[test]
 fn empty_and_magic_only_stores_recover_clean() {
-    let dir = tmpdir("empty");
-    let mut s = FileStore::open(&dir, StoreConfig::default()).unwrap();
+    let path = tmpfile("empty");
+    let mut s = FileStore::open(&path).unwrap();
     let r = s.recover().unwrap();
     assert!(r.records.is_empty());
     assert_eq!(r.torn_truncations, 0);
+}
+
+#[test]
+fn flipped_byte_mid_log_recovers_the_same_record_twice() {
+    // Six 10-byte records; flip the last byte of the second. Everything
+    // from the second record on is untrusted, on every recovery.
+    let path = tmpfile("midflip");
+    {
+        let mut s = FileStore::open(&path).unwrap();
+        for i in 0..6u8 {
+            s.append(&[i; 10]).unwrap();
+        }
+    }
+    flip_byte(&path, 4 * 18); // 4 frames of 8 + 10 bytes follow it
+    let mut s = FileStore::open(&path).unwrap();
+    for _ in 0..2 {
+        assert_eq!(s.recover().unwrap().records, vec![vec![0u8; 10]]);
+    }
+}
+
+#[test]
+fn append_after_a_torn_tail_survives_every_recovery() {
+    let path = tmpfile("tornappend");
+    {
+        let mut s = FileStore::open(&path).unwrap();
+        s.append(b"a").unwrap();
+        s.append(b"b").unwrap();
+    }
+    let len = fs::metadata(&path).unwrap().len();
+    set_len(&path, len - 1); // cut "b"'s frame short
+
+    let mut s = FileStore::open(&path).unwrap();
+    s.append(b"c").unwrap();
+    let want = vec![b"a".to_vec(), b"c".to_vec()];
+    let first = s.recover().unwrap();
+    assert_eq!(first.records, want);
+    assert_eq!(first.torn_truncations, 1);
+    let second = s.recover().unwrap();
+    assert_eq!(second.records, want);
+    assert_eq!(second.torn_truncations, 0);
 }

@@ -25,7 +25,10 @@
 //! * [`Durability::Durable`] — same wipe, but the component logs every
 //!   durable mutation and recovers by replaying its whole log, demoting
 //!   the crash to a metric failure: obligations are delayed, never
-//!   lost.
+//!   lost. The log survives the wipe because the actor's
+//!   [`StatePolicy`] owns it, and a wipe never touches the policy. It
+//!   lives in memory or, with [`StoreSetup::File`], in one file per
+//!   actor.
 //!
 //! A wiping crash also cancels the component's pending timers: they
 //! belonged to the state it lost, and recovery re-arms the ones that
@@ -37,9 +40,7 @@ use crate::registry::FailureKind;
 use hcm_core::{EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, Value};
 use hcm_obs::{Metrics, Scope};
 use hcm_simkit::ActorId;
-use hcm_store::{
-    CodecError, Decoder, Encoder, FileStore, MemStore, SharedStore, StoreConfig, StoreError,
-};
+use hcm_store::{CodecError, Decoder, Encoder, FileStore, MemStore, StateStore, StoreError};
 
 fn decode_failure(b: u8) -> Result<FailureKind, CodecError> {
     match b {
@@ -270,34 +271,16 @@ impl LogRecord {
     }
 }
 
-/// Which backing medium a durable site logs to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreKind {
-    /// In-memory log outside the simulated actor — durable across
-    /// *simulated* crashes, gone when the process exits. The default
-    /// for tests.
+/// Where each durable actor keeps its write-ahead log.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum StoreSetup {
+    /// In-memory log — durable across *simulated* crashes, gone when
+    /// the process exits. The default for tests and benchmarks.
+    #[default]
     Memory,
-    /// CRC-checked segment files under this directory (one
-    /// subdirectory per actor).
+    /// One CRC-framed log file per actor in this directory: the actor
+    /// labelled `label` logs to `<dir>/<label>.wal`.
     File(PathBuf),
-}
-
-/// Configuration of a durable site's store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreSetup {
-    /// Backing medium.
-    pub kind: StoreKind,
-    /// Segment rotation threshold for file-backed stores.
-    pub segment_bytes: u64,
-}
-
-impl Default for StoreSetup {
-    fn default() -> Self {
-        StoreSetup {
-            kind: StoreKind::Memory,
-            segment_bytes: 64 * 1024,
-        }
-    }
 }
 
 /// Scenario-level durability regime (see module docs).
@@ -344,7 +327,7 @@ pub enum Restart {
 
 impl StatePolicy {
     /// The policy of the actor labelled `label` under `durability`. A
-    /// durable actor gets its own store (a subdirectory `label` of a
+    /// durable actor gets its own store (the file `<label>.wal` of a
     /// file store's directory) and meters it under `scope`.
     pub fn new(
         durability: &Durability,
@@ -356,13 +339,10 @@ impl StatePolicy {
             Durability::MessageOnly => Memory::Keep,
             Durability::LoseState => Memory::Lose,
             Durability::Durable(setup) => {
-                let store: SharedStore = match &setup.kind {
-                    StoreKind::Memory => hcm_store::shared(MemStore::new()),
-                    StoreKind::File(dir) => {
-                        let cfg = StoreConfig {
-                            segment_bytes: setup.segment_bytes,
-                        };
-                        hcm_store::shared(FileStore::open(dir.join(label), cfg)?)
+                let store: Box<dyn StateStore> = match setup {
+                    StoreSetup::Memory => Box::new(MemStore::new()),
+                    StoreSetup::File(dir) => {
+                        Box::new(FileStore::open(dir.join(format!("{label}.wal")))?)
                     }
                 };
                 Memory::Durable(StoreBridge {
@@ -418,7 +398,7 @@ impl StatePolicy {
 /// An actor's handle to its [`hcm_store::StateStore`]: logging,
 /// recovery, and `store.*` metrics.
 struct StoreBridge {
-    store: SharedStore,
+    store: Box<dyn StateStore>,
     metrics: Metrics,
     scope: Scope,
 }
@@ -429,7 +409,7 @@ impl StoreBridge {
     /// (§5 degrades, never halts).
     fn log(&mut self, rec: &LogRecord) {
         let payload = rec.encode();
-        match self.store.borrow_mut().append(&payload) {
+        match self.store.append(&payload) {
             Ok(bytes) => {
                 self.metrics.inc(self.scope, "store.appends");
                 self.metrics.add(self.scope, "store.bytes", bytes);
@@ -446,7 +426,7 @@ impl StoreBridge {
     /// Load and decode the whole log. Records that fail to decode are
     /// skipped (and counted) — recovery is best-effort by design.
     fn recover(&mut self) -> Vec<LogRecord> {
-        let recovery = match self.store.borrow_mut().recover() {
+        let recovery = match self.store.recover() {
             Ok(r) => r,
             Err(_) => {
                 self.metrics.inc(self.scope, "store.errors");
@@ -482,7 +462,7 @@ mod tests {
         let obs = Obs::new();
         let scope = Scope::Site(3);
         let mut bridge = StoreBridge {
-            store: hcm_store::shared(MemStore::new()),
+            store: Box::new(MemStore::new()),
             metrics: obs.metrics.clone(),
             scope,
         };

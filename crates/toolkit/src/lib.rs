@@ -52,7 +52,7 @@ pub mod translator;
 pub mod workload;
 
 pub use compile::CompiledStrategy;
-pub use durability::{Durability, StatePolicy, StoreKind, StoreSetup};
+pub use durability::{Durability, StatePolicy, StoreSetup};
 pub use msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 pub use registry::{FailureKind, GuaranteeRegistry, GuaranteeStatus};
 pub use rid::CmRid;

@@ -31,7 +31,7 @@ use hcm::obs::Scope;
 use hcm::toolkit::backends::RawStore;
 use hcm::toolkit::shell::FailureConfig;
 use hcm::toolkit::{
-    Durability, GuaranteeStatus, Scenario, ScenarioBuilder, SpontaneousOp, StoreKind, StoreSetup,
+    Durability, GuaranteeStatus, Scenario, ScenarioBuilder, SpontaneousOp, StoreSetup,
 };
 use std::collections::BTreeMap;
 
@@ -454,7 +454,7 @@ fn shell_without_store_loses_private_state() {
 }
 
 // ---------------------------------------------------------------------
-// File-backed store: real segments on disk, CRC-checked end to end.
+// File-backed store: real log files on disk, CRC-checked end to end.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -462,30 +462,18 @@ fn file_backed_store_recovers_across_the_same_schedule() {
     let dir = std::env::temp_dir().join(format!("hcm-e16-files-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let setup = StoreSetup {
-        kind: StoreKind::File(dir.clone()),
-        segment_bytes: 256, // force rotation with tiny segments
-    };
-    let mut sc = build(20, Durability::Durable(setup));
+    let mut sc = build(20, Durability::Durable(StoreSetup::File(dir.clone())));
     crash_schedule(&mut sc);
     sc.run_to_quiescence();
 
     // Same behaviour as the in-memory store…
     assert_eq!(salary2_at_end(&sc), Some(Value::Int(95_000)));
     assert_eq!(sc.counter("B", "shell.logical_failures_detected"), 0);
-    // …with real per-actor directories on disk.
-    for sub in ["site0-shell", "site1-translator"] {
-        assert!(dir.join(sub).is_dir(), "missing store dir {sub}");
+    // …with one real log file per actor on disk.
+    for label in ["site0-shell", "site1-translator"] {
+        let log = dir.join(format!("{label}.wal"));
+        assert!(log.is_file(), "missing log file {}", log.display());
     }
-    let t_dir = dir.join("site1-translator");
-    let files: Vec<_> = std::fs::read_dir(&t_dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    assert!(
-        files.iter().any(|f| f.starts_with("wal-")),
-        "no WAL segments in {files:?}"
-    );
     let t_scope = Scope::Actor(3);
     assert_eq!(sc.obs.metrics.counter(t_scope, "store.recoveries"), 1);
     assert_eq!(sc.obs.metrics.counter(t_scope, "store.truncations"), 0);
