@@ -3,10 +3,14 @@
 //! This is the stand-in for the paper's Sybase/Oracle sources. What
 //! matters for the reproduction is its *capability profile*:
 //!
-//! * the CM talks to it by sending **command strings** (the CM-RID for
-//!   site `B` in §4.2.1 literally stores
+//! * the CM talks to it in **SQL commands** (the CM-RID for site `B` in
+//!   §4.2.1 literally stores
 //!   `update employees set salary = $b where empid = $n` as the write
-//!   command template);
+//!   command template). As a real RIS's prepared statements would, the
+//!   engine parses such a template once ([`prepare`]) and runs it many
+//!   times with typed values bound to its placeholders
+//!   ([`Database::run`], [`Database::read_one`]); an application's
+//!   command text goes through [`Database::execute`];
 //! * it has a **production-rule/trigger facility**, so a translator can
 //!   implement a Notify Interface by declaring triggers (§4.1: "a
 //!   CM-Translator supporting a Notify Interface for a Sybase RIS may
@@ -16,14 +20,14 @@
 //!
 //! The textual dialect is what those callers send: `INSERT`,
 //! `SELECT cols|* FROM t [WHERE …]`, `UPDATE` and `DELETE`, each read by
-//! [`parse_command`]. Tables, triggers and CHECKs are declared
-//! programmatically. A trigger fires on every insert, update and
-//! delete of its table.
+//! [`parse_command`] or, with placeholders, [`prepare`]. Tables,
+//! triggers and CHECKs are declared programmatically. A trigger fires
+//! on every insert, update and delete of its table.
 
 mod sql;
 mod table;
 
-pub use sql::{parse_command, Command, Comparison, SqlOp};
+pub use sql::{parse_command, prepare, Command, Comparison, Operand, SqlOp};
 pub use table::{Row, Table};
 
 use crate::RisError;
@@ -140,50 +144,63 @@ impl Database {
         std::mem::take(&mut self.firings)
     }
 
-    /// Execute a textual command — the RISI. This is the *only* channel
-    /// the CM-Translator uses at run time (besides draining trigger
-    /// firings).
+    /// Parse and run an application's command text; it binds no
+    /// placeholders.
     pub fn execute(&mut self, command: &str) -> Result<QueryResult, RisError> {
-        let cmd = parse_command(command)?;
-        self.execute_parsed(&cmd)
+        self.run(&parse_command(command)?, &[])
     }
 
-    /// Run a read-only command (a SELECT) without mutating anything;
-    /// any other command is rejected.
-    pub fn query(&self, command: &str) -> Result<QueryResult, RisError> {
-        self.query_parsed(&parse_command(command)?)
-    }
-
-    fn query_parsed(&self, cmd: &Command) -> Result<QueryResult, RisError> {
-        match cmd {
-            Command::Select {
-                table,
-                columns,
-                predicate,
-            } => self.select(table, columns, predicate),
-            _ => Err(RisError::BadCommand("a query must be a SELECT".to_owned())),
-        }
-    }
-
-    /// Execute a pre-parsed command (saves re-parsing in hot loops).
-    pub(crate) fn execute_parsed(&mut self, cmd: &Command) -> Result<QueryResult, RisError> {
+    /// Run a parsed command, `bindings` holding one value per
+    /// placeholder name given to [`prepare`], in that order.
+    pub fn run(&mut self, cmd: &Command, bindings: &[&Value]) -> Result<QueryResult, RisError> {
         match cmd {
             Command::Insert {
                 table,
                 columns,
                 values,
-            } => self.insert(table, columns.as_deref(), values.clone()),
-            Command::Select { .. } => self.query_parsed(cmd),
+            } => {
+                let values = values
+                    .iter()
+                    .map(|v| v.bind(bindings).cloned())
+                    .collect::<Result<_, _>>()?;
+                self.insert(table, columns.as_deref(), values)
+            }
+            Command::Select {
+                table,
+                columns,
+                predicate,
+            } => {
+                let (proj, rows) = self.select(table, columns, predicate, bindings)?;
+                let project = |row: &Row| proj.iter().map(|&i| row[i].clone()).collect();
+                Ok(QueryResult::Rows(rows.map(project).collect()))
+            }
             Command::Update {
                 table,
                 assignments,
                 predicate,
-            } => self.update(table, assignments, predicate),
-            Command::Delete { table, predicate } => self.delete(table, predicate),
+            } => self.update(table, assignments, predicate, bindings),
+            Command::Delete { table, predicate } => self.delete(table, predicate, bindings),
         }
     }
 
-    fn table(&self, name: &str) -> Result<&Table, RisError> {
+    /// Run a SELECT for one value: the first projected column of the
+    /// first matching row, `Null` when no row matches. Any other
+    /// command is rejected.
+    pub fn read_one(&self, cmd: &Command, bindings: &[&Value]) -> Result<Value, RisError> {
+        let Command::Select {
+            table,
+            columns,
+            predicate,
+        } = cmd
+        else {
+            return Err(RisError::BadCommand("a read must be a SELECT".to_owned()));
+        };
+        let (proj, mut rows) = self.select(table, columns, predicate, bindings)?;
+        Ok(rows.next().map_or(Value::Null, |row| row[proj[0]].clone()))
+    }
+
+    /// Borrow a table for inspection.
+    pub fn get_table(&self, name: &str) -> Result<&Table, RisError> {
         self.tables
             .get(name)
             .ok_or_else(|| RisError::NotFound(format!("table `{name}`")))
@@ -195,7 +212,7 @@ impl Database {
         columns: Option<&[String]>,
         values: Vec<Value>,
     ) -> Result<QueryResult, RisError> {
-        let t = self.table(table)?;
+        let t = self.get_table(table)?;
         let row = match columns {
             None => {
                 if values.len() != t.columns().len() {
@@ -219,7 +236,6 @@ impl Database {
             }
         };
         // CHECK constraints before mutation.
-        let t = self.table(table)?;
         for check in self.checks.iter().filter(|c| c.table == table) {
             if !eval_check(check, t, &row)? {
                 return Err(RisError::ConstraintViolation(format!(
@@ -233,14 +249,17 @@ impl Database {
         Ok(QueryResult::Affected(1))
     }
 
-    fn select(
-        &self,
+    /// A SELECT's projected column indices and its matching rows, in
+    /// table order.
+    fn select<'a>(
+        &'a self,
         table: &str,
         columns: &[String],
-        predicate: &[Comparison],
-    ) -> Result<QueryResult, RisError> {
-        let t = self.table(table)?;
-        let proj: Vec<usize> = if columns.len() == 1 && columns[0] == "*" {
+        predicate: &'a [Comparison],
+        bindings: &[&'a Value],
+    ) -> Result<(Vec<usize>, impl Iterator<Item = &'a Row>), RisError> {
+        let t = self.get_table(table)?;
+        let proj = if columns.len() == 1 && columns[0] == "*" {
             (0..t.columns().len()).collect()
         } else {
             columns
@@ -248,70 +267,61 @@ impl Database {
                 .map(|c| t.col_index(c))
                 .collect::<Result<_, _>>()?
         };
-        let pred_idx = compile_predicate(t, predicate)?;
-        // Rows stream in table order.
-        let rows = t
-            .rows()
-            .iter()
-            .filter(|row| matches_pred(row, &pred_idx))
-            .map(|row| proj.iter().map(|&i| row[i].clone()).collect())
-            .collect();
-        Ok(QueryResult::Rows(rows))
+        let pred = compile_predicate(t, predicate, bindings)?;
+        let rows = t.rows().iter().filter(move |row| matches_pred(row, &pred));
+        Ok((proj, rows))
     }
 
     fn update(
         &mut self,
         table: &str,
-        assignments: &[(String, Value)],
+        assignments: &[(String, Operand)],
         predicate: &[Comparison],
+        bindings: &[&Value],
     ) -> Result<QueryResult, RisError> {
-        let t = self.table(table)?;
-        let assign_idx: Vec<(usize, Value)> = assignments
+        let t = self.get_table(table)?;
+        let assign_idx: Vec<(usize, &Value)> = assignments
             .iter()
-            .map(|(c, v)| Ok((t.col_index(c)?, v.clone())))
+            .map(|(c, v)| Ok((t.col_index(c)?, v.bind(bindings)?)))
             .collect::<Result<_, RisError>>()?;
-        let pred_idx = compile_predicate(t, predicate)?;
-        let checks: Vec<Check> = self
-            .checks
-            .iter()
-            .filter(|c| c.table == table)
-            .cloned()
-            .collect();
+        let pred_idx = compile_predicate(t, predicate, bindings)?;
 
         // Two-phase: compute all updated rows, validate checks, then
         // apply — a violating command changes nothing.
-        let t_ref = self.table(table)?;
-        let mut planned: Vec<(usize, Row, Row)> = Vec::new();
-        for (i, row) in t_ref.rows().iter().enumerate() {
+        let mut planned: Vec<(usize, Row)> = Vec::new();
+        for (i, row) in t.rows().iter().enumerate() {
             if matches_pred(row, &pred_idx) {
                 let mut new_row = row.clone();
                 for (ci, v) in &assign_idx {
-                    new_row[*ci] = v.clone();
+                    new_row[*ci] = (*v).clone();
                 }
-                for check in &checks {
-                    if !eval_check(check, t_ref, &new_row)? {
+                for check in self.checks.iter().filter(|c| c.table == table) {
+                    if !eval_check(check, t, &new_row)? {
                         return Err(RisError::ConstraintViolation(format!(
                             "update of `{table}` violates check"
                         )));
                     }
                 }
-                planned.push((i, row.clone(), new_row));
+                planned.push((i, new_row));
             }
         }
         let n = planned.len();
-        let t_mut = self.tables.get_mut(table).expect("checked");
-        for (i, _, new_row) in &planned {
-            t_mut.replace_row(*i, new_row.clone());
-        }
-        for (_, old_row, new_row) in planned {
+        for (i, new_row) in planned {
+            let t_mut = self.tables.get_mut(table).expect("checked");
+            let old_row = t_mut.replace_row(i, new_row.clone());
             self.fire(table, Some(old_row), Some(new_row));
         }
         Ok(QueryResult::Affected(n))
     }
 
-    fn delete(&mut self, table: &str, predicate: &[Comparison]) -> Result<QueryResult, RisError> {
-        let t = self.table(table)?;
-        let pred_idx = compile_predicate(t, predicate)?;
+    fn delete(
+        &mut self,
+        table: &str,
+        predicate: &[Comparison],
+        bindings: &[&Value],
+    ) -> Result<QueryResult, RisError> {
+        let t = self.get_table(table)?;
+        let pred_idx = compile_predicate(t, predicate, bindings)?;
         let t_mut = self.tables.get_mut(table).expect("checked");
         let removed = t_mut.remove_rows(|row| matches_pred(row, &pred_idx));
         let n = removed.len();
@@ -332,20 +342,16 @@ impl Database {
             }
         }
     }
-
-    /// Borrow a table for inspection.
-    pub fn get_table(&self, name: &str) -> Result<&Table, RisError> {
-        self.table(name)
-    }
 }
 
 fn compile_predicate<'p>(
     t: &Table,
     predicate: &'p [Comparison],
+    bindings: &[&'p Value],
 ) -> Result<Vec<(usize, SqlOp, &'p Value)>, RisError> {
     predicate
         .iter()
-        .map(|c| Ok((t.col_index(&c.column)?, c.op, &c.value)))
+        .map(|c| Ok((t.col_index(&c.column)?, c.op, c.value.bind(bindings)?)))
         .collect()
 }
 
@@ -414,7 +420,7 @@ mod tests {
 
     #[test]
     fn paper_write_command_shape() {
-        // Exactly the §4.2.1 command, post parameter substitution.
+        // The §4.2.1 command with its parameters written out.
         let mut db = salary_db();
         db.execute("update employees set salary = 70000 where empid = 'e2'")
             .unwrap();
@@ -422,6 +428,32 @@ mod tests {
             .execute("select salary from employees where empid = 'e2'")
             .unwrap();
         assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(70000)]]));
+    }
+
+    #[test]
+    fn prepared_commands_bind_typed_values() {
+        let mut db = salary_db();
+        let write = prepare(
+            "update employees set salary = $value where empid = $p0",
+            &["p0", "value"],
+        )
+        .unwrap();
+        let read = prepare("select salary from employees where empid = $p0", &["p0"]).unwrap();
+        let e1 = Value::from("e1");
+        for v in [Value::Float(3.0), Value::from("x' or 'a"), Value::Null] {
+            assert_eq!(db.run(&write, &[&e1, &v]), Ok(QueryResult::Affected(1)));
+            assert_eq!(db.read_one(&read, &[&e1]), Ok(v));
+        }
+        // No matching row reads as Null; a missing binding and a
+        // read that is not a SELECT are errors.
+        assert_eq!(db.read_one(&read, &[&Value::from("e9")]), Ok(Value::Null));
+        assert!(db.read_one(&read, &[]).is_err());
+        assert!(db.read_one(&write, &[&e1, &e1]).is_err());
+        let star = prepare("select * from employees where salary = $p0", &["p0"]).unwrap();
+        assert_eq!(
+            db.read_one(&star, &[&Value::Int(80000)]),
+            Ok(Value::from("e2"))
+        );
     }
 
     #[test]

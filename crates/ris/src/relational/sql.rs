@@ -18,6 +18,10 @@
 //! Literals: integers, floats, `'single-quoted strings'`, `NULL`,
 //! `TRUE`, `FALSE`. Predicates compare a column to a literal with
 //! `=`, `!=`/`<>`, `<`, `<=`, `>`, `>=`, joined by `AND`.
+//!
+//! A template read by [`prepare`] may also put a placeholder `$name`
+//! where a literal may stand: a `WHERE` right-hand side, a `SET` value
+//! or a `VALUES` entry. Each run binds it to a typed [`Value`].
 
 use crate::RisError;
 use hcm_core::Value;
@@ -62,15 +66,38 @@ impl SqlOp {
     }
 }
 
-/// One `column op literal` conjunct of a WHERE clause.
+/// Where a literal may stand: a literal, or a placeholder that
+/// [`prepare`] read and the caller binds when the command runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Operand {
+    /// A literal.
+    Lit(Value),
+    /// The placeholder at this index of the names given to [`prepare`].
+    Param(usize),
+}
+
+impl Operand {
+    /// The value this operand stands for under `bindings`.
+    pub(crate) fn bind<'a>(&'a self, bindings: &[&'a Value]) -> Result<&'a Value, RisError> {
+        match self {
+            Operand::Lit(v) => Ok(v),
+            Operand::Param(i) => bindings
+                .get(*i)
+                .copied()
+                .ok_or_else(|| bad("unbound placeholder")),
+        }
+    }
+}
+
+/// One `column op operand` conjunct of a WHERE clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// Column name.
     pub column: String,
     /// Operator.
     pub op: SqlOp,
-    /// Literal operand.
-    pub value: Value,
+    /// Right-hand side.
+    pub value: Operand,
 }
 
 /// A parsed command.
@@ -83,7 +110,7 @@ pub enum Command {
         /// Explicit column list, if given.
         columns: Option<Vec<String>>,
         /// Values in declaration order.
-        values: Vec<Value>,
+        values: Vec<Operand>,
     },
     /// `SELECT`.
     Select {
@@ -99,7 +126,7 @@ pub enum Command {
         /// Table name.
         table: String,
         /// `SET` assignments.
-        assignments: Vec<(String, Value)>,
+        assignments: Vec<(String, Operand)>,
         /// WHERE conjuncts.
         predicate: Vec<Comparison>,
     },
@@ -117,6 +144,7 @@ pub enum Command {
 enum T<'a> {
     Ident(&'a str),
     Lit(Value),
+    Param(usize),
     LParen,
     RParen,
     Comma,
@@ -136,7 +164,9 @@ fn keyword_in<'k>(word: &str, keywords: &[&'k str]) -> Option<&'k str> {
         .find(|k| word.eq_ignore_ascii_case(k))
 }
 
-fn tokenize(src: &str) -> Result<Vec<T<'_>>, RisError> {
+/// The tokens of `src`, reading `$name` as the placeholder `params`
+/// names.
+fn tokenize<'a>(src: &'a str, params: &[&str]) -> Result<Vec<T<'a>>, RisError> {
     let b = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -227,16 +257,22 @@ fn tokenize(src: &str) -> Result<Vec<T<'_>>, RisError> {
                 };
                 out.push(T::Lit(v));
             }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' || c == b'$' => {
                 let start = i;
+                i += 1;
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
                 let word = &src[start..i];
-                out.push(match keyword_in(word, &["NULL", "TRUE", "FALSE"]) {
-                    Some("NULL") => T::Lit(Value::Null),
-                    Some(kw) => T::Lit(Value::Bool(kw == "TRUE")),
-                    None => T::Ident(word),
+                out.push(if let Some(name) = word.strip_prefix('$') {
+                    let at = params.iter().position(|p| *p == name);
+                    T::Param(at.ok_or_else(|| bad(format!("unknown placeholder `{word}`")))?)
+                } else {
+                    match keyword_in(word, &["NULL", "TRUE", "FALSE"]) {
+                        Some("NULL") => T::Lit(Value::Null),
+                        Some(kw) => T::Lit(Value::Bool(kw == "TRUE")),
+                        None => T::Ident(word),
+                    }
                 });
             }
             _ => {
@@ -286,9 +322,10 @@ impl<'a> P<'a> {
         self.word().map(str::to_owned)
     }
 
-    fn literal(&mut self) -> Result<Value, RisError> {
+    fn literal(&mut self) -> Result<Operand, RisError> {
         match self.next() {
-            Some(T::Lit(v)) => Ok(v),
+            Some(T::Lit(v)) => Ok(Operand::Lit(v)),
+            Some(T::Param(i)) => Ok(Operand::Param(i)),
             other => Err(bad(format!("expected literal, found {other:?}"))),
         }
     }
@@ -345,7 +382,7 @@ impl<'a> P<'a> {
         Ok(cols)
     }
 
-    fn literal_list(&mut self) -> Result<Vec<Value>, RisError> {
+    fn literal_list(&mut self) -> Result<Vec<Operand>, RisError> {
         self.expect(&T::LParen)?;
         let mut vals = Vec::new();
         loop {
@@ -360,9 +397,17 @@ impl<'a> P<'a> {
     }
 }
 
-/// Parse one command.
+/// Parse one command; a placeholder in it is a bad command.
 pub fn parse_command(src: &str) -> Result<Command, RisError> {
-    let mut rest = tokenize(src)?;
+    prepare(src, &[])
+}
+
+/// Parse a command template once, to run many times. `$name` is a
+/// placeholder for each name in `params`; [`super::Database::run`] and
+/// [`super::Database::read_one`] bind it to the value at that name's
+/// index. Any other `$name` is a bad command.
+pub fn prepare(src: &str, params: &[&str]) -> Result<Command, RisError> {
+    let mut rest = tokenize(src, params)?;
     rest.reverse();
     let mut p = P { rest };
     let head = p.word()?;
@@ -451,6 +496,10 @@ pub fn parse_command(src: &str) -> Result<Command, RisError> {
 mod tests {
     use super::*;
 
+    fn lits<const N: usize>(values: [Value; N]) -> Vec<Operand> {
+        values.into_iter().map(Operand::Lit).collect()
+    }
+
     #[test]
     fn parses_insert_variants() {
         let c = parse_command("INSERT INTO t VALUES (1, 'x', NULL)").unwrap();
@@ -460,7 +509,7 @@ mod tests {
                 values,
                 ..
             } => {
-                assert_eq!(values, vec![Value::Int(1), Value::from("x"), Value::Null]);
+                assert_eq!(values, lits([Value::Int(1), Value::from("x"), Value::Null]));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -472,7 +521,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(cols, vec!["b".to_string(), "a".to_string()]);
-                assert_eq!(values, vec![Value::Float(2.5), Value::Bool(true)]);
+                assert_eq!(values, lits([Value::Float(2.5), Value::Bool(true)]));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -515,8 +564,11 @@ mod tests {
                 predicate,
             } => {
                 assert_eq!(table, "employees");
-                assert_eq!(assignments, vec![("salary".to_string(), Value::Int(90000))]);
-                assert_eq!(predicate[0].value, Value::from("e42"));
+                assert_eq!(
+                    assignments,
+                    vec![("salary".to_string(), Operand::Lit(Value::Int(90000)))]
+                );
+                assert_eq!(predicate[0].value, Operand::Lit(Value::from("e42")));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -539,7 +591,7 @@ mod tests {
         let c = parse_command("INSERT INTO t VALUES (-5, -2.5)").unwrap();
         match c {
             Command::Insert { values, .. } => {
-                assert_eq!(values, vec![Value::Int(-5), Value::Float(-2.5)]);
+                assert_eq!(values, lits([Value::Int(-5), Value::Float(-2.5)]));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -558,7 +610,7 @@ mod tests {
         match c {
             Command::Insert { values, .. } => assert_eq!(
                 values,
-                vec![Value::from("O'Brien"), Value::from(""), Value::from("'")]
+                lits([Value::from("O'Brien"), Value::from(""), Value::from("'")])
             ),
             other => panic!("unexpected {other:?}"),
         }
@@ -579,7 +631,7 @@ mod tests {
         }
         // Inside a literal it is just text.
         match parse_command("INSERT INTO t VALUES ('café')").unwrap() {
-            Command::Insert { values, .. } => assert_eq!(values, vec![Value::from("café")]),
+            Command::Insert { values, .. } => assert_eq!(values, lits([Value::from("café")])),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -594,5 +646,56 @@ mod tests {
         assert!(parse_command("INSERT INTO t VALUES ('unterminated)").is_err());
         assert!(parse_command("INSERT INTO t VALUES ('a'')").is_err());
         assert!(parse_command("SELECT a FROM t WHERE a = $b").is_err());
+    }
+
+    #[test]
+    fn execute_rejects_a_placeholder() {
+        // Application SQL is parsed with no placeholder names, so a
+        // template sent as a command is a syntax error, not a query.
+        let mut db = crate::relational::Database::new();
+        db.create_table("employees", &["empid", "salary"]).unwrap();
+        let err = db
+            .execute("select salary from employees where empid = $p0")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RisError::BadCommand("unknown placeholder `$p0`".to_owned())
+        );
+    }
+
+    #[test]
+    fn placeholders_are_read_only_by_prepare() {
+        let c = prepare(
+            "update t set v = $value where k = $p0 and w = 'x'",
+            &["p0", "value"],
+        )
+        .unwrap();
+        match c {
+            Command::Update {
+                assignments,
+                predicate,
+                ..
+            } => {
+                assert_eq!(assignments, vec![("v".to_string(), Operand::Param(1))]);
+                assert_eq!(predicate[0].value, Operand::Param(0));
+                assert_eq!(predicate[1].value, Operand::Lit(Value::from("x")));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Application SQL names no placeholders; a template names only
+        // its own, and only where a literal may stand.
+        for (src, params) in [
+            ("SELECT v FROM t WHERE k = $p0", &[][..]),
+            ("SELECT v FROM t WHERE k = $p1", &["p0"][..]),
+            ("SELECT v FROM t WHERE $p0 = 1", &["p0"][..]),
+            ("SELECT $p0 FROM t", &["p0"][..]),
+            ("UPDATE t SET $p0 = 1", &["p0"][..]),
+            ("SELECT v FROM t WHERE k = $", &["p0"][..]),
+        ] {
+            assert!(
+                matches!(prepare(src, params), Err(RisError::BadCommand(_))),
+                "{src}"
+            );
+        }
     }
 }

@@ -52,26 +52,16 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Replace row `i`.
-    pub(crate) fn replace_row(&mut self, i: usize, row: Row) {
+    /// Replace row `i`, returning the row it held.
+    pub(crate) fn replace_row(&mut self, i: usize, row: Row) -> Row {
         debug_assert_eq!(row.len(), self.columns.len());
-        self.rows[i] = row;
+        std::mem::replace(&mut self.rows[i], row)
     }
 
     /// Remove rows matching the predicate, returning them in original
     /// order.
-    pub(crate) fn remove_rows(&mut self, mut pred: impl FnMut(&Row) -> bool) -> Vec<Row> {
-        let mut removed = Vec::new();
-        let mut kept = Vec::with_capacity(self.rows.len());
-        for row in self.rows.drain(..) {
-            if pred(&row) {
-                removed.push(row);
-            } else {
-                kept.push(row);
-            }
-        }
-        self.rows = kept;
-        removed
+    pub(crate) fn remove_rows(&mut self, pred: impl FnMut(&mut Row) -> bool) -> Vec<Row> {
+        self.rows.extract_if(.., pred).collect()
     }
 }
 

@@ -1,17 +1,20 @@
 //! Backend for the relational store.
 //!
-//! Faithful to §4.2.1: every CM-initiated operation is a **command
-//! string** built from the CM-RID's templates by `$param` substitution
-//! and submitted through the store's textual `execute` interface.
-//! Spontaneous changes surface through declared **triggers**, mapped
-//! back to item names via the `[map <base>]` sections
-//! (`table = …`, `key = …`, `col = …`).
+//! Faithful to §4.2.1: every CM-initiated operation runs one of the
+//! CM-RID's **command templates** through the store's SQL interface.
+//! As a real RIS's prepared statements would, each template is parsed
+//! once, when the backend is built, and each read or write binds the
+//! item's parameter (`$p0`) and the written value (`$value`) into it as
+//! typed values; no command text is built at run time. Spontaneous
+//! changes surface through declared **triggers**, mapped back to item
+//! names via the `[map <base>]` sections (`table = …`, `key = …`,
+//! `col = …`).
 
-use crate::backend::{single_param, wrong_op, Change, RisBackend};
+use crate::backend::{wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
-use crate::rid::{substitute, CmRid};
+use crate::rid::CmRid;
 use hcm_core::{ItemId, ItemPattern, SimTime, Value};
-use hcm_ris::relational::{Database, QueryResult};
+use hcm_ris::relational::{prepare, Command, Database, QueryResult};
 use hcm_ris::RisError;
 
 struct TableMap {
@@ -44,15 +47,43 @@ impl TableMap {
 pub struct RelationalBackend {
     db: Database,
     maps: Vec<TableMap>,
-    commands: std::collections::BTreeMap<(String, String), String>,
+    /// The CM-RID's command templates, prepared: `(op, base, command)`.
+    commands: Vec<(String, String, Command)>,
+}
+
+/// The prepared `op` command for item base `base`.
+fn command<'c>(
+    commands: &'c [(String, String, Command)],
+    op: &str,
+    base: &str,
+) -> Result<&'c Command, RisError> {
+    commands
+        .iter()
+        .find(|(o, b, _)| o == op && b == base)
+        .map(|(.., cmd)| cmd)
+        .ok_or_else(|| RisError::Unsupported(format!("no `{op}` command template for `{base}`")))
+}
+
+/// The value `$p0` binds: the item's parameter, `''` for a plain item.
+fn key(item: &ItemId) -> Result<&Value, RisError> {
+    static PLAIN: Value = Value::Str(String::new());
+    match item.params.as_slice() {
+        [] => Ok(&PLAIN),
+        [p] => Ok(p),
+        more => Err(RisError::Unsupported(format!(
+            "store mapping supports at most 1 item parameter, `{item}` has {}",
+            more.len()
+        ))),
+    }
 }
 
 impl RelationalBackend {
     /// Wrap a database per the CM-RID, declaring the triggers the
     /// mapped tables need (the paper's "a CM-Translator supporting a
-    /// Notify Interface … may need to declare triggers"). Fails when a
-    /// mapped table does not exist: its notify interface could never
-    /// fire.
+    /// Notify Interface … may need to declare triggers") and preparing
+    /// its command templates. Fails when a mapped table does not exist
+    /// (its notify interface could never fire) and when a template does
+    /// not parse or uses a placeholder its op does not bind.
     pub(crate) fn new(db: Database, rid: &CmRid) -> Result<Self, RisError> {
         let mut db = db;
         let mut maps = Vec::new();
@@ -77,24 +108,22 @@ impl RelationalBackend {
                 fixed_key: props.get("row").cloned(),
             });
         }
-        Ok(RelationalBackend {
-            db,
-            maps,
-            commands: rid.commands.clone(),
-        })
-    }
-
-    fn command(&self, op: &str, base: &str) -> Result<&str, RisError> {
-        self.commands
-            .get(&(op.to_owned(), base.to_owned()))
-            .map(String::as_str)
-            .ok_or_else(|| {
-                RisError::Unsupported(format!("no `{op}` command template for `{base}`"))
-            })
-    }
-
-    fn run(&mut self, cmd: &str) -> Result<QueryResult, RisError> {
-        self.db.execute(cmd)
+        let mut commands = Vec::new();
+        for ((op, base), template) in &rid.commands {
+            // `$p0` binds the item's parameter, `$value` the value written.
+            let params: &[&str] = match op.as_str() {
+                "read" | "delete" => &["p0"],
+                _ => &["p0", "value"],
+            };
+            let cmd = prepare(template, params).map_err(|e| match e {
+                RisError::BadCommand(msg) => {
+                    RisError::BadCommand(format!("[command {op} {base}]: {msg}"))
+                }
+                other => other,
+            })?;
+            commands.push((op.clone(), base.clone(), cmd));
+        }
+        Ok(RelationalBackend { db, maps, commands })
     }
 
     /// Convert drained trigger firings into item changes.
@@ -148,7 +177,7 @@ impl RisBackend for RelationalBackend {
         let SpontaneousOp::Sql(cmd) = op else {
             return Err(wrong_op("relational", op));
         };
-        self.run(cmd)?;
+        self.db.execute(cmd)?;
         Ok(self.changes_from_firings())
     }
 
@@ -159,20 +188,18 @@ impl RisBackend for RelationalBackend {
         _now: SimTime,
     ) -> Result<Option<Value>, RisError> {
         let old = self.read(item).ok();
-        let param = single_param(item)?;
-        let params = [Value::Str(param)];
+        let key = key(item)?;
         if *value == Value::Null {
-            let tpl = self.command("delete", &item.base)?.to_owned();
-            self.run(&substitute(&tpl, &params, None, true))?;
+            self.db
+                .run(command(&self.commands, "delete", &item.base)?, &[key])?;
         } else {
-            let tpl = self.command("write", &item.base)?.to_owned();
-            let result = self.run(&substitute(&tpl, &params, Some(value), true))?;
+            let write = command(&self.commands, "write", &item.base)?;
+            let result = self.db.run(write, &[key, value])?;
             // UPDATE hit no rows: fall back to the insert template when
             // the CM-RID provides one (upsert behaviour).
             if result == QueryResult::Affected(0) {
-                if let Ok(ins) = self.command("insert", &item.base) {
-                    let ins = ins.to_owned();
-                    self.run(&substitute(&ins, &params, Some(value), true))?;
+                if let Ok(insert) = command(&self.commands, "insert", &item.base) {
+                    self.db.run(insert, &[key, value])?;
                 }
             }
         }
@@ -183,20 +210,8 @@ impl RisBackend for RelationalBackend {
     }
 
     fn read(&self, item: &ItemId) -> Result<Value, RisError> {
-        let tpl = self.command("read", &item.base)?;
-        let param = single_param(item)?;
-        let result = self
-            .db
-            .query(&substitute(tpl, &[Value::Str(param)], None, true))?;
-        // The first column of the first row; no row reads as Null.
-        let QueryResult::Rows(rows) = result else {
-            return Ok(Value::Null);
-        };
-        Ok(rows
-            .into_iter()
-            .next()
-            .and_then(|row| row.into_iter().next())
-            .unwrap_or(Value::Null))
+        let read = command(&self.commands, "read", &item.base)?;
+        self.db.read_one(read, &[key(item)?])
     }
 
     fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
@@ -350,6 +365,56 @@ col = salary
         }
         // The injection attempt did not touch the existing row.
         assert_eq!(b.read(&e1()).unwrap(), Value::Int(90000));
+    }
+
+    /// What `e1` reads back after a CM write of `Value::Float(x)`.
+    fn float_write_reads_back(x: f64) -> Value {
+        let mut b = setup();
+        b.write(&e1(), &Value::Float(x), SimTime::ZERO).unwrap();
+        b.read(&e1()).unwrap()
+    }
+
+    #[test]
+    fn float_beyond_the_integer_range_round_trips() {
+        // `1e20` has no integer literal; a bound value needs none.
+        let back = float_write_reads_back(1e20);
+        assert!(matches!(back, Value::Float(f) if f == 1e20), "{back:?}");
+    }
+
+    #[test]
+    fn integral_float_reads_back_as_a_float() {
+        // The value keeps its type: `3.0` is not the integer `3`.
+        let back = float_write_reads_back(3.0);
+        assert!(matches!(back, Value::Float(f) if f == 3.0), "{back:?}");
+    }
+
+    #[test]
+    fn unbound_placeholder_fails_the_build_and_names_the_site() {
+        let rid = RID.replace(
+            "set salary = $value where empid = $p0",
+            "set salary = $value where empid = $p1",
+        );
+        let mut db = Database::new();
+        db.create_table("employees", &["empid", "salary"]).unwrap();
+        let err = crate::scenario::ScenarioBuilder::new(1)
+            .site("B", crate::backends::RawStore::Relational(db), &rid)
+            .unwrap()
+            .build()
+            .err()
+            .expect("a `$p1` template must not build");
+        assert!(err.msg.starts_with("site `B`: "), "{}", err.msg);
+        assert!(err.msg.contains("[command write salary1]"), "{}", err.msg);
+        assert!(err.msg.contains("`$p1`"), "{}", err.msg);
+        // `$value` in a read or delete command has nothing to bind.
+        for op in ["read", "delete"] {
+            let src = format!(
+                "ris = relational\n[command {op} x]\n\
+                 select salary from employees where empid = $value\n"
+            );
+            let rid = CmRid::parse(&src).unwrap();
+            let err = RelationalBackend::new(Database::new(), &rid).err();
+            assert!(matches!(err, Some(RisError::BadCommand(_))), "{op}");
+        }
     }
 
     #[test]

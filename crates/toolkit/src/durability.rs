@@ -413,9 +413,6 @@ impl StoreBridge {
             Ok(bytes) => {
                 self.metrics.inc(self.scope, "store.appends");
                 self.metrics.add(self.scope, "store.bytes", bytes);
-                // Every append is flushed before the component moves
-                // on — the sim-world analogue of an fsync per record.
-                self.metrics.inc(self.scope, "store.fsyncs");
             }
             Err(_) => {
                 self.metrics.inc(self.scope, "store.errors");
@@ -423,8 +420,9 @@ impl StoreBridge {
         }
     }
 
-    /// Load and decode the whole log. Records that fail to decode are
-    /// skipped (and counted) — recovery is best-effort by design.
+    /// Load and decode the log up to its first record that does not
+    /// decode; that record is counted, and nothing after it replays, so
+    /// a replay never applies a record without the ones before it.
     fn recover(&mut self) -> Vec<LogRecord> {
         let recovery = match self.store.recover() {
             Ok(r) => r,
@@ -438,12 +436,11 @@ impl StoreBridge {
             .add(self.scope, "store.truncations", recovery.torn_truncations);
         let mut records = Vec::with_capacity(recovery.records.len());
         for payload in &recovery.records {
-            match LogRecord::decode(payload) {
-                Ok(r) => records.push(r),
-                Err(_) => {
-                    self.metrics.inc(self.scope, "store.decode_errors");
-                }
-            }
+            let Ok(r) = LogRecord::decode(payload) else {
+                self.metrics.inc(self.scope, "store.decode_errors");
+                break;
+            };
+            records.push(r);
         }
         self.metrics
             .add(self.scope, "store.replayed", records.len() as u64);
@@ -471,10 +468,29 @@ mod tests {
         bridge.log(&rec);
         assert_eq!(bridge.recover(), vec![rec.clone(), rec]);
         assert_eq!(obs.metrics.counter(scope, "store.appends"), 2);
-        assert_eq!(obs.metrics.counter(scope, "store.fsyncs"), 2);
         assert_eq!(obs.metrics.counter(scope, "store.recoveries"), 1);
         assert_eq!(obs.metrics.counter(scope, "store.replayed"), 2);
         assert!(obs.metrics.counter(scope, "store.bytes") > 0);
+    }
+
+    #[test]
+    fn replay_stops_at_the_first_record_that_does_not_decode() {
+        let obs = Obs::new();
+        let scope = Scope::Site(0);
+        let mut store = MemStore::new();
+        let a = LogRecord::Reset { at: SimTime::ZERO };
+        let b = LogRecord::RequestResolved { req_id: 7 };
+        for payload in [a.encode(), b.encode(), vec![200], a.encode()] {
+            store.append(&payload).unwrap();
+        }
+        let mut bridge = StoreBridge {
+            store: Box::new(store),
+            metrics: obs.metrics.clone(),
+            scope,
+        };
+        assert_eq!(bridge.recover(), vec![a, b]);
+        assert_eq!(obs.metrics.counter(scope, "store.decode_errors"), 1);
+        assert_eq!(obs.metrics.counter(scope, "store.replayed"), 2);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!
 //! * [`rid::CmRid`] — parsed CM-Raw-Interface-Description files: the
 //!   interface statements a database offers plus the RIS-specific
-//!   plumbing (command templates with `$param` substitution for the
-//!   relational source, path/key patterns for the others).
+//!   plumbing (SQL command templates for the relational source,
+//!   prepared once with `$p0`/`$value` placeholders; path/key patterns
+//!   for the others).
 //! * [`backend::RisBackend`] + [`backends`] — the inside of a
 //!   CM-Translator: one adapter per RIS kind, each speaking its
 //!   store's *native* interface only.

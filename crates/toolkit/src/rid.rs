@@ -13,15 +13,17 @@
 //! * an `[interface]` section with the interface statements the
 //!   database offers, in the rule language;
 //! * for the relational backend, `[command <op> <itembase>]` sections
-//!   holding native command templates with `$value` / `$p0…$pk`
-//!   placeholders — exactly the §4.2.1 mechanism ("update employees set
-//!   salary = $b where empid = $n" plus parameter substitution);
+//!   holding SQL command templates with `$p0` (the item's parameter)
+//!   and `$value` (the value written) placeholders — the §4.2.1
+//!   mechanism ("update employees set salary = $b where empid = $n").
+//!   The backend prepares each template once and binds typed values
+//!   into it on every read and write;
 //! * for the other backends, `[map <itembase>]` sections describing how
 //!   an item name maps onto the store's native namespace (file path,
 //!   kv key, whois entry/field, biblio author/title) and how raw text
 //!   converts to typed values.
 
-use hcm_core::{SimDuration, TemplateDesc, Value};
+use hcm_core::{SimDuration, TemplateDesc};
 use hcm_rulelang::token::{lex, Tok};
 use hcm_rulelang::{parse_interface, InterfaceStmt, SpecFile};
 use std::collections::BTreeMap;
@@ -119,7 +121,7 @@ pub struct CmRid {
     /// Offered interface statements, in file order.
     pub interfaces: Vec<InterfaceStmt>,
     /// Relational command templates: `(op, item base) → template`.
-    /// Ops: `write`, `read`, `delete`, `insert`, `enumerate`.
+    /// Ops: `write`, `read`, `delete`, `insert`.
     pub commands: BTreeMap<(String, String), String>,
     /// Per-item-base mapping properties for the non-relational
     /// backends.
@@ -159,10 +161,7 @@ impl CmRid {
                     msg: "[command] needs exactly `op itembase` arguments".into(),
                 });
             };
-            if !matches!(
-                op.as_str(),
-                "write" | "read" | "delete" | "insert" | "enumerate"
-            ) {
+            if !matches!(op.as_str(), "write" | "read" | "delete" | "insert") {
                 return Err(RidError {
                     msg: format!("unknown command op `{op}`"),
                 });
@@ -210,66 +209,6 @@ fn parse_duration(s: &str) -> Result<SimDuration, RidError> {
             msg: format!("`{s}` is not one duration (a number with an `s` or `ms` suffix)"),
         }),
     }
-}
-
-/// Substitute `$value` and `$p0…$pk` placeholders in a native command
-/// template. String values are rendered in the backend's literal syntax
-/// via `quote` (SQL single quotes with embedded quotes doubled for the
-/// relational backend; identity elsewhere).
-///
-/// One left-to-right scan expands placeholders in the template text
-/// only: a substituted value is never scanned again, so a value that
-/// contains `$value`, `$p0` or a quote cannot rewrite the command.
-/// `$p` takes the longest index the parameters cover, so `$p10` is
-/// parameter 10 when there are eleven parameters and `$p1` then `0`
-/// otherwise. Placeholders with nothing to substitute stay as written.
-#[must_use]
-pub(crate) fn substitute(
-    template: &str,
-    params: &[Value],
-    value: Option<&Value>,
-    quote: bool,
-) -> String {
-    let render = |out: &mut String, v: &Value| match v {
-        Value::Str(s) if quote => {
-            out.push('\'');
-            out.push_str(&s.replace('\'', "''"));
-            out.push('\'');
-        }
-        Value::Str(s) => out.push_str(s),
-        Value::Null => out.push_str("NULL"),
-        other => out.push_str(&other.to_string()),
-    };
-    let mut out = String::with_capacity(template.len());
-    let mut rest = template;
-    while let Some(at) = rest.find('$') {
-        out.push_str(&rest[..at]);
-        rest = &rest[at..];
-        if let (Some(v), Some(tail)) = (value, rest.strip_prefix("$value")) {
-            render(&mut out, v);
-            rest = tail;
-        } else if let Some((i, tail)) = param_ref(rest, params.len()) {
-            render(&mut out, &params[i]);
-            rest = tail;
-        } else {
-            out.push('$');
-            rest = &rest[1..];
-        }
-    }
-    out.push_str(rest);
-    out
-}
-
-/// The parameter `s` (starting `$p`) refers to, and the text after the
-/// reference: the longest canonical decimal index below `n`.
-fn param_ref(s: &str, n: usize) -> Option<(usize, &str)> {
-    let digits = s.strip_prefix("$p")?;
-    let len = digits.bytes().take_while(u8::is_ascii_digit).count();
-    (1..=len).rev().find_map(|k| {
-        let text = &digits[..k];
-        let i: usize = text.parse().ok()?;
-        (i < n && (k == 1 || !text.starts_with('0'))).then(|| (i, &digits[k..]))
-    })
 }
 
 #[cfg(test)]
@@ -344,73 +283,6 @@ select salary from employees where empid = $p0
         assert!(CmRid::parse("ris = relational\n[command frobnicate x]\nfoo\n").is_err());
         assert!(CmRid::parse("ris = relational\n[command write x]\n").is_err());
         assert!(CmRid::parse("ris = kv\n[map]\nk = v\n").is_err());
-    }
-
-    #[test]
-    fn substitution() {
-        let out = substitute(
-            "update employees set salary = $value where empid = $p0",
-            &[Value::from("e42")],
-            Some(&Value::Int(90000)),
-            true,
-        );
-        assert_eq!(
-            out,
-            "update employees set salary = 90000 where empid = 'e42'"
-        );
-        let unquoted = substitute("phone/$p0", &[Value::from("ann")], None, false);
-        assert_eq!(unquoted, "phone/ann");
-        let null = substitute("set x = $value", &[], Some(&Value::Null), true);
-        assert_eq!(null, "set x = NULL");
-    }
-
-    #[test]
-    fn substitution_escapes_and_never_rescans_values() {
-        let tpl = "update t set c = $value where k = $p0";
-        // Embedded quotes are doubled, so the literal stays one literal.
-        let out = substitute(
-            tpl,
-            &[Value::from("e1")],
-            Some(&Value::from("O'Brien")),
-            true,
-        );
-        assert_eq!(out, "update t set c = 'O''Brien' where k = 'e1'");
-        let out = substitute(
-            tpl,
-            &[Value::from("e1")],
-            Some(&Value::from("x', c = 'y")),
-            true,
-        );
-        assert_eq!(out, "update t set c = 'x'', c = ''y' where k = 'e1'");
-        // Placeholders inside substituted values stay literal text.
-        let out = substitute(
-            tpl,
-            &[Value::from("$value")],
-            Some(&Value::from("$p0")),
-            true,
-        );
-        assert_eq!(out, "update t set c = '$p0' where k = '$value'");
-        let out = substitute(
-            "$p0/$p1",
-            &[Value::from("$p1"), Value::from("b")],
-            None,
-            false,
-        );
-        assert_eq!(out, "$p1/b");
-        // Unmatched placeholders and lone dollars are left as written.
-        let out = substitute("$p2 $value $ $pX", &[Value::Int(1)], None, false);
-        assert_eq!(out, "$p2 $value $ $pX");
-        // `$p10` with two parameters is `$p1` followed by `0`; `$p01`
-        // is `$p0` followed by `1`.
-        let two = [Value::Int(7), Value::Int(8)];
-        assert_eq!(substitute("$p10 $p01", &two, None, false), "80 71");
-    }
-
-    #[test]
-    fn substitution_many_params_no_clobber() {
-        let params: Vec<Value> = (0..11).map(Value::Int).collect();
-        let out = substitute("$p10 $p1 $p0", &params, None, false);
-        assert_eq!(out, "10 1 0");
     }
 
     #[test]

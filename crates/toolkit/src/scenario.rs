@@ -258,7 +258,6 @@ impl ScenarioBuilder {
         let mut site_handles = Vec::with_capacity(n);
         for (i, s) in self.sites.into_iter().enumerate() {
             let site = SiteId::new(i as u32);
-            let rid_copy = s.rid.clone();
             let backend = build_backend(s.store, &s.rid).map_err(|e| ScenarioError {
                 msg: format!("site `{}`: {e}", s.name),
             })?;
@@ -285,7 +284,7 @@ impl ScenarioBuilder {
                 translator: id,
                 shell: shell_ids[i],
                 iface_ids: iface_ids[i].clone(),
-                rid: rid_copy,
+                rid: s.rid,
                 private: privates[i].clone(),
                 registry: registries[i].clone(),
             });
