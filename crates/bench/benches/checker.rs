@@ -63,49 +63,56 @@ fn main() {
     }
 
     // The §4.2 salary pair at scale: Poisson updates with a 1 s mean
-    // gap over `employees` employees, judged by `follows` and
-    // `follows_metric`. The event count stays the same; each employee's
-    // LHS still quantifies over the per-base grid, so instantiations
-    // grow with the employee count.
-    eprintln!("\n[E10] salary pair vs employees (updates until 640 s):");
+    // gap over `employees` employees until `until_s`, judged by
+    // `follows` and `follows_metric`. At a fixed length the event count
+    // stays the same; each employee's LHS still quantifies over the
+    // per-base grid, so instantiations grow with the employee count.
+    eprintln!("\n[E10] salary pair vs employees and length:");
     eprintln!(
-        "  {:<10} {:>8} {:>16} {:>12}",
-        "employees", "events", "instantiations", "pair (ms)"
+        "  {:<10} {:>9} {:>8} {:>18} {:>12} {:>9}",
+        "employees", "until (s)", "events", "instantiations", "pair (ms)", "ns/inst"
     );
     let metric = parse_guarantee(
         "follows_metric",
         "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t1 - 10s < t2 and t2 <= t1",
     )
     .unwrap();
-    let cells: &[usize] = if harness::quick() { &[8] } else { &[8, 32] };
-    for &employees in cells {
+    let cells: &[(usize, u64)] = if harness::quick() {
+        &[(8, 640)]
+    } else {
+        &[(8, 640), (32, 640), (8, 2560)]
+    };
+    for &(employees, until_s) in cells {
         let mut sc = scenarios::salary_scenario(
             7,
             employees,
             SimDuration::from_secs(1),
-            SimTime::from_secs(640),
+            SimTime::from_secs(until_s),
         );
         sc.run_to_quiescence();
         let trace = sc.trace();
         let t0 = std::time::Instant::now();
         let reports = [&follows, &metric].map(|g| check_guarantee(&trace, g, None));
-        let pair_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let pair = t0.elapsed();
         for r in &reports {
             assert!(
                 r.holds,
-                "{} at {employees} employees: {:?}",
+                "{} at {employees} employees until {until_s} s: {:?}",
                 r.name, r.violations
             );
         }
+        let instantiations = reports[0].instantiations + reports[1].instantiations;
         eprintln!(
-            "  {:<10} {:>8} {:>16} {:>12.1}",
+            "  {:<10} {:>9} {:>8} {:>18} {:>12.1} {:>9.0}",
             employees,
+            until_s,
             trace.len(),
             format!(
                 "{} + {}",
                 reports[0].instantiations, reports[1].instantiations
             ),
-            pair_ms
+            pair.as_secs_f64() * 1000.0,
+            pair.as_nanos() as f64 / instantiations as f64
         );
     }
 }

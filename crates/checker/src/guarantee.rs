@@ -12,25 +12,46 @@
 //! formula's constant offsets, with ±1 ms neighbours. On the integer
 //! millisecond clock this is exact for the paper's formula class.
 //!
-//! The witness side costs what the bound items' history costs, not
-//! what the grid costs. An `@` atom whose condition is fully bound
-//! (`(salary1(n) = y) @ t2` once `n` and `y` are) reads a fixed set of
-//! ground items, so its satisfying grid points are built once per
-//! binding from the segments between those items' change points. The
-//! search enters that list at the window its conjunction's time
-//! comparisons leave open (`t1 - 10s < t2 <= t1` once `t1` is fixed)
-//! and stops past it. An interval atom (`@@`, `@?`) reads the same
-//! change points: its condition is evaluated at the window's start and
-//! at each change point of its bound items inside the window. The RHS
-//! search is memoized on the projection of the LHS environment only
-//! when the LHS binds a variable the RHS does not mention, the one case
-//! where two instantiations can share a key.
+//! Each check compiles its guarantee once into a plan. The data,
+//! parameter and time variables get slots in name order, and an
+//! assignment is two slot vectors (data bindings, time assignments)
+//! that the search binds and unbinds in place. Conditions are compiled
+//! to read those slots and a table of the item patterns they name; each
+//! time variable keeps the time comparisons of each side that bound it.
+//! Parameter variables are enumerated outermost, and under each binding
+//! every item pattern resolves once to its change history, so an
+//! instantiation builds no item name, clones no assignment and
+//! allocates no cache key.
+//!
+//! Under a parameter binding an `@` atom reads a fixed set of items, so
+//! its truth, and the bindings it makes, change only at their change
+//! points. Both sides use that:
+//!
+//! - **Universal side.** An `@` atom that binds a variable is evaluated
+//!   once per segment between change points, and every grid candidate
+//!   in the segment is emitted with that segment's bindings, ascending
+//!   and with multiplicity.
+//! - **Witness side.** A fully bound `@` atom (`(salary1(n) = y) @ t2`
+//!   once `n` and `y` are) gets its satisfying grid points built the
+//!   same way, once per binding, and cached. The search enters that list
+//!   at the window its conjunction's time comparisons leave open
+//!   (`t1 - 10s < t2 <= t1` once `t1` is fixed) and stops past it.
+//!
+//! An interval atom (`@@`, `@?`) reads the same change points: its
+//! condition is evaluated at the window's start and at each change point
+//! of its items inside the window. The RHS search is memoized on the
+//! RHS variables' slots only when the LHS binds a variable the RHS does
+//! not mention, the one case where two instantiations can share a key.
 
-use hcm_core::{ItemId, ItemPattern, SimTime, StateIndex, Sym, Term, Trace, Value};
-use hcm_rulelang::{CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, Mention, TimeExpr};
+use hcm_core::{ItemId, ItemPattern, SimTime, StateIndex, Term, Trace, Value};
+use hcm_rulelang::{CmpOp, Cond, Expr, GAtom, Guarantee, Mention, TimeExpr};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Why (or that) a guarantee failed, for one universal instantiation.
@@ -87,43 +108,12 @@ impl GuaranteeReport {
 
 const MAX_VIOLATIONS: usize = 8;
 
-/// One (partial) assignment: data-variable bindings + time-variable
-/// assignment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One (partial) assignment, by the slots of the plan it was made for:
+/// data bindings (parameters included) and time assignments.
+#[derive(Debug)]
 struct Env {
-    vars: BTreeMap<String, Value>,
-    times: BTreeMap<String, SimTime>,
-}
-
-impl Env {
-    fn new() -> Self {
-        Env {
-            vars: BTreeMap::new(),
-            times: BTreeMap::new(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        let vs: Vec<String> = self.vars.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        let ts: Vec<String> = self.times.iter().map(|(k, t)| format!("{k}={t}")).collect();
-        format!("[{} ; {}]", vs.join(", "), ts.join(", "))
-    }
-}
-
-/// Condition environment for a fixed instant.
-struct AtTime<'a> {
-    idx: &'a StateIndex,
-    t: SimTime,
-    env: &'a Env,
-}
-
-impl CondEnv for AtTime<'_> {
-    fn item(&self, item: &ItemId) -> Option<Value> {
-        self.idx.value_at(item, self.t).cloned()
-    }
-    fn var(&self, name: &str) -> Option<Value> {
-        self.env.vars.get(name).cloned()
-    }
+    data: Vec<Option<Value>>,
+    times: Vec<Option<SimTime>>,
 }
 
 /// Evaluation counters, exposed for observability and benchmarks.
@@ -153,22 +143,18 @@ struct EvalCounters {
     grid_points: Cell<u64>,
 }
 
-/// Memo key for a single-variable `@` atom: condition node address,
-/// the occurrence's time offset, and the condition's variable
-/// bindings. The value is the ascending list of satisfying static
-/// candidates with their push counts.
-type AtKey = (usize, i64, Vec<Option<Value>>);
+fn bump(counter: &Cell<u64>, by: u64) {
+    counter.set(counter.get() + by);
+}
+
+/// A fully bound `@` atom's satisfying static candidates, ascending,
+/// each with its push count.
 type AtSat = Rc<Vec<(SimTime, u32)>>;
 
 /// The evaluator.
 pub struct Evaluator<'a> {
     idx: &'a StateIndex,
     horizon: SimTime,
-    /// Per-atom satisfying-candidate cache (see
-    /// [`Evaluator::at_sat_cached`]).
-    at_memo: RefCell<HashMap<AtKey, AtSat>>,
-    /// Condition node address → its variable names, sorted.
-    cond_vars_cache: RefCell<HashMap<usize, Rc<[String]>>>,
     counters: EvalCounters,
 }
 
@@ -180,8 +166,6 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             idx: trace.index(),
             horizon: horizon.unwrap_or_else(|| trace.end_time()),
-            at_memo: RefCell::new(HashMap::new()),
-            cond_vars_cache: RefCell::new(HashMap::new()),
             counters: EvalCounters::default(),
         }
     }
@@ -201,79 +185,56 @@ impl<'a> Evaluator<'a> {
     /// Evaluate a guarantee.
     #[must_use]
     pub(crate) fn check(&self, g: &Guarantee) -> GuaranteeReport {
-        // Both caches key on condition node addresses, which are only
-        // stable within one guarantee's lifetime.
-        self.at_memo.borrow_mut().clear();
-        self.cond_vars_cache.borrow_mut().clear();
-        let static_cands = self.static_candidates(g);
-        let param_vars = collect_param_vars(g);
-        let param_cands = self.param_candidates(g, &param_vars);
-
-        // Outer enumeration of parameter variables (they are item
-        // selectors: `salary1(n)` quantifies over the employees in the
-        // databases).
-        let mut param_envs = vec![Env::new()];
-        for pv in &param_vars {
-            let cands = param_cands.get(pv).cloned().unwrap_or_default();
-            let mut next = Vec::new();
-            for env in &param_envs {
-                for c in &cands {
-                    let mut e = env.clone();
-                    e.vars.insert(pv.clone(), c.clone());
-                    next.push(e);
-                }
-            }
-            param_envs = next;
-        }
-
+        let mut plan = Plan::compile(self, g);
+        let mut env = plan.env();
         // The RHS only reads the variables its atoms mention; LHS
         // instantiations that agree on those are equivalent for the
         // existential search. When the LHS binds a variable the RHS does
         // not mention (`t1, t2` of strictly-follows), many instantiations
-        // share one projection, so the search is memoized on it: a key
-        // holds each RHS variable's data binding and time, in `rhs_vars`
-        // order. Otherwise every key is distinct and the environment
-        // already is its own projection, so it is searched directly.
-        type MemoKey = (Vec<Option<Value>>, Vec<Option<SimTime>>);
-        let rhs_vars = atoms_vars(&g.rhs);
-        let memoize = atoms_vars(&g.lhs).iter().any(|v| !rhs_vars.contains(v));
-        let mut memo: HashMap<MemoKey, bool> = HashMap::new();
-
+        // share one projection, so the search is memoized on the RHS
+        // variables' slots. Otherwise every key is distinct.
+        let mut memo = SlotMemo::default();
         let mut instantiations = 0;
         let mut violations = Vec::new();
-        for mut base_env in param_envs {
+        // Outer enumeration of parameter variables, the last fastest
+        // (they are item selectors: `salary1(n)` quantifies over the
+        // employees in the databases).
+        let values = plan.param_values(g);
+        let mut pick = vec![0; values.len()];
+        let mut more = values.iter().all(|vs| !vs.is_empty());
+        while more {
+            for ((&slot, vs), &i) in plan.params.iter().zip(&values).zip(&pick) {
+                env.data[slot] = Some(vs[i].clone());
+            }
+            plan.bind(&env);
+            let plan = &plan;
             // Every LHS-satisfying assignment (universal side) in turn,
             // each searched for a first RHS witness (existential side).
-            self.search(&g.lhs, &g.lhs, &mut base_env, &static_cands, &mut |env| {
+            plan.search(&plan.lhs, plan.lhs.atoms.start, &mut env, &mut |env| {
                 instantiations += 1;
-                let witness =
-                    |env: &mut Env| self.search(&g.rhs, &g.rhs, env, &static_cands, &mut |_| true);
-                let holds = if memoize {
-                    let key: MemoKey = (
-                        rhs_vars.iter().map(|k| env.vars.get(k).cloned()).collect(),
-                        rhs_vars.iter().map(|k| env.times.get(k).copied()).collect(),
-                    );
-                    *memo.entry(key).or_insert_with_key(|(vars, times)| {
-                        let mut projected = Env::new();
-                        for (k, (v, t)) in rhs_vars.iter().zip(vars.iter().zip(times)) {
-                            if let Some(v) = v {
-                                projected.vars.insert(k.clone(), v.clone());
-                            }
-                            if let Some(t) = t {
-                                projected.times.insert(k.clone(), *t);
-                            }
-                        }
-                        witness(&mut projected)
+                let holds = if plan.memoize {
+                    let (data, times) = (&plan.rhs_data[..], &plan.rhs_times[..]);
+                    let (hash, hit) = memo.get(0, data, times, env);
+                    hit.unwrap_or_else(|| {
+                        let holds = plan.witness(env);
+                        memo.insert(hash, 0, data, times, env, holds);
+                        holds
                     })
                 } else {
-                    witness(env)
+                    plan.witness(env)
                 };
                 if !holds && violations.len() < MAX_VIOLATIONS {
                     violations.push(GuaranteeViolation {
-                        instantiation: env.describe(),
+                        instantiation: plan.describe(env),
                     });
                 }
                 false
+            });
+            // The next combination: bump the last position that does not
+            // wrap, resetting those after it.
+            more = (0..pick.len()).rev().any(|k| {
+                pick[k] = (pick[k] + 1) % values[k].len();
+                pick[k] != 0
             });
         }
         GuaranteeReport {
@@ -283,145 +244,487 @@ impl<'a> Evaluator<'a> {
             violations,
         }
     }
+}
+
+/// A time expression over slots: an instant, or a time slot (falling
+/// back to the data slot of the same name, a stored timestamp) plus an
+/// offset. Values are signed milliseconds.
+#[derive(Clone, Copy)]
+enum SlotTime {
+    Const(i128),
+    Var {
+        slot: usize,
+        data: Option<usize>,
+        off: i64,
+    },
+}
+
+/// An [`Expr`] over data slots and the plan's item table.
+enum SlotExpr {
+    Item(usize),
+    Var(usize),
+    Lit(Value),
+    Abs(Box<SlotExpr>),
+    Op(
+        fn(&Value, &Value) -> Option<Value>,
+        Box<SlotExpr>,
+        Box<SlotExpr>,
+    ),
+}
+
+/// A [`Cond`] over data slots and the plan's item table.
+enum SlotCond {
+    True,
+    Cmp(SlotExpr, CmpOp, SlotExpr),
+    And(Box<SlotCond>, Box<SlotCond>),
+    Or(Box<SlotCond>, Box<SlotCond>),
+    Not(Box<SlotCond>),
+    Exists(usize),
+}
+
+/// A compiled [`GAtom`].
+enum Form {
+    At(SlotCond, SlotTime),
+    Throughout(SlotCond, SlotTime, SlotTime),
+    Sometime(SlotCond, SlotTime, SlotTime),
+    Cmp(SlotTime, CmpOp, SlotTime),
+}
+
+/// An atom with the facts the search reads about it.
+struct Atom {
+    form: Form,
+    /// Time slots its time expressions read, ascending (name order).
+    times: Vec<usize>,
+    /// Data slots its condition reads, ascending.
+    vars: Vec<usize>,
+    /// The entries of the item table its condition reads.
+    items: Range<usize>,
+}
+
+/// One time comparison of a side, seen from a variable: `v + shift op
+/// other`.
+struct Bound {
+    shift: i64,
+    op: CmpOp,
+    other: SlotTime,
+}
+
+/// One side of `⇒`: its atoms, and per time slot the comparisons of
+/// this conjunction that bound it.
+#[derive(Default)]
+struct Side {
+    atoms: Range<usize>,
+    bounds: Vec<Vec<Bound>>,
+}
+
+/// A sweep's reusable buffers: the condition's unbound slots, and the
+/// values each binding extension gives them.
+#[derive(Default)]
+struct SweepBuf {
+    free: Vec<usize>,
+    values: Vec<Option<Value>>,
+}
+
+/// Values cached per projection of an [`Env`] onto fixed slots. A
+/// lookup hashes and compares the slots in place, so a hit builds no
+/// key; only an insert stores one.
+#[derive(Default)]
+struct SlotMemo<T> {
+    state: RandomState,
+    buckets: HashMap<u64, Vec<SlotEntry<T>>>,
+}
+
+type SlotEntry<T> = (usize, Box<[Option<Value>]>, Box<[Option<SimTime>]>, T);
+
+impl<T: Clone> SlotMemo<T> {
+    /// The value stored for `tag` and `env`'s values in the `data` and
+    /// `times` slots, with the key's hash for [`SlotMemo::insert`].
+    fn get(&self, tag: usize, data: &[usize], times: &[usize], env: &Env) -> (u64, Option<T>) {
+        let mut h = self.state.build_hasher();
+        tag.hash(&mut h);
+        data.iter().for_each(|&s| env.data[s].hash(&mut h));
+        times.iter().for_each(|&s| env.times[s].hash(&mut h));
+        let hash = h.finish();
+        let hit = self.buckets.get(&hash).and_then(|bucket| {
+            bucket.iter().find_map(|(t, d, ts, value)| {
+                let same = *t == tag
+                    && d.iter().zip(data).all(|(v, &s)| *v == env.data[s])
+                    && ts.iter().zip(times).all(|(v, &s)| *v == env.times[s]);
+                same.then(|| value.clone())
+            })
+        });
+        (hash, hit)
+    }
+
+    fn insert(&mut self, hash: u64, tag: usize, data: &[usize], times: &[usize], env: &Env, v: T) {
+        let d = data.iter().map(|&s| env.data[s].clone()).collect();
+        let ts = times.iter().map(|&s| env.times[s]).collect();
+        self.buckets.entry(hash).or_default().push((tag, d, ts, v));
+    }
+}
+
+/// A guarantee compiled for one check (see the module docs), with the
+/// state of the parameter binding being searched.
+struct Plan<'e> {
+    ev: &'e Evaluator<'e>,
+    /// Data-variable names (parameters included), sorted: slot `i` of
+    /// `Env::data` is `data[i]`.
+    data: Vec<&'e str>,
+    /// Time-variable names, sorted: slot `i` of `Env::times`.
+    times: Vec<&'e str>,
+    /// Per time slot, the data slot of the same name.
+    time_data: Vec<Option<usize>>,
+    /// Parameter-variable slots, in order of first mention.
+    params: Vec<usize>,
+    /// Every item pattern the conditions read, in atom order.
+    patterns: Vec<&'e ItemPattern>,
+    /// The LHS atoms, then the RHS atoms.
+    atoms: Vec<Atom>,
+    lhs: Side,
+    rhs: Side,
+    /// Per time slot, its static candidates (the salient grid).
+    grid: Vec<Vec<SimTime>>,
+    /// Whether the witness search is memoized, on these slots.
+    memoize: bool,
+    rhs_data: Vec<usize>,
+    rhs_times: Vec<usize>,
+    /// Under the current parameter binding: each pattern's change
+    /// points, empty for a `*` parameter (it reads nothing) ...
+    items: Vec<&'e [(SimTime, Value)]>,
+    /// ... and per condition atom, instant 0 and its items' change
+    /// times, ascending (points past the horizon are kept).
+    points: Vec<Vec<SimTime>>,
+    /// Per (atom, condition bindings), the fully bound atom's
+    /// satisfying static candidates.
+    at_memo: RefCell<SlotMemo<AtSat>>,
+    /// Reusable buffers: per time slot for its window candidates, per
+    /// atom for its sweep.
+    window_buf: Vec<Cell<Vec<SimTime>>>,
+    sweep_buf: Vec<Cell<SweepBuf>>,
+}
+
+impl<'e> Plan<'e> {
+    fn compile(ev: &'e Evaluator<'e>, g: &'e Guarantee) -> Self {
+        let all = g.lhs.iter().chain(&g.rhs);
+        let (mut data, mut times, mut params) = (BTreeSet::new(), BTreeSet::new(), Vec::new());
+        for atom in all.clone() {
+            times.extend(atom.time_vars());
+            if let Some(c) = cond_of(atom) {
+                cond_vars(c, &mut data);
+                for (_, _, v) in cond_param_positions(c) {
+                    if !params.contains(&v) {
+                        params.push(v);
+                    }
+                }
+            }
+        }
+        let data: Vec<&str> = data.into_iter().collect();
+        let times: Vec<&str> = times.into_iter().collect();
+        let mut plan = Plan {
+            ev,
+            time_data: times.iter().map(|t| data.binary_search(t).ok()).collect(),
+            params: params.iter().map(|v| slot(&data, v)).collect(),
+            window_buf: times.iter().map(|_| Cell::default()).collect(),
+            sweep_buf: all.clone().map(|_| Cell::default()).collect(),
+            data,
+            times,
+            patterns: Vec::new(),
+            atoms: Vec::new(),
+            lhs: Side::default(),
+            rhs: Side::default(),
+            grid: Vec::new(),
+            memoize: false,
+            rhs_data: Vec::new(),
+            rhs_times: Vec::new(),
+            items: Vec::new(),
+            points: Vec::new(),
+            at_memo: RefCell::default(),
+        };
+        for atom in all {
+            let compiled = plan.atom(atom);
+            plan.atoms.push(compiled);
+        }
+        let split = g.lhs.len();
+        plan.lhs = plan.side(0..split);
+        plan.rhs = plan.side(split..plan.atoms.len());
+        plan.grid = plan.static_candidates(g);
+        let rhs_vars = atoms_vars(&g.rhs);
+        plan.memoize = atoms_vars(&g.lhs).iter().any(|v| !rhs_vars.contains(v));
+        let in_rhs = |names: &[&str]| -> Vec<usize> {
+            (0..names.len())
+                .filter(|&s| rhs_vars.contains(names[s]))
+                .collect()
+        };
+        plan.rhs_data = in_rhs(&plan.data);
+        plan.rhs_times = in_rhs(&plan.times);
+        plan
+    }
+
+    fn atom(&mut self, atom: &'e GAtom) -> Atom {
+        let start = self.patterns.len();
+        let form = match atom {
+            GAtom::At(c, t) => Form::At(self.cond(c), self.time(t)),
+            GAtom::Throughout(c, a, b) => {
+                Form::Throughout(self.cond(c), self.time(a), self.time(b))
+            }
+            GAtom::Sometime(c, a, b) => Form::Sometime(self.cond(c), self.time(a), self.time(b)),
+            GAtom::TimeCmp(a, op, b) => Form::Cmp(self.time(a), *op, self.time(b)),
+        };
+        let mut times: Vec<usize> = atom
+            .time_vars()
+            .into_iter()
+            .map(|v| slot(&self.times, v))
+            .collect();
+        times.sort_unstable();
+        times.dedup();
+        let mut vars = BTreeSet::new();
+        if let Some(c) = cond_of(atom) {
+            cond_vars(c, &mut vars);
+        }
+        Atom {
+            form,
+            times,
+            vars: vars.into_iter().map(|v| slot(&self.data, v)).collect(),
+            items: start..self.patterns.len(),
+        }
+    }
+
+    fn cond(&mut self, c: &'e Cond) -> SlotCond {
+        match c {
+            Cond::True => SlotCond::True,
+            Cond::Cmp(a, op, b) => SlotCond::Cmp(self.expr(a), *op, self.expr(b)),
+            Cond::And(a, b) => SlotCond::And(Box::new(self.cond(a)), Box::new(self.cond(b))),
+            Cond::Or(a, b) => SlotCond::Or(Box::new(self.cond(a)), Box::new(self.cond(b))),
+            Cond::Not(c) => SlotCond::Not(Box::new(self.cond(c))),
+            Cond::Exists(p) => {
+                self.patterns.push(p);
+                SlotCond::Exists(self.patterns.len() - 1)
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &'e Expr) -> SlotExpr {
+        let (op, a, b): (fn(&Value, &Value) -> Option<Value>, _, _) = match e {
+            Expr::Item(p) => {
+                self.patterns.push(p);
+                return SlotExpr::Item(self.patterns.len() - 1);
+            }
+            Expr::Var(v) => return SlotExpr::Var(slot(&self.data, v)),
+            Expr::Lit(v) => return SlotExpr::Lit(v.clone()),
+            Expr::Abs(a) => return SlotExpr::Abs(Box::new(self.expr(a))),
+            Expr::Neg(a) => (Value::sub, SlotExpr::Lit(Value::Int(0)), self.expr(a)),
+            Expr::Add(a, b) => (Value::add, self.expr(a), self.expr(b)),
+            Expr::Sub(a, b) => (Value::sub, self.expr(a), self.expr(b)),
+            Expr::Mul(a, b) => (Value::mul, self.expr(a), self.expr(b)),
+            Expr::Div(a, b) => (div, self.expr(a), self.expr(b)),
+        };
+        SlotExpr::Op(op, Box::new(a), Box::new(b))
+    }
+
+    fn time(&self, te: &TimeExpr) -> SlotTime {
+        let (v, off) = match te {
+            TimeExpr::Const(t) => return SlotTime::Const(ms(*t)),
+            TimeExpr::Var(v) => (v, 0),
+            TimeExpr::Offset(v, off) => (v, *off),
+        };
+        let slot = slot(&self.times, v);
+        SlotTime::Var {
+            slot,
+            data: self.time_data[slot],
+            off,
+        }
+    }
+
+    /// The side made of `atoms`, with each time comparison among them
+    /// recorded, from both ends, under the variable it bounds.
+    fn side(&self, atoms: Range<usize>) -> Side {
+        let mut bounds: Vec<Vec<Bound>> = self.times.iter().map(|_| Vec::new()).collect();
+        for atom in &self.atoms[atoms.clone()] {
+            let Form::Cmp(a, op, b) = atom.form else {
+                continue;
+            };
+            for (mine, op, other) in [(a, op, b), (b, flip(op), a)] {
+                if let SlotTime::Var { slot, off, .. } = mine {
+                    bounds[slot].push(Bound {
+                        shift: off,
+                        op,
+                        other,
+                    });
+                }
+            }
+        }
+        Side { atoms, bounds }
+    }
+
+    fn env(&self) -> Env {
+        Env {
+            data: vec![None; self.data.len()],
+            times: vec![None; self.times.len()],
+        }
+    }
+
+    fn describe(&self, env: &Env) -> String {
+        fn list<T: fmt::Display>(names: &[&str], vals: &[Option<T>]) -> String {
+            let bound = names.iter().zip(vals);
+            let kv: Vec<String> = bound
+                .filter_map(|(k, v)| v.as_ref().map(|v| format!("{k}={v}")))
+                .collect();
+            kv.join(", ")
+        }
+        let (vs, ts) = (list(&self.data, &env.data), list(&self.times, &env.times));
+        format!("[{vs} ; {ts}]")
+    }
+
+    /// Candidate values for each parameter variable, sorted: the values
+    /// at its positions among the trace's items of those bases.
+    fn param_values(&self, g: &Guarantee) -> Vec<Vec<Value>> {
+        let mut out = vec![BTreeSet::new(); self.params.len()];
+        for c in g.lhs.iter().chain(&g.rhs).filter_map(cond_of) {
+            for (base, pos, var) in cond_param_positions(c) {
+                let k = self.params.iter().position(|&s| self.data[s] == var);
+                let values = &mut out[k.expect("every item parameter is a parameter")];
+                for item in self.ev.idx.items_with_base(base) {
+                    values.extend(item.params.get(pos).cloned());
+                }
+            }
+        }
+        out.into_iter().map(|vs| vs.into_iter().collect()).collect()
+    }
+
+    /// Resolves every item pattern, and every atom's change points,
+    /// under the parameter binding in `env`.
+    fn bind(&mut self, env: &Env) {
+        let idx = self.ev.idx;
+        let items: Vec<&'e [(SimTime, Value)]> = self
+            .patterns
+            .iter()
+            .map(|p| {
+                let params = p.params.iter().map(|t| match t {
+                    Term::Const(c) => Some(c.clone()),
+                    Term::Var(v) => env.data[slot(&self.data, v)].clone(),
+                    Term::Wild => None,
+                });
+                params
+                    .collect::<Option<Vec<_>>>()
+                    .map_or(&[][..], |params| {
+                        idx.changes(&ItemId {
+                            base: p.base,
+                            params,
+                        })
+                    })
+            })
+            .collect();
+        self.points = (self.atoms.iter())
+            .map(|atom| {
+                let reads = items[atom.items.clone()].iter();
+                let changes = reads.flat_map(|ch| ch.iter().map(|&(t, _)| t));
+                let mut points: Vec<SimTime> =
+                    std::iter::once(SimTime::ZERO).chain(changes).collect();
+                points.sort_unstable();
+                points.dedup();
+                points
+            })
+            .collect();
+        self.items = items;
+    }
+
+    /// Whether the RHS has a witness extending `env`.
+    fn witness(&self, env: &mut Env) -> bool {
+        self.search(&self.rhs, self.rhs.atoms.start, env, &mut |_| true)
+    }
 
     /// Depth-first search of the assignments extending `env` that
-    /// satisfy the conjunction `remaining`, assigned in place. `done`
+    /// satisfy `side`'s atoms from `at` on, assigned in place. `done`
     /// sees each full assignment and returns `true` to stop the search;
-    /// the result says whether it stopped. `all` is the whole
-    /// conjunction (see [`Evaluator::expand_atom`]). Assignments come
-    /// in lexicographic order over the per-atom choices, with their
+    /// the result says whether it stopped. Assignments come in
+    /// lexicographic order over the per-atom choices, with their
     /// multiplicity: the order and count an atom-by-atom breadth-first
     /// expansion would list.
     fn search(
         &self,
-        remaining: &[GAtom],
-        all: &[GAtom],
+        side: &Side,
+        at: usize,
         env: &mut Env,
-        cands: &BTreeMap<String, Vec<SimTime>>,
         done: &mut dyn FnMut(&mut Env) -> bool,
     ) -> bool {
-        let Some((first, rest)) = remaining.split_first() else {
+        if at == side.atoms.end {
             return done(env);
-        };
-        self.expand_atom(first, all, env, cands, &mut |e| {
-            self.search(rest, all, e, cands, done)
-        })
+        }
+        self.expand(side, at, env, &mut |e| self.search(side, at + 1, e, done))
     }
 
-    /// Calls `emit` on each extension of `env` satisfying `atom`,
+    /// Whether time slot `s` is unassigned. A variable already carrying
+    /// a data binding is *not* free: the §6.3 monitor guarantee binds
+    /// `s` from the auxiliary item `Tb` and then uses it as a time
+    /// (timestamps stored in CM data).
+    fn is_free(&self, s: usize, env: &Env) -> bool {
+        env.times[s].is_none() && self.time_data[s].is_none_or(|d| env.data[d].is_none())
+    }
+
+    /// Calls `emit` on each extension of `env` satisfying atom `id`,
     /// stopping as soon as it returns `true`; returns whether it
-    /// stopped. Time variables are assigned in place and unassigned
-    /// again before returning. `all_atoms` is the surrounding
-    /// conjunction: candidates for a fresh time variable are derived
-    /// from *every* atom relating it to already-assigned variables, not
-    /// just the one being evaluated (e.g. `t2` first appears in
-    /// `(X = y) @ t2` but is constrained by `t1 - κ < t2` later in the
-    /// conjunction).
-    fn expand_atom(
+    /// stopped. Its free time variables are assigned in place, smallest
+    /// name first, and unassigned again before returning. Their
+    /// candidates are the grid points inside the window `side`'s time
+    /// comparisons leave open, plus the instants those comparisons
+    /// derive from already-resolved variables (see [`Plan::window`]).
+    fn expand(
         &self,
-        atom: &GAtom,
-        all_atoms: &[GAtom],
+        side: &Side,
+        id: usize,
         env: &mut Env,
-        cands: &BTreeMap<String, Vec<SimTime>>,
         emit: &mut dyn FnMut(&mut Env) -> bool,
     ) -> bool {
-        // Assign any unassigned time variables of this atom first,
-        // smallest name first. A variable already carrying a data
-        // binding is *not* free: the §6.3 monitor guarantee binds `s`
-        // from the auxiliary item `Tb` and then uses it as a time
-        // (timestamps stored in CM data).
-        let free = atom_time_exprs(atom)
-            .filter_map(time_var)
-            .filter(|v| !env.times.contains_key(*v) && !env.vars.contains_key(*v))
-            .min();
-        if let Some(v) = free {
-            let statics: &[SimTime] = cands.get(v).map_or(&[], Vec::as_slice);
-            // Candidates derived from already-resolved variables that
-            // any TimeCmp atom of the conjunction relates `v` to
-            // (e.g. `t2 ≤ t1` / `t1 − κ < t2` with `t1` fixed): the
-            // other side's value, corrected for `v`'s own offset, with
-            // ±1 ms for strictness. The same atoms confine `v` to the
-            // window `[lo, hi]`: any other value fails one of them when
-            // the search reaches it, as its other side is already fixed.
-            let horizon_ms = i128::from(self.horizon.as_millis());
-            let (mut lo, mut hi) = (0, horizon_ms);
-            let mut dynamic: Vec<SimTime> = Vec::new();
-            for other in all_atoms {
-                let GAtom::TimeCmp(a, op, b) = other else {
-                    continue;
-                };
-                for (mine, op, theirs) in [(a, *op, b), (b, flip(*op), a)] {
-                    let my_shift = match mine {
-                        TimeExpr::Var(name) if name == v => 0i64,
-                        TimeExpr::Offset(name, off) if name == v => *off,
-                        _ => continue,
-                    };
-                    let Some(o) = resolve_signed(theirs, env) else {
-                        continue;
-                    };
-                    // `v op at`.
-                    let at = o - i128::from(my_shift);
-                    match op {
-                        CmpOp::Lt => hi = hi.min(at - 1),
-                        CmpOp::Le => hi = hi.min(at),
-                        CmpOp::Gt => lo = lo.max(at + 1),
-                        CmpOp::Ge => lo = lo.max(at),
-                        CmpOp::Eq => (lo, hi) = (lo.max(at), hi.min(at)),
-                        CmpOp::Ne => {}
-                    }
-                    for delta in [-1, 0, 1] {
-                        let ms = at + delta;
-                        if (0..=horizon_ms).contains(&ms) {
-                            dynamic.push(SimTime::from_millis(ms as u64));
-                        }
-                    }
-                }
-            }
-            dynamic.sort_unstable();
-            dynamic.dedup();
-            let fresh = |d: &SimTime| statics.binary_search(d).is_err();
-
-            // Fast path: a single-variable `@` atom over a fully-bound
-            // condition. Its satisfying static candidates depend only
-            // on (condition, bindings), so they are cached and
-            // replayed from the window's start; only the env-dependent
-            // dynamic candidates in the window are probed individually.
-            if let GAtom::At(cond, te) = atom {
-                let (off, applies) = match te {
-                    TimeExpr::Var(name) => (0i64, name == v),
-                    TimeExpr::Offset(name, off) => (*off, name == v),
-                    TimeExpr::Const(_) => (0, false),
-                };
-                let cvars = self.cond_vars_of(cond);
-                if applies && cvars.iter().all(|cv| env.vars.contains_key(cv)) {
-                    let sat = self.at_sat_cached(cond, off, statics, env, &cvars);
-                    let ms = |t: SimTime| i128::from(t.as_millis());
+        let atom = &self.atoms[id];
+        if let Some(v) = atom.times.iter().copied().find(|&s| self.is_free(s, env)) {
+            let mut dynamic = self.window_buf[v].take();
+            let (lo, hi) = self.window(side, v, env, &mut dynamic);
+            let grid = &self.grid[v];
+            let first = grid.partition_point(|&c| ms(c) < lo);
+            let statics = &grid[first..grid.partition_point(|&c| ms(c) <= hi).max(first)];
+            dynamic.retain(|d| (lo..=hi).contains(&ms(*d)) && grid.binary_search(d).is_err());
+            let stopped = match atom.form {
+                // A fully bound `@` atom (as on the witness side): its
+                // satisfying static candidates depend only on the
+                // bindings, so they are cached and replayed from the
+                // window's start; only the dynamic candidates are
+                // evaluated one by one.
+                Form::At(_, te) if atom.vars.iter().all(|&s| env.data[s].is_some()) => {
+                    let sat = self.at_sat_cached(id, te.offset(), grid, env);
                     let first = sat.partition_point(|&(c, _)| ms(c) < lo);
                     let known = sat[first..]
                         .iter()
                         .take_while(|&&(c, _)| ms(c) <= hi)
                         .map(|&(c, n)| (c, Some(n)));
-                    let probed = dynamic
-                        .iter()
-                        .filter(|&&d| (lo..=hi).contains(&ms(d)) && fresh(&d));
-                    return self.assign_each(v, known, probed, atom, all_atoms, env, cands, emit);
+                    self.assign_each(v, known, &dynamic, side, id, env, emit)
                 }
-            }
-
-            let statics = statics.iter().map(|&c| (c, None));
-            let probed = dynamic.iter().filter(|d| fresh(d));
-            return self.assign_each(v, statics, probed, atom, all_atoms, env, cands, emit);
+                // An `@` atom that binds (as on the universal side): one
+                // evaluation per segment.
+                Form::At(_, te) => {
+                    let stopped =
+                        self.sweep(id, te.offset(), statics, &dynamic, env, &mut |c, e| {
+                            e.times[v] = Some(c);
+                            emit(e)
+                        });
+                    env.times[v] = None;
+                    stopped
+                }
+                _ => {
+                    let known = statics.iter().map(|&c| (c, None));
+                    self.assign_each(v, known, &dynamic, side, id, env, emit)
+                }
+            };
+            self.window_buf[v].set(dynamic);
+            return stopped;
         }
 
-        // Fully time-assigned: evaluate. Time variables resolve from
-        // the time assignment first, then from data bindings holding an
-        // integer (timestamps stored in auxiliary items, as in the §6.3
-        // monitor guarantee). Offsets are computed *signed*: `t − 30s`
-        // near the start of the trace is a legitimate (empty-interval /
-        // always-satisfied-bound) case, not an error.
-        match atom {
-            GAtom::TimeCmp(a, op, b) => {
-                let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
+        // Fully time-assigned: evaluate. Offsets are computed *signed*:
+        // `t − 30s` near the start of the trace is a legitimate
+        // (empty-interval / always-satisfied-bound) case, not an error.
+        let horizon = ms(self.ev.horizon);
+        match &atom.form {
+            Form::Cmp(a, op, b) => {
+                let (Some(ta), Some(tb)) = (resolve(*a, env), resolve(*b, env)) else {
                     return false;
                 };
                 let cmp_ok = match op {
@@ -434,19 +737,15 @@ impl<'a> Evaluator<'a> {
                 };
                 cmp_ok && emit(env)
             }
-            GAtom::At(cond, te) => {
-                let Some(ms) = resolve_signed(te, env)
-                    .filter(|ms| (0..=i128::from(self.horizon.as_millis())).contains(ms))
-                else {
+            Form::At(cond, te) => {
+                let Some(at) = resolve(*te, env).filter(|ms| (0..=horizon).contains(ms)) else {
                     return false;
                 };
-                self.probe(cond, SimTime::from_millis(ms as u64), env, true)
-                    .iter_mut()
-                    .any(emit)
+                self.probe(cond, SimTime::from_millis(at as u64), env, true, emit)
             }
-            GAtom::Throughout(cond, a, b) | GAtom::Sometime(cond, a, b) => {
-                let throughout = matches!(atom, GAtom::Throughout(..));
-                let (Some(ta), Some(tb)) = (resolve_signed(a, env), resolve_signed(b, env)) else {
+            Form::Throughout(cond, a, b) | Form::Sometime(cond, a, b) => {
+                let throughout = matches!(atom.form, Form::Throughout(..));
+                let (Some(ta), Some(tb)) = (resolve(*a, env), resolve(*b, env)) else {
                     return false;
                 };
                 // An empty window: `@@` holds vacuously, `@?` finds no
@@ -462,11 +761,11 @@ impl<'a> Evaluator<'a> {
                 // point to the next, so the window's start and the change
                 // points inside it are every instant that matters. Those
                 // past the horizon count: a window may end there.
-                let points = self.change_points(cond, env);
+                let points = &self.points[id];
                 let inside =
                     points.partition_point(|&t| t <= ta)..points.partition_point(|&t| t <= tb);
                 let mut instants = std::iter::once(ta).chain(points[inside].iter().copied());
-                let mut holds_at = |t| !self.probe(cond, t, env, false).is_empty();
+                let mut holds_at = |t: SimTime| self.probe(cond, t, env, false, &mut |_| true);
                 let ok = if throughout {
                     instants.all(&mut holds_at)
                 } else {
@@ -477,270 +776,282 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// The window `[lo, hi]` (ms) that `side`'s time comparisons leave
+    /// the free time variable `v`, given the variables already resolved
+    /// (`t2 ≤ t1` / `t1 − κ < t2` with `t1` fixed): any other value
+    /// fails one of them when the search reaches it, as its other side
+    /// is already fixed. `dynamic` receives the instants those
+    /// comparisons derive (the other side's value, corrected for `v`'s
+    /// own offset, with ±1 ms for strictness), ascending.
+    fn window(&self, side: &Side, v: usize, env: &Env, dynamic: &mut Vec<SimTime>) -> (i128, i128) {
+        let horizon = ms(self.ev.horizon);
+        let (mut lo, mut hi) = (0, horizon);
+        dynamic.clear();
+        for b in &side.bounds[v] {
+            let Some(o) = resolve(b.other, env) else {
+                continue;
+            };
+            // `v op at`.
+            let at = o - i128::from(b.shift);
+            match b.op {
+                CmpOp::Lt => hi = hi.min(at - 1),
+                CmpOp::Le => hi = hi.min(at),
+                CmpOp::Gt => lo = lo.max(at + 1),
+                CmpOp::Ge => lo = lo.max(at),
+                CmpOp::Eq => (lo, hi) = (lo.max(at), hi.min(at)),
+                CmpOp::Ne => {}
+            }
+            let near = (at - 1..=at + 1).filter(|ms| (0..=horizon).contains(ms));
+            dynamic.extend(near.map(|ms| SimTime::from_millis(ms as u64)));
+        }
+        dynamic.sort_unstable();
+        dynamic.dedup();
+        (lo, hi)
+    }
+
     /// Assigns the free time variable `v` to each candidate in
     /// ascending time and continues the search there, stopping as soon
     /// as `emit` returns `true`; `v` is unassigned again on return.
     /// `known` yields static candidates, each with its push count when
-    /// the satisfying-candidate cache already knows it; `probed` yields
+    /// the satisfying-candidate cache already knows it; `probed` holds
     /// ascending dynamic candidates not among them. A candidate without
-    /// a count is evaluated through [`Evaluator::expand_atom`].
-    /// Assigning in place matters: candidate counts run into the
-    /// millions on dense traces, and cloning the whole env per
-    /// candidate dominated evaluation time.
+    /// a count is evaluated through [`Plan::expand`].
     #[allow(clippy::too_many_arguments)]
-    fn assign_each<'c>(
+    fn assign_each(
         &self,
-        v: &str,
+        v: usize,
         known: impl Iterator<Item = (SimTime, Option<u32>)>,
-        probed: impl Iterator<Item = &'c SimTime>,
-        atom: &GAtom,
-        all_atoms: &[GAtom],
+        probed: &[SimTime],
+        side: &Side,
+        id: usize,
         env: &mut Env,
-        cands: &BTreeMap<String, Vec<SimTime>>,
         emit: &mut dyn FnMut(&mut Env) -> bool,
     ) -> bool {
         let mut known = known.peekable();
-        let mut probed = probed.peekable();
-        env.times.insert(v.to_owned(), SimTime::ZERO);
+        let mut probed = probed.iter().copied().peekable();
         let mut stopped = false;
         while !stopped {
             let next = match (known.peek(), probed.peek()) {
-                (Some(&(tk, _)), Some(&&tp)) if tp < tk => probed.next().map(|&t| (t, None)),
+                (Some(&(tk, _)), Some(&tp)) if tp < tk => probed.next().map(|t| (t, None)),
                 (Some(_), _) => known.next(),
-                (None, _) => probed.next().map(|&t| (t, None)),
+                (None, _) => probed.next().map(|t| (t, None)),
             };
             let Some((t, count)) = next else {
                 break;
             };
-            *env.times.get_mut(v).expect("just inserted") = t;
+            env.times[v] = Some(t);
             stopped = match count {
                 Some(n) => (0..n).any(|_| emit(env)),
-                None => self.expand_atom(atom, all_atoms, env, cands, emit),
+                None => self.expand(side, id, env, emit),
             };
         }
-        env.times.remove(v);
+        env.times[v] = None;
         stopped
     }
 
-    /// Evaluate `cond` at instant `t` for the search (see
-    /// [`Evaluator::eval_cond`]): its satisfying binding extensions,
-    /// counted in [`EvalStats::probe_misses`].
-    fn probe(&self, cond: &Cond, t: SimTime, env: &Env, allow_bind: bool) -> Vec<Env> {
-        self.counters
-            .probe_misses
-            .set(self.counters.probe_misses.get() + 1);
-        let mut out = Vec::new();
-        self.eval_cond(cond, t, env, allow_bind, &mut out);
-        out
-    }
-
-    /// Satisfying static candidates for a single-variable `@` atom
-    /// over a fully-bound condition: `(candidate, push count)` pairs,
-    /// ascending, cached per (condition node, occurrence offset,
-    /// bindings). `off` is the occurrence's own offset (`cond @ v +
-    /// off` probes at `candidate + off`); out-of-horizon probes yield
-    /// nothing, exactly as in the ground evaluation.
-    fn at_sat_cached(
+    /// The `@` atom `id`, probed at `c + off` for each candidate `c` of
+    /// the ascending merge of `statics` and `dynamic` (`statics` first
+    /// on a tie): calls `emit(c, env)` once per binding extension of
+    /// `env` satisfying it there, in order, until `emit` returns `true`;
+    /// returns whether it stopped. A probe instant outside `[0,
+    /// horizon]` yields nothing. The condition reads fixed items, so it
+    /// is evaluated once per segment between their change points that
+    /// some candidate probes, at the segment's start; its extensions are
+    /// replayed to every candidate in the segment, and a segment with
+    /// none is skipped whole.
+    fn sweep(
         &self,
-        cond: &Cond,
+        id: usize,
         off: i64,
         statics: &[SimTime],
-        env: &Env,
-        cvars: &[String],
-    ) -> AtSat {
-        let key = (
-            cond as *const Cond as usize,
-            off,
-            cvars
-                .iter()
-                .map(|v| env.vars.get(v).cloned())
-                .collect::<Vec<_>>(),
-        );
-        if let Some(sat) = self.at_memo.borrow().get(&key) {
-            self.counters
-                .atom_hits
-                .set(self.counters.atom_hits.get() + 1);
-            return Rc::clone(sat);
-        }
-        let sat: AtSat = Rc::new(self.at_sat_segments(cond, off, statics, env));
-        self.at_memo.borrow_mut().insert(key, Rc::clone(&sat));
-        self.counters
-            .atom_misses
-            .set(self.counters.atom_misses.get() + 1);
-        sat
-    }
-
-    /// Instant 0 and the change points of the items `cond` names under
-    /// `env`, ascending. Under that binding the condition reads a fixed
-    /// set of ground items, so its truth can change only at these
-    /// instants. An item with a `*` or unbound parameter contributes
-    /// none: it reads nothing at any instant. Points past the horizon
-    /// are kept.
-    fn change_points(&self, cond: &Cond, env: &Env) -> Vec<SimTime> {
-        let mut points = vec![SimTime::ZERO];
-        cond.visit(&mut |m| {
-            if let Mention::Item(p) = m {
-                if let Some(item) = ground(p, env) {
-                    points.extend(self.idx.changes(&item).iter().map(|&(t, _)| t));
-                }
-            }
-        });
-        points.sort_unstable();
-        points.dedup();
-        points
-    }
-
-    /// Builds [`Evaluator::at_sat_cached`]'s list from segments. The
-    /// fully bound condition's [`Evaluator::change_points`] cut
-    /// `[0, horizon]` into segments; the condition is evaluated once per
-    /// segment that some `c + off` falls in, and every such candidate
-    /// `c` gets that push count. The cost follows the bound items'
-    /// history, not the grid.
-    fn at_sat_segments(
-        &self,
-        cond: &Cond,
-        off: i64,
-        statics: &[SimTime],
-        env: &Env,
-    ) -> Vec<(SimTime, u32)> {
-        let bounds = self.change_points(cond, env);
-        let ms = |t: SimTime| i128::from(t.as_millis());
-        // Index of the first candidate probing at or after `at` (in
-        // i128, as `off` may reach ±(2^63 - 1) ms).
-        let from = |at: i128| statics.partition_point(|&c| ms(c) + i128::from(off) < at);
-        let mut sat = Vec::new();
-        let mut lo = from(0);
-        for (i, &start) in bounds.iter().enumerate() {
-            if start > self.horizon {
+        dynamic: &[SimTime],
+        env: &mut Env,
+        emit: &mut dyn FnMut(SimTime, &mut Env) -> bool,
+    ) -> bool {
+        let atom = &self.atoms[id];
+        let Form::At(cond, _) = &atom.form else {
+            unreachable!("a sweep reads an `@` atom");
+        };
+        let (points, horizon) = (&self.points[id], ms(self.ev.horizon));
+        // Index of the first candidate probing after `at` (in i128, as
+        // `off` may reach ±(2^63 - 1) ms).
+        let past =
+            |cands: &[SimTime], at: i128| cands.partition_point(|&c| ms(c) + i128::from(off) <= at);
+        let SweepBuf {
+            mut free,
+            mut values,
+        } = self.sweep_buf[id].take();
+        free.clear();
+        free.extend(atom.vars.iter().filter(|&&s| env.data[s].is_none()));
+        let (mut i, mut j) = (past(statics, -1), past(dynamic, -1));
+        let mut stopped = false;
+        while !stopped {
+            let c = match (statics.get(i), dynamic.get(j)) {
+                (Some(&a), Some(&b)) => a.min(b),
+                (Some(&c), None) | (None, Some(&c)) => c,
+                (None, None) => break,
+            };
+            let at = ms(c) + i128::from(off);
+            if at > horizon {
                 break;
             }
-            let end_ms = bounds
-                .get(i + 1)
-                .map_or(ms(self.horizon), |&t| ms(t) - 1)
-                .min(ms(self.horizon));
-            let hi = from(end_ms + 1);
-            if hi > lo {
-                let n = self.probe(cond, start, env, true).len();
-                let n = u32::try_from(n).expect("probe count overflow");
-                if n > 0 {
-                    sat.extend(statics[lo..hi].iter().map(|&c| (c, n)));
+            // The segment holding `at`, cut at the horizon.
+            let k = points.partition_point(|&p| ms(p) <= at) - 1;
+            let end = points
+                .get(k + 1)
+                .map_or(horizon, |&p| ms(p) - 1)
+                .min(horizon);
+            let (si, dj) = (past(statics, end), past(dynamic, end));
+            values.clear();
+            let mut n = 0;
+            self.probe(cond, points[k], env, true, &mut |e| {
+                values.extend(free.iter().map(|&s| e.data[s].clone()));
+                n += 1;
+                false
+            });
+            let (mut a, mut b) = (&statics[i..si], &dynamic[j..dj]);
+            while n > 0 && !stopped {
+                let c = match (a.first(), b.first()) {
+                    (Some(&x), Some(&y)) if y < x => y,
+                    (Some(&x), _) => x,
+                    (None, Some(&y)) => y,
+                    (None, None) => break,
+                };
+                if a.first() == Some(&c) {
+                    a = &a[1..];
+                } else {
+                    b = &b[1..];
+                }
+                let w = free.len();
+                for r in 0..n {
+                    let ext = &mut values[r * w..(r + 1) * w];
+                    swap_slots(ext, &free, env);
+                    stopped = emit(c, env);
+                    swap_slots(ext, &free, env);
+                    if stopped {
+                        break;
+                    }
                 }
             }
-            lo = hi;
+            (i, j) = (si, dj);
         }
+        self.sweep_buf[id].set(SweepBuf { free, values });
+        stopped
+    }
+
+    /// The fully bound `@` atom `id`'s satisfying candidates among
+    /// `statics`, cached per (atom, condition bindings).
+    fn at_sat_cached(&self, id: usize, off: i64, statics: &[SimTime], env: &mut Env) -> AtSat {
+        let vars = &self.atoms[id].vars[..];
+        let (hash, hit) = self.at_memo.borrow().get(id, vars, &[], env);
+        if let Some(sat) = hit {
+            bump(&self.ev.counters.atom_hits, 1);
+            return sat;
+        }
+        let sat: AtSat = Rc::new(self.at_sat_segments(id, off, statics, env));
+        let mut memo = self.at_memo.borrow_mut();
+        memo.insert(hash, id, vars, &[], env, Rc::clone(&sat));
+        bump(&self.ev.counters.atom_misses, 1);
         sat
     }
 
-    /// Unit reference for [`Evaluator::at_sat_segments`]: probe the
-    /// condition at every candidate.
-    #[cfg(test)]
-    fn at_sat_sweep(
+    /// [`Plan::sweep`] over `statics`, as `(candidate, push count)`
+    /// pairs.
+    fn at_sat_segments(
         &self,
-        cond: &Cond,
+        id: usize,
         off: i64,
         statics: &[SimTime],
-        env: &Env,
+        env: &mut Env,
     ) -> Vec<(SimTime, u32)> {
-        let horizon_ms = i128::from(self.horizon.as_millis());
         let mut sat = Vec::new();
-        for &c in statics {
-            let ms = i128::from(c.as_millis()) + i128::from(off);
-            if !(0..=horizon_ms).contains(&ms) {
-                continue;
-            }
-            let probe = self.probe(cond, SimTime::from_millis(ms as u64), env, true);
-            if !probe.is_empty() {
-                sat.push((c, u32::try_from(probe.len()).expect("probe count overflow")));
-            }
-        }
+        self.sweep(id, off, statics, &[], env, &mut |c, _| tally(&mut sat, c));
         sat
     }
 
-    /// The (sorted) variable names of a condition, cached per node.
-    fn cond_vars_of(&self, cond: &Cond) -> Rc<[String]> {
-        let key = cond as *const Cond as usize;
-        if let Some(vs) = self.cond_vars_cache.borrow().get(&key) {
-            return Rc::clone(vs);
-        }
-        let mut set = BTreeSet::new();
-        cond_vars(cond, &mut set);
-        let vs: Rc<[String]> = set.into_iter().collect();
-        self.cond_vars_cache
-            .borrow_mut()
-            .insert(key, Rc::clone(&vs));
-        vs
+    /// Evaluate `cond` at `t` (see [`Plan::eval`]), counted in
+    /// [`EvalStats::probe_misses`].
+    fn probe(
+        &self,
+        cond: &SlotCond,
+        t: SimTime,
+        env: &mut Env,
+        bind: bool,
+        k: &mut dyn FnMut(&mut Env) -> bool,
+    ) -> bool {
+        bump(&self.ev.counters.probe_misses, 1);
+        self.eval(cond, t, env, bind, k)
     }
 
-    /// Evaluate a condition at instant `t`, pushing each satisfying
-    /// binding extension. With `allow_bind`, an `item = var` comparison
-    /// against an unbound variable binds it (the paper's implicit data
-    /// binding); `@@`/`@?` evaluation forbids it because a binding
-    /// valid at one instant must not leak to others.
-    fn eval_cond(&self, cond: &Cond, t: SimTime, env: &Env, allow_bind: bool, out: &mut Vec<Env>) {
+    /// Evaluate a condition at instant `t`, calling `k` on each
+    /// satisfying binding extension of `env` (made in place and undone
+    /// on return) until it returns `true`; returns whether it stopped.
+    /// With `bind`, an `item = var` comparison against an unbound
+    /// variable binds it (the paper's implicit data binding); `@@`/`@?`
+    /// evaluation forbids it because a binding valid at one instant must
+    /// not leak to others.
+    fn eval(
+        &self,
+        cond: &SlotCond,
+        t: SimTime,
+        env: &mut Env,
+        bind: bool,
+        k: &mut dyn FnMut(&mut Env) -> bool,
+    ) -> bool {
         match cond {
-            Cond::True => out.push(env.clone()),
-            Cond::And(a, b) => {
-                let mut mid = Vec::new();
-                self.eval_cond(a, t, env, allow_bind, &mut mid);
-                for e in mid {
-                    self.eval_cond(b, t, &e, allow_bind, out);
-                }
-            }
-            Cond::Or(a, b) => {
-                self.eval_cond(a, t, env, allow_bind, out);
-                self.eval_cond(b, t, env, allow_bind, out);
-            }
-            Cond::Not(inner) => {
-                // Strict: the negated condition must be fully ground.
-                let mut probe = Vec::new();
-                self.eval_cond(inner, t, env, false, &mut probe);
-                if probe.is_empty() {
-                    out.push(env.clone());
-                }
-            }
-            Cond::Exists(pattern) => {
-                let at = AtTime {
-                    idx: self.idx,
-                    t,
-                    env,
-                };
-                if Expr::Item(pattern.clone())
-                    .eval(&at)
-                    .is_some_and(|v| v.exists())
-                {
-                    out.push(env.clone());
-                }
-            }
-            Cond::Cmp(a, op, b) => {
-                let at = AtTime {
-                    idx: self.idx,
-                    t,
-                    env,
-                };
-                let va = a.eval(&at);
-                let vb = b.eval(&at);
-                match (va, vb) {
-                    (Some(va), Some(vb)) if op.apply(&va, &vb).unwrap_or(false) => {
-                        out.push(env.clone());
-                    }
-                    (Some(v), None) if allow_bind && *op == CmpOp::Eq => {
-                        if let Expr::Var(name) = b {
-                            let mut e = env.clone();
-                            e.vars.insert(name.clone(), v);
-                            out.push(e);
+            SlotCond::True => k(env),
+            SlotCond::And(a, b) => self.eval(a, t, env, bind, &mut |e| self.eval(b, t, e, bind, k)),
+            SlotCond::Or(a, b) => self.eval(a, t, env, bind, k) || self.eval(b, t, env, bind, k),
+            // Strict: the negated condition must be fully ground.
+            SlotCond::Not(inner) => !self.eval(inner, t, env, false, &mut |_| true) && k(env),
+            SlotCond::Exists(item) => self.value_at(*item, t).is_some_and(Value::exists) && k(env),
+            SlotCond::Cmp(a, op, b) => {
+                let binding = match (self.value(a, t, env), self.value(b, t, env), a, b) {
+                    (Some(va), Some(vb), ..) => {
+                        if op.apply(&va, &vb) != Some(true) {
+                            return false;
                         }
+                        None
                     }
-                    (None, Some(v)) if allow_bind && *op == CmpOp::Eq => {
-                        if let Expr::Var(name) = a {
-                            let mut e = env.clone();
-                            e.vars.insert(name.clone(), v);
-                            out.push(e);
-                        }
+                    (Some(v), None, _, SlotExpr::Var(s)) | (None, Some(v), SlotExpr::Var(s), _)
+                        if bind && *op == CmpOp::Eq =>
+                    {
+                        Some((*s, v.into_owned()))
                     }
-                    _ => {}
-                }
+                    _ => return false,
+                };
+                let Some((s, v)) = binding else {
+                    return k(env);
+                };
+                env.data[s] = Some(v);
+                let stopped = k(env);
+                env.data[s] = None;
+                stopped
             }
         }
+    }
+
+    /// An expression's value at `t`, `None` when an input is missing or
+    /// an operation is undefined (as [`Expr::eval`]).
+    fn value<'v>(&'v self, e: &'v SlotExpr, t: SimTime, env: &'v Env) -> Option<Cow<'v, Value>> {
+        Some(match e {
+            SlotExpr::Item(item) => Cow::Borrowed(self.value_at(*item, t)?),
+            SlotExpr::Var(s) => Cow::Borrowed(env.data[*s].as_ref()?),
+            SlotExpr::Lit(v) => Cow::Borrowed(v),
+            SlotExpr::Abs(a) => Cow::Owned(self.value(a, t, env)?.abs()?),
+            SlotExpr::Op(op, a, b) => {
+                let (a, b) = (self.value(a, t, env)?, self.value(b, t, env)?);
+                Cow::Owned(op(&a, &b)?)
+            }
+        })
+    }
+
+    /// The value of item-table entry `item` at `t` under the current
+    /// parameter binding: its last change point at or before `t`.
+    fn value_at(&self, item: usize, t: SimTime) -> Option<&'e Value> {
+        let ch = self.items[item];
+        let n = ch.partition_point(|(time, _)| *time <= t);
+        n.checked_sub(1).map(|i| &ch[i].1)
     }
 
     /// Static per-variable time candidates: the salient grid.
@@ -757,19 +1068,12 @@ impl<'a> Evaluator<'a> {
     /// connected components of the "shares an atom" relation (each
     /// atom's time-variable set is a clique) and give every component
     /// its own base-instant and offset sets.
-    fn static_candidates(&self, g: &Guarantee) -> BTreeMap<String, Vec<SimTime>> {
-        let horizon_ms = i128::from(self.horizon.as_millis());
+    fn static_candidates(&self, g: &Guarantee) -> Vec<Vec<SimTime>> {
+        let horizon_ms = ms(self.ev.horizon);
         let atoms: Vec<&GAtom> = g.lhs.iter().chain(&g.rhs).collect();
 
-        // Union-find over time variables; each atom unions its set.
-        let mut var_ix: BTreeMap<String, usize> = BTreeMap::new();
-        for atom in &atoms {
-            for v in atom.time_vars() {
-                let n = var_ix.len();
-                var_ix.entry(v.to_owned()).or_insert(n);
-            }
-        }
-        let mut parent: Vec<usize> = (0..var_ix.len()).collect();
+        // Union-find over time slots; each atom unions its set.
+        let mut parent: Vec<usize> = (0..self.times.len()).collect();
         fn find(parent: &mut [usize], mut i: usize) -> usize {
             while parent[i] != i {
                 parent[i] = parent[parent[i]];
@@ -778,7 +1082,7 @@ impl<'a> Evaluator<'a> {
             i
         }
         for atom in &atoms {
-            let mut ids = atom.time_vars().into_iter().map(|v| var_ix[v]);
+            let mut ids = atom.time_vars().into_iter().map(|v| slot(&self.times, v));
             if let Some(first) = ids.next() {
                 let root = find(&mut parent, first);
                 for i in ids {
@@ -800,37 +1104,36 @@ impl<'a> Evaluator<'a> {
         }
         let mut comps: BTreeMap<usize, Comp> = BTreeMap::new();
         for atom in &atoms {
-            let Some(&first) = atom.time_vars().first().map(|v| &var_ix[*v]) else {
+            let Some(first) = atom.time_vars().first().map(|v| slot(&self.times, v)) else {
                 continue;
             };
             let root = find(&mut parent, first);
             let comp = comps.entry(root).or_insert_with(|| Comp {
-                base_ts: [SimTime::ZERO, self.horizon].into_iter().collect(),
+                base_ts: [SimTime::ZERO, self.ev.horizon].into_iter().collect(),
                 offsets: [0].into_iter().collect(),
             });
-            match atom {
-                GAtom::At(c, _) | GAtom::Throughout(c, _, _) | GAtom::Sometime(c, _, _) => {
-                    for base in cond_bases(c) {
-                        comp.base_ts.extend(self.idx.breakpoints_by_base(base));
+            if let Some(c) = cond_of(atom) {
+                c.visit(&mut |m| {
+                    if let Mention::Item(p) = m {
+                        comp.base_ts.extend(self.ev.idx.breakpoints_by_base(p.base));
                     }
-                }
-                GAtom::TimeCmp(a, _, b) => {
-                    for te in [a, b] {
-                        if let TimeExpr::Const(c) = te {
-                            comp.base_ts.insert(*c);
-                        }
-                    }
-                }
+                });
             }
             for te in atom_time_exprs(atom) {
-                if let TimeExpr::Offset(_, off) = te {
-                    comp.offsets.insert(*off);
-                    comp.offsets.insert(-*off);
+                match te {
+                    TimeExpr::Const(c) if matches!(atom, GAtom::TimeCmp(..)) => {
+                        comp.base_ts.insert(*c);
+                    }
+                    TimeExpr::Offset(_, off) => {
+                        comp.offsets.insert(*off);
+                        comp.offsets.insert(-*off);
+                    }
+                    _ => {}
                 }
             }
         }
 
-        let mut per_var: BTreeMap<String, BTreeSet<SimTime>> = BTreeMap::new();
+        let mut per_var = vec![BTreeSet::new(); self.times.len()];
         for atom in &atoms {
             for te in atom_time_exprs(atom) {
                 let (var, shift) = match te {
@@ -838,71 +1141,43 @@ impl<'a> Evaluator<'a> {
                     TimeExpr::Offset(v, off) => (v, *off),
                     TimeExpr::Const(_) => continue,
                 };
-                let root = find(&mut parent, var_ix[var.as_str()]);
-                let Some(comp) = comps.get(&root) else {
+                let s = slot(&self.times, var);
+                let Some(comp) = comps.get(&find(&mut parent, s)) else {
                     continue;
                 };
-                let entry = per_var.entry(var.clone()).or_default();
                 for &bt in &comp.base_ts {
                     for &off in &comp.offsets {
                         for delta in [-1i64, 0, 1] {
                             // Candidate v such that v + shift lands near
                             // a breakpoint (possibly offset-shifted); in
                             // i128, as offsets may reach ±(2^63 - 1) ms.
-                            let ms = i128::from(bt.as_millis()) - i128::from(shift)
-                                + i128::from(off)
-                                + i128::from(delta);
-                            if (0..=horizon_ms).contains(&ms) {
-                                entry.insert(SimTime::from_millis(ms as u64));
+                            let at =
+                                ms(bt) - i128::from(shift) + i128::from(off) + i128::from(delta);
+                            if (0..=horizon_ms).contains(&at) {
+                                per_var[s].insert(SimTime::from_millis(at as u64));
                             }
                         }
                     }
                 }
             }
         }
-        let grid: BTreeMap<String, Vec<SimTime>> = per_var
+        let grid: Vec<Vec<SimTime>> = per_var
             .into_iter()
-            .map(|(k, v)| (k, v.into_iter().collect()))
+            .map(|v| v.into_iter().collect())
             .collect();
-        let points: u64 = grid.values().map(|v| v.len() as u64).sum();
-        self.counters
-            .grid_points
-            .set(self.counters.grid_points.get() + points);
+        let points: u64 = grid.iter().map(|v| v.len() as u64).sum();
+        bump(&self.ev.counters.grid_points, points);
         grid
     }
+}
 
-    /// Candidate values for parameter variables: the values appearing
-    /// at the variable's position among the trace's items of that base.
-    fn param_candidates(
-        &self,
-        g: &Guarantee,
-        param_vars: &[String],
-    ) -> BTreeMap<String, Vec<Value>> {
-        let mut out: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-        let mut visit_cond = |c: &Cond| {
-            for (base, pos, var) in cond_param_positions(c) {
-                if !param_vars.contains(&var) {
-                    continue;
-                }
-                let entry = out.entry(var).or_default();
-                for item in self.idx.items_with_base(base) {
-                    if let Some(v) = item.params.get(pos) {
-                        entry.insert(v.clone());
-                    }
-                }
-            }
-        };
-        for atom in g.lhs.iter().chain(&g.rhs) {
-            match atom {
-                GAtom::At(c, _) | GAtom::Throughout(c, _, _) | GAtom::Sometime(c, _, _) => {
-                    visit_cond(c)
-                }
-                GAtom::TimeCmp(..) => {}
-            }
+impl SlotTime {
+    /// The offset on the variable, 0 for an instant.
+    fn offset(self) -> i64 {
+        match self {
+            SlotTime::Var { off, .. } => off,
+            SlotTime::Const(_) => 0,
         }
-        out.into_iter()
-            .map(|(k, v)| (k, v.into_iter().collect()))
-            .collect()
     }
 }
 
@@ -932,6 +1207,50 @@ pub fn check_guarantees(
 #[doc(hidden)]
 pub use check_guarantees as check_guarantees_parallel_stats;
 
+/// An instant in signed milliseconds.
+fn ms(t: SimTime) -> i128 {
+    i128::from(t.as_millis())
+}
+
+/// `name`'s slot in the sorted `names`.
+fn slot(names: &[&str], name: &str) -> usize {
+    names
+        .binary_search(&name)
+        .expect("every variable has a slot")
+}
+
+/// Counts one more emission of candidate `c` into ascending
+/// `(candidate, push count)` pairs; never stops.
+fn tally(sat: &mut Vec<(SimTime, u32)>, c: SimTime) -> bool {
+    match sat.last_mut() {
+        Some((last, n)) if *last == c => *n += 1,
+        _ => sat.push((c, 1)),
+    }
+    false
+}
+
+/// Swaps the values of `ext` with the data slots `slots` of `env`.
+fn swap_slots(ext: &mut [Option<Value>], slots: &[usize], env: &mut Env) {
+    for (v, &s) in ext.iter_mut().zip(slots) {
+        std::mem::swap(v, &mut env.data[s]);
+    }
+}
+
+/// `a / b` as [`Expr::eval`] computes it: in floating point, `None` for
+/// a zero or non-numeric divisor.
+fn div(a: &Value, b: &Value) -> Option<Value> {
+    let b = b.as_f64()?;
+    (b != 0.0).then_some(Value::Float(a.as_f64()? / b))
+}
+
+/// The condition of a non-comparison atom.
+fn cond_of(atom: &GAtom) -> Option<&Cond> {
+    match atom {
+        GAtom::At(c, _) | GAtom::Throughout(c, _, _) | GAtom::Sometime(c, _, _) => Some(c),
+        GAtom::TimeCmp(..) => None,
+    }
+}
+
 /// The time expressions a single atom mentions.
 fn atom_time_exprs(atom: &GAtom) -> impl Iterator<Item = &TimeExpr> {
     let (a, b) = match atom {
@@ -943,31 +1262,22 @@ fn atom_time_exprs(atom: &GAtom) -> impl Iterator<Item = &TimeExpr> {
     std::iter::once(a).chain(b)
 }
 
-/// The variable a time expression reads, if any.
-fn time_var(te: &TimeExpr) -> Option<&str> {
-    match te {
-        TimeExpr::Var(v) | TimeExpr::Offset(v, _) => Some(v),
-        TimeExpr::Const(_) => None,
-    }
-}
-
 /// A time expression's value in milliseconds, *signed*. A variable
-/// resolves from the time assignment first, then from a data binding
-/// holding an integer (timestamps stored in auxiliary items, as in the
-/// §6.3 monitor guarantee). A stored timestamp can be any `i64`, so the
-/// value is an `i128`: an offset on it, and the window arithmetic in
-/// [`Evaluator::expand_atom`], cannot overflow.
-fn resolve_signed(te: &TimeExpr, env: &Env) -> Option<i128> {
-    let lookup = |v: &str| {
-        env.times
-            .get(v)
-            .map(|t| i128::from(t.as_millis()))
-            .or_else(|| env.vars.get(v).and_then(Value::as_int).map(i128::from))
-    };
+/// resolves from its time slot first, then from the data slot of the
+/// same name holding an integer (timestamps stored in auxiliary items,
+/// as in the §6.3 monitor guarantee). A stored timestamp can be any
+/// `i64`, so the value is an `i128`: an offset on it, and the window
+/// arithmetic in [`Plan::window`], cannot overflow.
+fn resolve(te: SlotTime, env: &Env) -> Option<i128> {
     match te {
-        TimeExpr::Const(t) => Some(i128::from(t.as_millis())),
-        TimeExpr::Var(v) => lookup(v),
-        TimeExpr::Offset(v, off) => Some(lookup(v)? + i128::from(*off)),
+        SlotTime::Const(ms) => Some(ms),
+        SlotTime::Var { slot, data, off } => {
+            let at = match env.times[slot] {
+                Some(t) => ms(t),
+                None => i128::from(env.data[data?].as_ref()?.as_int()?),
+            };
+            Some(at + i128::from(off))
+        }
     }
 }
 
@@ -982,45 +1292,14 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-/// The item `p` names under `env`'s bindings: `None` for a `*`
-/// parameter or an unbound variable, which no instant can read.
-fn ground(p: &ItemPattern, env: &Env) -> Option<ItemId> {
-    let params = p
-        .params
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => env.vars.get(v).cloned(),
-            Term::Wild => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(ItemId {
-        base: p.base,
-        params,
-    })
-}
-
-/// Item base names a condition mentions, sorted and deduplicated.
-fn cond_bases(c: &Cond) -> Vec<Sym> {
-    let mut out = Vec::new();
-    c.visit(&mut |m| {
-        if let Mention::Item(p) = m {
-            out.push(p.base);
-        }
-    });
-    out.sort();
-    out.dedup();
-    out
-}
-
 /// `(base, position, var)` for each variable used as an item parameter.
-fn cond_param_positions(c: &Cond) -> Vec<(Sym, usize, String)> {
+fn cond_param_positions(c: &Cond) -> Vec<(hcm_core::Sym, usize, &str)> {
     let mut out = Vec::new();
     c.visit(&mut |m| {
         if let Mention::Item(p) = m {
             for (i, t) in p.params.iter().enumerate() {
                 if let Term::Var(v) = t {
-                    out.push((p.base, i, v.clone()));
+                    out.push((p.base, i, v.as_str()));
                 }
             }
         }
@@ -1029,15 +1308,15 @@ fn cond_param_positions(c: &Cond) -> Vec<(Sym, usize, String)> {
 }
 
 /// Variable names a condition mentions (data and item-parameter).
-fn cond_vars(c: &Cond, out: &mut BTreeSet<String>) {
+fn cond_vars<'c>(c: &'c Cond, out: &mut BTreeSet<&'c str>) {
     c.visit(&mut |m| match m {
         Mention::Var(v) => {
-            out.insert(v.to_owned());
+            out.insert(v);
         }
         Mention::Item(p) => {
             for t in &p.params {
                 if let Term::Var(v) = t {
-                    out.insert(v.clone());
+                    out.insert(v.as_str());
                 }
             }
         }
@@ -1045,35 +1324,12 @@ fn cond_vars(c: &Cond, out: &mut BTreeSet<String>) {
 }
 
 /// Every variable name (data or time) a group of atoms mentions.
-fn atoms_vars(atoms: &[GAtom]) -> BTreeSet<String> {
+fn atoms_vars(atoms: &[GAtom]) -> BTreeSet<&str> {
     let mut out = BTreeSet::new();
     for a in atoms {
-        for v in a.time_vars() {
-            out.insert(v.to_owned());
-        }
-        match a {
-            GAtom::At(c, _) | GAtom::Throughout(c, _, _) | GAtom::Sometime(c, _, _) => {
-                cond_vars(c, &mut out)
-            }
-            GAtom::TimeCmp(..) => {}
-        }
-    }
-    out
-}
-
-/// Variables used in item-parameter position anywhere in the formula.
-fn collect_param_vars(g: &Guarantee) -> Vec<String> {
-    let mut out = Vec::new();
-    for atom in g.lhs.iter().chain(&g.rhs) {
-        match atom {
-            GAtom::At(c, _) | GAtom::Throughout(c, _, _) | GAtom::Sometime(c, _, _) => {
-                for (_, _, v) in cond_param_positions(c) {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-            }
-            GAtom::TimeCmp(..) => {}
+        out.extend(a.time_vars());
+        if let Some(c) = cond_of(a) {
+            cond_vars(c, &mut out);
         }
     }
     out
@@ -1433,6 +1689,46 @@ mod tests {
         assert_eq!(r.outcome(), GuaranteeOutcome::Vacuous);
     }
 
+    /// The per-point references of the segment tests.
+    impl Plan<'_> {
+        /// Unit reference for `Plan::sweep`: probe at every candidate.
+        fn sweep_per_point(
+            &self,
+            id: usize,
+            off: i64,
+            statics: &[SimTime],
+            dynamic: &[SimTime],
+            env: &mut Env,
+            emit: &mut dyn FnMut(SimTime, &mut Env) -> bool,
+        ) -> bool {
+            let Form::At(cond, _) = &self.atoms[id].form else {
+                unreachable!("a sweep reads an `@` atom");
+            };
+            let mut cands: Vec<SimTime> = statics.iter().chain(dynamic).copied().collect();
+            cands.sort();
+            cands.into_iter().any(|c| {
+                let at = ms(c) + i128::from(off);
+                (0..=ms(self.ev.horizon)).contains(&at)
+                    && self.probe(cond, SimTime::from_millis(at as u64), env, true, &mut |e| {
+                        emit(c, e)
+                    })
+            })
+        }
+
+        /// Unit reference for `Plan::at_sat_segments`.
+        fn at_sat_sweep(
+            &self,
+            id: usize,
+            off: i64,
+            statics: &[SimTime],
+            env: &mut Env,
+        ) -> Vec<(SimTime, u32)> {
+            let mut sat = Vec::new();
+            self.sweep_per_point(id, off, statics, &[], env, &mut |c, _| tally(&mut sat, c));
+            sat
+        }
+    }
+
     /// `(holds, instantiations, violation strings in order)`.
     fn summary(r: &GuaranteeReport) -> (bool, usize, Vec<String>) {
         let vs = r.violations.iter().map(ToString::to_string).collect();
@@ -1577,6 +1873,77 @@ mod tests {
         }
     }
 
+    /// The salary pair over three string-keyed employees. `e1` holds an
+    /// invented value for a second, `e2` too, and `e3` first keeps a
+    /// value 10 s after its source moved on (which only the metric form
+    /// rejects), then invents one for good. Both reports run past
+    /// `MAX_VIOLATIONS`, so the kept strings pin the order of instances
+    /// (employee, then `t1`) and each segment's binding of `y`.
+    #[test]
+    fn report_pinned_for_parameterized_pair() {
+        let mut tr = Trace::new();
+        for (id, v) in [("e1", 100), ("e2", 200), ("e3", 300)] {
+            for base in ["salary1", "salary2"] {
+                tr.set_initial(ItemId::with(base, [Value::from(id)]), Value::Int(v));
+            }
+        }
+        for (t, base, id, v) in [
+            (10, "salary1", "e1", 110),
+            (12, "salary2", "e1", 110),
+            (15, "salary2", "e1", 777),
+            (16, "salary2", "e1", 110),
+            (20, "salary2", "e2", 999),
+            (21, "salary2", "e2", 200),
+            (30, "salary1", "e3", 330),
+            (32, "salary1", "e3", 331),
+            (45, "salary2", "e3", 330),
+            (50, "salary2", "e3", 555),
+            (60, "salary1", "e2", 201),
+        ] {
+            let item = ItemId::with(base, [Value::from(id)]);
+            let old = tr.value_at(&item, SimTime::from_secs(t));
+            tr.push(
+                SimTime::from_secs(t),
+                SiteId::new(0),
+                EventDesc::Ws {
+                    item,
+                    old: old.clone(),
+                    new: Value::Int(v),
+                },
+                old,
+                None,
+                None,
+            );
+        }
+        let pinned = |src: &str, instantiations: usize, tail: [&str; 2]| {
+            let r = check_guarantee(&tr, &parse_guarantee("p", src).unwrap(), None);
+            let head = [
+                "e1\", y=777 ; t1=t=15.000s",
+                "e1\", y=777 ; t1=t=15.001s",
+                "e1\", y=777 ; t1=t=15.999s",
+                "e2\", y=999 ; t1=t=20.000s",
+                "e2\", y=999 ; t1=t=20.001s",
+                "e2\", y=999 ; t1=t=20.999s",
+            ];
+            let want = head
+                .iter()
+                .chain(&tail)
+                .map(|e| format!("no witness for [n=\"{e}]"))
+                .collect();
+            assert_eq!(summary(&r), (false, instantiations, want), "{src}");
+        };
+        pinned(
+            "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t2 <= t1",
+            102,
+            ["e3\", y=555 ; t1=t=50.000s", "e3\", y=555 ; t1=t=50.001s"],
+        );
+        pinned(
+            "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t1 - 10s < t2 and t2 <= t1",
+            237,
+            ["e3\", y=300 ; t1=t=39.999s", "e3\", y=300 ; t1=t=40.000s"],
+        );
+    }
+
     /// Minimal deterministic generator (SplitMix64).
     struct Gen(u64);
 
@@ -1593,90 +1960,174 @@ mod tests {
         }
     }
 
-    /// The segment builder against the per-point sweep, on
-    /// random traces with same-instant writes, over conditions with
-    /// `or` multiplicity, parameters (bound and `*`) and negation, at
-    /// offsets that push `c + off` below 0 and past the horizon.
-    #[test]
-    fn segment_builder_matches_per_point_sweep() {
-        let conds = [
-            "(X = 1) @ t",
-            "(X = y) @ t",
-            "(X = y or Y = y) @ t",
-            "(X = 1 or X = 1 or Y < X) @ t",
-            "(X < Y and not (Y = 2)) @ t",
-            "(s(n) = y) @ t",
-            "(s(n) = X or s(m) = y) @ t",
-            "exists(s(n)) @ t",
-            "(exists(s(*)) or not (s(*) = 1)) @ t",
-            "(s(*) = y or X = y) @ t",
-        ]
-        .map(|src| match &parse_guarantee("c", src).unwrap().rhs[0] {
-            GAtom::At(c, _) => c.clone(),
-            other => panic!("not an `@` atom: {other:?}"),
-        });
+    /// The ten conditions of the segment tests, as one conjunction:
+    /// `or` multiplicity, parameters (bound and `*`) and negation.
+    const SEGMENT_CONDS: [&str; 10] = [
+        "(X = 1) @ t",
+        "(X = y) @ t",
+        "(X = y or Y = y) @ t",
+        "(X = 1 or X = 1 or Y < X) @ t",
+        "(X < Y and not (Y = 2)) @ t",
+        "(s(n) = y) @ t",
+        "(s(n) = X or s(m) = y) @ t",
+        "exists(s(n)) @ t",
+        "(exists(s(*)) or not (s(*) = 1)) @ t",
+        "(s(*) = y or X = y) @ t",
+    ];
+
+    /// A random trace with same-instant writes over `X`, `Y`, `s(e1)`
+    /// and `s(e2)`.
+    fn segment_trace(g: &mut Gen) -> Trace {
         let items = [
             ItemId::plain("X"),
             ItemId::plain("Y"),
             ItemId::with("s", [Value::from("e1")]),
             ItemId::with("s", [Value::from("e2")]),
         ];
+        let mut tr = Trace::new();
+        tr.set_initial(items[0].clone(), Value::Int(g.int_in(0, 2)));
+        // Write times from a narrow range, so instants repeat.
+        let mut writes: Vec<(u64, usize, i64)> = (0..g.int_in(0, 12))
+            .map(|_| {
+                (
+                    g.int_in(0, 20) as u64 * 10,
+                    g.int_in(0, 3) as usize,
+                    g.int_in(0, 3),
+                )
+            })
+            .collect();
+        writes.sort_by_key(|w| w.0);
+        for (t, i, v) in writes {
+            let new = if v == 3 { Value::Null } else { Value::Int(v) };
+            tr.push(
+                SimTime::from_millis(t),
+                SiteId::new(0),
+                EventDesc::Ws {
+                    item: items[i].clone(),
+                    old: None,
+                    new,
+                },
+                None,
+                None,
+                None,
+            );
+        }
+        tr
+    }
+
+    /// Up to `n` random sorted instants in `[0, horizon]`.
+    fn instants(g: &mut Gen, n: i64, horizon: SimTime) -> Vec<SimTime> {
+        let mut ts: Vec<SimTime> = (0..g.int_in(0, n))
+            .map(|_| SimTime::from_millis(g.int_in(0, horizon.as_millis() as i64) as u64))
+            .collect();
+        ts.sort();
+        ts.dedup();
+        ts
+    }
+
+    /// The slot environment for `plan` with `n` and `m` bound to random
+    /// employees (`e3` has no item), and `y` too when `bind_y`, with the
+    /// plan's items resolved under it.
+    fn segment_env(g: &mut Gen, plan: &mut Plan, bind_y: bool) -> Env {
+        let mut env = plan.env();
+        let mut set = |var: &str, v: Value| env.data[slot(&plan.data, var)] = Some(v);
+        if bind_y {
+            set("y", Value::Int(g.int_in(0, 2)));
+        }
+        for var in ["n", "m"] {
+            let id = ["e1", "e2", "e3"][g.int_in(0, 2) as usize];
+            set(var, Value::from(id));
+        }
+        plan.bind(&env);
+        env
+    }
+
+    /// The segment builder against the per-point sweep, on
+    /// random traces with same-instant writes, over conditions with
+    /// `or` multiplicity, parameters (bound and `*`) and negation, at
+    /// offsets that push `c + off` below 0 and past the horizon.
+    #[test]
+    fn segment_builder_matches_per_point_sweep() {
+        let conds = parse_guarantee("c", &SEGMENT_CONDS.join(" and ")).unwrap();
         let mut g = Gen(0x5E6_0001);
         let mut nonempty = 0;
         for _ in 0..200 {
-            let mut tr = Trace::new();
-            tr.set_initial(items[0].clone(), Value::Int(g.int_in(0, 2)));
-            // Write times from a narrow range, so instants repeat.
-            let mut writes: Vec<(u64, usize, i64)> = (0..g.int_in(0, 12))
-                .map(|_| {
-                    (
-                        g.int_in(0, 20) as u64 * 10,
-                        g.int_in(0, 3) as usize,
-                        g.int_in(0, 3),
-                    )
-                })
-                .collect();
-            writes.sort_by_key(|w| w.0);
-            for (t, i, v) in writes {
-                let new = if v == 3 { Value::Null } else { Value::Int(v) };
-                tr.push(
-                    SimTime::from_millis(t),
-                    SiteId::new(0),
-                    EventDesc::Ws {
-                        item: items[i].clone(),
-                        old: None,
-                        new,
-                    },
-                    None,
-                    None,
-                    None,
-                );
-            }
+            let tr = segment_trace(&mut g);
             // Horizons before, at and after the last write.
             let horizon = SimTime::from_millis(g.int_in(1, 250) as u64);
             let ev = Evaluator::new(&tr, Some(horizon));
-            let mut statics: Vec<SimTime> = (0..g.int_in(0, 40))
-                .map(|_| SimTime::from_millis(g.int_in(0, horizon.as_millis() as i64) as u64))
-                .collect();
-            statics.sort();
-            statics.dedup();
+            let statics = instants(&mut g, 40, horizon);
             let off = g.int_in(-80, 80);
-            let mut env = Env::new();
-            env.vars.insert("y".into(), Value::Int(g.int_in(0, 2)));
-            for var in ["n", "m"] {
-                let id = ["e1", "e2", "e3"][g.int_in(0, 2) as usize];
-                env.vars.insert(var.into(), Value::from(id));
-            }
-            for cond in &conds {
-                let want = ev.at_sat_sweep(cond, off, &statics, &env);
+            let mut plan = Plan::compile(&ev, &conds);
+            let mut env = segment_env(&mut g, &mut plan, true);
+            for (cond, src) in SEGMENT_CONDS.iter().enumerate() {
+                let want = plan.at_sat_sweep(cond, off, &statics, &mut env);
                 nonempty += usize::from(!want.is_empty());
                 assert_eq!(
-                    ev.at_sat_segments(cond, off, &statics, &env),
+                    plan.at_sat_segments(cond, off, &statics, &mut env),
                     want,
-                    "{cond} off={off} horizon={horizon} env={env:?} statics={statics:?}\n{tr}"
+                    "{src} off={off} horizon={horizon} env={env:?} statics={statics:?}\n{tr}"
                 );
             }
         }
         assert!(nonempty > 500, "too few satisfiable cases: {nonempty}");
+    }
+
+    /// The universal-side sweep against probing each candidate on its
+    /// own, with `y` left for the condition to bind: the same
+    /// `(candidate, bindings)` list, in the same order and with the same
+    /// multiplicity, over grid and window candidates merged. The sweep
+    /// probes at most as often.
+    #[test]
+    fn segment_sweep_matches_per_point_probes() {
+        let conds = parse_guarantee("c", &SEGMENT_CONDS.join(" and ")).unwrap();
+        let mut g = Gen(0x5E6_0002);
+        let (mut bound, mut emitted) = (0, 0);
+        for _ in 0..200 {
+            let tr = segment_trace(&mut g);
+            let horizon = SimTime::from_millis(g.int_in(1, 250) as u64);
+            let ev = Evaluator::new(&tr, Some(horizon));
+            let statics = instants(&mut g, 40, horizon);
+            let mut dynamic = instants(&mut g, 6, horizon);
+            dynamic.retain(|d| statics.binary_search(d).is_err());
+            let off = g.int_in(-80, 80);
+            let mut plan = Plan::compile(&ev, &conds);
+            let mut env = segment_env(&mut g, &mut plan, false);
+            let y = slot(&plan.data, "y");
+            for (cond, src) in SEGMENT_CONDS.iter().enumerate() {
+                let run = |per_point: bool, env: &mut Env| {
+                    let mut out = Vec::new();
+                    let mut emit = |c, e: &mut Env| {
+                        out.push((c, e.data.clone()));
+                        false
+                    };
+                    let probes = ev.counters.probe_misses.get();
+                    if per_point {
+                        plan.sweep_per_point(cond, off, &statics, &dynamic, env, &mut emit);
+                    } else {
+                        plan.sweep(cond, off, &statics, &dynamic, env, &mut emit);
+                    }
+                    (out, ev.counters.probe_misses.get() - probes)
+                };
+                let (want, point_probes) = run(true, &mut env);
+                let (got, sweep_probes) = run(false, &mut env);
+                assert_eq!(
+                    got, want,
+                    "{src} off={off} horizon={horizon} env={env:?} statics={statics:?} \
+                     dynamic={dynamic:?}\n{tr}"
+                );
+                assert!(
+                    sweep_probes <= point_probes,
+                    "{src}: {sweep_probes} > {point_probes}"
+                );
+                assert_eq!(env.data[y], None, "{src}: `y` left bound");
+                bound += want.iter().filter(|(_, d)| d[y].is_some()).count();
+                emitted += want.len();
+            }
+        }
+        assert!(
+            bound > 1000 && emitted > 3000,
+            "too few cases: {bound}/{emitted}"
+        );
     }
 }

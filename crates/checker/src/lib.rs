@@ -27,11 +27,22 @@
 //! *salient grid*: event times, shifted by each constant offset in the
 //! formula, plus ±1 ms neighbours (the clock is integer milliseconds).
 //! Quantifying over this grid is exact for the formula class of the
-//! paper. Under a fixed binding of its variables, a condition reads a
-//! fixed set of items, so its truth changes only at *those* items'
-//! change points: the evaluator evaluates a fully bound `@` atom once
-//! per segment between them, not once per grid point, and a `@@`/`@?`
-//! atom at its window's start and at those change points inside it.
+//! paper.
+//!
+//! The evaluator compiles each guarantee once: every data, parameter
+//! and time variable gets a slot in name order, and an assignment is
+//! two slot vectors that the search binds and unbinds in place on both
+//! sides of the implication. Parameter variables are enumerated
+//! outermost, and under each binding every item pattern resolves once
+//! to its change history. A condition then reads a fixed set of items,
+//! so its truth changes only at *those* items' change points. The
+//! evaluator evaluates an `@` atom once per segment between them, not
+//! once per grid point. On the universal side, each grid point in a
+//! segment inherits that segment's bindings, in ascending order and
+//! with multiplicity. On the witness side, a fully bound atom's
+//! satisfying grid points are built this way once per binding and
+//! cached. A `@@`/`@?` atom is read at its window's start and at those
+//! change points inside it.
 //! Liveness-flavoured guarantees ("X leads Y") are evaluated up to a
 //! *quiescence horizon*: run the workload, drain the system, then
 //! check — `EXPERIMENTS.md` records the horizon per experiment.

@@ -17,11 +17,14 @@ use hcm_core::{ItemId, ItemPattern, SimTime, Value};
 use hcm_ris::relational::{prepare, Command, Database, QueryResult};
 use hcm_ris::RisError;
 
+/// One `[map <base>]` section, resolved against the table's schema
+/// when the backend is built.
 struct TableMap {
     base: String,
     table: String,
-    key_col: String,
-    val_col: String,
+    /// Indices of the key and value columns in the table's rows.
+    key_col: usize,
+    val_col: usize,
     /// `Some(k)` when the CM-RID pins the mapping to one row
     /// (`row = k`): the item is then the *unparameterized* `base`.
     fixed_key: Option<String>,
@@ -80,10 +83,11 @@ fn key(item: &ItemId) -> Result<&Value, RisError> {
 impl RelationalBackend {
     /// Wrap a database per the CM-RID, declaring the triggers the
     /// mapped tables need (the paper's "a CM-Translator supporting a
-    /// Notify Interface … may need to declare triggers") and preparing
-    /// its command templates. Fails when a mapped table does not exist
-    /// (its notify interface could never fire) and when a template does
-    /// not parse or uses a placeholder its op does not bind.
+    /// Notify Interface … may need to declare triggers"), resolving each
+    /// map's columns and preparing its command templates. Fails when a
+    /// mapped table or column does not exist (its notify interface could
+    /// never fire) and when a template does not parse or uses a
+    /// placeholder its op does not bind.
     pub(crate) fn new(db: Database, rid: &CmRid) -> Result<Self, RisError> {
         let mut db = db;
         let mut maps = Vec::new();
@@ -100,11 +104,19 @@ impl RelationalBackend {
                     RisError::NotFound(format!("table `{table}` of `[map {base}]`"))
                 })?;
             }
+            // The schema is fixed once built, so each column resolves
+            // here, once, instead of by name per trigger firing.
+            let schema = db.get_table(table)?;
+            let column = |col: &str| {
+                schema
+                    .col_index(col)
+                    .map_err(|_| RisError::NotFound(format!("column `{col}` of `[map {base}]`")))
+            };
             maps.push(TableMap {
                 base: base.clone(),
                 table: table.clone(),
-                key_col: key_col.clone(),
-                val_col: val_col.clone(),
+                key_col: column(key_col)?,
+                val_col: column(val_col)?,
                 fixed_key: props.get("row").cloned(),
             });
         }
@@ -132,22 +144,18 @@ impl RelationalBackend {
         let mut out = Vec::new();
         for f in firings {
             for m in self.maps.iter().filter(|m| m.table == f.table) {
-                let Ok(table) = self.db.get_table(&f.table) else {
-                    continue;
-                };
-                let (Ok(ki), Ok(vi)) = (table.col_index(&m.key_col), table.col_index(&m.val_col))
-                else {
-                    continue;
-                };
                 let key_row = f.new_row.as_ref().or(f.old_row.as_ref());
-                let Some(key) = key_row.map(|r| r[ki].clone()) else {
+                let Some(key) = key_row.map(|r| r[m.key_col].clone()) else {
                     continue;
                 };
                 if !m.key_matches(&key) {
                     continue;
                 }
-                let old = f.old_row.as_ref().map(|r| r[vi].clone());
-                let new = f.new_row.as_ref().map_or(Value::Null, |r| r[vi].clone());
+                let old = f.old_row.as_ref().map(|r| r[m.val_col].clone());
+                let new = f
+                    .new_row
+                    .as_ref()
+                    .map_or(Value::Null, |r| r[m.val_col].clone());
                 // Updates that do not touch the mapped column are not
                 // changes to this item.
                 if old.as_ref() == Some(&new) {
@@ -221,15 +229,13 @@ impl RisBackend for RelationalBackend {
         let Ok(table) = self.db.get_table(&m.table) else {
             return Vec::new();
         };
-        let Ok(ki) = table.col_index(&m.key_col) else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
         for row in table.rows() {
-            if !m.key_matches(&row[ki]) {
+            let key = &row[m.key_col];
+            if !m.key_matches(key) {
                 continue;
             }
-            let item = m.item_for(&row[ki]);
+            let item = m.item_for(key);
             let mut b = hcm_core::Bindings::new();
             if pattern.match_item(&item, &mut b) {
                 out.push(item);
@@ -414,6 +420,24 @@ col = salary
             let rid = CmRid::parse(&src).unwrap();
             let err = RelationalBackend::new(Database::new(), &rid).err();
             assert!(matches!(err, Some(RisError::BadCommand(_))), "{op}");
+        }
+    }
+
+    #[test]
+    fn missing_map_column_fails_the_build_and_names_the_site() {
+        for (from, col) in [("key = empid", "key = id"), ("col = salary", "col = pay")] {
+            let rid = RID.replace(from, col);
+            let mut db = Database::new();
+            db.create_table("employees", &["empid", "salary"]).unwrap();
+            let err = crate::scenario::ScenarioBuilder::new(1)
+                .site("A", crate::backends::RawStore::Relational(db), &rid)
+                .unwrap()
+                .build()
+                .err()
+                .expect("a map naming a missing column must not build");
+            let missing = col.split(" = ").nth(1).unwrap();
+            let want = format!("site `A`: not found: column `{missing}` of `[map salary1]`");
+            assert_eq!(err.msg, want);
         }
     }
 
