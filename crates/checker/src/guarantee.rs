@@ -43,8 +43,9 @@
 //! RHS variables' slots only when the LHS binds a variable the RHS does
 //! not mention, the one case where two instantiations can share a key.
 
+use crate::slots::{SlotCond, SlotEnv, SlotExpr, SlotMap};
 use hcm_core::{ItemId, ItemPattern, SimTime, StateIndex, Term, Trace, Value};
-use hcm_rulelang::{CmpOp, Cond, Expr, GAtom, Guarantee, Mention, TimeExpr};
+use hcm_rulelang::{CmpOp, Cond, GAtom, Guarantee, Mention, TimeExpr};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
@@ -259,29 +260,6 @@ enum SlotTime {
     },
 }
 
-/// An [`Expr`] over data slots and the plan's item table.
-enum SlotExpr {
-    Item(usize),
-    Var(usize),
-    Lit(Value),
-    Abs(Box<SlotExpr>),
-    Op(
-        fn(&Value, &Value) -> Option<Value>,
-        Box<SlotExpr>,
-        Box<SlotExpr>,
-    ),
-}
-
-/// A [`Cond`] over data slots and the plan's item table.
-enum SlotCond {
-    True,
-    Cmp(SlotExpr, CmpOp, SlotExpr),
-    And(Box<SlotCond>, Box<SlotCond>),
-    Or(Box<SlotCond>, Box<SlotCond>),
-    Not(Box<SlotCond>),
-    Exists(usize),
-}
-
 /// A compiled [`GAtom`].
 enum Form {
     At(SlotCond, SlotTime),
@@ -463,11 +441,15 @@ impl<'e> Plan<'e> {
     fn atom(&mut self, atom: &'e GAtom) -> Atom {
         let start = self.patterns.len();
         let form = match atom {
-            GAtom::At(c, t) => Form::At(self.cond(c), self.time(t)),
+            GAtom::At(c, t) => Form::At(SlotCond::compile(c, self), self.time(t)),
             GAtom::Throughout(c, a, b) => {
-                Form::Throughout(self.cond(c), self.time(a), self.time(b))
+                let c = SlotCond::compile(c, self);
+                Form::Throughout(c, self.time(a), self.time(b))
             }
-            GAtom::Sometime(c, a, b) => Form::Sometime(self.cond(c), self.time(a), self.time(b)),
+            GAtom::Sometime(c, a, b) => {
+                let c = SlotCond::compile(c, self);
+                Form::Sometime(c, self.time(a), self.time(b))
+            }
             GAtom::TimeCmp(a, op, b) => Form::Cmp(self.time(a), *op, self.time(b)),
         };
         let mut times: Vec<usize> = atom
@@ -487,38 +469,6 @@ impl<'e> Plan<'e> {
             vars: vars.into_iter().map(|v| slot(&self.data, v)).collect(),
             items: start..self.patterns.len(),
         }
-    }
-
-    fn cond(&mut self, c: &'e Cond) -> SlotCond {
-        match c {
-            Cond::True => SlotCond::True,
-            Cond::Cmp(a, op, b) => SlotCond::Cmp(self.expr(a), *op, self.expr(b)),
-            Cond::And(a, b) => SlotCond::And(Box::new(self.cond(a)), Box::new(self.cond(b))),
-            Cond::Or(a, b) => SlotCond::Or(Box::new(self.cond(a)), Box::new(self.cond(b))),
-            Cond::Not(c) => SlotCond::Not(Box::new(self.cond(c))),
-            Cond::Exists(p) => {
-                self.patterns.push(p);
-                SlotCond::Exists(self.patterns.len() - 1)
-            }
-        }
-    }
-
-    fn expr(&mut self, e: &'e Expr) -> SlotExpr {
-        let (op, a, b): (fn(&Value, &Value) -> Option<Value>, _, _) = match e {
-            Expr::Item(p) => {
-                self.patterns.push(p);
-                return SlotExpr::Item(self.patterns.len() - 1);
-            }
-            Expr::Var(v) => return SlotExpr::Var(slot(&self.data, v)),
-            Expr::Lit(v) => return SlotExpr::Lit(v.clone()),
-            Expr::Abs(a) => return SlotExpr::Abs(Box::new(self.expr(a))),
-            Expr::Neg(a) => (Value::sub, SlotExpr::Lit(Value::Int(0)), self.expr(a)),
-            Expr::Add(a, b) => (Value::add, self.expr(a), self.expr(b)),
-            Expr::Sub(a, b) => (Value::sub, self.expr(a), self.expr(b)),
-            Expr::Mul(a, b) => (Value::mul, self.expr(a), self.expr(b)),
-            Expr::Div(a, b) => (div, self.expr(a), self.expr(b)),
-        };
-        SlotExpr::Op(op, Box::new(a), Box::new(b))
     }
 
     fn time(&self, te: &TimeExpr) -> SlotTime {
@@ -1032,18 +982,9 @@ impl<'e> Plan<'e> {
     }
 
     /// An expression's value at `t`, `None` when an input is missing or
-    /// an operation is undefined (as [`Expr::eval`]).
+    /// an operation is undefined (as [`hcm_rulelang::Expr::eval`]).
     fn value<'v>(&'v self, e: &'v SlotExpr, t: SimTime, env: &'v Env) -> Option<Cow<'v, Value>> {
-        Some(match e {
-            SlotExpr::Item(item) => Cow::Borrowed(self.value_at(*item, t)?),
-            SlotExpr::Var(s) => Cow::Borrowed(env.data[*s].as_ref()?),
-            SlotExpr::Lit(v) => Cow::Borrowed(v),
-            SlotExpr::Abs(a) => Cow::Owned(self.value(a, t, env)?.abs()?),
-            SlotExpr::Op(op, a, b) => {
-                let (a, b) = (self.value(a, t, env)?, self.value(b, t, env)?);
-                Cow::Owned(op(&a, &b)?)
-            }
-        })
+        e.value(&At { plan: self, t, env })
     }
 
     /// The value of item-table entry `item` at `t` under the current
@@ -1171,6 +1112,36 @@ impl<'e> Plan<'e> {
     }
 }
 
+/// Data variables by their sorted slot; each item pattern read gets
+/// the next entry of the item table.
+impl<'e> SlotMap<'e> for Plan<'e> {
+    fn var(&mut self, name: &'e str) -> usize {
+        slot(&self.data, name)
+    }
+
+    fn item(&mut self, pattern: &'e ItemPattern) -> usize {
+        self.patterns.push(pattern);
+        self.patterns.len() - 1
+    }
+}
+
+/// A plan's inputs at one instant under one assignment.
+struct At<'v, 'e> {
+    plan: &'v Plan<'e>,
+    t: SimTime,
+    env: &'v Env,
+}
+
+impl<'v> SlotEnv<'v> for At<'v, '_> {
+    fn var(&self, s: usize) -> Option<&'v Value> {
+        self.env.data[s].as_ref()
+    }
+
+    fn item(&self, item: usize) -> Option<&'v Value> {
+        self.plan.value_at(item, self.t)
+    }
+}
+
 impl SlotTime {
     /// The offset on the variable, 0 for an instant.
     fn offset(self) -> i64 {
@@ -1234,13 +1205,6 @@ fn swap_slots(ext: &mut [Option<Value>], slots: &[usize], env: &mut Env) {
     for (v, &s) in ext.iter_mut().zip(slots) {
         std::mem::swap(v, &mut env.data[s]);
     }
-}
-
-/// `a / b` as [`Expr::eval`] computes it: in floating point, `None` for
-/// a zero or non-numeric divisor.
-fn div(a: &Value, b: &Value) -> Option<Value> {
-    let b = b.as_f64()?;
-    (b != 0.0).then_some(Value::Float(a.as_f64()? / b))
 }
 
 /// The condition of a non-comparison atom.

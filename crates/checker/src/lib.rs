@@ -51,6 +51,7 @@
 
 pub mod guarantee;
 pub mod ruleset;
+mod slots;
 pub mod validity;
 
 pub use guarantee::{GuaranteeOutcome, GuaranteeReport};

@@ -93,12 +93,6 @@ impl RuleSet {
         self.by_id.get(&id).copied()
     }
 
-    /// Look up a rule by id (the first added with that id).
-    #[must_use]
-    pub(crate) fn get(&self, id: RuleId) -> Option<&CheckedRule> {
-        self.position(id).map(|i| &self.rules[i])
-    }
-
     /// All rules.
     #[must_use]
     pub fn rules(&self) -> &[CheckedRule] {
@@ -133,11 +127,12 @@ mod tests {
         rs.add_interface(RuleId(0), SiteId::new(1), &w);
         let s = parse_strategy_rule("N(X, b) -> WR(Y, b) within 5s").unwrap();
         rs.add_strategy(RuleId(1), SiteId::new(0), SiteId::new(1), &s);
+        let get = |id| rs.position(id).map(|i| &rs.rules()[i]);
         assert_eq!(rs.rules().len(), 2);
-        assert_eq!(rs.get(RuleId(0)).unwrap().lhs_site, SiteId::new(1));
-        assert_eq!(rs.get(RuleId(1)).unwrap().lhs_site, SiteId::new(0));
-        assert!(rs.get(RuleId(9)).is_none());
-        assert_eq!(rs.get(RuleId(1)).unwrap().steps.len(), 1);
+        assert_eq!(get(RuleId(0)).unwrap().lhs_site, SiteId::new(1));
+        assert_eq!(get(RuleId(1)).unwrap().lhs_site, SiteId::new(0));
+        assert!(get(RuleId(9)).is_none());
+        assert_eq!(get(RuleId(1)).unwrap().steps.len(), 1);
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
         rs.add_strategy(RuleId(3), SiteId::new(0), SiteId::new(1), &s);
         assert_eq!(rs.position(RuleId(3)), Some(0));
         // The interface statement, placed at its database's site.
-        assert_eq!(rs.get(RuleId(3)).unwrap().lhs_site, SiteId::new(1));
+        assert_eq!(rs.rules()[0].lhs_site, SiteId::new(1));
     }
 
     #[test]

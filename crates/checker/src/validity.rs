@@ -25,16 +25,25 @@
 //!    inversions `t1 < t3` but `t4 < t2` are violations, whichever of
 //!    the two rules holds the earlier trigger.
 //!
-//! The check is one indexed pass. A pre-pass over the trace records
-//! which events each trigger generated, which `WriteRejected` refusals
-//! descend from each event, and the firings of each group of related
-//! rules. Property 6 then probes, per event, the same [`RuleIndex`] the
-//! CM-Shell dispatches through, evaluating step conditions only at the
-//! state change points inside each window; property 7 sorts and sweeps
-//! each group. The cost is O(n log n) in the trace length plus the size
-//! of the report. `tests/reference/mod.rs` keeps the direct
-//! property-by-property transcription, and the differential suites pin
-//! this checker's report to it.
+//! The check is one indexed pass. The rule set is first compiled for
+//! the check: each rule's variables get slots, its LHS and step
+//! templates become slot matchers, and its condition a slot condition
+//! over an item table. Matching an event binds slots to values borrowed
+//! from the trace and logs each binding, so a failed match, or a step
+//! tried and done, undoes exactly its own; a repeated variable must
+//! match an equal value, as `Term::unify` requires. No matching
+//! interpretation is built or cloned per event. A pre-pass over the
+//! trace records which events each trigger generated and which
+//! `WriteRejected` refusals descend from each event, in flat tables
+//! indexed by trace position (event ids are positions), and sorts the
+//! firings of each group of related rules. Property 6 then probes, per
+//! event, the same [`RuleIndex`] the CM-Shell dispatches through,
+//! evaluating step conditions only at the state change points inside
+//! each window; property 7 sweeps each group. The cost is O(n log n) in
+//! the trace length plus the size of the report. `tests/reference/mod.rs`
+//! keeps the direct property-by-property transcription over
+//! [`hcm_core::Bindings`] and [`TemplateDesc::match_desc`], and the
+//! differential suites pin this checker's report to it.
 //!
 //! Deviations from the appendix, documented in `DESIGN.md`: sequenced
 //! RHS steps may share an instant (the engine executes them in one
@@ -44,14 +53,17 @@
 //! records their writes.
 
 use crate::ruleset::RuleSet;
+use crate::slots::{SlotCond, SlotEnv, SlotMap};
 use hcm_core::{
-    Bindings, Event, EventDesc, EventId, ItemId, RuleIndex, SimTime, SiteId, StateIndex,
-    TemplateDesc, Trace, Value,
+    Event, EventDesc, ItemId, ItemPattern, RuleIndex, SimTime, SiteId, StateIndex, Sym,
+    TemplateDesc, Term, Trace, Value,
 };
-use hcm_rulelang::{Cond, CondEnv, Expr, Mention};
+use hcm_rulelang::{CmpOp, Cond, Expr};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
+use std::ops::Range;
 
 /// One violation of a validity property.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,49 +106,6 @@ impl ValidityReport {
     #[must_use]
     pub fn of_property(&self, p: u8) -> Vec<&Violation> {
         self.violations.iter().filter(|v| v.property == p).collect()
-    }
-}
-
-struct StateEnv<'a> {
-    idx: &'a StateIndex,
-    t: SimTime,
-    bindings: &'a Bindings,
-}
-
-impl CondEnv for StateEnv<'_> {
-    fn item(&self, item: &ItemId) -> Option<Value> {
-        self.idx.value_at(item, self.t).cloned()
-    }
-    fn var(&self, name: &str) -> Option<Value> {
-        self.bindings.get(name).cloned()
-    }
-}
-
-fn eval_cond(cond: &Cond, idx: &StateIndex, t: SimTime, bindings: &Bindings) -> bool {
-    cond.eval(&StateEnv { idx, t, bindings })
-}
-
-/// Bind any value variables the condition determines (e.g. the read
-/// interface's `X = b` binds `b` to the current value so the RHS
-/// template `R(X, b)` can be checked). Only simple `item = var` /
-/// `var = item` equalities extend bindings, matching the engine.
-fn bind_from_cond(cond: &Cond, idx: &StateIndex, t: SimTime, bindings: &mut Bindings) {
-    match cond {
-        Cond::And(a, b) => {
-            bind_from_cond(a, idx, t, bindings);
-            bind_from_cond(b, idx, t, bindings);
-        }
-        Cond::Cmp(Expr::Item(p), hcm_rulelang::CmpOp::Eq, Expr::Var(v))
-        | Cond::Cmp(Expr::Var(v), hcm_rulelang::CmpOp::Eq, Expr::Item(p))
-            if bindings.get(v).is_none() =>
-        {
-            if let Some(item) = p.instantiate(bindings) {
-                if let Some(val) = idx.value_at(&item, t) {
-                    bindings.bind(v.clone(), val.clone());
-                }
-            }
-        }
-        _ => {}
     }
 }
 
@@ -206,11 +175,18 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
     }
 
     // ---- Property 5: causality -------------------------------------------
+    let compiled = Compiled::new(rules);
+    let mut cx = Matcher {
+        rules: &compiled,
+        idx,
+        slots: vec![None; compiled.vars],
+        log: Vec::new(),
+    };
     for e in events {
         let (Some(rule_id), Some(trigger_id)) = (e.rule, e.trigger) else {
             continue;
         };
-        let Some(rule) = rules.get(rule_id) else {
+        let Some(r) = rules.position(rule_id) else {
             report.violations.push(Violation {
                 property: 5,
                 event: Some(e.id.0),
@@ -235,9 +211,9 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
             });
             continue;
         }
+        let rule = &compiled.rules[r];
         // The trigger must match the rule's LHS.
-        let mut bindings = Bindings::new();
-        if !rule.lhs.match_desc(&trigger.desc, &mut bindings) {
+        if !cx.matches(&rule.lhs, &trigger.desc) {
             report.violations.push(Violation {
                 property: 5,
                 event: Some(e.id.0),
@@ -252,22 +228,24 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
         // extension the LHS condition must have held at the trigger —
         // parameterized periodic interfaces (`P(p) ∧ wphone(n) = b →
         // N(wphone(n), b)`) bind `n` and `b` only through the generated
-        // event.
+        // event. Each extension is made in place and undone.
         let refusal = is_refusal(&e.desc);
-        let mut template_matched = refusal;
-        let mut explained = refusal;
-        for step in &rule.steps {
-            let mut b = bindings.clone();
-            if !step.event.match_desc(&e.desc, &mut b) {
-                continue;
-            }
-            template_matched = true;
-            bind_from_cond(&rule.cond, idx, trigger.time, &mut b);
-            if eval_cond(&rule.cond, idx, trigger.time, &b) {
-                explained = true;
-                break;
+        let (mut template_matched, mut explained) = (refusal, refusal);
+        if !refusal {
+            for step in &compiled.steps[rule.steps.clone()] {
+                let mark = cx.log.len();
+                if !cx.matches(&step.event, &e.desc) {
+                    continue;
+                }
+                template_matched = true;
+                explained = cx.holds_binding(rule, trigger.time);
+                cx.undo(mark);
+                if explained {
+                    break;
+                }
             }
         }
+        cx.undo(0);
         if !template_matched {
             report.violations.push(Violation {
                 property: 5,
@@ -285,31 +263,421 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
             });
         }
         // Metric part: within the bound.
-        if e.time > trigger.time + rule.bound {
+        let bound = rules.rules()[r].bound;
+        if e.time > trigger.time + bound {
             report.violations.push(Violation {
                 property: 5,
                 event: Some(e.id.0),
                 msg: format!(
                     "event at {} exceeds bound {} after trigger at {}",
-                    e.time, rule.bound, trigger.time
+                    e.time, bound, trigger.time
                 ),
             });
         }
     }
 
     // ---- Property 6: obligations ------------------------------------------
-    let firings = Firings::build(trace, rules);
+    let firings = Firings::build(trace, rules, &compiled);
     report.obligations_checked =
-        check_obligations(trace, rules, idx, &firings, &mut report.violations);
+        check_obligations(trace, rules, &mut cx, &firings, &mut report.violations);
 
     // ---- Property 7: in-order related rules --------------------------------
-    check_related_order(events, rules, firings.groups, &mut report.violations);
+    check_related_order(events, rules, &firings.groups, &mut report.violations);
 
     report
 }
 
+/// A template component compiled to a slot of its rule.
+#[derive(Clone, Copy)]
+enum SlotTerm<'r> {
+    Var(usize),
+    Const(&'r Value),
+    Wild,
+}
+
+/// The descriptor kind a compiled template matches.
+#[derive(Clone, Copy)]
+enum Shape<'r> {
+    /// `old` when the template has an explicit old-value term.
+    Ws {
+        old: bool,
+    },
+    W,
+    Wr,
+    Rr,
+    R,
+    N,
+    P,
+    Custom(&'r str),
+    False,
+}
+
+/// A [`TemplateDesc`] compiled to slots: its item's base and parameter
+/// terms, then its value terms (a `Ws`'s old value before its new one,
+/// a `P`'s period, a custom event's arguments), as ranges of
+/// [`Compiled::terms`].
+struct SlotTemplate<'r> {
+    shape: Shape<'r>,
+    base: Option<Sym>,
+    params: Range<usize>,
+    values: Range<usize>,
+}
+
+/// An item pattern a condition reads: its base and parameter terms.
+struct SlotItem {
+    base: Sym,
+    params: Range<usize>,
+}
+
+/// A compiled RHS step; `items` are the entries of
+/// [`Compiled::items`] its condition reads.
+struct SlotStep<'r> {
+    event: SlotTemplate<'r>,
+    cond: SlotCond,
+    items: Range<usize>,
+}
+
+/// A compiled rule. `binds` are its condition's `item = var`
+/// equalities, in condition order: the ones that bind a variable the
+/// matching left unbound.
+struct SlotRule<'r> {
+    lhs: SlotTemplate<'r>,
+    cond: SlotCond,
+    binds: Range<usize>,
+    steps: Range<usize>,
+    /// Its group of related rules (same LHS site, same RHS site).
+    group: usize,
+}
+
+/// A rule set compiled for one check, in [`RuleSet::rules`] order. Each
+/// rule's variables get slots `0..`; every table is shared by all
+/// rules.
+struct Compiled<'r> {
+    rules: Vec<SlotRule<'r>>,
+    steps: Vec<SlotStep<'r>>,
+    terms: Vec<SlotTerm<'r>>,
+    items: Vec<SlotItem>,
+    /// (item entry, variable slot) of each `item = var` equality.
+    binds: Vec<(usize, usize)>,
+    /// The most variables of any rule.
+    vars: usize,
+}
+
+impl<'r> Compiled<'r> {
+    fn new(rules: &'r RuleSet) -> Self {
+        let mut c = Compiled {
+            rules: Vec::with_capacity(rules.rules().len()),
+            steps: Vec::new(),
+            terms: Vec::new(),
+            items: Vec::new(),
+            binds: Vec::new(),
+            vars: 0,
+        };
+        let mut groups: HashMap<(SiteId, SiteId), usize> = HashMap::new();
+        let mut names = Vec::new();
+        for rule in rules.rules() {
+            let n = groups.len();
+            let group = *groups.entry((rule.lhs_site, rule.rhs_site)).or_insert(n);
+            let mut rc = RuleCompiler {
+                c: &mut c,
+                names: &mut names,
+            };
+            let lhs = rc.template(&rule.lhs);
+            let cond = SlotCond::compile(&rule.cond, &mut rc);
+            let start = rc.c.binds.len();
+            rc.binds(&rule.cond);
+            let binds = start..rc.c.binds.len();
+            let start = rc.c.steps.len();
+            for step in &rule.steps {
+                let event = rc.template(&step.event);
+                let items = rc.c.items.len();
+                let cond = SlotCond::compile(&step.cond, &mut rc);
+                let items = items..rc.c.items.len();
+                rc.c.steps.push(SlotStep { event, cond, items });
+            }
+            let steps = start..c.steps.len();
+            c.rules.push(SlotRule {
+                lhs,
+                cond,
+                binds,
+                steps,
+                group,
+            });
+            c.vars = c.vars.max(names.len());
+            names.clear();
+        }
+        c
+    }
+}
+
+/// Compiles one rule into [`Compiled`]'s tables, naming its variables.
+struct RuleCompiler<'a, 'r> {
+    c: &'a mut Compiled<'r>,
+    /// The rule's variables so far; slot `i` is `names[i]`.
+    names: &'a mut Vec<&'r str>,
+}
+
+impl<'r> RuleCompiler<'_, 'r> {
+    fn term(&mut self, t: &'r Term) {
+        let t = match t {
+            Term::Var(v) => SlotTerm::Var(self.var(v)),
+            Term::Const(c) => SlotTerm::Const(c),
+            Term::Wild => SlotTerm::Wild,
+        };
+        self.c.terms.push(t);
+    }
+
+    fn terms(&mut self, ts: impl IntoIterator<Item = &'r Term>) -> Range<usize> {
+        let start = self.c.terms.len();
+        ts.into_iter().for_each(|t| self.term(t));
+        start..self.c.terms.len()
+    }
+
+    fn template(&mut self, t: &'r TemplateDesc) -> SlotTemplate<'r> {
+        let (shape, item, values): (_, _, &[Option<&Term>]) = match t {
+            TemplateDesc::Ws { item, old, new } => (
+                Shape::Ws { old: old.is_some() },
+                Some(item),
+                &[old.as_ref(), Some(new)],
+            ),
+            TemplateDesc::W { item, value } => (Shape::W, Some(item), &[Some(value)]),
+            TemplateDesc::Wr { item, value } => (Shape::Wr, Some(item), &[Some(value)]),
+            TemplateDesc::Rr { item } => (Shape::Rr, Some(item), &[]),
+            TemplateDesc::R { item, value } => (Shape::R, Some(item), &[Some(value)]),
+            TemplateDesc::N { item, value } => (Shape::N, Some(item), &[Some(value)]),
+            TemplateDesc::P { period } => (Shape::P, None, &[Some(period)]),
+            TemplateDesc::Custom { name, args } => {
+                let values = self.terms(args);
+                return SlotTemplate {
+                    shape: Shape::Custom(name),
+                    base: None,
+                    params: values.start..values.start,
+                    values,
+                };
+            }
+            TemplateDesc::False => (Shape::False, None, &[]),
+        };
+        let params = self.terms(item.iter().flat_map(|p| &p.params));
+        SlotTemplate {
+            shape,
+            base: item.map(|p| p.base),
+            params,
+            values: self.terms(values.iter().flatten().copied()),
+        }
+    }
+
+    /// The `item = var` and `var = item` equalities of a condition that
+    /// bind a variable the match left unbound: those joined by `and`
+    /// only, as the engine binds them.
+    fn binds(&mut self, c: &'r Cond) {
+        match c {
+            Cond::And(a, b) => {
+                self.binds(a);
+                self.binds(b);
+            }
+            Cond::Cmp(Expr::Item(p), CmpOp::Eq, Expr::Var(v))
+            | Cond::Cmp(Expr::Var(v), CmpOp::Eq, Expr::Item(p)) => {
+                let entry = (self.item(p), self.var(v));
+                self.c.binds.push(entry);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl<'r> SlotMap<'r> for RuleCompiler<'_, 'r> {
+    fn var(&mut self, name: &'r str) -> usize {
+        self.names
+            .iter()
+            .position(|n| *n == name)
+            .unwrap_or_else(|| {
+                self.names.push(name);
+                self.names.len() - 1
+            })
+    }
+
+    fn item(&mut self, pattern: &'r ItemPattern) -> usize {
+        let params = self.terms(&pattern.params);
+        self.c.items.push(SlotItem {
+            base: pattern.base,
+            params,
+        });
+        self.c.items.len() - 1
+    }
+}
+
+/// Matches compiled templates against trace events, binding a rule's
+/// slots to values borrowed from the trace (or a `P` event's period)
+/// and logging each binding so that a failed match, or a finished
+/// step, undoes exactly its own.
+struct Matcher<'a, 'r, 't> {
+    rules: &'a Compiled<'r>,
+    idx: &'t StateIndex,
+    slots: Vec<Option<Cow<'t, Value>>>,
+    log: Vec<usize>,
+}
+
+impl<'a, 't> Matcher<'a, '_, 't> {
+    fn bind(&mut self, s: usize, v: Cow<'t, Value>) {
+        self.slots[s] = Some(v);
+        self.log.push(s);
+    }
+
+    /// Unbind every slot bound since the log had `mark` entries.
+    fn undo(&mut self, mark: usize) {
+        for s in self.log.drain(mark..) {
+            self.slots[s] = None;
+        }
+    }
+
+    /// `Term::unify` on slots: a bound variable must agree.
+    fn unify(&mut self, term: SlotTerm<'_>, value: Cow<'t, Value>) -> bool {
+        match term {
+            SlotTerm::Wild => true,
+            SlotTerm::Const(c) => *c == *value,
+            SlotTerm::Var(s) => match &self.slots[s] {
+                Some(bound) => **bound == *value,
+                None => {
+                    self.bind(s, value);
+                    true
+                }
+            },
+        }
+    }
+
+    /// [`TemplateDesc::match_desc`] on slots: extend the slots with the
+    /// matching interpretation, or leave them as they were.
+    fn matches(&mut self, t: &SlotTemplate<'_>, desc: &'t EventDesc) -> bool {
+        let mark = self.log.len();
+        let ok = self.match_inner(t, desc);
+        if !ok {
+            self.undo(mark);
+        }
+        ok
+    }
+
+    fn match_inner(&mut self, t: &SlotTemplate<'_>, desc: &'t EventDesc) -> bool {
+        let rules: &'a Compiled<'_> = self.rules;
+        let values = &rules.terms[t.values.clone()];
+        let (item, value) = match (t.shape, desc) {
+            (Shape::Ws { old }, EventDesc::Ws { item, old: o, new }) => {
+                let old_ok = |m: &mut Self| match (old, o) {
+                    (false, _) => true,
+                    (true, Some(ov)) => m.unify(values[0], Cow::Borrowed(ov)),
+                    // An explicit old-value term cannot match a write
+                    // whose old value is unrecorded.
+                    (true, None) => matches!(values[0], SlotTerm::Wild),
+                };
+                return self.match_item(t, item)
+                    && old_ok(self)
+                    && self.unify(values[values.len() - 1], Cow::Borrowed(new));
+            }
+            (Shape::W, EventDesc::W { item, value })
+            | (Shape::Wr, EventDesc::Wr { item, value })
+            | (Shape::R, EventDesc::R { item, value })
+            | (Shape::N, EventDesc::N { item, value }) => (item, Some(value)),
+            (Shape::Rr, EventDesc::Rr { item }) => (item, None),
+            (Shape::P, EventDesc::P { period }) => {
+                let ms = Value::Int(period.as_millis() as i64);
+                return self.unify(values[0], Cow::Owned(ms));
+            }
+            (Shape::Custom(name), EventDesc::Custom { name: n, args }) => {
+                return name == n
+                    && values.len() == args.len()
+                    && (values.iter().zip(args)).all(|(&t, v)| self.unify(t, Cow::Borrowed(v)));
+            }
+            _ => return false,
+        };
+        self.match_item(t, item) && value.is_none_or(|v| self.unify(values[0], Cow::Borrowed(v)))
+    }
+
+    fn match_item(&mut self, t: &SlotTemplate<'_>, item: &'t ItemId) -> bool {
+        let rules: &'a Compiled<'_> = self.rules;
+        let params = &rules.terms[t.params.clone()];
+        t.base == Some(item.base)
+            && params.len() == item.params.len()
+            && (params.iter().zip(&item.params)).all(|(&p, v)| self.unify(p, Cow::Borrowed(v)))
+    }
+
+    /// The value at `t` of item entry `item` under the current slots;
+    /// `None` when a parameter is a `*` or unbound, or the item has no
+    /// value then.
+    fn value_at(&self, item: usize, t: SimTime) -> Option<&'t Value> {
+        let SlotItem { base, params } = &self.rules.items[item];
+        let params = (self.rules.terms[params.clone()].iter())
+            .map(|p| match p {
+                SlotTerm::Const(c) => Some((*c).clone()),
+                SlotTerm::Var(s) => self.slots[*s].as_deref().cloned(),
+                SlotTerm::Wild => None,
+            })
+            .collect::<Option<Vec<Value>>>()?;
+        self.idx.value_at(
+            &ItemId {
+                base: *base,
+                params,
+            },
+            t,
+        )
+    }
+
+    /// Whether `cond` holds at `t` under the current slots.
+    fn holds(&self, cond: &SlotCond, t: SimTime) -> bool {
+        cond.holds(&AtTime { m: self, t })
+    }
+
+    /// Bind the variables `rule`'s condition determines at `t` (the
+    /// read interface's `X = b` binds `b` to the current value, so the
+    /// RHS template `R(X, b)` can be checked), then evaluate the
+    /// condition there. Only `item = var` / `var = item` equalities
+    /// under `and` bind, matching the engine. The bindings stay.
+    fn holds_binding(&mut self, rule: &SlotRule<'_>, t: SimTime) -> bool {
+        for &(item, var) in &self.rules.binds[rule.binds.clone()] {
+            if self.slots[var].is_none() {
+                if let Some(v) = self.value_at(item, t) {
+                    self.bind(var, Cow::Borrowed(v));
+                }
+            }
+        }
+        self.holds(&rule.cond, t)
+    }
+
+    /// Whether `step`'s condition holds at some instant of `[from, to]`.
+    /// Item values change only at [`StateIndex`] change points, so
+    /// probing `from` and every change point of the condition's item
+    /// bases inside `(from, to]` visits every state the window passes
+    /// through.
+    fn holds_sometime(&self, step: &SlotStep<'_>, from: SimTime, to: SimTime) -> bool {
+        self.holds(&step.cond, from)
+            || self.rules.items[step.items.clone()].iter().any(|item| {
+                let bps = self.idx.breakpoints_by_base(item.base);
+                bps[bps.partition_point(|&t| t <= from)..]
+                    .iter()
+                    .take_while(|&&t| t <= to)
+                    .any(|&t| self.holds(&step.cond, t))
+            })
+    }
+}
+
+/// A matcher's inputs at one instant.
+struct AtTime<'a, 'm, 'r, 't> {
+    m: &'a Matcher<'m, 'r, 't>,
+    t: SimTime,
+}
+
+impl<'a> SlotEnv<'a> for AtTime<'a, '_, '_, '_> {
+    fn var(&self, s: usize) -> Option<&'a Value> {
+        self.m.slots[s].as_deref()
+    }
+
+    fn item(&self, item: usize) -> Option<&'a Value> {
+        self.m.value_at(item, self.t)
+    }
+}
+
 /// One rule firing: a generated event and the time of its trigger.
 struct Firing {
+    /// Its rule's group of related rules.
+    group: usize,
     trigger_time: SimTime,
     /// Trace position of the generated event.
     pos: usize,
@@ -317,16 +685,50 @@ struct Firing {
     rule: usize,
 }
 
-/// What one pass over the trace learns about rule firings.
+/// Trace positions listed per trace position, in compressed rows: the
+/// list of position `p` is `values[offsets[p]..offsets[p + 1]]`.
+struct Rows {
+    offsets: Vec<usize>,
+    values: Vec<usize>,
+}
+
+impl Rows {
+    /// Rows over `n` positions from `(row, value)` pairs, each row
+    /// keeping its pairs' order.
+    fn new(n: usize, pairs: &[(usize, usize)]) -> Rows {
+        let mut offsets = vec![0; n + 1];
+        for &(row, _) in pairs {
+            offsets[row + 1] += 1;
+        }
+        for p in 0..n {
+            offsets[p + 1] += offsets[p];
+        }
+        let mut next = offsets.clone();
+        let mut values = vec![0; pairs.len()];
+        for &(row, v) in pairs {
+            values[next[row]] = v;
+            next[row] += 1;
+        }
+        Rows { offsets, values }
+    }
+
+    fn row(&self, p: usize) -> &[usize] {
+        &self.values[self.offsets[p]..self.offsets[p + 1]]
+    }
+}
+
+/// What one pass over the trace learns about rule firings. Event ids
+/// are trace positions, so every table is indexed by position.
 struct Firings {
-    /// Trigger id → positions of the events it generated, ascending.
-    generated: HashMap<EventId, Vec<usize>>,
-    /// Ancestor id → positions of the `WriteRejected` refusals up to
+    /// Trigger → positions of the events it generated, ascending.
+    generated: Rows,
+    /// Ancestor → positions of the `WriteRejected` refusals up to
     /// [`REFUSAL_HOPS`] trigger links below it, ascending.
-    refusals: HashMap<EventId, Vec<usize>>,
-    /// (LHS site, RHS site) → the firings of that site pair's rules —
-    /// the groups of related rules of property 7 — in trace order.
-    groups: HashMap<(SiteId, SiteId), Vec<Firing>>,
+    refusals: Rows,
+    /// Every firing of a known rule with a trigger in the trace, by
+    /// group, then by trigger time, then in trace order: the groups of
+    /// related rules of property 7.
+    groups: Vec<Firing>,
 }
 
 /// How far up the trigger chain a refusal discharges an obligation:
@@ -334,43 +736,43 @@ struct Firings {
 const REFUSAL_HOPS: usize = 8;
 
 impl Firings {
-    fn build(trace: &Trace, rules: &RuleSet) -> Firings {
-        let mut f = Firings {
-            generated: HashMap::new(),
-            refusals: HashMap::new(),
-            groups: HashMap::new(),
-        };
+    fn build(trace: &Trace, rules: &RuleSet, compiled: &Compiled<'_>) -> Firings {
+        let (mut generated, mut refusals, mut groups) = (Vec::new(), Vec::new(), Vec::new());
         for (pos, e) in trace.events().iter().enumerate() {
-            let Some(trigger) = e.trigger else {
+            let Some(trigger) = e.trigger.and_then(|id| trace.index_of(id)) else {
                 continue;
             };
-            f.generated.entry(trigger).or_default().push(pos);
+            generated.push((trigger, pos));
             let Some(rule_id) = e.rule else {
                 continue;
             };
             if is_refusal(&e.desc) {
                 let mut cur = Some(trigger);
                 for _ in 0..REFUSAL_HOPS {
-                    let Some(id) = cur else {
+                    let Some(p) = cur else {
                         break;
                     };
-                    f.refusals.entry(id).or_default().push(pos);
-                    cur = trace.get(id).and_then(|t| t.trigger);
+                    refusals.push((p, pos));
+                    cur = trace.events()[p].trigger.and_then(|id| trace.index_of(id));
                 }
             }
-            if let (Some(rule), Some(t)) = (rules.position(rule_id), trace.get(trigger)) {
-                let r = &rules.rules()[rule];
-                f.groups
-                    .entry((r.lhs_site, r.rhs_site))
-                    .or_default()
-                    .push(Firing {
-                        trigger_time: t.time,
-                        pos,
-                        rule,
-                    });
+            if let Some(rule) = rules.position(rule_id) {
+                groups.push(Firing {
+                    group: compiled.rules[rule].group,
+                    trigger_time: trace.events()[trigger].time,
+                    pos,
+                    rule,
+                });
             }
         }
-        f
+        // Stable: within a group, equal trigger times keep trace order.
+        groups.sort_by_key(|f| (f.group, f.trigger_time));
+        let n = trace.len();
+        Firings {
+            generated: Rows::new(n, &generated),
+            refusals: Rows::new(n, &refusals),
+            groups,
+        }
     }
 }
 
@@ -380,13 +782,12 @@ fn is_refusal(desc: &EventDesc) -> bool {
 
 /// The events at `positions` (ascending) that come after trace position
 /// `after` and occur by `end`.
-fn later_by<'a>(
+fn later_by<'a, 'p>(
     events: &'a [Event],
-    positions: Option<&'a Vec<usize>>,
+    positions: &'p [usize],
     after: usize,
     end: SimTime,
-) -> impl Iterator<Item = &'a Event> {
-    let positions = positions.map_or(&[][..], Vec::as_slice);
+) -> impl Iterator<Item = &'a Event> + use<'a, 'p> {
     positions[positions.partition_point(|&p| p <= after)..]
         .iter()
         .map(move |&p| &events[p])
@@ -397,14 +798,15 @@ fn later_by<'a>(
 /// so only rules whose LHS can match it are unified. Returns the number
 /// of obligations checked; violations come out rule-major, then by
 /// trigger, then by step.
-fn check_obligations(
-    trace: &Trace,
+fn check_obligations<'t>(
+    trace: &'t Trace,
     rules: &RuleSet,
-    idx: &StateIndex,
+    cx: &mut Matcher<'_, '_, 't>,
     firings: &Firings,
     out: &mut Vec<Violation>,
 ) -> usize {
     let events = trace.events();
+    let compiled = cx.rules;
     let mut by_site: HashMap<SiteId, Vec<usize>> = HashMap::new();
     for (i, r) in rules.rules().iter().enumerate() {
         by_site.entry(r.lhs_site).or_default().push(i);
@@ -424,18 +826,21 @@ fn check_obligations(
             continue;
         };
         for r in index.candidates(&trigger.desc) {
-            let rule = &rules.rules()[r];
-            let mut bindings = Bindings::new();
-            if !rule.lhs.match_desc(&trigger.desc, &mut bindings) {
+            let (rule, slot_rule) = (&rules.rules()[r], &compiled.rules[r]);
+            if !cx.matches(&slot_rule.lhs, &trigger.desc) {
                 continue;
             }
-            bind_from_cond(&rule.cond, idx, trigger.time, &mut bindings);
-            if !eval_cond(&rule.cond, idx, trigger.time, &bindings) {
+            if !cx.holds_binding(slot_rule, trigger.time) {
+                cx.undo(0);
                 continue;
             }
             obligations += 1;
             let window_end = trigger.time + rule.bound;
-            for step in &rule.steps {
+            let steps = rule
+                .steps
+                .iter()
+                .zip(&compiled.steps[slot_rule.steps.clone()]);
+            for (step, slot_step) in steps {
                 let msg = if step.event == TemplateDesc::False {
                     // Prohibition: the trigger itself violates it.
                     format!(
@@ -445,10 +850,12 @@ fn check_obligations(
                 } else {
                     // Discharged when a matching generated event exists
                     // in the window…
-                    let generated = firings.generated.get(&trigger.id);
+                    let generated = firings.generated.row(trigger_pos);
                     let fulfilled = later_by(events, generated, trigger_pos, window_end).any(|e| {
-                        e.rule == Some(rule.id)
-                            && step.event.match_desc(&e.desc, &mut bindings.clone())
+                        let mark = cx.log.len();
+                        let hit = e.rule == Some(rule.id) && cx.matches(&slot_step.event, &e.desc);
+                        cx.undo(mark);
+                        hit
                     });
                     if fulfilled {
                         continue;
@@ -456,13 +863,13 @@ fn check_obligations(
                     // …or the step condition was false throughout the
                     // window…
                     if step.cond != Cond::True
-                        && !holds_sometime(&step.cond, idx, trigger.time, window_end, &bindings)
+                        && !cx.holds_sometime(slot_step, trigger.time, window_end)
                     {
                         continue;
                     }
                     // …or the database refused the write
                     // (conditional-write discharge).
-                    let refusals = firings.refusals.get(&trigger.id);
+                    let refusals = firings.refusals.row(trigger_pos);
                     if later_by(events, refusals, trigger_pos, window_end)
                         .next()
                         .is_some()
@@ -483,41 +890,13 @@ fn check_obligations(
                     },
                 ));
             }
+            cx.undo(0);
         }
     }
     // Stable: within a rule, triggers and steps are already in order.
     found.sort_by_key(|(r, _)| *r);
     out.extend(found.into_iter().map(|(_, v)| v));
     obligations
-}
-
-/// Whether `cond` holds at some instant of `[from, to]`. Item values
-/// change only at [`StateIndex`] change points, so probing `from` and
-/// every change point of the condition's item bases inside `(from, to]`
-/// visits every state the window passes through.
-fn holds_sometime(
-    cond: &Cond,
-    idx: &StateIndex,
-    from: SimTime,
-    to: SimTime,
-    bindings: &Bindings,
-) -> bool {
-    if eval_cond(cond, idx, from, bindings) {
-        return true;
-    }
-    let mut bases = Vec::new();
-    cond.visit(&mut |m| {
-        if let Mention::Item(p) = m {
-            bases.push(p.base);
-        }
-    });
-    bases.into_iter().any(|base| {
-        let bps = idx.breakpoints_by_base(base);
-        bps[bps.partition_point(|&t| t <= from)..]
-            .iter()
-            .take_while(|&&t| t <= to)
-            .any(|&t| eval_cond(cond, idx, t, bindings))
-    })
 }
 
 /// Property 7 by sort and sweep. Within a group of related rules, an
@@ -532,12 +911,11 @@ fn holds_sometime(
 fn check_related_order(
     events: &[Event],
     rules: &RuleSet,
-    groups: HashMap<(SiteId, SiteId), Vec<Firing>>,
+    firings: &[Firing],
     out: &mut Vec<Violation>,
 ) {
     let mut found = Vec::new();
-    for mut group in groups.into_values() {
-        group.sort_by_key(|f| f.trigger_time);
+    for group in firings.chunk_by(|a, b| a.group == b.group) {
         let effect = |f: &Firing| events[f.pos].time;
         let runs = || group.chunk_by(|a, b| a.trigger_time == b.trigger_time);
         let mut latest: Option<SimTime> = None;
@@ -592,7 +970,7 @@ fn check_related_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::RuleId;
+    use hcm_core::{EventId, RuleId};
     use hcm_rulelang::{parse_interface, parse_strategy_rule};
 
     const A: SiteId = SiteId::new(0);

@@ -9,7 +9,11 @@
 //! pushes (property 1), wrong old values (property 2), unknown rules
 //! and dangling, self, future or mismatched triggers (property 5), step
 //! conditions over items written inside the window, prohibitions and
-//! `WriteRejected` refusals up the trigger chain (property 6). Every
+//! `WriteRejected` refusals up the trigger chain (property 6). Values
+//! are integers and strings; items take up to two parameters; a
+//! template may repeat a variable (`W(X(n), n)`), give a `Ws` an
+//! explicit old value, or match a two-argument custom event; conditions
+//! use `or`, arithmetic and binding equalities under `and`. Every
 //! report must equal the reference's exactly: the same violations in
 //! the same order, and the same obligation count.
 
@@ -50,46 +54,64 @@ impl Gen {
         ["X", "Y", "Z"][self.below(3) as usize]
     }
 
+    /// Mostly small integers, sometimes strings, which compare with
+    /// neither integers nor arithmetic.
     fn value(&mut self) -> Value {
-        Value::Int(self.below(3) as i64)
+        if self.one_in(4) {
+            Value::Str(["u", "v"][self.below(2) as usize].into())
+        } else {
+            Value::Int(self.below(3) as i64)
+        }
     }
 
     fn item(&mut self) -> ItemId {
         let base = self.base();
-        if self.one_in(2) {
-            ItemId::plain(base)
-        } else {
-            ItemId::with(base, [self.value()])
+        match self.below(4) {
+            0 | 1 => ItemId::plain(base),
+            2 => ItemId::with(base, [self.value()]),
+            _ => ItemId::with(base, [self.value(), self.value()]),
         }
     }
 
+    /// A value term. `n` and `m` are also item parameters, so a
+    /// template can repeat a variable, as in `W(X(n), n)`.
     fn term(&mut self) -> Term {
-        match self.below(4) {
+        match self.below(5) {
             0 | 1 => Term::var(["b", "c"][self.below(2) as usize]),
-            2 => Term::Const(self.value()),
+            2 => Term::var(["n", "m"][self.below(2) as usize]),
+            3 => Term::Const(self.value()),
             _ => Term::Wild,
+        }
+    }
+
+    fn param(&mut self) -> Term {
+        match self.below(4) {
+            0 | 1 => Term::var("n"),
+            2 => Term::var("m"),
+            _ => Term::Const(self.value()),
         }
     }
 
     fn pattern(&mut self) -> ItemPattern {
         let base = self.base();
-        if self.one_in(2) {
-            ItemPattern::plain(base)
-        } else {
-            let param = if self.one_in(2) {
-                Term::var("n")
-            } else {
-                Term::Const(self.value())
-            };
-            ItemPattern::with(base, [param])
+        match self.below(4) {
+            0 | 1 => ItemPattern::plain(base),
+            2 => ItemPattern::with(base, [self.param()]),
+            _ => ItemPattern::with(base, [self.param(), self.param()]),
         }
+    }
+
+    fn custom_args(&mut self) -> Vec<Term> {
+        (0..1 + self.below(2)).map(|_| self.term()).collect()
     }
 
     fn lhs(&mut self) -> TemplateDesc {
         match self.below(7) {
             0 => TemplateDesc::Ws {
                 item: self.pattern(),
-                old: None,
+                // An explicit old-value term matches only writes that
+                // record their old value (unless it is a `*`).
+                old: self.one_in(2).then(|| self.term()),
                 new: self.term(),
             },
             1 => TemplateDesc::W {
@@ -105,7 +127,7 @@ impl Gen {
             },
             4 => TemplateDesc::Custom {
                 name: "Grant".into(),
-                args: vec![self.term()],
+                args: self.custom_args(),
             },
             _ => TemplateDesc::N {
                 item: self.pattern(),
@@ -115,8 +137,16 @@ impl Gen {
     }
 
     fn step_event(&mut self) -> TemplateDesc {
-        match self.below(12) {
+        match self.below(14) {
             0 => TemplateDesc::False,
+            12 => TemplateDesc::Custom {
+                name: "Grant".into(),
+                args: self.custom_args(),
+            },
+            13 => TemplateDesc::R {
+                item: self.pattern(),
+                value: self.term(),
+            },
             1..=3 => TemplateDesc::W {
                 item: self.pattern(),
                 value: self.term(),
@@ -132,9 +162,35 @@ impl Gen {
         }
     }
 
+    /// An arithmetic expression over an item and a variable.
+    fn arith(&mut self) -> Expr {
+        let item = Box::new(Expr::Item(self.pattern()));
+        let var = Box::new(Expr::Var(["b", "n"][self.below(2) as usize].into()));
+        match self.below(6) {
+            0 => Expr::Add(item, var),
+            1 => Expr::Sub(var, item),
+            2 => Expr::Mul(item, Box::new(Expr::Lit(Value::Int(2)))),
+            3 => Expr::Div(item, var),
+            4 => Expr::Neg(item),
+            _ => Expr::Abs(Box::new(Expr::Sub(item, var))),
+        }
+    }
+
     fn cond(&mut self) -> Cond {
         let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge][self.below(4) as usize];
-        match self.below(8) {
+        match self.below(11) {
+            8 => Cond::Or(Box::new(self.cond()), Box::new(self.cond())),
+            9 => Cond::Cmp(self.arith(), op, Expr::Lit(self.value())),
+            // A binding equality under `and`, then a test of the bound
+            // variable.
+            10 => Cond::And(
+                Box::new(Cond::Cmp(
+                    Expr::Var("c".into()),
+                    CmpOp::Eq,
+                    Expr::Item(self.pattern()),
+                )),
+                Box::new(Cond::Cmp(self.arith(), op, Expr::Var("c".into()))),
+            ),
             0..=2 => Cond::True,
             3 => Cond::Cmp(Expr::Item(self.pattern()), op, Expr::Lit(self.value())),
             // `item = var` binds an unbound variable (the read
@@ -205,7 +261,7 @@ impl Gen {
         let rule = &rules.rules()[r];
         let mut b = Bindings::new();
         if !self.one_in(6) && rule.lhs.match_desc(trigger, &mut b) {
-            for v in ["b", "c", "n"] {
+            for v in ["b", "c", "n", "m"] {
                 if b.get(v).is_none() {
                     b.bind(v, self.value());
                 }
@@ -290,7 +346,7 @@ impl Gen {
             },
             1 => EventDesc::Custom {
                 name: "Grant".into(),
-                args: vec![self.value()],
+                args: (0..1 + self.below(2)).map(|_| self.value()).collect(),
             },
             2 => EventDesc::N {
                 item: self.item(),
@@ -298,7 +354,7 @@ impl Gen {
             },
             _ => EventDesc::Ws {
                 item: self.item(),
-                old: None,
+                old: self.one_in(2).then(|| self.value()),
                 new: self.value(),
             },
         }

@@ -7,6 +7,12 @@
 //! last record whose checksum verifies, truncates the tail, reports
 //! the loss once, and never panics; every later recovery, and every
 //! append after it, sees the same surviving prefix.
+//!
+//! The hand-picked cases come first. Then one fixed log of three dozen
+//! records, the committed encoding of every durable record variant
+//! three times over, is damaged at every truncation offset and by
+//! every single-byte flip, and each recovery must return the longest
+//! intact prefix, twice.
 
 use std::fs;
 use std::path::PathBuf;
@@ -195,4 +201,108 @@ fn append_after_a_torn_tail_survives_every_recovery() {
     let second = s.recover().unwrap();
     assert_eq!(second.records, want);
     assert_eq!(second.torn_truncations, 0);
+}
+
+/// The committed encoding of one instance of every `LogRecord`
+/// variant of the toolkit (pinned by its `codec_roundtrip` test), in
+/// tag order: a private write, both failure kinds, a clear, a reset,
+/// a request sent and resolved, a write accepted and performed, a poll
+/// armed and disarmed, and a request flagged.
+const RECORDS: [&str; 12] = [
+    "00b80b0000000000000200000043780100000002010000000000000003000000000000e03f",
+    "0111000000000000000200000001",
+    "0112000000000000000100000000",
+    "02204e00000000000000000000",
+    "03b882010000000000",
+    "04e8030000000000000700000000000000",
+    "050700000000000000",
+    "060900000000000000010000000700000073616c617279320100000004020000006531021873010000000000040000000c00000000000000",
+    "070900000000000000",
+    "08020000000000000060ea000000000000",
+    "090200000000000000",
+    "0a0700000000000000",
+];
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The fixed log: its records, its file bytes, and the offset just
+/// past each record's frame.
+fn fixed_log(tag: &str) -> (Vec<Vec<u8>>, Vec<u8>, Vec<usize>) {
+    let records: Vec<Vec<u8>> = (0..3).flat_map(|_| RECORDS.map(unhex)).collect();
+    let path = tmpfile(tag);
+    let mut s = FileStore::open(&path).unwrap();
+    let mut ends = Vec::new();
+    let mut end = hcm_store::wal::WAL_MAGIC.len();
+    for r in &records {
+        end += s.append(r).unwrap() as usize;
+        ends.push(end);
+    }
+    drop(s);
+    let bytes = fs::read(&path).unwrap();
+    assert_eq!(bytes.len(), end);
+    let _ = fs::remove_file(&path);
+    (records, bytes, ends)
+}
+
+/// Write `damaged` as the log at `path`, then check that recovery
+/// returns the first `intact` records, reports a dropped tail exactly
+/// when `torn`, and that a second recovery, and a recovery after
+/// reopening, return the same records with nothing more dropped.
+fn assert_recovers(path: &PathBuf, damaged: &[u8], records: &[Vec<u8>], intact: usize, torn: bool) {
+    fs::write(path, damaged).unwrap();
+    let want = &records[..intact];
+    let mut s = FileStore::open(path).unwrap();
+    let first = s.recover().unwrap();
+    assert_eq!(first.records, want, "{} damaged bytes", damaged.len());
+    assert_eq!(first.torn_truncations, u64::from(torn));
+    let second = s.recover().unwrap();
+    assert_eq!(second.records, want);
+    assert_eq!(second.torn_truncations, 0);
+    drop(s);
+    let reopened = FileStore::open(path).unwrap().recover().unwrap();
+    assert_eq!(reopened.records, want);
+    assert_eq!(reopened.torn_truncations, 0);
+}
+
+#[test]
+fn every_truncation_recovers_the_longest_intact_prefix() {
+    let (records, bytes, ends) = fixed_log("cut-fixture");
+    let path = tmpfile("cut");
+    let header = hcm_store::wal::WAL_MAGIC.len();
+    for len in 0..=bytes.len() {
+        // Only whole frames survive, and only behind a whole header.
+        let intact = if len < header {
+            0
+        } else {
+            ends.partition_point(|&e| e <= len)
+        };
+        let at_boundary = len == 0 || len == header || ends.contains(&len);
+        assert_recovers(&path, &bytes[..len], &records, intact, !at_boundary);
+    }
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn every_byte_flip_recovers_the_longest_intact_prefix() {
+    let (records, bytes, ends) = fixed_log("flip-fixture");
+    let path = tmpfile("flip");
+    let header = hcm_store::wal::WAL_MAGIC.len();
+    for i in 0..bytes.len() {
+        let mut damaged = bytes.clone();
+        damaged[i] ^= 0xFF;
+        // The frame holding the flipped byte, and every frame after
+        // it, is lost; a flip in the header loses them all.
+        let intact = if i < header {
+            0
+        } else {
+            ends.partition_point(|&e| e <= i)
+        };
+        assert_recovers(&path, &damaged, &records, intact, true);
+    }
+    let _ = fs::remove_file(&path);
 }
