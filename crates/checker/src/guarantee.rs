@@ -549,19 +549,12 @@ impl<'e> Plan<'e> {
             .patterns
             .iter()
             .map(|p| {
-                let params = p.params.iter().map(|t| match t {
-                    Term::Const(c) => Some(c.clone()),
-                    Term::Var(v) => env.data[slot(&self.data, v)].clone(),
+                let item = ItemId::resolve(p.base, &p.params, |t| match t {
+                    Term::Const(c) => Some(c),
+                    Term::Var(v) => env.data[slot(&self.data, v)].as_ref(),
                     Term::Wild => None,
                 });
-                params
-                    .collect::<Option<Vec<_>>>()
-                    .map_or(&[][..], |params| {
-                        idx.changes(&ItemId {
-                            base: p.base,
-                            params,
-                        })
-                    })
+                item.map_or(&[][..], |item| idx.changes(&item))
             })
             .collect();
         self.points = (self.atoms.iter())

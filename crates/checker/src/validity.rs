@@ -596,7 +596,8 @@ impl<'a, 't> Matcher<'a, '_, 't> {
         let params = &rules.terms[t.params.clone()];
         t.base == Some(item.base)
             && params.len() == item.params.len()
-            && (params.iter().zip(&item.params)).all(|(&p, v)| self.unify(p, Cow::Borrowed(v)))
+            && (params.iter().zip(item.params.iter()))
+                .all(|(&p, v)| self.unify(p, Cow::Borrowed(v)))
     }
 
     /// The value at `t` of item entry `item` under the current slots;
@@ -604,20 +605,12 @@ impl<'a, 't> Matcher<'a, '_, 't> {
     /// value then.
     fn value_at(&self, item: usize, t: SimTime) -> Option<&'t Value> {
         let SlotItem { base, params } = &self.rules.items[item];
-        let params = (self.rules.terms[params.clone()].iter())
-            .map(|p| match p {
-                SlotTerm::Const(c) => Some((*c).clone()),
-                SlotTerm::Var(s) => self.slots[*s].as_deref().cloned(),
-                SlotTerm::Wild => None,
-            })
-            .collect::<Option<Vec<Value>>>()?;
-        self.idx.value_at(
-            &ItemId {
-                base: *base,
-                params,
-            },
-            t,
-        )
+        let item = ItemId::resolve(*base, &self.rules.terms[params.clone()], |p| match p {
+            SlotTerm::Const(c) => Some(*c),
+            SlotTerm::Var(s) => self.slots[*s].as_deref(),
+            SlotTerm::Wild => None,
+        })?;
+        self.idx.value_at(&item, t)
     }
 
     /// Whether `cond` holds at `t` under the current slots.
@@ -807,15 +800,16 @@ fn check_obligations<'t>(
 ) -> usize {
     let events = trace.events();
     let compiled = cx.rules;
-    let mut by_site: HashMap<SiteId, Vec<usize>> = HashMap::new();
-    for (i, r) in rules.rules().iter().enumerate() {
-        by_site.entry(r.lhs_site).or_default().push(i);
-    }
+    // Rule positions grouped by LHS site, ascending within a site.
+    let mut by_site: Vec<(SiteId, usize)> = (rules.rules().iter().enumerate())
+        .map(|(i, r)| (r.lhs_site, i))
+        .collect();
+    by_site.sort_unstable();
     let indexes: HashMap<SiteId, RuleIndex> = by_site
-        .into_iter()
-        .map(|(site, positions)| {
-            let lhs = positions.into_iter().map(|i| (i, &rules.rules()[i].lhs));
-            (site, RuleIndex::build(lhs))
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|site| {
+            let lhs = site.iter().map(|&(_, i)| (i, &rules.rules()[i].lhs));
+            (site[0].0, RuleIndex::build(lhs))
         })
         .collect();
 

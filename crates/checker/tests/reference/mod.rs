@@ -24,8 +24,8 @@ impl CondEnv for StateEnv<'_> {
     fn item(&self, item: &ItemId) -> Option<Value> {
         self.idx.value_at(item, self.t).cloned()
     }
-    fn var(&self, name: &str) -> Option<Value> {
-        self.bindings.get(name).cloned()
+    fn var(&self, name: &str) -> Option<&Value> {
+        self.bindings.get(name)
     }
 }
 

@@ -8,8 +8,9 @@
 //! filler rules that never fire), over string-keyed items. The trace
 //! is about 2,000 events of propagation chains. Matching a rule binds
 //! its variables to values borrowed from the trace, and the firing
-//! tables are flat, so the check allocates per rule and per table, not
-//! per event: fewer allocations than events.
+//! tables and each site's rule index are flat, so the check allocates
+//! per site, per rule and per table, not per event: about one
+//! allocation per fifteen events.
 //!
 //! The state index is built before counting; it is the trace's, not
 //! the check's.
@@ -182,8 +183,10 @@ fn validity_allocates_less_than_once_per_event() {
         report.obligations_checked as u64,
         OPS * u64::from(SITES) * 5
     );
+    // 135 on this base: a fixed few per LHS site for its flat rule
+    // index, and per-rule and per-table buffers, none per event.
     assert!(
-        n < events,
+        n <= 150,
         "check_validity made {n} allocations for {events} events ({:.2} per event)",
         n as f64 / events as f64
     );

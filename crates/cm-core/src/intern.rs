@@ -61,6 +61,13 @@ impl Sym {
     pub fn as_str(self) -> &'static str {
         self.s
     }
+
+    /// The symbol's id: unique per string, in first-intern order, so it
+    /// may key a structure but must not order anything observable.
+    #[must_use]
+    pub(crate) fn id(self) -> u32 {
+        self.id
+    }
 }
 
 impl PartialEq for Sym {

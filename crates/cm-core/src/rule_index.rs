@@ -25,10 +25,9 @@
 use crate::event::EventDesc;
 use crate::intern::Sym;
 use crate::template::TemplateDesc;
-use std::collections::HashMap;
 
-/// Event-kind discriminant, the first component of a bucket key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Event-kind discriminant, the high half of an item bucket's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Ws,
     W,
@@ -38,10 +37,16 @@ enum Kind {
     N,
 }
 
+/// An item bucket's key: the kind above the base's interned id, so
+/// keys sort and compare as plain integers.
+fn item_key(kind: Kind, base: Sym) -> u64 {
+    (kind as u64) << 32 | u64::from(base.id())
+}
+
 /// How one event keys into the index.
 enum Key<'a> {
-    /// Item-bearing kinds: (kind, interned base).
-    Item(Kind, Sym),
+    /// Item-bearing kinds: see [`item_key`].
+    Item(u64),
     /// Custom events, keyed by name (no interner round-trip on probe).
     Custom(&'a str),
     /// No concrete discriminant (`P` events): generic bucket only.
@@ -50,12 +55,12 @@ enum Key<'a> {
 
 fn event_key(desc: &EventDesc) -> Key<'_> {
     match desc {
-        EventDesc::Ws { item, .. } => Key::Item(Kind::Ws, item.base),
-        EventDesc::W { item, .. } => Key::Item(Kind::W, item.base),
-        EventDesc::Wr { item, .. } => Key::Item(Kind::Wr, item.base),
-        EventDesc::Rr { item } => Key::Item(Kind::Rr, item.base),
-        EventDesc::R { item, .. } => Key::Item(Kind::R, item.base),
-        EventDesc::N { item, .. } => Key::Item(Kind::N, item.base),
+        EventDesc::Ws { item, .. } => Key::Item(item_key(Kind::Ws, item.base)),
+        EventDesc::W { item, .. } => Key::Item(item_key(Kind::W, item.base)),
+        EventDesc::Wr { item, .. } => Key::Item(item_key(Kind::Wr, item.base)),
+        EventDesc::Rr { item } => Key::Item(item_key(Kind::Rr, item.base)),
+        EventDesc::R { item, .. } => Key::Item(item_key(Kind::R, item.base)),
+        EventDesc::N { item, .. } => Key::Item(item_key(Kind::N, item.base)),
         EventDesc::Custom { name, .. } => Key::Custom(name),
         EventDesc::P { .. } => Key::None,
     }
@@ -63,13 +68,23 @@ fn event_key(desc: &EventDesc) -> Key<'_> {
 
 /// A discrimination index over rule LHS templates.
 ///
-/// Bucket values are the caller's rule positions, in ascending order.
+/// The buckets are stored flat, in compressed-sparse-row form: bucket
+/// `b` holds `positions[starts[b]..starts[b + 1]]`, the caller's rule
+/// positions in ascending order. Item buckets come first, in the order
+/// of their sorted keys; custom-event buckets follow, in the order of
+/// their sorted names. Building an index therefore allocates a fixed
+/// number of arrays however many keys it has, and a probe is a binary
+/// search.
 #[derive(Debug, Clone, Default)]
 pub struct RuleIndex {
-    /// (event kind, item base) → candidate rule positions.
-    items: HashMap<(Kind, Sym), Vec<usize>>,
-    /// Custom-event name → candidate rule positions.
-    custom: HashMap<String, Vec<usize>>,
+    /// Item bucket keys, ascending (see [`item_key`]).
+    item_keys: Vec<u64>,
+    /// Custom-event names, ascending, as ranges of `names`.
+    custom: Vec<(usize, usize)>,
+    names: String,
+    /// Bucket `b` spans `positions[starts[b]..starts[b + 1]]`.
+    starts: Vec<usize>,
+    positions: Vec<usize>,
     /// Rules with no concrete discriminant (`P`-headed templates):
     /// probed on every event.
     generic: Vec<usize>,
@@ -81,29 +96,65 @@ impl RuleIndex {
     /// order.
     #[must_use]
     pub fn build<'a>(lhs: impl IntoIterator<Item = (usize, &'a TemplateDesc)>) -> RuleIndex {
-        let mut idx = RuleIndex::default();
+        let lhs = lhs.into_iter();
+        let mut items: Vec<(u64, usize)> = Vec::with_capacity(lhs.size_hint().0);
+        let mut custom: Vec<(&str, usize)> = Vec::new();
+        let mut generic = Vec::new();
         for (i, template) in lhs {
-            match template {
-                TemplateDesc::Ws { item, .. } => idx.push_item(Kind::Ws, item.base, i),
-                TemplateDesc::W { item, .. } => idx.push_item(Kind::W, item.base, i),
-                TemplateDesc::Wr { item, .. } => idx.push_item(Kind::Wr, item.base, i),
-                TemplateDesc::Rr { item } => idx.push_item(Kind::Rr, item.base, i),
-                TemplateDesc::R { item, .. } => idx.push_item(Kind::R, item.base, i),
-                TemplateDesc::N { item, .. } => idx.push_item(Kind::N, item.base, i),
+            let kind = match template {
+                TemplateDesc::Ws { .. } => Kind::Ws,
+                TemplateDesc::W { .. } => Kind::W,
+                TemplateDesc::Wr { .. } => Kind::Wr,
+                TemplateDesc::Rr { .. } => Kind::Rr,
+                TemplateDesc::R { .. } => Kind::R,
+                TemplateDesc::N { .. } => Kind::N,
                 TemplateDesc::Custom { name, .. } => {
-                    idx.custom.entry(name.clone()).or_default().push(i);
+                    custom.push((name, i));
+                    continue;
                 }
-                TemplateDesc::P { .. } => idx.generic.push(i),
+                TemplateDesc::P { .. } => {
+                    generic.push(i);
+                    continue;
+                }
                 // `𝓕` matches nothing; indexing it anywhere would only
                 // waste probes.
-                TemplateDesc::False => {}
-            }
+                TemplateDesc::False => continue,
+            };
+            let item = template.item_pattern().expect("item-bearing kind");
+            items.push((item_key(kind, item.base), i));
         }
+        // Positions are unique, so sorting the pairs keeps each key's
+        // positions ascending.
+        items.sort_unstable();
+        custom.sort_unstable();
+        let mut idx = RuleIndex {
+            item_keys: Vec::with_capacity(items.len()),
+            custom: Vec::with_capacity(custom.len()),
+            names: String::with_capacity(custom.iter().map(|(name, _)| name.len()).sum()),
+            starts: Vec::with_capacity(items.len() + custom.len() + 1),
+            positions: Vec::with_capacity(items.len() + custom.len()),
+            generic,
+        };
+        for (key, i) in items {
+            if idx.item_keys.last() != Some(&key) {
+                idx.item_keys.push(key);
+                idx.starts.push(idx.positions.len());
+            }
+            idx.positions.push(i);
+        }
+        let mut last = None;
+        for (name, i) in custom {
+            if last != Some(name) {
+                last = Some(name);
+                let from = idx.names.len();
+                idx.names.push_str(name);
+                idx.custom.push((from, idx.names.len()));
+                idx.starts.push(idx.positions.len());
+            }
+            idx.positions.push(i);
+        }
+        idx.starts.push(idx.positions.len());
         idx
-    }
-
-    fn push_item(&mut self, kind: Kind, base: Sym, i: usize) {
-        self.items.entry((kind, base)).or_default().push(i);
     }
 
     /// Candidate rule positions for `desc`, ascending: the merge of
@@ -111,11 +162,17 @@ impl RuleIndex {
     /// linear scan would match is a candidate; rules skipped are
     /// guaranteed kind- or base-mismatches.
     pub fn candidates(&self, desc: &EventDesc) -> Candidates<'_> {
-        let keyed: &[usize] = match event_key(desc) {
-            Key::Item(kind, base) => self.items.get(&(kind, base)).map_or(&[], Vec::as_slice),
-            Key::Custom(name) => self.custom.get(name).map_or(&[], Vec::as_slice),
-            Key::None => &[],
+        let bucket = match event_key(desc) {
+            Key::Item(key) => self.item_keys.binary_search(&key).ok(),
+            Key::Custom(name) => (self.custom)
+                .binary_search_by(|&(from, to)| self.names[from..to].cmp(name))
+                .ok()
+                .map(|j| self.item_keys.len() + j),
+            Key::None => None,
         };
+        let keyed = bucket.map_or(&[][..], |b| {
+            &self.positions[self.starts[b]..self.starts[b + 1]]
+        });
         Candidates {
             keyed,
             generic: &self.generic,
@@ -212,6 +269,43 @@ mod tests {
             value: Value::Int(7),
         };
         assert_eq!(idx.candidates(&n_z).count(), 0);
+    }
+
+    #[test]
+    fn flat_buckets_keep_every_key_apart() {
+        let custom = |name: &str| TemplateDesc::Custom {
+            name: name.into(),
+            args: vec![Term::var("b")],
+        };
+        // Keys interleaved and repeated out of order, names unsorted.
+        let templates = [
+            custom("Zed"),
+            n("Y", Term::var("b")),
+            custom("Alpha"),
+            n("X", Term::var("b")),
+            custom("Zed"),
+            n("Y", Term::Wild),
+            custom("Mid"),
+            n("X", Term::Wild),
+        ];
+        let idx = index(&templates);
+        let ev = |name: &str| EventDesc::Custom {
+            name: name.into(),
+            args: vec![Value::Int(1)],
+        };
+        let n_of = |base: &str| EventDesc::N {
+            item: ItemId::with(base, [Value::Int(1)]),
+            value: Value::Int(7),
+        };
+        let got = |desc: &EventDesc| idx.candidates(desc).collect::<Vec<_>>();
+        assert_eq!(got(&ev("Zed")), vec![0, 4]);
+        assert_eq!(got(&ev("Alpha")), vec![2]);
+        assert_eq!(got(&ev("Mid")), vec![6]);
+        assert_eq!(got(&ev("Nope")), Vec::<usize>::new());
+        assert_eq!(got(&n_of("X")), vec![3, 7]);
+        assert_eq!(got(&n_of("Y")), vec![1, 5]);
+        assert_eq!(got(&n_of("Z")), Vec::<usize>::new());
+        assert_eq!(RuleIndex::default().candidates(&ev("Zed")).count(), 0);
     }
 
     #[test]

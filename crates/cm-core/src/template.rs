@@ -13,7 +13,7 @@
 //! `Ws(X, b) → 𝓕`.
 
 use crate::event::EventDesc;
-use crate::item::ItemPattern;
+use crate::item::{consistent, zipped, ItemPattern};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -58,12 +58,18 @@ impl Term {
     /// Resolve the term to a value under `bindings`. Wild-cards and
     /// unbound variables yield `None`.
     #[must_use]
-    pub(crate) fn instantiate(&self, bindings: &Bindings) -> Option<Value> {
+    pub(crate) fn resolve<'b>(&'b self, bindings: &'b Bindings) -> Option<&'b Value> {
         match self {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(name) => bindings.get(name).cloned(),
+            Term::Const(c) => Some(c),
+            Term::Var(name) => bindings.get(name),
             Term::Wild => None,
         }
+    }
+
+    /// [`Term::resolve`], cloned.
+    #[must_use]
+    pub(crate) fn instantiate(&self, bindings: &Bindings) -> Option<Value> {
+        self.resolve(bindings).cloned()
     }
 }
 
@@ -227,21 +233,24 @@ pub enum TemplateDesc {
     False,
 }
 
-impl TemplateDesc {
-    /// Match an event descriptor against this template, extending
-    /// `bindings` with the matching interpretation. On failure the
-    /// bindings are rolled back to their state at entry.
-    pub fn match_desc(&self, desc: &EventDesc, bindings: &mut Bindings) -> bool {
-        let checkpoint = bindings.checkpoint();
-        let ok = self.match_inner(desc, bindings);
-        if !ok {
-            bindings.rollback(checkpoint);
-        }
-        ok
-    }
+/// What matching an event against a template compares: the term/value
+/// pairs both [`TemplateDesc::match_desc`] and
+/// [`TemplateDesc::matches`] unify, in order.
+enum Pairs<'a> {
+    /// The item's parameter terms (or a custom event's argument terms)
+    /// beside the event's values, then up to two value terms.
+    Terms(&'a [Term], &'a [Value], [Option<(&'a Term, &'a Value)>; 2]),
+    /// A `P` template's period term and the event's period in
+    /// milliseconds.
+    Period(&'a Term, Value),
+}
 
-    fn match_inner(&self, desc: &EventDesc, bindings: &mut Bindings) -> bool {
-        match (self, desc) {
+impl TemplateDesc {
+    /// The pairs to unify with `desc`; `None` when the kind, item base,
+    /// custom name or arity differs, or when an explicit old-value term
+    /// meets an unrecorded old value (which only `*` matches).
+    fn pairs<'a>(&'a self, desc: &'a EventDesc) -> Option<Pairs<'a>> {
+        let (item, i, extra) = match (self, desc) {
             (
                 TemplateDesc::Ws { item, old, new },
                 EventDesc::Ws {
@@ -250,41 +259,61 @@ impl TemplateDesc {
                     new: n,
                 },
             ) => {
-                item.match_item(i, bindings)
-                    && match old {
-                        None => true,
-                        Some(term) => match o {
-                            Some(ov) => term.unify(ov, bindings),
-                            // An explicit old-value term cannot match a
-                            // write whose old value is unrecorded.
-                            None => matches!(term, Term::Wild),
-                        },
-                    }
-                    && new.unify(n, bindings)
+                let old = match (old, o) {
+                    (None, _) | (Some(Term::Wild), None) => None,
+                    (Some(term), Some(ov)) => Some((term, ov)),
+                    (Some(_), None) => return None,
+                };
+                (item, i, [old, Some((new, n))])
             }
-            (TemplateDesc::W { item, value }, EventDesc::W { item: i, value: v }) => {
-                item.match_item(i, bindings) && value.unify(v, bindings)
+            (TemplateDesc::W { item, value }, EventDesc::W { item: i, value: v })
+            | (TemplateDesc::Wr { item, value }, EventDesc::Wr { item: i, value: v })
+            | (TemplateDesc::R { item, value }, EventDesc::R { item: i, value: v })
+            | (TemplateDesc::N { item, value }, EventDesc::N { item: i, value: v }) => {
+                (item, i, [Some((value, v)), None])
             }
-            (TemplateDesc::Wr { item, value }, EventDesc::Wr { item: i, value: v }) => {
-                item.match_item(i, bindings) && value.unify(v, bindings)
-            }
-            (TemplateDesc::Rr { item }, EventDesc::Rr { item: i }) => item.match_item(i, bindings),
-            (TemplateDesc::R { item, value }, EventDesc::R { item: i, value: v }) => {
-                item.match_item(i, bindings) && value.unify(v, bindings)
-            }
-            (TemplateDesc::N { item, value }, EventDesc::N { item: i, value: v }) => {
-                item.match_item(i, bindings) && value.unify(v, bindings)
-            }
+            (TemplateDesc::Rr { item }, EventDesc::Rr { item: i }) => (item, i, [None, None]),
             (TemplateDesc::P { period }, EventDesc::P { period: p }) => {
-                period.unify(&Value::Int(p.as_millis() as i64), bindings)
+                return Some(Pairs::Period(period, Value::Int(p.as_millis() as i64)));
             }
             (TemplateDesc::Custom { name, args }, EventDesc::Custom { name: n, args: a }) => {
-                name == n
-                    && args.len() == a.len()
-                    && args.iter().zip(a).all(|(t, v)| t.unify(v, bindings))
+                let same = name == n && args.len() == a.len();
+                return same.then_some(Pairs::Terms(args, a, [None, None]));
             }
-            (TemplateDesc::False, _) => false,
-            _ => false,
+            _ => return None,
+        };
+        let same = item.base == i.base && item.params.len() == i.params.len();
+        same.then_some(Pairs::Terms(&item.params, &i.params, extra))
+    }
+
+    /// Match an event descriptor against this template, extending
+    /// `bindings` with the matching interpretation. On failure the
+    /// bindings are rolled back to their state at entry.
+    pub fn match_desc(&self, desc: &EventDesc, bindings: &mut Bindings) -> bool {
+        let checkpoint = bindings.checkpoint();
+        let ok = match self.pairs(desc) {
+            Some(Pairs::Terms(terms, values, extra)) => {
+                zipped(terms, values, extra).all(|(t, v)| t.unify(v, bindings))
+            }
+            Some(Pairs::Period(t, ms)) => t.unify(&ms, bindings),
+            None => false,
+        };
+        if !ok {
+            bindings.rollback(checkpoint);
+        }
+        ok
+    }
+
+    /// Whether `desc` matches this template under an empty matching
+    /// interpretation — [`TemplateDesc::match_desc`] with fresh
+    /// [`Bindings`], answering yes or no without building them. A
+    /// variable that occurs twice (`N(x(n), n)`) must see equal values.
+    #[must_use]
+    pub fn matches(&self, desc: &EventDesc) -> bool {
+        match self.pairs(desc) {
+            Some(Pairs::Terms(terms, values, extra)) => consistent(zipped(terms, values, extra)),
+            Some(Pairs::Period(t, ms)) => !matches!(t, Term::Const(c) if *c != ms),
+            None => false,
         }
     }
 

@@ -256,3 +256,122 @@ fn bindings_rollback_exact() {
         }
     }
 }
+
+/// Small pools, so random templates and events often agree.
+fn pool_value(g: &mut Gen) -> Value {
+    [Value::Int(1), Value::Int(2), Value::from("a"), Value::Null][g.usize_in(0, 3)].clone()
+}
+
+fn pool_term(g: &mut Gen) -> Term {
+    match g.next() % 4 {
+        0 => Term::Wild,
+        1 => Term::Const(pool_value(g)),
+        _ => Term::var(["u", "v", "w"][g.usize_in(0, 2)]),
+    }
+}
+
+fn pool_pattern(g: &mut Gen) -> ItemPattern {
+    let params: Vec<Term> = (0..g.usize_in(0, 2)).map(|_| pool_term(g)).collect();
+    ItemPattern::with(["x", "y"][g.usize_in(0, 1)], params)
+}
+
+fn pool_item(g: &mut Gen) -> ItemId {
+    let params: Vec<Value> = (0..g.usize_in(0, 2)).map(|_| pool_value(g)).collect();
+    ItemId::with(["x", "y"][g.usize_in(0, 1)], params)
+}
+
+fn pool_template(g: &mut Gen) -> TemplateDesc {
+    match g.next() % 9 {
+        0 => TemplateDesc::Ws {
+            item: pool_pattern(g),
+            old: g.next().is_multiple_of(2).then(|| pool_term(g)),
+            new: pool_term(g),
+        },
+        1 => TemplateDesc::W {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        2 => TemplateDesc::Wr {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        3 => TemplateDesc::Rr {
+            item: pool_pattern(g),
+        },
+        4 => TemplateDesc::R {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        5 => TemplateDesc::N {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        6 => TemplateDesc::P {
+            period: [Term::Const(Value::Int(1)), Term::var("u"), Term::Wild][g.usize_in(0, 2)]
+                .clone(),
+        },
+        7 => TemplateDesc::Custom {
+            name: ["c", "d"][g.usize_in(0, 1)].into(),
+            args: (0..g.usize_in(0, 3)).map(|_| pool_term(g)).collect(),
+        },
+        _ => TemplateDesc::False,
+    }
+}
+
+fn pool_event(g: &mut Gen) -> EventDesc {
+    match g.next() % 8 {
+        0 => EventDesc::Ws {
+            item: pool_item(g),
+            old: g.next().is_multiple_of(2).then(|| pool_value(g)),
+            new: pool_value(g),
+        },
+        1 => EventDesc::W {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        2 => EventDesc::Wr {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        3 => EventDesc::Rr { item: pool_item(g) },
+        4 => EventDesc::R {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        5 => EventDesc::N {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        6 => EventDesc::P {
+            period: hcm_core::SimDuration::from_millis(g.int_in(1, 2) as u64),
+        },
+        _ => EventDesc::Custom {
+            name: ["c", "d"][g.usize_in(0, 1)].into(),
+            args: (0..g.usize_in(0, 3)).map(|_| pool_value(g)).collect(),
+        },
+    }
+}
+
+/// The non-binding `matches` answers exactly what matching into fresh
+/// bindings answers, repeated variables included, for templates and
+/// item patterns alike.
+#[test]
+fn matches_agrees_with_binding_match() {
+    let mut g = Gen::new(0xC0DE_0007);
+    let (mut templates_hit, mut items_hit) = (0, 0);
+    for _ in 0..20_000 {
+        let (t, e) = (pool_template(&mut g), pool_event(&mut g));
+        let bound = t.match_desc(&e, &mut Bindings::new());
+        assert_eq!(t.matches(&e), bound, "{t} vs {e:?}");
+        templates_hit += usize::from(bound);
+        let (p, i) = (pool_pattern(&mut g), pool_item(&mut g));
+        let bound = p.match_item(&i, &mut Bindings::new());
+        assert_eq!(p.matches(&i), bound, "{p} vs {i}");
+        items_hit += usize::from(bound);
+    }
+    // Both outcomes occur often enough to mean something.
+    assert!(
+        templates_hit > 200 && items_hit > 1_000,
+        "{templates_hit} {items_hit}"
+    );
+}

@@ -23,6 +23,12 @@
 //! [`parse_command`] or, with placeholders, [`prepare`]. Tables,
 //! triggers and CHECKs are declared programmatically. A trigger fires
 //! on every insert, update and delete of its table.
+//!
+//! A [`TriggerFiring`] owns its rows: an update or delete moves the
+//! replaced or removed row into the firing, each new row is cloned once
+//! for it (and not at all for a table no trigger watches), and the
+//! firing names its table through the trigger's shared name, so
+//! recording one allocates no string.
 
 mod sql;
 mod table;
@@ -33,13 +39,14 @@ pub use table::{Row, Table};
 use crate::RisError;
 use hcm_core::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A recorded trigger firing, drained by the owner (the CM-Translator)
 /// after each command.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriggerFiring {
-    /// Affected table.
-    pub table: String,
+    /// Affected table, shared with the trigger that fired.
+    pub table: Arc<str>,
     /// Row before the mutation (`None` for inserts).
     pub old_row: Option<Row>,
     /// Row after the mutation (`None` for deletes).
@@ -85,7 +92,7 @@ pub enum QueryResult {
 pub struct Database {
     tables: BTreeMap<String, Table>,
     /// The table of each declared trigger.
-    triggers: Vec<String>,
+    triggers: Vec<Arc<str>>,
     checks: Vec<Check>,
     firings: Vec<TriggerFiring>,
 }
@@ -116,7 +123,7 @@ impl Database {
         if !self.tables.contains_key(table) {
             return Err(RisError::NotFound(format!("table `{table}`")));
         }
-        self.triggers.push(table.to_owned());
+        self.triggers.push(table.into());
         Ok(())
     }
 
@@ -128,7 +135,7 @@ impl Database {
             .get(&check.table)
             .ok_or_else(|| RisError::NotFound(format!("table `{}`", check.table)))?;
         for row in table.rows() {
-            if !eval_check(&check, table, row)? {
+            if !eval_check(&check, table, |i| &row[i])? {
                 return Err(RisError::ConstraintViolation(format!(
                     "existing row violates new check on `{}`",
                     check.table
@@ -170,7 +177,9 @@ impl Database {
                 columns,
                 predicate,
             } => {
-                let (proj, rows) = self.select(table, columns, predicate, bindings)?;
+                let t = self.get_table(table)?;
+                let proj = projection(t, columns).collect::<Result<Vec<_>, _>>()?;
+                let rows = matching_rows(t, predicate, bindings)?;
                 let project = |row: &Row| proj.iter().map(|&i| row[i].clone()).collect();
                 Ok(QueryResult::Rows(rows.map(project).collect()))
             }
@@ -195,8 +204,15 @@ impl Database {
         else {
             return Err(RisError::BadCommand("a read must be a SELECT".to_owned()));
         };
-        let (proj, mut rows) = self.select(table, columns, predicate, bindings)?;
-        Ok(rows.next().map_or(Value::Null, |row| row[proj[0]].clone()))
+        let t = self.get_table(table)?;
+        // Every projected column must exist; the value is the first's.
+        let mut proj = projection(t, columns);
+        let first = proj.next().transpose()?;
+        proj.try_for_each(|col| col.map(drop))?;
+        let row = matching_rows(t, predicate, bindings)?.next();
+        Ok(row
+            .zip(first)
+            .map_or(Value::Null, |(row, i)| row[i].clone()))
     }
 
     /// Borrow a table for inspection.
@@ -237,39 +253,16 @@ impl Database {
         };
         // CHECK constraints before mutation.
         for check in self.checks.iter().filter(|c| c.table == table) {
-            if !eval_check(check, t, &row)? {
+            if !eval_check(check, t, |i| &row[i])? {
                 return Err(RisError::ConstraintViolation(format!(
                     "insert into `{table}` violates check"
                 )));
             }
         }
+        fire(&self.triggers, &mut self.firings, table, None, Some(&row));
         let t = self.tables.get_mut(table).expect("checked");
-        t.push_row(row.clone());
-        self.fire(table, None, Some(row));
+        t.push_row(row);
         Ok(QueryResult::Affected(1))
-    }
-
-    /// A SELECT's projected column indices and its matching rows, in
-    /// table order.
-    fn select<'a>(
-        &'a self,
-        table: &str,
-        columns: &[String],
-        predicate: &'a [Comparison],
-        bindings: &[&'a Value],
-    ) -> Result<(Vec<usize>, impl Iterator<Item = &'a Row>), RisError> {
-        let t = self.get_table(table)?;
-        let proj = if columns.len() == 1 && columns[0] == "*" {
-            (0..t.columns().len()).collect()
-        } else {
-            columns
-                .iter()
-                .map(|c| t.col_index(c))
-                .collect::<Result<_, _>>()?
-        };
-        let pred = compile_predicate(t, predicate, bindings)?;
-        let rows = t.rows().iter().filter(move |row| matches_pred(row, &pred));
-        Ok((proj, rows))
     }
 
     fn update(
@@ -280,36 +273,44 @@ impl Database {
         bindings: &[&Value],
     ) -> Result<QueryResult, RisError> {
         let t = self.get_table(table)?;
-        let assign_idx: Vec<(usize, &Value)> = assignments
-            .iter()
-            .map(|(c, v)| Ok((t.col_index(c)?, v.bind(bindings)?)))
-            .collect::<Result<_, RisError>>()?;
-        let pred_idx = compile_predicate(t, predicate, bindings)?;
+        for (column, value) in assignments {
+            t.col_index(column)?;
+            value.bind(bindings)?;
+        }
+        resolve_where(t, predicate, bindings)?;
 
-        // Two-phase: compute all updated rows, validate checks, then
-        // apply — a violating command changes nothing.
-        let mut planned: Vec<(usize, Row)> = Vec::new();
-        for (i, row) in t.rows().iter().enumerate() {
-            if matches_pred(row, &pred_idx) {
-                let mut new_row = row.clone();
-                for (ci, v) in &assign_idx {
-                    new_row[*ci] = (*v).clone();
+        // Two-phase: check every updated row, then apply — a violating
+        // command changes nothing.
+        let hits = |row: &&Row| row_matches(t.columns(), predicate, bindings, row);
+        for row in t.rows().iter().filter(hits) {
+            for check in self.checks.iter().filter(|c| c.table == table) {
+                let col = |i| assigned(t.columns(), assignments, bindings, row, i);
+                if !eval_check(check, t, col)? {
+                    return Err(RisError::ConstraintViolation(format!(
+                        "update of `{table}` violates check"
+                    )));
                 }
-                for check in self.checks.iter().filter(|c| c.table == table) {
-                    if !eval_check(check, t, &new_row)? {
-                        return Err(RisError::ConstraintViolation(format!(
-                            "update of `{table}` violates check"
-                        )));
-                    }
-                }
-                planned.push((i, new_row));
             }
         }
-        let n = planned.len();
-        for (i, new_row) in planned {
-            let t_mut = self.tables.get_mut(table).expect("checked");
-            let old_row = t_mut.replace_row(i, new_row.clone());
-            self.fire(table, Some(old_row), Some(new_row));
+        let t = self.tables.get_mut(table).expect("checked");
+        let mut n = 0;
+        for i in 0..t.rows().len() {
+            let row = &t.rows()[i];
+            if !row_matches(t.columns(), predicate, bindings, row) {
+                continue;
+            }
+            let new_row = (0..row.len())
+                .map(|c| assigned(t.columns(), assignments, bindings, row, c).clone())
+                .collect();
+            let old_row = t.replace_row(i, new_row);
+            fire(
+                &self.triggers,
+                &mut self.firings,
+                table,
+                Some(old_row),
+                Some(&t.rows()[i]),
+            );
+            n += 1;
         }
         Ok(QueryResult::Affected(n))
     }
@@ -320,55 +321,119 @@ impl Database {
         predicate: &[Comparison],
         bindings: &[&Value],
     ) -> Result<QueryResult, RisError> {
-        let t = self.get_table(table)?;
-        let pred_idx = compile_predicate(t, predicate, bindings)?;
-        let t_mut = self.tables.get_mut(table).expect("checked");
-        let removed = t_mut.remove_rows(|row| matches_pred(row, &pred_idx));
+        resolve_where(self.get_table(table)?, predicate, bindings)?;
+        let t = self.tables.get_mut(table).expect("checked");
+        let removed = t.remove_rows(|columns, row| row_matches(columns, predicate, bindings, row));
         let n = removed.len();
         for row in removed {
-            self.fire(table, Some(row), None);
+            fire(&self.triggers, &mut self.firings, table, Some(row), None);
         }
         Ok(QueryResult::Affected(n))
     }
+}
 
-    fn fire(&mut self, table: &str, old_row: Option<Row>, new_row: Option<Row>) {
-        for tr in &self.triggers {
-            if tr == table {
-                self.firings.push(TriggerFiring {
-                    table: table.to_owned(),
-                    old_row: old_row.clone(),
-                    new_row: new_row.clone(),
-                });
-            }
-        }
+/// Record one firing per trigger on `table` for a row change. The last
+/// firing takes `old_row` itself; `new_row` (still in the table) is
+/// cloned per firing, so a table no trigger watches costs nothing.
+fn fire(
+    triggers: &[Arc<str>],
+    firings: &mut Vec<TriggerFiring>,
+    table: &str,
+    mut old_row: Option<Row>,
+    new_row: Option<&Row>,
+) {
+    let mut on_table = triggers.iter().filter(|tr| tr.as_ref() == table).peekable();
+    while let Some(tr) = on_table.next() {
+        firings.push(TriggerFiring {
+            table: Arc::clone(tr),
+            old_row: match on_table.peek() {
+                Some(_) => old_row.clone(),
+                None => old_row.take(),
+            },
+            new_row: new_row.cloned(),
+        });
     }
 }
 
-fn compile_predicate<'p>(
-    t: &Table,
-    predicate: &'p [Comparison],
-    bindings: &[&'p Value],
-) -> Result<Vec<(usize, SqlOp, &'p Value)>, RisError> {
-    predicate
-        .iter()
-        .map(|c| Ok((t.col_index(&c.column)?, c.op, c.value.bind(bindings)?)))
-        .collect()
+/// The rows of `t` a WHERE clause selects, in table order.
+fn matching_rows<'a>(
+    t: &'a Table,
+    predicate: &'a [Comparison],
+    bindings: &'a [&'a Value],
+) -> Result<impl Iterator<Item = &'a Row>, RisError> {
+    resolve_where(t, predicate, bindings)?;
+    Ok((t.rows().iter()).filter(move |row| row_matches(t.columns(), predicate, bindings, row)))
 }
 
-fn matches_pred(row: &Row, pred: &[(usize, SqlOp, &Value)]) -> bool {
-    pred.iter().all(|(i, op, v)| op.apply(&row[*i], v))
+/// The column indices a SELECT projects, in order (`*` is every
+/// column).
+fn projection<'a>(
+    t: &'a Table,
+    columns: &'a [String],
+) -> impl Iterator<Item = Result<usize, RisError>> + 'a {
+    let star = columns.len() == 1 && columns[0] == "*";
+    let every = (0..t.columns().len()).filter(move |_| star).map(Ok);
+    let named = (columns.iter())
+        .filter(move |_| !star)
+        .map(|c| t.col_index(c));
+    every.chain(named)
 }
 
-fn eval_check(check: &Check, t: &Table, row: &Row) -> Result<bool, RisError> {
-    let side = |operand: &CheckOperand| -> Result<Value, RisError> {
-        match operand {
-            CheckOperand::Lit(v) => Ok(v.clone()),
-            CheckOperand::Col(c) => Ok(row[t.col_index(c)?].clone()),
+/// Fail on the first column or placeholder of a WHERE clause that
+/// does not resolve against `t`, before the command reads a row.
+fn resolve_where(t: &Table, predicate: &[Comparison], bindings: &[&Value]) -> Result<(), RisError> {
+    for c in predicate {
+        t.col_index(&c.column)?;
+        c.value.bind(bindings)?;
+    }
+    Ok(())
+}
+
+/// Whether `row` of a table with `columns` satisfies a WHERE clause
+/// that [`resolve_where`] accepted. Each comparison finds its column
+/// by name per row, so a command allocates nothing for its clause; on
+/// the narrow tables a CM-RID addresses that is a string compare or
+/// two.
+fn row_matches(
+    columns: &[String],
+    predicate: &[Comparison],
+    bindings: &[&Value],
+    row: &Row,
+) -> bool {
+    predicate.iter().all(|c| {
+        let col = columns.iter().position(|name| *name == c.column);
+        match (col, c.value.bind(bindings)) {
+            (Some(i), Ok(v)) => c.op.apply(&row[i], v),
+            _ => false,
         }
+    })
+}
+
+/// Column `i` of `row` once a SET list is applied: the value of the
+/// column's last assignment, else the old one.
+fn assigned<'v>(
+    columns: &[String],
+    assignments: &'v [(String, Operand)],
+    bindings: &[&'v Value],
+    row: &'v Row,
+    i: usize,
+) -> &'v Value {
+    let set = assignments.iter().rev().find(|(c, _)| *c == columns[i]);
+    set.and_then(|(_, v)| v.bind(bindings).ok())
+        .unwrap_or(&row[i])
+}
+
+/// Whether a row satisfies `check`, `col(i)` reading its column `i`.
+fn eval_check<'a>(
+    check: &'a Check,
+    t: &Table,
+    col: impl Fn(usize) -> &'a Value,
+) -> Result<bool, RisError> {
+    let side = |operand: &'a CheckOperand| match operand {
+        CheckOperand::Lit(v) => Ok(v),
+        CheckOperand::Col(c) => Ok(col(t.col_index(c)?)),
     };
-    let l = side(&check.left)?;
-    let r = side(&check.right)?;
-    Ok(check.op.apply(&l, &r))
+    Ok(check.op.apply(side(&check.left)?, side(&check.right)?))
 }
 
 #[cfg(test)]
@@ -484,7 +549,7 @@ mod tests {
             .unwrap();
         let firings = db.take_firings();
         assert_eq!(firings.len(), 1);
-        assert_eq!(firings[0].table, "employees");
+        assert_eq!(&*firings[0].table, "employees");
         assert_eq!(firings[0].new_row, None);
     }
 
@@ -520,6 +585,99 @@ mod tests {
             .unwrap();
         db.execute("UPDATE demarc SET value = 150 WHERE name = 'X'")
             .unwrap();
+    }
+
+    /// Each firing as `(table, old row, new row)`.
+    fn drained(db: &mut Database) -> Vec<(String, Option<Row>, Option<Row>)> {
+        (db.take_firings().into_iter())
+            .map(|f| (f.table.to_string(), f.old_row, f.new_row))
+            .collect()
+    }
+
+    fn row(empid: &str, name: &str, salary: i64) -> Option<Row> {
+        Some(vec![
+            Value::from(empid),
+            Value::from(name),
+            Value::Int(salary),
+        ])
+    }
+
+    #[test]
+    fn check_violating_update_changes_nothing_and_fires_nothing() {
+        let mut db = Database::new();
+        db.create_table("demarc", &["name", "value", "lim"])
+            .unwrap();
+        db.execute("INSERT INTO demarc VALUES ('X', 10, 100)")
+            .unwrap();
+        db.execute("INSERT INTO demarc VALUES ('Y', 10, 50)")
+            .unwrap();
+        db.add_trigger("demarc").unwrap();
+        db.add_check(Check {
+            table: "demarc".into(),
+            left: CheckOperand::Col("value".into()),
+            op: SqlOp::Le,
+            right: CheckOperand::Col("lim".into()),
+        })
+        .unwrap();
+        db.take_firings();
+        let before = db.get_table("demarc").unwrap().rows().to_vec();
+        // `X` alone would pass, `Y` violates: neither row changes.
+        for _ in 0..2 {
+            let err = db.execute("UPDATE demarc SET value = 80").unwrap_err();
+            assert_eq!(
+                err,
+                RisError::ConstraintViolation("update of `demarc` violates check".into())
+            );
+            assert_eq!(db.get_table("demarc").unwrap().rows(), &before[..]);
+            assert!(db.take_firings().is_empty());
+        }
+    }
+
+    #[test]
+    fn multi_row_update_fires_per_row_in_row_order() {
+        let mut db = salary_db();
+        db.add_trigger("employees").unwrap();
+        db.execute("UPDATE employees SET salary = 1, name = 'x' WHERE salary > 0")
+            .unwrap();
+        assert_eq!(
+            drained(&mut db),
+            [
+                (
+                    "employees".into(),
+                    row("e1", "ann", 90000),
+                    row("e1", "x", 1)
+                ),
+                (
+                    "employees".into(),
+                    row("e2", "bob", 80000),
+                    row("e2", "x", 1)
+                ),
+            ]
+        );
+        // The rows in the table are the firings' new rows.
+        let rows = db.get_table("employees").unwrap().rows().to_vec();
+        assert_eq!(
+            rows,
+            [row("e1", "x", 1).unwrap(), row("e2", "x", 1).unwrap()]
+        );
+    }
+
+    #[test]
+    fn delete_fires_with_the_removed_row() {
+        let mut db = salary_db();
+        db.add_trigger("employees").unwrap();
+        db.execute("DELETE FROM employees WHERE empid = 'e2'")
+            .unwrap();
+        assert_eq!(
+            drained(&mut db),
+            [("employees".into(), row("e2", "bob", 80000), None)]
+        );
+        db.execute("INSERT INTO employees VALUES ('e3', 'cy', 70000)")
+            .unwrap();
+        assert_eq!(
+            drained(&mut db),
+            [("employees".into(), None, row("e3", "cy", 70000))]
+        );
     }
 
     #[test]

@@ -58,10 +58,14 @@ impl Table {
         std::mem::replace(&mut self.rows[i], row)
     }
 
-    /// Remove rows matching the predicate, returning them in original
-    /// order.
-    pub(crate) fn remove_rows(&mut self, pred: impl FnMut(&mut Row) -> bool) -> Vec<Row> {
-        self.rows.extract_if(.., pred).collect()
+    /// Remove the rows `pred(columns, row)` selects, returning them in
+    /// original order.
+    pub(crate) fn remove_rows(
+        &mut self,
+        mut pred: impl FnMut(&[String], &Row) -> bool,
+    ) -> Vec<Row> {
+        let columns = &self.columns;
+        self.rows.extract_if(.., |row| pred(columns, row)).collect()
     }
 }
 
@@ -78,7 +82,7 @@ mod tests {
         t.push_row(vec![Value::Int(3), Value::Int(4)]);
         t.replace_row(0, vec![Value::Int(9), Value::Int(2)]);
         assert_eq!(t.rows()[0][0], Value::Int(9));
-        let removed = t.remove_rows(|r| r[0] == Value::Int(3));
+        let removed = t.remove_rows(|_, r| r[0] == Value::Int(3));
         assert_eq!(removed.len(), 1);
         assert_eq!(t.rows().len(), 1);
     }

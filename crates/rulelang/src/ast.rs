@@ -102,7 +102,7 @@ pub trait CondEnv {
     /// The value of a local data item, `None` if unknown/unreadable.
     fn item(&self, item: &ItemId) -> Option<Value>;
     /// The value of a rule parameter, `None` if unbound.
-    fn var(&self, name: &str) -> Option<Value>;
+    fn var(&self, name: &str) -> Option<&Value>;
 }
 
 /// A [`CondEnv`] over a [`Bindings`] plus a state-lookup closure —
@@ -118,8 +118,8 @@ impl<F: Fn(&ItemId) -> Option<Value>> CondEnv for BindingsEnv<'_, F> {
     fn item(&self, item: &ItemId) -> Option<Value> {
         (self.lookup)(item)
     }
-    fn var(&self, name: &str) -> Option<Value> {
-        self.bindings.get(name).cloned()
+    fn var(&self, name: &str) -> Option<&Value> {
+        self.bindings.get(name)
     }
 }
 
@@ -131,23 +131,16 @@ impl Expr {
     pub fn eval(&self, env: &dyn CondEnv) -> Option<Value> {
         match self {
             Expr::Lit(v) => Some(v.clone()),
-            Expr::Var(name) => env.var(name),
+            Expr::Var(name) => env.var(name).cloned(),
             Expr::Item(pat) => {
                 // Parameter terms inside the item pattern resolve
                 // through the same environment.
-                let mut params = Vec::with_capacity(pat.params.len());
-                for t in &pat.params {
-                    let v = match t {
-                        hcm_core::Term::Const(c) => c.clone(),
-                        hcm_core::Term::Var(n) => env.var(n)?,
-                        hcm_core::Term::Wild => return None,
-                    };
-                    params.push(v);
-                }
-                env.item(&ItemId {
-                    base: pat.base,
-                    params,
-                })
+                let item = ItemId::resolve(pat.base, &pat.params, |t| match t {
+                    hcm_core::Term::Const(c) => Some(c),
+                    hcm_core::Term::Var(n) => env.var(n),
+                    hcm_core::Term::Wild => None,
+                })?;
+                env.item(&item)
             }
             Expr::Neg(e) => Value::Int(0).sub(&e.eval(env)?),
             Expr::Abs(e) => e.eval(env)?.abs(),
@@ -482,11 +475,8 @@ mod tests {
                     .find(|(n, _)| *n == item.to_string())
                     .map(|(_, v)| v.clone())
             }
-            fn var(&self, name: &str) -> Option<Value> {
-                self.vars
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| v.clone())
+            fn var(&self, name: &str) -> Option<&Value> {
+                self.vars.iter().find(|(n, _)| n == name).map(|(_, v)| v)
             }
         }
         E {

@@ -96,6 +96,9 @@ pub struct Sim<M> {
     rngs: Vec<SimRng>,
     /// Per-actor submission counters (the `seq` half of the order key).
     send_seqs: Vec<u64>,
+    /// The sends of the hook being dispatched, drained into the queue
+    /// by [`Sim::flush_outbox`]; one buffer serves every dispatch.
+    outbox: Vec<(ActorId, M, SendKind)>,
     seed: u64,
     net: Network,
     obs: Obs,
@@ -130,6 +133,7 @@ impl<M> Sim<M> {
             ext_seq: 0,
             rngs: Vec::new(),
             send_seqs: Vec::new(),
+            outbox: Vec::new(),
             seed,
             net,
             obs: Obs::new(),
@@ -245,8 +249,9 @@ impl<M> Sim<M> {
         s
     }
 
-    fn flush_outbox(&mut self, from: ActorId, outbox: Vec<(ActorId, M, SendKind)>) {
-        for (to, msg, kind) in outbox {
+    fn flush_outbox(&mut self, from: ActorId) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (to, msg, kind) in outbox.drain(..) {
             let at =
                 self.net
                     .delivery_time(self.now, from, to, kind, &mut self.rngs[from.0 as usize]);
@@ -270,6 +275,7 @@ impl<M> Sim<M> {
                 entry: Entry::Deliver { to, from, msg },
             }));
         }
+        self.outbox = outbox;
     }
 
     fn start_if_needed(&mut self) {
@@ -279,18 +285,15 @@ impl<M> Sim<M> {
         self.started = true;
         for i in 0..self.actors.len() {
             let id = ActorId(i as u32);
-            let mut outbox = Vec::new();
-            {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    me: id,
-                    rng: &mut self.rngs[i],
-                    outbox: &mut outbox,
-                    timers_cancelled: false,
-                };
-                self.actors[i].on_start(&mut ctx);
-            }
-            self.flush_outbox(id, outbox);
+            let mut ctx = Ctx {
+                now: self.now,
+                me: id,
+                rng: &mut self.rngs[i],
+                outbox: &mut self.outbox,
+                timers_cancelled: false,
+            };
+            self.actors[i].on_start(&mut ctx);
+            self.flush_outbox(id);
         }
     }
 
@@ -359,18 +362,15 @@ impl<M> Sim<M> {
                                 .inc(Scope::Actor(to.0), "sim.held_while_crashed");
                         }
                         _ => {
-                            let mut outbox = Vec::new();
-                            {
-                                let mut ctx = Ctx {
-                                    now: self.now,
-                                    me: to,
-                                    rng: &mut self.rngs[to.0 as usize],
-                                    outbox: &mut outbox,
-                                    timers_cancelled: false,
-                                };
-                                self.actors[to.0 as usize].on_message(msg, &mut ctx);
-                            }
-                            self.flush_outbox(to, outbox);
+                            let mut ctx = Ctx {
+                                now: self.now,
+                                me: to,
+                                rng: &mut self.rngs[to.0 as usize],
+                                outbox: &mut self.outbox,
+                                timers_cancelled: false,
+                            };
+                            self.actors[to.0 as usize].on_message(msg, &mut ctx);
+                            self.flush_outbox(to);
                         }
                     }
                 }
@@ -396,19 +396,20 @@ impl<M> Sim<M> {
                 // Let the actor model the crash (a lossy crash wipes a
                 // durable actor's volatile state). Anything it tries to
                 // send is discarded — it is down.
-                let mut discard = Vec::new();
                 let mut ctx = Ctx {
                     now: self.now,
                     me: who,
                     rng: &mut self.rngs[who.0 as usize],
-                    outbox: &mut discard,
+                    outbox: &mut self.outbox,
                     timers_cancelled: false,
                 };
                 self.actors[who.0 as usize].on_crash(lossy, &mut ctx);
+                let timers_cancelled = ctx.timers_cancelled;
+                self.outbox.clear();
                 // A wiped actor's timers die with its state. The queue's
                 // keys are unique, so dropping entries leaves the pop
                 // order of the rest unchanged.
-                if ctx.timers_cancelled {
+                if timers_cancelled {
                     self.queue.retain(|Reverse(s)| {
                         !matches!(s.entry, Entry::Deliver { to, from, .. } if to == who && from == who)
                     });
@@ -425,18 +426,15 @@ impl<M> Sim<M> {
                 // Give the actor first crack at recovery (reload durable
                 // state, re-arm timers) before held traffic lands. Its
                 // sends are real and flushed normally.
-                let mut outbox = Vec::new();
-                {
-                    let mut ctx = Ctx {
-                        now: self.now,
-                        me: who,
-                        rng: &mut self.rngs[who.0 as usize],
-                        outbox: &mut outbox,
-                        timers_cancelled: false,
-                    };
-                    self.actors[who.0 as usize].on_recover(&mut ctx);
-                }
-                self.flush_outbox(who, outbox);
+                let mut ctx = Ctx {
+                    now: self.now,
+                    me: who,
+                    rng: &mut self.rngs[who.0 as usize],
+                    outbox: &mut self.outbox,
+                    timers_cancelled: false,
+                };
+                self.actors[who.0 as usize].on_recover(&mut ctx);
+                self.flush_outbox(who);
                 // Replay messages held during the outage, at recovery
                 // time, preserving their original arrival order. The
                 // replayed entries take this control's key with a

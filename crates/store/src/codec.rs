@@ -86,6 +86,18 @@ impl Encoder {
         self.buf
     }
 
+    /// The bytes encoded since the last [`Encoder::clear`].
+    #[must_use]
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drop the encoded bytes but keep the buffer, so one encoder can
+    /// write record after record without allocating.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Write one raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -159,7 +171,7 @@ impl Encoder {
     pub fn item(&mut self, item: &ItemId) {
         self.str(item.base.as_str());
         self.u32(item.params.len() as u32);
-        for p in &item.params {
+        for p in item.params.iter() {
             self.value(p);
         }
     }
@@ -230,9 +242,13 @@ impl<'a> Decoder<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string in place.
+    fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::BadUtf8)
     }
 
     /// Read a [`SimTime`].
@@ -259,13 +275,26 @@ impl<'a> Decoder<'a> {
 
     /// Read an [`ItemId`].
     pub fn item(&mut self) -> Result<ItemId, CodecError> {
-        let base = Sym::intern(&self.str()?);
+        let base = Sym::intern(self.str_ref()?);
         let n = self.u32()? as usize;
-        let mut params = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            params.push(self.value()?);
+        // Every value takes at least its tag byte; a larger count is a
+        // torn record, refused before it sizes the parameter slice.
+        if n > self.buf.len() - self.pos {
+            return Err(CodecError::Truncated);
         }
-        Ok(ItemId { base, params })
+        // The parameters fill the item's shared slice in one allocation;
+        // the first value that fails to decode fails the item.
+        let mut failed = None;
+        let item = ItemId::with(
+            base,
+            (0..n).map(|_| {
+                self.value().unwrap_or_else(|e| {
+                    failed.get_or_insert(e);
+                    Value::Null
+                })
+            }),
+        );
+        failed.map_or(Ok(item), Err)
     }
 }
 

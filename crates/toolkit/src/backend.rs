@@ -14,7 +14,7 @@
 //!    interfaces and initial-state capture.
 
 use crate::msg::SpontaneousOp;
-use hcm_core::{ItemId, ItemPattern, SimTime, Value};
+use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
 use hcm_ris::RisError;
 
 /// A change to a tracked item, observed through a native change feed.
@@ -129,11 +129,11 @@ impl KeyPattern {
     /// parameter: parameterized patterns yield `base(param)`, constant
     /// patterns yield the plain `base`.
     #[must_use]
-    pub(crate) fn item_for(&self, base: &str, param: &str) -> crate::ItemIdAlias {
+    pub(crate) fn item_for(&self, base: Sym, param: &str) -> crate::ItemIdAlias {
         if self.has_param {
-            hcm_core::ItemId::with(base.to_owned(), [hcm_core::Value::from(param)])
+            hcm_core::ItemId::with(base, [hcm_core::Value::from(param)])
         } else {
-            hcm_core::ItemId::plain(base.to_owned())
+            hcm_core::ItemId::plain(base)
         }
     }
 

@@ -9,14 +9,14 @@
 use crate::backend::{value_to_text, wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
+use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
 use hcm_ris::biblio::BiblioDb;
 use hcm_ris::RisError;
 
 /// See module docs.
 pub struct BiblioBackend {
     db: BiblioDb,
-    bases: Vec<String>,
+    bases: Vec<Sym>,
 }
 
 impl BiblioBackend {
@@ -25,12 +25,12 @@ impl BiblioBackend {
     pub(crate) fn new(db: BiblioDb, rid: &CmRid) -> Self {
         BiblioBackend {
             db,
-            bases: rid.maps.keys().cloned().collect(),
+            bases: rid.maps.keys().map(Sym::from).collect(),
         }
     }
 
-    fn check_base(&self, base: &str) -> Result<(), RisError> {
-        if self.bases.iter().any(|b| b == base) {
+    fn check_base(&self, base: Sym) -> Result<(), RisError> {
+        if self.bases.contains(&base) {
             Ok(())
         } else {
             Err(RisError::Unsupported(format!(
@@ -73,7 +73,7 @@ impl RisBackend for BiblioBackend {
                 for base in &self.bases {
                     out.push(Change {
                         item: ItemId::with(
-                            base.clone(),
+                            *base,
                             [Value::from(author.as_str()), Value::from(title.as_str())],
                         ),
                         old: Some(Value::Null),
@@ -98,7 +98,7 @@ impl RisBackend for BiblioBackend {
     }
 
     fn read(&self, item: &ItemId) -> Result<Value, RisError> {
-        self.check_base(&item.base)?;
+        self.check_base(item.base)?;
         let (author, title) = Self::author_title(item)?;
         Ok(self
             .db
@@ -109,7 +109,7 @@ impl RisBackend for BiblioBackend {
     }
 
     fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        if self.check_base(&pattern.base).is_err() {
+        if self.check_base(pattern.base).is_err() {
             return Vec::new();
         }
         let mut out = Vec::new();
@@ -121,8 +121,7 @@ impl RisBackend for BiblioBackend {
                     Value::from(rec.title.as_str()),
                 ],
             );
-            let mut b = Bindings::new();
-            if pattern.match_item(&item, &mut b) {
+            if pattern.matches(&item) {
                 out.push(item);
             }
         }

@@ -13,12 +13,12 @@ use crate::backend::{
 };
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
+use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
 use hcm_ris::filestore::FileStore;
 use hcm_ris::RisError;
 
 struct FileMap {
-    base: String,
+    base: Sym,
     path: KeyPattern,
     ty: Option<String>,
 }
@@ -38,7 +38,7 @@ impl FileBackend {
             .iter()
             .filter_map(|(base, props)| {
                 props.get("path").map(|p| FileMap {
-                    base: base.clone(),
+                    base: Sym::intern(base),
                     path: KeyPattern::parse(p),
                     ty: props.get("type").cloned(),
                 })
@@ -47,7 +47,7 @@ impl FileBackend {
         FileBackend { fs, maps }
     }
 
-    fn map_for(&self, base: &str) -> Result<&FileMap, RisError> {
+    fn map_for(&self, base: Sym) -> Result<&FileMap, RisError> {
         self.maps
             .iter()
             .find(|m| m.base == base)
@@ -98,7 +98,7 @@ impl RisBackend for FileBackend {
         let mut out = Vec::new();
         for m in &self.maps {
             if let Some(param) = m.path.extract(&changed_path) {
-                let item = m.path.item_for(&m.base, param);
+                let item = m.path.item_for(m.base, param);
                 let new = match op {
                     SpontaneousOp::FileWrite { contents, .. } => {
                         text_to_value(contents, m.ty.as_deref())
@@ -121,7 +121,7 @@ impl RisBackend for FileBackend {
         value: &Value,
         _now: SimTime,
     ) -> Result<Option<Value>, RisError> {
-        let m = self.map_for(&item.base)?;
+        let m = self.map_for(item.base)?;
         let path = m.path.render(&single_param(item)?);
         let old = self
             .fs
@@ -138,7 +138,7 @@ impl RisBackend for FileBackend {
     }
 
     fn read(&self, item: &ItemId) -> Result<Value, RisError> {
-        let m = self.map_for(&item.base)?;
+        let m = self.map_for(item.base)?;
         let path = m.path.render(&single_param(item)?);
         match self.fs.read(&path) {
             Ok(text) => Ok(text_to_value(text, m.ty.as_deref())),
@@ -148,15 +148,14 @@ impl RisBackend for FileBackend {
     }
 
     fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        let Ok(m) = self.map_for(&pattern.base) else {
+        let Ok(m) = self.map_for(pattern.base) else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for path in self.fs.list() {
             if let Some(param) = m.path.extract(path) {
-                let item = m.path.item_for(&m.base, param);
-                let mut b = Bindings::new();
-                if pattern.match_item(&item, &mut b) {
+                let item = m.path.item_for(m.base, param);
+                if pattern.matches(&item) {
                     out.push(item);
                 }
             }

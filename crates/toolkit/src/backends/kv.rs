@@ -6,12 +6,12 @@
 use crate::backend::{single_param, wrong_op, Change, KeyPattern, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
+use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
 use hcm_ris::kvstore::KvStore;
 use hcm_ris::RisError;
 
 struct KvMap {
-    base: String,
+    base: Sym,
     key: KeyPattern,
 }
 
@@ -33,7 +33,7 @@ impl KvBackend {
                 continue;
             };
             maps.push(KvMap {
-                base: base.clone(),
+                base: Sym::intern(base),
                 key: KeyPattern::parse(key),
             });
         }
@@ -46,7 +46,7 @@ impl KvBackend {
         KvBackend { kv, maps }
     }
 
-    fn map_for(&self, base: &str) -> Result<&KvMap, RisError> {
+    fn map_for(&self, base: Sym) -> Result<&KvMap, RisError> {
         self.maps
             .iter()
             .find(|m| m.base == base)
@@ -60,7 +60,7 @@ impl KvBackend {
             for m in &self.maps {
                 if let Some(param) = m.key.extract(&e.key) {
                     out.push(Change {
-                        item: m.key.item_for(&m.base, param),
+                        item: m.key.item_for(m.base, param),
                         old: Some(e.old.clone().unwrap_or(Value::Null)),
                         new: e.new.clone().unwrap_or(Value::Null),
                     });
@@ -99,7 +99,7 @@ impl RisBackend for KvBackend {
         value: &Value,
         _now: SimTime,
     ) -> Result<Option<Value>, RisError> {
-        let m = self.map_for(&item.base)?;
+        let m = self.map_for(item.base)?;
         let key = m.key.render(&single_param(item)?);
         let old = if *value == Value::Null {
             match self.kv.delete(&key) {
@@ -116,21 +116,20 @@ impl RisBackend for KvBackend {
     }
 
     fn read(&self, item: &ItemId) -> Result<Value, RisError> {
-        let m = self.map_for(&item.base)?;
+        let m = self.map_for(item.base)?;
         let key = m.key.render(&single_param(item)?);
         Ok(self.kv.get(&key).cloned().unwrap_or(Value::Null))
     }
 
     fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        let Ok(m) = self.map_for(&pattern.base) else {
+        let Ok(m) = self.map_for(pattern.base) else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for key in self.kv.keys() {
             if let Some(param) = m.key.extract(key) {
-                let item = m.key.item_for(&m.base, param);
-                let mut b = Bindings::new();
-                if pattern.match_item(&item, &mut b) {
+                let item = m.key.item_for(m.base, param);
+                if pattern.matches(&item) {
                     out.push(item);
                 }
             }

@@ -8,19 +8,26 @@
 //! typed values; no command text is built at run time. Spontaneous
 //! changes surface through declared **triggers**, mapped back to item
 //! names via the `[map <base>]` sections (`table = …`, `key = …`,
-//! `col = …`).
+//! `col = …`). Each map's base is interned and its columns resolved
+//! when the backend is built, so turning a firing into a change builds
+//! only the item's parameter slice.
+//!
+//! A CM write still reads the item's old value through its `read`
+//! template first (a template may address any row, so the UPDATE's own
+//! firing cannot stand in for it), and drops the firings its commands
+//! caused: they are not spontaneous changes.
 
 use crate::backend::{wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{ItemId, ItemPattern, SimTime, Value};
+use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
 use hcm_ris::relational::{prepare, Command, Database, QueryResult};
 use hcm_ris::RisError;
 
 /// One `[map <base>]` section, resolved against the table's schema
 /// when the backend is built.
 struct TableMap {
-    base: String,
+    base: Sym,
     table: String,
     /// Indices of the key and value columns in the table's rows.
     key_col: usize,
@@ -31,14 +38,14 @@ struct TableMap {
 }
 
 impl TableMap {
-    fn item_for(&self, key: &hcm_core::Value) -> ItemId {
+    fn item_for(&self, key: &Value) -> ItemId {
         match &self.fixed_key {
-            Some(_) => ItemId::plain(self.base.clone()),
-            None => ItemId::with(self.base.clone(), [key.clone()]),
+            Some(_) => ItemId::plain(self.base),
+            None => ItemId::with(self.base, [key.clone()]),
         }
     }
 
-    fn key_matches(&self, key: &hcm_core::Value) -> bool {
+    fn key_matches(&self, key: &Value) -> bool {
         match &self.fixed_key {
             Some(k) => key.as_str() == Some(k.as_str()) || key.to_string() == *k,
             None => true,
@@ -51,18 +58,18 @@ pub struct RelationalBackend {
     db: Database,
     maps: Vec<TableMap>,
     /// The CM-RID's command templates, prepared: `(op, base, command)`.
-    commands: Vec<(String, String, Command)>,
+    commands: Vec<(String, Sym, Command)>,
 }
 
 /// The prepared `op` command for item base `base`.
 fn command<'c>(
-    commands: &'c [(String, String, Command)],
+    commands: &'c [(String, Sym, Command)],
     op: &str,
-    base: &str,
+    base: Sym,
 ) -> Result<&'c Command, RisError> {
     commands
         .iter()
-        .find(|(o, b, _)| o == op && b == base)
+        .find(|(o, b, _)| o == op && *b == base)
         .map(|(.., cmd)| cmd)
         .ok_or_else(|| RisError::Unsupported(format!("no `{op}` command template for `{base}`")))
 }
@@ -70,7 +77,7 @@ fn command<'c>(
 /// The value `$p0` binds: the item's parameter, `''` for a plain item.
 fn key(item: &ItemId) -> Result<&Value, RisError> {
     static PLAIN: Value = Value::Str(String::new());
-    match item.params.as_slice() {
+    match &*item.params {
         [] => Ok(&PLAIN),
         [p] => Ok(p),
         more => Err(RisError::Unsupported(format!(
@@ -113,7 +120,7 @@ impl RelationalBackend {
                     .map_err(|_| RisError::NotFound(format!("column `{col}` of `[map {base}]`")))
             };
             maps.push(TableMap {
-                base: base.clone(),
+                base: Sym::intern(base),
                 table: table.clone(),
                 key_col: column(key_col)?,
                 val_col: column(val_col)?,
@@ -133,7 +140,7 @@ impl RelationalBackend {
                 }
                 other => other,
             })?;
-            commands.push((op.clone(), base.clone(), cmd));
+            commands.push((op.clone(), Sym::intern(base), cmd));
         }
         Ok(RelationalBackend { db, maps, commands })
     }
@@ -143,12 +150,12 @@ impl RelationalBackend {
         let firings = self.db.take_firings();
         let mut out = Vec::new();
         for f in firings {
-            for m in self.maps.iter().filter(|m| m.table == f.table) {
+            for m in self.maps.iter().filter(|m| *m.table == *f.table) {
                 let key_row = f.new_row.as_ref().or(f.old_row.as_ref());
-                let Some(key) = key_row.map(|r| r[m.key_col].clone()) else {
+                let Some(key) = key_row.map(|r| &r[m.key_col]) else {
                     continue;
                 };
-                if !m.key_matches(&key) {
+                if !m.key_matches(key) {
                     continue;
                 }
                 let old = f.old_row.as_ref().map(|r| r[m.val_col].clone());
@@ -162,7 +169,7 @@ impl RelationalBackend {
                     continue;
                 }
                 out.push(Change {
-                    item: m.item_for(&key),
+                    item: m.item_for(key),
                     old,
                     new,
                 });
@@ -199,26 +206,26 @@ impl RisBackend for RelationalBackend {
         let key = key(item)?;
         if *value == Value::Null {
             self.db
-                .run(command(&self.commands, "delete", &item.base)?, &[key])?;
+                .run(command(&self.commands, "delete", item.base)?, &[key])?;
         } else {
-            let write = command(&self.commands, "write", &item.base)?;
+            let write = command(&self.commands, "write", item.base)?;
             let result = self.db.run(write, &[key, value])?;
             // UPDATE hit no rows: fall back to the insert template when
             // the CM-RID provides one (upsert behaviour).
             if result == QueryResult::Affected(0) {
-                if let Ok(insert) = command(&self.commands, "insert", &item.base) {
+                if let Ok(insert) = command(&self.commands, "insert", item.base) {
                     self.db.run(insert, &[key, value])?;
                 }
             }
         }
         // CM-initiated writes are not spontaneous: consume the trigger
         // firings they caused so they never surface as `Ws` changes.
-        let _ = self.db.take_firings();
+        self.db.take_firings();
         Ok(old)
     }
 
     fn read(&self, item: &ItemId) -> Result<Value, RisError> {
-        let read = command(&self.commands, "read", &item.base)?;
+        let read = command(&self.commands, "read", item.base)?;
         self.db.read_one(read, &[key(item)?])
     }
 
@@ -236,8 +243,7 @@ impl RisBackend for RelationalBackend {
                 continue;
             }
             let item = m.item_for(key);
-            let mut b = hcm_core::Bindings::new();
-            if pattern.match_item(&item, &mut b) {
+            if pattern.matches(&item) {
                 out.push(item);
             }
         }
@@ -359,6 +365,19 @@ col = salary
         let item = ItemId::with("salary1", [Value::from("e9")]);
         b.write(&item, &Value::Int(12345), SimTime::ZERO).unwrap();
         assert_eq!(b.read(&item).unwrap(), Value::Int(12345));
+    }
+
+    #[test]
+    fn upsert_by_insert_returns_null_old_value() {
+        let mut b = setup();
+        let item = ItemId::with("salary1", [Value::from("e9")]);
+        // No row yet: the old-value read finds none, the UPDATE hits
+        // nothing and the insert template creates the row.
+        let old = b.write(&item, &Value::Int(12345), SimTime::ZERO).unwrap();
+        assert_eq!(old, Some(Value::Null));
+        assert_eq!(b.read(&item).unwrap(), Value::Int(12345));
+        let old = b.write(&item, &Value::Int(1), SimTime::ZERO).unwrap();
+        assert_eq!(old, Some(Value::Int(12345)));
     }
 
     #[test]

@@ -8,12 +8,12 @@
 use crate::backend::{single_param, wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{Bindings, ItemId, ItemPattern, SimTime, Value};
+use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
 use hcm_ris::whois::WhoisDir;
 use hcm_ris::RisError;
 
 struct WhoisMap {
-    base: String,
+    base: Sym,
     field: String,
 }
 
@@ -32,7 +32,7 @@ impl WhoisBackend {
             .iter()
             .filter_map(|(base, props)| {
                 props.get("field").map(|f| WhoisMap {
-                    base: base.clone(),
+                    base: Sym::intern(base),
                     field: f.clone(),
                 })
             })
@@ -40,7 +40,7 @@ impl WhoisBackend {
         WhoisBackend { dir, maps }
     }
 
-    fn map_for(&self, base: &str) -> Result<&WhoisMap, RisError> {
+    fn map_for(&self, base: Sym) -> Result<&WhoisMap, RisError> {
         self.maps
             .iter()
             .find(|m| m.base == base)
@@ -64,7 +64,7 @@ impl RisBackend for WhoisBackend {
         match op {
             SpontaneousOp::WhoisSet { name, field, value } => {
                 for m in self.maps.iter().filter(|m| &m.field == field) {
-                    let item = ItemId::with(m.base.clone(), [Value::from(name.as_str())]);
+                    let item = ItemId::with(m.base, [Value::from(name.as_str())]);
                     let old = self
                         .dir
                         .lookup_field(name, field)
@@ -81,7 +81,7 @@ impl RisBackend for WhoisBackend {
             SpontaneousOp::WhoisRemove { name } => {
                 for m in &self.maps {
                     if let Ok(old) = self.dir.lookup_field(name, &m.field) {
-                        let item = ItemId::with(m.base.clone(), [Value::from(name.as_str())]);
+                        let item = ItemId::with(m.base, [Value::from(name.as_str())]);
                         out.push(Change {
                             item,
                             old: Some(Value::from(old)),
@@ -108,7 +108,7 @@ impl RisBackend for WhoisBackend {
     }
 
     fn read(&self, item: &ItemId) -> Result<Value, RisError> {
-        let m = self.map_for(&item.base)?;
+        let m = self.map_for(item.base)?;
         let name = single_param(item)?;
         match self.dir.lookup_field(&name, &m.field) {
             Ok(v) => Ok(Value::from(v)),
@@ -118,7 +118,7 @@ impl RisBackend for WhoisBackend {
     }
 
     fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        let Ok(m) = self.map_for(&pattern.base) else {
+        let Ok(m) = self.map_for(pattern.base) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -126,9 +126,8 @@ impl RisBackend for WhoisBackend {
             if !fields.contains_key(&m.field) {
                 continue;
             }
-            let item = ItemId::with(m.base.clone(), [Value::from(name)]);
-            let mut b = Bindings::new();
-            if pattern.match_item(&item, &mut b) {
+            let item = ItemId::with(m.base, [Value::from(name)]);
+            if pattern.matches(&item) {
                 out.push(item);
             }
         }

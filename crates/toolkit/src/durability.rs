@@ -177,6 +177,12 @@ impl LogRecord {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    /// Append the record's bytes to `e`.
+    fn encode_into(&self, e: &mut Encoder) {
         match self {
             LogRecord::PrivateWrite { at, item, value } => {
                 e.u8(0);
@@ -210,7 +216,7 @@ impl LogRecord {
             }
             LogRecord::WriteAccepted(pw) => {
                 e.u8(6);
-                pw.encode_into(&mut e);
+                pw.encode_into(e);
             }
             LogRecord::WritePerformed { req_id } => {
                 e.u8(7);
@@ -230,7 +236,6 @@ impl LogRecord {
                 e.u64(*req_id);
             }
         }
-        e.finish()
     }
 
     /// Decode a record from bytes.
@@ -345,11 +350,7 @@ impl StatePolicy {
                         Box::new(FileStore::open(dir.join(format!("{label}.wal")))?)
                     }
                 };
-                Memory::Durable(StoreBridge {
-                    store,
-                    metrics: metrics.clone(),
-                    scope,
-                })
+                Memory::Durable(StoreBridge::new(store, metrics.clone(), scope))
             }
         };
         Ok(StatePolicy {
@@ -401,15 +402,27 @@ struct StoreBridge {
     store: Box<dyn StateStore>,
     metrics: Metrics,
     scope: Scope,
+    /// Every record is encoded into this one buffer before its append.
+    encoder: Encoder,
 }
 
 impl StoreBridge {
+    fn new(store: Box<dyn StateStore>, metrics: Metrics, scope: Scope) -> Self {
+        StoreBridge {
+            store,
+            metrics,
+            scope,
+            encoder: Encoder::new(),
+        }
+    }
+
     /// Append one record to the WAL. Store errors are counted, not
     /// propagated: a component must not fall over because its log did
     /// (§5 degrades, never halts).
     fn log(&mut self, rec: &LogRecord) {
-        let payload = rec.encode();
-        match self.store.append(&payload) {
+        self.encoder.clear();
+        rec.encode_into(&mut self.encoder);
+        match self.store.append(self.encoder.bytes()) {
             Ok(bytes) => {
                 self.metrics.inc(self.scope, "store.appends");
                 self.metrics.add(self.scope, "store.bytes", bytes);
@@ -458,11 +471,7 @@ mod tests {
     fn bridge_logs_and_recovers() {
         let obs = Obs::new();
         let scope = Scope::Site(3);
-        let mut bridge = StoreBridge {
-            store: Box::new(MemStore::new()),
-            metrics: obs.metrics.clone(),
-            scope,
-        };
+        let mut bridge = StoreBridge::new(Box::new(MemStore::new()), obs.metrics.clone(), scope);
         let rec = LogRecord::Reset { at: SimTime::ZERO };
         bridge.log(&rec);
         bridge.log(&rec);
@@ -483,11 +492,7 @@ mod tests {
         for payload in [a.encode(), b.encode(), vec![200], a.encode()] {
             store.append(&payload).unwrap();
         }
-        let mut bridge = StoreBridge {
-            store: Box::new(store),
-            metrics: obs.metrics.clone(),
-            scope,
-        };
+        let mut bridge = StoreBridge::new(Box::new(store), obs.metrics.clone(), scope);
         assert_eq!(bridge.recover(), vec![a, b]);
         assert_eq!(obs.metrics.counter(scope, "store.decode_errors"), 1);
         assert_eq!(obs.metrics.counter(scope, "store.replayed"), 2);

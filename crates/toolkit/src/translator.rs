@@ -17,7 +17,7 @@
 //!   (overload injection) and *logical failures* when its actor
 //!   crashes — the two §5 classes.
 
-use crate::backend::RisBackend;
+use crate::backend::{Change, RisBackend};
 use crate::durability::{LogRecord, PendingWrite, Restart, StatePolicy};
 use crate::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use crate::rid::{classify, CmRid, IfaceClass};
@@ -179,19 +179,15 @@ impl TranslatorActor {
 
     /// Forward an event to the shell when an interest pattern matches.
     fn forward_if_interesting(&self, id: EventId, desc: &EventDesc, ctx: &mut Ctx<'_, CmMsg>) {
-        for pat in &self.interest {
-            let mut b = Bindings::new();
-            if pat.match_desc(desc, &mut b) {
-                ctx.send_local(
-                    self.shell,
-                    CmMsg::Cmi(TranslatorEvent::Observed {
-                        id,
-                        desc: desc.clone(),
-                    }),
-                    FORWARD_DELAY,
-                );
-                return;
-            }
+        if self.interest.iter().any(|pat| pat.matches(desc)) {
+            ctx.send_local(
+                self.shell,
+                CmMsg::Cmi(TranslatorEvent::Observed {
+                    id,
+                    desc: desc.clone(),
+                }),
+                FORWARD_DELAY,
+            );
         }
     }
 
@@ -205,24 +201,21 @@ impl TranslatorActor {
                 return;
             }
         };
-        for change in changes {
+        for Change { item, old, new } in changes {
             let desc = EventDesc::Ws {
-                item: change.item.clone(),
-                old: change.old.clone(),
-                new: change.new.clone(),
+                item,
+                old: old.clone(),
+                new,
             };
-            let ws_id = self.record(now, desc.clone(), change.old.clone(), None, None);
+            let ws_id = self.record(now, desc.clone(), old, None, None);
             self.forward_if_interesting(ws_id, &desc, ctx);
 
             // Prohibition interfaces: the database promised this never
             // happens. Record the breach for the checker and count it.
             for iface in &self.interfaces {
-                if iface.class == IfaceClass::Prohibition {
-                    let mut b = Bindings::new();
-                    if iface.stmt.lhs.match_desc(&desc, &mut b) {
-                        self.metrics
-                            .inc(self.scope, "translator.prohibition_violations");
-                    }
+                if iface.class == IfaceClass::Prohibition && iface.stmt.lhs.matches(&desc) {
+                    self.metrics
+                        .inc(self.scope, "translator.prohibition_violations");
                 }
             }
 
@@ -275,11 +268,7 @@ impl TranslatorActor {
 
     fn find_iface(&self, class: IfaceClass, item: &ItemId) -> Option<&IfaceRule> {
         self.interfaces.iter().find(|i| {
-            i.class == class
-                && i.stmt.lhs.item_pattern().is_some_and(|p| {
-                    let mut b = Bindings::new();
-                    p.match_item(item, &mut b)
-                })
+            i.class == class && i.stmt.lhs.item_pattern().is_some_and(|p| p.matches(item))
         })
     }
 
