@@ -43,8 +43,8 @@
 //! RHS variables' slots only when the LHS binds a variable the RHS does
 //! not mention, the one case where two instantiations can share a key.
 
-use crate::slots::{SlotCond, SlotEnv, SlotExpr, SlotMap};
 use hcm_core::{ItemId, ItemPattern, SimTime, StateIndex, Term, Trace, Value};
+use hcm_rulelang::slots::{SlotCond, SlotEnv, SlotExpr, SlotMap};
 use hcm_rulelang::{CmpOp, Cond, GAtom, Guarantee, Mention, TimeExpr};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -975,7 +975,7 @@ impl<'e> Plan<'e> {
     }
 
     /// An expression's value at `t`, `None` when an input is missing or
-    /// an operation is undefined (as [`hcm_rulelang::Expr::eval`]).
+    /// an operation is undefined (as [`SlotExpr::value`]).
     fn value<'v>(&'v self, e: &'v SlotExpr, t: SimTime, env: &'v Env) -> Option<Cow<'v, Value>> {
         e.value(&At { plan: self, t, env })
     }
@@ -1130,8 +1130,8 @@ impl<'v> SlotEnv<'v> for At<'v, '_> {
         self.env.data[s].as_ref()
     }
 
-    fn item(&self, item: usize) -> Option<&'v Value> {
-        self.plan.value_at(item, self.t)
+    fn item(&self, item: usize) -> Option<Cow<'v, Value>> {
+        self.plan.value_at(item, self.t).map(Cow::Borrowed)
     }
 }
 

@@ -51,7 +51,6 @@
 
 pub mod guarantee;
 pub mod ruleset;
-mod slots;
 pub mod validity;
 
 pub use guarantee::{GuaranteeOutcome, GuaranteeReport};

@@ -25,25 +25,28 @@
 //!    inversions `t1 < t3` but `t4 < t2` are violations, whichever of
 //!    the two rules holds the earlier trigger.
 //!
-//! The check is one indexed pass. The rule set is first compiled for
-//! the check: each rule's variables get slots, its LHS and step
-//! templates become slot matchers, and its condition a slot condition
-//! over an item table. Matching an event binds slots to values borrowed
-//! from the trace and logs each binding, so a failed match, or a step
-//! tried and done, undoes exactly its own; a repeated variable must
-//! match an equal value, as `Term::unify` requires. No matching
-//! interpretation is built or cloned per event. A pre-pass over the
-//! trace records which events each trigger generated and which
+//! The check is one indexed pass. The rule set is first compiled to
+//! slots by `hcm_rulelang::slots`, the one rule interpreter the
+//! CM-Shell and the CM-Translator also run on: each rule's variables
+//! get slots, its LHS and step templates become slot matchers, and its
+//! condition a slot condition over an item table. Matching an event
+//! binds slots to values borrowed from the trace and logs each binding,
+//! so a failed match, or a step tried and done, undoes exactly its own;
+//! a repeated variable must match an equal value. No matching
+//! interpretation is built or cloned per event. Conditions read the
+//! trace's [`StateIndex`] at the instant they are evaluated. A pre-pass
+//! over the trace records which events each trigger generated and which
 //! `WriteRejected` refusals descend from each event, in flat tables
 //! indexed by trace position (event ids are positions), and sorts the
 //! firings of each group of related rules. Property 6 then probes, per
 //! event, the same [`RuleIndex`] the CM-Shell dispatches through,
 //! evaluating step conditions only at the state change points inside
 //! each window; property 7 sweeps each group. The cost is O(n log n) in
-//! the trace length plus the size of the report. `tests/reference/mod.rs`
-//! keeps the direct property-by-property transcription over
-//! [`hcm_core::Bindings`] and [`TemplateDesc::match_desc`], and the
-//! differential suites pin this checker's report to it.
+//! the trace length plus the size of the report.
+//! `tests/reference/mod.rs` keeps the direct property-by-property
+//! transcription, over its own name-keyed interpreter that shares
+//! nothing with the slot compiler, and the differential suites pin
+//! this checker's report, and the slot interpreter itself, to it.
 //!
 //! Deviations from the appendix, documented in `DESIGN.md`: sequenced
 //! RHS steps may share an instant (the engine executes them in one
@@ -53,17 +56,15 @@
 //! records their writes.
 
 use crate::ruleset::RuleSet;
-use crate::slots::{SlotCond, SlotEnv, SlotMap};
 use hcm_core::{
-    Event, EventDesc, ItemId, ItemPattern, RuleIndex, SimTime, SiteId, StateIndex, Sym,
-    TemplateDesc, Term, Trace, Value,
+    Event, EventDesc, ItemId, RuleIndex, SimTime, SiteId, StateIndex, TemplateDesc, Trace, Value,
 };
-use hcm_rulelang::{CmpOp, Cond, Expr};
+use hcm_rulelang::slots::{Matcher, RuleCompiler, SlotRules, SlotStep};
+use hcm_rulelang::Cond;
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
-use std::ops::Range;
 
 /// One violation of a validity property.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,13 +176,12 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
     }
 
     // ---- Property 5: causality -------------------------------------------
-    let compiled = Compiled::new(rules);
-    let mut cx = Matcher {
-        rules: &compiled,
-        idx,
-        slots: vec![None; compiled.vars],
-        log: Vec::new(),
-    };
+    let mut compiler = RuleCompiler::with_capacity(rules.rules().len());
+    for rule in rules.rules() {
+        compiler.rule(&rule.lhs, &rule.cond, &rule.steps);
+    }
+    let compiled = compiler.finish();
+    let mut cx = Matcher::new(&compiled);
     for e in events {
         let (Some(rule_id), Some(trigger_id)) = (e.rule, e.trigger) else {
             continue;
@@ -211,7 +211,7 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
             });
             continue;
         }
-        let rule = &compiled.rules[r];
+        let rule = compiled.rule(r);
         // The trigger must match the rule's LHS.
         if !cx.matches(&rule.lhs, &trigger.desc) {
             report.violations.push(Violation {
@@ -232,13 +232,13 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
         let refusal = is_refusal(&e.desc);
         let (mut template_matched, mut explained) = (refusal, refusal);
         if !refusal {
-            for step in &compiled.steps[rule.steps.clone()] {
-                let mark = cx.log.len();
+            for step in compiled.steps(rule) {
+                let mark = cx.mark();
                 if !cx.matches(&step.event, &e.desc) {
                     continue;
                 }
                 template_matched = true;
-                explained = cx.holds_binding(rule, trigger.time);
+                explained = cx.holds_binding(rule, at(idx, trigger.time));
                 cx.undo(mark);
                 if explained {
                     break;
@@ -277,394 +277,20 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
     }
 
     // ---- Property 6: obligations ------------------------------------------
-    let firings = Firings::build(trace, rules, &compiled);
-    report.obligations_checked =
-        check_obligations(trace, rules, &mut cx, &firings, &mut report.violations);
+    let firings = Firings::build(trace, rules);
+    report.obligations_checked = check_obligations(
+        trace,
+        rules,
+        &compiled,
+        &mut cx,
+        &firings,
+        &mut report.violations,
+    );
 
     // ---- Property 7: in-order related rules --------------------------------
     check_related_order(events, rules, &firings.groups, &mut report.violations);
 
     report
-}
-
-/// A template component compiled to a slot of its rule.
-#[derive(Clone, Copy)]
-enum SlotTerm<'r> {
-    Var(usize),
-    Const(&'r Value),
-    Wild,
-}
-
-/// The descriptor kind a compiled template matches.
-#[derive(Clone, Copy)]
-enum Shape<'r> {
-    /// `old` when the template has an explicit old-value term.
-    Ws {
-        old: bool,
-    },
-    W,
-    Wr,
-    Rr,
-    R,
-    N,
-    P,
-    Custom(&'r str),
-    False,
-}
-
-/// A [`TemplateDesc`] compiled to slots: its item's base and parameter
-/// terms, then its value terms (a `Ws`'s old value before its new one,
-/// a `P`'s period, a custom event's arguments), as ranges of
-/// [`Compiled::terms`].
-struct SlotTemplate<'r> {
-    shape: Shape<'r>,
-    base: Option<Sym>,
-    params: Range<usize>,
-    values: Range<usize>,
-}
-
-/// An item pattern a condition reads: its base and parameter terms.
-struct SlotItem {
-    base: Sym,
-    params: Range<usize>,
-}
-
-/// A compiled RHS step; `items` are the entries of
-/// [`Compiled::items`] its condition reads.
-struct SlotStep<'r> {
-    event: SlotTemplate<'r>,
-    cond: SlotCond,
-    items: Range<usize>,
-}
-
-/// A compiled rule. `binds` are its condition's `item = var`
-/// equalities, in condition order: the ones that bind a variable the
-/// matching left unbound.
-struct SlotRule<'r> {
-    lhs: SlotTemplate<'r>,
-    cond: SlotCond,
-    binds: Range<usize>,
-    steps: Range<usize>,
-    /// Its group of related rules (same LHS site, same RHS site).
-    group: usize,
-}
-
-/// A rule set compiled for one check, in [`RuleSet::rules`] order. Each
-/// rule's variables get slots `0..`; every table is shared by all
-/// rules.
-struct Compiled<'r> {
-    rules: Vec<SlotRule<'r>>,
-    steps: Vec<SlotStep<'r>>,
-    terms: Vec<SlotTerm<'r>>,
-    items: Vec<SlotItem>,
-    /// (item entry, variable slot) of each `item = var` equality.
-    binds: Vec<(usize, usize)>,
-    /// The most variables of any rule.
-    vars: usize,
-}
-
-impl<'r> Compiled<'r> {
-    fn new(rules: &'r RuleSet) -> Self {
-        let mut c = Compiled {
-            rules: Vec::with_capacity(rules.rules().len()),
-            steps: Vec::new(),
-            terms: Vec::new(),
-            items: Vec::new(),
-            binds: Vec::new(),
-            vars: 0,
-        };
-        let mut groups: HashMap<(SiteId, SiteId), usize> = HashMap::new();
-        let mut names = Vec::new();
-        for rule in rules.rules() {
-            let n = groups.len();
-            let group = *groups.entry((rule.lhs_site, rule.rhs_site)).or_insert(n);
-            let mut rc = RuleCompiler {
-                c: &mut c,
-                names: &mut names,
-            };
-            let lhs = rc.template(&rule.lhs);
-            let cond = SlotCond::compile(&rule.cond, &mut rc);
-            let start = rc.c.binds.len();
-            rc.binds(&rule.cond);
-            let binds = start..rc.c.binds.len();
-            let start = rc.c.steps.len();
-            for step in &rule.steps {
-                let event = rc.template(&step.event);
-                let items = rc.c.items.len();
-                let cond = SlotCond::compile(&step.cond, &mut rc);
-                let items = items..rc.c.items.len();
-                rc.c.steps.push(SlotStep { event, cond, items });
-            }
-            let steps = start..c.steps.len();
-            c.rules.push(SlotRule {
-                lhs,
-                cond,
-                binds,
-                steps,
-                group,
-            });
-            c.vars = c.vars.max(names.len());
-            names.clear();
-        }
-        c
-    }
-}
-
-/// Compiles one rule into [`Compiled`]'s tables, naming its variables.
-struct RuleCompiler<'a, 'r> {
-    c: &'a mut Compiled<'r>,
-    /// The rule's variables so far; slot `i` is `names[i]`.
-    names: &'a mut Vec<&'r str>,
-}
-
-impl<'r> RuleCompiler<'_, 'r> {
-    fn term(&mut self, t: &'r Term) {
-        let t = match t {
-            Term::Var(v) => SlotTerm::Var(self.var(v)),
-            Term::Const(c) => SlotTerm::Const(c),
-            Term::Wild => SlotTerm::Wild,
-        };
-        self.c.terms.push(t);
-    }
-
-    fn terms(&mut self, ts: impl IntoIterator<Item = &'r Term>) -> Range<usize> {
-        let start = self.c.terms.len();
-        ts.into_iter().for_each(|t| self.term(t));
-        start..self.c.terms.len()
-    }
-
-    fn template(&mut self, t: &'r TemplateDesc) -> SlotTemplate<'r> {
-        let (shape, item, values): (_, _, &[Option<&Term>]) = match t {
-            TemplateDesc::Ws { item, old, new } => (
-                Shape::Ws { old: old.is_some() },
-                Some(item),
-                &[old.as_ref(), Some(new)],
-            ),
-            TemplateDesc::W { item, value } => (Shape::W, Some(item), &[Some(value)]),
-            TemplateDesc::Wr { item, value } => (Shape::Wr, Some(item), &[Some(value)]),
-            TemplateDesc::Rr { item } => (Shape::Rr, Some(item), &[]),
-            TemplateDesc::R { item, value } => (Shape::R, Some(item), &[Some(value)]),
-            TemplateDesc::N { item, value } => (Shape::N, Some(item), &[Some(value)]),
-            TemplateDesc::P { period } => (Shape::P, None, &[Some(period)]),
-            TemplateDesc::Custom { name, args } => {
-                let values = self.terms(args);
-                return SlotTemplate {
-                    shape: Shape::Custom(name),
-                    base: None,
-                    params: values.start..values.start,
-                    values,
-                };
-            }
-            TemplateDesc::False => (Shape::False, None, &[]),
-        };
-        let params = self.terms(item.iter().flat_map(|p| &p.params));
-        SlotTemplate {
-            shape,
-            base: item.map(|p| p.base),
-            params,
-            values: self.terms(values.iter().flatten().copied()),
-        }
-    }
-
-    /// The `item = var` and `var = item` equalities of a condition that
-    /// bind a variable the match left unbound: those joined by `and`
-    /// only, as the engine binds them.
-    fn binds(&mut self, c: &'r Cond) {
-        match c {
-            Cond::And(a, b) => {
-                self.binds(a);
-                self.binds(b);
-            }
-            Cond::Cmp(Expr::Item(p), CmpOp::Eq, Expr::Var(v))
-            | Cond::Cmp(Expr::Var(v), CmpOp::Eq, Expr::Item(p)) => {
-                let entry = (self.item(p), self.var(v));
-                self.c.binds.push(entry);
-            }
-            _ => {}
-        }
-    }
-}
-
-impl<'r> SlotMap<'r> for RuleCompiler<'_, 'r> {
-    fn var(&mut self, name: &'r str) -> usize {
-        self.names
-            .iter()
-            .position(|n| *n == name)
-            .unwrap_or_else(|| {
-                self.names.push(name);
-                self.names.len() - 1
-            })
-    }
-
-    fn item(&mut self, pattern: &'r ItemPattern) -> usize {
-        let params = self.terms(&pattern.params);
-        self.c.items.push(SlotItem {
-            base: pattern.base,
-            params,
-        });
-        self.c.items.len() - 1
-    }
-}
-
-/// Matches compiled templates against trace events, binding a rule's
-/// slots to values borrowed from the trace (or a `P` event's period)
-/// and logging each binding so that a failed match, or a finished
-/// step, undoes exactly its own.
-struct Matcher<'a, 'r, 't> {
-    rules: &'a Compiled<'r>,
-    idx: &'t StateIndex,
-    slots: Vec<Option<Cow<'t, Value>>>,
-    log: Vec<usize>,
-}
-
-impl<'a, 't> Matcher<'a, '_, 't> {
-    fn bind(&mut self, s: usize, v: Cow<'t, Value>) {
-        self.slots[s] = Some(v);
-        self.log.push(s);
-    }
-
-    /// Unbind every slot bound since the log had `mark` entries.
-    fn undo(&mut self, mark: usize) {
-        for s in self.log.drain(mark..) {
-            self.slots[s] = None;
-        }
-    }
-
-    /// `Term::unify` on slots: a bound variable must agree.
-    fn unify(&mut self, term: SlotTerm<'_>, value: Cow<'t, Value>) -> bool {
-        match term {
-            SlotTerm::Wild => true,
-            SlotTerm::Const(c) => *c == *value,
-            SlotTerm::Var(s) => match &self.slots[s] {
-                Some(bound) => **bound == *value,
-                None => {
-                    self.bind(s, value);
-                    true
-                }
-            },
-        }
-    }
-
-    /// [`TemplateDesc::match_desc`] on slots: extend the slots with the
-    /// matching interpretation, or leave them as they were.
-    fn matches(&mut self, t: &SlotTemplate<'_>, desc: &'t EventDesc) -> bool {
-        let mark = self.log.len();
-        let ok = self.match_inner(t, desc);
-        if !ok {
-            self.undo(mark);
-        }
-        ok
-    }
-
-    fn match_inner(&mut self, t: &SlotTemplate<'_>, desc: &'t EventDesc) -> bool {
-        let rules: &'a Compiled<'_> = self.rules;
-        let values = &rules.terms[t.values.clone()];
-        let (item, value) = match (t.shape, desc) {
-            (Shape::Ws { old }, EventDesc::Ws { item, old: o, new }) => {
-                let old_ok = |m: &mut Self| match (old, o) {
-                    (false, _) => true,
-                    (true, Some(ov)) => m.unify(values[0], Cow::Borrowed(ov)),
-                    // An explicit old-value term cannot match a write
-                    // whose old value is unrecorded.
-                    (true, None) => matches!(values[0], SlotTerm::Wild),
-                };
-                return self.match_item(t, item)
-                    && old_ok(self)
-                    && self.unify(values[values.len() - 1], Cow::Borrowed(new));
-            }
-            (Shape::W, EventDesc::W { item, value })
-            | (Shape::Wr, EventDesc::Wr { item, value })
-            | (Shape::R, EventDesc::R { item, value })
-            | (Shape::N, EventDesc::N { item, value }) => (item, Some(value)),
-            (Shape::Rr, EventDesc::Rr { item }) => (item, None),
-            (Shape::P, EventDesc::P { period }) => {
-                let ms = Value::Int(period.as_millis() as i64);
-                return self.unify(values[0], Cow::Owned(ms));
-            }
-            (Shape::Custom(name), EventDesc::Custom { name: n, args }) => {
-                return name == n
-                    && values.len() == args.len()
-                    && (values.iter().zip(args)).all(|(&t, v)| self.unify(t, Cow::Borrowed(v)));
-            }
-            _ => return false,
-        };
-        self.match_item(t, item) && value.is_none_or(|v| self.unify(values[0], Cow::Borrowed(v)))
-    }
-
-    fn match_item(&mut self, t: &SlotTemplate<'_>, item: &'t ItemId) -> bool {
-        let rules: &'a Compiled<'_> = self.rules;
-        let params = &rules.terms[t.params.clone()];
-        t.base == Some(item.base)
-            && params.len() == item.params.len()
-            && (params.iter().zip(item.params.iter()))
-                .all(|(&p, v)| self.unify(p, Cow::Borrowed(v)))
-    }
-
-    /// The value at `t` of item entry `item` under the current slots;
-    /// `None` when a parameter is a `*` or unbound, or the item has no
-    /// value then.
-    fn value_at(&self, item: usize, t: SimTime) -> Option<&'t Value> {
-        let SlotItem { base, params } = &self.rules.items[item];
-        let item = ItemId::resolve(*base, &self.rules.terms[params.clone()], |p| match p {
-            SlotTerm::Const(c) => Some(*c),
-            SlotTerm::Var(s) => self.slots[*s].as_deref(),
-            SlotTerm::Wild => None,
-        })?;
-        self.idx.value_at(&item, t)
-    }
-
-    /// Whether `cond` holds at `t` under the current slots.
-    fn holds(&self, cond: &SlotCond, t: SimTime) -> bool {
-        cond.holds(&AtTime { m: self, t })
-    }
-
-    /// Bind the variables `rule`'s condition determines at `t` (the
-    /// read interface's `X = b` binds `b` to the current value, so the
-    /// RHS template `R(X, b)` can be checked), then evaluate the
-    /// condition there. Only `item = var` / `var = item` equalities
-    /// under `and` bind, matching the engine. The bindings stay.
-    fn holds_binding(&mut self, rule: &SlotRule<'_>, t: SimTime) -> bool {
-        for &(item, var) in &self.rules.binds[rule.binds.clone()] {
-            if self.slots[var].is_none() {
-                if let Some(v) = self.value_at(item, t) {
-                    self.bind(var, Cow::Borrowed(v));
-                }
-            }
-        }
-        self.holds(&rule.cond, t)
-    }
-
-    /// Whether `step`'s condition holds at some instant of `[from, to]`.
-    /// Item values change only at [`StateIndex`] change points, so
-    /// probing `from` and every change point of the condition's item
-    /// bases inside `(from, to]` visits every state the window passes
-    /// through.
-    fn holds_sometime(&self, step: &SlotStep<'_>, from: SimTime, to: SimTime) -> bool {
-        self.holds(&step.cond, from)
-            || self.rules.items[step.items.clone()].iter().any(|item| {
-                let bps = self.idx.breakpoints_by_base(item.base);
-                bps[bps.partition_point(|&t| t <= from)..]
-                    .iter()
-                    .take_while(|&&t| t <= to)
-                    .any(|&t| self.holds(&step.cond, t))
-            })
-    }
-}
-
-/// A matcher's inputs at one instant.
-struct AtTime<'a, 'm, 'r, 't> {
-    m: &'a Matcher<'m, 'r, 't>,
-    t: SimTime,
-}
-
-impl<'a> SlotEnv<'a> for AtTime<'a, '_, '_, '_> {
-    fn var(&self, s: usize) -> Option<&'a Value> {
-        self.m.slots[s].as_deref()
-    }
-
-    fn item(&self, item: usize) -> Option<&'a Value> {
-        self.m.value_at(item, self.t)
-    }
 }
 
 /// One rule firing: a generated event and the time of its trigger.
@@ -729,7 +355,16 @@ struct Firings {
 const REFUSAL_HOPS: usize = 8;
 
 impl Firings {
-    fn build(trace: &Trace, rules: &RuleSet, compiled: &Compiled<'_>) -> Firings {
+    fn build(trace: &Trace, rules: &RuleSet) -> Firings {
+        // Each rule's group of related rules (same LHS site, same RHS
+        // site), numbered in order of first appearance.
+        let mut ids: HashMap<(SiteId, SiteId), usize> = HashMap::new();
+        let group_of: Vec<usize> = (rules.rules().iter())
+            .map(|r| {
+                let n = ids.len();
+                *ids.entry((r.lhs_site, r.rhs_site)).or_insert(n)
+            })
+            .collect();
         let (mut generated, mut refusals, mut groups) = (Vec::new(), Vec::new(), Vec::new());
         for (pos, e) in trace.events().iter().enumerate() {
             let Some(trigger) = e.trigger.and_then(|id| trace.index_of(id)) else {
@@ -751,7 +386,7 @@ impl Firings {
             }
             if let Some(rule) = rules.position(rule_id) {
                 groups.push(Firing {
-                    group: compiled.rules[rule].group,
+                    group: group_of[rule],
                     trigger_time: trace.events()[trigger].time,
                     pos,
                     rule,
@@ -794,12 +429,12 @@ fn later_by<'a, 'p>(
 fn check_obligations<'t>(
     trace: &'t Trace,
     rules: &RuleSet,
-    cx: &mut Matcher<'_, '_, 't>,
+    compiled: &SlotRules,
+    cx: &mut Matcher<'_, 't>,
     firings: &Firings,
     out: &mut Vec<Violation>,
 ) -> usize {
-    let events = trace.events();
-    let compiled = cx.rules;
+    let (events, idx) = (trace.events(), trace.index());
     // Rule positions grouped by LHS site, ascending within a site.
     let mut by_site: Vec<(SiteId, usize)> = (rules.rules().iter().enumerate())
         .map(|(i, r)| (r.lhs_site, i))
@@ -820,20 +455,17 @@ fn check_obligations<'t>(
             continue;
         };
         for r in index.candidates(&trigger.desc) {
-            let (rule, slot_rule) = (&rules.rules()[r], &compiled.rules[r]);
+            let (rule, slot_rule) = (&rules.rules()[r], compiled.rule(r));
             if !cx.matches(&slot_rule.lhs, &trigger.desc) {
                 continue;
             }
-            if !cx.holds_binding(slot_rule, trigger.time) {
+            if !cx.holds_binding(slot_rule, at(idx, trigger.time)) {
                 cx.undo(0);
                 continue;
             }
             obligations += 1;
             let window_end = trigger.time + rule.bound;
-            let steps = rule
-                .steps
-                .iter()
-                .zip(&compiled.steps[slot_rule.steps.clone()]);
+            let steps = rule.steps.iter().zip(compiled.steps(slot_rule));
             for (step, slot_step) in steps {
                 let msg = if step.event == TemplateDesc::False {
                     // Prohibition: the trigger itself violates it.
@@ -846,7 +478,7 @@ fn check_obligations<'t>(
                     // in the window…
                     let generated = firings.generated.row(trigger_pos);
                     let fulfilled = later_by(events, generated, trigger_pos, window_end).any(|e| {
-                        let mark = cx.log.len();
+                        let mark = cx.mark();
                         let hit = e.rule == Some(rule.id) && cx.matches(&slot_step.event, &e.desc);
                         cx.undo(mark);
                         hit
@@ -857,7 +489,7 @@ fn check_obligations<'t>(
                     // …or the step condition was false throughout the
                     // window…
                     if step.cond != Cond::True
-                        && !cx.holds_sometime(slot_step, trigger.time, window_end)
+                        && !holds_sometime(compiled, cx, idx, slot_step, trigger.time, window_end)
                     {
                         continue;
                     }
@@ -891,6 +523,35 @@ fn check_obligations<'t>(
     found.sort_by_key(|(r, _)| *r);
     out.extend(found.into_iter().map(|(_, v)| v));
     obligations
+}
+
+/// The state of the trace at `t`, as conditions read it.
+fn at<'t>(idx: &'t StateIndex, t: SimTime) -> impl Fn(&ItemId) -> Option<Cow<'t, Value>> + 't {
+    move |item| idx.value_at(item, t).map(Cow::Borrowed)
+}
+
+/// Whether `step`'s condition holds at some instant of `[from, to]`
+/// under `cx`'s slots. Item values change only at [`StateIndex`]
+/// change points, so probing `from` and every change point of the
+/// condition's item bases inside `(from, to]` visits every state the
+/// window passes through.
+fn holds_sometime(
+    compiled: &SlotRules,
+    cx: &Matcher<'_, '_>,
+    idx: &StateIndex,
+    step: &SlotStep,
+    from: SimTime,
+    to: SimTime,
+) -> bool {
+    let holds = |t| cx.holds(&step.cond, at(idx, t));
+    holds(from)
+        || compiled.bases_read(step).any(|base| {
+            let bps = idx.breakpoints_by_base(base);
+            bps[bps.partition_point(|&t| t <= from)..]
+                .iter()
+                .take_while(|&&t| t <= to)
+                .any(|&t| holds(t))
+        })
 }
 
 /// Property 7 by sort and sweep. Within a group of related rules, an

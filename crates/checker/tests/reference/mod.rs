@@ -8,49 +8,242 @@
 //! (same violations, same order, same obligation count) in one indexed
 //! pass; the differential suites compare the two. Shared between
 //! `crates/checker/tests/` and the root `tests/` via `#[path]`.
+//!
+//! It also keeps its own rule interpreter, keyed by variable name and
+//! written straight from the appendix's definitions: [`Bindings`] is a
+//! matching interpretation, [`match_desc`] extends one so that a
+//! template yields an event, [`instantiate`] substitutes one into a
+//! template, and [`eval_cond`] reads a condition under one. Production
+//! code matches through the slot-compiled `hcm_rulelang::slots`; this
+//! interpreter shares nothing with it, so the differential suites
+//! compare two independent readings of one meaning.
+
+#![allow(dead_code)] // each test binary uses a different subset
 
 use hcm_checker::{RuleSet, StateIndex, ValidityReport, Violation};
-use hcm_core::{Bindings, Event, EventDesc, ItemId, RuleId, SimTime, TemplateDesc, Trace, Value};
-use hcm_rulelang::{CmpOp, Cond, CondEnv, Expr};
-use std::collections::HashMap;
+use hcm_core::{
+    Event, EventDesc, ItemId, ItemPattern, RuleId, SimDuration, SimTime, TemplateDesc, Term, Trace,
+    Value,
+};
+use hcm_rulelang::{CmpOp, Cond, Expr};
+use std::collections::{BTreeMap, HashMap};
 
-struct StateEnv<'a> {
-    idx: &'a StateIndex,
-    t: SimTime,
-    bindings: &'a Bindings,
-}
+/// A matching interpretation: rule variables by name.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Bindings(BTreeMap<String, Value>);
 
-impl CondEnv for StateEnv<'_> {
-    fn item(&self, item: &ItemId) -> Option<Value> {
-        self.idx.value_at(item, self.t).cloned()
+impl Bindings {
+    /// The value bound to `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.0.get(name)
     }
-    fn var(&self, name: &str) -> Option<&Value> {
-        self.bindings.get(name)
+
+    /// Bind `name`, replacing any earlier value.
+    pub fn bind(&mut self, name: &str, value: Value) {
+        self.0.insert(name.to_owned(), value);
+    }
+
+    /// Every binding, by name.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.0.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 
-fn eval_cond(cond: &Cond, idx: &StateIndex, t: SimTime, bindings: &Bindings) -> bool {
-    cond.eval(&StateEnv { idx, t, bindings })
+/// A bound variable must agree; an unbound one binds.
+fn unify(term: &Term, value: &Value, b: &mut Bindings) -> bool {
+    match term {
+        Term::Wild => true,
+        Term::Const(c) => c == value,
+        Term::Var(name) => match b.get(name) {
+            Some(bound) => bound == value,
+            None => {
+                b.bind(name, value.clone());
+                true
+            }
+        },
+    }
 }
 
-fn bind_from_cond(cond: &Cond, idx: &StateIndex, t: SimTime, bindings: &mut Bindings) {
-    match cond {
-        Cond::And(a, b) => {
-            bind_from_cond(a, idx, t, bindings);
-            bind_from_cond(b, idx, t, bindings);
+fn unify_all<'a>(pairs: impl IntoIterator<Item = (&'a Term, &'a Value)>, b: &mut Bindings) -> bool {
+    pairs.into_iter().all(|(t, v)| unify(t, v, b))
+}
+
+fn match_item(p: &ItemPattern, item: &ItemId, b: &mut Bindings) -> bool {
+    p.base == item.base
+        && p.params.len() == item.params.len()
+        && unify_all(p.params.iter().zip(item.params.iter()), b)
+}
+
+/// Extend `b` so that template `t` yields event `desc`; on failure `b`
+/// is left as it was.
+pub fn match_desc(t: &TemplateDesc, desc: &EventDesc, b: &mut Bindings) -> bool {
+    let mut ext = b.clone();
+    let ok = match (t, desc) {
+        (
+            TemplateDesc::Ws { item, old, new },
+            EventDesc::Ws {
+                item: i,
+                old: o,
+                new: n,
+            },
+        ) => {
+            let old_ok = match (old, o) {
+                (None, _) | (Some(Term::Wild), None) => true,
+                (Some(term), Some(ov)) => unify(term, ov, &mut ext),
+                (Some(_), None) => false,
+            };
+            match_item(item, i, &mut ext) && old_ok && unify(new, n, &mut ext)
+        }
+        (TemplateDesc::W { item, value }, EventDesc::W { item: i, value: v })
+        | (TemplateDesc::Wr { item, value }, EventDesc::Wr { item: i, value: v })
+        | (TemplateDesc::R { item, value }, EventDesc::R { item: i, value: v })
+        | (TemplateDesc::N { item, value }, EventDesc::N { item: i, value: v }) => {
+            match_item(item, i, &mut ext) && unify(value, v, &mut ext)
+        }
+        (TemplateDesc::Rr { item }, EventDesc::Rr { item: i }) => match_item(item, i, &mut ext),
+        (TemplateDesc::P { period }, EventDesc::P { period: p }) => {
+            unify(period, &Value::Int(p.as_millis() as i64), &mut ext)
+        }
+        (TemplateDesc::Custom { name, args }, EventDesc::Custom { name: n, args: a }) => {
+            name == n && args.len() == a.len() && unify_all(args.iter().zip(a), &mut ext)
+        }
+        _ => false,
+    };
+    if ok {
+        *b = ext;
+    }
+    ok
+}
+
+fn term_value<'b>(t: &'b Term, b: &'b Bindings) -> Option<&'b Value> {
+    match t {
+        Term::Const(c) => Some(c),
+        Term::Var(name) => b.get(name),
+        Term::Wild => None,
+    }
+}
+
+fn instantiate_item(p: &ItemPattern, b: &Bindings) -> Option<ItemId> {
+    let params: Option<Vec<Value>> = p.params.iter().map(|t| term_value(t, b).cloned()).collect();
+    Some(ItemId::with(p.base, params?))
+}
+
+/// The ground event template `t` denotes under `b`; `None` when a term
+/// is a `*` or unbound, and for `𝓕`.
+pub fn instantiate(t: &TemplateDesc, b: &Bindings) -> Option<EventDesc> {
+    let v = |t: &Term| term_value(t, b).cloned();
+    Some(match t {
+        TemplateDesc::Ws { item, old, new } => EventDesc::Ws {
+            item: instantiate_item(item, b)?,
+            old: match old {
+                Some(t) => Some(v(t)?),
+                None => None,
+            },
+            new: v(new)?,
+        },
+        TemplateDesc::W { item, value } => EventDesc::W {
+            item: instantiate_item(item, b)?,
+            value: v(value)?,
+        },
+        TemplateDesc::Wr { item, value } => EventDesc::Wr {
+            item: instantiate_item(item, b)?,
+            value: v(value)?,
+        },
+        TemplateDesc::Rr { item } => EventDesc::Rr {
+            item: instantiate_item(item, b)?,
+        },
+        TemplateDesc::R { item, value } => EventDesc::R {
+            item: instantiate_item(item, b)?,
+            value: v(value)?,
+        },
+        TemplateDesc::N { item, value } => EventDesc::N {
+            item: instantiate_item(item, b)?,
+            value: v(value)?,
+        },
+        TemplateDesc::P { period } => {
+            let ms = v(period)?.as_int()?;
+            EventDesc::P {
+                period: SimDuration::from_millis(u64::try_from(ms).ok()?),
+            }
+        }
+        TemplateDesc::Custom { name, args } => EventDesc::Custom {
+            name: name.clone(),
+            args: args.iter().map(v).collect::<Option<_>>()?,
+        },
+        TemplateDesc::False => return None,
+    })
+}
+
+/// An expression's value under `b` with data items read from `item`;
+/// `None` when an input is missing or an operation undefined.
+pub fn eval_expr(e: &Expr, b: &Bindings, item: &dyn Fn(&ItemId) -> Option<Value>) -> Option<Value> {
+    let ev = |e: &Expr| eval_expr(e, b, item);
+    match e {
+        Expr::Lit(v) => Some(v.clone()),
+        Expr::Var(name) => b.get(name).cloned(),
+        Expr::Item(p) => item(&instantiate_item(p, b)?),
+        Expr::Neg(a) => Value::Int(0).sub(&ev(a)?),
+        Expr::Abs(a) => ev(a)?.abs(),
+        Expr::Add(x, y) => ev(x)?.add(&ev(y)?),
+        Expr::Sub(x, y) => ev(x)?.sub(&ev(y)?),
+        Expr::Mul(x, y) => ev(x)?.mul(&ev(y)?),
+        Expr::Div(x, y) => {
+            let d = ev(y)?.as_f64()?;
+            if d == 0.0 {
+                None
+            } else {
+                Some(Value::Float(ev(x)?.as_f64()? / d))
+            }
+        }
+    }
+}
+
+/// Whether `c` holds under `b` with data items read from `item`: a
+/// comparison with a missing input is false.
+pub fn eval_cond(c: &Cond, b: &Bindings, item: &dyn Fn(&ItemId) -> Option<Value>) -> bool {
+    match c {
+        Cond::True => true,
+        Cond::Cmp(x, op, y) => match (eval_expr(x, b, item), eval_expr(y, b, item)) {
+            (Some(vx), Some(vy)) => op.apply(&vx, &vy).unwrap_or(false),
+            _ => false,
+        },
+        Cond::And(x, y) => eval_cond(x, b, item) && eval_cond(y, b, item),
+        Cond::Or(x, y) => eval_cond(x, b, item) || eval_cond(y, b, item),
+        Cond::Not(x) => !eval_cond(x, b, item),
+        Cond::Exists(p) => eval_expr(&Expr::Item(p.clone()), b, item).is_some_and(|v| v.exists()),
+    }
+}
+
+/// Bind each variable an `item = var` equality under `and` determines
+/// and that is still unbound when it is reached.
+pub fn bind_from_cond(c: &Cond, b: &mut Bindings, item: &dyn Fn(&ItemId) -> Option<Value>) {
+    match c {
+        Cond::And(x, y) => {
+            bind_from_cond(x, b, item);
+            bind_from_cond(y, b, item);
         }
         Cond::Cmp(Expr::Item(p), CmpOp::Eq, Expr::Var(v))
         | Cond::Cmp(Expr::Var(v), CmpOp::Eq, Expr::Item(p))
-            if bindings.get(v).is_none() =>
+            if b.get(v).is_none() =>
         {
-            if let Some(item) = p.instantiate(bindings) {
-                if let Some(val) = idx.value_at(&item, t) {
-                    bindings.bind(v.clone(), val.clone());
-                }
+            if let Some(val) = instantiate_item(p, b).and_then(|i| item(&i)) {
+                b.bind(v, val);
             }
         }
         _ => {}
     }
+}
+
+fn at(idx: &StateIndex, t: SimTime) -> impl Fn(&ItemId) -> Option<Value> + '_ {
+    move |item| idx.value_at(item, t).cloned()
+}
+
+fn eval_at(cond: &Cond, idx: &StateIndex, t: SimTime, bindings: &Bindings) -> bool {
+    eval_cond(cond, bindings, &at(idx, t))
+}
+
+fn bind_at(cond: &Cond, idx: &StateIndex, t: SimTime, bindings: &mut Bindings) {
+    bind_from_cond(cond, bindings, &at(idx, t));
 }
 
 /// Run the production checker, assert that its report equals this
@@ -163,8 +356,8 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
             });
             continue;
         }
-        let mut bindings = Bindings::new();
-        if !rule.lhs.match_desc(&trigger.desc, &mut bindings) {
+        let mut bindings = Bindings::default();
+        if !match_desc(&rule.lhs, &trigger.desc, &mut bindings) {
             report.violations.push(Violation {
                 property: 5,
                 event: Some(e.id.0),
@@ -177,12 +370,12 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
         let mut explained = refusal;
         for step in &rule.steps {
             let mut b = bindings.clone();
-            if !step.event.match_desc(&e.desc, &mut b) {
+            if !match_desc(&step.event, &e.desc, &mut b) {
                 continue;
             }
             template_matched = true;
-            bind_from_cond(&rule.cond, &idx, trigger.time, &mut b);
-            if eval_cond(&rule.cond, &idx, trigger.time, &b) {
+            bind_at(&rule.cond, &idx, trigger.time, &mut b);
+            if eval_at(&rule.cond, &idx, trigger.time, &b) {
                 explained = true;
                 break;
             }
@@ -221,12 +414,12 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
             if trigger.site != rule.lhs_site {
                 continue;
             }
-            let mut bindings = Bindings::new();
-            if !rule.lhs.match_desc(&trigger.desc, &mut bindings) {
+            let mut bindings = Bindings::default();
+            if !match_desc(&rule.lhs, &trigger.desc, &mut bindings) {
                 continue;
             }
-            bind_from_cond(&rule.cond, &idx, trigger.time, &mut bindings);
-            if !eval_cond(&rule.cond, &idx, trigger.time, &bindings) {
+            bind_at(&rule.cond, &idx, trigger.time, &mut bindings);
+            if !eval_at(&rule.cond, &idx, trigger.time, &bindings) {
                 continue;
             }
             report.obligations_checked += 1;
@@ -251,7 +444,7 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
                         return false;
                     }
                     let mut b = bindings.clone();
-                    same_kind(&e.desc, &step.event) && step.event.match_desc(&e.desc, &mut b)
+                    same_kind(&e.desc, &step.event) && match_desc(&step.event, &e.desc, &mut b)
                 });
                 if fulfilled {
                     continue;
@@ -262,7 +455,7 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
                     let mut any_true = false;
                     let mut t = trigger.time;
                     loop {
-                        if eval_cond(&step.cond, &idx, t, &bindings) {
+                        if eval_at(&step.cond, &idx, t, &bindings) {
                             any_true = true;
                             break;
                         }

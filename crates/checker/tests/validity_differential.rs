@@ -21,11 +21,11 @@ mod reference;
 
 use hcm_checker::RuleSet;
 use hcm_core::{
-    Bindings, EventDesc, EventId, ItemId, ItemPattern, RuleId, SimDuration, SimTime, SiteId,
-    TemplateDesc, Term, Trace, Value,
+    EventDesc, EventId, ItemId, ItemPattern, RuleId, SimDuration, SimTime, SiteId, TemplateDesc,
+    Term, Trace, Value,
 };
 use hcm_rulelang::{parse_strategy_rule, CmpOp, Cond, Expr, InterfaceStmt, RhsStep, StrategyRule};
-use reference::checked;
+use reference::{checked, instantiate, match_desc, Bindings};
 use std::collections::HashMap;
 
 /// SplitMix64: tiny, deterministic, well-distributed.
@@ -259,15 +259,15 @@ impl Gen {
             };
         }
         let rule = &rules.rules()[r];
-        let mut b = Bindings::new();
-        if !self.one_in(6) && rule.lhs.match_desc(trigger, &mut b) {
+        let mut b = Bindings::default();
+        if !self.one_in(6) && match_desc(&rule.lhs, trigger, &mut b) {
             for v in ["b", "c", "n", "m"] {
                 if b.get(v).is_none() {
                     b.bind(v, self.value());
                 }
             }
             let step = &rule.steps[self.below(rule.steps.len() as u64) as usize];
-            if let Some(desc) = step.event.instantiate(&b) {
+            if let Some(desc) = instantiate(&step.event, &b) {
                 return desc;
             }
         }

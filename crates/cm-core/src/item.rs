@@ -17,7 +17,7 @@
 //! never at which allocation holds it.
 
 use crate::intern::Sym;
-use crate::template::{Bindings, Term};
+use crate::template::Term;
 use crate::value::Value;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -135,41 +135,15 @@ impl ItemPattern {
         }
     }
 
-    /// Try to match a ground item against this pattern, extending
-    /// `bindings` (the matching interpretation). Fails without modifying
-    /// the bindings' observable state if the base differs, the arity
-    /// differs, or a variable would need two different values.
-    pub fn match_item(&self, item: &ItemId, bindings: &mut Bindings) -> bool {
-        if self.base != item.base || self.params.len() != item.params.len() {
-            return false;
-        }
-        let checkpoint = bindings.checkpoint();
-        for (term, value) in self.params.iter().zip(item.params.iter()) {
-            if !term.unify(value, bindings) {
-                bindings.rollback(checkpoint);
-                return false;
-            }
-        }
-        true
-    }
-
     /// Whether `item` matches this pattern under an empty matching
-    /// interpretation — [`ItemPattern::match_item`] with fresh
-    /// [`Bindings`], answering yes or no without building them. A
-    /// variable that occurs twice must see equal values.
+    /// interpretation, answered yes or no without building one: the
+    /// base and arity agree, every constant equals its value, and a
+    /// variable that occurs twice sees equal values.
     #[must_use]
     pub fn matches(&self, item: &ItemId) -> bool {
         self.base == item.base
             && self.params.len() == item.params.len()
             && consistent(zipped(&self.params, &item.params, [None, None]))
-    }
-
-    /// Instantiate the pattern into a ground [`ItemId`] using `bindings`.
-    /// Returns `None` if some variable is unbound or a parameter is a
-    /// wild-card.
-    #[must_use]
-    pub fn instantiate(&self, bindings: &Bindings) -> Option<ItemId> {
-        ItemId::resolve(self.base, &self.params, |t| t.resolve(bindings))
     }
 }
 
@@ -202,8 +176,8 @@ pub(crate) fn zipped<'a>(
 
 /// Whether `pairs` unify under one empty matching interpretation:
 /// every constant equals its value, and every variable's values equal
-/// the value at its first occurrence (what [`Term::unify`] demands of a
-/// bound variable). Nothing is bound or allocated.
+/// the value at its first occurrence, as a bound variable must. Nothing
+/// is bound or allocated.
 pub(crate) fn consistent<'a>(pairs: impl Iterator<Item = (&'a Term, &'a Value)> + Clone) -> bool {
     pairs
         .clone()
@@ -294,62 +268,21 @@ mod tests {
     }
 
     #[test]
-    fn match_binds_variables() {
-        let pat = ItemPattern::with("salary1", [Term::var("n")]);
-        let item = ItemId::with("salary1", [Value::from("e42")]);
-        let mut b = Bindings::new();
-        assert!(pat.match_item(&item, &mut b));
-        assert_eq!(b.get("n"), Some(&Value::from("e42")));
-    }
-
-    #[test]
-    fn match_respects_existing_bindings() {
-        let pat = ItemPattern::with("salary1", [Term::var("n")]);
-        let item = ItemId::with("salary1", [Value::from("e42")]);
-        let mut b = Bindings::new();
-        b.bind("n", Value::from("e99"));
-        assert!(!pat.match_item(&item, &mut b));
-        // Unchanged after failure.
-        assert_eq!(b.get("n"), Some(&Value::from("e99")));
-    }
-
-    #[test]
     fn match_rejects_base_and_arity_mismatch() {
-        let mut b = Bindings::new();
         let pat = ItemPattern::with("salary1", [Term::var("n")]);
-        assert!(!pat.match_item(&ItemId::with("salary2", [Value::from("e1")]), &mut b));
-        assert!(!pat.match_item(&ItemId::plain("salary1"), &mut b));
+        assert!(pat.matches(&ItemId::with("salary1", [Value::from("e1")])));
+        assert!(!pat.matches(&ItemId::with("salary2", [Value::from("e1")])));
+        assert!(!pat.matches(&ItemId::plain("salary1")));
     }
 
     #[test]
     fn wildcard_matches_anything_without_binding() {
-        let pat = ItemPattern::with("phone", [Term::Wild]);
-        let mut b = Bindings::new();
-        assert!(pat.match_item(&ItemId::with("phone", [Value::Int(5)]), &mut b));
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn instantiate_round_trips() {
-        let pat = ItemPattern::with("salary2", [Term::var("n")]);
-        let mut b = Bindings::new();
-        b.bind("n", Value::from("e42"));
-        assert_eq!(
-            pat.instantiate(&b),
-            Some(ItemId::with("salary2", [Value::from("e42")]))
-        );
-        let unbound = ItemPattern::with("salary2", [Term::var("m")]);
-        assert_eq!(unbound.instantiate(&b), None);
-    }
-
-    #[test]
-    fn failed_partial_match_rolls_back() {
-        // First param binds n, second param contradicts it: n must be
-        // rolled back.
-        let pat = ItemPattern::with("pair", [Term::var("n"), Term::var("n")]);
-        let item = ItemId::with("pair", [Value::Int(1), Value::Int(2)]);
-        let mut b = Bindings::new();
-        assert!(!pat.match_item(&item, &mut b));
-        assert!(b.is_empty());
+        // A `*` never constrains a later position the way a repeated
+        // variable does.
+        let pat = ItemPattern::with("pair", [Term::Wild, Term::Wild]);
+        assert!(pat.matches(&ItemId::with("pair", [Value::Int(5), Value::Int(6)])));
+        let repeated = ItemPattern::with("pair", [Term::var("n"), Term::var("n")]);
+        assert!(!repeated.matches(&ItemId::with("pair", [Value::Int(5), Value::Int(6)])));
+        assert!(repeated.matches(&ItemId::with("pair", [Value::Int(5), Value::Int(5)])));
     }
 }

@@ -15,8 +15,9 @@
 //!   as `salary1(n)` from §3.1.1 of the paper.
 //! * [`EventDesc`] / [`Event`] — event descriptors and the six-tuple
 //!   events of Appendix A: `(time, desc, old, new, rule, trigger)`.
-//! * [`TemplateDesc`] / [`Bindings`] — event templates and matching
-//!   interpretations (`mi(E, 𝓔)` in the paper).
+//! * [`TemplateDesc`] / [`Term`] — event templates as rules are written.
+//!   Matching interpretations (`mi(E, 𝓔)` in the paper) are built by
+//!   the slot-compiled rules of `hcm_rulelang::slots`.
 //! * [`RuleIndex`] — the discrimination index over rule LHS templates
 //!   that both the CM-Shell's dispatch and the validity checker use.
 //! * [`Trace`] — recorded executions, the object the
@@ -48,7 +49,7 @@ pub use rule::{RuleId, RuleRegistry};
 pub use rule_index::RuleIndex;
 pub use site::SiteId;
 pub use state::StateIndex;
-pub use template::{Bindings, TemplateDesc, Term};
+pub use template::{TemplateDesc, Term};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceRecorder};
 pub use value::Value;

@@ -9,7 +9,7 @@
 //! plus a small generic bucket, and only those candidates pay for
 //! unification.
 //!
-//! Soundness rests on [`TemplateDesc::match_desc`] semantics: a keyed
+//! Soundness rests on the matching semantics of Appendix A: a keyed
 //! template only ever matches an event of the same kind whose item base
 //! (which is always a concrete `Sym`, never a variable) equals the
 //! pattern's base, or a custom event of the same name — so every rule

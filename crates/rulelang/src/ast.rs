@@ -1,13 +1,13 @@
-//! AST and evaluation for the rule language.
+//! AST for the rule language.
 //!
-//! Conditions (`C` in `E₁ ∧ C →δ E₂`) are evaluated against a
-//! [`CondEnv`]: rule-parameter bindings come from the matching
-//! interpretation of the LHS event, and data-item reads come from
-//! whatever local state the evaluating component can see — "the
+//! Conditions (`C` in `E₁ ∧ C →δ E₂`) read rule parameters, bound by
+//! the matching interpretation of the LHS event, and data items, read
+//! from whatever local state the evaluating component can see — "the
 //! condition `C` can refer to data at the site of the right-hand side
-//! event only" (§3.2).
+//! event only" (§3.2). They are evaluated in their compiled form, by
+//! [`crate::slots`].
 
-use hcm_core::{Bindings, ItemId, ItemPattern, SimDuration, SimTime, TemplateDesc, Value};
+use hcm_core::{ItemPattern, SimDuration, SimTime, TemplateDesc, Value};
 use std::fmt;
 
 /// Comparison operators of the condition and guarantee languages.
@@ -96,68 +96,7 @@ pub enum Mention<'a> {
     Var(&'a str),
 }
 
-/// Where conditions get their inputs: parameter bindings and local
-/// data-item state.
-pub trait CondEnv {
-    /// The value of a local data item, `None` if unknown/unreadable.
-    fn item(&self, item: &ItemId) -> Option<Value>;
-    /// The value of a rule parameter, `None` if unbound.
-    fn var(&self, name: &str) -> Option<&Value>;
-}
-
-/// A [`CondEnv`] over a [`Bindings`] plus a state-lookup closure —
-/// the common case in the CM-Shell.
-pub struct BindingsEnv<'a, F: Fn(&ItemId) -> Option<Value>> {
-    /// Parameter bindings from the matching interpretation.
-    pub bindings: &'a Bindings,
-    /// Local state lookup.
-    pub lookup: F,
-}
-
-impl<F: Fn(&ItemId) -> Option<Value>> CondEnv for BindingsEnv<'_, F> {
-    fn item(&self, item: &ItemId) -> Option<Value> {
-        (self.lookup)(item)
-    }
-    fn var(&self, name: &str) -> Option<&Value> {
-        self.bindings.get(name)
-    }
-}
-
 impl Expr {
-    /// Evaluate the expression; `None` when some input is missing or an
-    /// operation is undefined (non-numeric arithmetic, division by
-    /// zero). A condition whose expression fails evaluates to false —
-    /// conservative for enforcement.
-    pub fn eval(&self, env: &dyn CondEnv) -> Option<Value> {
-        match self {
-            Expr::Lit(v) => Some(v.clone()),
-            Expr::Var(name) => env.var(name).cloned(),
-            Expr::Item(pat) => {
-                // Parameter terms inside the item pattern resolve
-                // through the same environment.
-                let item = ItemId::resolve(pat.base, &pat.params, |t| match t {
-                    hcm_core::Term::Const(c) => Some(c),
-                    hcm_core::Term::Var(n) => env.var(n),
-                    hcm_core::Term::Wild => None,
-                })?;
-                env.item(&item)
-            }
-            Expr::Neg(e) => Value::Int(0).sub(&e.eval(env)?),
-            Expr::Abs(e) => e.eval(env)?.abs(),
-            Expr::Add(a, b) => a.eval(env)?.add(&b.eval(env)?),
-            Expr::Sub(a, b) => a.eval(env)?.sub(&b.eval(env)?),
-            Expr::Mul(a, b) => a.eval(env)?.mul(&b.eval(env)?),
-            Expr::Div(a, b) => {
-                let bv = b.eval(env)?.as_f64()?;
-                if bv == 0.0 {
-                    None
-                } else {
-                    Some(Value::Float(a.eval(env)?.as_f64()? / bv))
-                }
-            }
-        }
-    }
-
     /// Call `f` on every item pattern and variable the expression
     /// reads, left to right.
     pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(Mention<'a>)) {
@@ -209,24 +148,6 @@ pub enum Cond {
 }
 
 impl Cond {
-    /// Evaluate under `env`. Missing inputs make comparisons false (not
-    /// errors): an unreadable item cannot justify firing a rule.
-    pub fn eval(&self, env: &dyn CondEnv) -> bool {
-        match self {
-            Cond::True => true,
-            Cond::Cmp(a, op, b) => match (a.eval(env), b.eval(env)) {
-                (Some(va), Some(vb)) => op.apply(&va, &vb).unwrap_or(false),
-                _ => false,
-            },
-            Cond::And(a, b) => a.eval(env) && b.eval(env),
-            Cond::Or(a, b) => a.eval(env) || b.eval(env),
-            Cond::Not(c) => !c.eval(env),
-            Cond::Exists(pat) => Expr::Item(pat.clone())
-                .eval(env)
-                .is_some_and(|v| v.exists()),
-        }
-    }
-
     /// Call `f` on every item pattern and variable the condition reads,
     /// left to right.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(Mention<'a>)) {
@@ -461,34 +382,44 @@ impl fmt::Display for Guarantee {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::Term;
+    use crate::slots::{Matcher, RuleCompiler};
+    use hcm_core::{EventDesc, Term};
+    use std::borrow::Cow;
 
-    fn env(pairs: &[(&str, Value)], items: &[(&str, Value)]) -> impl CondEnv {
-        struct E {
-            vars: Vec<(String, Value)>,
-            items: Vec<(String, Value)>,
-        }
-        impl CondEnv for E {
-            fn item(&self, item: &ItemId) -> Option<Value> {
-                self.items
-                    .iter()
-                    .find(|(n, _)| *n == item.to_string())
-                    .map(|(_, v)| v.clone())
-            }
-            fn var(&self, name: &str) -> Option<&Value> {
-                self.vars.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-            }
-        }
-        E {
-            vars: pairs
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.clone()))
-                .collect(),
-            items: items
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.clone()))
-                .collect(),
-        }
+    /// Whether `c` holds once `vars` are bound by matching an event
+    /// and data items are read from `items` by display name: the
+    /// condition compiled to slots, as every engine component and the
+    /// checker evaluate it.
+    fn holds(c: &Cond, vars: &[(&str, Value)], items: &[(&str, Value)]) -> bool {
+        let lhs = TemplateDesc::Custom {
+            name: "vars".into(),
+            args: vars.iter().map(|(n, _)| Term::var(*n)).collect(),
+        };
+        let event = EventDesc::Custom {
+            name: "vars".into(),
+            args: vars.iter().map(|(_, v)| v.clone()).collect(),
+        };
+        let mut compiler = RuleCompiler::default();
+        let r = compiler.rule(&lhs, c, &[]);
+        let rules = compiler.finish();
+        let mut m = Matcher::new(&rules);
+        assert!(m.matches(&rules.rule(r).lhs, &event));
+        m.holds(&rules.rule(r).cond, |item| {
+            let name = item.to_string();
+            let found = items.iter().find(|(n, _)| *n == name);
+            found.map(|(_, v)| Cow::Owned(v.clone()))
+        })
+    }
+
+    /// Whether `e` evaluates to `v`.
+    fn value_is(e: &Expr, v: Value, vars: &[(&str, Value)]) -> bool {
+        holds(&Cond::Cmp(e.clone(), CmpOp::Eq, Expr::Lit(v)), vars, &[])
+    }
+
+    /// Whether `e` has no value: neither `e = e` nor `e != e` holds.
+    fn missing(e: &Expr, vars: &[(&str, Value)]) -> bool {
+        let cmp = |op| holds(&Cond::Cmp(e.clone(), op, e.clone()), vars, &[]);
+        !cmp(CmpOp::Eq) && !cmp(CmpOp::Ne)
     }
 
     #[test]
@@ -548,74 +479,78 @@ mod tests {
                 Box::new(Expr::Var("b".into())),
             )),
         );
-        let env = env(&[("a", Value::Int(1)), ("b", Value::Int(3))], &[]);
-        assert_eq!(e.eval(&env), Some(Value::Int(7)));
+        let vars = [("a", Value::Int(1)), ("b", Value::Int(3))];
+        assert!(value_is(&e, Value::Int(7), &vars));
+        assert!(!value_is(&e, Value::Int(8), &vars));
     }
 
     #[test]
     fn expr_abs_neg_div() {
-        let env = env(&[("a", Value::Int(-4))], &[]);
-        assert_eq!(
-            Expr::Abs(Box::new(Expr::Var("a".into()))).eval(&env),
-            Some(Value::Int(4))
+        let vars = [("a", Value::Int(-4))];
+        let a = || Box::new(Expr::Var("a".into()));
+        assert!(value_is(&Expr::Abs(a()), Value::Int(4), &vars));
+        assert!(value_is(&Expr::Neg(a()), Value::Int(4), &vars));
+        let half = Expr::Div(a(), Box::new(Expr::Lit(Value::Int(8))));
+        assert!(value_is(&half, Value::Float(-0.5), &vars));
+        let by_zero = Expr::Div(
+            Box::new(Expr::Lit(Value::Int(1))),
+            Box::new(Expr::Lit(Value::Int(0))),
         );
-        assert_eq!(
-            Expr::Neg(Box::new(Expr::Var("a".into()))).eval(&env),
-            Some(Value::Int(4))
-        );
-        assert_eq!(
-            Expr::Div(
-                Box::new(Expr::Lit(Value::Int(1))),
-                Box::new(Expr::Lit(Value::Int(0)))
-            )
-            .eval(&env),
-            None
-        );
+        assert!(missing(&by_zero, &vars));
     }
 
     #[test]
     fn item_lookup_with_params() {
         let pat = ItemPattern::with("salary1", [Term::var("n")]);
-        let env = env(
-            &[("n", Value::from("e1"))],
-            &[("salary1(\"e1\")", Value::Int(90))],
-        );
-        assert_eq!(Expr::Item(pat).eval(&env), Some(Value::Int(90)));
+        let c = Cond::Cmp(Expr::Item(pat), CmpOp::Eq, Expr::Lit(Value::Int(90)));
+        let items = [("salary1(\"e1\")", Value::Int(90))];
+        assert!(holds(&c, &[("n", Value::from("e1"))], &items));
+        assert!(!holds(&c, &[("n", Value::from("e2"))], &items));
     }
 
     #[test]
     fn cond_eval_basics() {
-        let env = env(&[("b", Value::Int(5))], &[("Cx", Value::Int(4))]);
+        let vars = [("b", Value::Int(5))];
+        let items = [("Cx", Value::Int(4))];
         let c = Cond::Cmp(
             Expr::Item(ItemPattern::plain("Cx")),
             CmpOp::Ne,
             Expr::Var("b".into()),
         );
-        assert!(c.eval(&env));
+        assert!(holds(&c, &vars, &items));
         let c_eq = Cond::Cmp(
             Expr::Item(ItemPattern::plain("Cx")),
             CmpOp::Eq,
             Expr::Lit(Value::Int(4)),
         );
-        assert!(c_eq.eval(&env));
-        assert!(!Cond::Not(Box::new(Cond::True)).eval(&env));
+        assert!(holds(&c_eq, &vars, &items));
+        assert!(!holds(&Cond::Not(Box::new(Cond::True)), &vars, &items));
+        let either = Cond::Or(Box::new(c.clone()), Box::new(Cond::Not(Box::new(c_eq))));
+        assert!(holds(&either, &vars, &items));
+        let both = Cond::And(Box::new(c), Box::new(Cond::Not(Box::new(Cond::True))));
+        assert!(!holds(&both, &vars, &items));
     }
 
     #[test]
     fn missing_inputs_make_comparisons_false() {
-        let env = env(&[], &[]);
         let c = Cond::Cmp(Expr::Var("zz".into()), CmpOp::Eq, Expr::Lit(Value::Int(1)));
-        assert!(!c.eval(&env));
+        assert!(!holds(&c, &[], &[]));
         // …and Not flips that, by design: Not(unknown=1) is true.
-        assert!(Cond::Not(Box::new(c)).eval(&env));
+        assert!(holds(&Cond::Not(Box::new(c)), &[], &[]));
+        let unread = Cond::Cmp(
+            Expr::Item(ItemPattern::plain("Q")),
+            CmpOp::Ne,
+            Expr::Lit(Value::Int(1)),
+        );
+        assert!(!holds(&unread, &[], &[]));
     }
 
     #[test]
     fn exists_predicate() {
-        let env = env(&[], &[("P", Value::Int(1)), ("Q", Value::Null)]);
-        assert!(Cond::Exists(ItemPattern::plain("P")).eval(&env));
-        assert!(!Cond::Exists(ItemPattern::plain("Q")).eval(&env));
-        assert!(!Cond::Exists(ItemPattern::plain("R")).eval(&env));
+        let items = [("P", Value::Int(1)), ("Q", Value::Null)];
+        assert!(holds(&Cond::Exists(ItemPattern::plain("P")), &[], &items));
+        assert!(!holds(&Cond::Exists(ItemPattern::plain("Q")), &[], &items));
+        assert!(!holds(&Cond::Exists(ItemPattern::plain("R")), &[], &items));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Section 3 and Appendix A of the paper define a rule-based notation
 //! for three kinds of specification. This crate gives that notation a
-//! concrete ASCII syntax, an AST, a parser, and an evaluator for the
-//! condition sub-language:
+//! concrete ASCII syntax, an AST, a parser, and one compiled form that
+//! matches, evaluates and instantiates rules ([`slots`]):
 //!
 //! * **Interface statements** `E₁ ∧ C →δ E₂` —
 //!   ```text
@@ -30,6 +30,12 @@
 //! any identifier applied to parentheses (`salary1(n)`) is a
 //! parameterized data item.
 //!
+//! The [`slots`] module compiles interface statements and strategy
+//! rules once each, to variable slots over shared tables, and is the
+//! one rule interpreter: the CM-Shell, the CM-Translator and the
+//! validity checker all match events, evaluate conditions and
+//! instantiate right-hand sides through it.
+//!
 //! The [`specfile`] module implements the toolkit's two bespoke file
 //! formats, the *CM-RID* and the *Strategy Specification* of §4.1.
 
@@ -37,12 +43,12 @@
 
 pub mod ast;
 pub mod parser;
+pub mod slots;
 pub mod specfile;
 pub mod token;
 
 pub use ast::{
-    CmpOp, Cond, CondEnv, Expr, GAtom, Guarantee, InterfaceStmt, Mention, RhsStep, StrategyRule,
-    TimeExpr,
+    CmpOp, Cond, Expr, GAtom, Guarantee, InterfaceStmt, Mention, RhsStep, StrategyRule, TimeExpr,
 };
 pub use parser::{
     parse_cond, parse_guarantee, parse_interface, parse_strategy_rule, parse_template, ParseError,

@@ -1,11 +1,14 @@
 //! Randomized tests for the rule language: printed forms of generated
-//! ASTs re-parse to the same AST (display/parse round trip), and the
-//! parsers never panic on arbitrary input.
+//! ASTs re-parse to the same AST (display/parse round trip), the
+//! parsers never panic on arbitrary input, and the slot-compiled
+//! matcher round-trips instantiation, undoes exactly its own bindings,
+//! and agrees with the non-binding `matches` of `hcm-core`.
 //!
 //! Formerly proptest-based; now driven by a local SplitMix64 generator
 //! so the suite needs no external crates and stays deterministic.
 
-use hcm_core::{ItemPattern, SimDuration, TemplateDesc, Term, Value};
+use hcm_core::{EventDesc, ItemId, ItemPattern, SimDuration, TemplateDesc, Term, Value};
+use hcm_rulelang::slots::{Matcher, RuleCompiler, SlotRules};
 use hcm_rulelang::{
     parse_interface, parse_strategy_rule, CmpOp, Cond, Expr, InterfaceStmt, RhsStep, StrategyRule,
 };
@@ -68,6 +71,17 @@ impl Gen {
         (0..n)
             .map(|_| (b'a' + (self.next() % 26) as u8) as char)
             .collect()
+    }
+
+    /// Any value, of every kind.
+    fn value(&mut self) -> Value {
+        match self.next() % 5 {
+            0 => Value::Null,
+            1 => Value::Bool(self.next().is_multiple_of(2)),
+            2 => Value::Int(self.int_in(-1_000_000, 999_999)),
+            3 => Value::Float(self.int_in(-1_000_000, 999_999) as f64 / 3.0),
+            _ => Value::from(self.lc_string(0, 8)),
+        }
     }
 
     fn constant(&mut self) -> Value {
@@ -251,4 +265,256 @@ fn parser_total_on_garbage() {
         let _ = hcm_rulelang::parse_guarantee("g", &src);
         let _ = hcm_rulelang::SpecFile::parse(&src);
     }
+}
+
+/// `lhs` compiled to slots as the LHS of one rule with `steps`.
+fn compile(lhs: &TemplateDesc, steps: &[RhsStep]) -> SlotRules {
+    let mut compiler = RuleCompiler::default();
+    compiler.rule(lhs, &Cond::True, steps);
+    compiler.finish()
+}
+
+/// Instantiating a template under slot values and matching the result
+/// recovers the same values (match ∘ instantiate = id on the used
+/// variables).
+#[test]
+fn template_instantiate_match_roundtrip() {
+    let mut g = Gen::new(0xC0DE_0003);
+    let tmpl = TemplateDesc::N {
+        item: ItemPattern::with("x", [Term::var("n")]),
+        value: Term::var("b"),
+    };
+    let rules = compile(&tmpl, &[]);
+    let lhs = &rules.rule(0).lhs;
+    let mut cases = 0;
+    while cases < 500 {
+        let param = g.value();
+        if !param.exists() {
+            continue; // param must be concrete
+        }
+        cases += 1;
+        let value = g.value();
+        // Slots in order of first occurrence: `n`, then `b`.
+        let slots = [Some(param.clone()), Some(value.clone())];
+        let event = rules.instantiate(lhs, &slots[..]).expect("fully bound");
+        let mut m = Matcher::new(&rules);
+        assert!(m.matches(lhs, &event));
+        assert_eq!(m.slots()[0].as_deref(), Some(&param));
+        assert_eq!(m.slots()[1].as_deref(), Some(&value));
+    }
+}
+
+/// A template with a repeated variable only matches events whose
+/// positions agree, and a failed match leaves nothing bound.
+#[test]
+fn repeated_variable_consistency() {
+    let mut g = Gen::new(0xC0DE_0004);
+    let tmpl = TemplateDesc::Custom {
+        name: "pair".into(),
+        args: vec![Term::var("v"), Term::var("v")],
+    };
+    let rules = compile(&tmpl, &[]);
+    for _ in 0..1000 {
+        let a = g.value();
+        let b = g.value();
+        let event = EventDesc::Custom {
+            name: "pair".into(),
+            args: vec![a.clone(), b.clone()],
+        };
+        let mut m = Matcher::new(&rules);
+        let matched = m.matches(&rules.rule(0).lhs, &event);
+        assert_eq!(matched, a == b, "{a:?} vs {b:?}");
+        if !matched {
+            assert!(
+                m.slots().iter().all(Option::is_none),
+                "failed match must roll back"
+            );
+        }
+    }
+}
+
+/// Undoing to a mark restores exactly the bindings that stood at the
+/// mark.
+#[test]
+fn bindings_rollback_exact() {
+    let mut g = Gen::new(0xC0DE_0006);
+    let vars = ["a", "b", "c", "d", "e"];
+    let lhs = TemplateDesc::Custom {
+        name: "vars".into(),
+        args: vars.iter().map(|v| Term::var(*v)).collect(),
+    };
+    // Step `k` binds variable `k` (slot `k`) alone.
+    let steps: Vec<RhsStep> = (vars.iter())
+        .map(|v| RhsStep {
+            cond: Cond::True,
+            event: TemplateDesc::Custom {
+                name: "one".into(),
+                args: vec![Term::var(*v)],
+            },
+        })
+        .collect();
+    let rules = compile(&lhs, &steps);
+    let one = |i: usize| EventDesc::Custom {
+        name: "one".into(),
+        args: vec![Value::Int(i as i64)],
+    };
+    let events: Vec<EventDesc> = (0..8).map(one).collect();
+    for _ in 0..1000 {
+        let names: Vec<usize> = (0..g.usize_in(1, 7)).map(|_| g.usize_in(0, 4)).collect();
+        let cut = g.usize_in(0, 7).min(names.len());
+
+        let mut m = Matcher::new(&rules);
+        let mut first = [None; 5];
+        let mut mark = m.mark();
+        for (i, &n) in names.iter().enumerate() {
+            if i == cut {
+                mark = m.mark();
+            }
+            let at = *first[n].get_or_insert(i);
+            let step = &rules.steps(rules.rule(0))[n];
+            assert!(m.matches(&step.event, &events[at]));
+        }
+        if cut == names.len() {
+            mark = m.mark();
+        }
+        m.undo(mark);
+        // Every variable first bound before the cut is still bound;
+        // every one first bound at or after the cut is not.
+        for (n, first) in first.iter().enumerate() {
+            let bound = m.slots()[n].as_deref();
+            match first {
+                Some(i) if *i < cut => assert_eq!(bound, Some(&Value::Int(*i as i64))),
+                _ => assert_eq!(bound, None),
+            }
+        }
+    }
+}
+
+/// Small pools, so random templates and events often agree.
+fn pool_value(g: &mut Gen) -> Value {
+    [Value::Int(1), Value::Int(2), Value::from("a"), Value::Null][g.usize_in(0, 3)].clone()
+}
+
+fn pool_term(g: &mut Gen) -> Term {
+    match g.next() % 4 {
+        0 => Term::Wild,
+        1 => Term::Const(pool_value(g)),
+        _ => Term::var(["u", "v", "w"][g.usize_in(0, 2)]),
+    }
+}
+
+fn pool_pattern(g: &mut Gen) -> ItemPattern {
+    let params: Vec<Term> = (0..g.usize_in(0, 2)).map(|_| pool_term(g)).collect();
+    ItemPattern::with(["x", "y"][g.usize_in(0, 1)], params)
+}
+
+fn pool_item(g: &mut Gen) -> ItemId {
+    let params: Vec<Value> = (0..g.usize_in(0, 2)).map(|_| pool_value(g)).collect();
+    ItemId::with(["x", "y"][g.usize_in(0, 1)], params)
+}
+
+fn pool_template(g: &mut Gen) -> TemplateDesc {
+    match g.next() % 9 {
+        0 => TemplateDesc::Ws {
+            item: pool_pattern(g),
+            old: g.next().is_multiple_of(2).then(|| pool_term(g)),
+            new: pool_term(g),
+        },
+        1 => TemplateDesc::W {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        2 => TemplateDesc::Wr {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        3 => TemplateDesc::Rr {
+            item: pool_pattern(g),
+        },
+        4 => TemplateDesc::R {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        5 => TemplateDesc::N {
+            item: pool_pattern(g),
+            value: pool_term(g),
+        },
+        6 => TemplateDesc::P {
+            period: [Term::Const(Value::Int(1)), Term::var("u"), Term::Wild][g.usize_in(0, 2)]
+                .clone(),
+        },
+        7 => TemplateDesc::Custom {
+            name: ["c", "d"][g.usize_in(0, 1)].into(),
+            args: (0..g.usize_in(0, 3)).map(|_| pool_term(g)).collect(),
+        },
+        _ => TemplateDesc::False,
+    }
+}
+
+fn pool_event(g: &mut Gen) -> EventDesc {
+    match g.next() % 8 {
+        0 => EventDesc::Ws {
+            item: pool_item(g),
+            old: g.next().is_multiple_of(2).then(|| pool_value(g)),
+            new: pool_value(g),
+        },
+        1 => EventDesc::W {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        2 => EventDesc::Wr {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        3 => EventDesc::Rr { item: pool_item(g) },
+        4 => EventDesc::R {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        5 => EventDesc::N {
+            item: pool_item(g),
+            value: pool_value(g),
+        },
+        6 => EventDesc::P {
+            period: SimDuration::from_millis(g.int_in(1, 2) as u64),
+        },
+        _ => EventDesc::Custom {
+            name: ["c", "d"][g.usize_in(0, 1)].into(),
+            args: (0..g.usize_in(0, 3)).map(|_| pool_value(g)).collect(),
+        },
+    }
+}
+
+/// Whether the slot-compiled matcher matches `desc` against `t` from
+/// unbound slots.
+fn binding_match(t: &TemplateDesc, desc: &EventDesc) -> bool {
+    let rules = compile(t, &[]);
+    Matcher::new(&rules).matches(&rules.rule(0).lhs, desc)
+}
+
+/// The non-binding `matches` of `hcm-core` answers exactly what the
+/// binding matcher answers from unbound slots, repeated variables
+/// included, for templates and item patterns alike.
+#[test]
+fn matches_agrees_with_binding_match() {
+    let mut g = Gen::new(0xC0DE_0007);
+    let (mut templates_hit, mut items_hit) = (0, 0);
+    for _ in 0..20_000 {
+        let (t, e) = (pool_template(&mut g), pool_event(&mut g));
+        let bound = binding_match(&t, &e);
+        assert_eq!(t.matches(&e), bound, "{t} vs {e:?}");
+        templates_hit += usize::from(bound);
+        let (p, i) = (pool_pattern(&mut g), pool_item(&mut g));
+        let bound = binding_match(
+            &TemplateDesc::Rr { item: p.clone() },
+            &EventDesc::Rr { item: i.clone() },
+        );
+        assert_eq!(p.matches(&i), bound, "{p} vs {i}");
+        items_hit += usize::from(bound);
+    }
+    // Both outcomes occur often enough to mean something.
+    assert!(
+        templates_hit > 200 && items_hit > 1_000,
+        "{templates_hit} {items_hit}"
+    );
 }

@@ -26,6 +26,7 @@
 
 use crate::registry::mentioned_bases;
 use hcm_core::{RuleId, RuleRegistry, SiteId, Sym, TemplateDesc};
+use hcm_rulelang::slots::{RuleCompiler, SlotRules};
 use hcm_rulelang::{parse_guarantee, parse_strategy_rule, Guarantee, SpecFile, StrategyRule};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -130,6 +131,9 @@ pub struct CompiledRule {
 pub struct CompiledStrategy {
     /// Rules in specification order (shared arena).
     pub rules: Rc<Vec<CompiledRule>>,
+    /// The same rules compiled to slots, at the same positions: how
+    /// shells match, evaluate and instantiate them (shared).
+    pub(crate) slots: Rc<SlotRules>,
     /// Object placement (shared).
     pub locator: Rc<Locator>,
     /// Declared guarantees.
@@ -189,8 +193,14 @@ impl CompiledStrategy {
         }
 
         let lookup = rules.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
+        let mut compiler = RuleCompiler::with_capacity(rules.len());
+        for r in &rules {
+            compiler.rule(&r.rule.lhs, &r.rule.cond, &r.rule.steps);
+        }
+        let slots = Rc::new(compiler.finish());
         Ok(CompiledStrategy {
             rules: Rc::new(rules),
+            slots,
             locator: Rc::new(locator),
             guarantees,
             lookup: Rc::new(lookup),

@@ -7,7 +7,7 @@
 
 use crate::durability::PendingWrite;
 use crate::registry::FailureKind;
-use hcm_core::{Bindings, EventDesc, EventId, RuleId, SimDuration, SiteId, Value};
+use hcm_core::{EventDesc, EventId, RuleId, SimDuration, SiteId, Value};
 
 /// A native, store-shaped operation performed by a local application —
 /// *spontaneous* from the CM's point of view. Each variant matches one
@@ -166,8 +166,10 @@ pub enum CmMsg {
         rule: RuleId,
         /// The triggering event at the sender's site.
         trigger: EventId,
-        /// Matching interpretation from the LHS.
-        bindings: Bindings,
+        /// The matching interpretation from the LHS: the rule's slot
+        /// values in slot order (see `hcm_rulelang::slots`), `None` for
+        /// a variable the match left unbound.
+        slots: Vec<Option<Value>>,
     },
     /// Shell → shell (or protocol actor → shell): a custom event to
     /// record and match at the receiving site.

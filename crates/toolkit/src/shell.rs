@@ -19,12 +19,13 @@ use crate::durability::{LogRecord, Restart, StatePolicy};
 use crate::msg::{CmMsg, RequestKind, TranslatorEvent};
 use crate::registry::{FailureKind, GuaranteeRegistry};
 use hcm_core::{
-    Bindings, EventDesc, EventId, ItemId, RuleId, RuleIndex, SimDuration, SimTime, SiteId,
-    TemplateDesc, TraceRecorder, Value,
+    EventDesc, EventId, ItemId, RuleId, RuleIndex, SimDuration, SimTime, SiteId, TemplateDesc,
+    TraceRecorder, Value,
 };
 use hcm_obs::{Metrics, Obs, Scope};
-use hcm_rulelang::ast::BindingsEnv;
+use hcm_rulelang::slots::{Matcher, SlotRules};
 use hcm_simkit::{Actor, ActorId, Ctx};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -83,6 +84,9 @@ pub struct ShellActor {
     /// Shared arena of every compiled rule (execution needs RHS
     /// definitions of rules matched elsewhere).
     rules: Rc<Vec<CompiledRule>>,
+    /// The same arena compiled to slots: what matching, condition
+    /// evaluation and instantiation run on.
+    slots: Rc<SlotRules>,
     /// Discrimination index over the LHS templates of the rules this
     /// shell evaluates, keyed by position in `rules` (see
     /// [`hcm_core::RuleIndex`]).
@@ -109,10 +113,8 @@ pub struct ShellActor {
     /// How this shell's state relates to crashes (see
     /// [`crate::durability`]). Default keeps historical behaviour.
     policy: StatePolicy,
-    /// Scratch bindings reused across LHS match attempts.
-    match_scratch: Bindings,
-    /// Scratch list of (rule position, bindings) firings per event.
-    firing_scratch: Vec<(usize, Bindings)>,
+    /// Scratch list of (rule position, slot values) firings per event.
+    firing_scratch: Vec<(usize, Vec<Option<Value>>)>,
     /// Scratch list of candidate rule positions per event.
     cand_scratch: Vec<usize>,
 }
@@ -172,6 +174,7 @@ impl ShellActor {
             periodic_rules,
             locator: Rc::clone(&strategy.locator),
             rules,
+            slots: Rc::clone(&strategy.slots),
             private,
             registry,
             recorder,
@@ -182,7 +185,6 @@ impl ShellActor {
             next_req: 0,
             stop_periodics_at,
             policy: StatePolicy::default(),
-            match_scratch: Bindings::new(),
             firing_scratch: Vec::new(),
             cand_scratch: Vec::new(),
         }
@@ -214,48 +216,42 @@ impl ShellActor {
             .record(now, self.site, desc, old, rule, trigger)
     }
 
-    fn private_lookup(&self, item: &ItemId) -> Option<Value> {
-        self.private.borrow().get(item).cloned()
-    }
-
     /// Match an event against this shell's rules and dispatch firings.
     ///
     /// The candidate set comes from the discrimination index, which
     /// excludes only guaranteed kind/base mismatches and yields rule
     /// positions in ascending order, so firing order is the order of a
-    /// linear scan over this shell's rules.
+    /// linear scan over this shell's rules. Every LHS condition is
+    /// evaluated before any firing executes.
     fn process_event(&mut self, id: EventId, desc: &EventDesc, ctx: &mut Ctx<'_, CmMsg>) {
         let mut cands = std::mem::take(&mut self.cand_scratch);
         cands.extend(self.dispatch.candidates(desc));
-        let mut bindings = std::mem::take(&mut self.match_scratch);
         let mut firings = std::mem::take(&mut self.firing_scratch);
-        for &i in &cands {
-            let r = &self.rules[i];
-            bindings.clear();
-            if !r.rule.lhs.match_desc(desc, &mut bindings) {
-                continue;
-            }
+        if !cands.is_empty() {
             // LHS condition: evaluated at the LHS site against CM-local
             // data (strategies never need global data access, §3.2).
-            let env = BindingsEnv {
-                bindings: &bindings,
-                lookup: |item: &ItemId| self.private_lookup(item),
-            };
-            if !r.rule.cond.eval(&env) {
-                self.metrics.inc(self.scope, "shell.cond_suppressed");
-                continue;
+            let private = self.private.borrow();
+            let mut m = Matcher::new(&self.slots);
+            for &i in &cands {
+                let rule = self.slots.rule(i);
+                m.undo(0);
+                if !m.matches(&rule.lhs, desc) {
+                    continue;
+                }
+                if !m.holds_binding(rule, |item| private.get(item).map(Cow::Borrowed)) {
+                    self.metrics.inc(self.scope, "shell.cond_suppressed");
+                    continue;
+                }
+                firings.push((i, m.owned(rule)));
             }
-            firings.push((i, std::mem::take(&mut bindings)));
         }
         cands.clear();
         self.cand_scratch = cands;
-        bindings.clear();
-        self.match_scratch = bindings;
         let rules = Rc::clone(&self.rules);
-        for (i, bindings) in firings.drain(..) {
+        for (i, slots) in firings.drain(..) {
             let r = &rules[i];
             if r.rhs_site == self.site {
-                self.execute_rhs(r.id, id, bindings, ctx);
+                self.execute_rhs(r.id, id, &slots, ctx);
             } else {
                 let target = self.shells[r.rhs_site.index() as usize];
                 ctx.send(
@@ -263,7 +259,7 @@ impl ShellActor {
                     CmMsg::RemoteFire {
                         rule: r.id,
                         trigger: id,
-                        bindings,
+                        slots,
                     },
                 );
             }
@@ -271,19 +267,23 @@ impl ShellActor {
         self.firing_scratch = firings;
     }
 
-    /// Execute a rule's sequenced RHS at this (the RHS) site.
+    /// Execute a rule's sequenced RHS at this (the RHS) site, under the
+    /// slot values its LHS match bound.
     fn execute_rhs(
         &mut self,
         rule_id: RuleId,
         trigger: EventId,
-        bindings: Bindings,
+        slots: &[Option<Value>],
         ctx: &mut Ctx<'_, CmMsg>,
     ) {
         let now = ctx.now();
-        // An unknown rule id (a corrupt or stale RemoteFire) degrades
-        // to a recorded logical-failure event + counter instead of
-        // killing the whole simulation.
-        let Some(&pos) = self.rule_index.get(&rule_id) else {
+        let rules = Rc::clone(&self.slots);
+        // An unknown rule id, or slot values that do not fit the rule (a
+        // corrupt or stale RemoteFire), degrades to a recorded
+        // logical-failure event + counter instead of killing the whole
+        // simulation.
+        let rule = (self.rule_index.get(&rule_id)).map(|&pos| rules.rule(pos));
+        let Some(rule) = rule.filter(|r| r.vars() == slots.len()) else {
             self.metrics.inc(self.scope, "shell.unknown_rule");
             self.record(
                 now,
@@ -310,23 +310,20 @@ impl ShellActor {
                 now.saturating_since(trigger_time),
             );
         }
-        let rules = Rc::clone(&self.rules);
-        let rule = &rules[pos].rule;
-        for step in &rule.steps {
+        for step in rules.steps(rule) {
             // Step conditions are evaluated at firing time at the RHS
             // site (Appendix A.1), against CM-local data.
             let cond_ok = {
-                let env = BindingsEnv {
-                    bindings: &bindings,
-                    lookup: |item: &ItemId| self.private_lookup(item),
-                };
-                step.cond.eval(&env)
+                let private = self.private.borrow();
+                rules.holds(&step.cond, slots, |item| {
+                    private.get(item).map(Cow::Borrowed)
+                })
             };
             if !cond_ok {
                 self.metrics.inc(self.scope, "shell.steps_skipped");
                 continue;
             }
-            let Some(desc) = step.event.instantiate(&bindings) else {
+            let Some(desc) = rules.instantiate(&step.event, slots) else {
                 // Unbound variable: specification bug; skip the step.
                 self.metrics.inc(self.scope, "shell.steps_skipped");
                 continue;
@@ -610,25 +607,22 @@ impl ShellActor {
         let Some(period) = pr.period else {
             return;
         };
-        let rules = Rc::clone(&self.rules);
-        let r = &rules[pr.pos];
-        let rule_id = r.id;
+        let (pos, rule_id) = (pr.pos, self.rules[pr.pos].id);
         let desc = EventDesc::P { period };
-        let p_id = self.record(now, desc, None, None, None);
+        let p_id = self.record(now, desc.clone(), None, None, None);
         // Evaluate the LHS condition and fire the RHS (locally, by
         // construction of periodic-rule placement).
-        let bindings = Bindings::new();
-        let cond_ok = {
-            let env = BindingsEnv {
-                bindings: &bindings,
-                lookup: |item: &ItemId| self.private_lookup(item),
-            };
-            r.rule.cond.eval(&env)
+        let rules = Rc::clone(&self.slots);
+        let rule = rules.rule(pos);
+        let fired = {
+            let private = self.private.borrow();
+            let mut m = Matcher::new(&rules);
+            let items = |item: &ItemId| private.get(item).map(Cow::Borrowed);
+            (m.matches(&rule.lhs, &desc) && m.holds_binding(rule, items)).then(|| m.owned(rule))
         };
-        if cond_ok {
-            self.execute_rhs(rule_id, p_id, bindings, ctx);
-        } else {
-            self.metrics.inc(self.scope, "shell.cond_suppressed");
+        match fired {
+            Some(slots) => self.execute_rhs(rule_id, p_id, &slots, ctx),
+            None => self.metrics.inc(self.scope, "shell.cond_suppressed"),
         }
         if now + period <= self.stop_periodics_at {
             ctx.schedule_self(period, CmMsg::RuleTick { idx });
@@ -769,9 +763,9 @@ impl Actor<CmMsg> for ShellActor {
             CmMsg::RemoteFire {
                 rule,
                 trigger,
-                bindings,
+                slots,
             } => {
-                self.execute_rhs(rule, trigger, bindings, ctx);
+                self.execute_rhs(rule, trigger, &slots, ctx);
             }
             CmMsg::Custom {
                 desc,

@@ -23,13 +23,14 @@ use crate::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use crate::rid::{classify, CmRid, IfaceClass};
 use crate::shell::const_period;
 use hcm_core::{
-    Bindings, EventDesc, EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, TemplateDesc,
-    TraceRecorder, Value,
+    EventDesc, EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, TemplateDesc, TraceRecorder,
+    Value,
 };
 use hcm_obs::{Metrics, Scope};
-use hcm_rulelang::ast::BindingsEnv;
+use hcm_rulelang::slots::{Matcher, RuleCompiler, SlotRules};
 use hcm_rulelang::InterfaceStmt;
 use hcm_simkit::{Actor, ActorId, Ctx};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Delay for forwarding an observed event to the co-located shell.
@@ -47,6 +48,9 @@ pub struct TranslatorActor {
     shell: ActorId,
     backend: Box<dyn RisBackend>,
     interfaces: Vec<IfaceRule>,
+    /// The interface statements compiled to slots, at the same
+    /// positions: how notifications are matched and instantiated.
+    slots: SlotRules,
     /// `(statement index, period)` of every periodic-notify interface
     /// with a constant period: the ones armed at start and after a
     /// restart from configuration.
@@ -105,11 +109,17 @@ impl TranslatorActor {
             .filter(|(_, iface)| iface.class == IfaceClass::PeriodicNotify)
             .filter_map(|(idx, iface)| Some((idx as u64, const_period(&iface.stmt.lhs)?)))
             .collect();
+        let mut compiler = RuleCompiler::with_capacity(interfaces.len());
+        for iface in &interfaces {
+            compiler.interface(&iface.stmt);
+        }
+        let slots = compiler.finish();
         TranslatorActor {
             site,
             shell,
             backend,
             interfaces,
+            slots,
             periodic,
             interest,
             service: rid.service,
@@ -227,24 +237,27 @@ impl TranslatorActor {
                 continue;
             }
             let mut to_send: Vec<(ItemId, Value, RuleId)> = Vec::new();
-            for iface in &self.interfaces {
+            let backend = &self.backend;
+            let read = |item: &ItemId| backend.read(item).ok().map(Cow::Owned);
+            let mut matcher = None;
+            for (k, iface) in self.interfaces.iter().enumerate() {
                 if iface.class != IfaceClass::Notify {
                     continue;
                 }
-                let mut bindings = Bindings::new();
-                if !iface.stmt.lhs.match_desc(&desc, &mut bindings) {
+                let m = matcher.get_or_insert_with(|| Matcher::new(&self.slots));
+                let rule = self.slots.rule(k);
+                m.undo(0);
+                if !m.matches(&rule.lhs, &desc) {
                     continue;
                 }
-                let backend = &self.backend;
-                let env = BindingsEnv {
-                    bindings: &bindings,
-                    lookup: |item: &ItemId| backend.read(item).ok(),
-                };
-                if !iface.stmt.cond.eval(&env) {
+                if !m.holds_binding(rule, read) {
                     self.metrics.inc(self.scope, "translator.suppressed");
                     continue;
                 }
-                if let Some(EventDesc::N { item, value }) = iface.stmt.rhs.instantiate(&bindings) {
+                let step = &self.slots.steps(rule)[0];
+                if let Some(EventDesc::N { item, value }) =
+                    self.slots.instantiate(&step.event, m.slots())
+                {
                     to_send.push((item, value, iface.id));
                 }
             }
@@ -412,36 +425,35 @@ impl TranslatorActor {
         let Some(period) = const_period(&iface.stmt.lhs) else {
             return;
         };
-        let p_id = self.record(now, EventDesc::P { period }, None, None, None);
-        // Instantiate the N template for every currently existing item.
-        if let TemplateDesc::N {
-            item: item_pat,
-            value: value_term,
-        } = &iface.stmt.rhs
-        {
-            let items = self.backend.enumerate(item_pat);
+        let p_desc = EventDesc::P { period };
+        let p_id = self.record(now, p_desc.clone(), None, None, None);
+        // Instantiate the N template for every currently existing item:
+        // each item and its value must match it, and the condition must
+        // hold under the resulting interpretation.
+        if let TemplateDesc::N { item: pattern, .. } = &iface.stmt.rhs {
+            let rule = self.slots.rule(idx);
+            let step = &self.slots.steps(rule)[0];
+            let backend = &self.backend;
             let mut to_send = Vec::new();
-            for item in items {
+            for item in self.backend.enumerate(pattern) {
                 let Ok(value) = self.backend.read(&item) else {
                     continue;
                 };
-                let mut bindings = Bindings::new();
-                if !item_pat.match_item(&item, &mut bindings) {
-                    continue;
-                }
-                if let hcm_core::Term::Var(v) = value_term {
-                    bindings.bind(v.clone(), value.clone());
-                }
-                let backend = &self.backend;
-                let env = BindingsEnv {
-                    bindings: &bindings,
-                    lookup: |i: &ItemId| backend.read(i).ok(),
+                let n = EventDesc::N { item, value };
+                let holds = {
+                    let mut m = Matcher::new(&self.slots);
+                    if !(m.matches(&rule.lhs, &p_desc) && m.matches(&step.event, &n)) {
+                        continue;
+                    }
+                    m.holds_binding(rule, |i| backend.read(i).ok().map(Cow::Owned))
                 };
-                if !iface.stmt.cond.eval(&env) {
+                if !holds {
                     self.metrics.inc(self.scope, "translator.suppressed");
                     continue;
                 }
-                to_send.push((item, value, iface.id));
+                if let EventDesc::N { item, value } = n {
+                    to_send.push((item, value, iface.id));
+                }
             }
             for (item, value, rule) in to_send {
                 self.metrics.inc(self.scope, "translator.notifications");

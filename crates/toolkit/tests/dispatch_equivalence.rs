@@ -19,10 +19,11 @@
 //! it observably invisible.
 
 use hcm_core::{
-    Bindings, EventDesc, ItemId, ItemPattern, RuleId, RuleIndex, SimDuration, SiteId, TemplateDesc,
-    Term, Value,
+    EventDesc, ItemId, ItemPattern, RuleId, RuleIndex, SimDuration, SiteId, TemplateDesc, Term,
+    Value,
 };
 use hcm_rulelang::ast::{Cond, StrategyRule};
+use hcm_rulelang::slots::{Matcher, RuleCompiler, SlotRules};
 use hcm_toolkit::compile::CompiledRule;
 
 /// SplitMix64: tiny, deterministic, well-distributed.
@@ -182,28 +183,36 @@ impl Gen {
     }
 }
 
-/// Render the bindings a successful match produced, for comparing the
+/// The rules compiled to slots, at their positions, as a shell
+/// compiles its strategy.
+fn compile(rules: &[CompiledRule]) -> SlotRules {
+    let mut compiler = RuleCompiler::default();
+    for r in rules {
+        compiler.rule(&r.rule.lhs, &r.rule.cond, &r.rule.steps);
+    }
+    compiler.finish()
+}
+
+/// Match `desc` against rule `i`'s LHS with the shell's matcher; on
+/// success, the slot values it bound, rendered for comparing the
 /// *result* of matching (not just the verdict) across dispatch paths.
-fn binding_fingerprint(b: &Bindings) -> String {
-    let mut pairs: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    pairs.sort();
-    pairs.join(",")
+fn match_lhs(slots: &SlotRules, i: usize, desc: &EventDesc) -> Option<String> {
+    let mut m = Matcher::new(slots);
+    let matched = m.matches(&slots.rule(i).lhs, desc);
+    let bound = m.slots().iter().enumerate();
+    let pairs = bound.filter_map(|(s, v)| v.as_deref().map(|v| format!("{s}={v}")));
+    matched.then(|| pairs.collect::<Vec<_>>().join(","))
 }
 
 /// The retained reference: scan every position, full unification each.
 fn linear_matches(
-    rules: &[CompiledRule],
+    slots: &SlotRules,
     positions: &[usize],
     desc: &EventDesc,
 ) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for &i in positions {
-        let mut b = Bindings::new();
-        if rules[i].rule.lhs.match_desc(desc, &mut b) {
-            out.push((i, binding_fingerprint(&b)));
-        }
-    }
-    out
+    (positions.iter())
+        .filter_map(|&i| Some((i, match_lhs(slots, i, desc)?)))
+        .collect()
 }
 
 #[test]
@@ -212,6 +221,7 @@ fn indexed_candidates_cover_exactly_the_linear_match_set() {
     for round in 0..400 {
         let n_rules = 1 + g.below(24) as usize;
         let rules: Vec<CompiledRule> = (0..n_rules).map(|i| g.rule(i as u32)).collect();
+        let slots = compile(&rules);
         // A random (ascending) subset plays the shell's `my_rules`.
         let positions: Vec<usize> = (0..n_rules).filter(|_| g.below(4) != 0).collect();
         let idx = RuleIndex::build(positions.iter().map(|&i| (i, &rules[i].rule.lhs)));
@@ -233,14 +243,8 @@ fn indexed_candidates_cover_exactly_the_linear_match_set() {
             // Property 2: unifying the candidates reproduces the
             // linear-scan match set — same rules, same order, same
             // bindings.
-            let mut via_index = Vec::new();
-            for i in cands {
-                let mut b = Bindings::new();
-                if rules[i].rule.lhs.match_desc(&desc, &mut b) {
-                    via_index.push((i, binding_fingerprint(&b)));
-                }
-            }
-            let via_linear = linear_matches(&rules, &positions, &desc);
+            let via_index = linear_matches(&slots, &cands, &desc);
+            let via_linear = linear_matches(&slots, &positions, &desc);
             assert_eq!(
                 via_index, via_linear,
                 "round {round}: dispatch paths disagree on {desc:?}"
@@ -288,6 +292,7 @@ fn parameterized_and_wildcard_patterns_stay_sound() {
     .collect();
     let positions: Vec<usize> = (0..rules.len()).collect();
     let idx = RuleIndex::build(positions.iter().map(|&i| (i, &rules[i].rule.lhs)));
+    let slots = compile(&rules);
 
     let cases: Vec<(EventDesc, Vec<usize>)> = vec![
         // Bare X: only the unparameterized pattern unifies.
@@ -336,15 +341,12 @@ fn parameterized_and_wildcard_patterns_stay_sound() {
         // all of them as candidates; unification does the narrowing.
         let got: Vec<usize> = idx
             .candidates(&desc)
-            .filter(|&i| {
-                let mut b = Bindings::new();
-                rules[i].rule.lhs.match_desc(&desc, &mut b)
-            })
+            .filter(|&i| match_lhs(&slots, i, &desc).is_some())
             .collect();
         assert_eq!(got, want, "match set for {desc:?}");
         assert_eq!(
             got,
-            linear_matches(&rules, &positions, &desc)
+            linear_matches(&slots, &positions, &desc)
                 .into_iter()
                 .map(|(i, _)| i)
                 .collect::<Vec<_>>()

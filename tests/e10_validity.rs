@@ -13,10 +13,10 @@ mod common;
 mod reference;
 
 use common::{employees_db, rule_set_of, RID_DST, RID_SRC};
-use hcm::core::{EventId, ItemId, SimDuration, SimTime, Trace, Value};
+use hcm::core::{EventDesc, EventId, ItemId, SimDuration, SimTime, Trace, Value};
 use hcm::toolkit::backends::RawStore;
 use hcm::toolkit::workload::PoissonWriter;
-use hcm::toolkit::{Scenario, ScenarioBuilder};
+use hcm::toolkit::{Scenario, ScenarioBuilder, SpontaneousOp};
 use reference::checked as check_validity;
 
 const STRATEGY: &str = r#"
@@ -284,4 +284,50 @@ fn dropped_initial_state_detected_as_p2() {
         let r = check_validity(&doctored, &rules);
         assert!(!r.of_property(2).is_empty());
     }
+}
+
+/// An LHS condition that binds a variable the match left unbound:
+/// `Cx = c` reads the private `Cx` into `c`, and the RHS writes `c`.
+/// The shell and the checker read the condition the same way, so every
+/// notification fires with `c = 7` and the trace is valid.
+#[test]
+fn condition_bound_variable_fires_and_validates() {
+    const BINDING: &str = r#"
+[locate]
+salary1 = A
+salary2 = B
+[private]
+Cx = A
+[strategy]
+N(salary1(n), b) when Cx = c -> WR(salary2(n), c) within 5s
+"#;
+    let db = || RawStore::Relational(employees_db(&[("e1", 1000)]));
+    let mut sc = ScenarioBuilder::new(1)
+        .site("A", db(), RID_SRC)
+        .unwrap()
+        .site("B", db(), RID_DST)
+        .unwrap()
+        .strategy(BINDING)
+        .private_data("A", ItemId::plain("Cx"), Value::Int(7))
+        .build()
+        .unwrap();
+    for i in 1..=10 {
+        let sql = format!(
+            "update employees set salary = {} where empid = 'e1'",
+            100 * i
+        );
+        sc.inject(SimTime::from_secs(10 * i), "A", SpontaneousOp::Sql(sql));
+    }
+    sc.run_to_quiescence();
+    let trace = sc.trace();
+    let want = EventDesc::Wr {
+        item: ItemId::with("salary2", [Value::from("e1")]),
+        value: Value::Int(7),
+    };
+    let fired = trace.events().iter().filter(|e| e.desc == want).count();
+    assert_eq!(fired, 10, "every notification fires with c = 7");
+    // `check_validity` here is `reference::checked`: the production
+    // report must equal the reference's, and both must be valid.
+    let report = check_validity(&trace, &rule_set_of(&sc));
+    assert!(report.is_valid(), "{:#?}", report.violations);
 }

@@ -1,17 +1,17 @@
 //! A corrupt or stale `RemoteFire` must degrade, not kill the engine.
 //!
 //! A shell that receives a rule id it does not know (a stale message
-//! from before a strategy change, or plain corruption) used to be a
-//! construction-bug panic. The engine-fast-path PR turned it into a
-//! recorded degradation: the shell counts `shell.unknown_rule`,
-//! records a spontaneous `UnknownRuleFire` custom event (no generating
-//! rule, no trigger — the provenance is by definition unknown), and
-//! carries on serving well-formed traffic.
+//! from before a strategy change, or plain corruption), or slot values
+//! that do not fit the rule they name, records a degradation instead
+//! of panicking: the shell counts `shell.unknown_rule`, records a
+//! spontaneous `UnknownRuleFire` custom event (no generating rule, no
+//! trigger — the provenance is by definition unknown), and carries on
+//! serving well-formed traffic.
 
 mod common;
 
 use common::{employees_db, RID_DST, RID_SRC};
-use hcm::core::{Bindings, EventDesc, EventId, RuleId, SimTime, Value};
+use hcm::core::{EventDesc, EventId, RuleId, SimTime, Value};
 use hcm::obs::Scope;
 use hcm::toolkit::backends::RawStore;
 use hcm::toolkit::{CmMsg, Scenario, ScenarioBuilder, SpontaneousOp};
@@ -64,7 +64,7 @@ fn unknown_remote_fire_degrades_to_counter_and_event() {
         CmMsg::RemoteFire {
             rule: RuleId(9999),
             trigger: EventId(0),
-            bindings: Bindings::new(),
+            slots: Vec::new(),
         },
     );
     sc.run_to_quiescence();
@@ -78,23 +78,79 @@ fn unknown_remote_fire_degrades_to_counter_and_event() {
         "the bogus fire must be counted"
     );
     // The degradation left a first-class event in the trace.
-    let unknown = sc.recorder.with(|t| {
-        t.events()
-            .iter()
-            .filter(|e| {
-                matches!(&e.desc, EventDesc::Custom { name, args }
-                    if name == "UnknownRuleFire"
-                        && args.first() == Some(&Value::Int(i64::from(site_b.index())))
-                        && args.get(1) == Some(&Value::Str("r9999".into())))
-            })
-            .count()
-    });
-    assert_eq!(unknown, 1, "exactly one UnknownRuleFire event recorded");
+    assert_eq!(
+        unknown_fires(&sc, site_b.index(), "r9999"),
+        1,
+        "exactly one UnknownRuleFire event recorded"
+    );
     // The legitimate rule still fired: the propagation completed.
     assert_eq!(
         sc.obs
             .metrics
             .counter(Scope::Site(site_b.index()), "shell.unknown_rule"),
+        1
+    );
+    let pm = hcm::harness::post_mortem(&sc);
+    assert!(
+        pm.guarantees.iter().all(|g| g.holds),
+        "the well-formed traffic must still satisfy the guarantee"
+    );
+}
+
+/// `UnknownRuleFire` events naming `rule` recorded at `site`.
+fn unknown_fires(sc: &Scenario, site: u32, rule: &str) -> usize {
+    sc.recorder.with(|t| {
+        t.events()
+            .iter()
+            .filter(|e| {
+                matches!(&e.desc, EventDesc::Custom { name, args }
+                    if name == "UnknownRuleFire"
+                        && args.first() == Some(&Value::Int(i64::from(site)))
+                        && args.get(1) == Some(&Value::Str(rule.into())))
+            })
+            .count()
+    })
+}
+
+#[test]
+fn remote_fire_with_misfit_slots_degrades_to_counter_and_event() {
+    let mut sc = build(7);
+    sc.inject(
+        SimTime::from_secs(10),
+        "A",
+        SpontaneousOp::Sql("update employees set salary = 250 where empid = 'e1'".into()),
+    );
+    // The strategy rule exists, but its two variables (`n`, `b`) do not
+    // fit one slot value, nor three.
+    let rule = sc.strategy.rules[0].id;
+    let shell_b = sc.site("B").shell;
+    for (at, slots) in [
+        (5, vec![Some(Value::Str("e1".into()))]),
+        (6, vec![None, Some(Value::Int(1)), Some(Value::Int(2))]),
+    ] {
+        sc.sim.inject_at(
+            SimTime::from_secs(at),
+            shell_b,
+            CmMsg::RemoteFire {
+                rule,
+                trigger: EventId(0),
+                slots,
+            },
+        );
+    }
+    sc.run_to_quiescence();
+
+    let site_b = sc.site("B").site;
+    let metrics = &sc.obs.metrics;
+    assert_eq!(
+        metrics.counter(Scope::Site(site_b.index()), "shell.unknown_rule"),
+        2,
+        "each misfit fire must be counted"
+    );
+    assert_eq!(unknown_fires(&sc, site_b.index(), &rule.to_string()), 2);
+    // Only the well-formed firing ran its RHS.
+    assert_eq!(
+        metrics.counter(Scope::Site(site_b.index()), "shell.firings"),
         1
     );
     let pm = hcm::harness::post_mortem(&sc);
