@@ -95,6 +95,9 @@ fn main() {
     // `follows` and `follows_metric`. At a fixed length the event count
     // stays the same; each employee's LHS still quantifies over the
     // per-base grid, so instantiations grow with the employee count.
+    // Full mode adds 4× the length at 8 and 64 employees, and 32 and 64
+    // employees at 640 s: the pair's cost should grow with the
+    // instantiations, not with their square.
     eprintln!("\n[E10] salary pair vs employees and length:");
     eprintln!(
         "  {:<10} {:>9} {:>8} {:>18} {:>12} {:>9}",
@@ -108,7 +111,7 @@ fn main() {
     let cells: &[(usize, u64)] = if harness::quick() {
         &[(8, 640)]
     } else {
-        &[(8, 640), (32, 640), (8, 2560)]
+        &[(8, 640), (32, 640), (8, 2560), (64, 640), (64, 2560)]
     };
     for &(employees, until_s) in cells {
         let mut sc = scenarios::salary_scenario(
@@ -119,9 +122,17 @@ fn main() {
         );
         sc.run_to_quiescence();
         let trace = sc.trace();
-        let t0 = std::time::Instant::now();
-        let reports = [&follows, &metric].map(|g| check_guarantee(&trace, g, None));
-        let pair = t0.elapsed();
+        // Full mode keeps the fastest of three runs, so that a busy
+        // host's stalls do not set the figure.
+        let runs = if harness::quick() { 1 } else { 3 };
+        let (pair, reports) = (0..runs)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let reports = [&follows, &metric].map(|g| check_guarantee(&trace, g, None));
+                (t0.elapsed(), reports)
+            })
+            .min_by_key(|(pair, _)| *pair)
+            .expect("at least one run");
         for r in &reports {
             assert!(
                 r.holds,

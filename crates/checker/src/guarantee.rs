@@ -32,10 +32,11 @@
 //!   in the segment is emitted with that segment's bindings, ascending
 //!   and with multiplicity.
 //! - **Witness side.** A fully bound `@` atom (`(salary1(n) = y) @ t2`
-//!   once `n` and `y` are) gets its satisfying grid points built the
-//!   same way, once per binding, and cached. The search enters that list
-//!   at the window its conjunction's time comparisons leave open
-//!   (`t1 - 10s < t2 <= t1` once `t1` is fixed) and stops past it.
+//!   once `n` and `y` are) caches, per binding, its satisfying segments
+//!   as candidate ranges with push counts, evaluating a segment when
+//!   the window its conjunction's time comparisons leave open
+//!   (`t1 - 10s < t2 <= t1` once `t1` is fixed) first reaches it. The
+//!   search assigns only the grid and window instants inside them.
 //!
 //! An interval atom (`@@`, `@?`) reads the same change points: its
 //! condition is evaluated at the window's start and at each change point
@@ -123,13 +124,12 @@ pub struct EvalStats {
     /// Always 0: condition evaluations are not memoized. The field
     /// stays for callers that still read it.
     pub probe_hits: u64,
-    /// Condition evaluations, one per instant a condition is read at.
+    /// Condition evaluations, one per instant a condition is read at; a
+    /// fully bound `@` atom is read once per segment a window reaches.
     pub probe_misses: u64,
-    /// `@`-atom expansions answered from the satisfying-candidate
-    /// cache.
+    /// `@`-atom expansions answered from the satisfying-segment cache.
     pub atom_hits: u64,
-    /// `@`-atom expansions whose satisfying static candidates were
-    /// built, from the bound items' segments, and recorded.
+    /// `@`-atom expansions that made the cache entry of their bindings.
     pub atom_misses: u64,
     /// Total static grid points across all time variables (after
     /// component pruning).
@@ -148,9 +148,13 @@ fn bump(counter: &Cell<u64>, by: u64) {
     counter.set(counter.get() + by);
 }
 
-/// A fully bound `@` atom's satisfying static candidates, ascending,
-/// each with its push count.
-type AtSat = Rc<Vec<(SimTime, u32)>>;
+/// A fully bound `@` atom's satisfying candidates (ms) in its `probed`
+/// segments, as ascending disjoint ranges `(first, last, push count)`.
+#[derive(Default)]
+struct AtSat {
+    ranges: Vec<(i128, i128, u32)>,
+    probed: Range<usize>,
+}
 
 /// The evaluator.
 pub struct Evaluator<'a> {
@@ -215,8 +219,7 @@ impl<'a> Evaluator<'a> {
                 instantiations += 1;
                 let holds = if plan.memoize {
                     let (data, times) = (&plan.rhs_data[..], &plan.rhs_times[..]);
-                    let (hash, hit) = memo.get(0, data, times, env);
-                    hit.unwrap_or_else(|| {
+                    memo.get(0, data, times, env).unwrap_or_else(|hash| {
                         let holds = plan.witness(env);
                         memo.insert(hash, 0, data, times, env, holds);
                         holds
@@ -304,40 +307,50 @@ struct SweepBuf {
 }
 
 /// Values cached per projection of an [`Env`] onto fixed slots. A
-/// lookup hashes and compares the slots in place, so a hit builds no
-/// key; only an insert stores one.
+/// lookup tries the entry the last one found before it hashes, and
+/// compares slots in place, so a hit builds no key; an insert stores one.
 #[derive(Default)]
 struct SlotMemo<T> {
     state: RandomState,
-    buckets: HashMap<u64, Vec<SlotEntry<T>>>,
+    buckets: HashMap<u64, Vec<usize>>,
+    entries: Vec<SlotEntry<T>>,
+    /// The entry the last lookup found or stored.
+    last: Cell<Option<usize>>,
 }
 
 type SlotEntry<T> = (usize, Box<[Option<Value>]>, Box<[Option<SimTime>]>, T);
 
 impl<T: Clone> SlotMemo<T> {
     /// The value stored for `tag` and `env`'s values in the `data` and
-    /// `times` slots, with the key's hash for [`SlotMemo::insert`].
-    fn get(&self, tag: usize, data: &[usize], times: &[usize], env: &Env) -> (u64, Option<T>) {
+    /// `times` slots, or the key's hash for [`SlotMemo::insert`].
+    fn get(&self, tag: usize, data: &[usize], times: &[usize], env: &Env) -> Result<T, u64> {
+        let same = |&i: &usize| {
+            let (t, d, ts, _) = &self.entries[i];
+            *t == tag
+                && d.iter().zip(data).all(|(v, &s)| *v == env.data[s])
+                && ts.iter().zip(times).all(|(v, &s)| *v == env.times[s])
+        };
+        if let Some(i) = self.last.get().filter(same) {
+            return Ok(self.entries[i].3.clone());
+        }
         let mut h = self.state.build_hasher();
         tag.hash(&mut h);
         data.iter().for_each(|&s| env.data[s].hash(&mut h));
         times.iter().for_each(|&s| env.times[s].hash(&mut h));
         let hash = h.finish();
-        let hit = self.buckets.get(&hash).and_then(|bucket| {
-            bucket.iter().find_map(|(t, d, ts, value)| {
-                let same = *t == tag
-                    && d.iter().zip(data).all(|(v, &s)| *v == env.data[s])
-                    && ts.iter().zip(times).all(|(v, &s)| *v == env.times[s]);
-                same.then(|| value.clone())
-            })
-        });
-        (hash, hit)
+        let bucket = self.buckets.get(&hash).map_or(&[][..], Vec::as_slice);
+        let i = bucket.iter().copied().find(same).ok_or(hash)?;
+        self.last.set(Some(i));
+        Ok(self.entries[i].3.clone())
     }
 
     fn insert(&mut self, hash: u64, tag: usize, data: &[usize], times: &[usize], env: &Env, v: T) {
         let d = data.iter().map(|&s| env.data[s].clone()).collect();
         let ts = times.iter().map(|&s| env.times[s]).collect();
-        self.buckets.entry(hash).or_default().push((tag, d, ts, v));
+        let i = self.entries.len();
+        self.buckets.entry(hash).or_default().push(i);
+        self.last.set(Some(i));
+        self.entries.push((tag, d, ts, v));
     }
 }
 
@@ -373,12 +386,14 @@ struct Plan<'e> {
     /// times, ascending (points past the horizon are kept).
     points: Vec<Vec<SimTime>>,
     /// Per (atom, condition bindings), the fully bound atom's
-    /// satisfying static candidates.
-    at_memo: RefCell<SlotMemo<AtSat>>,
+    /// satisfying segments.
+    at_memo: RefCell<SlotMemo<Rc<RefCell<AtSat>>>>,
     /// Reusable buffers: per time slot for its window candidates, per
     /// atom for its sweep.
     window_buf: Vec<Cell<Vec<SimTime>>>,
     sweep_buf: Vec<Cell<SweepBuf>>,
+    /// Per time slot, where the cached arm last entered its grid.
+    grid_at: Vec<Cell<usize>>,
 }
 
 impl<'e> Plan<'e> {
@@ -403,6 +418,7 @@ impl<'e> Plan<'e> {
             time_data: times.iter().map(|t| data.binary_search(t).ok()).collect(),
             params: params.iter().map(|v| slot(&data, v)).collect(),
             window_buf: times.iter().map(|_| Cell::default()).collect(),
+            grid_at: times.iter().map(|_| Cell::default()).collect(),
             sweep_buf: all.clone().map(|_| Cell::default()).collect(),
             data,
             times,
@@ -622,41 +638,33 @@ impl<'e> Plan<'e> {
         if let Some(v) = atom.times.iter().copied().find(|&s| self.is_free(s, env)) {
             let mut dynamic = self.window_buf[v].take();
             let (lo, hi) = self.window(side, v, env, &mut dynamic);
-            let grid = &self.grid[v];
-            let first = grid.partition_point(|&c| ms(c) < lo);
-            let statics = &grid[first..grid.partition_point(|&c| ms(c) <= hi).max(first)];
-            dynamic.retain(|d| (lo..=hi).contains(&ms(*d)) && grid.binary_search(d).is_err());
             let stopped = match atom.form {
                 // A fully bound `@` atom (as on the witness side): its
-                // satisfying static candidates depend only on the
-                // bindings, so they are cached and replayed from the
-                // window's start; only the dynamic candidates are
-                // evaluated one by one.
-                Form::At(_, te) if atom.vars.iter().all(|&s| env.data[s].is_some()) => {
-                    let sat = self.at_sat_cached(id, te.offset(), grid, env);
-                    let first = sat.partition_point(|&(c, _)| ms(c) < lo);
-                    let known = sat[first..]
-                        .iter()
-                        .take_while(|&&(c, _)| ms(c) <= hi)
-                        .map(|&(c, n)| (c, Some(n)));
-                    self.assign_each(v, known, &dynamic, side, id, env, emit)
+                // satisfying segments depend only on the bindings.
+                Form::At(..) if atom.vars.iter().all(|&s| env.data[s].is_some()) => {
+                    self.assign_sat(id, v, (lo, hi), &dynamic, env, emit)
                 }
-                // An `@` atom that binds (as on the universal side): one
-                // evaluation per segment.
-                Form::At(_, te) => {
-                    let stopped =
+                _ => {
+                    let grid = &self.grid[v];
+                    let first = grid.partition_point(|&c| ms(c) < lo);
+                    let statics = &grid[first..grid.partition_point(|&c| ms(c) <= hi).max(first)];
+                    dynamic.retain(|d| (lo..=hi).contains(&ms(*d)));
+                    if let Form::At(_, te) = atom.form {
+                        // An `@` atom that binds (as on the universal
+                        // side): one evaluation per segment.
                         self.sweep(id, te.offset(), statics, &dynamic, env, &mut |c, e| {
                             e.times[v] = Some(c);
                             emit(e)
-                        });
-                    env.times[v] = None;
-                    stopped
-                }
-                _ => {
-                    let known = statics.iter().map(|&c| (c, None));
-                    self.assign_each(v, known, &dynamic, side, id, env, emit)
+                        })
+                    } else {
+                        merged(statics, &dynamic).any(|c| {
+                            env.times[v] = Some(c);
+                            self.expand(side, id, env, emit)
+                        })
+                    }
                 }
             };
+            env.times[v] = None;
             self.window_buf[v].set(dynamic);
             return stopped;
         }
@@ -752,49 +760,79 @@ impl<'e> Plan<'e> {
         (lo, hi)
     }
 
-    /// Assigns the free time variable `v` to each candidate in
-    /// ascending time and continues the search there, stopping as soon
-    /// as `emit` returns `true`; `v` is unassigned again on return.
-    /// `known` yields static candidates, each with its push count when
-    /// the satisfying-candidate cache already knows it; `probed` holds
-    /// ascending dynamic candidates not among them. A candidate without
-    /// a count is evaluated through [`Plan::expand`].
-    #[allow(clippy::too_many_arguments)]
-    fn assign_each(
+    /// Assigns the free time variable `v` of the fully bound `@` atom
+    /// `id` to each grid point and `dynamic` instant in the window `[lo,
+    /// hi]` (inside `[0, horizon]`) where the atom holds, as
+    /// [`Plan::sweep`] does. The atom's cache entry probes a segment when
+    /// a window first reaches it, and starts over at a window's first
+    /// segment when that is not next to the segments it knows.
+    fn assign_sat(
         &self,
-        v: usize,
-        known: impl Iterator<Item = (SimTime, Option<u32>)>,
-        probed: &[SimTime],
-        side: &Side,
         id: usize,
+        v: usize,
+        (lo, hi): (i128, i128),
+        dynamic: &[SimTime],
         env: &mut Env,
         emit: &mut dyn FnMut(&mut Env) -> bool,
     ) -> bool {
-        let mut known = known.peekable();
-        let mut probed = probed.iter().copied().peekable();
-        let mut stopped = false;
-        while !stopped {
-            let next = match (known.peek(), probed.peek()) {
-                (Some(&(tk, _)), Some(&tp)) if tp < tk => probed.next().map(|t| (t, None)),
-                (Some(_), _) => known.next(),
-                (None, _) => probed.next().map(|t| (t, None)),
-            };
-            let Some((t, count)) = next else {
-                break;
-            };
-            env.times[v] = Some(t);
-            stopped = match count {
-                Some(n) => (0..n).any(|_| emit(env)),
-                None => self.expand(side, id, env, emit),
-            };
+        let entry = self.at_sat_cached(id, env);
+        let Form::At(cond, te) = &self.atoms[id].form else {
+            unreachable!("a witness cache reads an `@` atom");
+        };
+        let (points, horizon) = (&self.points[id], ms(self.ev.horizon));
+        let off = i128::from(te.offset());
+        // The window's probe instants.
+        let (start, stop) = ((lo + off).max(0), (hi + off).min(horizon));
+        if start > stop {
+            return false;
         }
-        env.times[v] = None;
-        stopped
+        let mut sat = entry.borrow_mut();
+        let (known, next) = (sat.probed.start, sat.probed.end + 1);
+        if ms(points[known]) > start || points.get(next).is_some_and(|&p| ms(p) <= start) {
+            let k = points.partition_point(|&p| ms(p) <= start) - 1;
+            sat.ranges.clear();
+            sat.probed = k..k;
+        }
+        let mut i = sat.ranges.partition_point(|&(_, last, _)| last < lo);
+        loop {
+            let Some(&(first, last, n)) = sat.ranges.get(i) else {
+                // Probe the next segment, if the window reaches it.
+                let k = sat.probed.end;
+                let Some(&p) = points.get(k).filter(|&&p| ms(p) <= stop) else {
+                    return false;
+                };
+                let end = points.get(k + 1).map_or(horizon, |&q| ms(q) - 1);
+                let (first, last) = ((ms(p) - off).max(0), (end.min(horizon) - off).min(horizon));
+                let mut n = 0;
+                self.probe(cond, p, env, true, &mut |_| {
+                    n += 1;
+                    false
+                });
+                sat.ranges.extend((n > 0).then_some((first, last, n)));
+                sat.probed.end += 1;
+                continue;
+            };
+            if first > hi {
+                return false;
+            }
+            i += 1;
+            let (from, to) = (lo.max(first), hi.min(last));
+            let grid = &self.grid[v][seek(&self.grid[v], from, &self.grid_at[v])..];
+            let cands = merged(grid, &dynamic[dynamic.partition_point(|&c| ms(c) < from)..]);
+            drop(sat);
+            for c in cands.take_while(|&c| ms(c) <= to) {
+                env.times[v] = Some(c);
+                if (0..n).any(|_| emit(env)) {
+                    return true;
+                }
+            }
+            sat = entry.borrow_mut();
+        }
     }
 
     /// The `@` atom `id`, probed at `c + off` for each candidate `c` of
-    /// the ascending merge of `statics` and `dynamic` (`statics` first
-    /// on a tie): calls `emit(c, env)` once per binding extension of
+    /// the ascending merge of `statics` and `dynamic` (see [`merged`]):
+    /// calls `emit(c, env)` once per binding extension of
     /// `env` satisfying it there, in order, until `emit` returns `true`;
     /// returns whether it stopped. A probe instant outside `[0,
     /// horizon]` yields nothing. The condition reads fixed items, so it
@@ -829,10 +867,8 @@ impl<'e> Plan<'e> {
         let (mut i, mut j) = (past(statics, -1), past(dynamic, -1));
         let mut stopped = false;
         while !stopped {
-            let c = match (statics.get(i), dynamic.get(j)) {
-                (Some(&a), Some(&b)) => a.min(b),
-                (Some(&c), None) | (None, Some(&c)) => c,
-                (None, None) => break,
+            let Some(c) = merged(&statics[i..], &dynamic[j..]).next() else {
+                break;
             };
             let at = ms(c) + i128::from(off);
             if at > horizon {
@@ -852,64 +888,35 @@ impl<'e> Plan<'e> {
                 n += 1;
                 false
             });
-            let (mut a, mut b) = (&statics[i..si], &dynamic[j..dj]);
-            while n > 0 && !stopped {
-                let c = match (a.first(), b.first()) {
-                    (Some(&x), Some(&y)) if y < x => y,
-                    (Some(&x), _) => x,
-                    (None, Some(&y)) => y,
-                    (None, None) => break,
-                };
-                if a.first() == Some(&c) {
-                    a = &a[1..];
-                } else {
-                    b = &b[1..];
-                }
-                let w = free.len();
-                for r in 0..n {
-                    let ext = &mut values[r * w..(r + 1) * w];
-                    swap_slots(ext, &free, env);
-                    stopped = emit(c, env);
-                    swap_slots(ext, &free, env);
-                    if stopped {
-                        break;
-                    }
-                }
-            }
+            let w = free.len();
+            stopped = n > 0
+                && merged(&statics[i..si], &dynamic[j..dj]).any(|c| {
+                    (0..n).any(|r| {
+                        let ext = &mut values[r * w..(r + 1) * w];
+                        swap_slots(ext, &free, env);
+                        let stop = emit(c, env);
+                        swap_slots(ext, &free, env);
+                        stop
+                    })
+                });
             (i, j) = (si, dj);
         }
         self.sweep_buf[id].set(SweepBuf { free, values });
         stopped
     }
 
-    /// The fully bound `@` atom `id`'s satisfying candidates among
-    /// `statics`, cached per (atom, condition bindings).
-    fn at_sat_cached(&self, id: usize, off: i64, statics: &[SimTime], env: &mut Env) -> AtSat {
+    /// The fully bound `@` atom `id`'s cache entry for `env`'s bindings.
+    fn at_sat_cached(&self, id: usize, env: &Env) -> Rc<RefCell<AtSat>> {
         let vars = &self.atoms[id].vars[..];
-        let (hash, hit) = self.at_memo.borrow().get(id, vars, &[], env);
-        if let Some(sat) = hit {
-            bump(&self.ev.counters.atom_hits, 1);
-            return sat;
-        }
-        let sat: AtSat = Rc::new(self.at_sat_segments(id, off, statics, env));
-        let mut memo = self.at_memo.borrow_mut();
-        memo.insert(hash, id, vars, &[], env, Rc::clone(&sat));
-        bump(&self.ev.counters.atom_misses, 1);
-        sat
-    }
-
-    /// [`Plan::sweep`] over `statics`, as `(candidate, push count)`
-    /// pairs.
-    fn at_sat_segments(
-        &self,
-        id: usize,
-        off: i64,
-        statics: &[SimTime],
-        env: &mut Env,
-    ) -> Vec<(SimTime, u32)> {
-        let mut sat = Vec::new();
-        self.sweep(id, off, statics, &[], env, &mut |c, _| tally(&mut sat, c));
-        sat
+        let hit = self.at_memo.borrow().get(id, vars, &[], env);
+        let (hits, misses) = (&self.ev.counters.atom_hits, &self.ev.counters.atom_misses);
+        bump(if hit.is_ok() { hits } else { misses }, 1);
+        hit.unwrap_or_else(|hash| {
+            let sat = Rc::default();
+            let mut memo = self.at_memo.borrow_mut();
+            memo.insert(hash, id, vars, &[], env, Rc::clone(&sat));
+            sat
+        })
     }
 
     /// Evaluate `cond` at `t` (see [`Plan::eval`]), counted in
@@ -1183,14 +1190,30 @@ fn slot(names: &[&str], name: &str) -> usize {
         .expect("every variable has a slot")
 }
 
-/// Counts one more emission of candidate `c` into ascending
-/// `(candidate, push count)` pairs; never stops.
-fn tally(sat: &mut Vec<(SimTime, u32)>, c: SimTime) -> bool {
-    match sat.last_mut() {
-        Some((last, n)) if *last == c => *n += 1,
-        _ => sat.push((c, 1)),
-    }
-    false
+/// The index of the first of ascending `cands` at or after `from`, tried
+/// at `hint` and the index after it first; `hint` then holds it.
+fn seek(cands: &[SimTime], from: i128, hint: &Cell<usize>) -> usize {
+    let before = |i: usize| i == 0 || ms(cands[i - 1]) < from;
+    let fits = |&i: &usize| i <= cands.len() && before(i) && (i == cands.len() || !before(i + 1));
+    let i = (hint.get()..hint.get() + 2).find(fits);
+    let i = i.unwrap_or_else(|| cands.partition_point(|&c| ms(c) < from));
+    hint.set(i);
+    i
+}
+
+/// The ascending merge of two ascending candidate lists, an instant in
+/// both once.
+fn merged<'a>(mut a: &'a [SimTime], mut b: &'a [SimTime]) -> impl Iterator<Item = SimTime> + 'a {
+    std::iter::from_fn(move || {
+        let c = match (a.first(), b.first()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&c), None) | (None, Some(&c)) => c,
+            (None, None) => return None,
+        };
+        a = a.strip_prefix(&[c]).unwrap_or(a);
+        b = b.strip_prefix(&[c]).unwrap_or(b);
+        Some(c)
+    })
 }
 
 /// Swaps the values of `ext` with the data slots `slots` of `env`.
@@ -1648,7 +1671,8 @@ mod tests {
 
     /// The per-point references of the segment tests.
     impl Plan<'_> {
-        /// Unit reference for `Plan::sweep`: probe at every candidate.
+        /// Unit reference for `Plan::sweep`: probe at every distinct
+        /// candidate.
         fn sweep_per_point(
             &self,
             id: usize,
@@ -1663,6 +1687,7 @@ mod tests {
             };
             let mut cands: Vec<SimTime> = statics.iter().chain(dynamic).copied().collect();
             cands.sort();
+            cands.dedup();
             cands.into_iter().any(|c| {
                 let at = ms(c) + i128::from(off);
                 (0..=ms(self.ev.horizon)).contains(&at)
@@ -1672,7 +1697,8 @@ mod tests {
             })
         }
 
-        /// Unit reference for `Plan::at_sat_segments`.
+        /// Unit reference for `Plan::at_sat_segments`: the candidates of
+        /// `statics` at which atom `id` holds, each with its push count.
         fn at_sat_sweep(
             &self,
             id: usize,
@@ -1680,8 +1706,14 @@ mod tests {
             statics: &[SimTime],
             env: &mut Env,
         ) -> Vec<(SimTime, u32)> {
-            let mut sat = Vec::new();
-            self.sweep_per_point(id, off, statics, &[], env, &mut |c, _| tally(&mut sat, c));
+            let mut sat: Vec<(SimTime, u32)> = Vec::new();
+            self.sweep_per_point(id, off, statics, &[], env, &mut |c, _| {
+                match sat.last_mut() {
+                    Some((last, n)) if *last == c => *n += 1,
+                    _ => sat.push((c, 1)),
+                }
+                false
+            });
             sat
         }
     }
@@ -1999,13 +2031,45 @@ mod tests {
         env
     }
 
-    /// The segment builder against the per-point sweep, on
-    /// random traces with same-instant writes, over conditions with
-    /// `or` multiplicity, parameters (bound and `*`) and negation, at
-    /// offsets that push `c + off` below 0 and past the horizon.
+    /// [`SEGMENT_CONDS`] as one conjunction, each atom read at `t + off`.
+    fn offset_conds(off: i64) -> Guarantee {
+        let at = match off {
+            0.. => format!("@ t + {off}ms"),
+            _ => format!("@ t - {}ms", -off),
+        };
+        parse_guarantee("c", &SEGMENT_CONDS.join(" and ").replace("@ t", &at)).unwrap()
+    }
+
+    /// What the cached arm emits for atom `id` over the window, one
+    /// entry per push count, until `stop` entries.
+    fn cached_arm(
+        plan: &Plan,
+        id: usize,
+        window: (i128, i128),
+        dynamic: &[SimTime],
+        env: &mut Env,
+        stop: usize,
+    ) -> (bool, Vec<SimTime>) {
+        let (v, mut out) = (slot(&plan.times, "t"), Vec::new());
+        let stopped = plan.assign_sat(id, v, window, dynamic, env, &mut |e| {
+            out.push(e.times[v].unwrap());
+            out.len() == stop
+        });
+        env.times[v] = None;
+        (stopped, out)
+    }
+
+    /// The satisfying segments of a fully bound atom against per-point
+    /// probing at every instant of `[0, horizon]`, on random traces with
+    /// same-instant writes, over conditions with `or` multiplicity,
+    /// parameters (bound and `*`) and negation, at offsets that push
+    /// `c + off` below 0 and past the horizon: after a window over the
+    /// whole horizon, the cache entry's ranges, read instant by instant,
+    /// are exactly the satisfying instants with their push counts,
+    /// ascending and disjoint, and the arm emits each that often. The
+    /// entry probes each segment of the atom's items at most once.
     #[test]
     fn segment_builder_matches_per_point_sweep() {
-        let conds = parse_guarantee("c", &SEGMENT_CONDS.join(" and ")).unwrap();
         let mut g = Gen(0x5E6_0001);
         let mut nonempty = 0;
         for _ in 0..200 {
@@ -2013,28 +2077,133 @@ mod tests {
             // Horizons before, at and after the last write.
             let horizon = SimTime::from_millis(g.int_in(1, 250) as u64);
             let ev = Evaluator::new(&tr, Some(horizon));
-            let statics = instants(&mut g, 40, horizon);
+            let every: Vec<SimTime> = (0..=horizon.as_millis())
+                .map(SimTime::from_millis)
+                .collect();
             let off = g.int_in(-80, 80);
+            let conds = offset_conds(off);
             let mut plan = Plan::compile(&ev, &conds);
+            plan.grid[slot(&plan.times, "t")] = every.clone();
             let mut env = segment_env(&mut g, &mut plan, true);
             for (cond, src) in SEGMENT_CONDS.iter().enumerate() {
-                let want = plan.at_sat_sweep(cond, off, &statics, &mut env);
+                let want = plan.at_sat_sweep(cond, off, &every, &mut env);
                 nonempty += usize::from(!want.is_empty());
-                assert_eq!(
-                    plan.at_sat_segments(cond, off, &statics, &mut env),
-                    want,
-                    "{src} off={off} horizon={horizon} env={env:?} statics={statics:?}\n{tr}"
+                let probed = || ev.counters.probe_misses.get();
+                let (before, window) = (probed(), (0, ms(horizon)));
+                let (_, emitted) = cached_arm(&plan, cond, window, &[], &mut env, 0);
+                let probes = probed() - before;
+                assert!(
+                    probes as usize <= plan.points[cond].len(),
+                    "{src}: {probes}"
                 );
+                // A second pass reads the entry and probes nothing.
+                cached_arm(&plan, cond, window, &[], &mut env, 0);
+                assert_eq!(probed() - before, probes, "{src}: probed again");
+                let sat = plan.at_sat_cached(cond, &env);
+                let ranges = sat.borrow().ranges.clone();
+                let got: Vec<(SimTime, u32)> = (ranges.iter())
+                    .flat_map(|&(first, last, n)| {
+                        (first..=last).map(move |c| (SimTime::from_millis(c as u64), n))
+                    })
+                    .collect();
+                assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{src}: {ranges:?}");
+                let msg = format!(
+                    "{src} off={off} horizon={horizon} env={env:?} ranges={ranges:?}\n{tr}"
+                );
+                assert_eq!(got, want, "{msg}");
+                let each = want
+                    .iter()
+                    .flat_map(|&(c, n)| std::iter::repeat_n(c, n as usize));
+                assert_eq!(emitted, each.collect::<Vec<_>>(), "{msg}");
             }
         }
         assert!(nonempty > 500, "too few satisfiable cases: {nonempty}");
     }
 
+    /// The witness side's cached arm against probing each grid and
+    /// window candidate on its own: the same candidates, in the same
+    /// order, each once per push count, an instant that is both a grid
+    /// point and a window candidate once, up to a random stop. Each atom
+    /// answers a run of windows on one cache entry, so the entry is
+    /// extended, reused and restarted both ways; windows end at random
+    /// instants and at ±1 ms of segment ends, and offsets push `c + off`
+    /// below 0 and past the horizon.
+    #[test]
+    fn segment_cached_arm_matches_per_point_probes() {
+        let mut g = Gen(0x5E6_0003);
+        let (mut emitted, mut counted, mut stops) = (0, 0, 0);
+        for _ in 0..200 {
+            let tr = segment_trace(&mut g);
+            let horizon = SimTime::from_millis(g.int_in(1, 250) as u64);
+            let h = ms(horizon);
+            let ev = Evaluator::new(&tr, Some(horizon));
+            let off = g.int_in(-80, 80);
+            let conds = offset_conds(off);
+            let mut plan = Plan::compile(&ev, &conds);
+            let v = slot(&plan.times, "t");
+            plan.grid[v] = instants(&mut g, 40, horizon);
+            let mut env = segment_env(&mut g, &mut plan, true);
+            for (cond, src) in SEGMENT_CONDS.iter().enumerate() {
+                let points = plan.points[cond].clone();
+                for _ in 0..4 {
+                    // Window edges: random, or ±1 ms of a segment's first
+                    // or last candidate.
+                    let edge = |g: &mut Gen| {
+                        let k = g.int_in(0, points.len() as i64) as usize;
+                        let end = match points.get(k) {
+                            Some(&p) if g.int_in(0, 1) == 0 => ms(p),
+                            Some(&p) => ms(p) - 1,
+                            None => i128::from(g.int_in(-5, h as i64 + 5)) + i128::from(off),
+                        };
+                        end - i128::from(off) + i128::from(g.int_in(-1, 1))
+                    };
+                    let (lo, hi) = (edge(&mut g).max(0), edge(&mut g).min(h));
+                    // Window candidates as `Plan::window` derives them:
+                    // ±1 ms of each bound inside `[0, horizon]`, some on
+                    // the grid.
+                    let mut dynamic = instants(&mut g, 4, horizon);
+                    let near = [lo, hi].map(|b| b - 1..=b + 1).into_iter().flatten();
+                    let near = near.filter(|c| (0..=h).contains(c));
+                    dynamic.extend(near.map(|c| SimTime::from_millis(c as u64)));
+                    dynamic.sort();
+                    dynamic.dedup();
+                    let mut cands: Vec<SimTime> =
+                        plan.grid[v].iter().chain(&dynamic).copied().collect();
+                    cands.retain(|c| (lo..=hi).contains(&ms(*c)));
+                    cands.sort();
+                    cands.dedup();
+                    let want = plan.at_sat_sweep(cond, off, &cands, &mut env);
+                    let mut want: Vec<SimTime> = (want.iter())
+                        .flat_map(|&(c, n)| std::iter::repeat_n(c, n as usize))
+                        .collect();
+                    let stop = g.int_in(0, want.len() as i64 + 1) as usize;
+                    let stopped = (1..=want.len()).contains(&stop);
+                    want.truncate(if stopped { stop } else { want.len() });
+                    let got = cached_arm(&plan, cond, (lo, hi), &dynamic, &mut env, stop);
+                    assert_eq!(
+                        got,
+                        (stopped, want.clone()),
+                        "{src} off={off} horizon={horizon} window=[{lo}, {hi}] stop={stop} \
+                         grid={:?} dynamic={dynamic:?}\n{tr}",
+                        plan.grid[v]
+                    );
+                    emitted += want.len();
+                    counted += want.windows(2).filter(|w| w[0] == w[1]).count();
+                    stops += usize::from(stopped);
+                }
+            }
+        }
+        assert!(
+            emitted > 2000 && counted > 200 && stops > 300,
+            "too few cases: {emitted}/{counted}/{stops}"
+        );
+    }
+
     /// The universal-side sweep against probing each candidate on its
     /// own, with `y` left for the condition to bind: the same
     /// `(candidate, bindings)` list, in the same order and with the same
-    /// multiplicity, over grid and window candidates merged. The sweep
-    /// probes at most as often.
+    /// multiplicity, over grid and window candidates merged (an instant
+    /// in both once). The sweep probes at most as often.
     #[test]
     fn segment_sweep_matches_per_point_probes() {
         let conds = parse_guarantee("c", &SEGMENT_CONDS.join(" and ")).unwrap();
@@ -2045,8 +2214,8 @@ mod tests {
             let horizon = SimTime::from_millis(g.int_in(1, 250) as u64);
             let ev = Evaluator::new(&tr, Some(horizon));
             let statics = instants(&mut g, 40, horizon);
-            let mut dynamic = instants(&mut g, 6, horizon);
-            dynamic.retain(|d| statics.binary_search(d).is_err());
+            // Window candidates may also be grid points.
+            let dynamic = instants(&mut g, 6, horizon);
             let off = g.int_in(-80, 80);
             let mut plan = Plan::compile(&ev, &conds);
             let mut env = segment_env(&mut g, &mut plan, false);

@@ -39,10 +39,11 @@
 //! evaluator evaluates an `@` atom once per segment between them, not
 //! once per grid point. On the universal side, each grid point in a
 //! segment inherits that segment's bindings, in ascending order and
-//! with multiplicity. On the witness side, a fully bound atom's
-//! satisfying grid points are built this way once per binding and
-//! cached. A `@@`/`@?` atom is read at its window's start and at those
-//! change points inside it.
+//! with multiplicity. On the witness side, a fully bound atom caches
+//! its satisfying segments per binding, each evaluated when a witness
+//! window first reaches it, and only grid and window instants inside
+//! them are tried. A `@@`/`@?` atom is read at its window's start and
+//! at those change points inside it.
 //! Liveness-flavoured guarantees ("X leads Y") are evaluated up to a
 //! *quiescence horizon*: run the workload, drain the system, then
 //! check — `EXPERIMENTS.md` records the horizon per experiment.
