@@ -36,13 +36,14 @@
 //! interpretation is built or cloned per event. Conditions read the
 //! trace's [`StateIndex`] at the instant they are evaluated. A pre-pass
 //! over the trace records which events each trigger generated and which
-//! `WriteRejected` refusals descend from each event, in flat tables
-//! indexed by trace position (event ids are positions), and sorts the
-//! firings of each group of related rules. Property 6 then probes, per
-//! event, the same [`RuleIndex`] the CM-Shell dispatches through,
-//! evaluating step conditions only at the state change points inside
-//! each window; property 7 sweeps each group. The cost is O(n log n) in
-//! the trace length plus the size of the report.
+//! `WriteRejected` refusals descend from each event, in flat `u32`
+//! tables indexed by trace position (event ids are positions; past
+//! `u32::MAX` events the check panics), and sorts the firings of each
+//! group of related rules. Property 6 then probes, per event, the same
+//! [`RuleIndex`] the CM-Shell dispatches through, evaluating step
+//! conditions only at the state change points inside each window;
+//! property 7 sweeps each group. The cost is O(n log n) in the trace
+//! length plus the size of the report.
 //! `tests/reference/mod.rs` keeps the direct property-by-property
 //! transcription, over its own name-keyed interpreter that shares
 //! nothing with the slot compiler, and the differential suites pin
@@ -296,43 +297,45 @@ pub fn check_validity(trace: &Trace, rules: &RuleSet) -> ValidityReport {
 /// One rule firing: a generated event and the time of its trigger.
 struct Firing {
     /// Its rule's group of related rules.
-    group: usize,
+    group: u32,
     trigger_time: SimTime,
     /// Trace position of the generated event.
-    pos: usize,
+    pos: u32,
     /// Position of its rule in [`RuleSet::rules`].
     rule: usize,
 }
 
 /// Trace positions listed per trace position, in compressed rows: the
-/// list of position `p` is `values[offsets[p]..offsets[p + 1]]`.
+/// list of position `p` is `values[offsets[p]..offsets[p + 1]]`, none without pairs.
 struct Rows {
-    offsets: Vec<usize>,
-    values: Vec<usize>,
+    offsets: Vec<u32>,
+    values: Vec<u32>,
 }
 
 impl Rows {
     /// Rows over `n` positions from `(row, value)` pairs, each row
     /// keeping its pairs' order.
-    fn new(n: usize, pairs: &[(usize, usize)]) -> Rows {
-        let mut offsets = vec![0; n + 1];
+    fn new(n: usize, pairs: &[(u32, u32)]) -> Rows {
+        assert!(u32::try_from(pairs.len()).is_ok(), "pairs past u32");
+        let mut offsets = vec![0; if pairs.is_empty() { 0 } else { n + 1 }];
         for &(row, _) in pairs {
-            offsets[row + 1] += 1;
+            offsets[row as usize + 1] += 1;
         }
-        for p in 0..n {
-            offsets[p + 1] += offsets[p];
+        for p in 1..offsets.len() {
+            offsets[p] += offsets[p - 1];
         }
         let mut next = offsets.clone();
         let mut values = vec![0; pairs.len()];
         for &(row, v) in pairs {
-            values[next[row]] = v;
-            next[row] += 1;
+            values[next[row as usize] as usize] = v;
+            next[row as usize] += 1;
         }
         Rows { offsets, values }
     }
 
-    fn row(&self, p: usize) -> &[usize] {
-        &self.values[self.offsets[p]..self.offsets[p + 1]]
+    fn row(&self, p: usize) -> &[u32] {
+        let at = |k: usize| self.offsets.get(k).map_or(0, |&o| o as usize);
+        &self.values[at(p)..at(p + 1)]
     }
 }
 
@@ -356,18 +359,21 @@ const REFUSAL_HOPS: usize = 8;
 
 impl Firings {
     fn build(trace: &Trace, rules: &RuleSet) -> Firings {
+        let n = trace.len();
+        assert!(u32::try_from(n).is_ok(), "{n} events: positions past u32");
+        let position = |id: Option<_>| Some(trace.index_of(id?)? as u32);
         // Each rule's group of related rules (same LHS site, same RHS
         // site), numbered in order of first appearance.
-        let mut ids: HashMap<(SiteId, SiteId), usize> = HashMap::new();
-        let group_of: Vec<usize> = (rules.rules().iter())
+        let mut ids: HashMap<(SiteId, SiteId), u32> = HashMap::new();
+        let group_of: Vec<u32> = (rules.rules().iter())
             .map(|r| {
-                let n = ids.len();
+                let n = ids.len() as u32;
                 *ids.entry((r.lhs_site, r.rhs_site)).or_insert(n)
             })
             .collect();
         let (mut generated, mut refusals, mut groups) = (Vec::new(), Vec::new(), Vec::new());
-        for (pos, e) in trace.events().iter().enumerate() {
-            let Some(trigger) = e.trigger.and_then(|id| trace.index_of(id)) else {
+        for (pos, e) in (0..).zip(trace.events()) {
+            let Some(trigger) = position(e.trigger) else {
                 continue;
             };
             generated.push((trigger, pos));
@@ -381,13 +387,13 @@ impl Firings {
                         break;
                     };
                     refusals.push((p, pos));
-                    cur = trace.events()[p].trigger.and_then(|id| trace.index_of(id));
+                    cur = position(trace.events()[p as usize].trigger);
                 }
             }
             if let Some(rule) = rules.position(rule_id) {
                 groups.push(Firing {
                     group: group_of[rule],
-                    trigger_time: trace.events()[trigger].time,
+                    trigger_time: trace.events()[trigger as usize].time,
                     pos,
                     rule,
                 });
@@ -395,7 +401,6 @@ impl Firings {
         }
         // Stable: within a group, equal trigger times keep trace order.
         groups.sort_by_key(|f| (f.group, f.trigger_time));
-        let n = trace.len();
         Firings {
             generated: Rows::new(n, &generated),
             refusals: Rows::new(n, &refusals),
@@ -412,13 +417,13 @@ fn is_refusal(desc: &EventDesc) -> bool {
 /// `after` and occur by `end`.
 fn later_by<'a, 'p>(
     events: &'a [Event],
-    positions: &'p [usize],
+    positions: &'p [u32],
     after: usize,
     end: SimTime,
 ) -> impl Iterator<Item = &'a Event> + use<'a, 'p> {
-    positions[positions.partition_point(|&p| p <= after)..]
+    positions[positions.partition_point(|&p| p as usize <= after)..]
         .iter()
-        .map(move |&p| &events[p])
+        .map(move |&p| &events[p as usize])
         .filter(move |e| e.time <= end)
 }
 
@@ -571,7 +576,7 @@ fn check_related_order(
 ) {
     let mut found = Vec::new();
     for group in firings.chunk_by(|a, b| a.group == b.group) {
-        let effect = |f: &Firing| events[f.pos].time;
+        let effect = |f: &Firing| events[f.pos as usize].time;
         let runs = || group.chunk_by(|a, b| a.trigger_time == b.trigger_time);
         let mut latest: Option<SimTime> = None;
         let inverted = runs().any(|run| {
@@ -588,11 +593,11 @@ fn check_related_order(
         let mut start = 0;
         for run in runs() {
             for f4 in run {
-                let e4 = &events[f4.pos];
+                let e4 = &events[f4.pos as usize];
                 let later = (Excluded((e4.time, usize::MAX)), Unbounded);
                 for &(_, i) in earlier.range(later) {
                     let f2 = &group[i];
-                    let e2 = &events[f2.pos];
+                    let e2 = &events[f2.pos as usize];
                     let key = (
                         f2.rule.min(f4.rule),
                         f2.rule.max(f4.rule),

@@ -9,8 +9,8 @@
 //! built on the first query after the last push and shared by every
 //! reader.
 //!
-//! [`TraceRecorder`] is the cheaply-clonable handle the simulation
-//! components append through.
+//! Clones share one copy until one changes, so a snapshot is O(1).
+//! [`TraceRecorder`] is the clonable handle the simulation appends to.
 
 use crate::event::{Event, EventDesc, EventId};
 use crate::item::ItemId;
@@ -19,20 +19,30 @@ use crate::site::SiteId;
 use crate::state::StateIndex;
 use crate::time::SimTime;
 use crate::value::Value;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// A recorded execution: events in occurrence order, plus the initial
-/// values of data items (the initial interpretation).
+/// values of data items (the initial interpretation). Shared; a snapshot is O(1).
 #[derive(Debug, Clone, Default)]
-pub struct Trace {
+pub struct Trace(Rc<Recorded>);
+
+#[derive(Debug, Default)]
+struct Recorded {
     events: Vec<Event>,
     initial: HashMap<ItemId, Value>,
-    /// The state index, built on first query; every mutation clears it.
-    index: OnceLock<StateIndex>,
+    /// The state index, built on first query; a mutation or a clone clears it.
+    index: OnceCell<StateIndex>,
+}
+
+impl Clone for Recorded {
+    fn clone(&self) -> Self {
+        let mut copy = Recorded::default();
+        (copy.events, copy.initial) = (self.events.clone(), self.initial.clone());
+        copy
+    }
 }
 
 impl Trace {
@@ -47,19 +57,25 @@ impl Trace {
     /// checker treats them as unconstrained, matching the appendix's
     /// null-mapping interpretations.
     pub fn set_initial(&mut self, item: ItemId, value: Value) {
-        self.index.take();
-        self.initial.insert(item, value);
+        self.recorded_mut().initial.insert(item, value);
+    }
+
+    /// This trace's own copy (unshared first if need be), index cleared.
+    fn recorded_mut(&mut self) -> &mut Recorded {
+        let recorded = Rc::make_mut(&mut self.0);
+        recorded.index.take();
+        recorded
     }
 
     /// Initial value of an item, if specified.
     #[must_use]
     pub fn initial(&self, item: &ItemId) -> Option<&Value> {
-        self.initial.get(item)
+        self.0.initial.get(item)
     }
 
     /// Every specified initial value, in no particular order.
     pub fn initial_values(&self) -> impl Iterator<Item = (&ItemId, &Value)> + '_ {
-        self.initial.iter()
+        self.0.initial.iter()
     }
 
     /// Append an event, assigning its [`EventId`]. Events are expected
@@ -75,9 +91,9 @@ impl Trace {
         rule: Option<RuleId>,
         trigger: Option<EventId>,
     ) -> EventId {
-        self.index.take();
-        let id = EventId(self.events.len() as u64);
-        self.events.push(Event {
+        let events = &mut self.recorded_mut().events;
+        let id = EventId(events.len() as u64);
+        events.push(Event {
             id,
             time,
             site,
@@ -93,19 +109,19 @@ impl Trace {
     /// push.
     #[must_use]
     pub fn index(&self) -> &StateIndex {
-        self.index.get_or_init(|| StateIndex::build(self))
+        self.0.index.get_or_init(|| StateIndex::build(self))
     }
 
     /// All events in occurrence order.
     #[must_use]
     pub fn events(&self) -> &[Event] {
-        &self.events
+        &self.0.events
     }
 
     /// Event by id.
     #[must_use]
     pub fn get(&self, id: EventId) -> Option<&Event> {
-        self.index_of(id).map(|i| &self.events[i])
+        self.index_of(id).map(|i| &self.0.events[i])
     }
 
     /// Position of an event in the trace (occurrence order), or `None`
@@ -114,25 +130,25 @@ impl Trace {
     #[must_use]
     pub fn index_of(&self, id: EventId) -> Option<usize> {
         let i = usize::try_from(id.0).ok()?;
-        (i < self.events.len()).then_some(i)
+        (i < self.len()).then_some(i)
     }
 
     /// Number of events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.0.events.len()
     }
 
     /// `true` when no event has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.0.events.is_empty()
     }
 
     /// Time of the last event, or `SimTime::ZERO` for an empty trace.
     #[must_use]
     pub fn end_time(&self) -> SimTime {
-        self.events.last().map_or(SimTime::ZERO, |e| e.time)
+        self.0.events.last().map_or(SimTime::ZERO, |e| e.time)
     }
 
     /// The value of `item` at time `t` — i.e. the interpretation the
@@ -151,9 +167,9 @@ impl Trace {
     /// specified. Consecutive equal values are retained (a rewrite of
     /// the same value is still a write event).
     #[must_use]
-    pub fn timeline(&self, item: &ItemId) -> Timeline {
+    pub fn timeline(&self, item: &ItemId) -> Timeline<'_> {
         Timeline {
-            steps: self.index().changes(item).to_vec(),
+            steps: self.index().changes(item),
         }
     }
 
@@ -172,7 +188,7 @@ impl Trace {
     #[must_use]
     pub fn tag_counts(&self) -> HashMap<&'static str, usize> {
         let mut m = HashMap::new();
-        for e in &self.events {
+        for e in self.events() {
             *m.entry(e.desc.tag()).or_insert(0) += 1;
         }
         m
@@ -181,7 +197,7 @@ impl Trace {
 
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for e in &self.events {
+        for e in self.events() {
             writeln!(f, "{e}")?;
         }
         Ok(())
@@ -189,12 +205,12 @@ impl fmt::Display for Trace {
 }
 
 /// Step function of one item's value over time.
-#[derive(Debug, Clone)]
-pub struct Timeline {
-    steps: Vec<(SimTime, Value)>,
+#[derive(Debug, Clone, Copy)]
+pub struct Timeline<'a> {
+    steps: &'a [(SimTime, Value)],
 }
 
-impl Timeline {
+impl Timeline<'_> {
     /// Value at time `t` (last change point at or before `t`).
     #[must_use]
     pub fn at(&self, t: SimTime) -> Option<&Value> {
@@ -217,8 +233,8 @@ impl Timeline {
     }
 }
 
-/// Shared, cheaply clonable handle to a trace under construction;
-/// the recorded [`Trace`] is extracted once at the end.
+/// Shared, cheaply clonable handle to a trace under construction. The
+/// recorded [`Trace`] is shared; a snapshot is O(1).
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder(Rc<RefCell<Trace>>);
 
@@ -249,7 +265,7 @@ impl TraceRecorder {
             .push(time, site, desc, old_value, rule, trigger)
     }
 
-    /// Snapshot the trace recorded so far.
+    /// Snapshot the trace recorded so far: O(1), sharing its events.
     #[must_use]
     pub fn snapshot(&self) -> Trace {
         self.0.borrow().clone()
@@ -335,7 +351,7 @@ mod tests {
     /// pinned against.
     fn values_taken_reference(tl: &Timeline) -> Vec<Value> {
         let mut seen = Vec::new();
-        for (_, v) in &tl.steps {
+        for (_, v) in tl.steps {
             if !seen.contains(v) {
                 seen.push(v.clone());
             }
@@ -385,7 +401,7 @@ mod tests {
                     (SimTime::from_millis(k as u64), v)
                 })
                 .collect();
-            let tl = Timeline { steps };
+            let tl = Timeline { steps: &steps };
             let got: Vec<String> = tl.values_taken().iter().map(exact).collect();
             let want: Vec<String> = values_taken_reference(&tl).iter().map(exact).collect();
             assert_eq!(got, want, "case {case}: {:?}", tl.steps);
@@ -488,6 +504,69 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap.initial(&x()), Some(&Value::Int(0)));
         rec.with(|t| assert_eq!(t.len(), 1));
+    }
+
+    fn record(rec: &TraceRecorder, t: u64, v: i64) {
+        let (old, new) = (Some(Value::Int(v - 1)), Value::Int(v));
+        let desc = EventDesc::Ws {
+            item: x(),
+            old: old.clone(),
+            new,
+        };
+        rec.record(SimTime::from_secs(t), SiteId::new(0), desc, old, None, None);
+    }
+
+    #[test]
+    fn snapshot_keeps_its_events_and_index_after_more_pushes() {
+        let rec = TraceRecorder::new();
+        rec.set_initial(x(), Value::Int(0));
+        record(&rec, 10, 1);
+        let snap = rec.snapshot();
+        // Shared, not copied.
+        let shared = rec.with(|t| t.events().as_ptr());
+        assert!(std::ptr::eq(snap.events().as_ptr(), shared));
+        let index = snap.index();
+        record(&rec, 20, 2);
+        record(&rec, 30, 3);
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.events()[0].time, SimTime::from_secs(10));
+        assert!(std::ptr::eq(snap.index(), index));
+        assert_eq!(
+            index.value_at(&x(), SimTime::from_secs(40)),
+            Some(&Value::Int(1))
+        );
+        assert_eq!(
+            snap.salient_times(),
+            &[SimTime::ZERO, SimTime::from_secs(10)]
+        );
+
+        let later = rec.snapshot();
+        assert_eq!(later.len(), 3);
+        let at = SimTime::from_secs(40);
+        assert_eq!(later.value_at(&x(), at), Some(Value::Int(3)));
+        assert_eq!(snap.value_at(&x(), at), Some(Value::Int(1)));
+    }
+
+    #[test]
+    fn push_on_one_clone_leaves_the_other_unchanged() {
+        let mut a = Trace::new();
+        a.set_initial(x(), Value::Int(0));
+        write(&mut a, 10, 1, Some(0));
+        let mut b = a.clone();
+        let at = SimTime::from_secs(40);
+        assert_eq!(b.value_at(&x(), at), Some(Value::Int(1)));
+        write(&mut b, 20, 2, Some(1));
+        assert_eq!((a.len(), b.len()), (1, 2));
+        assert_eq!(a.value_at(&x(), at), Some(Value::Int(1)));
+        assert_eq!(b.value_at(&x(), at), Some(Value::Int(2)));
+        let c = b.clone();
+        write(&mut b, 30, 3, Some(2));
+        b.set_initial(ItemId::plain("Y"), Value::Int(7));
+        assert_eq!((c.len(), b.len()), (2, 3));
+        assert_eq!(c.value_at(&x(), at), Some(Value::Int(2)));
+        assert_eq!(b.value_at(&x(), at), Some(Value::Int(3)));
+        assert_eq!(c.initial(&ItemId::plain("Y")), None);
+        assert_eq!(a.events(), &b.events()[..1]);
     }
 
     #[test]

@@ -146,9 +146,9 @@ impl Database {
         Ok(())
     }
 
-    /// Drain trigger firings accumulated since the last call.
-    pub fn take_firings(&mut self) -> Vec<TriggerFiring> {
-        std::mem::take(&mut self.firings)
+    /// Drain trigger firings since the last call; the buffer keeps its capacity.
+    pub fn drain_firings(&mut self) -> std::vec::Drain<'_, TriggerFiring> {
+        self.firings.drain(..)
     }
 
     /// Parse and run an application's command text; it binds no
@@ -527,12 +527,12 @@ mod tests {
         db.add_trigger("employees").unwrap();
         db.execute("UPDATE employees SET salary = 91000 WHERE empid = 'e1'")
             .unwrap();
-        let firings = db.take_firings();
+        let firings: Vec<_> = db.drain_firings().collect();
         assert_eq!(firings.len(), 1);
         assert_eq!(firings[0].old_row.as_ref().unwrap()[2], Value::Int(90000));
         assert_eq!(firings[0].new_row.as_ref().unwrap()[2], Value::Int(91000));
         // Drained.
-        assert!(db.take_firings().is_empty());
+        assert!(db.drain_firings().as_slice().is_empty());
     }
 
     #[test]
@@ -544,10 +544,10 @@ mod tests {
         db.execute("INSERT INTO other VALUES (1)").unwrap();
         db.execute("UPDATE other SET a = 2").unwrap();
         db.execute("DELETE FROM other").unwrap();
-        assert!(db.take_firings().is_empty());
+        assert!(db.drain_firings().as_slice().is_empty());
         db.execute("DELETE FROM employees WHERE empid = 'e1'")
             .unwrap();
-        let firings = db.take_firings();
+        let firings: Vec<_> = db.drain_firings().collect();
         assert_eq!(firings.len(), 1);
         assert_eq!(&*firings[0].table, "employees");
         assert_eq!(firings[0].new_row, None);
@@ -589,7 +589,7 @@ mod tests {
 
     /// Each firing as `(table, old row, new row)`.
     fn drained(db: &mut Database) -> Vec<(String, Option<Row>, Option<Row>)> {
-        (db.take_firings().into_iter())
+        db.drain_firings()
             .map(|f| (f.table.to_string(), f.old_row, f.new_row))
             .collect()
     }
@@ -619,7 +619,7 @@ mod tests {
             right: CheckOperand::Col("lim".into()),
         })
         .unwrap();
-        db.take_firings();
+        db.drain_firings();
         let before = db.get_table("demarc").unwrap().rows().to_vec();
         // `X` alone would pass, `Y` violates: neither row changes.
         for _ in 0..2 {
@@ -629,7 +629,7 @@ mod tests {
                 RisError::ConstraintViolation("update of `demarc` violates check".into())
             );
             assert_eq!(db.get_table("demarc").unwrap().rows(), &before[..]);
-            assert!(db.take_firings().is_empty());
+            assert!(db.drain_firings().as_slice().is_empty());
         }
     }
 
@@ -745,6 +745,22 @@ mod tests {
         db.add_trigger("employees").unwrap();
         let r = db.execute("UPDATE employees SET salary = 0").unwrap();
         assert_eq!(r, QueryResult::Affected(2));
-        assert_eq!(db.take_firings().len(), 2);
+        assert_eq!(db.drain_firings().len(), 2);
+    }
+
+    #[test]
+    fn drained_firing_buffer_keeps_its_capacity() {
+        let mut db = salary_db();
+        db.add_trigger("employees").unwrap();
+        db.execute("UPDATE employees SET salary = 0").unwrap();
+        let capacity = db.firings.capacity();
+        assert_eq!(db.drain_firings().len(), 2);
+        assert!(db.firings.is_empty());
+        assert_eq!(db.firings.capacity(), capacity);
+        // A dropped drain discards what it did not yield.
+        db.execute("UPDATE employees SET salary = 1").unwrap();
+        db.drain_firings();
+        assert!(db.firings.is_empty());
+        assert_eq!(db.firings.capacity(), capacity);
     }
 }

@@ -125,7 +125,7 @@ fn engine_agrees_with_model() {
                     // One row is inserted or rewritten, so one firing —
                     // even when the value is unchanged; only the
                     // translator's *change mapping* filters those.
-                    assert_eq!(db.take_firings().len(), 1, "case {case}");
+                    assert_eq!(db.drain_firings().len(), 1, "case {case}");
                 }
                 Op::Update { id, v } => {
                     let r = db
@@ -134,10 +134,10 @@ fn engine_agrees_with_model() {
                     let expected = usize::from(model.contains_key(&id));
                     assert_eq!(r, QueryResult::Affected(expected), "case {case}");
                     if model.insert(id, v).is_some() {
-                        assert_eq!(db.take_firings().len(), 1, "case {case}");
+                        assert_eq!(db.drain_firings().len(), 1, "case {case}");
                     } else {
                         model.remove(&id);
-                        assert!(db.take_firings().is_empty(), "case {case}");
+                        assert!(db.drain_firings().as_slice().is_empty(), "case {case}");
                     }
                 }
                 Op::Delete { id } => {
@@ -146,7 +146,7 @@ fn engine_agrees_with_model() {
                         .unwrap();
                     let expected = usize::from(model.remove(&id).is_some());
                     assert_eq!(r, QueryResult::Affected(expected), "case {case}");
-                    assert_eq!(db.take_firings().len(), expected, "case {case}");
+                    assert_eq!(db.drain_firings().len(), expected, "case {case}");
                 }
                 Op::SelectOne { id } => {
                     let r = db

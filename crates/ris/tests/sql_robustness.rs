@@ -135,7 +135,7 @@ fn must_not_panic(db: &mut Database, cmd: &str) -> bool {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let parsed = parse_command(cmd).is_ok();
         let _ = db.execute(cmd);
-        db.take_firings();
+        db.drain_firings();
         parsed
     }));
     outcome.unwrap_or_else(|_| panic!("panicked on {cmd:?}"))

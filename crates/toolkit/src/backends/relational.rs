@@ -147,9 +147,8 @@ impl RelationalBackend {
 
     /// Convert drained trigger firings into item changes.
     fn changes_from_firings(&mut self) -> Vec<Change> {
-        let firings = self.db.take_firings();
         let mut out = Vec::new();
-        for f in firings {
+        for f in self.db.drain_firings() {
             for m in self.maps.iter().filter(|m| *m.table == *f.table) {
                 let key_row = f.new_row.as_ref().or(f.old_row.as_ref());
                 let Some(key) = key_row.map(|r| &r[m.key_col]) else {
@@ -218,9 +217,9 @@ impl RisBackend for RelationalBackend {
                 }
             }
         }
-        // CM-initiated writes are not spontaneous: consume the trigger
+        // CM-initiated writes are not spontaneous: discard the trigger
         // firings they caused so they never surface as `Ws` changes.
-        self.db.take_firings();
+        self.db.drain_firings();
         Ok(old)
     }
 

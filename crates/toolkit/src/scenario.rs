@@ -412,7 +412,7 @@ impl Scenario {
         self.sim.run(None)
     }
 
-    /// Snapshot the recorded trace.
+    /// Snapshot the recorded trace: O(1), it shares the recorder's.
     #[must_use]
     pub fn trace(&self) -> Trace {
         self.recorder.snapshot()

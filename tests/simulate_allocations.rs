@@ -7,11 +7,12 @@
 //! `A` and `B`, a shell that polls `salary1("e0")` at `A` every 5 s and
 //! copies what it reads to `salary2` at `B`, and about a thousand SQL
 //! updates of `A`'s row. Item names share their parameters, trigger
-//! firings own their rows, interface lookups build no bindings and the
-//! simulator reuses one outbox, so the run allocates fewer than six
-//! times per dispatch. What remains is mostly the SQL text of each
-//! update, which the relational store parses, and the shell's
-//! string-keyed matching bindings.
+//! firings own their rows, interface lookups build no bindings, the
+//! simulator reuses one outbox and the relational store one firing
+//! buffer, so the run allocates fewer than four times per dispatch.
+//! What remains is mostly the SQL text of each update, which the
+//! relational store parses, and the shell's string-keyed matching
+//! bindings.
 
 mod common;
 
@@ -119,7 +120,7 @@ const UPDATES: u64 = 1_000;
 const GAP_MS: u64 = 3_000;
 
 #[test]
-fn polling_allocates_fewer_than_six_times_per_dispatch() {
+fn polling_allocates_fewer_than_four_times_per_dispatch() {
     let horizon = SimTime::from_millis(10_000 + UPDATES * GAP_MS);
     let mut sc = ScenarioBuilder::new(1)
         .site(
@@ -163,7 +164,7 @@ fn polling_allocates_fewer_than_six_times_per_dispatch() {
     assert!(check_validity(&sc.trace(), &rule_set_of(&sc)).is_valid());
     let per = n as f64 / dispatches as f64;
     assert!(
-        per < 6.0,
+        per < 4.0,
         "run_to_quiescence made {n} allocations for {dispatches} dispatches ({per:.2} each)"
     );
 }
