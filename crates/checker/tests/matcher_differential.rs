@@ -18,13 +18,20 @@
 //!    included: every variable gets a one-argument probe step, which
 //!    instantiates exactly when it is bound;
 //! 4. every RHS step's instance and the truth of its condition.
+//!
+//! A second case matches bare data items, as the CM-Translator's
+//! interface lookup and its filter over enumerated items do:
+//! `Matcher::matches_item` against the reference's `match_item`, on
+//! patterns with constants, `*` and repeated variables, items of
+//! another base or arity, and variables bound before the item is
+//! matched.
 
 mod reference;
 
 use hcm_core::{EventDesc, ItemId, ItemPattern, SimDuration, TemplateDesc, Term, Value};
 use hcm_rulelang::slots::{Matcher, RuleCompiler};
 use hcm_rulelang::{CmpOp, Cond, Expr, RhsStep};
-use reference::{bind_from_cond, eval_cond, instantiate, match_desc, Bindings};
+use reference::{bind_from_cond, eval_cond, instantiate, match_desc, match_item, Bindings};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -293,11 +300,11 @@ fn shared_matcher_agrees_with_reference_interpreter() {
             cond_bound += usize::from(b.iter().count() > before);
         }
         for (step, slot_step) in steps.iter().zip(rules.steps(rule)) {
-            let got = rules.instantiate(&slot_step.event, m.slots());
+            let got = rules.instantiate(&slot_step.event, &m);
             let want = instantiate(&step.event, &b);
             assert_eq!(got, want, "{ctx}: instance of {}", step.event);
             instances += usize::from(got.is_some());
-            let holds = rules.holds(&slot_step.cond, m.slots(), read);
+            let holds = rules.holds(&slot_step.cond, &m, read);
             let want = eval_cond(&step.cond, &b, &lookup);
             assert_eq!(holds, want, "{ctx}: step condition {}", step.cond);
         }
@@ -307,4 +314,77 @@ fn shared_matcher_agrees_with_reference_interpreter() {
         matched > 5_000 && held > 1_000 && cond_bound > 500 && instances > 10_000,
         "{matched} {held} {cond_bound} {instances}"
     );
+}
+
+#[test]
+fn matches_item_agrees_with_reference_match_item() {
+    let mut g = Gen(0x17E3_5EED);
+    let (mut matched, mut missed) = (0, 0);
+    for case in 0..20_000 {
+        let pattern = ItemPattern::with(g.pick(&["x", "y"]), g.terms(2));
+        // Usually an item the pattern names under random variable
+        // values, so that matches are frequent; else any pool item.
+        let item = if g.one_in(4) {
+            let params = (0..g.below(3)).map(|_| g.value()).collect::<Vec<_>>();
+            ItemId::with(g.pick(&["x", "y"]), params)
+        } else {
+            let mut values = Bindings::default();
+            for v in VARS {
+                values.bind(v, g.value());
+            }
+            let param = |t: &Term| match t {
+                Term::Const(c) => c.clone(),
+                Term::Var(v) => values.get(v).cloned().unwrap(),
+                Term::Wild => g.value(),
+            };
+            ItemId::with(
+                pattern.base,
+                pattern.params.iter().map(param).collect::<Vec<_>>(),
+            )
+        };
+        // Half the cases bind `u` before the item is matched.
+        let pre = g.one_in(2).then(|| EventDesc::Custom {
+            name: "pre".into(),
+            args: vec![g.value()],
+        });
+        let ctx = format!("case {case}: {pattern} on {item} after {pre:?}");
+
+        let lhs = TemplateDesc::Custom {
+            name: "pre".into(),
+            args: vec![Term::var("u")],
+        };
+        let mut steps = vec![RhsStep {
+            cond: Cond::True,
+            event: TemplateDesc::Rr {
+                item: pattern.clone(),
+            },
+        }];
+        steps.extend(VARS.map(probe));
+        let mut compiler = RuleCompiler::default();
+        compiler.rule(&lhs, &Cond::True, &steps);
+        let rules = compiler.finish();
+        let rule = rules.rule(0);
+        let slot_steps = rules.steps(rule);
+        let mut m = Matcher::new(&rules);
+        let mut b = Bindings::default();
+        if let Some(event @ EventDesc::Custom { args, .. }) = &pre {
+            assert!(m.matches(&rule.lhs, event), "{ctx}");
+            b.bind("u", args[0].clone());
+        }
+        let mark = m.mark();
+        let ok = m.matches_item(&slot_steps[0].event, &item);
+        assert_eq!(ok, match_item(&pattern, &item, &mut b), "{ctx}: match");
+        if !ok {
+            missed += 1;
+            assert_eq!(m.mark(), mark, "{ctx}: a failed match undoes its bindings");
+            continue;
+        }
+        matched += 1;
+        for (step, slot_step) in steps.iter().zip(slot_steps).skip(1) {
+            let got = rules.instantiate(&slot_step.event, &m);
+            assert_eq!(got, instantiate(&step.event, &b), "{ctx}: {}", step.event);
+        }
+    }
+    // Both outcomes occur often enough to mean something.
+    assert!(matched > 10_000 && missed > 3_000, "{matched} {missed}");
 }

@@ -68,7 +68,9 @@ fn unify_all<'a>(pairs: impl IntoIterator<Item = (&'a Term, &'a Value)>, b: &mut
     pairs.into_iter().all(|(t, v)| unify(t, v, b))
 }
 
-fn match_item(p: &ItemPattern, item: &ItemId, b: &mut Bindings) -> bool {
+/// Extend `b` so that pattern `p` names `item`; on failure `b` may
+/// keep the bindings made before the mismatch.
+pub fn match_item(p: &ItemPattern, item: &ItemId, b: &mut Bindings) -> bool {
     p.base == item.base
         && p.params.len() == item.params.len()
         && unify_all(p.params.iter().zip(item.params.iter()), b)

@@ -134,17 +134,6 @@ impl ItemPattern {
             params: params.into_iter().collect(),
         }
     }
-
-    /// Whether `item` matches this pattern under an empty matching
-    /// interpretation, answered yes or no without building one: the
-    /// base and arity agree, every constant equals its value, and a
-    /// variable that occurs twice sees equal values.
-    #[must_use]
-    pub fn matches(&self, item: &ItemId) -> bool {
-        self.base == item.base
-            && self.params.len() == item.params.len()
-            && consistent(zipped(&self.params, &item.params, [None, None]))
-    }
 }
 
 impl fmt::Display for ItemPattern {
@@ -161,44 +150,6 @@ impl fmt::Display for ItemPattern {
             write!(f, ")")?;
         }
         Ok(())
-    }
-}
-
-/// The pairs `terms[i] ~ values[i]` (equal lengths), then the `extra`
-/// pairs.
-pub(crate) fn zipped<'a>(
-    terms: &'a [Term],
-    values: &'a [Value],
-    extra: [Option<(&'a Term, &'a Value)>; 2],
-) -> impl Iterator<Item = (&'a Term, &'a Value)> + Clone {
-    terms.iter().zip(values).chain(extra.into_iter().flatten())
-}
-
-/// Whether `pairs` unify under one empty matching interpretation:
-/// every constant equals its value, and every variable's values equal
-/// the value at its first occurrence, as a bound variable must. Nothing
-/// is bound or allocated.
-pub(crate) fn consistent<'a>(pairs: impl Iterator<Item = (&'a Term, &'a Value)> + Clone) -> bool {
-    pairs
-        .clone()
-        .enumerate()
-        .all(|(i, (term, value))| match term {
-            Term::Wild => true,
-            Term::Const(c) => c == value,
-            Term::Var(name) => pairs
-                .clone()
-                .take(i)
-                .find(|(t, _)| matches!(t, Term::Var(n) if n == name))
-                .is_none_or(|(_, first)| first == value),
-        })
-}
-
-impl From<ItemId> for ItemPattern {
-    fn from(item: ItemId) -> Self {
-        ItemPattern {
-            base: item.base,
-            params: item.params.iter().cloned().map(Term::Const).collect(),
-        }
     }
 }
 
@@ -265,24 +216,5 @@ mod tests {
             assert_eq!(format!("{fresh:?}"), debug);
         }
         assert_eq!(ItemId::plain("X"), ItemId::with("X", []));
-    }
-
-    #[test]
-    fn match_rejects_base_and_arity_mismatch() {
-        let pat = ItemPattern::with("salary1", [Term::var("n")]);
-        assert!(pat.matches(&ItemId::with("salary1", [Value::from("e1")])));
-        assert!(!pat.matches(&ItemId::with("salary2", [Value::from("e1")])));
-        assert!(!pat.matches(&ItemId::plain("salary1")));
-    }
-
-    #[test]
-    fn wildcard_matches_anything_without_binding() {
-        // A `*` never constrains a later position the way a repeated
-        // variable does.
-        let pat = ItemPattern::with("pair", [Term::Wild, Term::Wild]);
-        assert!(pat.matches(&ItemId::with("pair", [Value::Int(5), Value::Int(6)])));
-        let repeated = ItemPattern::with("pair", [Term::var("n"), Term::var("n")]);
-        assert!(!repeated.matches(&ItemId::with("pair", [Value::Int(5), Value::Int(6)])));
-        assert!(repeated.matches(&ItemId::with("pair", [Value::Int(5), Value::Int(5)])));
     }
 }

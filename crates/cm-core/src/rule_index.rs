@@ -16,8 +16,11 @@
 //! the index skips is a rule the linear scan would have rejected, and
 //! candidate order within the merge is ascending rule position, i.e.
 //! exactly the linear-scan visit order. The CM-Shell dispatches events
-//! through it with byte-identical traces, metrics and spans, and the
-//! validity checker finds property-6 obligations through it; the
+//! through it with byte-identical traces, metrics and spans, the
+//! CM-Translator decides through one over its interest patterns which
+//! events to forward to its shell (an event no pattern can match costs
+//! one binary search), and the validity checker
+//! finds property-6 obligations through it; the
 //! toolkit's `tests/dispatch_equivalence.rs` checks the candidate-set
 //! equality property differentially against a linear reference over
 //! randomized templates.

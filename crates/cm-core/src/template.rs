@@ -5,23 +5,22 @@
 //! wild-carded", and a *matching interpretation* `mi(E, 𝓔)` as the
 //! variable assignment under which template `𝓔` yields event `E`.
 //! [`Term`] is a template component and [`TemplateDesc`] mirrors
-//! [`EventDesc`] (`crate::event::EventDesc`) with terms in value
+//! [`EventDesc`](crate::event::EventDesc) with terms in value
 //! positions.
 //!
-//! This module holds templates as rules are written. Matching that
-//! builds an interpretation, and instantiating templates under one, is
-//! done once, by the slot-compiled rules of `hcm_rulelang::slots`,
-//! which the CM-Shell, the CM-Translator and the checker share. What
-//! stays here is the yes-or-no test [`TemplateDesc::matches`]: does an
-//! event match a template under a fresh interpretation. Interest
-//! filters, interface lookup and the rule index's tests ask only that.
+//! This module holds templates as rules are written. Matching, in
+//! every form, is done once, by the slot-compiled rules of
+//! `hcm_rulelang::slots`, which the CM-Shell, the CM-Translator and the
+//! checker share: matching an event builds its interpretation, and
+//! matching a bare data item against a template's item pattern serves
+//! the translator's interface lookup and its filter over enumerated
+//! items.
 //!
 //! The special `false` template `𝓕` ([`TemplateDesc::False`]) matches no
 //! event; it is how the *no-spontaneous-write* interface is written:
 //! `Ws(X, b) → 𝓕`.
 
-use crate::event::EventDesc;
-use crate::item::{consistent, zipped, ItemPattern};
+use crate::item::ItemPattern;
 use crate::value::Value;
 use std::fmt;
 
@@ -58,8 +57,8 @@ impl fmt::Display for Term {
 }
 
 /// An event template: the descriptor set of Appendix A with terms in
-/// value positions. See [`EventDesc`] for the event-side meaning of each
-/// variant.
+/// value positions. See [`EventDesc`](crate::event::EventDesc) for the
+/// event-side meaning of each variant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TemplateDesc {
     /// Spontaneous write `Ws(X, a, b)`. The paper's two-argument
@@ -126,72 +125,7 @@ pub enum TemplateDesc {
     False,
 }
 
-/// What matching an event against a template compares: the term/value
-/// pairs [`TemplateDesc::matches`] unifies, in order.
-enum Pairs<'a> {
-    /// The item's parameter terms (or a custom event's argument terms)
-    /// beside the event's values, then up to two value terms.
-    Terms(&'a [Term], &'a [Value], [Option<(&'a Term, &'a Value)>; 2]),
-    /// A `P` template's period term and the event's period in
-    /// milliseconds.
-    Period(&'a Term, Value),
-}
-
 impl TemplateDesc {
-    /// The pairs to unify with `desc`; `None` when the kind, item base,
-    /// custom name or arity differs, or when an explicit old-value term
-    /// meets an unrecorded old value (which only `*` matches).
-    fn pairs<'a>(&'a self, desc: &'a EventDesc) -> Option<Pairs<'a>> {
-        let (item, i, extra) = match (self, desc) {
-            (
-                TemplateDesc::Ws { item, old, new },
-                EventDesc::Ws {
-                    item: i,
-                    old: o,
-                    new: n,
-                },
-            ) => {
-                let old = match (old, o) {
-                    (None, _) | (Some(Term::Wild), None) => None,
-                    (Some(term), Some(ov)) => Some((term, ov)),
-                    (Some(_), None) => return None,
-                };
-                (item, i, [old, Some((new, n))])
-            }
-            (TemplateDesc::W { item, value }, EventDesc::W { item: i, value: v })
-            | (TemplateDesc::Wr { item, value }, EventDesc::Wr { item: i, value: v })
-            | (TemplateDesc::R { item, value }, EventDesc::R { item: i, value: v })
-            | (TemplateDesc::N { item, value }, EventDesc::N { item: i, value: v }) => {
-                (item, i, [Some((value, v)), None])
-            }
-            (TemplateDesc::Rr { item }, EventDesc::Rr { item: i }) => (item, i, [None, None]),
-            (TemplateDesc::P { period }, EventDesc::P { period: p }) => {
-                return Some(Pairs::Period(period, Value::Int(p.as_millis() as i64)));
-            }
-            (TemplateDesc::Custom { name, args }, EventDesc::Custom { name: n, args: a }) => {
-                let same = name == n && args.len() == a.len();
-                return same.then_some(Pairs::Terms(args, a, [None, None]));
-            }
-            _ => return None,
-        };
-        let same = item.base == i.base && item.params.len() == i.params.len();
-        same.then_some(Pairs::Terms(&item.params, &i.params, extra))
-    }
-
-    /// Whether `desc` matches this template under an empty matching
-    /// interpretation, answered yes or no without building one. A
-    /// variable that occurs twice (`N(x(n), n)`) must see equal values,
-    /// a `*` matches anything, and an explicit old-value term matches
-    /// an unrecorded old value only when it is `*`.
-    #[must_use]
-    pub fn matches(&self, desc: &EventDesc) -> bool {
-        match self.pairs(desc) {
-            Some(Pairs::Terms(terms, values, extra)) => consistent(zipped(terms, values, extra)),
-            Some(Pairs::Period(t, ms)) => !matches!(t, Term::Const(c) if *c != ms),
-            None => false,
-        }
-    }
-
     /// The item pattern this template concerns, if any (`P` and `𝓕` have
     /// none; `Custom` events are not item-addressed).
     #[must_use]
@@ -239,115 +173,6 @@ impl fmt::Display for TemplateDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::item::ItemId;
-    use crate::time::SimDuration;
-
-    // Matching that binds an interpretation is tested where it lives,
-    // in `hcm_rulelang::slots`; these pin the yes-or-no `matches`.
-
-    fn x() -> ItemPattern {
-        ItemPattern::plain("X")
-    }
-
-    #[test]
-    fn kind_mismatch_fails_cleanly() {
-        let t = TemplateDesc::N {
-            item: x(),
-            value: Term::var("b"),
-        };
-        let e = EventDesc::W {
-            item: ItemId::plain("X"),
-            value: Value::Int(42),
-        };
-        assert!(!t.matches(&e));
-        let n = EventDesc::N {
-            item: ItemId::plain("X"),
-            value: Value::Int(42),
-        };
-        assert!(t.matches(&n));
-    }
-
-    #[test]
-    fn ws_sugar_ignores_old_value() {
-        let t = TemplateDesc::Ws {
-            item: x(),
-            old: None,
-            new: Term::var("b"),
-        };
-        for old in [Some(Value::Int(1)), None] {
-            let e = EventDesc::Ws {
-                item: ItemId::plain("X"),
-                old,
-                new: Value::Int(2),
-            };
-            assert!(t.matches(&e));
-        }
-        // Old value required but unrecorded: only `*` may match.
-        let unrecorded = EventDesc::Ws {
-            item: ItemId::plain("X"),
-            old: None,
-            new: Value::Int(2),
-        };
-        let with_old = |old| TemplateDesc::Ws {
-            item: x(),
-            old: Some(old),
-            new: Term::var("b"),
-        };
-        assert!(!with_old(Term::var("a")).matches(&unrecorded));
-        assert!(with_old(Term::Wild).matches(&unrecorded));
-    }
-
-    #[test]
-    fn false_template_never_matches() {
-        let e = EventDesc::Ws {
-            item: ItemId::plain("X"),
-            old: None,
-            new: Value::Int(2),
-        };
-        assert!(!TemplateDesc::False.matches(&e));
-    }
-
-    #[test]
-    fn periodic_template() {
-        let t = TemplateDesc::P {
-            period: Term::Const(Value::Int(300_000)),
-        };
-        let e = EventDesc::P {
-            period: SimDuration::from_secs(300),
-        };
-        assert!(t.matches(&e));
-        let wrong = EventDesc::P {
-            period: SimDuration::from_secs(60),
-        };
-        assert!(!t.matches(&wrong));
-        let any = TemplateDesc::P {
-            period: Term::var("p"),
-        };
-        assert!(any.matches(&wrong));
-    }
-
-    #[test]
-    fn custom_template() {
-        let t = TemplateDesc::Custom {
-            name: "LimitChangeReq".into(),
-            args: vec![Term::var("amt")],
-        };
-        let e = EventDesc::Custom {
-            name: "LimitChangeReq".into(),
-            args: vec![Value::Int(50)],
-        };
-        assert!(t.matches(&e));
-        let other = EventDesc::Custom {
-            name: "Other".into(),
-            args: vec![Value::Int(50)],
-        };
-        assert!(!t.matches(&other));
-        let arity = EventDesc::Custom {
-            name: "LimitChangeReq".into(),
-            args: vec![Value::Int(50), Value::Int(1)],
-        };
-        assert!(!t.matches(&arity));
-    }
 
     #[test]
     fn display_forms() {
@@ -358,7 +183,7 @@ mod tests {
         assert_eq!(t.to_string(), "N(salary1(n), b)");
         assert_eq!(TemplateDesc::False.to_string(), "false");
         let ws = TemplateDesc::Ws {
-            item: x(),
+            item: ItemPattern::plain("X"),
             old: Some(Term::var("a")),
             new: Term::var("b"),
         };

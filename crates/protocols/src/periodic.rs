@@ -79,10 +79,7 @@ impl Actor<CmMsg> for BatchAgent {
                         reply_to: me,
                         rule: None,
                         trigger: None,
-                        kind: RequestKind::Enumerate(hcm_core::ItemPattern::with(
-                            "bbal",
-                            [hcm_core::Term::var("n")],
-                        )),
+                        kind: RequestKind::Enumerate(hcm_core::Sym::from("bbal")),
                     },
                     SimDuration::from_millis(1),
                 );

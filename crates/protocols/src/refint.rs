@@ -85,10 +85,7 @@ impl Actor<CmMsg> for RefintAgent {
                         reply_to: me,
                         rule: None,
                         trigger: None,
-                        kind: RequestKind::Enumerate(hcm_core::ItemPattern::with(
-                            "project",
-                            [hcm_core::Term::var("i")],
-                        )),
+                        kind: RequestKind::Enumerate(hcm_core::Sym::from("project")),
                     },
                     SimDuration::from_millis(1),
                 );

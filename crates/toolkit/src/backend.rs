@@ -10,11 +10,14 @@
 //!    nothing, and the translator must discover changes by reading;
 //! 2. perform CM-requested writes (a write of [`Value::Null`] deletes);
 //! 3. read current values ([`Value::Null`] = absent);
-//! 4. enumerate the ground items matching a pattern, for periodic
-//!    interfaces and initial-state capture.
+//! 4. enumerate every ground item of one base, for periodic
+//!    interfaces, initial-state capture and the CMI's `Enumerate`
+//!    request. A backend filters by base alone: where a template
+//!    narrows the items further, the translator matches each one
+//!    against it through `hcm_rulelang::slots`.
 
 use crate::msg::SpontaneousOp;
-use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
+use hcm_core::{ItemId, SimTime, Sym, Value};
 use hcm_ris::RisError;
 
 /// A change to a tracked item, observed through a native change feed.
@@ -58,8 +61,9 @@ pub trait RisBackend {
     /// Read the current value of an item (`Null` when absent).
     fn read(&self, item: &ItemId) -> Result<Value, RisError>;
 
-    /// Ground items currently matching `pattern`.
-    fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId>;
+    /// Every ground item of `base` the store currently holds; none
+    /// for a base it does not map.
+    fn enumerate(&self, base: Sym) -> Vec<ItemId>;
 }
 
 /// The error a backend returns for a spontaneous operation shaped for

@@ -9,7 +9,7 @@
 use crate::backend::{value_to_text, wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
+use hcm_core::{ItemId, SimTime, Sym, Value};
 use hcm_ris::biblio::BiblioDb;
 use hcm_ris::RisError;
 
@@ -108,22 +108,19 @@ impl RisBackend for BiblioBackend {
             .map_or(Value::Null, |r| Value::Int(i64::from(r.year))))
     }
 
-    fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        if self.check_base(pattern.base).is_err() {
+    fn enumerate(&self, base: Sym) -> Vec<ItemId> {
+        if self.check_base(base).is_err() {
             return Vec::new();
         }
         let mut out = Vec::new();
         for rec in self.db.since(None) {
-            let item = ItemId::with(
-                pattern.base,
+            out.push(ItemId::with(
+                base,
                 [
                     Value::from(rec.author.as_str()),
                     Value::from(rec.title.as_str()),
                 ],
-            );
-            if pattern.matches(&item) {
-                out.push(item);
-            }
+            ));
         }
         out
     }
@@ -132,7 +129,6 @@ impl RisBackend for BiblioBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::Term;
 
     fn setup() -> BiblioBackend {
         let mut db = BiblioDb::new();
@@ -187,10 +183,11 @@ mod tests {
     #[test]
     fn enumerate_by_author() {
         let b = setup();
-        let all = ItemPattern::with("paper", [Term::var("a"), Term::var("t")]);
-        assert_eq!(b.enumerate(&all).len(), 2);
-        let widom_only =
-            ItemPattern::with("paper", [Term::Const(Value::from("widom")), Term::var("t")]);
-        assert_eq!(b.enumerate(&widom_only).len(), 1);
+        let paper = |a: &str, t: &str| ItemId::with("paper", [Value::from(a), Value::from(t)]);
+        assert_eq!(
+            b.enumerate(Sym::from("paper")),
+            [paper("widom", "Active Databases"), paper("garcia", "Sagas")]
+        );
+        assert!(b.enumerate(Sym::from("zz")).is_empty());
     }
 }

@@ -8,7 +8,7 @@
 use crate::backend::{single_param, value_to_text, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{ItemId, ItemPattern, SimTime, Value};
+use hcm_core::{ItemId, SimTime, Sym, Value};
 use hcm_ris::email::MailSystem;
 use hcm_ris::RisError;
 
@@ -83,7 +83,7 @@ impl RisBackend for EmailBackend {
         Ok(Value::Null)
     }
 
-    fn enumerate(&self, _pattern: &ItemPattern) -> Vec<ItemId> {
+    fn enumerate(&self, _base: Sym) -> Vec<ItemId> {
         Vec::new()
     }
 }
@@ -125,9 +125,7 @@ mod tests {
         b.write(&item, &Value::from("x"), SimTime::ZERO).unwrap();
         assert_eq!(b.read(&item).unwrap(), Value::Null);
         assert!(b.write(&item, &Value::Null, SimTime::ZERO).is_err());
-        assert!(b
-            .enumerate(&ItemPattern::with("mail", [hcm_core::Term::var("n")]))
-            .is_empty());
+        assert!(b.enumerate(Sym::from("mail")).is_empty());
     }
 
     #[test]

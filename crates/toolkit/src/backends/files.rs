@@ -13,7 +13,7 @@ use crate::backend::{
 };
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
+use hcm_core::{ItemId, SimTime, Sym, Value};
 use hcm_ris::filestore::FileStore;
 use hcm_ris::RisError;
 
@@ -147,17 +147,14 @@ impl RisBackend for FileBackend {
         }
     }
 
-    fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        let Ok(m) = self.map_for(pattern.base) else {
+    fn enumerate(&self, base: Sym) -> Vec<ItemId> {
+        let Ok(m) = self.map_for(base) else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for path in self.fs.list() {
             if let Some(param) = m.path.extract(path) {
-                let item = m.path.item_for(m.base, param);
-                if pattern.matches(&item) {
-                    out.push(item);
-                }
+                out.push(m.path.item_for(m.base, param));
             }
         }
         out
@@ -167,7 +164,6 @@ impl RisBackend for FileBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::Term;
 
     fn setup() -> FileBackend {
         let mut fs = FileStore::new();
@@ -239,17 +235,24 @@ mod tests {
 
     #[test]
     fn enumerate_and_unmapped() {
-        let mut b = setup();
-        b.write(
-            &ItemId::with("phone", [Value::from("bob")]),
-            &Value::Int(7),
-            SimTime::ZERO,
-        )
-        .unwrap();
-        let pat = ItemPattern::with("phone", [Term::var("n")]);
-        assert_eq!(b.enumerate(&pat).len(), 2);
+        let mut fs = FileStore::new();
+        for path in [
+            "/phones/ann.txt",
+            "/phones/bob.txt",
+            "/rooms/ann.txt",
+            "/other.txt",
+        ] {
+            fs.write(path, "1");
+        }
+        let rid =
+            "ris = file\n[map phone]\npath = /phones/$p0.txt\n[map room]\npath = /rooms/$p0.txt\n";
+        let b = FileBackend::new(fs, &CmRid::parse(rid).unwrap());
+        let bob = ItemId::with("phone", [Value::from("bob")]);
+        assert_eq!(b.enumerate(Sym::from("phone")), [ann(), bob]);
+        let room = ItemId::with("room", [Value::from("ann")]);
+        assert_eq!(b.enumerate(Sym::from("room")), [room]);
         assert!(b.read(&ItemId::plain("zz")).is_err());
-        assert!(b.enumerate(&ItemPattern::plain("zz")).is_empty());
+        assert!(b.enumerate(Sym::from("zz")).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use crate::backend::{single_param, wrong_op, Change, KeyPattern, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
+use hcm_core::{ItemId, SimTime, Sym, Value};
 use hcm_ris::kvstore::KvStore;
 use hcm_ris::RisError;
 
@@ -121,17 +121,14 @@ impl RisBackend for KvBackend {
         Ok(self.kv.get(&key).cloned().unwrap_or(Value::Null))
     }
 
-    fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        let Ok(m) = self.map_for(pattern.base) else {
+    fn enumerate(&self, base: Sym) -> Vec<ItemId> {
+        let Ok(m) = self.map_for(base) else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for key in self.kv.keys() {
             if let Some(param) = m.key.extract(key) {
-                let item = m.key.item_for(m.base, param);
-                if pattern.matches(&item) {
-                    out.push(item);
-                }
+                out.push(m.key.item_for(m.base, param));
             }
         }
         out
@@ -141,7 +138,6 @@ impl RisBackend for KvBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::Term;
 
     fn setup() -> KvBackend {
         let mut kv = KvStore::new();
@@ -233,15 +229,17 @@ mod tests {
 
     #[test]
     fn enumerate() {
-        let mut b = setup();
-        b.write(
-            &ItemId::with("phone", [Value::from("bob")]),
-            &Value::from("1"),
-            SimTime::ZERO,
-        )
-        .unwrap();
-        let pat = ItemPattern::with("phone", [Term::var("n")]);
-        assert_eq!(b.enumerate(&pat).len(), 2);
+        let mut kv = KvStore::new();
+        for key in ["phone/ann", "phone/bob", "office/ann", "other"] {
+            kv.put(key, Value::from("1"));
+        }
+        let rid = "ris = kv\n[map phone]\nkey = phone/$p0\n[map office]\nkey = office/$p0\n";
+        let b = KvBackend::new(kv, &CmRid::parse(rid).unwrap());
+        let bob = ItemId::with("phone", [Value::from("bob")]);
+        assert_eq!(b.enumerate(Sym::from("phone")), [ann(), bob]);
+        let office = ItemId::with("office", [Value::from("ann")]);
+        assert_eq!(b.enumerate(Sym::from("office")), [office]);
+        assert!(b.enumerate(Sym::from("zz")).is_empty());
     }
 
     #[test]

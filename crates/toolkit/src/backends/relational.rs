@@ -20,7 +20,7 @@
 use crate::backend::{wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
+use hcm_core::{ItemId, SimTime, Sym, Value};
 use hcm_ris::relational::{prepare, Command, Database, QueryResult};
 use hcm_ris::RisError;
 
@@ -228,8 +228,8 @@ impl RisBackend for RelationalBackend {
         self.db.read_one(read, &[key(item)?])
     }
 
-    fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        let Some(m) = self.maps.iter().find(|m| m.base == pattern.base) else {
+    fn enumerate(&self, base: Sym) -> Vec<ItemId> {
+        let Some(m) = self.maps.iter().find(|m| m.base == base) else {
             return Vec::new();
         };
         let Ok(table) = self.db.get_table(&m.table) else {
@@ -238,12 +238,8 @@ impl RisBackend for RelationalBackend {
         let mut out = Vec::new();
         for row in table.rows() {
             let key = &row[m.key_col];
-            if !m.key_matches(key) {
-                continue;
-            }
-            let item = m.item_for(key);
-            if pattern.matches(&item) {
-                out.push(item);
+            if m.key_matches(key) {
+                out.push(m.item_for(key));
             }
         }
         out
@@ -253,7 +249,6 @@ impl RisBackend for RelationalBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::Term;
 
     const RID: &str = r#"
 ris = relational
@@ -469,18 +464,10 @@ col = salary
     #[test]
     fn enumerate_matches_pattern() {
         let mut b = setup();
-        b.write(
-            &ItemId::with("salary1", [Value::from("e2")]),
-            &Value::Int(1),
-            SimTime::ZERO,
-        )
-        .unwrap();
-        let pat = ItemPattern::with("salary1", [Term::var("n")]);
-        let items = b.enumerate(&pat);
-        assert_eq!(items.len(), 2);
-        let ground = ItemPattern::with("salary1", [Term::Const(Value::from("e1"))]);
-        assert_eq!(b.enumerate(&ground).len(), 1);
-        assert!(b.enumerate(&ItemPattern::plain("unmapped")).is_empty());
+        let e2 = ItemId::with("salary1", [Value::from("e2")]);
+        b.write(&e2, &Value::Int(1), SimTime::ZERO).unwrap();
+        assert_eq!(b.enumerate(Sym::from("salary1")), [e1(), e2]);
+        assert!(b.enumerate(Sym::from("unmapped")).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::backend::{single_param, wrong_op, Change, RisBackend};
 use crate::msg::SpontaneousOp;
 use crate::rid::CmRid;
-use hcm_core::{ItemId, ItemPattern, SimTime, Sym, Value};
+use hcm_core::{ItemId, SimTime, Sym, Value};
 use hcm_ris::whois::WhoisDir;
 use hcm_ris::RisError;
 
@@ -117,18 +117,14 @@ impl RisBackend for WhoisBackend {
         }
     }
 
-    fn enumerate(&self, pattern: &ItemPattern) -> Vec<ItemId> {
-        let Ok(m) = self.map_for(pattern.base) else {
+    fn enumerate(&self, base: Sym) -> Vec<ItemId> {
+        let Ok(m) = self.map_for(base) else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for (name, fields) in self.dir.dump() {
-            if !fields.contains_key(&m.field) {
-                continue;
-            }
-            let item = ItemId::with(m.base, [Value::from(name)]);
-            if pattern.matches(&item) {
-                out.push(item);
+            if fields.contains_key(&m.field) {
+                out.push(ItemId::with(m.base, [Value::from(name)]));
             }
         }
         out
@@ -138,7 +134,6 @@ impl RisBackend for WhoisBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcm_core::Term;
 
     fn setup() -> WhoisBackend {
         let mut dir = WhoisDir::new();
@@ -215,10 +210,17 @@ mod tests {
 
     #[test]
     fn enumerate_only_entries_with_field() {
-        let b = setup();
-        let pat = ItemPattern::with("wphone", [Term::var("n")]);
-        let items = b.enumerate(&pat);
-        assert_eq!(items.len(), 1); // bob lacks `phone`
-        assert_eq!(items[0].params[0], Value::from("ann"));
+        let mut dir = WhoisDir::new();
+        dir.admin_set("ann", "phone", "555-0100");
+        dir.admin_set("bob", "office", "b12");
+        dir.admin_set("cy", "phone", "555-0300");
+        let rid = "ris = whois\n[map wphone]\nfield = phone\n[map woffice]\nfield = office\n";
+        let b = WhoisBackend::new(dir, &CmRid::parse(rid).unwrap());
+        let item = |base: &str, name: &str| ItemId::with(base, [Value::from(name)]);
+        // bob lacks `phone`, ann and cy lack `office`.
+        let phones = [item("wphone", "ann"), item("wphone", "cy")];
+        assert_eq!(b.enumerate(Sym::from("wphone")), phones);
+        assert_eq!(b.enumerate(Sym::from("woffice")), [item("woffice", "bob")]);
+        assert!(b.enumerate(Sym::from("zz")).is_empty());
     }
 }

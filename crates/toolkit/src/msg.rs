@@ -75,10 +75,11 @@ pub enum RequestKind {
     Write(hcm_core::ItemId, Value),
     /// Read the current value of `item`.
     Read(hcm_core::ItemId),
-    /// Enumerate the ground items currently matching a pattern (a
-    /// query capability of the CMI; used by repair agents that need
-    /// the set of records, e.g. referential-integrity checking).
-    Enumerate(hcm_core::ItemPattern),
+    /// Enumerate every ground item of one base that the store
+    /// currently holds (a query capability of the CMI; used by repair
+    /// agents that need the set of records, e.g.
+    /// referential-integrity checking).
+    Enumerate(hcm_core::Sym),
 }
 
 /// A CMI event from a CM-Translator to its CM-Shell.
@@ -123,7 +124,7 @@ pub enum TranslatorEvent {
     EnumResult {
         /// Correlates with the shell's request.
         req_id: u64,
-        /// The matching items.
+        /// The base's items.
         items: Vec<hcm_core::ItemId>,
     },
     /// An event at the database that some strategy rule's LHS watches

@@ -572,7 +572,7 @@ impl ShellActor {
             return;
         };
         self.metrics.inc(self.scope, "shell.heartbeats");
-        let probe = RequestKind::Enumerate(hcm_core::ItemPattern::plain("__probe__"));
+        let probe = RequestKind::Enumerate(hcm_core::Sym::from("__probe__"));
         self.request(None, probe, ctx);
         if ctx.now() + period <= self.stop_periodics_at {
             ctx.schedule_self(period, CmMsg::Heartbeat);

@@ -13,6 +13,9 @@
 //!   servicing CMI requests within their `→δ` bounds;
 //! * forwards database-side events that strategy rules watch (the
 //!   interest patterns computed at initialization);
+//! * matches every event and item against its interface statements
+//!   and interest patterns, compiled into one [`SlotRules`], with one
+//!   [`Matcher`] per handler;
 //! * exhibits *metric failures* when its service delay is inflated
 //!   (overload injection) and *logical failures* when its actor
 //!   crashes — the two §5 classes.
@@ -23,12 +26,12 @@ use crate::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use crate::rid::{classify, CmRid, IfaceClass};
 use crate::shell::const_period;
 use hcm_core::{
-    EventDesc, EventId, ItemId, RuleId, SimDuration, SimTime, SiteId, TemplateDesc, TraceRecorder,
-    Value,
+    EventDesc, EventId, ItemId, RuleId, RuleIndex, SimDuration, SimTime, SiteId, TemplateDesc,
+    TraceRecorder, Value,
 };
 use hcm_obs::{Metrics, Scope};
 use hcm_rulelang::slots::{Matcher, RuleCompiler, SlotRules};
-use hcm_rulelang::InterfaceStmt;
+use hcm_rulelang::{Cond, InterfaceStmt};
 use hcm_simkit::{Actor, ActorId, Ctx};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -49,13 +52,15 @@ pub struct TranslatorActor {
     backend: Box<dyn RisBackend>,
     interfaces: Vec<IfaceRule>,
     /// The interface statements compiled to slots, at the same
-    /// positions: how notifications are matched and instantiated.
+    /// positions, then the interest patterns: how events and items are
+    /// matched and notifications instantiated.
     slots: SlotRules,
+    /// The interest patterns' positions in `slots`, by kind and base.
+    interest: RuleIndex,
     /// `(statement index, period)` of every periodic-notify interface
     /// with a constant period: the ones armed at start and after a
     /// restart from configuration.
     periodic: Vec<(u64, SimDuration)>,
-    interest: Vec<TemplateDesc>,
     service: SimDuration,
     extra: SimDuration,
     stop_periodics_at: SimTime,
@@ -109,10 +114,14 @@ impl TranslatorActor {
             .filter(|(_, iface)| iface.class == IfaceClass::PeriodicNotify)
             .filter_map(|(idx, iface)| Some((idx as u64, const_period(&iface.stmt.lhs)?)))
             .collect();
-        let mut compiler = RuleCompiler::with_capacity(interfaces.len());
+        let mut compiler = RuleCompiler::with_capacity(interfaces.len() + interest.len());
         for iface in &interfaces {
             compiler.interface(&iface.stmt);
         }
+        let watched = interest
+            .iter()
+            .map(|t| (compiler.rule(t, &Cond::True, &[]), t));
+        let interest = RuleIndex::build(watched);
         let slots = compiler.finish();
         TranslatorActor {
             site,
@@ -120,8 +129,8 @@ impl TranslatorActor {
             backend,
             interfaces,
             slots,
-            periodic,
             interest,
+            periodic,
             service: rid.service,
             extra: SimDuration::ZERO,
             stop_periodics_at,
@@ -145,20 +154,29 @@ impl TranslatorActor {
     /// Capture initial values of all tracked items into the trace and
     /// arm periodic-notify timers.
     fn initialize(&mut self, ctx: &mut Ctx<'_, CmMsg>) {
+        // Each interface's item template (a periodic-notify interface's
+        // is its `N` step) beside every item of that template's base.
+        let tracked: Vec<_> = (self.interfaces.iter().enumerate())
+            .filter_map(|(k, iface)| {
+                let rule = self.slots.rule(k);
+                let (template, desc) = match iface.class {
+                    IfaceClass::Prohibition => return None,
+                    IfaceClass::PeriodicNotify => {
+                        (&self.slots.steps(rule)[0].event, &iface.stmt.rhs)
+                    }
+                    _ => (&rule.lhs, &iface.stmt.lhs),
+                };
+                Some((template, self.backend.enumerate(desc.item_pattern()?.base)))
+            })
+            .collect();
+        let mut m = Matcher::new(&self.slots);
         let mut seen = std::collections::BTreeSet::new();
-        for iface in &self.interfaces {
-            let pattern = match iface.class {
-                IfaceClass::Write | IfaceClass::Read | IfaceClass::Notify => {
-                    iface.stmt.lhs.item_pattern()
-                }
-                IfaceClass::PeriodicNotify => iface.stmt.rhs.item_pattern(),
-                IfaceClass::Prohibition => None,
-            };
-            let Some(pattern) = pattern else { continue };
-            for item in self.backend.enumerate(pattern) {
-                if seen.insert(item.clone()) {
-                    if let Ok(v) = self.backend.read(&item) {
-                        self.recorder.set_initial(item, v);
+        for (template, items) in &tracked {
+            for item in items {
+                m.undo(0);
+                if m.matches_item(template, item) && seen.insert(item) {
+                    if let Ok(v) = self.backend.read(item) {
+                        self.recorder.set_initial(item.clone(), v);
                     }
                 }
             }
@@ -187,9 +205,44 @@ impl TranslatorActor {
             .record(now, self.site, desc, old, rule, trigger)
     }
 
-    /// Forward an event to the shell when an interest pattern matches.
-    fn forward_if_interesting(&self, id: EventId, desc: &EventDesc, ctx: &mut Ctx<'_, CmMsg>) {
-        if self.interest.iter().any(|pat| pat.matches(desc)) {
+    /// Send the shell `N(item, value)` after the service delay: a
+    /// notification that interface `rule` promised, generated by
+    /// `trigger`.
+    fn notify(
+        &self,
+        item: ItemId,
+        value: Value,
+        rule: RuleId,
+        trigger: EventId,
+        ctx: &mut Ctx<'_, CmMsg>,
+    ) {
+        self.metrics.inc(self.scope, "translator.notifications");
+        self.metrics
+            .observe(self.scope, "translator.service_delay", self.delay());
+        let notify = TranslatorEvent::Notify {
+            item,
+            value,
+            rule,
+            trigger,
+        };
+        ctx.send_local(self.shell, CmMsg::Cmi(notify), self.delay());
+    }
+
+    /// Forward an event to the shell when an interest pattern matches
+    /// it. The index narrows the patterns to those of the event's kind
+    /// and base; each left is matched in the handler's matcher `m`.
+    fn forward_if_interesting<'a>(
+        &'a self,
+        m: &mut Matcher<'a, 'a>,
+        id: EventId,
+        desc: &'a EventDesc,
+        ctx: &mut Ctx<'_, CmMsg>,
+    ) {
+        let mut candidates = self.interest.candidates(desc);
+        if candidates.any(|k| {
+            m.undo(0);
+            m.matches(&self.slots.rule(k).lhs, desc)
+        }) {
             ctx.send_local(
                 self.shell,
                 CmMsg::Cmi(TranslatorEvent::Observed {
@@ -218,12 +271,16 @@ impl TranslatorActor {
                 new,
             };
             let ws_id = self.record(now, desc.clone(), old, None, None);
-            self.forward_if_interesting(ws_id, &desc, ctx);
+            let mut m = Matcher::new(&self.slots);
+            self.forward_if_interesting(&mut m, ws_id, &desc, ctx);
 
             // Prohibition interfaces: the database promised this never
             // happens. Record the breach for the checker and count it.
-            for iface in &self.interfaces {
-                if iface.class == IfaceClass::Prohibition && iface.stmt.lhs.matches(&desc) {
+            for (k, iface) in self.interfaces.iter().enumerate() {
+                m.undo(0);
+                if iface.class == IfaceClass::Prohibition
+                    && m.matches(&self.slots.rule(k).lhs, &desc)
+                {
                     self.metrics
                         .inc(self.scope, "translator.prohibition_violations");
                 }
@@ -236,15 +293,12 @@ impl TranslatorActor {
             if !self.backend.has_change_feed() {
                 continue;
             }
-            let mut to_send: Vec<(ItemId, Value, RuleId)> = Vec::new();
             let backend = &self.backend;
             let read = |item: &ItemId| backend.read(item).ok().map(Cow::Owned);
-            let mut matcher = None;
             for (k, iface) in self.interfaces.iter().enumerate() {
                 if iface.class != IfaceClass::Notify {
                     continue;
                 }
-                let m = matcher.get_or_insert_with(|| Matcher::new(&self.slots));
                 let rule = self.slots.rule(k);
                 m.undo(0);
                 if !m.matches(&rule.lhs, &desc) {
@@ -255,34 +309,29 @@ impl TranslatorActor {
                     continue;
                 }
                 let step = &self.slots.steps(rule)[0];
-                if let Some(EventDesc::N { item, value }) =
-                    self.slots.instantiate(&step.event, m.slots())
+                if let Some(EventDesc::N { item, value }) = self.slots.instantiate(&step.event, &m)
                 {
-                    to_send.push((item, value, iface.id));
+                    self.notify(item, value, iface.id, ws_id, ctx);
                 }
-            }
-            for (item, value, rule) in to_send {
-                self.metrics.inc(self.scope, "translator.notifications");
-                self.metrics
-                    .observe(self.scope, "translator.service_delay", self.delay());
-                ctx.send_local(
-                    self.shell,
-                    CmMsg::Cmi(TranslatorEvent::Notify {
-                        item,
-                        value,
-                        rule,
-                        trigger: ws_id,
-                    }),
-                    self.delay(),
-                );
             }
         }
     }
 
-    fn find_iface(&self, class: IfaceClass, item: &ItemId) -> Option<&IfaceRule> {
-        self.interfaces.iter().find(|i| {
-            i.class == class && i.stmt.lhs.item_pattern().is_some_and(|p| p.matches(item))
-        })
+    /// The rule id of the first interface of `class` whose LHS item
+    /// pattern matches `item`, matched in the handler's matcher `m`.
+    fn find_iface<'a>(
+        &'a self,
+        m: &mut Matcher<'a, 'a>,
+        class: IfaceClass,
+        item: &'a ItemId,
+    ) -> Option<RuleId> {
+        let mut ifaces = self.interfaces.iter().enumerate();
+        ifaces
+            .find(|(k, iface)| {
+                m.undo(0);
+                iface.class == class && m.matches_item(&self.slots.rule(*k).lhs, item)
+            })
+            .map(|(_, iface)| iface.id)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -305,8 +354,9 @@ impl TranslatorActor {
                     value: value.clone(),
                 };
                 let wr_id = self.record(now, desc.clone(), None, rule, trigger);
-                self.forward_if_interesting(wr_id, &desc, ctx);
-                let Some(iface) = self.find_iface(IfaceClass::Write, item) else {
+                let mut m = Matcher::new(&self.slots);
+                self.forward_if_interesting(&mut m, wr_id, &desc, ctx);
+                let Some(iface_rule) = self.find_iface(&mut m, IfaceClass::Write, item) else {
                     // No write interface offered: refuse immediately.
                     self.metrics.inc(self.scope, "translator.writes_rejected");
                     ctx.send_local(
@@ -324,7 +374,7 @@ impl TranslatorActor {
                     reply_to,
                     item: item.clone(),
                     value: value.clone(),
-                    rule: iface.id,
+                    rule: iface_rule,
                     trigger: wr_id,
                 };
                 ctx.schedule_self(self.delay(), CmMsg::PerformWrite(pw.clone()));
@@ -335,10 +385,10 @@ impl TranslatorActor {
                 self.pending.insert(req_id, pw.clone());
                 self.policy.log(&LogRecord::WriteAccepted(pw));
             }
-            RequestKind::Enumerate(pattern) => {
+            RequestKind::Enumerate(base) => {
                 // A meta-operation of the CMI: not part of the event
                 // vocabulary, so nothing is recorded in the trace.
-                let items = self.backend.enumerate(pattern);
+                let items = self.backend.enumerate(*base);
                 ctx.send_local(
                     reply_to,
                     CmMsg::Cmi(TranslatorEvent::EnumResult { req_id, items }),
@@ -348,8 +398,9 @@ impl TranslatorActor {
             RequestKind::Read(item) => {
                 let desc = EventDesc::Rr { item: item.clone() };
                 let rr_id = self.record(now, desc.clone(), None, rule, trigger);
-                self.forward_if_interesting(rr_id, &desc, ctx);
-                let Some(iface) = self.find_iface(IfaceClass::Read, item) else {
+                let mut m = Matcher::new(&self.slots);
+                self.forward_if_interesting(&mut m, rr_id, &desc, ctx);
+                let Some(iface_rule) = self.find_iface(&mut m, IfaceClass::Read, item) else {
                     return; // no read interface: request goes unanswered
                 };
                 let value = self.backend.read(item).unwrap_or(Value::Null);
@@ -360,7 +411,7 @@ impl TranslatorActor {
                         req_id,
                         item: item.clone(),
                         value,
-                        rule: iface.id,
+                        rule: iface_rule,
                         trigger: rr_id,
                     }),
                     self.delay(),
@@ -388,7 +439,7 @@ impl TranslatorActor {
             Ok(old) => {
                 let desc = EventDesc::W { item, value };
                 let w_id = self.record(now, desc.clone(), old, Some(rule), Some(trigger));
-                self.forward_if_interesting(w_id, &desc, ctx);
+                self.forward_if_interesting(&mut Matcher::new(&self.slots), w_id, &desc, ctx);
                 self.metrics.inc(self.scope, "translator.writes_done");
                 ctx.send_local(
                     reply_to,
@@ -427,48 +478,33 @@ impl TranslatorActor {
         };
         let p_desc = EventDesc::P { period };
         let p_id = self.record(now, p_desc.clone(), None, None, None);
-        // Instantiate the N template for every currently existing item:
-        // each item and its value must match it, and the condition must
-        // hold under the resulting interpretation.
+        // Instantiate the N template for every currently existing item of
+        // its base: each item and its value must match it, and the
+        // condition must hold under the resulting interpretation.
         if let TemplateDesc::N { item: pattern, .. } = &iface.stmt.rhs {
             let rule = self.slots.rule(idx);
             let step = &self.slots.steps(rule)[0];
             let backend = &self.backend;
-            let mut to_send = Vec::new();
-            for item in self.backend.enumerate(pattern) {
-                let Ok(value) = self.backend.read(&item) else {
+            let read = |i: &ItemId| backend.read(i).ok().map(Cow::Owned);
+            let mut ns = Vec::new();
+            for item in backend.enumerate(pattern.base) {
+                if let Ok(value) = backend.read(&item) {
+                    ns.push(EventDesc::N { item, value });
+                }
+            }
+            let mut m = Matcher::new(&self.slots);
+            for n in &ns {
+                m.undo(0);
+                if !(m.matches(&rule.lhs, &p_desc) && m.matches(&step.event, n)) {
                     continue;
-                };
-                let n = EventDesc::N { item, value };
-                let holds = {
-                    let mut m = Matcher::new(&self.slots);
-                    if !(m.matches(&rule.lhs, &p_desc) && m.matches(&step.event, &n)) {
-                        continue;
-                    }
-                    m.holds_binding(rule, |i| backend.read(i).ok().map(Cow::Owned))
-                };
-                if !holds {
+                }
+                if !m.holds_binding(rule, read) {
                     self.metrics.inc(self.scope, "translator.suppressed");
                     continue;
                 }
                 if let EventDesc::N { item, value } = n {
-                    to_send.push((item, value, iface.id));
+                    self.notify(item.clone(), value.clone(), iface.id, p_id, ctx);
                 }
-            }
-            for (item, value, rule) in to_send {
-                self.metrics.inc(self.scope, "translator.notifications");
-                self.metrics
-                    .observe(self.scope, "translator.service_delay", self.delay());
-                ctx.send_local(
-                    self.shell,
-                    CmMsg::Cmi(TranslatorEvent::Notify {
-                        item,
-                        value,
-                        rule,
-                        trigger: p_id,
-                    }),
-                    self.delay(),
-                );
             }
         }
         if now + period <= self.stop_periodics_at {

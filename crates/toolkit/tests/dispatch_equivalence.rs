@@ -199,8 +199,8 @@ fn compile(rules: &[CompiledRule]) -> SlotRules {
 fn match_lhs(slots: &SlotRules, i: usize, desc: &EventDesc) -> Option<String> {
     let mut m = Matcher::new(slots);
     let matched = m.matches(&slots.rule(i).lhs, desc);
-    let bound = m.slots().iter().enumerate();
-    let pairs = bound.filter_map(|(s, v)| v.as_deref().map(|v| format!("{s}={v}")));
+    let bound = m.owned(slots.rule(i)).into_iter().enumerate();
+    let pairs = bound.filter_map(|(s, v)| v.map(|v| format!("{s}={v}")));
     matched.then(|| pairs.collect::<Vec<_>>().join(","))
 }
 

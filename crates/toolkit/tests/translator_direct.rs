@@ -62,10 +62,18 @@ impl Rig {
 }
 
 fn rig(interest: Vec<TemplateDesc>) -> Rig {
+    rig_with(RID, &[("e1", 10)], interest)
+}
+
+/// A translator over CM-RID `rid` whose table `t` holds `rows`.
+fn rig_with(rid: &str, rows: &[(&str, i64)], interest: Vec<TemplateDesc>) -> Rig {
     let mut db = hcm_ris::relational::Database::new();
     db.create_table("t", &["k", "v"]).unwrap();
-    db.execute("insert into t values ('e1', 10)").unwrap();
-    let rid = CmRid::parse(RID).unwrap();
+    for (k, v) in rows {
+        db.execute(&format!("insert into t values ('{k}', {v})"))
+            .unwrap();
+    }
+    let rid = CmRid::parse(rid).unwrap();
     let mut registry = RuleRegistry::new();
     let iface_ids: Vec<_> = rid.interfaces.iter().map(|_| registry.register()).collect();
     let recorder = TraceRecorder::new();
@@ -104,6 +112,45 @@ fn initial_state_is_captured() {
     r.sim.run_to_quiescence();
     let trace = r.recorder.snapshot();
     assert_eq!(trace.initial(&e1()), Some(&Value::Int(10)));
+}
+
+/// Backends list every item of a base; where an interface names a
+/// constant parameter, the translator's matcher filters. A periodic
+/// notification covers only the item its `N` step names, and initial
+/// values are captured only for items some interface names.
+#[test]
+fn constant_parameters_filter_enumerated_items() {
+    const CONSTANT_PARAMS: &str = r#"
+ris = relational
+[interface]
+P(1s) when sal("e2") = b -> N(sal("e2"), b) within 1s
+RR(sal("e3")) when sal("e3") = b -> R(sal("e3"), b) within 1s
+[command read sal]
+select v from t where k = $p0
+[map sal]
+table = t
+key = k
+col = v
+"#;
+    let mut r = rig_with(
+        CONSTANT_PARAMS,
+        &[("e1", 10), ("e2", 20), ("e3", 30)],
+        vec![],
+    );
+    r.sim.run(Some(SimTime::from_millis(2_500)));
+    let sal = |k: &str| ItemId::with("sal", [Value::from(k)]);
+    let log = r.log.borrow();
+    let notified: Vec<_> = (log.iter())
+        .map(|(_, ev)| match ev {
+            TranslatorEvent::Notify { item, value, .. } => (item.clone(), value.clone()),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(notified, vec![(sal("e2"), Value::Int(20)); 2]);
+    let trace = r.recorder.snapshot();
+    assert_eq!(trace.initial(&sal("e1")), None);
+    assert_eq!(trace.initial(&sal("e2")), Some(&Value::Int(20)));
+    assert_eq!(trace.initial(&sal("e3")), Some(&Value::Int(30)));
 }
 
 #[test]
@@ -286,7 +333,7 @@ fn enumerate_meta_request() {
             reply_to: r.probe,
             rule: None,
             trigger: None,
-            kind: RequestKind::Enumerate(hcm_core::ItemPattern::with("sal", [Term::var("n")])),
+            kind: RequestKind::Enumerate(hcm_core::Sym::from("sal")),
         },
     );
     r.sim.run_to_quiescence();

@@ -7,12 +7,12 @@
 //! `A` and `B`, a shell that polls `salary1("e0")` at `A` every 5 s and
 //! copies what it reads to `salary2` at `B`, and about a thousand SQL
 //! updates of `A`'s row. Item names share their parameters, trigger
-//! firings own their rows, interface lookups build no bindings, the
-//! simulator reuses one outbox and the relational store one firing
-//! buffer, so the run allocates fewer than four times per dispatch.
-//! What remains is mostly the SQL text of each update, which the
-//! relational store parses, and the shell's string-keyed matching
-//! bindings.
+//! firings own their rows, a rule match or interface lookup allocates
+//! only its matcher's slot table, the simulator reuses one outbox and
+//! the relational store one firing buffer, so the run allocates fewer
+//! than four times per dispatch. What remains includes the SQL text of
+//! each update, which the relational store parses, and one slot table
+//! per match.
 
 mod common;
 

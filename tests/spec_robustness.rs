@@ -306,7 +306,13 @@ fn mutants_are_rejected_without_panicking() {
 
 /// Deploy `spec` on the two-site salary deployment of `tests/common`,
 /// apply 3 SQL updates at `A`, simulate to a horizon under a step
-/// budget and run the post-mortem. Returns whether the spec built.
+/// budget and judge the run. Returns whether the spec built.
+///
+/// The verdict is a partial oracle. A shell skips an RHS step whose
+/// variable the match left unbound (`shell.steps_skipped`), which
+/// property 6 counts as a missing step. So every violation must be a
+/// property-6 one, and a run in which neither shell skipped a step
+/// must be valid.
 fn deploy_and_run(spec: &str) -> bool {
     let db = || RawStore::Relational(employees_db(&[("e1", 90_000), ("e2", 70_000)]));
     let built = ScenarioBuilder::new(1)
@@ -329,12 +335,24 @@ fn deploy_and_run(spec: &str) -> bool {
     }
     sc.sim.set_step_budget(5_000);
     sc.run_until(SimTime::from_secs(60));
-    let _ = post_mortem(&sc);
+    let validity = post_mortem(&sc).validity;
+    let skipped = sc.counter("A", "shell.steps_skipped") + sc.counter("B", "shell.steps_skipped");
+    let all = &validity.violations;
+    assert_eq!(
+        validity.of_property(6).len(),
+        all.len(),
+        "{spec:?}: {all:?}"
+    );
+    assert!(
+        skipped > 0 || all.is_empty(),
+        "{spec:?} skipped no step: {all:?}"
+    );
     true
 }
 
 /// Strategy mutants that compile are deployed and run end to end: the
-/// simulation and the checker must not panic on them either.
+/// simulation and the checker must not panic on them either, and the
+/// checker's verdict must pass `deploy_and_run`'s partial oracle.
 #[test]
 fn compiled_mutants_run_without_panicking() {
     let mut g = Gen(0x0D15_EA5E);
