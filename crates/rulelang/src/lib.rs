@@ -45,6 +45,7 @@ pub mod ast;
 pub mod parser;
 pub mod slots;
 pub mod specfile;
+mod template;
 pub mod token;
 
 pub use ast::{
