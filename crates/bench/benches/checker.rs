@@ -2,24 +2,11 @@
 //! trace grows and on the wide rule base of expbench's `engine_wide`
 //! workload, and the §4.2 salary pair as the employee count grows.
 
-use hcm_bench::{harness, scenarios};
+use hcm::harness::rule_set_of;
+use hcm_bench::scenarios;
 use hcm_checker::{check_validity, guarantee::check_guarantee, RuleSet};
 use hcm_core::{SimDuration, SimTime};
 use hcm_rulelang::parse_guarantee;
-use hcm_toolkit::Scenario;
-
-fn rule_set_of(scenario: &Scenario) -> RuleSet {
-    let mut rs = RuleSet::new();
-    for site in &scenario.sites {
-        for (stmt, id) in site.rid.interfaces.iter().zip(&site.iface_ids) {
-            rs.add_interface(*id, site.site, stmt);
-        }
-    }
-    for rule in scenario.strategy.rules.iter() {
-        rs.add_strategy(rule.id, rule.lhs_site, rule.rhs_site, &rule.rule);
-    }
-    rs
-}
 
 fn trace_of_size(updates: u64) -> (hcm_core::Trace, RuleSet) {
     let horizon = updates * 10;
@@ -95,7 +82,7 @@ fn main() {
     // `follows` and `follows_metric`. At a fixed length the event count
     // stays the same; each employee's LHS still quantifies over the
     // per-base grid, so instantiations grow with the employee count.
-    // Full mode adds 4× the length at 8 and 64 employees, and 32 and 64
+    // The cells add 4× the length at 8 and 64 employees, and 32 and 64
     // employees at 640 s: the pair's cost should grow with the
     // instantiations, not with their square.
     eprintln!("\n[E10] salary pair vs employees and length:");
@@ -108,12 +95,7 @@ fn main() {
         "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t1 - 10s < t2 and t2 <= t1",
     )
     .unwrap();
-    let cells: &[(usize, u64)] = if harness::quick() {
-        &[(8, 640)]
-    } else {
-        &[(8, 640), (32, 640), (8, 2560), (64, 640), (64, 2560)]
-    };
-    for &(employees, until_s) in cells {
+    for (employees, until_s) in [(8, 640), (32, 640), (8, 2560), (64, 640), (64, 2560)] {
         let mut sc = scenarios::salary_scenario(
             7,
             employees,
@@ -122,10 +104,9 @@ fn main() {
         );
         sc.run_to_quiescence();
         let trace = sc.trace();
-        // Full mode keeps the fastest of three runs, so that a busy
-        // host's stalls do not set the figure.
-        let runs = if harness::quick() { 1 } else { 3 };
-        let (pair, reports) = (0..runs)
+        // Keep the fastest of three runs, so that a busy host's stalls
+        // do not set the figure.
+        let (pair, reports) = (0..3)
             .map(|_| {
                 let t0 = std::time::Instant::now();
                 let reports = [&follows, &metric].map(|g| check_guarantee(&trace, g, None));

@@ -15,7 +15,7 @@
 //! the regression gate is expbench's `engine_wide` workload, not this
 //! table.
 
-use hcm_bench::{harness, scenarios};
+use hcm_bench::scenarios;
 use hcm_core::{SimDuration, SimTime};
 use hcm_simkit::RunOutcome;
 
@@ -91,12 +91,6 @@ fn main() {
             ops: 100_000,
         },
     ];
-    // Quick (CI) mode keeps the two smallest cells.
-    let cells = if harness::quick() {
-        &cells[..2]
-    } else {
-        &cells[..]
-    };
     eprintln!("\n[E17] online engine scale sweep (one run per cell):");
     eprintln!(
         "  {:<16} {:>10} {:>10} {:>12}",

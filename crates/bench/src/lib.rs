@@ -1,29 +1,21 @@
-//! # hcm-bench — the experiment series tables
+//! # hcm-bench — scenario builders, benches and the pinned series
 //!
-//! One self-contained bench target per experiment of `EXPERIMENTS.md`
-//! (`harness = false`; no external bench framework — the container has
-//! no registry access). Each target prints the experiment's **series
-//! table** on stderr — the reproduction of the paper's qualitative
-//! claims as numbers: miss rates, message counts, latencies, detection
-//! times — and asserts the claim, so a bad change panics the binary.
+//! [`scenarios`] builds the deployments that the experiments of
+//! `EXPERIMENTS.md` run. Two kinds of target use them:
 //!
-//! Run one with `cargo bench -p hcm-bench --bench <name>`, or all of
-//! them with `cargo bench --workspace`. `HCM_BENCH_QUICK=1` shrinks the
-//! sweeps for CI. Timing regressions are caught by the `expbench`
-//! workloads and the same-host gate in `.github/bench-gate.sh`, not
-//! here.
+//! - `tests/series.rs` runs the simulated series of E1, E2, E3, E7 and
+//!   E9, asserts each claim, and compares the rendered table with its
+//!   committed copy in `tests/expected/`. `cargo test` runs it, so a
+//!   changed number fails the suite.
+//! - Three bench targets (`harness = false`; the build environment has
+//!   no registry access, so no external bench framework) print
+//!   wall-clock tables with their assertions: `checker` (E10),
+//!   `engine` (E17) and `store` (E16). Run one with
+//!   `cargo bench -p hcm-bench --bench <name>`. Timing regressions are
+//!   caught by the `expbench` workloads and the same-host gate in
+//!   `.github/bench-gate.sh`, not here.
 
-/// Run-mode switch shared by the bench targets.
-pub mod harness {
-    /// `true` when a smoke run was requested (`HCM_BENCH_QUICK=1`):
-    /// reduced sweeps. Used by CI.
-    #[must_use]
-    pub fn quick() -> bool {
-        std::env::var("HCM_BENCH_QUICK").is_ok_and(|v| v != "0")
-    }
-}
-
-/// Common scenario builders shared by the bench targets.
+/// Common scenario builders shared by the benches and the series tests.
 pub mod scenarios {
     use hcm_core::{SimDuration, SimTime, Value};
     use hcm_toolkit::backends::RawStore;

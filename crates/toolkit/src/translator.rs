@@ -14,8 +14,8 @@
 //! * forwards database-side events that strategy rules watch (the
 //!   interest patterns computed at initialization);
 //! * matches every event and item against its interface statements
-//!   and interest patterns, compiled into one [`SlotRules`], with one
-//!   [`Matcher`] per handler;
+//!   and interest patterns, compiled into one [`SlotRules`], with a
+//!   [`Matcher`] per handler call (per enumerated item on a poll tick);
 //! * exhibits *metric failures* when its service delay is inflated
 //!   (overload injection) and *logical failures* when its actor
 //!   crashes — the two §5 classes.
@@ -479,31 +479,34 @@ impl TranslatorActor {
         let p_desc = EventDesc::P { period };
         let p_id = self.record(now, p_desc.clone(), None, None, None);
         // Instantiate the N template for every currently existing item of
-        // its base: each item and its value must match it, and the
-        // condition must hold under the resulting interpretation.
+        // its base: each item, and then its value, must match it, and the
+        // condition must hold under the resulting interpretation. Only an
+        // item that matches is read.
         if let TemplateDesc::N { item: pattern, .. } = &iface.stmt.rhs {
             let rule = self.slots.rule(idx);
             let step = &self.slots.steps(rule)[0];
             let backend = &self.backend;
-            let read = |i: &ItemId| backend.read(i).ok().map(Cow::Owned);
-            let mut ns = Vec::new();
-            for item in backend.enumerate(pattern.base) {
-                if let Ok(value) = backend.read(&item) {
-                    ns.push(EventDesc::N { item, value });
-                }
-            }
-            let mut m = Matcher::new(&self.slots);
-            for n in &ns {
-                m.undo(0);
-                if !(m.matches(&rule.lhs, &p_desc) && m.matches(&step.event, n)) {
+            for item in &backend.enumerate(pattern.base) {
+                let mut m = Matcher::new(&self.slots);
+                if !(m.matches(&rule.lhs, &p_desc) && m.matches_item(&step.event, item)) {
                     continue;
                 }
-                if !m.holds_binding(rule, read) {
+                let Ok(value) = backend.read(item) else {
+                    continue;
+                };
+                let n = EventDesc::N {
+                    item: item.clone(),
+                    value,
+                };
+                if !m.matches(&step.event, &n) {
+                    continue;
+                }
+                if !m.holds_binding(rule, |i| backend.read(i).ok().map(Cow::Owned)) {
                     self.metrics.inc(self.scope, "translator.suppressed");
                     continue;
                 }
                 if let EventDesc::N { item, value } = n {
-                    self.notify(item.clone(), value.clone(), iface.id, p_id, ctx);
+                    self.notify(item, value, iface.id, p_id, ctx);
                 }
             }
         }

@@ -3,11 +3,13 @@
 //! behaviour in isolation (the scenario-level tests cover composition).
 
 use hcm_core::{
-    EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, TemplateDesc, Term,
+    EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, Sym, TemplateDesc, Term,
     TraceRecorder, Value,
 };
 use hcm_obs::Scope;
+use hcm_ris::RisError;
 use hcm_simkit::{Actor, ActorId, Ctx, Sim};
+use hcm_toolkit::backend::{Change, RisBackend};
 use hcm_toolkit::backends::{build_backend, RawStore};
 use hcm_toolkit::msg::{CmMsg, RequestKind, SpontaneousOp, TranslatorEvent};
 use hcm_toolkit::rid::CmRid;
@@ -67,6 +69,16 @@ fn rig(interest: Vec<TemplateDesc>) -> Rig {
 
 /// A translator over CM-RID `rid` whose table `t` holds `rows`.
 fn rig_with(rid: &str, rows: &[(&str, i64)], interest: Vec<TemplateDesc>) -> Rig {
+    rig_wrapped(rid, rows, interest, |backend| backend)
+}
+
+/// [`rig_with`], with the relational backend passed through `wrap`.
+fn rig_wrapped(
+    rid: &str,
+    rows: &[(&str, i64)],
+    interest: Vec<TemplateDesc>,
+    wrap: impl FnOnce(Box<dyn RisBackend>) -> Box<dyn RisBackend>,
+) -> Rig {
     let mut db = hcm_ris::relational::Database::new();
     db.create_table("t", &["k", "v"]).unwrap();
     for (k, v) in rows {
@@ -84,7 +96,7 @@ fn rig_with(rid: &str, rows: &[(&str, i64)], interest: Vec<TemplateDesc>) -> Rig
     let t = TranslatorActor::new(
         SiteId::new(0),
         probe,
-        build_backend(RawStore::Relational(db), &rid).unwrap(),
+        wrap(build_backend(RawStore::Relational(db), &rid).unwrap()),
         &rid,
         iface_ids,
         interest,
@@ -151,6 +163,77 @@ col = v
     assert_eq!(trace.initial(&sal("e1")), None);
     assert_eq!(trace.initial(&sal("e2")), Some(&Value::Int(20)));
     assert_eq!(trace.initial(&sal("e3")), Some(&Value::Int(30)));
+}
+
+/// A backend that logs every item it is asked to read, then reads it
+/// from the backend it wraps.
+struct CountingReads {
+    inner: Box<dyn RisBackend>,
+    reads: Rc<RefCell<Vec<ItemId>>>,
+}
+
+impl RisBackend for CountingReads {
+    fn has_change_feed(&self) -> bool {
+        self.inner.has_change_feed()
+    }
+
+    fn apply_spontaneous(
+        &mut self,
+        op: &SpontaneousOp,
+        now: SimTime,
+    ) -> Result<Vec<Change>, RisError> {
+        self.inner.apply_spontaneous(op, now)
+    }
+
+    fn write(
+        &mut self,
+        item: &ItemId,
+        value: &Value,
+        now: SimTime,
+    ) -> Result<Option<Value>, RisError> {
+        self.inner.write(item, value, now)
+    }
+
+    fn read(&self, item: &ItemId) -> Result<Value, RisError> {
+        self.reads.borrow_mut().push(item.clone());
+        self.inner.read(item)
+    }
+
+    fn enumerate(&self, base: Sym) -> Vec<ItemId> {
+        self.inner.enumerate(base)
+    }
+}
+
+/// A poll tick of an interface whose `N` step names one item reads that
+/// item alone: enumerated items that its pattern rejects are not read.
+#[test]
+fn poll_tick_reads_only_items_its_pattern_names() {
+    const ONE_ITEM: &str = r#"
+ris = relational
+[interface]
+P(1s) when sal("e2") = b -> N(sal("e2"), b) within 1s
+[command read sal]
+select v from t where k = $p0
+[map sal]
+table = t
+key = k
+col = v
+"#;
+    let reads = Rc::new(RefCell::new(Vec::new()));
+    let log = reads.clone();
+    let mut r = rig_wrapped(
+        ONE_ITEM,
+        &[("e1", 10), ("e2", 20), ("e3", 30)],
+        vec![],
+        move |inner| Box::new(CountingReads { inner, reads: log }),
+    );
+    r.sim.run(Some(SimTime::from_millis(500)));
+    let at_start = reads.borrow().len();
+    r.sim.run(Some(SimTime::from_millis(2_500)));
+    let e2 = ItemId::with("sal", [Value::from("e2")]);
+    // Each of the two ticks reads `sal("e2")` once to instantiate the
+    // `N` step and once more for its condition.
+    assert_eq!(reads.borrow()[at_start..], vec![e2; 4]);
 }
 
 #[test]
