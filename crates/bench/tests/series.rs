@@ -245,6 +245,7 @@ fn demarc_table(out: &mut String, ops: &[(SimTime, bool, i64)]) {
         "msg/ok-op"
     );
     let mut over_grants = Vec::new();
+    let mut update_ms = Vec::new();
     for policy in [
         GrantPolicy::Requested,
         GrantPolicy::HalfAvailable,
@@ -266,7 +267,15 @@ fn demarc_table(out: &mut String, ops: &[(SimTime, bool, i64)]) {
         let ok = both("demarc.local_ok") + both("demarc.granted");
         assert_eq!(ok + both("demarc.denied"), ops.len() as u64);
         let msgs = d.scenario.sim.network().total_sent();
-        over_grants.push((policy, grants_above_need(&d.scenario.trace())));
+        let trace = d.scenario.trace();
+        over_grants.push((policy, grants_above_need(&trace)));
+        let before = update_ms.len();
+        update_latencies(&trace, ops, &mut update_ms);
+        assert_eq!(
+            (update_ms.len() - before) as u64,
+            ok,
+            "one W per accepted update"
+        );
         say!(
             out,
             "  {:<15} {:>6} {:>8} {:>10} {:>10} {:>12.2}",
@@ -297,14 +306,35 @@ fn demarc_table(out: &mut String, ops: &[(SimTime, bool, i64)]) {
     );
     let latencies = t.sim.obs().metrics.series(Scope::Global, "tpc.latency_ms");
     let avg = latencies.iter().sum::<i64>() as f64 / latencies.len().max(1) as f64;
+    let demarc = update_ms.iter().sum::<u64>() as f64 / update_ms.len().max(1) as f64;
     say!(
         out,
-        "  2PC mean commit latency: {avg:.0} ms; demarcation local update: ~52 ms"
+        "  2PC mean commit latency: {avg:.0} ms; demarcation mean update latency: {demarc:.0} ms"
     );
     let over: Vec<String> = (over_grants.iter())
         .map(|(policy, (above, grants))| format!("{policy:?} {above}/{grants}"))
         .collect();
     say!(out, "  grants above the need: {}", over.join(", "));
+}
+
+/// Append to `ms`, per accepted update in `trace`, the time from its
+/// attempt in `ops` to the `W` that lands its value: a `W` on `x` (`y`)
+/// answers the latest lower-side (upper-side) attempt at or before it.
+fn update_latencies(trace: &hcm_core::Trace, ops: &[(SimTime, bool, i64)], ms: &mut Vec<u64>) {
+    for e in trace.events() {
+        let EventDesc::W { item, .. } = &e.desc else {
+            continue;
+        };
+        let lower = match item.base.as_str() {
+            "x" => true,
+            "y" => false,
+            _ => continue,
+        };
+        let (at, ..) = (ops.iter().rev())
+            .find(|(t, side, _)| *side == lower && *t <= e.time)
+            .expect("a write follows its attempt");
+        ms.push(e.time.saturating_since(*at).as_millis());
+    }
 }
 
 /// How many limit grants in `trace` gave more slack than the request

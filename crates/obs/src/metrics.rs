@@ -14,8 +14,9 @@
 //!
 //! Each kind is a `BTreeMap` from scope to a `BTreeMap` from name to
 //! value, so snapshot iteration order is `(scope, name)` and never
-//! depends on allocation or insertion order. Writes look names up by
-//! `&str` and allocate a name only on its key's first write.
+//! depends on allocation or insertion order. A write searches its
+//! scope's names once, by `&str`, and allocates a name only on its
+//! key's first write.
 
 use hcm_core::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -56,18 +57,24 @@ impl fmt::Display for Scope {
 /// One metric kind: per scope, the metrics by name.
 type Kind<V> = BTreeMap<Scope, BTreeMap<String, V>>;
 
-/// The slot for `(scope, name)`, created with `init()` on first write.
-fn slot<'k, V>(
-    kind: &'k mut Kind<V>,
+/// Apply `f` to the value at `(scope, name)`: one name search when the
+/// value exists; on its first write, `f` applies to `init()` and the
+/// name is allocated and inserted.
+fn update<V>(
+    kind: &mut Kind<V>,
     scope: Scope,
     name: &str,
     init: impl FnOnce() -> V,
-) -> &'k mut V {
+    f: impl FnOnce(&mut V),
+) {
     let names = kind.entry(scope).or_default();
-    if !names.contains_key(name) {
-        names.insert(name.to_owned(), init());
+    if let Some(v) = names.get_mut(name) {
+        f(v);
+    } else {
+        let mut v = init();
+        f(&mut v);
+        names.insert(name.to_owned(), v);
     }
-    names.get_mut(name).expect("inserted above")
 }
 
 fn get<'k, V>(kind: &'k Kind<V>, scope: Scope, name: &str) -> Option<&'k V> {
@@ -216,7 +223,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Add `n` to a counter (creating it at zero).
     pub(crate) fn add(&mut self, scope: Scope, name: &str, n: u64) {
-        *slot(&mut self.counters, scope, name, || 0) += n;
+        update(&mut self.counters, scope, name, || 0, |c| *c += n);
     }
 
     /// Current counter value (zero when never written).
@@ -227,19 +234,18 @@ impl MetricsRegistry {
 
     /// Set a gauge.
     pub(crate) fn gauge_set(&mut self, scope: Scope, name: &str, v: i64) {
-        *slot(&mut self.gauges, scope, name, || v) = v;
+        update(&mut self.gauges, scope, name, || v, |g| *g = v);
     }
 
     /// Add `v` (possibly negative) to a gauge, creating it at zero.
     pub(crate) fn gauge_add(&mut self, scope: Scope, name: &str, v: i64) {
-        *slot(&mut self.gauges, scope, name, || 0) += v;
+        update(&mut self.gauges, scope, name, || 0, |g| *g += v);
     }
 
     /// Raise a gauge to `v` if `v` exceeds its current value
     /// (high-water marks).
     pub(crate) fn gauge_track_max(&mut self, scope: Scope, name: &str, v: i64) {
-        let g = slot(&mut self.gauges, scope, name, || v);
-        *g = (*g).max(v);
+        update(&mut self.gauges, scope, name, || v, |g| *g = (*g).max(v));
     }
 
     /// Current gauge value, if ever written.
@@ -250,12 +256,14 @@ impl MetricsRegistry {
 
     /// Record a duration observation into a histogram.
     pub(crate) fn observe(&mut self, scope: Scope, name: &str, d: SimDuration) {
-        slot(&mut self.histograms, scope, name, Histogram::default).observe(d);
+        update(&mut self.histograms, scope, name, Histogram::default, |h| {
+            h.observe(d);
+        });
     }
 
     /// Append a value to a series.
     pub(crate) fn series_push(&mut self, scope: Scope, name: &str, v: i64) {
-        slot(&mut self.series, scope, name, Vec::new).push(v);
+        update(&mut self.series, scope, name, Vec::new, |s| s.push(v));
     }
 
     /// Read a series (empty when never written).

@@ -10,6 +10,11 @@
 //! one submission counter, so they sort after actor traffic at the
 //! same instant, in schedule order.
 //!
+//! The queue is a binary heap of 32-byte keys. Each key names a slot
+//! of a slab where its entry (the message, or a control) waits; a pop
+//! frees the slot for the next schedule to reuse, so a sift moves keys
+//! only and the slab never outgrows the queue's high-water mark.
+//!
 //! Crash and recovery are scheduled through the same queue
 //! ([`Sim::crash_at`], [`Sim::recover_at`]) so that an experiment's
 //! failure schedule composes deterministically with its workload.
@@ -32,7 +37,10 @@ enum Control {
     Recover { who: ActorId },
 }
 
-struct Scheduled<M> {
+/// The heap's order key. Keys are unique, so `slot`, which names the
+/// entry's place in [`Sim`]'s slab, never decides the order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Scheduled {
     at: SimTime,
     /// Sending actor (`ActorId::EXTERNAL.0` for injections/controls).
     src: u32,
@@ -41,30 +49,7 @@ struct Scheduled<M> {
     /// Tie-breaker for entries materialized *by* a dispatch (held
     /// messages replayed by a recovery control); 0 for normal sends.
     minor: u32,
-    entry: Entry<M>,
-}
-
-impl<M> Scheduled<M> {
-    fn key(&self) -> (SimTime, u32, u64, u32) {
-        (self.at, self.src, self.seq, self.minor)
-    }
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
+    slot: u32,
 }
 
 /// Why a run stopped.
@@ -83,7 +68,11 @@ pub enum RunOutcome {
 /// A deterministic discrete-event simulation over message type `M`.
 pub struct Sim<M> {
     actors: Vec<Box<dyn Actor<M>>>,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// The queued entries, at the slots their keys name; `None` at the
+    /// slots listed in `free`.
+    slab: Vec<Option<Entry<M>>>,
+    free: Vec<u32>,
     /// Messages held for crashed (non-lossy) actors, replayed on
     /// recovery in arrival order: `(to, from, msg)`.
     held: Vec<(ActorId, ActorId, M)>,
@@ -128,6 +117,8 @@ impl<M> Sim<M> {
         Sim {
             actors: Vec::new(),
             queue: BinaryHeap::with_capacity(1024),
+            slab: Vec::with_capacity(1024),
+            free: Vec::new(),
             held: Vec::new(),
             now: SimTime::ZERO,
             ext_seq: 0,
@@ -202,18 +193,8 @@ impl<M> Sim<M> {
     /// harnesses) for delivery to `to` at absolute time `at`. The
     /// sender is recorded as [`ActorId::EXTERNAL`], not the recipient.
     pub fn inject_at(&mut self, at: SimTime, to: ActorId, msg: M) {
-        let seq = self.bump_ext_seq();
-        self.queue.push(Reverse(Scheduled {
-            at,
-            src: ActorId::EXTERNAL.0,
-            seq,
-            minor: 0,
-            entry: Entry::Deliver {
-                to,
-                from: ActorId::EXTERNAL,
-                msg,
-            },
-        }));
+        let from = ActorId::EXTERNAL;
+        self.schedule_external(at, Entry::Deliver { to, from, msg });
     }
 
     /// Schedule a crash. `lossy` controls whether messages arriving
@@ -221,32 +202,35 @@ impl<M> Sim<M> {
     /// at recovery — the paper's "crashes can be mapped to metric
     /// failures if the database … can remember messages" (§5).
     pub fn crash_at(&mut self, who: ActorId, at: SimTime, lossy: bool) {
-        let seq = self.bump_ext_seq();
-        self.queue.push(Reverse(Scheduled {
-            at,
-            src: ActorId::EXTERNAL.0,
-            seq,
-            minor: 0,
-            entry: Entry::Control(Control::Crash { who, lossy }),
-        }));
+        self.schedule_external(at, Entry::Control(Control::Crash { who, lossy }));
     }
 
     /// Schedule a recovery.
     pub fn recover_at(&mut self, who: ActorId, at: SimTime) {
-        let seq = self.bump_ext_seq();
-        self.queue.push(Reverse(Scheduled {
-            at,
-            src: ActorId::EXTERNAL.0,
-            seq,
-            minor: 0,
-            entry: Entry::Control(Control::Recover { who }),
-        }));
+        self.schedule_external(at, Entry::Control(Control::Recover { who }));
     }
 
-    fn bump_ext_seq(&mut self) -> u64 {
-        let s = self.ext_seq;
+    fn schedule_external(&mut self, at: SimTime, entry: Entry<M>) {
+        let seq = self.ext_seq;
         self.ext_seq += 1;
-        s
+        self.schedule(at, ActorId::EXTERNAL.0, seq, 0, entry);
+    }
+
+    /// Queue `entry` under the key `(at, src, seq, minor)`, in a free
+    /// slab slot when there is one.
+    fn schedule(&mut self, at: SimTime, src: u32, seq: u64, minor: u32, entry: Entry<M>) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued entries")
+        });
+        self.slab[slot as usize] = Some(entry);
+        self.queue.push(Reverse(Scheduled {
+            at,
+            src,
+            seq,
+            minor,
+            slot,
+        }));
     }
 
     fn flush_outbox(&mut self, from: ActorId) {
@@ -267,13 +251,7 @@ impl<M> Sim<M> {
             }
             let seq = self.send_seqs[from.0 as usize];
             self.send_seqs[from.0 as usize] += 1;
-            self.queue.push(Reverse(Scheduled {
-                at,
-                src: from.0,
-                seq,
-                minor: 0,
-                entry: Entry::Deliver { to, from, msg },
-            }));
+            self.schedule(at, from.0, seq, 0, Entry::Deliver { to, from, msg });
         }
         self.outbox = outbox;
     }
@@ -343,8 +321,10 @@ impl<M> Sim<M> {
             }
             self.depth_max = self.depth_max.max(Some(self.queue.len()));
             let Reverse(sched) = self.queue.pop().expect("peeked");
+            let entry = self.slab[sched.slot as usize].take().expect("queued");
+            self.free.push(sched.slot);
             self.now = sched.at;
-            match sched.entry {
+            match entry {
                 Entry::Control(c) => self.apply_control(c, sched.seq),
                 Entry::Deliver { to, from, msg } => {
                     self.steps += 1;
@@ -406,12 +386,22 @@ impl<M> Sim<M> {
                 self.actors[who.0 as usize].on_crash(lossy, &mut ctx);
                 let timers_cancelled = ctx.timers_cancelled;
                 self.outbox.clear();
-                // A wiped actor's timers die with its state. The queue's
-                // keys are unique, so dropping entries leaves the pop
-                // order of the rest unchanged.
+                // A wiped actor's timers die with its state, and free
+                // their slots. The queue's keys are unique, so dropping
+                // entries leaves the pop order of the rest unchanged.
                 if timers_cancelled {
+                    let (slab, free) = (&mut self.slab, &mut self.free);
                     self.queue.retain(|Reverse(s)| {
-                        !matches!(s.entry, Entry::Deliver { to, from, .. } if to == who && from == who)
+                        let entry = &mut slab[s.slot as usize];
+                        let timer = match entry {
+                            Some(Entry::Deliver { to, from, .. }) => *to == who && *from == who,
+                            _ => false,
+                        };
+                        if timer {
+                            *entry = None;
+                            free.push(s.slot);
+                        }
+                        !timer
                     });
                 }
             }
@@ -445,13 +435,9 @@ impl<M> Sim<M> {
                     .partition(|(to, ..)| *to == who);
                 self.held = keep;
                 for (k, (to, from, msg)) in replay.into_iter().enumerate() {
-                    self.queue.push(Reverse(Scheduled {
-                        at: self.now,
-                        src: ActorId::EXTERNAL.0,
-                        seq: ctl_seq,
-                        minor: k as u32 + 1,
-                        entry: Entry::Deliver { to, from, msg },
-                    }));
+                    let minor = k as u32 + 1;
+                    let entry = Entry::Deliver { to, from, msg };
+                    self.schedule(self.now, ActorId::EXTERNAL.0, ctl_seq, minor, entry);
                 }
             }
         }
@@ -733,6 +719,58 @@ mod tests {
         assert_eq!(*logs[0].borrow(), Vec::<u64>::new());
         assert_eq!(*logs[1].borrow(), vec![10_000]);
         assert_eq!(*logs[2].borrow(), vec![2_000, 10_000]);
+    }
+
+    #[test]
+    fn crash_cycles_that_cancel_timers_reuse_slab_slots() {
+        /// Arms three timers at start and on every recovery; a crash
+        /// cancels them.
+        struct Rearm {
+            fired: Shared<u32>,
+        }
+        fn arm(ctx: &mut Ctx<'_, Msg>) {
+            for s in 1..=3 {
+                ctx.schedule_self(SimDuration::from_secs(s * 10), Msg::Tick);
+            }
+        }
+        impl Actor<Msg> for Rearm {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                arm(ctx);
+            }
+            fn on_message(&mut self, _msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
+                *self.fired.borrow_mut() += 1;
+            }
+            fn on_crash(&mut self, _lossy: bool, ctx: &mut Ctx<'_, Msg>) {
+                ctx.cancel_timers();
+            }
+            fn on_recover(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                arm(ctx);
+            }
+        }
+        let fired = shared(0);
+        let mut sim = fixed_sim(0);
+        let a = sim.add_actor(Box::new(Rearm {
+            fired: fired.clone(),
+        }));
+        // Fifty one-second outages, each scheduled and run as its own
+        // leg, so the queue never holds more than one cycle's entries.
+        for cycle in 0..50 {
+            sim.crash_at(a, SimTime::from_secs(2 * cycle + 1), false);
+            sim.recover_at(a, SimTime::from_secs(2 * cycle + 2));
+            sim.run(Some(SimTime::from_secs(2 * cycle + 2)));
+        }
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+        // Every crash cancelled three pending timers; only the last
+        // recovery's fired.
+        assert_eq!(*fired.borrow(), 3);
+        let depth = sim
+            .engine_metrics()
+            .gauge(Scope::Global, "sim.queue_depth_max")
+            .expect("published");
+        assert_eq!(depth, 5);
+        assert!(sim.slab.len() <= depth as usize, "{}", sim.slab.len());
+        // A sift moves keys only, whatever the message type.
+        assert_eq!(std::mem::size_of::<Scheduled>(), 32);
     }
 
     #[test]
