@@ -16,7 +16,8 @@
 //! database).
 
 use hcm_core::{
-    EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, TraceRecorder, Value,
+    EventDesc, ItemId, RuleRegistry, SimDuration, SimTime, SiteId, TemplateDesc, TraceRecorder,
+    Value,
 };
 use hcm_obs::{Metrics, Scope};
 use hcm_simkit::{Actor, ActorId, Ctx, RunOutcome, Sim};
@@ -207,8 +208,8 @@ pub struct MonitorScenario {
     pub translator_x: ActorId,
     /// Translator for the relational store holding `Y`.
     pub translator_y: ActorId,
-    /// κ implied by the interfaces: the max notification bound plus
-    /// service/processing slack.
+    /// κ implied by the interfaces: the larger notification bound of
+    /// the two CM-RIDs.
     pub kappa: SimDuration,
 }
 
@@ -236,6 +237,11 @@ pub(crate) fn build_with_memory(seed: u64, v0: i64, memory: Durability) -> Monit
 
     let rid_x = CmRid::parse(RID_X_KV).expect("valid RID");
     let rid_y = CmRid::parse(RID_Y_REL).expect("valid RID");
+    let kappa = (rid_x.interfaces.iter().chain(&rid_y.interfaces))
+        .filter(|s| matches!(s.rhs, TemplateDesc::N { .. }))
+        .map(|s| s.bound)
+        .max()
+        .expect("both CM-RIDs offer notify");
     let iface_x: Vec<_> = rid_x
         .interfaces
         .iter()
@@ -301,8 +307,7 @@ pub(crate) fn build_with_memory(seed: u64, v0: i64, memory: Durability) -> Monit
         recorder,
         translator_x,
         translator_y,
-        // 2s notify bound + 100ms service + margin.
-        kappa: SimDuration::from_millis(2500),
+        kappa,
     }
 }
 

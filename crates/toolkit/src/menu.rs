@@ -10,9 +10,10 @@
 //! guarantees".
 //!
 //! Builders here emit rule-language text, so a menu choice is exactly
-//! what a hand-written specification would be.
+//! what a hand-written specification would be. The guarantees that go
+//! with a strategy are not listed here: [`derive::copy_guarantees`]
+//! reads them off the strategy's own rules and the interfaces they use.
 
-use crate::rid::{classify, IfaceClass};
 use hcm_core::SimDuration;
 use hcm_rulelang::InterfaceStmt;
 
@@ -171,16 +172,16 @@ pub struct Suggestion {
     pub name: &'static str,
     /// Strategy-rule lines for the `[strategy]` section.
     pub rules: Vec<String>,
-    /// Names of the §3.3.1 guarantees that are provably valid with
-    /// this interface/strategy pair.
-    pub valid_guarantees: Vec<&'static str>,
+    /// The §3.3.1 guarantees derived for these rules and interfaces.
+    pub guarantees: Vec<derive::Derived>,
 }
 
 /// Given the interface statements available for the source and
 /// destination of a copy constraint `dst = copy of src`, suggest
 /// applicable strategies with their proven guarantees (§4.1: "The CM
 /// then suggests strategies that are applicable to these interfaces,
-/// along with the associated guarantees").
+/// along with the associated guarantees"). A menu strategy applies when
+/// [`derive::copy_guarantees`] derives something for its rules.
 #[must_use]
 pub fn suggest_copy_strategies(
     src: &str,
@@ -190,47 +191,31 @@ pub fn suggest_copy_strategies(
     poll_period: SimDuration,
     bound: SimDuration,
 ) -> Vec<Suggestion> {
-    let has = |stmts: &[InterfaceStmt], class: IfaceClass| {
-        stmts.iter().any(|s| classify(s) == Some(class))
-    };
-    let mut out = Vec::new();
-    if !has(dst_ifaces, IfaceClass::Write) {
-        // Without a write interface at the destination, the CM can at
-        // best monitor (§6.3) — no enforcement suggestions.
-        return out;
-    }
-    if has(src_ifaces, IfaceClass::Notify) {
-        // §4.2.3: with notify + write, propagation validates all four
-        // copy guarantees.
-        out.push(Suggestion {
-            name: "propagate",
-            rules: vec![strategies::propagate(src, dst, bound)],
-            valid_guarantees: vec!["follows", "leads", "strictly_follows", "follows_metric"],
-        });
-        out.push(Suggestion {
-            name: "propagate_cached",
-            rules: vec![strategies::propagate_cached(src, dst, "Cache", bound)],
-            valid_guarantees: vec!["follows", "leads", "strictly_follows", "follows_metric"],
-        });
-    }
-    if has(src_ifaces, IfaceClass::Read) {
-        // §4.2.3: polling loses guarantee (2) — updates inside one
-        // polling interval can be missed.
-        out.push(Suggestion {
-            name: "poll_and_propagate",
-            rules: strategies::poll_and_propagate(src, dst, poll_period, bound),
-            valid_guarantees: vec!["follows", "strictly_follows", "follows_metric"],
-        });
-    }
-    if has(src_ifaces, IfaceClass::PeriodicNotify) {
-        // Equivalent to polling from the guarantee standpoint.
-        out.push(Suggestion {
-            name: "propagate",
-            rules: vec![strategies::propagate(src, dst, bound)],
-            valid_guarantees: vec!["follows", "strictly_follows", "follows_metric"],
-        });
-    }
-    out
+    let menu = [
+        ("propagate", vec![strategies::propagate(src, dst, bound)]),
+        (
+            "propagate_cached",
+            vec![strategies::propagate_cached(src, dst, "Cache", bound)],
+        ),
+        (
+            "poll_and_propagate",
+            strategies::poll_and_propagate(src, dst, poll_period, bound),
+        ),
+    ];
+    menu.into_iter()
+        .filter_map(|(name, rules)| {
+            let parsed: Vec<_> = rules
+                .iter()
+                .map(|r| hcm_rulelang::parse_strategy_rule(r).expect("menu rules parse"))
+                .collect();
+            let guarantees = derive::copy_guarantees(src, dst, src_ifaces, dst_ifaces, &parsed);
+            (!guarantees.is_empty()).then_some(Suggestion {
+                name,
+                rules,
+                guarantees,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -302,65 +287,66 @@ mod tests {
         let write =
             vec![parse_interface(&interfaces::write("Y", SimDuration::from_secs(1))).unwrap()];
         let none: Vec<InterfaceStmt> = vec![];
+        let suggest = |src, dst| {
+            suggest_copy_strategies(
+                "X",
+                "Y",
+                src,
+                dst,
+                SimDuration::from_secs(60),
+                SimDuration::from_secs(5),
+            )
+        };
+        let names = |s: &Suggestion| s.guarantees.iter().map(|d| d.name).collect::<Vec<_>>();
 
-        // notify + write → propagation with all four guarantees.
-        let s = suggest_copy_strategies(
-            "X",
-            "Y",
-            &notify,
-            &write,
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(5),
+        // notify + write → both propagations, with all four guarantees.
+        let s = suggest(&notify, &write);
+        assert_eq!(
+            s.iter().map(|x| x.name).collect::<Vec<_>>(),
+            ["propagate", "propagate_cached"]
         );
-        assert!(s
-            .iter()
-            .any(|x| x.name == "propagate" && x.valid_guarantees.contains(&"leads")));
+        for x in &s {
+            assert_eq!(
+                names(x),
+                ["follows", "leads", "strictly_follows", "follows_metric"]
+            );
+        }
 
         // read + write → polling without guarantee (2).
-        let s = suggest_copy_strategies(
-            "X",
-            "Y",
-            &read,
-            &write,
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(5),
-        );
+        let s = suggest(&read, &write);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].name, "poll_and_propagate");
-        assert!(!s[0].valid_guarantees.contains(&"leads"));
-        assert!(s[0].valid_guarantees.contains(&"follows"));
+        assert_eq!(
+            names(&s[0]),
+            ["follows", "strictly_follows", "follows_metric"]
+        );
 
         // no write interface at destination → nothing to suggest.
-        let s = suggest_copy_strategies(
-            "X",
-            "Y",
-            &notify,
-            &none,
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(5),
-        );
-        assert!(s.is_empty());
+        assert!(suggest(&notify, &none).is_empty());
     }
 }
 
 /// Derived guarantees with computed metric bounds — the paper's §3
 /// future-work item ("we also plan to extend the toolkit so that it can
 /// help the system designer derive new guarantees for different
-/// interfaces and strategies"), specialized to copy constraints.
+/// interfaces and strategies"), specialized to copy constraints and
+/// read from the strategy's own rules.
 ///
-/// The κ of the metric follows-guarantee is *computed from the
-/// specification bounds* the same way §4.2.2 tells administrators to
-/// estimate δ: sum the interface bounds along the propagation path,
-/// plus the strategy bound, plus a messaging allowance.
+/// κ of the metric follows-guarantee is the sum of the `within` bounds
+/// of the rules and of the interface statements they use, plus the
+/// period of each periodic source, plus one clock tick. In a valid
+/// execution (Appendix A, property 5) each generated event lies within
+/// its rule's bound of its trigger, network transit included, so no
+/// separate messaging term is added.
 pub mod derive {
-    use super::{classify, guarantees, IfaceClass};
+    use super::guarantees;
     use hcm_core::{SimDuration, TemplateDesc, Term, Value};
-    use hcm_rulelang::InterfaceStmt;
+    use hcm_rulelang::{CmpOp, Cond, Expr, InterfaceStmt, RhsStep, StrategyRule};
+    use std::mem::discriminant;
 
-    /// Extra allowance for intra-site hops and network transit beyond
-    /// the declared bounds (the paper's "maximum transmission time
-    /// between CM-Shells").
-    pub const MESSAGING_ALLOWANCE: SimDuration = SimDuration::from_millis(500);
+    /// One tick of the clock. Property 5 admits an event at exactly its
+    /// bound, while the metric formula's `t1 - κ < t2` is strict.
+    const TICK: SimDuration = SimDuration::from_millis(1);
 
     /// A derived guarantee: its name, the formula text, and (for
     /// metric ones) the computed κ.
@@ -374,130 +360,147 @@ pub mod derive {
         pub kappa: Option<SimDuration>,
     }
 
-    fn bound_of(stmts: &[InterfaceStmt], class: IfaceClass) -> Option<SimDuration> {
-        stmts
-            .iter()
-            .filter(|s| classify(s) == Some(class))
-            .map(|s| s.bound)
-            .max()
+    /// Whether `a` and `b` are events of one kind on items with the
+    /// base name of `item` (`salary1` for `salary1(n)`).
+    fn both_on(a: &TemplateDesc, b: &TemplateDesc, item: &str) -> bool {
+        let base = item.split('(').next();
+        let on = |t: &TemplateDesc| t.item_pattern().map(|p| p.base.as_str()) == base;
+        discriminant(a) == discriminant(b) && on(a) && on(b)
     }
 
-    fn period_of(stmts: &[InterfaceStmt]) -> Option<SimDuration> {
-        stmts
+    /// The period of a `P(p)` template.
+    fn period(t: &TemplateDesc) -> Option<SimDuration> {
+        match t {
+            TemplateDesc::P {
+                period: Term::Const(Value::Int(ms)),
+            } => u64::try_from(*ms).ok().map(SimDuration::from_millis),
+            _ => None,
+        }
+    }
+
+    /// Whether `cond` can drop a change. Only `true`, binding
+    /// equalities `X = b` (the read and periodic-notify form) and the
+    /// §3.2 cache guard cannot: `C != b` with a `later` step `W(C, b)`
+    /// skips only a value the same rule already passed on.
+    fn drops(cond: &Cond, later: &[RhsStep]) -> bool {
+        match cond {
+            Cond::True | Cond::Cmp(Expr::Item(_), CmpOp::Eq, Expr::Var(_)) => false,
+            Cond::Cmp(Expr::Item(cache), CmpOp::Ne, Expr::Var(b)) => !later.iter().any(|s| {
+                matches!(&s.event, TemplateDesc::W { item, value: Term::Var(v) }
+                    if item == cache && v == b)
+            }),
+            Cond::And(x, y) => drops(x, later) || drops(y, later),
+            _ => true,
+        }
+    }
+
+    /// The copy guarantees for `dst = copy of src` under the strategy
+    /// `rules`, in §3.3.1 order. The statements that count are the
+    /// source statements whose RHS event some rule triggers on
+    /// (`N(src)`, `R(src)`) and the destination statements whose
+    /// `WR(dst)` some rule step requests; without both, nothing is
+    /// derived. (1) and (3) hold whenever both exist; (2) needs no
+    /// periodic source and no condition that drops a change; (4) needs
+    /// no condition that drops a change.
+    #[must_use]
+    pub fn copy_guarantees(
+        src: &str,
+        dst: &str,
+        src_ifaces: &[InterfaceStmt],
+        dst_ifaces: &[InterfaceStmt],
+        rules: &[StrategyRule],
+    ) -> Vec<Derived> {
+        let sources: Vec<_> = src_ifaces
             .iter()
-            .filter(|s| classify(s) == Some(IfaceClass::PeriodicNotify))
-            .find_map(|s| match &s.lhs {
-                TemplateDesc::P {
-                    period: Term::Const(Value::Int(ms)),
-                } if *ms > 0 => Some(SimDuration::from_millis(*ms as u64)),
-                _ => None,
+            .filter(|s| rules.iter().any(|r| both_on(&r.lhs, &s.rhs, src)))
+            .collect();
+        let writes: Vec<_> = dst_ifaces
+            .iter()
+            .filter(|s| {
+                let mut steps = rules.iter().flat_map(|r| &r.steps);
+                steps.any(|step| both_on(&step.event, &s.lhs, dst))
             })
-    }
-
-    /// The copy guarantees for `dst = copy of src` in menu order:
-    /// (1), (3), then (2) when the source loses no values, then (4)
-    /// with the computed κ.
-    fn copy_guarantees(src: &str, dst: &str, lossless: bool, kappa: SimDuration) -> Vec<Derived> {
-        let derived = |name, formula| Derived {
+            .collect();
+        if sources.is_empty() || writes.is_empty() {
+            return Vec::new();
+        }
+        let stmts = [sources, writes].concat();
+        let heads = stmts
+            .iter()
+            .map(|s| &s.lhs)
+            .chain(rules.iter().map(|r| &r.lhs));
+        let periods: Vec<_> = heads.filter_map(period).collect();
+        let kappa = (stmts.iter().map(|s| s.bound))
+            .chain(rules.iter().map(|r| r.bound))
+            .chain(periods.iter().copied())
+            .fold(TICK, |k, d| k + d);
+        let lossy = stmts.iter().any(|s| drops(&s.cond, &[]))
+            || rules.iter().any(|r| {
+                let mut conds = (0..r.steps.len()).map(|i| (&r.steps[i].cond, &r.steps[i + 1..]));
+                drops(&r.cond, &[]) || conds.any(|(c, later)| drops(c, later))
+            });
+        let plain = |name, formula| Derived {
             name,
             formula,
             kappa: None,
         };
-        let mut out = vec![
-            derived("follows", guarantees::follows(src, dst)),
-            derived("strictly_follows", guarantees::strictly_follows(src, dst)),
-        ];
-        if lossless {
-            out.push(derived("leads", guarantees::leads(src, dst)));
+        let mut out = vec![plain("follows", guarantees::follows(src, dst))];
+        if periods.is_empty() && !lossy {
+            out.push(plain("leads", guarantees::leads(src, dst)));
         }
-        out.push(Derived {
-            name: "follows_metric",
-            formula: guarantees::follows_metric(src, dst, kappa),
-            kappa: Some(kappa),
-        });
+        out.push(plain(
+            "strictly_follows",
+            guarantees::strictly_follows(src, dst),
+        ));
+        if !lossy {
+            out.push(Derived {
+                name: "follows_metric",
+                formula: guarantees::follows_metric(src, dst, kappa),
+                kappa: Some(kappa),
+            });
+        }
         out
-    }
-
-    /// Derive the copy guarantees valid for `dst = copy of src` under
-    /// the *propagation* strategy (`N(src,b) →δ WR(dst,b)`), given the
-    /// two sites' interface statements. Returns an empty vector when
-    /// the interfaces cannot support the strategy at all.
-    #[must_use]
-    pub fn propagation_guarantees(
-        src: &str,
-        dst: &str,
-        src_ifaces: &[InterfaceStmt],
-        dst_ifaces: &[InterfaceStmt],
-        strategy_bound: SimDuration,
-    ) -> Vec<Derived> {
-        let Some(write_bound) = bound_of(dst_ifaces, IfaceClass::Write) else {
-            return Vec::new();
-        };
-        let notify = bound_of(src_ifaces, IfaceClass::Notify);
-        let periodic = period_of(src_ifaces).map(|p| {
-            (
-                p,
-                bound_of(src_ifaces, IfaceClass::PeriodicNotify).unwrap_or_default(),
-            )
-        });
-        let (source_lag, lossless) = match (notify, periodic) {
-            // Plain notify: every change surfaces within its bound.
-            (Some(nb), _) => (nb, true),
-            // Periodic notify: changes surface within period + ε, and
-            // intra-period updates are lost.
-            (None, Some((p, eps))) => (p + eps, false),
-            (None, None) => return Vec::new(),
-        };
-        let kappa = source_lag + strategy_bound + write_bound + MESSAGING_ALLOWANCE;
-        copy_guarantees(src, dst, lossless, kappa)
-    }
-
-    /// Derive the guarantees for the polling strategy
-    /// (`P(p) → RR(src); R(src,b) → WR(dst,b)`). There is no (2):
-    /// polling misses values that change twice within one period.
-    #[must_use]
-    pub fn polling_guarantees(
-        src: &str,
-        dst: &str,
-        src_ifaces: &[InterfaceStmt],
-        dst_ifaces: &[InterfaceStmt],
-        poll_period: SimDuration,
-        strategy_bound: SimDuration,
-    ) -> Vec<Derived> {
-        let (Some(read_bound), Some(write_bound)) = (
-            bound_of(src_ifaces, IfaceClass::Read),
-            bound_of(dst_ifaces, IfaceClass::Write),
-        ) else {
-            return Vec::new();
-        };
-        let kappa = poll_period
-            + read_bound
-            + strategy_bound
-            + strategy_bound // P→RR and R→WR each carry the bound
-            + write_bound
-            + MESSAGING_ALLOWANCE;
-        copy_guarantees(src, dst, false, kappa)
     }
 }
 
 #[cfg(test)]
 mod derive_tests {
     use super::*;
-    use hcm_rulelang::{parse_guarantee, parse_interface};
+    use hcm_rulelang::{parse_guarantee, parse_interface, parse_strategy_rule, StrategyRule};
+
+    fn stmts(lines: &[&str]) -> Vec<InterfaceStmt> {
+        lines.iter().map(|l| parse_interface(l).unwrap()).collect()
+    }
+
+    fn rules(lines: &[&str]) -> Vec<StrategyRule> {
+        lines
+            .iter()
+            .map(|l| parse_strategy_rule(l).unwrap())
+            .collect()
+    }
+
+    fn names(derived: &[derive::Derived]) -> Vec<&'static str> {
+        derived.iter().map(|d| d.name).collect()
+    }
+
+    fn kappa(derived: &[derive::Derived]) -> Option<SimDuration> {
+        derived.iter().find_map(|d| d.kappa)
+    }
+
+    const PROPAGATE: &str = "N(X, b) -> WR(Y, b) within 5s";
+    const WRITE: &str = "WR(Y, b) -> W(Y, b) within 1s";
 
     #[test]
     fn propagation_kappa_is_sum_of_bounds() {
-        let src = vec![parse_interface("Ws(X, b) -> N(X, b) within 2s").unwrap()];
-        let dst = vec![parse_interface("WR(Y, b) -> W(Y, b) within 1s").unwrap()];
+        let src = stmts(&["Ws(X, b) -> N(X, b) within 2s"]);
         let derived =
-            derive::propagation_guarantees("X", "Y", &src, &dst, SimDuration::from_secs(5));
-        let names: Vec<_> = derived.iter().map(|d| d.name).collect();
+            derive::copy_guarantees("X", "Y", &src, &stmts(&[WRITE]), &rules(&[PROPAGATE]));
         assert_eq!(
-            names,
-            vec!["follows", "strictly_follows", "leads", "follows_metric"]
+            names(&derived),
+            ["follows", "leads", "strictly_follows", "follows_metric"]
         );
-        let metric = derived.iter().find(|d| d.name == "follows_metric").unwrap();
-        assert_eq!(metric.kappa, Some(SimDuration::from_millis(8_500)));
+        // 2s notify + 5s strategy + 1s write + one tick.
+        assert_eq!(kappa(&derived), Some(SimDuration::from_millis(8_001)));
         // Every formula parses.
         for d in &derived {
             parse_guarantee(d.name, &d.formula).unwrap();
@@ -506,55 +509,69 @@ mod derive_tests {
 
     #[test]
     fn periodic_source_drops_leads_and_widens_kappa() {
-        let src = vec![parse_interface("P(60s) when X = b -> N(X, b) within 1s").unwrap()];
-        let dst = vec![parse_interface("WR(Y, b) -> W(Y, b) within 1s").unwrap()];
+        let src = stmts(&["P(60s) when X = b -> N(X, b) within 1s"]);
         let derived =
-            derive::propagation_guarantees("X", "Y", &src, &dst, SimDuration::from_secs(5));
-        assert!(!derived.iter().any(|d| d.name == "leads"));
-        let metric = derived.iter().find(|d| d.name == "follows_metric").unwrap();
-        // 60s period + 1s ε + 5s strategy + 1s write + 500ms.
-        assert_eq!(metric.kappa, Some(SimDuration::from_millis(67_500)));
+            derive::copy_guarantees("X", "Y", &src, &stmts(&[WRITE]), &rules(&[PROPAGATE]));
+        assert_eq!(
+            names(&derived),
+            ["follows", "strictly_follows", "follows_metric"]
+        );
+        // 60s period + 1s ε + 5s strategy + 1s write + one tick.
+        assert_eq!(kappa(&derived), Some(SimDuration::from_millis(67_001)));
     }
 
     #[test]
     fn polling_kappa_includes_period() {
-        let src = vec![parse_interface("RR(X) when X = b -> R(X, b) within 1s").unwrap()];
-        let dst = vec![parse_interface("WR(Y, b) -> W(Y, b) within 1s").unwrap()];
-        let derived = derive::polling_guarantees(
+        let src = stmts(&["RR(X) when X = b -> R(X, b) within 1s"]);
+        let poll = strategies::poll_and_propagate(
             "X",
             "Y",
-            &src,
-            &dst,
             SimDuration::from_secs(60),
             SimDuration::from_secs(5),
         );
-        assert!(!derived.iter().any(|d| d.name == "leads"));
-        let metric = derived.iter().find(|d| d.name == "follows_metric").unwrap();
-        // 60 + 1 + 5 + 5 + 1 + 0.5 = 72.5 s.
-        assert_eq!(metric.kappa, Some(SimDuration::from_millis(72_500)));
+        let poll: Vec<&str> = poll.iter().map(String::as_str).collect();
+        let derived = derive::copy_guarantees("X", "Y", &src, &stmts(&[WRITE]), &rules(&poll));
+        assert_eq!(
+            names(&derived),
+            ["follows", "strictly_follows", "follows_metric"]
+        );
+        // 60s period + 1s read + 5s + 5s for the two rules + 1s write
+        // + one tick.
+        assert_eq!(kappa(&derived), Some(SimDuration::from_millis(72_001)));
     }
 
     #[test]
     fn unsupported_interfaces_derive_nothing() {
-        let none: Vec<hcm_rulelang::InterfaceStmt> = vec![];
-        let dst = vec![parse_interface("WR(Y, b) -> W(Y, b) within 1s").unwrap()];
-        assert!(
-            derive::propagation_guarantees("X", "Y", &none, &dst, SimDuration::from_secs(5))
-                .is_empty()
+        let none: Vec<InterfaceStmt> = vec![];
+        let notify = stmts(&["Ws(X, b) -> N(X, b) within 2s"]);
+        let dst = stmts(&[WRITE]);
+        let propagate = rules(&[PROPAGATE]);
+        assert!(derive::copy_guarantees("X", "Y", &none, &dst, &propagate).is_empty());
+        assert!(derive::copy_guarantees("X", "Y", &notify, &none, &propagate).is_empty());
+        // A read interface alone gives propagation nothing to trigger on.
+        let read = stmts(&["RR(X) when X = b -> R(X, b) within 1s"]);
+        assert!(derive::copy_guarantees("X", "Y", &read, &dst, &propagate).is_empty());
+    }
+
+    #[test]
+    fn dropping_conditions_lose_leads_and_the_metric_but_the_cache_guard_does_not() {
+        let dst = stmts(&[WRITE]);
+        let conditional = stmts(&["Ws(X, a, b) when abs(b - a) > 0.1 * a -> N(X, b) within 2s"]);
+        let derived = derive::copy_guarantees("X", "Y", &conditional, &dst, &rules(&[PROPAGATE]));
+        assert_eq!(names(&derived), ["follows", "strictly_follows"]);
+
+        let notify = stmts(&["Ws(X, b) -> N(X, b) within 2s"]);
+        let cached = rules(&["N(X, b) -> if Cx != b then WR(Y, b) ; W(Cx, b) within 5s"]);
+        let derived = derive::copy_guarantees("X", "Y", &notify, &dst, &cached);
+        assert_eq!(
+            names(&derived),
+            ["follows", "leads", "strictly_follows", "follows_metric"]
         );
-        assert!(derive::polling_guarantees(
-            "X",
-            "Y",
-            &none,
-            &dst,
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(5)
-        )
-        .is_empty());
-        let src = vec![parse_interface("Ws(X, b) -> N(X, b) within 2s").unwrap()];
-        assert!(
-            derive::propagation_guarantees("X", "Y", &src, &none, SimDuration::from_secs(5))
-                .is_empty()
-        );
+        assert_eq!(kappa(&derived), Some(SimDuration::from_millis(8_001)));
+
+        // A guard on some other item is a filter, not a cache.
+        let filtered = rules(&["N(X, b) -> if Cx != b then WR(Y, b) ; W(Cz, b) within 5s"]);
+        let derived = derive::copy_guarantees("X", "Y", &notify, &dst, &filtered);
+        assert_eq!(names(&derived), ["follows", "strictly_follows"]);
     }
 }

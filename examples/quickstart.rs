@@ -117,10 +117,8 @@ fn main() {
         SimDuration::from_secs(60),
         SimDuration::from_secs(5),
     ) {
-        println!(
-            "  strategy `{}` — proven guarantees: {:?}",
-            s.name, s.valid_guarantees
-        );
+        let names: Vec<_> = s.guarantees.iter().map(|d| d.name).collect();
+        println!("  strategy `{}` — proven guarantees: {names:?}", s.name);
         for r in &s.rules {
             println!("    {r}");
         }

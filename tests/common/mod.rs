@@ -4,6 +4,38 @@
 #[allow(unused_imports)] // each test binary uses a different subset
 pub use hcm::harness::rule_set_of;
 
+/// The copy guarantees `menu::derive` derives for `dst = copy of src`
+/// from what `sc` deploys: site A's and site B's interface statements
+/// and the strategy's own rules.
+#[must_use]
+pub fn deployed_copy_guarantees(
+    sc: &hcm::toolkit::Scenario,
+    src: &str,
+    dst: &str,
+) -> Vec<hcm::toolkit::menu::derive::Derived> {
+    let rules: Vec<_> = sc.strategy.rules.iter().map(|r| r.rule.clone()).collect();
+    hcm::toolkit::menu::derive::copy_guarantees(
+        src,
+        dst,
+        &sc.site("A").rid.interfaces,
+        &sc.site("B").rid.interfaces,
+        &rules,
+    )
+}
+
+/// Assert that every derived guarantee holds on `trace`.
+pub fn assert_all_hold(trace: &hcm::core::Trace, derived: &[hcm::toolkit::menu::derive::Derived]) {
+    for d in derived {
+        let g = hcm::rulelang::parse_guarantee(d.name, &d.formula).unwrap();
+        let r = hcm::checker::guarantee::check_guarantee(trace, &g, None);
+        assert!(
+            r.holds,
+            "derived `{}` violated: {:#?}",
+            d.name, r.violations
+        );
+    }
+}
+
 /// A fresh relational employees database with one row per `(id, value)`.
 #[must_use]
 pub fn employees_db(rows: &[(&str, i64)]) -> hcm::ris::relational::Database {

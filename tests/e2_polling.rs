@@ -14,12 +14,12 @@
 
 mod common;
 
-use common::{employees_db, rule_set_of};
+use common::{assert_all_hold, deployed_copy_guarantees, employees_db, rule_set_of};
 use hcm::checker::{check_validity, guarantee::check_guarantee};
 use hcm::core::{SimDuration, SimTime, Value};
 use hcm::rulelang::parse_guarantee;
 use hcm::toolkit::backends::RawStore;
-use hcm::toolkit::menu::{derive, guarantees, interfaces};
+use hcm::toolkit::menu::{guarantees, interfaces};
 use hcm::toolkit::{Scenario, ScenarioBuilder, SpontaneousOp};
 
 /// A relational CM-RID for `base` over the employees table, offering
@@ -117,23 +117,15 @@ fn polling_keeps_follows_and_order_but_loses_leads() {
     assert!(report.is_valid(), "{:#?}", report.violations);
 
     // (1) follows, (3) strictly follows and (4) metric follows — the
-    // guarantees the menu derives for polling, with κ = poll period +
-    // the bounds along the path (72.5s) — hold.
-    let derived = derive::polling_guarantees(
-        "salary1(n)",
-        "salary2(n)",
-        &sc.site("A").rid.interfaces,
-        &sc.site("B").rid.interfaces,
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(5),
-    );
+    // guarantees derived from the deployed polling rules — hold. κ is
+    // the poll period + the read, poll, propagate and write bounds + one
+    // tick: 60s + 1s + 1s + 5s + 1s + 1ms.
+    let derived = deployed_copy_guarantees(&sc, "salary1(n)", "salary2(n)");
     let names: Vec<_> = derived.iter().map(|d| d.name).collect();
     assert_eq!(names, ["follows", "strictly_follows", "follows_metric"]);
-    for d in &derived {
-        let g = parse_guarantee(d.name, &d.formula).unwrap();
-        let r = check_guarantee(&trace, &g, None);
-        assert!(r.holds, "`{}`: {:#?}", d.name, r.violations);
-    }
+    let kappa = derived.iter().find_map(|d| d.kappa);
+    assert_eq!(kappa, Some(SimDuration::from_millis(68_001)));
+    assert_all_hold(&trace, &derived);
 
     // (2) leads: VIOLATED — 95k never reaches Y.
     let r = check_guarantee(&trace, &leads(), None);

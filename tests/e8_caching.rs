@@ -13,8 +13,10 @@
 
 mod common;
 
-use common::{employees_db, rule_set_of, RID_DST, RID_SRC};
-use hcm::checker::{check_validity, guarantee::check_guarantee};
+use common::{
+    assert_all_hold, deployed_copy_guarantees, employees_db, rule_set_of, RID_DST, RID_SRC,
+};
+use hcm::checker::check_validity;
 use hcm::core::{ItemId, SimTime, Value};
 use hcm::toolkit::backends::RawStore;
 use hcm::toolkit::{Scenario, ScenarioBuilder, SpontaneousOp};
@@ -105,16 +107,17 @@ fn caching_cuts_write_requests_without_losing_guarantees() {
     let c_wr = cached2.trace().tag_counts().get("WR").copied().unwrap_or(0);
     assert!(c_wr <= n_wr);
 
-    // Guarantees: follows holds for both.
-    for sc in [&naive2, &cached2] {
-        let g = hcm::rulelang::parse_guarantee(
-            "follows",
-            "(salary2(n) = y) @ t1 => (salary1(n) = y) @ t2 and t2 <= t1",
-        )
-        .unwrap();
-        let trace = sc.trace();
-        let r = check_guarantee(&trace, &g, None);
-        assert!(r.holds, "{:#?}", r.violations);
+    // Guarantees: every copy guarantee derived from the deployed rules
+    // — all four, the cache guard drops no change — holds for both
+    // strategies on both workloads.
+    for sc in [&naive, &cached, &naive2, &cached2] {
+        let derived = deployed_copy_guarantees(sc, "salary1(n)", "salary2(n)");
+        let names: Vec<_> = derived.iter().map(|d| d.name).collect();
+        assert_eq!(
+            names,
+            ["follows", "leads", "strictly_follows", "follows_metric"]
+        );
+        assert_all_hold(&sc.trace(), &derived);
     }
 }
 

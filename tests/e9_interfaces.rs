@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{employees_db, rule_set_of, RID_DST};
+use common::{assert_all_hold, deployed_copy_guarantees, employees_db, rule_set_of, RID_DST};
 use hcm::checker::{check_validity, guarantee::check_guarantee};
 use hcm::core::{ItemId, SimDuration, SimTime, Value};
 use hcm::rulelang::parse_guarantee;
@@ -92,13 +92,20 @@ fn conditional_notify_suppresses_small_changes() {
     // the suppressed obligations.
     let report = check_validity(&trace, &rule_set_of(&sc));
     assert!(report.is_valid(), "{:#?}", report.violations);
-    // "leads" cannot hold (suppression loses values); "follows" can.
-    let follows =
-        parse_guarantee("follows", &guarantees::follows("salary1(n)", "salary2(n)")).unwrap();
-    let fr = check_guarantee(&trace, &follows, None);
-    assert!(fr.holds, "violations {:#?}\ntrace:\n{trace}", fr.violations);
+    // The derivation reads the interface's condition: suppression loses
+    // values, so only (1) and (3) are derived, and both hold. This very
+    // trace refutes "leads", and the metric follows at the κ the bounds
+    // alone would give (2s + 5s + 1s + 1ms).
+    let derived = deployed_copy_guarantees(&sc, "salary1(n)", "salary2(n)");
+    let names: Vec<_> = derived.iter().map(|d| d.name).collect();
+    assert_eq!(names, ["follows", "strictly_follows"]);
+    assert_all_hold(&trace, &derived);
     let leads = parse_guarantee("leads", &guarantees::leads("salary1(n)", "salary2(n)")).unwrap();
     assert!(!check_guarantee(&trace, &leads, None).holds);
+    let metric =
+        guarantees::follows_metric("salary1(n)", "salary2(n)", SimDuration::from_millis(8_001));
+    let metric = parse_guarantee("follows_metric", &metric).unwrap();
+    assert!(!check_guarantee(&trace, &metric, None).holds);
 }
 
 /// Destination CM-RID for the whois scenario: phone numbers in a
@@ -179,15 +186,15 @@ fn periodic_notify_bounds_staleness_by_period() {
         update_event.time
     );
 
-    // Metric guarantee with κ = period + slack (70s) holds; κ smaller
-    // than the period cannot.
-    let wide = parse_guarantee(
-        "mirror_fresh",
-        "(mphone(n) = y) @ t1 => (wphone(n) = y) @ t2 and t1 - 70s < t2 and t2 <= t1",
-    )
-    .unwrap();
-    let r = check_guarantee(&trace, &wide, None);
-    assert!(r.holds, "{:#?}", r.violations);
+    // Every guarantee derived from the deployed rules holds: no leads
+    // (a periodic source), and the metric follows with κ = 60s period +
+    // 1s ε + 5s strategy + 1s write + 1ms.
+    let derived = deployed_copy_guarantees(&sc, "wphone(n)", "mphone(n)");
+    let names: Vec<_> = derived.iter().map(|d| d.name).collect();
+    assert_eq!(names, ["follows", "strictly_follows", "follows_metric"]);
+    let kappa = derived.iter().find_map(|d| d.kappa);
+    assert_eq!(kappa, Some(SimDuration::from_millis(67_001)));
+    assert_all_hold(&trace, &derived);
 
     // Every periodic dump produced a notification (ann exists): at
     // least 6 polls in 400s.
